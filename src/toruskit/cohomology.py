@@ -96,8 +96,8 @@ def _lattice_cohomology(module: GLattice, q: int) -> FGAbelian:
 
 @lru_cache(maxsize=None)
 def _presented_cohomology(module: GModulePresentation, q: int) -> FGAbelian:
-    free_rank, torsion = _presented_subquotient(module, q)
-    return FGAbelian(free_rank, torsion)
+    numerator, denominator = _presented_cocycles_and_bounds(module, q)
+    return FGAbelian(*linalg.quotient_invariants(numerator, denominator))
 
 
 def _relation_block(module: GModulePresentation, copies: int) -> np.ndarray:
@@ -128,11 +128,6 @@ def _presented_cocycles_and_bounds(module: GModulePresentation, q: int):
     numerator = linalg.hstack([cocycles, rel_here])
     denominator = linalg.hstack([d_prev, rel_here])
     return numerator, denominator
-
-
-def _presented_subquotient(module: GModulePresentation, q: int):
-    numerator, denominator = _presented_cocycles_and_bounds(module, q)
-    return linalg.quotient_invariants(numerator, denominator)
 
 
 def tate_h0(group: FiniteGroup, module: GLattice) -> FGAbelian:
@@ -204,7 +199,7 @@ def _lattice_classes(module: GLattice, q: int) -> CohomologyClasses:
 
 def _presented_classes(module: GModulePresentation, q: int) -> CohomologyClasses:
     numerator, denominator = _presented_cocycles_and_bounds(module, q)
-    basis = linalg.column_span_basis(numerator)
+    basis = linalg.hermite_column(numerator)
     coords = linalg.solve(basis, denominator)
     if coords is None:
         raise InternalInvariantError("coboundaries escape the cocycle span")
@@ -285,7 +280,7 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice,
         t = len(rmap.matrix)
         if t == 0:
             continue
-        target_orders = _class_orders(restrict(module, sub), 2)
+        target_orders = cohomology_classes(restrict(module, sub), 2).orders
         blocks.append((linalg.intmat(rmap.matrix, shape=(t, s)), target_orders))
     if not blocks:
         return source.fg
@@ -310,10 +305,6 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice,
     if free_rank:
         raise InternalInvariantError("local-kernel subgroup came out infinite")
     return FGAbelian(0, torsion)
-
-
-def _class_orders(module: GLattice, q: int) -> tuple[int, ...]:
-    return cohomology_classes(module, q).orders
 
 
 class SplittingEnumeration(NamedTuple):

@@ -157,6 +157,8 @@ def make_group(spec: Mapping) -> FiniteGroup:
         {"type": "product", "factors": [descriptor, ...]}
         {"type": "cyclotomic", "modulus": 8, "subgroup": [1, 3]}
     """
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"group descriptor must be an object, got {spec!r}")
     kind = spec.get("type")
     if kind == "cyclic":
         return cyclic_group(int(spec["n"]))

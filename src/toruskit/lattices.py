@@ -466,7 +466,3 @@ def _factorint(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def abelian_from_quotient(free_rank: int, torsion: Iterable[int]) -> FGAbelian:
-    return FGAbelian(free_rank, tuple(t for t in torsion if t >= 2))

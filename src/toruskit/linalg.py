@@ -305,11 +305,6 @@ def in_column_span(a: np.ndarray, b: np.ndarray) -> bool:
     return solve(a, b) is not None
 
 
-def column_span_basis(a: np.ndarray) -> np.ndarray:
-    """A basis (independent columns, Hermite-normalized) of the column span."""
-    return hermite_column(a)
-
-
 def hermite_column(a: np.ndarray) -> np.ndarray:
     """Column-style Hermite normal form, zero columns dropped.
 
@@ -393,7 +388,7 @@ def quotient_invariants(numerator: np.ndarray, denominator: np.ndarray
     Requires span(denominator) <= span(numerator).  Returns (free_rank,
     torsion invariant factors).
     """
-    basis = column_span_basis(numerator)
+    basis = hermite_column(numerator)
     x = solve(basis, denominator)
     if x is None:
         raise ValueError("denominator does not lie in the span of the numerator")

@@ -121,10 +121,6 @@ def rank_profile(t: Torus) -> RankProfile:
     return RankProfile(t.dim, split_rank, t.dim - split_rank)
 
 
-def is_anisotropic(t: Torus) -> bool:
-    return rank_profile(t).split_rank == 0
-
-
 def classify_real(t: Torus) -> RealClassification:
     """The unique (a, b, c) with T(R) = (R^x)^a x (C^x)^b x S^c.
 

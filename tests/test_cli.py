@@ -71,6 +71,21 @@ def test_volumes_ramified_lambda_one(tmp_path):
     assert payload["ramified"] == [2]
 
 
+def test_volumes_one_local_factor_per_prime(tmp_path, monkeypatch):
+    from toruskit import tamagawa
+    calls = []
+    original = tamagawa.local_artin_factor
+
+    def counting(t, p):
+        calls.append(p)
+        return original(t, p)
+
+    monkeypatch.setattr(tamagawa, "local_artin_factor", counting)
+    payload = run_json(["volumes", "--pmax", "30", write(tmp_path, "r.json", QI_RES)])
+    assert payload["volume"]["3"] == "8/9" and payload["lambda"]["3"] == "9/8"
+    assert sorted(calls) == [int(p) for p in payload["volume"]]
+
+
 def test_residue(tmp_path):
     payload = run_json(["residue", "--prec", "12",
                         write(tmp_path, "n1.json", QI_N1)])
@@ -125,6 +140,11 @@ def test_exit_2_on_malformed(tmp_path):
                    {"field": {"type": "cyclotomic", "modulus": 4},
                     "torus": {"type": "lattice", "matrices": {"0": [[1]], "1": [[2]]}}})
     assert run(["info", notrep])[0] == 2
+    for group in ([1], {"type": "product", "factors": ["x"]}):
+        spec = write(tmp_path, "group.json", {"field": {"type": "abstract", "group": group},
+                                              "torus": {"type": "res"}})
+        code, out, err = run(["info", spec])
+        assert code == 2 and out == "" and "malformed" in err
 
 
 def test_exit_2_on_bad_usage():

@@ -39,6 +39,10 @@ def test_make_group_rejects_bad_specs():
         make_group({"type": "cyclotomic", "modulus": 8, "subgroup": [1, 3, 5]})
     with pytest.raises(ValueError):
         make_group({"type": "nope"})
+    with pytest.raises(ValueError):
+        make_group([1])
+    with pytest.raises(ValueError):
+        make_group({"type": "product", "factors": ["x"]})
 
 
 @pytest.mark.parametrize("g", group_family_up_to_8(), ids=lambda g: g.label)

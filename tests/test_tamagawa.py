@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from toruskit.arith import AbelianGaloisDatum, primes_up_to
@@ -9,7 +10,8 @@ from toruskit.errors import RamifiedPrimeError, UnsupportedRequestError
 from toruskit.groups import cyclic_group, product_group
 from toruskit.lattices import conjugate
 from toruskit.tamagawa import (QuadratureGrid, canonical_coefficients,
-                               gm_adelic_check, local_volume, tamagawa_number)
+                               gm_adelic_check, local_volume, simpson,
+                               tamagawa_number)
 from toruskit.tori import make_torus
 
 from support import random_unimodular
@@ -139,10 +141,51 @@ def test_gm_adelic_check_pmax_independence():
     # every factor cancels exactly, so the rational part never moves
     a = gm_adelic_check(2)
     b = gm_adelic_check(500)
-    assert a.tau_hat == b.tau_hat
+    assert a.tau_hat == b.tau_hat == 0.9999999695400408
     assert a.coefficient_volume_product == b.coefficient_volume_product == 1
 
 
 def test_gm_adelic_check_grid_too_coarse():
     with pytest.raises(ValueError):
         gm_adelic_check(10, QuadratureGrid(points=11))
+
+
+@pytest.mark.parametrize("points, tau_hat", [
+    (2000, 0.9999999695400404),  # even count: Cartwright's last-interval correction
+    (1001, 0.9999999695400407),
+])
+def test_gm_adelic_check_pinned_quadrature(points, tau_hat):
+    assert gm_adelic_check(20, QuadratureGrid(points=points)).tau_hat == tau_hat
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 10, 51, 52])
+def test_simpson_exact_on_quadratics(n):
+    # the rule is exact for quadratics on any spacing, odd or even count
+    x = np.sort(np.random.default_rng(n).uniform(-1.0, 2.0, n))
+    y = 3.0 * x * x - x + 0.5
+    exact = (x[-1] ** 3 - x[0] ** 3) - (x[-1] ** 2 - x[0] ** 2) / 2 + (x[-1] - x[0]) / 2
+    assert simpson(y, x) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+def test_simpson_matches_scipy_bit_for_bit():
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(5)
+    for n in list(range(3, 40)) + [1000, 1001]:
+        for x in (np.linspace(-18.0, 2.5, n), np.sort(rng.uniform(0.0, 8.0, n))):
+            y = np.exp(-x * x) + rng.normal(size=n)
+            assert simpson(y, x) == scipy_integrate.simpson(y, x=x)
+
+
+def test_import_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import toruskit
+    src = os.path.dirname(os.path.dirname(toruskit.__file__))
+    code = ("import sys, toruskit; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -13,11 +13,11 @@ from .groups import (FiniteGSet, FiniteGroup, Subgroup, all_subgroups,
                      cyclotomic_quotient_group, index_two_subgroups,
                      make_group, orbits, product_group, subgroup_closure,
                      trivial_subgroup)
-from .lattices import (FGAbelian, GLattice, GModulePresentation,
-                       build_lattice, direct_sum, dual, glattice, induce,
-                       invariants, permutation_lattice, presentation_mod,
-                       quotient_lattice, regular_lattice, restrict,
-                       sign_lattice, trace_character, trivial_lattice)
+from .lattices import (FGAbelian, GLattice, GModulePresentation, direct_sum,
+                       dual, glattice, induce, invariants,
+                       permutation_lattice, presentation_mod, quotient_lattice,
+                       regular_lattice, restrict, sign_lattice,
+                       trace_character, trivial_lattice)
 from .tamagawa import (GmAdelicCheck, QuadratureGrid, canonical_coefficients,
                        gm_adelic_check, local_volume, tamagawa_number)
 from .tori import (LatticeMap, RankProfile, RealClassification, Torus,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,12 +94,6 @@ def _lattice_cohomology(module: GLattice, q: int) -> FGAbelian:
     return FGAbelian(0, factors)
 
 
-@lru_cache(maxsize=None)
-def _presented_cohomology(module: GModulePresentation, q: int) -> FGAbelian:
-    numerator, denominator = _presented_cocycles_and_bounds(module, q)
-    return FGAbelian(*linalg.quotient_invariants(numerator, denominator))
-
-
 def _relation_block(module: GModulePresentation, copies: int) -> np.ndarray:
     rel = module.relations_matrix()
     n, k = rel.shape
@@ -109,8 +103,9 @@ def _relation_block(module: GModulePresentation, copies: int) -> np.ndarray:
     return out
 
 
-def _presented_cocycles_and_bounds(module: GModulePresentation, q: int):
-    """(numerator, denominator) generating columns for H^q of a presentation."""
+@lru_cache(maxsize=None)
+def _presented_cohomology(module: GModulePresentation, q: int) -> FGAbelian:
+    """Cocycles plus relation translates over coboundaries plus the same."""
     group = module.group
     mats = [module.action_matrix(a) for a in group.elements()]
     n = module.generators
@@ -125,9 +120,8 @@ def _presented_cocycles_and_bounds(module: GModulePresentation, q: int):
         d_prev = linalg.zeros(dim_q, 0)
     else:
         d_prev = bar_differential(group, mats, q - 1)
-    numerator = linalg.hstack([cocycles, rel_here])
-    denominator = linalg.hstack([d_prev, rel_here])
-    return numerator, denominator
+    return FGAbelian(*linalg.quotient_invariants(linalg.hstack([cocycles, rel_here]),
+                                                 linalg.hstack([d_prev, rel_here])))
 
 
 def tate_h0(group: FiniteGroup, module: GLattice) -> FGAbelian:
@@ -146,72 +140,45 @@ def tate_h0(group: FiniteGroup, module: GLattice) -> FGAbelian:
 
 @dataclass(frozen=True)
 class CohomologyClasses:
-    """H^q with explicit cocycle representatives in the free cochain cover.
+    """H^q(G, M) of a lattice, q in {1, 2}, with cocycle representatives.
 
-    ``generators`` columns are genuine cocycles; ``orders`` pairs with them
-    (0 marks a free generator, which only occurs in degree 0).  ``reducer``
-    columns span everything a class may be adjusted by (coboundaries, plus
-    relation translates for presented coefficients).
+    ``generators`` columns are cocycles in the free cochain module; their
+    classes generate H^q with orders ``fg.torsion``, in that order.
+    ``reducer`` is d^(q-1), whose columns span the coboundaries.  Both arrays
+    are cached and read-only.
     """
 
     fg: FGAbelian
-    orders: tuple[int, ...]
     generators: np.ndarray
     reducer: np.ndarray
 
     def coordinates(self, cocycles: np.ndarray) -> np.ndarray:
         """Class coordinates of cocycle columns on ``generators``, mod orders."""
-        if not self.orders:
+        orders = self.fg.torsion
+        if not orders:
             return linalg.zeros(0, cocycles.shape[1])
         sol = linalg.solve(linalg.hstack([self.generators, self.reducer]), cocycles)
         if sol is None:
             raise InternalInvariantError("vector is not a cocycle of this class group")
-        out = sol[:len(self.orders), :]
-        for i, d in enumerate(self.orders):
-            if d:
-                for j in range(out.shape[1]):
-                    out[i, j] %= d
+        out = sol[:len(orders), :]
+        for i, d in enumerate(orders):
+            out[i, :] %= d
         return out
 
 
 @lru_cache(maxsize=None)
-def cohomology_classes(module: GLattice | GModulePresentation, q: int) -> CohomologyClasses:
-    if isinstance(module, GLattice):
-        return _lattice_classes(module, q)
-    return _presented_classes(module, q)
-
-
-def _lattice_classes(module: GLattice, q: int) -> CohomologyClasses:
-    mats = _np_action(module)
-    if q == 0:
-        basis, fixed_rank = invariants(module)
-        return CohomologyClasses(FGAbelian.free(fixed_rank),
-                                 (0,) * fixed_rank, basis,
-                                 linalg.zeros(module.rank, 0))
-    d_prev = bar_differential(module.group, mats, q - 1)
-    data = linalg.cokernel_data(d_prev)
-    torsion_cols = [i for i, d in enumerate(data.orders) if d >= 2]
-    orders = tuple(data.orders[i] for i in torsion_cols)
-    gens = data.generators[:, torsion_cols]
-    fg = FGAbelian(0, orders)
-    return CohomologyClasses(fg, orders, gens, d_prev)
-
-
-def _presented_classes(module: GModulePresentation, q: int) -> CohomologyClasses:
-    numerator, denominator = _presented_cocycles_and_bounds(module, q)
-    basis = linalg.hermite_column(numerator)
-    coords = linalg.solve(basis, denominator)
-    if coords is None:
-        raise InternalInvariantError("coboundaries escape the cocycle span")
-    snf = linalg.smith_normal_form(coords, want_uinv=True)
+def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
+    """H^q as the torsion of coker d^(q-1), generated by columns of U^-1."""
+    if q not in (1, 2):
+        raise ValueError("cocycle representatives are computed in degrees 1 and 2")
+    d_prev = bar_differential(module.group, _np_action(module), q - 1)
+    snf = linalg.smith_normal_form(d_prev, want_uinv=True)
     cols = [i for i in range(snf.rank) if snf.diagonal[i] >= 2]
-    orders = [snf.diagonal[i] for i in cols]
-    cols += list(range(snf.rank, basis.shape[1]))
-    orders += [0] * (basis.shape[1] - snf.rank)
-    gens = linalg.mul(basis, snf.uinv[:, cols]) if cols else \
-        linalg.zeros(basis.shape[0], 0)
-    fg = FGAbelian(orders.count(0), tuple(d for d in orders if d))
-    return CohomologyClasses(fg, tuple(orders), gens, denominator)
+    gens = snf.uinv[:, cols]
+    gens.flags.writeable = False
+    d_prev.flags.writeable = False
+    return CohomologyClasses(FGAbelian(0, tuple(snf.diagonal[i] for i in cols)),
+                             gens, d_prev)
 
 
 class RestrictionMap(NamedTuple):
@@ -236,70 +203,58 @@ def restrict_cochain(cochain: np.ndarray, group: FiniteGroup, sub: Subgroup,
 
 def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
                     q: int) -> RestrictionMap:
-    """Cochain-level restriction on cohomology, q in {1, 2}."""
+    """Cochain-level restriction on cohomology, q in {1, 2}.
+
+    A vanishing target gives the empty matrix without building any cocycle
+    representatives.
+    """
     if q not in (1, 2):
         raise ValueError("restriction is computed in degrees 1 and 2")
     if module.group != group or sub.parent != group:
         raise ValueError("module and subgroup must belong to the given group")
+    restricted = restrict(module, sub)
+    if cohomology(restricted.group, restricted, q).is_trivial():
+        return RestrictionMap(cohomology(group, module, q), FGAbelian.trivial(), ())
     source = cohomology_classes(module, q)
-    target = cohomology_classes(restrict(module, sub), q)
-    restricted = restrict_cochain(source.generators, group, sub, q, module.rank)
-    coords = target.coordinates(restricted)
+    target = cohomology_classes(restricted, q)
+    cochains = restrict_cochain(source.generators, group, sub, q, module.rank)
+    coords = target.coordinates(cochains)
     matrix = tuple(tuple(int(x) for x in row) for row in coords.tolist())
     return RestrictionMap(source.fg, target.fg, matrix)
 
 
-def sha2_cyclic(group: FiniteGroup, module: GLattice,
-                extra: Iterable[Subgroup] = ()) -> FGAbelian:
+def _diagonal(entries: Sequence[int]) -> np.ndarray:
+    out = linalg.zeros(len(entries), len(entries))
+    for i, d in enumerate(entries):
+        out[i, i] = d
+    return out
+
+
+def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     """Kernel of H^2(G, M) -> prod over cyclic subgroups of H^2(C, Res M).
 
     Cyclic subgroups stand in for the decomposition groups of unramified
-    places; ``extra`` intersects the kernel with additional subgroups'
-    restrictions.
+    places.
     """
     if module.group != group:
         raise ValueError("module is not over the given group")
     total = cohomology(group, module, 2)
     if total.is_trivial():
         return FGAbelian.trivial()
-    family: dict[tuple[int, ...], Subgroup] = {}
-    for sub in itertools.chain(cyclic_subgroups(group), extra):
-        family[sub.elements] = sub
-    # Only subgroups with nonvanishing H^2 constrain the kernel; skipping the
-    # rest avoids building cocycle representatives when nothing restricts.
-    active = [family[key] for key in sorted(family)
-              if not cohomology(restrict(module, family[key]).group,
-                                restrict(module, family[key]), 2).is_trivial()]
-    if not active:
+    # Only subgroups with nonvanishing H^2 constrain the kernel, and
+    # restriction to the others builds no cocycle representatives.
+    maps = [rmap for rmap in (restriction_map(group, module, sub, 2)
+                              for sub in cyclic_subgroups(group))
+            if not rmap.target.is_trivial()]
+    if not maps:
         return total
-    source = cohomology_classes(module, 2)
-    s = len(source.orders)
-    blocks = []
-    for sub in active:
-        rmap = restriction_map(group, module, sub, 2)
-        t = len(rmap.matrix)
-        if t == 0:
-            continue
-        target_orders = cohomology_classes(restrict(module, sub), 2).orders
-        blocks.append((linalg.intmat(rmap.matrix, shape=(t, s)), target_orders))
-    if not blocks:
-        return source.fg
-    rows = []
-    total_aux = sum(len(orders) for _, orders in blocks)
-    aux_offset = 0
-    for mat, orders in blocks:
-        t = mat.shape[0]
-        row = linalg.zeros(t, s + total_aux)
-        row[:, :s] = mat
-        for i, d in enumerate(orders):
-            row[i, s + aux_offset + i] = d
-        aux_offset += len(orders)
-        rows.append(row)
-    system = linalg.vstack(rows)
-    kernel = linalg.kernel_basis(system)[:s, :]
-    diag = linalg.zeros(s, s)
-    for i, d in enumerate(source.orders):
-        diag[i, i] = d
+    # x in H^2(G) lies in the kernel iff every R_C x = 0 in its target, i.e.
+    # (x, y) solves [R | diag(target orders)] (x, y) = 0 for some y.
+    target_orders = [d for rmap in maps for d in rmap.target.torsion]
+    system = linalg.hstack([linalg.vstack([linalg.intmat(rmap.matrix) for rmap in maps]),
+                            _diagonal(target_orders)])
+    kernel = linalg.kernel_basis(system)[:len(total.torsion), :]
+    diag = _diagonal(total.torsion)
     free_rank, torsion = linalg.quotient_invariants(
         linalg.hstack([kernel, diag]), diag)
     if free_rank:

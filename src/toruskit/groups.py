@@ -42,10 +42,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
-
     def __repr__(self):
         return f"FiniteGroup({self.label or self.order})"
 

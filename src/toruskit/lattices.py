@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .groups import (FiniteGroup, FiniteGSet, Subgroup, coset_representatives,
-                     full_subgroup)
+from .groups import FiniteGroup, FiniteGSet, Subgroup, coset_representatives
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -65,8 +64,11 @@ class GLattice:
 
 @lru_cache(maxsize=None)
 def _np_action(m: GLattice) -> tuple[np.ndarray, ...]:
-    # Cached object-dtype copies; internal callers must not mutate them.
-    return tuple(_thaw(a, m.rank) for a in m.action)
+    # Cached object-dtype copies, read-only so no caller can corrupt them.
+    mats = tuple(_thaw(a, m.rank) for a in m.action)
+    for a in mats:
+        a.flags.writeable = False
+    return mats
 
 
 def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) -> GLattice:
@@ -112,25 +114,6 @@ def regular_lattice(group: FiniteGroup) -> GLattice:
             m[group.mul(a, b), b] = 1
         mats.append(_freeze(m))
     return GLattice(group, group.order, tuple(mats))
-
-
-def build_lattice(kind: str, group: FiniteGroup, *, rank: int = 1,
-                  kernel: Subgroup | None = None,
-                  gset: FiniteGSet | None = None) -> GLattice:
-    """Dispatch over the named constructors (trivial/sign/regular/permutation)."""
-    if kind == "trivial":
-        return trivial_lattice(group, rank)
-    if kind == "sign":
-        if kernel is None:
-            raise ValueError("sign lattice requires the index-2 kernel subgroup")
-        return sign_lattice(group, kernel)
-    if kind == "regular":
-        return regular_lattice(group)
-    if kind == "permutation":
-        if gset is None:
-            raise ValueError("permutation lattice requires a finite G-set")
-        return permutation_lattice(gset)
-    raise ValueError(f"unknown lattice kind {kind!r}")
 
 
 def induce(h: Subgroup, a: GLattice) -> GLattice:

@@ -3,7 +3,7 @@
 All matrices are numpy arrays with ``dtype=object`` holding Python ints, so
 nothing ever rounds or overflows.  The workhorse is a Smith normal form with
 optional unimodular transforms; kernels, saturations, integer solves and
-cokernel presentations are derived from it.  A column-style Hermite form is
+subquotient structures are derived from it.  A column-style Hermite form is
 used to put lattice bases into a canonical shape.
 """
 
@@ -265,10 +265,6 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
     return SmithForm(diag, rank, u, uinv, v)
 
 
-def rank(a: np.ndarray) -> int:
-    return smith_normal_form(a).rank
-
-
 def invariant_factors(a: np.ndarray) -> tuple[int, ...]:
     """Nontrivial invariant factors (entries >= 2) of the Smith form."""
     return tuple(x for x in smith_normal_form(a).diagonal if x not in (0, 1))
@@ -299,10 +295,6 @@ def solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
             elif y[i, j] != 0:
                 return None
     return mul(snf.v, x)
-
-
-def in_column_span(a: np.ndarray, b: np.ndarray) -> bool:
-    return solve(a, b) is not None
 
 
 def hermite_column(a: np.ndarray) -> np.ndarray:
@@ -352,33 +344,6 @@ def is_saturated(a: np.ndarray) -> bool:
     """True when Z^m / colspan(a) is torsion-free and a has full column rank."""
     snf = smith_normal_form(a)
     return snf.rank == a.shape[1] and all(x == 1 for x in snf.diagonal[:snf.rank])
-
-
-class CokernelData(NamedTuple):
-    """Presentation of Z^m / colspan(A).
-
-    ``orders`` pairs with the columns of ``generators``: order 0 marks a free
-    generator, an order d >= 2 a torsion generator of that order.  Torsion
-    generators come first, in divisibility order.
-    """
-
-    orders: tuple[int, ...]
-    generators: np.ndarray
-
-
-def cokernel_data(a: np.ndarray) -> CokernelData:
-    m = a.shape[0]
-    snf = smith_normal_form(a, want_uinv=True)
-    orders = []
-    cols = []
-    for i in range(snf.rank):
-        if snf.diagonal[i] >= 2:
-            orders.append(snf.diagonal[i])
-            cols.append(i)
-    free_cols = list(range(snf.rank, m))
-    gens = snf.uinv[:, cols + free_cols]
-    orders.extend([0] * len(free_cols))
-    return CokernelData(tuple(orders), gens)
 
 
 def quotient_invariants(numerator: np.ndarray, denominator: np.ndarray

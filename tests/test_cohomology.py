@@ -116,7 +116,7 @@ def test_restriction_map_well_defined_under_representative_change():
         from toruskit.cohomology import restrict_cochain
         coords = tgt.coordinates(restrict_cochain(perturbed, KLEIN, h, 2, m.rank))
         base = linalg.intmat(rmap.matrix, shape=coords.shape)
-        for i, d in enumerate(tgt.orders):
+        for i, d in enumerate(tgt.fg.torsion):
             for j in range(coords.shape[1]):
                 assert (int(coords[i, j]) - int(base[i, j])) % d == 0
 
@@ -159,10 +159,17 @@ def test_sha2_klein_norm_one_is_c2():
     assert sha2_cyclic(KLEIN, m) == FGAbelian(0, (2,))
 
 
-def test_sha2_extra_subgroup_cuts_kernel():
-    # restricting additionally to the whole Klein group kills everything
-    m = norm_one_lattice(KLEIN)
-    assert sha2_cyclic(KLEIN, m, extra=[full_subgroup(KLEIN)]).is_trivial()
+def test_sha2_active_path_norm_one_plus_trivial():
+    # Cyclic subgroups detect characters, so Sha^2(G, Z) = 0, while every
+    # nontrivial cyclic subgroup has H^2(C, Z) != 0 and so constrains the
+    # kernel.  Hence Sha^2(G, J_G + Z) = Sha^2(G, J_G) = H^2(G, J_G).
+    c2_cubed = product_group(KLEIN, C2)
+    for g, expected in ((KLEIN, (2,)), (product_group(C2, C4), (2,)),
+                        (c2_cubed, (2, 2, 2))):
+        m = direct_sum(norm_one_lattice(g), trivial_lattice(g, 1))
+        assert sha2_cyclic(g, trivial_lattice(g, 1)).is_trivial()
+        assert cohomology(g, norm_one_lattice(g), 2) == FGAbelian(0, expected)
+        assert sha2_cyclic(g, m) == FGAbelian(0, expected)
 
 
 def test_shapiro_small():
@@ -294,12 +301,21 @@ def test_bar_differentials_compose_to_zero():
         assert linalg.is_zero(linalg.mul(d2, d1))
 
 
+def test_cached_arrays_are_read_only():
+    from toruskit.lattices import _np_action
+    m = norm_one_lattice(KLEIN)
+    classes = cohomology_classes(m, 2)
+    for cached in (_np_action(m)[1], classes.generators, classes.reducer):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 7
+
+
 def test_cocycle_generators_really_are_cocycles():
     for m in (SIGN, norm_one_lattice(KLEIN), norm_one_lattice(C4)):
         from toruskit.lattices import _np_action
         for q in (1, 2):
             classes = cohomology_classes(m, q)
-            if not classes.orders:
+            if not classes.fg.torsion:
                 continue
             d_q = bar_differential(m.group, _np_action(m), q)
             assert linalg.is_zero(linalg.mul(d_q, classes.generators))

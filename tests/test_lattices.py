@@ -6,9 +6,9 @@ from toruskit import linalg
 from toruskit.groups import (all_subgroups, cyclic_group, product_group,
                              subgroup_closure, trivial_subgroup)
 from toruskit.lattices import (FGAbelian, GLattice, GModulePresentation,
-                               build_lattice, conjugate, direct_sum, dual,
-                               glattice, hom_lattice, induce, invariants,
-                               norm_operator, norm_vector, permutation_lattice,
+                               conjugate, direct_sum, dual, glattice,
+                               hom_lattice, induce, invariants, norm_operator,
+                               norm_vector, permutation_lattice,
                                presentation_mod, quotient_lattice,
                                regular_lattice, restrict, sign_lattice,
                                tensor_lattice, trace_character,
@@ -22,22 +22,22 @@ KLEIN = product_group(C2, C2)
 
 
 def test_build_lattice_trivial():
-    m = build_lattice("trivial", KLEIN, rank=3)
+    m = trivial_lattice(KLEIN, 3)
     assert m.rank == 3
     assert all(mat == tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
                for mat in m.action)
 
 
 def test_build_lattice_regular_c2_swaps():
-    m = build_lattice("regular", C2)
+    m = regular_lattice(C2)
     assert m.action[1] == ((0, 1), (1, 0))
 
 
 def test_build_lattice_sign():
-    m = build_lattice("sign", C2, kernel=trivial_subgroup(C2))
+    m = sign_lattice(C2, trivial_subgroup(C2))
     assert m.action[1] == ((-1,),)
     with pytest.raises(ValueError):
-        build_lattice("sign", cyclic_group(3), kernel=trivial_subgroup(cyclic_group(3)))
+        sign_lattice(cyclic_group(3), trivial_subgroup(cyclic_group(3)))
 
 
 def test_glattice_rejects_non_representations():

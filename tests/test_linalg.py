@@ -56,7 +56,7 @@ def test_kernel_basis(rows):
     a = linalg.intmat(rows)
     k = linalg.kernel_basis(a)
     assert linalg.is_zero(linalg.mul(a, k))
-    assert k.shape[1] == a.shape[1] - linalg.rank(a)
+    assert k.shape[1] == a.shape[1] - linalg.smith_normal_form(a).rank
     if k.shape[1]:
         assert linalg.is_saturated(k)
 
@@ -67,8 +67,8 @@ def test_solve_and_span():
     x = linalg.solve(a, b)
     assert linalg.is_zero(linalg.mul(a, x) - b)
     assert linalg.solve(a, linalg.intmat([[1], [0]])) is None
-    assert linalg.in_column_span(a, linalg.intmat([[2], [3]]))
-    assert not linalg.in_column_span(a, linalg.intmat([[1], [1]]))
+    assert linalg.solve(a, linalg.intmat([[2], [3]])) is not None
+    assert linalg.solve(a, linalg.intmat([[1], [1]])) is None
 
 
 def test_hermite_column_canonical():
@@ -86,16 +86,6 @@ def test_hermite_drops_zero_columns():
     assert h.shape == (2, 1)
     assert h[0, 0] == 1 and h[1, 0] == 1
 
-
-def test_cokernel_data():
-    a = linalg.intmat([[2, 0], [0, 3], [0, 0]])
-    orders, gens = linalg.cokernel_data(a)
-    # Z^3 / <2e1, 3e2> = C6 x Z in invariant-factor form
-    assert orders == (6, 0)
-    assert gens.shape == (3, 2)
-    for i, d in enumerate(orders):
-        if d:
-            assert linalg.in_column_span(a, d * gens[:, i:i + 1])
 
 
 def test_quotient_invariants():

@@ -21,7 +21,8 @@ from typing import NamedTuple
 from . import linalg
 from .errors import (InternalInvariantError, PoleError, RamifiedPrimeError,
                      UnsupportedRequestError)
-from .groups import FiniteGroup, cyclotomic_quotient_group, units_mod
+from .groups import (FiniteGroup, abelian_decomposition,
+                     cyclotomic_quotient_group, units_mod)
 from .lattices import trace_character
 from .tori import Torus
 
@@ -187,30 +188,14 @@ def characters(datum: AbelianGaloisDatum) -> list[DirichletCharacter]:
 def _characters_cached(modulus: int, subgroup: tuple[int, ...]) -> tuple[DirichletCharacter, ...]:
     datum = AbelianGaloisDatum(modulus, subgroup)
     group = datum.group
-    m = group.order
-    # Present the group on all its elements: relations e_i + e_j - e_{ij}.
-    rel = linalg.zeros(m, m * m)
-    col = 0
-    for i in range(m):
-        for j in range(m):
-            rel[i, col] += 1
-            rel[j, col] += 1
-            rel[group.mul(i, j), col] -= 1
-            col += 1
-    snf = linalg.smith_normal_form(rel, want_u=True)
-    if snf.rank != m:
-        raise InternalInvariantError("group presentation has infinite quotient")
-    orders = snf.diagonal[:m]
-    coords = snf.u  # element i has coordinates column i of u, mod orders
-    units = units_mod(modulus)
+    dec = abelian_decomposition(group)
+    unit_coords = [dec.exponents[datum.element_of_unit(u)] for u in units_mod(modulus)]
     chars = []
-    for tup in itertools.product(*(range(d) for d in orders)):
-        exps = []
-        for u in units:
-            i = datum.element_of_unit(u)
-            q = sum(Fraction(int(coords[k, i]) * tup[k], orders[k]) for k in range(m))
-            exps.append(q % 1)
-        chars.append(DirichletCharacter(modulus, tuple(exps)))
+    # the character with exponents tup sends g_k to e^(2 pi i tup_k / n_k)
+    for tup in itertools.product(*(range(d) for d in dec.orders)):
+        exps = tuple(sum((Fraction(e * x, d) for e, x, d in zip(coords, tup, dec.orders)),
+                         Fraction(0)) % 1 for coords in unit_coords)
+        chars.append(DirichletCharacter(modulus, exps))
     if len({c.exponents for c in chars}) != group.order:
         raise InternalInvariantError("character count does not match the group order")
     trivial = [c for c in chars if c.is_trivial()]

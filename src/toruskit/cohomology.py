@@ -1,23 +1,33 @@
-"""Group cohomology of finite groups via the inhomogeneous bar complex.
+"""Group cohomology of finite abelian groups via a small free resolution.
 
-Coefficients are G-lattices or finitely presented G-modules.  The cochain
-modules are M, M^{|G|}, M^{|G|^2}, ... with the usual differentials
+Write G = C_{n_1} x ... x C_{n_k} on independent generators g_i.  The tensor
+product of the periodic resolutions of the cyclic factors is a free
+Z[G]-resolution of Z whose degree-q module has one basis vector e_alpha for
+each multi-index alpha in N^k with |alpha| = q, and
 
-    (d0 m)(g)      = g.m - m
-    (d1 f)(g,h)    = g.f(h) - f(gh) + f(g)
-    (d2 f)(g,h,k)  = g.f(h,k) - f(gh,k) + f(g,hk) - f(g,h)
+    d e_beta = sum over i with beta_i > 0 of
+               (-1)^(beta_1 + ... + beta_{i-1}) D_i(beta_i) e_(beta - eps_i)
 
-and H^q = ker d^q / im d^(q-1) is read off Smith normal forms.  For lattice
-coefficients and q >= 1 the group H^q is finite (it is killed by |G|), so
-ker d^q equals the saturation of im d^(q-1) inside the free cochain module;
-H^q is therefore exactly the torsion of coker d^(q-1) and the large d^q
-matrix never has to be materialized.  Presented coefficients go through the
-general subquotient route, kernels included.
+where D_i(b) is g_i - 1 for odd b and the norm 1 + g_i + ... + g_i^(n_i - 1)
+for even b (Brown, Cohomology of Groups, I.6 and V.1).  The cochains of
+degree q are therefore M^C(q+k-1, k-1) instead of the M^(|G|^q) of the
+inhomogeneous bar complex, and H^q = ker d^q / im d^(q-1) is read off Smith
+normal forms.  For lattice coefficients and q >= 1 the group H^q is finite
+(it is killed by |G|), so ker d^q equals the saturation of im d^(q-1) inside
+the free cochain module; H^q is therefore exactly the torsion of
+coker d^(q-1).  Presented coefficients go through the general subquotient
+route, kernels included.
+
+Restriction to a subgroup H pulls cochains back along a chain map from the
+resolution of H into that of G, built from the resolution's explicit
+contracting homotopy.  ``bar_differential`` is kept as the independent
+reference the tests compare this engine with; no package path calls it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -26,7 +36,8 @@ import numpy as np
 
 from . import linalg
 from .errors import EnumerationBoundError, InternalInvariantError
-from .groups import FiniteGroup, Subgroup, cyclic_subgroups
+from .groups import (FiniteGroup, Subgroup, abelian_decomposition,
+                     cyclic_subgroups)
 from .lattices import (FGAbelian, GLattice, GModulePresentation, _np_action,
                        invariants, norm_operator, restrict)
 
@@ -41,7 +52,11 @@ def _tuple_index(gs: Sequence[int], base: int) -> int:
 
 
 def bar_differential(group: FiniteGroup, mats: Sequence[np.ndarray], q: int) -> np.ndarray:
-    """Matrix of d^q from M^(|G|^q) to M^(|G|^(q+1)), M of rank n."""
+    """Matrix of d^q from M^(|G|^q) to M^(|G|^(q+1)), M of rank n.
+
+    The inhomogeneous bar complex, kept as the tests' reference for the
+    small resolution.
+    """
     n = mats[0].shape[0]
     order = group.order
     ident = linalg.eye(n)
@@ -71,13 +86,69 @@ def bar_differential(group: FiniteGroup, mats: Sequence[np.ndarray], q: int) -> 
     return out
 
 
+@lru_cache(maxsize=None)
+def _multi_indices(k: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """alpha in N^k with |alpha| = q, in decreasing lexicographic order."""
+    if k == 0:
+        return ((),) if q == 0 else ()
+    return tuple((a,) + rest for a in range(q, -1, -1)
+                 for rest in _multi_indices(k - 1, q - a))
+
+
+@lru_cache(maxsize=None)
+def _positions(k: int, q: int) -> dict[tuple[int, ...], int]:
+    return {alpha: i for i, alpha in enumerate(_multi_indices(k, q))}
+
+
+def _cochain_rank(group: FiniteGroup, q: int) -> int:
+    """Number of free generators of the degree-q resolution module."""
+    return len(_multi_indices(len(abelian_decomposition(group).orders), q))
+
+
+def differential(group: FiniteGroup, mats: Sequence[np.ndarray], q: int) -> np.ndarray:
+    """Matrix of d^q on the small cochains, M^C(q+k-1, k-1) to M^C(q+k, k-1).
+
+    ``mats[a]`` is the matrix of group element a on M (rank n); only powers
+    of the decomposition's generators are read.
+    """
+    dec = abelian_decomposition(group)
+    k = len(dec.orders)
+    n = mats[group.identity].shape[0]
+    ident = linalg.eye(n)
+    minus_one, norms = [], []
+    for g, order in zip(dec.generators, dec.orders):
+        norm, power = linalg.zeros(n, n), group.identity
+        for _ in range(order):
+            norm += mats[power]
+            power = group.mul(power, g)
+        minus_one.append(mats[g] - ident)
+        norms.append(norm)
+    cols = _positions(k, q)
+    rows = _multi_indices(k, q + 1)
+    out = linalg.zeros(n * len(rows), n * len(cols))
+    for r, beta in enumerate(rows):
+        sign = 1
+        for i, b in enumerate(beta):
+            if b:
+                c = cols[beta[:i] + (b - 1,) + beta[i + 1:]]
+                block = minus_one[i] if b % 2 else norms[i]
+                out[r * n:(r + 1) * n, c * n:(c + 1) * n] = sign * block
+                if b % 2:
+                    sign = -sign
+    return out
+
+
 def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
                q: int) -> FGAbelian:
-    """H^q(G, M) as a finitely generated abelian group, q in {0, 1, 2}."""
+    """H^q(G, M) as a finitely generated abelian group, q in {0, 1, 2}.
+
+    G must be abelian; other groups raise ``UnsupportedRequestError``.
+    """
     if q not in (0, 1, 2):
         raise ValueError("cohomology degree must be 0, 1 or 2")
     if module.group != group:
         raise ValueError("module is not over the given group")
+    abelian_decomposition(group)
     if isinstance(module, GLattice):
         return _lattice_cohomology(module, q)
     return _presented_cohomology(module, q)
@@ -88,10 +159,8 @@ def _lattice_cohomology(module: GLattice, q: int) -> FGAbelian:
     if q == 0:
         _, fixed_rank = invariants(module)
         return FGAbelian.free(fixed_rank)
-    mats = _np_action(module)
-    d_prev = bar_differential(module.group, mats, q - 1)
-    factors = linalg.invariant_factors(d_prev)
-    return FGAbelian(0, factors)
+    d_prev = differential(module.group, _np_action(module), q - 1)
+    return FGAbelian(0, linalg.invariant_factors(d_prev))
 
 
 def _relation_block(module: GModulePresentation, copies: int) -> np.ndarray:
@@ -108,18 +177,16 @@ def _presented_cohomology(module: GModulePresentation, q: int) -> FGAbelian:
     """Cocycles plus relation translates over coboundaries plus the same."""
     group = module.group
     mats = [module.action_matrix(a) for a in group.elements()]
-    n = module.generators
-    order = group.order
-    dim_q = n * order ** q
-    d_q = bar_differential(group, mats, q)
-    rel_next = _relation_block(module, order ** (q + 1))
+    dim_q = module.generators * _cochain_rank(group, q)
+    d_q = differential(group, mats, q)
+    rel_next = _relation_block(module, _cochain_rank(group, q + 1))
     kernel = linalg.kernel_basis(linalg.hstack([d_q, rel_next]))
     cocycles = kernel[:dim_q, :]
-    rel_here = _relation_block(module, order ** q)
+    rel_here = _relation_block(module, _cochain_rank(group, q))
     if q == 0:
         d_prev = linalg.zeros(dim_q, 0)
     else:
-        d_prev = bar_differential(group, mats, q - 1)
+        d_prev = differential(group, mats, q - 1)
     return FGAbelian(*linalg.quotient_invariants(linalg.hstack([cocycles, rel_here]),
                                                  linalg.hstack([d_prev, rel_here])))
 
@@ -171,7 +238,7 @@ def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
     """H^q as the torsion of coker d^(q-1), generated by columns of U^-1."""
     if q not in (1, 2):
         raise ValueError("cocycle representatives are computed in degrees 1 and 2")
-    d_prev = bar_differential(module.group, _np_action(module), q - 1)
+    d_prev = differential(module.group, _np_action(module), q - 1)
     snf = linalg.smith_normal_form(d_prev, want_uinv=True)
     cols = [i for i in range(snf.rank) if snf.diagonal[i] >= 2]
     gens = snf.uinv[:, cols]
@@ -189,15 +256,103 @@ class RestrictionMap(NamedTuple):
     matrix: tuple[tuple[int, ...], ...]  # target-generator rows
 
 
+# Chains of the resolution of G, as Z-combinations of the basis g^t e_alpha:
+# {(t, alpha): coefficient}, t the exponent tuple of the group element.
+Chain = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
+
+
+def _boundary(chain: Chain, orders: Sequence[int]) -> Chain:
+    """d of the tensor resolution of prod C_{orders[i]}, applied Z-linearly."""
+    out: Chain = defaultdict(int)
+    for (t, alpha), c in chain.items():
+        signed = c  # c times (-1)^(alpha_1 + ... + alpha_(i-1))
+        for i, b in enumerate(alpha):
+            if not b:
+                continue
+            lower = alpha[:i] + (b - 1,) + alpha[i + 1:]
+            if b % 2:  # g_i - 1
+                out[(t[:i] + ((t[i] + 1) % orders[i],) + t[i + 1:], lower)] += signed
+                out[(t, lower)] -= signed
+                signed = -signed
+            else:  # norm of <g_i>
+                for j in range(orders[i]):
+                    out[(t[:i] + (j,) + t[i + 1:], lower)] += signed
+    return {key: c for key, c in out.items() if c}
+
+
+def _contract(chain: Chain, orders: Sequence[int]) -> Chain:
+    """The contracting homotopy s of the tensor resolution, with ds + sd = 1.
+
+    On one cyclic factor, s(g^t e_a) is (1 + g + ... + g^(t-1)) e_(a+1) for
+    even a and [t = n - 1] e_(a+1) for odd a.  On the tensor product,
+    s = s_1 x 1 + (eta eps)_1 x s_rest, where eta eps sends g^t e_0 to e_0.
+    """
+    out: Chain = defaultdict(int)
+    for (t, alpha), c in chain.items():
+        for i, a in enumerate(alpha):
+            up = alpha[:i] + (a + 1,) + alpha[i + 1:]
+            head, tail = (0,) * i, t[i + 1:]
+            if a % 2 == 0:
+                for j in range(t[i]):
+                    out[(head + (j,) + tail, up)] += c
+            elif t[i] == orders[i] - 1:
+                out[(head + (0,) + tail, up)] += c
+            if a:  # later terms need factors 1..i in degree 0
+                break
+    return {key: c for key, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _chain_map(sub: Subgroup) -> tuple[tuple[Chain, ...], ...]:
+    """phi_q(e'_beta) for q = 0, 1, 2: a chain map from the resolution of H
+    into that of G over Z[H], lifting the identity of Z.
+
+    phi_q = s phi_(q-1) d on the basis of H's resolution, extended
+    Z[H]-linearly; degree 1 is the Fox derivative of each generator of H
+    written in the g_i.
+    """
+    group = sub.parent
+    dec = abelian_decomposition(group)
+    sub_dec = abelian_decomposition(sub.as_group())
+    zero = (0,) * len(dec.orders)
+    phi: list[tuple[Chain, ...]] = [({(zero, zero): 1},)]
+    for q in (1, 2):
+        images = []
+        for beta in _multi_indices(len(sub_dec.orders), q):
+            target: Chain = defaultdict(int)
+            for (u, lower), c in _boundary({((0,) * len(beta), beta): 1},
+                                           sub_dec.orders).items():
+                shift = dec.exponents[sub.elements[sub_dec.element(u)]]
+                for (t, alpha), x in phi[q - 1][_positions(len(beta), q - 1)[lower]].items():
+                    moved = tuple((a + b) % n for a, b, n in zip(t, shift, dec.orders))
+                    target[(moved, alpha)] += c * x
+            target = {key: c for key, c in target.items() if c}
+            image = _contract(target, dec.orders)
+            if _boundary(image, dec.orders) != target:
+                raise InternalInvariantError("restriction chain map does not commute with d")
+            images.append(image)
+        phi.append(tuple(images))
+    return tuple(phi)
+
+
 def restrict_cochain(cochain: np.ndarray, group: FiniteGroup, sub: Subgroup,
-                     q: int, rank: int) -> np.ndarray:
-    """Pull cochain columns on G^q back to H^q along the inclusion."""
-    h = sub.order
-    out = linalg.zeros(rank * h ** q, cochain.shape[1])
-    for tup in itertools.product(range(h), repeat=q):
-        src = _tuple_index([sub.elements[i] for i in tup], group.order) * rank
-        dst = _tuple_index(tup, h) * rank
-        out[dst:dst + rank, :] = cochain[src:src + rank, :]
+                     q: int, rank: int, *, action: Sequence[np.ndarray]) -> np.ndarray:
+    """Pull cochain columns of G back to H along the chain map phi_q.
+
+    ``action[a]`` is the matrix of element a of G; the value of f o phi at
+    e'_beta is the sum of X(g^t) f(e_alpha) over the terms of phi(e'_beta).
+    """
+    if sub.parent != group:
+        raise ValueError("subgroup does not belong to the given group")
+    dec = abelian_decomposition(group)
+    cols = _positions(len(dec.orders), q)
+    images = _chain_map(sub)[q]
+    out = linalg.zeros(rank * len(images), cochain.shape[1])
+    for r, image in enumerate(images):
+        for (t, alpha), c in image.items():
+            j = cols[alpha] * rank
+            out[r * rank:(r + 1) * rank, :] += c * linalg.mul(
+                action[dec.element(t)], cochain[j:j + rank, :])
     return out
 
 
@@ -217,7 +372,8 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
         return RestrictionMap(cohomology(group, module, q), FGAbelian.trivial(), ())
     source = cohomology_classes(module, q)
     target = cohomology_classes(restricted, q)
-    cochains = restrict_cochain(source.generators, group, sub, q, module.rank)
+    cochains = restrict_cochain(source.generators, group, sub, q, module.rank,
+                                action=_np_action(module))
     coords = target.coordinates(cochains)
     matrix = tuple(tuple(int(x) for x in row) for row in coords.tolist())
     return RestrictionMap(source.fg, target.fg, matrix)
@@ -280,8 +436,9 @@ def enumerate_splittings(group: FiniteGroup, module: GModulePresentation
     """All crossed homomorphisms f: G -> A by exhaustion, plus their classes.
 
     Splittings of A x| G correspond to these cocycles, and splitting classes
-    to cocycles modulo coboundaries, so ``class_count`` must match the order
-    of H^1(G, A) from the bar-complex engine.
+    to cocycles modulo coboundaries, so ``class_count`` is an independent
+    count of the order of H^1(G, A) that ``cohomology`` reads off the small
+    resolution.
     """
     if module.group != group:
         raise ValueError("module is not over the given group")

@@ -12,7 +12,9 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
+
+from .errors import InternalInvariantError, UnsupportedRequestError
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,99 @@ def _check_group_axioms(order, table, identity, inverse):
             for c in range(order):
                 if table[tab][c] != table[a][table[b][c]]:
                     raise ValueError("associativity fails")
+
+
+@lru_cache(maxsize=None)
+def generating_set(group: FiniteGroup) -> tuple[int, ...]:
+    """Generators chosen greedily in element order, each outside the span of
+    the earlier ones; at most log2 |G| of them, for any finite group."""
+    gens: list[int] = []
+    span = {group.identity}
+    for x in group.elements():
+        if x in span:
+            continue
+        gens.append(x)
+        # every element is a positive word in the generators of a finite group
+        frontier = list(span)
+        while frontier:
+            a = frontier.pop()
+            for s in gens:
+                b = group.table[a][s]
+                if b not in span:
+                    span.add(b)
+                    frontier.append(b)
+    return tuple(gens)
+
+
+class AbelianDecomposition(NamedTuple):
+    """G = C_{n_1} x ... x C_{n_k} on independent generators g_i (all n_i >= 2).
+
+    ``exponents[a]`` writes element a as the product of g_i^(e_i) with
+    0 <= e_i < n_i; ``element`` inverts it.
+    """
+
+    generators: tuple[int, ...]
+    orders: tuple[int, ...]
+    exponents: tuple[tuple[int, ...], ...]
+    by_index: tuple[int, ...]  # element with exponents e at the mixed-radix index of e
+
+    def element(self, exps: Iterable[int]) -> int:
+        return self.by_index[_mixed_radix(exps, self.orders)]
+
+
+def _mixed_radix(exps: Iterable[int], orders: Iterable[int]) -> int:
+    idx = 0
+    for e, n in zip(exps, orders):
+        idx = idx * n + e % n
+    return idx
+
+
+@lru_cache(maxsize=None)
+def abelian_decomposition(group: FiniteGroup) -> AbelianDecomposition:
+    """Independent cyclic generators of an abelian group, largest order first.
+
+    Each step picks the first element of largest order modulo the span H of
+    the generators so far, then lifts it to an element of that same order.
+    Such a lift exists because H is a direct summand (an element of maximal
+    order generates one), and the lift makes H + <g> a direct summand again.
+    """
+    table, e = group.table, group.identity
+    if any(table[a][b] != table[b][a] for a in group.elements() for b in range(a)):
+        raise UnsupportedRequestError(
+            f"cohomology is computed for abelian groups only; {group!r} is not abelian")
+    exps = {e: ()}
+    gens, orders = [], []
+    while len(exps) < group.order:
+        best, best_m = e, 1
+        for x in group.elements():
+            m, y = 1, x
+            while y not in exps:
+                y = table[y][x]
+                m += 1
+            if m > best_m:
+                best, best_m = x, m
+        for h in exps:
+            g = table[best][h]
+            y = g
+            for _ in range(best_m - 1):
+                y = table[y][g]
+            if y == e:
+                break
+        else:
+            raise InternalInvariantError("no lift of maximal quotient order")
+        gens.append(g)
+        orders.append(best_m)
+        power, grown = e, {}
+        for j in range(best_m):
+            for h, t in exps.items():
+                grown[table[h][power]] = t + (j,)
+            power = table[power][g]
+        exps = grown
+    by_index = [0] * group.order
+    for a, t in exps.items():
+        by_index[_mixed_radix(t, orders)] = a
+    return AbelianDecomposition(tuple(gens), tuple(orders),
+                                tuple(exps[a] for a in group.elements()), tuple(by_index))
 
 
 def _group_from_table(table, label):

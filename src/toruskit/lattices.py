@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .groups import FiniteGroup, FiniteGSet, Subgroup, coset_representatives
+from .groups import (FiniteGroup, FiniteGSet, Subgroup, coset_representatives,
+                     generating_set)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -35,7 +36,10 @@ class GLattice:
 
     ``action[g]`` is the matrix of g on column vectors; the constructor checks
     that the assignment is a homomorphism sending the identity to the identity
-    matrix (which forces every matrix to be unimodular).
+    matrix (which forces every matrix to be unimodular).  It suffices to check
+    X(a s) = X(a) X(s) for every a and every s in a generating set: every
+    element is a word in the generators, so X(ab) = X(a) X(b) follows by
+    induction on the length of b.
     """
 
     group: FiniteGroup
@@ -49,10 +53,10 @@ class GLattice:
         mats = [_thaw(m, self.rank) for m in self.action]
         if not linalg.is_zero(mats[g.identity] - linalg.eye(self.rank)):
             raise ValueError("identity must act as the identity matrix")
-        for a in g.elements():
-            for b in g.elements():
-                prod = linalg.mul(mats[a], mats[b])
-                if not linalg.is_zero(prod - mats[g.mul(a, b)]):
+        for s in generating_set(g):
+            for a in g.elements():
+                prod = linalg.mul(mats[a], mats[s])
+                if not linalg.is_zero(prod - mats[g.mul(a, s)]):
                     raise ValueError("action matrices do not respect the group law")
 
     def matrix(self, g: int) -> np.ndarray:

@@ -7,17 +7,20 @@ are summed with Euler-Maclaurin tails, and primes come from a local sieve.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import numpy as np
 
 from toruskit import linalg
-from toruskit.groups import (FiniteGroup, coset_gset, cyclic_group,
-                             index_two_subgroups, product_group,
-                             trivial_subgroup)
-from toruskit.lattices import (GLattice, conjugate, direct_sum, induce,
-                               permutation_lattice, sign_lattice,
+from toruskit.cohomology import _tuple_index, bar_differential
+from toruskit.groups import (FiniteGroup, Subgroup, _group_from_table,
+                             coset_gset, cyclic_group, cyclic_subgroups,
+                             index_two_subgroups, product_group)
+from toruskit.lattices import (GLattice, GModulePresentation, _np_action,
+                               conjugate, direct_sum, induce,
+                               permutation_lattice, restrict, sign_lattice,
                                trivial_lattice)
 
 
@@ -28,6 +31,14 @@ def group_family_up_to_8() -> list[FiniteGroup]:
         product_group(c2, cyclic_group(4)),
         product_group(product_group(c2, c2), c2),
     ]
+
+
+def s3_group() -> FiniteGroup:
+    """The symmetric group on three letters, the smallest non-abelian group."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[x]] for x in range(3))] for b in perms] for a in perms]
+    return _group_from_table(table, "S3")
 
 
 def random_unimodular(rank: int, rng: random.Random, steps: int = 8) -> np.ndarray:
@@ -100,6 +111,86 @@ def brute_force_h1_order(lattice: GLattice) -> int:
     for d in torsion:
         order *= d
     return order
+
+
+def bar_restrict_cochain(cochain: np.ndarray, group: FiniteGroup, sub: Subgroup,
+                         q: int, rank: int) -> np.ndarray:
+    """Pull bar cochain columns on G^q back to H^q along the inclusion."""
+    h = sub.order
+    out = linalg.zeros(rank * h ** q, cochain.shape[1])
+    for tup in itertools.product(range(h), repeat=q):
+        src = _tuple_index([sub.elements[i] for i in tup], group.order) * rank
+        dst = _tuple_index(tup, h) * rank
+        out[dst:dst + rank, :] = cochain[src:src + rank, :]
+    return out
+
+
+def bar_classes(lattice: GLattice, q: int):
+    """H^q (q = 1, 2) from the bar complex: orders, generating cocycles and
+    the coboundary matrix d^(q-1), read off one Smith form with U^-1."""
+    d_prev = bar_differential(lattice.group, _np_action(lattice), q - 1)
+    snf = linalg.smith_normal_form(d_prev, want_uinv=True)
+    cols = [i for i in range(snf.rank) if snf.diagonal[i] >= 2]
+    return [snf.diagonal[i] for i in cols], snf.uinv[:, cols], d_prev
+
+
+def bar_presented_cohomology(module: GModulePresentation, q: int
+                             ) -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion) of H^q of a presented module from the bar complex:
+    cocycles modulo relations over coboundaries plus relations."""
+    group = module.group
+    mats = [module.action_matrix(a) for a in group.elements()]
+    rel = module.relations_matrix()
+
+    def relations(copies):
+        n, k = rel.shape
+        out = linalg.zeros(n * copies, k * copies)
+        for t in range(copies):
+            out[t * n:(t + 1) * n, t * k:(t + 1) * k] = rel
+        return out
+
+    dim_q = module.generators * group.order ** q
+    d_q = bar_differential(group, mats, q)
+    kernel = linalg.kernel_basis(linalg.hstack([d_q, relations(group.order ** (q + 1))]))
+    here = relations(group.order ** q)
+    d_prev = bar_differential(group, mats, q - 1) if q else linalg.zeros(dim_q, 0)
+    return linalg.quotient_invariants(linalg.hstack([kernel[:dim_q, :], here]),
+                                      linalg.hstack([d_prev, here]))
+
+
+def _diagonal(entries) -> np.ndarray:
+    out = linalg.zeros(len(entries), len(entries))
+    for i, d in enumerate(entries):
+        out[i, i] = d
+    return out
+
+
+def bar_sha2(lattice: GLattice) -> tuple[int, ...]:
+    """Invariant factors of ker(H^2(G, M) -> prod over cyclic C of H^2(C, M)),
+    with every class and restriction taken in the bar complex."""
+    group = lattice.group
+    orders, gens, _ = bar_classes(lattice, 2)
+    if not orders:
+        return ()
+    blocks, target_orders = [], []
+    for sub in cyclic_subgroups(group):
+        t_orders, t_gens, t_cob = bar_classes(restrict(lattice, sub), 2)
+        if not t_orders:
+            continue
+        cochains = bar_restrict_cochain(gens, group, sub, 2, lattice.rank)
+        coords = linalg.solve(linalg.hstack([t_gens, t_cob]), cochains)
+        assert coords is not None
+        blocks.append(coords[:len(t_orders), :])
+        target_orders += t_orders
+    if not blocks:
+        return tuple(orders)
+    # x lies in the kernel iff R x = 0 modulo the target orders
+    system = linalg.hstack([linalg.vstack(blocks), _diagonal(target_orders)])
+    kernel = linalg.kernel_basis(system)[:len(orders), :]
+    diag = _diagonal(orders)
+    free_rank, torsion = linalg.quotient_invariants(linalg.hstack([kernel, diag]), diag)
+    assert free_rank == 0
+    return torsion
 
 
 def sieve_primes(n: int) -> list[int]:

@@ -149,6 +149,28 @@ def test_c04_nonintegral_witness_elementary_abelian_search():
                  "provably integral; see ledger)")
 
 
+def test_c04_order_32_norm_one_840_squares(tmp_path):
+    # G = (Z/840)^x / squares = (C2)^5: H^1(G, J) = G^ and
+    # H^2(G, J) = H^3(G, Z) = wedge^2 G^ = (C2)^10, all of it in Sha^2 since
+    # every cyclic subgroup has H^2(C, J) = 0.
+    squares = [1, 121, 169, 289, 361, 529]
+    t = make_torus(datum(840, squares), "norm_one")
+    assert t.group.order == 32
+    assert cohomology(t.group, t.X, 1) == FGAbelian(0, (2,) * 5)
+    assert cohomology(t.group, t.X, 2) == FGAbelian(0, (2,) * 10)
+    assert sha2_cyclic(t.group, t.X) == FGAbelian(0, (2,) * 10)
+    assert tamagawa_number(t) == Fraction(1, 32)
+    spec = tmp_path / "n1_840.json"
+    spec.write_text(json.dumps({
+        "field": {"type": "cyclotomic", "modulus": 840, "subgroup": squares},
+        "torus": {"type": "norm_one"}}))
+    buf = io.StringIO()
+    assert cli_main(["tamagawa", str(spec)], stdout=buf) == 0
+    assert '"tau": "1/32"' in buf.getvalue()
+    report("04", "|G| = 32 norm-one torus (840, squares): H^1 = C2^5, "
+                 "H^2 = Sha^2 = C2^10, tau = 1/32")
+
+
 def test_c05_shapiro_all_subgroups():
     instances = 0
     for g in group_family_up_to_8():

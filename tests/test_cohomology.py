@@ -5,20 +5,25 @@ import pytest
 
 from toruskit import linalg
 from toruskit.cohomology import (bar_differential, cohomology,
-                                 cohomology_classes, enumerate_splittings,
+                                 cohomology_classes, differential,
+                                 enumerate_splittings, restrict_cochain,
                                  restriction_map, sha2_cyclic, tate_h0)
-from toruskit.errors import EnumerationBoundError
+from toruskit.errors import EnumerationBoundError, UnsupportedRequestError
 from toruskit.groups import (all_subgroups, cyclic_group, cyclic_subgroups,
                              full_subgroup, product_group, subgroup_closure,
                              trivial_subgroup)
-from toruskit.lattices import (FGAbelian, direct_sum, glattice, induce,
-                               norm_vector, presentation_mod,
+from toruskit.lattices import (FGAbelian, _np_action, direct_sum, glattice,
+                               induce, norm_vector, presentation_mod,
                                presentation_of_lattice, quotient_lattice,
                                regular_lattice, restrict, sign_lattice,
                                trivial_lattice)
 
-from support import (brute_force_cocycles, brute_force_h1_order,
-                     group_family_up_to_8, random_glattice)
+from toruskit.tamagawa import tamagawa_number
+from toruskit.tori import make_torus
+
+from support import (bar_presented_cohomology, bar_sha2, brute_force_cocycles,
+                     brute_force_h1_order, group_family_up_to_8,
+                     random_glattice, s3_group)
 
 C2 = cyclic_group(2)
 C3 = cyclic_group(3)
@@ -113,8 +118,8 @@ def test_restriction_map_well_defined_under_representative_change():
                                for _ in range(src.reducer.shape[1])])
         perturbed = src.generators + linalg.mul(src.reducer,
                                                 np.tile(shift, (1, src.generators.shape[1])))
-        from toruskit.cohomology import restrict_cochain
-        coords = tgt.coordinates(restrict_cochain(perturbed, KLEIN, h, 2, m.rank))
+        coords = tgt.coordinates(restrict_cochain(perturbed, KLEIN, h, 2, m.rank,
+                                                  action=_np_action(m)))
         base = linalg.intmat(rmap.matrix, shape=coords.shape)
         for i, d in enumerate(tgt.fg.torsion):
             for j in range(coords.shape[1]):
@@ -292,7 +297,6 @@ def test_bar_differentials_compose_to_zero():
     rng = random.Random(43)
     for g in (C2, C3, KLEIN):
         m = random_glattice(g, 2, rng)
-        from toruskit.lattices import _np_action
         mats = _np_action(m)
         d0 = bar_differential(g, mats, 0)
         d1 = bar_differential(g, mats, 1)
@@ -302,7 +306,6 @@ def test_bar_differentials_compose_to_zero():
 
 
 def test_cached_arrays_are_read_only():
-    from toruskit.lattices import _np_action
     m = norm_one_lattice(KLEIN)
     classes = cohomology_classes(m, 2)
     for cached in (_np_action(m)[1], classes.generators, classes.reducer):
@@ -312,10 +315,51 @@ def test_cached_arrays_are_read_only():
 
 def test_cocycle_generators_really_are_cocycles():
     for m in (SIGN, norm_one_lattice(KLEIN), norm_one_lattice(C4)):
-        from toruskit.lattices import _np_action
         for q in (1, 2):
             classes = cohomology_classes(m, q)
             if not classes.fg.torsion:
                 continue
-            d_q = bar_differential(m.group, _np_action(m), q)
+            d_q = differential(m.group, _np_action(m), q)
             assert linalg.is_zero(linalg.mul(d_q, classes.generators))
+
+
+def test_small_resolution_matches_bar_complex():
+    # The bar complex is the reference: same H^1 and H^2 invariant factors,
+    # and the same Sha^2 with every class and restriction taken there.
+    rng = random.Random(47)
+    for g in group_family_up_to_8():
+        lattices = [random_glattice(g, 2, rng), random_glattice(g, 2, rng),
+                    norm_one_lattice(g),
+                    direct_sum(regular_lattice(g), trivial_lattice(g, 1))]
+        for m in lattices:
+            mats = _np_action(m)
+            d = [differential(g, mats, q) for q in (0, 1, 2)]
+            assert linalg.is_zero(linalg.mul(d[1], d[0]))
+            assert linalg.is_zero(linalg.mul(d[2], d[1]))
+            for q in (1, 2):
+                bar = linalg.invariant_factors(bar_differential(g, mats, q - 1))
+                assert cohomology(g, m, q) == FGAbelian(0, bar), (g, m, q)
+            assert sha2_cyclic(g, m).torsion == bar_sha2(m), (g, m)
+
+
+def test_presented_small_resolution_matches_bar_complex():
+    rng = random.Random(53)
+    for g in (C2, C3, C4, KLEIN):
+        for m in (random_glattice(g, 2, rng), norm_one_lattice(g)):
+            for modulus in (2, 3):
+                pres = presentation_mod(m, modulus)
+                for q in (0, 1, 2):
+                    fg = cohomology(g, pres, q)
+                    assert (fg.free_rank, fg.torsion) == bar_presented_cohomology(pres, q)
+
+
+def test_non_abelian_group_is_unsupported():
+    s3 = s3_group()
+    z = trivial_lattice(s3, 1)
+    for q in (0, 1, 2):
+        with pytest.raises(UnsupportedRequestError):
+            cohomology(s3, z, q)
+    with pytest.raises(UnsupportedRequestError):
+        sha2_cyclic(s3, regular_lattice(s3))
+    with pytest.raises(UnsupportedRequestError):
+        tamagawa_number(make_torus(s3, "norm_one"))

@@ -1,15 +1,19 @@
 import itertools
+import math
 from math import gcd
 
 import pytest
 
-from toruskit.groups import (FiniteGSet, FiniteGroup, Subgroup, all_subgroups,
-                             coset_gset, cyclic_group, cyclic_subgroups,
-                             cyclotomic_quotient_group, index_two_subgroups,
-                             make_group, orbits, product_group,
-                             subgroup_closure, trivial_subgroup)
+from toruskit.errors import UnsupportedRequestError
+from toruskit.groups import (FiniteGSet, FiniteGroup, Subgroup,
+                             abelian_decomposition, all_subgroups, coset_gset,
+                             cyclic_group, cyclic_subgroups,
+                             cyclotomic_quotient_group, generating_set,
+                             index_two_subgroups, make_group, orbits,
+                             product_group, subgroup_closure,
+                             trivial_subgroup)
 
-from support import group_family_up_to_8
+from support import group_family_up_to_8, s3_group
 
 
 def test_make_group_cyclic_one():
@@ -185,3 +189,41 @@ def test_cyclotomic_canonical_order():
     # element order must follow increasing representatives 1, 3, 5, 7
     h = cyclotomic_quotient_group(8, [1, 3])
     assert h.order == 2
+
+
+@pytest.mark.parametrize("g", group_family_up_to_8() + [
+    cyclotomic_quotient_group(120, [1, 49]),
+    cyclotomic_quotient_group(840, [1, 121, 169, 289, 361, 529])])
+def test_abelian_decomposition_is_an_isomorphism(g):
+    dec = abelian_decomposition(g)
+    assert all(n >= 2 for n in dec.orders)
+    assert all(b % a == 0 for a, b in zip(dec.orders[1:], dec.orders))
+    assert math.prod(dec.orders) == g.order
+    assert [g.element_order(x) for x in dec.generators] == list(dec.orders)
+    assert len(set(dec.exponents)) == g.order
+    for a in g.elements():
+        assert dec.element(dec.exponents[a]) == a
+        for b in g.elements():
+            summed = [x + y for x, y in zip(dec.exponents[a], dec.exponents[b])]
+            assert dec.element(summed) == g.mul(a, b)
+
+
+def test_abelian_decomposition_invariants():
+    two_four = product_group(cyclic_group(2), cyclic_group(4))
+    assert abelian_decomposition(two_four).orders == (4, 2)
+    assert abelian_decomposition(cyclic_group(6)).orders == (6,)
+    assert abelian_decomposition(cyclic_group(1)).orders == ()
+    witness = cyclotomic_quotient_group(120, [1, 49])
+    assert abelian_decomposition(witness).orders == (2, 2, 2, 2)
+
+
+def test_abelian_decomposition_rejects_non_abelian():
+    with pytest.raises(UnsupportedRequestError):
+        abelian_decomposition(s3_group())
+
+
+@pytest.mark.parametrize("g", group_family_up_to_8() + [s3_group()])
+def test_generating_set_generates(g):
+    gens = generating_set(g)
+    assert 2 ** len(gens) <= g.order
+    assert subgroup_closure(g, gens).order == g.order

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from toruskit import linalg
-from toruskit.groups import (all_subgroups, cyclic_group, product_group,
-                             subgroup_closure, trivial_subgroup)
+from toruskit.groups import (all_subgroups, cyclic_group, generating_set,
+                             product_group, subgroup_closure,
+                             trivial_subgroup)
 from toruskit.lattices import (FGAbelian, GLattice, GModulePresentation,
                                conjugate, direct_sum, dual, glattice,
                                hom_lattice, induce, invariants, norm_operator,
@@ -14,7 +15,8 @@ from toruskit.lattices import (FGAbelian, GLattice, GModulePresentation,
                                tensor_lattice, trace_character,
                                trivial_lattice)
 
-from support import group_family_up_to_8, random_glattice, random_unimodular
+from support import (group_family_up_to_8, random_glattice, random_unimodular,
+                     s3_group)
 
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
@@ -45,6 +47,22 @@ def test_glattice_rejects_non_representations():
         glattice(C2, [[[1]], [[2]]])  # 2 is not an involution
     with pytest.raises(ValueError):
         glattice(C2, [[[0]], [[1]]])  # identity must act as identity
+
+
+def test_glattice_catches_corruption_outside_generating_set():
+    # Validation checks X(a s) = X(a) X(s) on generators s only; a wrong
+    # matrix for an element outside the generating set must still be caught.
+    for g in (cyclic_group(8), product_group(C2, cyclic_group(4)),
+              product_group(product_group(C2, C2), C2), s3_group()):
+        good = regular_lattice(g)
+        gens = generating_set(g)
+        assert len(gens) < g.order - 1
+        bad = next(a for a in g.elements() if a != g.identity and a not in gens)
+        other = next(b for b in g.elements() if b not in (g.identity, bad))
+        action = list(good.action)
+        action[bad] = good.action[other]  # still a permutation matrix
+        with pytest.raises(ValueError, match="group law"):
+            GLattice(g, good.rank, tuple(action))
 
 
 def test_induce_from_trivial_subgroup_is_regular():

@@ -9,19 +9,21 @@ each multi-index alpha in N^k with |alpha| = q, and
                (-1)^(beta_1 + ... + beta_{i-1}) D_i(beta_i) e_(beta - eps_i)
 
 where D_i(b) is g_i - 1 for odd b and the norm 1 + g_i + ... + g_i^(n_i - 1)
-for even b (Brown, Cohomology of Groups, I.6 and V.1).  The cochains of
-degree q are therefore M^C(q+k-1, k-1) instead of the M^(|G|^q) of the
-inhomogeneous bar complex, and H^q = ker d^q / im d^(q-1) is read off Smith
-normal forms.  For lattice coefficients and q >= 1 the group H^q is finite
-(it is killed by |G|), so ker d^q equals the saturation of im d^(q-1) inside
-the free cochain module; H^q is therefore exactly the torsion of
-coker d^(q-1).  Presented coefficients go through the general subquotient
-route, kernels included.
+for even b (Brown, Cohomology of Groups, I.6 and V.1).  ``_boundary`` is the
+only code that writes d; ``differential`` evaluates cochains on the
+boundaries of basis chains.  The cochains of degree q are therefore
+M^C(q+k-1, k-1) instead of the M^(|G|^q) of the inhomogeneous bar complex,
+and H^q = ker d^q / im d^(q-1) is read off Smith normal forms.  For lattice
+coefficients and q >= 1 the group H^q is finite (it is killed by |G|), so
+ker d^q equals the saturation of im d^(q-1) inside the free cochain module;
+H^q is therefore exactly the torsion of coker d^(q-1).  Presented
+coefficients go through the general subquotient route, kernels included.
 
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
-contracting homotopy.  ``bar_differential`` is kept as the independent
-reference the tests compare this engine with; no package path calls it.
+contracting homotopy and evaluated on cochains by the same helper as d.
+``bar_differential`` is kept as the independent reference the tests compare
+this engine with; no package path calls it.
 """
 
 from __future__ import annotations
@@ -105,36 +107,56 @@ def _cochain_rank(group: FiniteGroup, q: int) -> int:
     return len(_multi_indices(len(abelian_decomposition(group).orders), q))
 
 
+# Chains of the resolution of G, as Z-combinations of the basis g^t e_alpha:
+# {(t, alpha): coefficient}, t the exponent tuple of the group element.
+Chain = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
+
+
+def _boundary(chain: Chain, orders: Sequence[int]) -> Chain:
+    """d of the tensor resolution of prod C_{orders[i]}, applied Z-linearly."""
+    out: Chain = defaultdict(int)
+    for (t, alpha), c in chain.items():
+        signed = c  # c times (-1)^(alpha_1 + ... + alpha_(i-1))
+        for i, b in enumerate(alpha):
+            if not b:
+                continue
+            lower = alpha[:i] + (b - 1,) + alpha[i + 1:]
+            if b % 2:  # g_i - 1
+                out[(t[:i] + ((t[i] + 1) % orders[i],) + t[i + 1:], lower)] += signed
+                out[(t, lower)] -= signed
+                signed = -signed
+            else:  # norm of <g_i>
+                for j in range(orders[i]):
+                    out[(t[:i] + (j,) + t[i + 1:], lower)] += signed
+    return {key: c for key, c in out.items() if c}
+
+
 def differential(group: FiniteGroup, mats: Sequence[np.ndarray], q: int) -> np.ndarray:
     """Matrix of d^q on the small cochains, M^C(q+k-1, k-1) to M^C(q+k, k-1).
 
-    ``mats[a]`` is the matrix of group element a on M (rank n); only powers
-    of the decomposition's generators are read.
+    ``mats[a]`` is the matrix of group element a on M; row block beta holds
+    f -> f(d e_beta), with d as written in ``_boundary``.
+    """
+    orders = abelian_decomposition(group).orders
+    zero = (0,) * len(orders)
+    return _evaluation(group, mats, q, [_boundary({(zero, beta): 1}, orders)
+                                         for beta in _multi_indices(len(orders), q + 1)])
+
+
+def _evaluation(group: FiniteGroup, mats: Sequence[np.ndarray], q: int,
+                chains: Sequence[Chain]) -> np.ndarray:
+    """Matrix of f -> (f(c) for c in chains) on degree-q cochains.
+
+    A cochain is Z[G]-linear, so f(g^t e_alpha) = X(g^t) f(e_alpha).
     """
     dec = abelian_decomposition(group)
-    k = len(dec.orders)
+    cols = _positions(len(dec.orders), q)
     n = mats[group.identity].shape[0]
-    ident = linalg.eye(n)
-    minus_one, norms = [], []
-    for g, order in zip(dec.generators, dec.orders):
-        norm, power = linalg.zeros(n, n), group.identity
-        for _ in range(order):
-            norm += mats[power]
-            power = group.mul(power, g)
-        minus_one.append(mats[g] - ident)
-        norms.append(norm)
-    cols = _positions(k, q)
-    rows = _multi_indices(k, q + 1)
-    out = linalg.zeros(n * len(rows), n * len(cols))
-    for r, beta in enumerate(rows):
-        sign = 1
-        for i, b in enumerate(beta):
-            if b:
-                c = cols[beta[:i] + (b - 1,) + beta[i + 1:]]
-                block = minus_one[i] if b % 2 else norms[i]
-                out[r * n:(r + 1) * n, c * n:(c + 1) * n] = sign * block
-                if b % 2:
-                    sign = -sign
+    out = linalg.zeros(n * len(chains), n * len(cols))
+    for r, chain in enumerate(chains):
+        for (t, alpha), c in chain.items():
+            j = cols[alpha] * n
+            out[r * n:(r + 1) * n, j:j + n] += c * mats[dec.element(t)]
     return out
 
 
@@ -256,30 +278,6 @@ class RestrictionMap(NamedTuple):
     matrix: tuple[tuple[int, ...], ...]  # target-generator rows
 
 
-# Chains of the resolution of G, as Z-combinations of the basis g^t e_alpha:
-# {(t, alpha): coefficient}, t the exponent tuple of the group element.
-Chain = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
-
-
-def _boundary(chain: Chain, orders: Sequence[int]) -> Chain:
-    """d of the tensor resolution of prod C_{orders[i]}, applied Z-linearly."""
-    out: Chain = defaultdict(int)
-    for (t, alpha), c in chain.items():
-        signed = c  # c times (-1)^(alpha_1 + ... + alpha_(i-1))
-        for i, b in enumerate(alpha):
-            if not b:
-                continue
-            lower = alpha[:i] + (b - 1,) + alpha[i + 1:]
-            if b % 2:  # g_i - 1
-                out[(t[:i] + ((t[i] + 1) % orders[i],) + t[i + 1:], lower)] += signed
-                out[(t, lower)] -= signed
-                signed = -signed
-            else:  # norm of <g_i>
-                for j in range(orders[i]):
-                    out[(t[:i] + (j,) + t[i + 1:], lower)] += signed
-    return {key: c for key, c in out.items() if c}
-
-
 def _contract(chain: Chain, orders: Sequence[int]) -> Chain:
     """The contracting homotopy s of the tensor resolution, with ds + sd = 1.
 
@@ -337,23 +335,16 @@ def _chain_map(sub: Subgroup) -> tuple[tuple[Chain, ...], ...]:
 
 def restrict_cochain(cochain: np.ndarray, group: FiniteGroup, sub: Subgroup,
                      q: int, rank: int, *, action: Sequence[np.ndarray]) -> np.ndarray:
-    """Pull cochain columns of G back to H along the chain map phi_q.
+    """Pull cochain columns of G (on a rank-``rank`` lattice) back to H along
+    the chain map phi_q: f o phi at e'_beta is f evaluated on phi(e'_beta).
 
-    ``action[a]`` is the matrix of element a of G; the value of f o phi at
-    e'_beta is the sum of X(g^t) f(e_alpha) over the terms of phi(e'_beta).
+    ``action[a]`` is the matrix of element a of G.
     """
     if sub.parent != group:
         raise ValueError("subgroup does not belong to the given group")
-    dec = abelian_decomposition(group)
-    cols = _positions(len(dec.orders), q)
-    images = _chain_map(sub)[q]
-    out = linalg.zeros(rank * len(images), cochain.shape[1])
-    for r, image in enumerate(images):
-        for (t, alpha), c in image.items():
-            j = cols[alpha] * rank
-            out[r * rank:(r + 1) * rank, :] += c * linalg.mul(
-                action[dec.element(t)], cochain[j:j + rank, :])
-    return out
+    if action[group.identity].shape[0] != rank:
+        raise ValueError("action matrices do not have the given rank")
+    return linalg.mul(_evaluation(group, action, q, _chain_map(sub)[q]), cochain)
 
 
 def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,

@@ -53,46 +53,55 @@ def _check_group_axioms(order, table, identity, inverse):
         raise ValueError("group order must be positive")
     if len(table) != order or any(len(row) != order for row in table):
         raise ValueError("multiplication table has wrong shape")
-    for row in table:
-        if any(not (0 <= x < order) for x in row):
-            raise ValueError("table entry out of range")
-    for a in range(order):
-        if table[identity][a] != a or table[a][identity] != a:
-            raise ValueError("identity row/column is not fixed")
+    if any(min(row) < 0 or max(row) >= order for row in table):
+        raise ValueError("table entry out of range")
+    if any(table[identity][a] != a or table[a][identity] != a for a in range(order)):
+        raise ValueError("identity row/column is not fixed")
     if len(inverse) != order:
         raise ValueError("inverse list has wrong length")
-    for a in range(order):
-        b = inverse[a]
-        if table[a][b] != identity or table[b][a] != identity:
-            raise ValueError("two-sided inverse missing")
-    for a in range(order):
-        for b in range(order):
-            tab = table[a][b]
-            for c in range(order):
-                if table[tab][c] != table[a][table[b][c]]:
-                    raise ValueError("associativity fails")
+    if any(table[a][b] != identity or table[b][a] != identity
+           for a, b in enumerate(inverse)):
+        raise ValueError("two-sided inverse missing")
+    # Light's test: the c with (ab)c = a(bc) for all a, b are closed under
+    # products, so checking c in a generating set proves associativity.  The
+    # raw table is used, so a rejected table leaves nothing in any cache.
+    for c in _generate(lambda a, b: table[a][b], identity, range(order))[0]:
+        times_c = [row[c] for row in table]
+        for row in table:
+            if [times_c[x] for x in row] != [row[x] for x in times_c]:
+                raise ValueError("associativity fails")
+
+
+def _generate(mul, identity, candidates) -> tuple[list, set]:
+    """Greedy generators among ``candidates`` and the set they generate.
+
+    Each candidate outside the span so far joins the generators, and the span
+    is closed under right multiplication ``mul(x, s)`` by them.  In a finite
+    group every element of the generated subgroup is a positive word in the
+    generators, so the span is that subgroup.
+    """
+    gens: list = []
+    span = {identity}
+    for x in candidates:
+        if x in span:
+            continue
+        gens.append(x)
+        frontier = list(span)
+        while frontier:
+            a = frontier.pop()
+            for g in gens:
+                b = mul(a, g)
+                if b not in span:
+                    span.add(b)
+                    frontier.append(b)
+    return gens, span
 
 
 @lru_cache(maxsize=None)
 def generating_set(group: FiniteGroup) -> tuple[int, ...]:
     """Generators chosen greedily in element order, each outside the span of
     the earlier ones; at most log2 |G| of them, for any finite group."""
-    gens: list[int] = []
-    span = {group.identity}
-    for x in group.elements():
-        if x in span:
-            continue
-        gens.append(x)
-        # every element is a positive word in the generators of a finite group
-        frontier = list(span)
-        while frontier:
-            a = frontier.pop()
-            for s in gens:
-                b = group.table[a][s]
-                if b not in span:
-                    span.add(b)
-                    frontier.append(b)
-    return tuple(gens)
+    return tuple(_generate(group.mul, group.identity, group.elements())[0])
 
 
 class AbelianDecomposition(NamedTuple):
@@ -128,7 +137,8 @@ def abelian_decomposition(group: FiniteGroup) -> AbelianDecomposition:
     order generates one), and the lift makes H + <g> a direct summand again.
     """
     table, e = group.table, group.identity
-    if any(table[a][b] != table[b][a] for a in group.elements() for b in range(a)):
+    spanning = generating_set(group)
+    if any(table[a][b] != table[b][a] for a in spanning for b in spanning):
         raise UnsupportedRequestError(
             f"cohomology is computed for abelian groups only; {group!r} is not abelian")
     exps = {e: ()}
@@ -219,9 +229,8 @@ def cyclotomic_quotient_group(modulus: int, subgroup: Iterable[int] | None = Non
         h = frozenset(x % n for x in subgroup)
     if not h or not h <= set(units):
         raise ValueError(f"subgroup {sorted(h)} is not a set of units mod {n}")
-    for a, b in itertools.product(h, repeat=2):
-        if (a * b) % n not in h:
-            raise ValueError(f"subgroup {sorted(h)} not closed under multiplication mod {n}")
+    if _generate(lambda a, b: a * b % n, 1 % n, sorted(h))[1] != h:
+        raise ValueError(f"subgroup {sorted(h)} not closed under multiplication mod {n}")
     coset_of = {}
     reps = []
     for u in units:
@@ -277,12 +286,9 @@ class Subgroup:
             raise ValueError("subgroup elements must be sorted and distinct")
         if self.parent.identity not in els:
             raise ValueError("subgroup misses the identity")
-        for a in els:
-            if self.parent.inv(a) not in els:
-                raise ValueError("subgroup not closed under inverse")
-            for b in els:
-                if self.parent.mul(a, b) not in els:
-                    raise ValueError("subgroup not closed under product")
+        # a finite subset closed under products is a subgroup
+        if _generate(self.parent.mul, self.parent.identity, self.elements)[1] != els:
+            raise ValueError("subgroup not closed under product")
 
     @property
     def order(self) -> int:
@@ -307,25 +313,8 @@ def _subgroup_as_group(sub: Subgroup) -> FiniteGroup:
 
 
 def subgroup_closure(parent: FiniteGroup, generators: Iterable[int]) -> Subgroup:
-    els = {parent.identity}
-    frontier = list(generators)
-    while frontier:
-        g = frontier.pop()
-        if g in els:
-            continue
-        els.add(g)
-        frontier.extend(parent.mul(g, h) for h in list(els))
-        frontier.append(parent.inv(g))
-    # close under products until stable (cheap at these orders)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.product(list(els), repeat=2):
-            c = parent.mul(a, b)
-            if c not in els:
-                els.add(c)
-                changed = True
-    return Subgroup(parent, tuple(sorted(els)))
+    span = _generate(parent.mul, parent.identity, generators)[1]
+    return Subgroup(parent, tuple(sorted(span)))
 
 
 def trivial_subgroup(parent: FiniteGroup) -> Subgroup:
@@ -378,14 +367,14 @@ class FiniteGSet:
         ident = self.action[g.identity]
         if tuple(ident) != tuple(range(self.size)):
             raise ValueError("identity must act as the identity permutation")
-        for a in g.elements():
-            if sorted(self.action[a]) != list(range(self.size)):
-                raise ValueError("group elements must act by permutations")
-            for b in g.elements():
-                ab = g.mul(a, b)
-                for x in range(self.size):
-                    if self.action[a][self.action[b][x]] != self.action[ab][x]:
-                        raise ValueError("action is not compatible with the group law")
+        if any(sorted(row) != list(range(self.size)) for row in self.action):
+            raise ValueError("group elements must act by permutations")
+        # a.(s.x) = (a s).x for generators s gives the law for all b by
+        # induction on the length of b as a word in the generators
+        for s in generating_set(g):
+            for a, row in enumerate(self.action):
+                if [row[x] for x in self.action[s]] != list(self.action[g.mul(a, s)]):
+                    raise ValueError("action is not compatible with the group law")
 
 
 def coset_gset(g: FiniteGroup, h: Subgroup) -> FiniteGSet:

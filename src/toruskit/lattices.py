@@ -8,7 +8,6 @@ rank.  All normal-form work is delegated to :mod:`toruskit.linalg`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -36,8 +35,9 @@ class GLattice:
 
     ``action[g]`` is the matrix of g on column vectors; the constructor checks
     that the assignment is a homomorphism sending the identity to the identity
-    matrix (which forces every matrix to be unimodular).  It suffices to check
-    X(a s) = X(a) X(s) for every a and every s in a generating set: every
+    matrix (which forces every matrix to be unimodular).  Like every group-law
+    check in the package, it reads only a generating set: X(a s) = X(a) X(s)
+    for every a and every s in ``generating_set`` suffices, because every
     element is a word in the generators, so X(ab) = X(a) X(b) follows by
     induction on the length of b.
     """
@@ -50,20 +50,42 @@ class GLattice:
         g = self.group
         if len(self.action) != g.order:
             raise ValueError("one action matrix per group element required")
-        mats = [_thaw(m, self.rank) for m in self.action]
-        if not linalg.is_zero(mats[g.identity] - linalg.eye(self.rank)):
-            raise ValueError("identity must act as the identity matrix")
-        for s in generating_set(g):
-            for a in g.elements():
-                prod = linalg.mul(mats[a], mats[s])
-                if not linalg.is_zero(prod - mats[g.mul(a, s)]):
-                    raise ValueError("action matrices do not respect the group law")
+        _check_action(g, [_thaw(m, self.rank) for m in self.action])
 
     def matrix(self, g: int) -> np.ndarray:
         return _np_action(self)[g].copy()
 
     def __repr__(self):
         return f"GLattice({self.group.label or self.group.order}, rank={self.rank})"
+
+
+def _check_action(group: FiniteGroup, mats: Sequence[np.ndarray],
+                  rel: np.ndarray | None = None) -> None:
+    """Raise ``ValueError`` unless a -> mats[a] is an action on Z^n / span(rel).
+
+    The group law is checked as X(a s) = X(a) X(s) for s in ``generating_set``
+    only.  Without relations matrices are compared exactly, stopping at the
+    first mismatch.  With relations each property (identity, relation lattice
+    preserved, group law) is one solve over the stacked differences: X(a)
+    then preserves span(rel) for every a, by the same induction.
+    """
+    gens = generating_set(group)
+    ident = mats[group.identity] - linalg.eye(mats[group.identity].shape[0])
+    laws = (linalg.mul(mats[a], mats[s]) - mats[group.mul(a, s)]
+            for s in gens for a in group.elements())
+    if rel is None or rel.shape[1] == 0:
+        if not linalg.is_zero(ident):
+            raise ValueError("identity must act as the identity matrix")
+        if not all(linalg.is_zero(diff) for diff in laws):
+            raise ValueError("action matrices do not respect the group law")
+        return
+    if linalg.solve(rel, ident) is None:
+        raise ValueError("identity must act as the identity on the quotient")
+    if gens and linalg.solve(rel, linalg.hstack(
+            [linalg.mul(mats[s], rel) for s in gens])) is None:
+        raise ValueError("action does not preserve the relation lattice")
+    if gens and linalg.solve(rel, linalg.hstack(list(laws))) is None:
+        raise ValueError("action does not respect the group law on the quotient")
 
 
 @lru_cache(maxsize=None)
@@ -198,10 +220,11 @@ def norm_vector(m: GLattice) -> np.ndarray:
 
 
 def invariants(m: GLattice) -> tuple[np.ndarray, int]:
-    """Basis of the fixed sublattice M^G (saturated) and its rank."""
-    g = m.group
-    rows = [_np_action(m)[a] - linalg.eye(m.rank) for a in g.elements()
-            if a != g.identity]
+    """Hermite basis of the fixed sublattice M^G (saturated) and its rank.
+
+    A vector fixed by a generating set is fixed by the whole group.
+    """
+    rows = [_np_action(m)[s] - linalg.eye(m.rank) for s in generating_set(m.group)]
     if not rows:
         basis = linalg.eye(m.rank)
         return basis, m.rank
@@ -235,9 +258,10 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, Matrix]:
         if any(d != 1 for d in snf.diagonal[:snf.rank]):
             raise ValueError("sublattice is not saturated; quotient would have torsion")
         s = linalg.hermite_column(s)  # canonical basis of the same sublattice
-        for a in m.group.elements():
-            if linalg.solve(s, linalg.mul(_np_action(m)[a], s)) is None:
-                raise ValueError("sublattice is not stable under the group action")
+        gens = generating_set(m.group)  # stable under generators is stable
+        if gens and linalg.solve(s, linalg.hstack(
+                [linalg.mul(_np_action(m)[a], s) for a in gens])) is None:
+            raise ValueError("sublattice is not stable under the group action")
     full = linalg.smith_normal_form(s, want_u=True, want_uinv=True)
     proj = full.u[ncols:, :]
     section = full.uinv[:, ncols:]
@@ -245,47 +269,6 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, Matrix]:
                  for a in m.group.elements())
     quot = GLattice(m.group, m.rank - ncols, mats)
     return quot, _freeze(proj)
-
-
-def hom_lattice(m: GLattice, n: GLattice) -> GLattice:
-    """Hom_Z(M, N) with (g . f)(x) = g f(g^-1 x); basis E_ij, column-major in j."""
-    if m.group != n.group:
-        raise ValueError("hom lattice requires a common group")
-    g = m.group
-    rm, rn = m.rank, n.rank
-    mats = []
-    for a in g.elements():
-        big = linalg.zeros(rm * rn, rm * rn)
-        left = _np_action(n)[a]
-        right = _np_action(m)[g.inv(a)]
-        # f -> left @ f @ right, flattened with index (j, i) -> j*rn + i
-        for j, i in itertools.product(range(rm), range(rn)):
-            img = linalg.mul(linalg.mul(left, _unit_matrix(rn, rm, i, j)), right)
-            for jj, ii in itertools.product(range(rm), range(rn)):
-                big[jj * rn + ii, j * rn + i] = img[ii, jj]
-        mats.append(_freeze(big))
-    return GLattice(g, rm * rn, tuple(mats))
-
-
-def _unit_matrix(rows, cols, i, j):
-    u = linalg.zeros(rows, cols)
-    u[i, j] = 1
-    return u
-
-
-def tensor_lattice(m: GLattice, n: GLattice) -> GLattice:
-    if m.group != n.group:
-        raise ValueError("tensor lattice requires a common group")
-    mats = []
-    for a in m.group.elements():
-        am, an = _np_action(m)[a], _np_action(n)[a]
-        big = linalg.zeros(m.rank * n.rank, m.rank * n.rank)
-        for i, j in itertools.product(range(m.rank), repeat=2):
-            if am[i, j] != 0:
-                big[i * n.rank:(i + 1) * n.rank, j * n.rank:(j + 1) * n.rank] = \
-                    am[i, j] * an
-        mats.append(_freeze(big))
-    return GLattice(m.group, m.rank * n.rank, tuple(mats))
 
 
 def conjugate(m: GLattice, u) -> GLattice:
@@ -304,7 +287,8 @@ class GModulePresentation:
     """Finitely generated G-module: Z^n modulo the column span of ``relations``.
 
     The action matrices act on the generators and must preserve the relation
-    lattice, so they descend to the quotient.
+    lattice, so they descend to the quotient.  As for ``GLattice``, the
+    constructor checks the group law on ``generating_set`` only.
     """
 
     group: FiniteGroup
@@ -313,26 +297,10 @@ class GModulePresentation:
     action: tuple[Matrix, ...]
 
     def __post_init__(self):
-        g = self.group
-        rel = self.relations_matrix()
-        mats = [_thaw(m, self.generators) for m in self.action]
-        if len(mats) != g.order:
+        if len(self.action) != self.group.order:
             raise ValueError("one action matrix per group element required")
-
-        def vanishes_mod_relations(diff):
-            if rel.shape[1] == 0:
-                return linalg.is_zero(diff)
-            return linalg.solve(rel, diff) is not None
-
-        if not vanishes_mod_relations(mats[g.identity] - linalg.eye(self.generators)):
-            raise ValueError("identity must act as the identity on the quotient")
-        for a in g.elements():
-            for b in g.elements():
-                diff = linalg.mul(mats[a], mats[b]) - mats[g.mul(a, b)]
-                if not vanishes_mod_relations(diff):
-                    raise ValueError("action does not respect the group law on the quotient")
-            if rel.shape[1] and linalg.solve(rel, linalg.mul(mats[a], rel)) is None:
-                raise ValueError("action does not preserve the relation lattice")
+        _check_action(self.group, [_thaw(m, self.generators) for m in self.action],
+                      self.relations_matrix())
 
     def relations_matrix(self) -> np.ndarray:
         k = len(self.relations[0]) if self.relations else 0
@@ -348,12 +316,6 @@ def presentation_mod(m: GLattice, modulus: int) -> GModulePresentation:
         raise ValueError("modulus must be positive")
     rel = _freeze(modulus * linalg.eye(m.rank))
     return GModulePresentation(m.group, m.rank, rel, m.action)
-
-
-def presentation_of_lattice(m: GLattice) -> GModulePresentation:
-    """The lattice viewed as a presented module with no relations."""
-    return GModulePresentation(m.group, m.rank,
-                               tuple(() for _ in range(m.rank)), m.action)
 
 
 @dataclass(frozen=True)

@@ -340,12 +340,6 @@ def hermite_column(a: np.ndarray) -> np.ndarray:
     return h[:, keep] if keep else zeros(m, 0)
 
 
-def is_saturated(a: np.ndarray) -> bool:
-    """True when Z^m / colspan(a) is torsion-free and a has full column rank."""
-    snf = smith_normal_form(a)
-    return snf.rank == a.shape[1] and all(x == 1 for x in snf.diagonal[:snf.rank])
-
-
 def quotient_invariants(numerator: np.ndarray, denominator: np.ndarray
                         ) -> tuple[int, tuple[int, ...]]:
     """Structure of span(numerator)/span(denominator) inside Z^m.

@@ -18,8 +18,8 @@ from toruskit.cohomology import _tuple_index, bar_differential
 from toruskit.groups import (FiniteGroup, Subgroup, _group_from_table,
                              coset_gset, cyclic_group, cyclic_subgroups,
                              index_two_subgroups, product_group)
-from toruskit.lattices import (GLattice, GModulePresentation, _np_action,
-                               conjugate, direct_sum, induce,
+from toruskit.lattices import (GLattice, GModulePresentation, _freeze,
+                               _np_action, conjugate, direct_sum, induce,
                                permutation_lattice, restrict, sign_lattice,
                                trivial_lattice)
 
@@ -75,6 +75,59 @@ def random_glattice(group: FiniteGroup, max_rank: int, rng: random.Random) -> GL
     else:
         base = rng.choice(rank_one_pool(group))
     return conjugate(base, random_unimodular(base.rank, rng))
+
+
+def hom_lattice(m: GLattice, n: GLattice) -> GLattice:
+    """Hom_Z(M, N) with (g . f)(x) = g f(g^-1 x); basis E_ij, column-major in j."""
+    if m.group != n.group:
+        raise ValueError("hom lattice requires a common group")
+    g = m.group
+    rm, rn = m.rank, n.rank
+    mats = []
+    for a in g.elements():
+        big = linalg.zeros(rm * rn, rm * rn)
+        left = _np_action(n)[a]
+        right = _np_action(m)[g.inv(a)]
+        # f -> left @ f @ right, flattened with index (j, i) -> j*rn + i
+        for j, i in itertools.product(range(rm), range(rn)):
+            img = linalg.mul(linalg.mul(left, _unit_matrix(rn, rm, i, j)), right)
+            for jj, ii in itertools.product(range(rm), range(rn)):
+                big[jj * rn + ii, j * rn + i] = img[ii, jj]
+        mats.append(_freeze(big))
+    return GLattice(g, rm * rn, tuple(mats))
+
+
+def _unit_matrix(rows, cols, i, j):
+    u = linalg.zeros(rows, cols)
+    u[i, j] = 1
+    return u
+
+
+def tensor_lattice(m: GLattice, n: GLattice) -> GLattice:
+    if m.group != n.group:
+        raise ValueError("tensor lattice requires a common group")
+    mats = []
+    for a in m.group.elements():
+        am, an = _np_action(m)[a], _np_action(n)[a]
+        big = linalg.zeros(m.rank * n.rank, m.rank * n.rank)
+        for i, j in itertools.product(range(m.rank), repeat=2):
+            if am[i, j] != 0:
+                big[i * n.rank:(i + 1) * n.rank, j * n.rank:(j + 1) * n.rank] = \
+                    am[i, j] * an
+        mats.append(_freeze(big))
+    return GLattice(m.group, m.rank * n.rank, tuple(mats))
+
+
+def presentation_of_lattice(m: GLattice) -> GModulePresentation:
+    """The lattice viewed as a presented module with no relations."""
+    return GModulePresentation(m.group, m.rank,
+                               tuple(() for _ in range(m.rank)), m.action)
+
+
+def is_saturated(a: np.ndarray) -> bool:
+    """True when Z^m / colspan(a) is torsion-free and a has full column rank."""
+    snf = linalg.smith_normal_form(a)
+    return snf.rank == a.shape[1] and all(x == 1 for x in snf.diagonal[:snf.rank])
 
 
 def brute_force_cocycles(lattice: GLattice) -> tuple[np.ndarray, np.ndarray]:

@@ -14,16 +14,15 @@ from toruskit.groups import (all_subgroups, cyclic_group, cyclic_subgroups,
                              trivial_subgroup)
 from toruskit.lattices import (FGAbelian, _np_action, direct_sum, glattice,
                                induce, norm_vector, presentation_mod,
-                               presentation_of_lattice, quotient_lattice,
-                               regular_lattice, restrict, sign_lattice,
-                               trivial_lattice)
+                               quotient_lattice, regular_lattice, restrict,
+                               sign_lattice, trivial_lattice)
 
 from toruskit.tamagawa import tamagawa_number
 from toruskit.tori import make_torus
 
 from support import (bar_presented_cohomology, bar_sha2, brute_force_cocycles,
                      brute_force_h1_order, group_family_up_to_8,
-                     random_glattice, s3_group)
+                     presentation_of_lattice, random_glattice, s3_group)
 
 C2 = cyclic_group(2)
 C3 = cyclic_group(3)

@@ -174,6 +174,30 @@ def test_gset_validation():
         FiniteGSet(g, 2, ((1, 0), (0, 1)))  # identity must act trivially
 
 
+def test_gset_catches_corruption_outside_generating_set():
+    # the action law is checked on generators only; a wrong permutation for
+    # an element outside the generating set must still be caught
+    for g in (cyclic_group(8), product_group(cyclic_group(2), cyclic_group(4)),
+              s3_group()):
+        regular = [tuple(g.mul(a, x) for x in g.elements()) for a in g.elements()]
+        gens = generating_set(g)
+        bad = max(a for a in g.elements() if a != g.identity and a not in gens)
+        other = next(b for b in g.elements() if b not in (g.identity, bad))
+        FiniteGSet(g, g.order, tuple(regular))
+        regular[bad] = regular[other]
+        with pytest.raises(ValueError, match="group law"):
+            FiniteGSet(g, g.order, tuple(regular))
+
+
+def test_group_rejects_non_associative_loop():
+    # a Latin square with identity 0 and every element its own two-sided
+    # inverse, but (1 2) 2 = 3 2 = 4 while 1 (2 2) = 1 0 = 1
+    rows = ("01234", "10342", "24013", "32401", "43120")
+    table = tuple(tuple(int(x) for x in row) for row in rows)
+    with pytest.raises(ValueError, match="associativity"):
+        FiniteGroup(5, table, 0, (0, 1, 2, 3, 4))
+
+
 def test_subgroup_validation():
     g = cyclic_group(4)
     with pytest.raises(ValueError):
@@ -222,7 +246,8 @@ def test_abelian_decomposition_rejects_non_abelian():
         abelian_decomposition(s3_group())
 
 
-@pytest.mark.parametrize("g", group_family_up_to_8() + [s3_group()])
+@pytest.mark.parametrize("g", group_family_up_to_8() + [
+    s3_group(), cyclotomic_quotient_group(1680)])
 def test_generating_set_generates(g):
     gens = generating_set(g)
     assert 2 ** len(gens) <= g.order

@@ -3,20 +3,22 @@ import random
 import pytest
 
 from toruskit import linalg
+from toruskit.arith import AbelianGaloisDatum
 from toruskit.groups import (all_subgroups, cyclic_group, generating_set,
                              product_group, subgroup_closure,
                              trivial_subgroup)
 from toruskit.lattices import (FGAbelian, GLattice, GModulePresentation,
-                               conjugate, direct_sum, dual, glattice,
-                               hom_lattice, induce, invariants, norm_operator,
-                               norm_vector, permutation_lattice,
-                               presentation_mod, quotient_lattice,
-                               regular_lattice, restrict, sign_lattice,
-                               tensor_lattice, trace_character,
-                               trivial_lattice)
+                               conjugate, direct_sum, dual, glattice, induce,
+                               invariants, norm_operator, norm_vector,
+                               permutation_lattice, presentation_mod,
+                               quotient_lattice, regular_lattice, restrict,
+                               sign_lattice, trace_character, trivial_lattice)
 
-from support import (group_family_up_to_8, random_glattice, random_unimodular,
-                     s3_group)
+from toruskit.tori import make_torus
+
+from support import (group_family_up_to_8, hom_lattice,
+                     presentation_of_lattice, random_glattice,
+                     random_unimodular, s3_group, tensor_lattice)
 
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
@@ -250,6 +252,52 @@ def test_presentation_validates_action():
     GModulePresentation(C2, 1, ((3,),), (((1,),), ((2,),)))
     # identity may act as anything congruent to the identity
     GModulePresentation(C2, 1, ((3,),), (((4,),), ((2,),)))
+
+
+def test_presentation_rejects_identity_off_the_quotient():
+    # 2 is not congruent to 1 mod 3
+    with pytest.raises(ValueError, match="identity"):
+        GModulePresentation(C2, 1, ((3,),), (((2,),), ((2,),)))
+
+
+def test_presentation_rejects_unpreserved_relations():
+    # Z/2 + Z with the swap: an involution, but (2, 0) goes to (0, 2)
+    swap = ((0, 1), (1, 0))
+    with pytest.raises(ValueError, match="preserve"):
+        GModulePresentation(C2, 2, ((2,), (0,)), (((1, 0), (0, 1)), swap))
+
+
+def test_presentation_catches_corruption_outside_generating_set():
+    # As for GLattice: a wrong matrix outside the generating set, which still
+    # preserves the relations, must be caught, with and without relations.
+    for g in (cyclic_group(8), product_group(C2, cyclic_group(4)),
+              product_group(product_group(C2, C2), C2), s3_group()):
+        good = regular_lattice(g)
+        gens = generating_set(g)
+        # the last element is a word of length >= 3 in the generators here
+        bad = max(a for a in g.elements() if a != g.identity and a not in gens)
+        other = next(b for b in g.elements() if b not in (g.identity, bad))
+        action = list(good.action)
+        action[bad] = good.action[other]
+        for pres in (presentation_mod(good, 3), presentation_of_lattice(good)):
+            with pytest.raises(ValueError, match="group law"):
+                GModulePresentation(g, pres.generators, pres.relations, tuple(action))
+
+
+def test_presentation_mod_validates_with_three_solves(monkeypatch):
+    # one solve each for identity, relation lattice and group law, whatever |G|
+    m = make_torus(AbelianGaloisDatum(15), "norm_one").X
+    calls = []
+    original = linalg.solve
+
+    def counting(a, b):
+        calls.append(b.shape)
+        return original(a, b)
+
+    monkeypatch.setattr(linalg, "solve", counting)
+    pres = presentation_mod(m, 2)
+    assert m.group.order == 8 and pres.generators == 7
+    assert len(calls) <= 3
 
 
 def test_fgabelian_normalization():

@@ -1,22 +1,35 @@
-"""The benchmark's tracer wraps toruskit functions by name; every name must resolve."""
+"""The benchmark's hooks into toruskit: the tracer wraps functions by name,
+so every name must resolve, and the CLI must reproduce the golden stdout."""
 
 import importlib
 import importlib.util
+import io
+import json
 import os
+import sys
 
 import pytest
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "tracer.py")
+from toruskit import cli
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+TRACER = os.path.join(PERFBENCH, "tracer.py")
+WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
+
+
+def load_perfbench(path, name):
+    if not os.path.exists(path):
+        pytest.skip(f"perfbench/{os.path.basename(path)} is not in this checkout")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    if not os.path.exists(TRACER):
-        pytest.skip("perfbench/tracer.py is not in this checkout")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench(TRACER, "perfbench_tracer")
 
 
 def test_tracer_targets_resolve():
@@ -28,3 +41,25 @@ def test_tracer_targets_resolve():
         cls = getattr(importlib.import_module("toruskit." + mod_name), cls_name, None)
         assert cls is not None, f"toruskit.{mod_name}.{cls_name}"
         assert attr in cls.__dict__, f"toruskit.{mod_name}.{cls_name}.{attr}"
+
+
+def test_cli_matches_golden_stdout(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)  # workloads imports its siblings
+    workloads = load_perfbench(WORKLOADS, "perfbench_workloads")
+    paths = {}
+    for key, (modulus, subgroup, torus) in workloads.CLI_SPECS.items():
+        field = {"type": "cyclotomic", "modulus": modulus}
+        if subgroup is not None:
+            field["subgroup"] = list(subgroup)
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps({"field": field, "torus": torus}))
+    with open(workloads.GOLDEN_PATH, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    cases = [(sub, args) for sub, arg_lists in workloads.CLI_CASES.items()
+             for args in arg_lists]
+    assert sorted(workloads.cli_case_id(sub, args) for sub, args in cases) == sorted(golden)
+    for sub, args in cases:
+        out = io.StringIO()
+        code = cli.main([sub] + [str(paths.get(a, a)) for a in args],
+                        stdout=out, stderr=io.StringIO())
+        assert (code, out.getvalue()) == (0, golden[workloads.cli_case_id(sub, args)])

@@ -1,4 +1,9 @@
-"""Exact invariants of algebraic tori presented as finite-group lattices."""
+"""Exact invariants of algebraic tori presented as finite-group lattices.
+
+The function ``cohomology`` is re-exported over its submodule's name, so
+``import toruskit.cohomology as c`` binds the function;
+``importlib.import_module("toruskit.cohomology")`` gives the module.
+"""
 
 from .arith import (AbelianGaloisDatum, Decomposition, DirichletCharacter,
                     ResidueResult, characters, decompose, dirichlet_L1,

@@ -39,6 +39,8 @@ class AbelianGaloisDatum:
     representatives: tuple[int, ...] = field(init=False, compare=False)
 
     def __init__(self, modulus: int, subgroup=None):
+        if int(modulus) < 1:
+            raise ValueError("modulus must be positive")
         object.__setattr__(self, "modulus", int(modulus))
         if subgroup is None:
             subgroup = (1 % self.modulus,)
@@ -304,9 +306,7 @@ def local_artin_factor(t: Torus, p: int) -> Fraction:
         raise UnsupportedRequestError("local factors need an arithmetic datum")
     frob = frobenius(datum, p)
     r = t.dim
-    mat = linalg.intmat([[p * (i == j) for j in range(r)] for i in range(r)])
-    mat -= t.X.matrix(frob)
-    denom = linalg.det(mat)
+    denom = linalg.det(p * linalg.eye(r) - t.X.action[frob])
     if denom <= 0:
         raise InternalInvariantError("local determinant must be positive")
     return Fraction(p ** r, denom)

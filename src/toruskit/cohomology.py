@@ -40,8 +40,8 @@ from . import linalg
 from .errors import EnumerationBoundError, InternalInvariantError
 from .groups import (FiniteGroup, Subgroup, abelian_decomposition,
                      cyclic_subgroups)
-from .lattices import (FGAbelian, GLattice, GModulePresentation, _np_action,
-                       invariants, norm_operator, restrict)
+from .lattices import (FGAbelian, GLattice, GModulePresentation, invariants,
+                       norm_operator, restrict)
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
 
@@ -181,12 +181,12 @@ def _lattice_cohomology(module: GLattice, q: int) -> FGAbelian:
     if q == 0:
         _, fixed_rank = invariants(module)
         return FGAbelian.free(fixed_rank)
-    d_prev = differential(module.group, _np_action(module), q - 1)
+    d_prev = differential(module.group, module.action, q - 1)
     return FGAbelian(0, linalg.invariant_factors(d_prev))
 
 
 def _relation_block(module: GModulePresentation, copies: int) -> np.ndarray:
-    rel = module.relations_matrix()
+    rel = module.relations
     n, k = rel.shape
     out = linalg.zeros(n * copies, k * copies)
     for t in range(copies):
@@ -198,9 +198,8 @@ def _relation_block(module: GModulePresentation, copies: int) -> np.ndarray:
 def _presented_cohomology(module: GModulePresentation, q: int) -> FGAbelian:
     """Cocycles plus relation translates over coboundaries plus the same."""
     group = module.group
-    mats = [module.action_matrix(a) for a in group.elements()]
     dim_q = module.generators * _cochain_rank(group, q)
-    d_q = differential(group, mats, q)
+    d_q = differential(group, module.action, q)
     rel_next = _relation_block(module, _cochain_rank(group, q + 1))
     kernel = linalg.kernel_basis(linalg.hstack([d_q, rel_next]))
     cocycles = kernel[:dim_q, :]
@@ -208,7 +207,7 @@ def _presented_cohomology(module: GModulePresentation, q: int) -> FGAbelian:
     if q == 0:
         d_prev = linalg.zeros(dim_q, 0)
     else:
-        d_prev = differential(group, mats, q - 1)
+        d_prev = differential(group, module.action, q - 1)
     return FGAbelian(*linalg.quotient_invariants(linalg.hstack([cocycles, rel_here]),
                                                  linalg.hstack([d_prev, rel_here])))
 
@@ -260,7 +259,7 @@ def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
     """H^q as the torsion of coker d^(q-1), generated by columns of U^-1."""
     if q not in (1, 2):
         raise ValueError("cocycle representatives are computed in degrees 1 and 2")
-    d_prev = differential(module.group, _np_action(module), q - 1)
+    d_prev = differential(module.group, module.action, q - 1)
     snf = linalg.smith_normal_form(d_prev, want_uinv=True)
     cols = [i for i in range(snf.rank) if snf.diagonal[i] >= 2]
     gens = snf.uinv[:, cols]
@@ -364,7 +363,7 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
     source = cohomology_classes(module, q)
     target = cohomology_classes(restricted, q)
     cochains = restrict_cochain(source.generators, group, sub, q, module.rank,
-                                action=_np_action(module))
+                                action=module.action)
     coords = target.coordinates(cochains)
     matrix = tuple(tuple(int(x) for x in row) for row in coords.tolist())
     return RestrictionMap(source.fg, target.fg, matrix)
@@ -475,16 +474,12 @@ def _finite_module_structure(module: GModulePresentation):
     Returns (orders, act) where the module is the product of Z/orders[i] and
     act(g, coords) applies the group action in those coordinates.
     """
-    rel = module.relations_matrix()
     n = module.generators
-    snf = linalg.smith_normal_form(rel, want_u=True, want_uinv=True)
+    snf = linalg.smith_normal_form(module.relations, want_u=True, want_uinv=True)
     if snf.rank != n:
         raise ValueError("module is not finite")
     orders = tuple(int(d) for d in snf.diagonal[:n])
-    mats = {}
-    for a in module.group.elements():
-        w = linalg.mul(linalg.mul(snf.u, module.action_matrix(a)), snf.uinv)
-        mats[a] = w
+    mats = np.matmul(np.matmul(snf.u, module.action), snf.uinv)
 
     def act(a: int, coords: Sequence[int]) -> tuple[int, ...]:
         w = mats[a]

@@ -1,15 +1,19 @@
 """G-lattices: free Z-modules with a finite group acting by unimodular matrices.
 
-Constructors cover the lattices the rest of the package needs (trivial, sign,
-regular, permutation, induced, duals, sums, quotients), and ``FGAbelian``
-carries finitely generated abelian groups as invariant factors plus a free
-rank.  All normal-form work is delegated to :mod:`toruskit.linalg`.
+A lattice of rank n is held as one read-only ``(|G|, n, n)`` object array of
+Python ints, the matrix of every group element in element order; a presented
+module adds one read-only relation matrix.  Both are hashed once, when they
+are built, and compare by value, so they are cheap ``lru_cache`` keys.  The
+constructors (trivial, sign, regular, permutation, induced, restricted, duals,
+sums, quotients, conjugates) build or slice that stack directly.
+``FGAbelian`` carries finitely generated abelian groups as invariant factors
+plus a free rank.  All normal-form work is delegated to :mod:`toruskit.linalg`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,61 +22,83 @@ from . import linalg
 from .groups import (FiniteGroup, FiniteGSet, Subgroup, coset_representatives,
                      generating_set)
 
-Matrix = tuple[tuple[int, ...], ...]
+
+def _read_only(data, shape: tuple[int, ...]) -> np.ndarray:
+    """``data`` as a read-only object array of Python ints of shape ``shape``.
+
+    A read-only object array that owns its entries, such as another lattice's
+    ``action``, is shared; anything else is copied, so no caller keeps a
+    handle that writes into the result.
+    """
+    if not (isinstance(data, np.ndarray) and data.dtype == object and data.shape == shape
+            and data.base is None and not data.flags.writeable):
+        data = linalg.intmat(data, shape)
+        data.flags.writeable = False
+    return data
 
 
-def _freeze(a: np.ndarray) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in a.tolist())
-
-
-def _thaw(m: Matrix, rank: int) -> np.ndarray:
-    return linalg.intmat(m, shape=(rank, rank))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GLattice:
     """A rank-n free Z-module with ``group`` acting through integer matrices.
 
-    ``action[g]`` is the matrix of g on column vectors; the constructor checks
-    that the assignment is a homomorphism sending the identity to the identity
-    matrix (which forces every matrix to be unimodular).  Like every group-law
-    check in the package, it reads only a generating set: X(a s) = X(a) X(s)
-    for every a and every s in ``generating_set`` suffices, because every
-    element is a word in the generators, so X(ab) = X(a) X(b) follows by
-    induction on the length of b.
+    ``action`` is a read-only ``(|G|, n, n)`` object array of Python ints, and
+    ``action[g]`` is the matrix of g on column vectors.  Nested lists and
+    writeable arrays are copied in.  The hash is computed once, here, and
+    equality compares group, rank and entries, so a lattice rebuilt from the
+    same data hits every cache keyed on the first.
+
+    The constructor checks that the assignment is a homomorphism sending the
+    identity to the identity matrix (which forces every matrix to be
+    unimodular).  Like every group-law check in the package, it reads only a
+    generating set: X(a s) = X(a) X(s) for every a and every s in
+    ``generating_set`` suffices, because every element is a word in the
+    generators, so X(ab) = X(a) X(b) follows by induction on the length of b.
     """
 
     group: FiniteGroup
     rank: int
-    action: tuple[Matrix, ...]
+    action: np.ndarray
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.group
         if len(self.action) != g.order:
             raise ValueError("one action matrix per group element required")
-        _check_action(g, [_thaw(m, self.rank) for m in self.action])
+        action = _read_only(self.action, (g.order, self.rank, self.rank))
+        _check_action(g, action)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "_hash", hash((g, self.rank, tuple(action.flat))))
+
+    def __eq__(self, other):
+        return (isinstance(other, GLattice) and self._hash == other._hash
+                and self.group == other.group and self.rank == other.rank
+                and np.array_equal(self.action, other.action))
+
+    def __hash__(self):
+        return self._hash
 
     def matrix(self, g: int) -> np.ndarray:
-        return _np_action(self)[g].copy()
+        return self.action[g].copy()
 
     def __repr__(self):
         return f"GLattice({self.group.label or self.group.order}, rank={self.rank})"
 
 
-def _check_action(group: FiniteGroup, mats: Sequence[np.ndarray],
+def _check_action(group: FiniteGroup, stack: np.ndarray,
                   rel: np.ndarray | None = None) -> None:
-    """Raise ``ValueError`` unless a -> mats[a] is an action on Z^n / span(rel).
+    """Raise ``ValueError`` unless a -> stack[a] is an action on Z^n / span(rel).
 
     The group law is checked as X(a s) = X(a) X(s) for s in ``generating_set``
-    only.  Without relations matrices are compared exactly, stopping at the
-    first mismatch.  With relations each property (identity, relation lattice
+    only, one product over the whole stack per generator.  Without relations
+    matrices are compared exactly, stopping after the first generator that
+    fails.  With relations each property (identity, relation lattice
     preserved, group law) is one solve over the stacked differences: X(a)
     then preserves span(rel) for every a, by the same induction.
     """
     gens = generating_set(group)
-    ident = mats[group.identity] - linalg.eye(mats[group.identity].shape[0])
-    laws = (linalg.mul(mats[a], mats[s]) - mats[group.mul(a, s)]
-            for s in gens for a in group.elements())
+    ident = stack[group.identity] - linalg.eye(stack.shape[1])
+    laws = (np.matmul(stack, stack[s]) - stack[[row[s] for row in group.table]]
+            for s in gens)
     if rel is None or rel.shape[1] == 0:
         if not linalg.is_zero(ident):
             raise ValueError("identity must act as the identity matrix")
@@ -82,32 +108,28 @@ def _check_action(group: FiniteGroup, mats: Sequence[np.ndarray],
     if linalg.solve(rel, ident) is None:
         raise ValueError("identity must act as the identity on the quotient")
     if gens and linalg.solve(rel, linalg.hstack(
-            [linalg.mul(mats[s], rel) for s in gens])) is None:
+            [linalg.mul(stack[s], rel) for s in gens])) is None:
         raise ValueError("action does not preserve the relation lattice")
-    if gens and linalg.solve(rel, linalg.hstack(list(laws))) is None:
+    if gens and linalg.solve(rel, linalg.hstack(
+            [block for diff in laws for block in diff])) is None:
         raise ValueError("action does not respect the group law on the quotient")
 
 
-@lru_cache(maxsize=None)
-def _np_action(m: GLattice) -> tuple[np.ndarray, ...]:
-    # Cached object-dtype copies, read-only so no caller can corrupt them.
-    mats = tuple(_thaw(a, m.rank) for a in m.action)
-    for a in mats:
-        a.flags.writeable = False
-    return mats
+def _lattice(group: FiniteGroup, stack: np.ndarray) -> GLattice:
+    """GLattice on a stack a constructor just built; frozen in place, it is
+    shared instead of copied."""
+    stack.flags.writeable = False
+    return GLattice(group, stack.shape[1], stack)
 
 
 def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) -> GLattice:
-    mats = [linalg.intmat(m) if not isinstance(m, np.ndarray) else m for m in matrices]
-    rank = mats[0].shape[0] if mats else 0
-    return GLattice(group, rank, tuple(_freeze(m) for m in mats))
+    return GLattice(group, len(matrices[0]) if len(matrices) else 0, matrices)
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
     if rank < 0:
         raise ValueError("rank must be nonnegative")
-    ident = _freeze(linalg.eye(rank))
-    return GLattice(group, rank, tuple(ident for _ in group.elements()))
+    return _lattice(group, np.repeat(linalg.eye(rank)[None], group.order, axis=0))
 
 
 def sign_lattice(group: FiniteGroup, kernel: Subgroup) -> GLattice:
@@ -116,30 +138,26 @@ def sign_lattice(group: FiniteGroup, kernel: Subgroup) -> GLattice:
         raise ValueError("kernel must be a subgroup of the acting group")
     if kernel.index != 2:
         raise ValueError("sign lattice needs an index-2 subgroup as kernel")
-    mats = tuple(((1,),) if g in kernel.elements else ((-1,),) for g in group.elements())
-    return GLattice(group, 1, mats)
+    return _lattice(group, np.array([[[1 if g in kernel.elements else -1]]
+                                     for g in group.elements()], dtype=object))
+
+
+def _permutation(group: FiniteGroup, images: Sequence[Sequence[int]]) -> GLattice:
+    """a sends basis vector x to basis vector images[a][x]."""
+    n = len(images[group.identity])
+    stack = linalg.zeros(group.order, n, n)
+    for a, row in enumerate(images):
+        stack[a, list(row), list(range(n))] = 1
+    return _lattice(group, stack)
 
 
 def permutation_lattice(gset: FiniteGSet) -> GLattice:
-    g = gset.group
-    mats = []
-    for a in g.elements():
-        m = linalg.zeros(gset.size, gset.size)
-        for x in range(gset.size):
-            m[gset.action[a][x], x] = 1
-        mats.append(_freeze(m))
-    return GLattice(g, gset.size, tuple(mats))
+    return _permutation(gset.group, gset.action)
 
 
 def regular_lattice(group: FiniteGroup) -> GLattice:
     """Z[G] on the basis of group elements in canonical order."""
-    mats = []
-    for a in group.elements():
-        m = linalg.zeros(group.order, group.order)
-        for b in group.elements():
-            m[group.mul(a, b), b] = 1
-        mats.append(_freeze(m))
-    return GLattice(group, group.order, tuple(mats))
+    return _permutation(group, group.table)
 
 
 def induce(h: Subgroup, a: GLattice) -> GLattice:
@@ -157,61 +175,47 @@ def induce(h: Subgroup, a: GLattice) -> GLattice:
         for k in h.elements:
             rep_index[g.mul(r, k)] = i
     r_a = a.rank
-    amats = _np_action(a)
-    mats = []
+    stack = linalg.zeros(g.order, len(reps) * r_a, len(reps) * r_a)
     for x in g.elements():
-        m = linalg.zeros(len(reps) * r_a, len(reps) * r_a)
         for i, r in enumerate(reps):
             xr = g.mul(x, r)
             j = rep_index[xr]
             k = g.mul(g.inv(reps[j]), xr)  # x . r_i = r_j . k with k in H
-            block = amats[h.position(k)]
-            m[j * r_a:(j + 1) * r_a, i * r_a:(i + 1) * r_a] = block
-        mats.append(_freeze(m))
-    return GLattice(g, len(reps) * r_a, tuple(mats))
+            stack[x, j * r_a:(j + 1) * r_a, i * r_a:(i + 1) * r_a] = a.action[h.position(k)]
+    return _lattice(g, stack)
 
 
 def restrict(m: GLattice, h: Subgroup) -> GLattice:
     if h.parent != m.group:
         raise ValueError("subgroup does not belong to the lattice's group")
-    return GLattice(h.as_group(), m.rank, tuple(m.action[x] for x in h.elements))
+    return _lattice(h.as_group(), m.action[list(h.elements)])
 
 
 def dual(m: GLattice) -> GLattice:
     """Contragredient lattice: g acts by the transpose of the g^-1 matrix."""
     g = m.group
-    mats = tuple(_freeze(_np_action(m)[g.inv(a)].T) for a in g.elements())
-    return GLattice(g, m.rank, mats)
+    return _lattice(g, m.action[list(g.inverse)].swapaxes(1, 2).copy())
 
 
 def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
     if m1.group != m2.group:
         raise ValueError("direct sum requires lattices over the same group")
     r1, r2 = m1.rank, m2.rank
-    mats = []
-    for a in m1.group.elements():
-        m = linalg.zeros(r1 + r2, r1 + r2)
-        m[:r1, :r1] = _np_action(m1)[a]
-        m[r1:, r1:] = _np_action(m2)[a]
-        mats.append(_freeze(m))
-    return GLattice(m1.group, r1 + r2, tuple(mats))
+    stack = linalg.zeros(m1.group.order, r1 + r2, r1 + r2)
+    stack[:, :r1, :r1] = m1.action
+    stack[:, r1:, r1:] = m2.action
+    return _lattice(m1.group, stack)
 
 
 def direct_sum_all(lattices: Sequence[GLattice]) -> GLattice:
     if not lattices:
         raise ValueError("empty direct sum")
-    out = lattices[0]
-    for m in lattices[1:]:
-        out = direct_sum(out, m)
-    return out
+    return reduce(direct_sum, lattices)
 
 
 def norm_operator(m: GLattice) -> np.ndarray:
     """The averaging operator N = sum over g of action(g)."""
-    out = linalg.zeros(m.rank, m.rank)
-    for a in m.group.elements():
-        out += _np_action(m)[a]
-    return out
+    return m.action.sum(axis=0)
 
 
 def norm_vector(m: GLattice) -> np.ndarray:
@@ -224,22 +228,19 @@ def invariants(m: GLattice) -> tuple[np.ndarray, int]:
 
     A vector fixed by a generating set is fixed by the whole group.
     """
-    rows = [_np_action(m)[s] - linalg.eye(m.rank) for s in generating_set(m.group)]
+    rows = [m.action[s] - linalg.eye(m.rank) for s in generating_set(m.group)]
     if not rows:
-        basis = linalg.eye(m.rank)
-        return basis, m.rank
-    stacked = linalg.vstack(rows)
-    basis = linalg.kernel_basis(stacked)
+        return linalg.eye(m.rank), m.rank
+    basis = linalg.kernel_basis(linalg.vstack(rows))
     return basis, basis.shape[1]
 
 
 def trace_character(m: GLattice) -> tuple[int, ...]:
     """chi(g) = trace of the matrix of g, indexed by group element."""
-    return tuple(int(sum(_np_action(m)[a][i, i] for i in range(m.rank)))
-                 for a in m.group.elements())
+    return tuple(sum(mat.diagonal().tolist()) for mat in m.action)
 
 
-def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, Matrix]:
+def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
     """Quotient by a G-stable saturated sublattice, with the projection matrix.
 
     ``sub_basis`` is a rank x s integer matrix whose columns form a basis of
@@ -260,15 +261,12 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, Matrix]:
         s = linalg.hermite_column(s)  # canonical basis of the same sublattice
         gens = generating_set(m.group)  # stable under generators is stable
         if gens and linalg.solve(s, linalg.hstack(
-                [linalg.mul(_np_action(m)[a], s) for a in gens])) is None:
+                [linalg.mul(m.action[a], s) for a in gens])) is None:
             raise ValueError("sublattice is not stable under the group action")
     full = linalg.smith_normal_form(s, want_u=True, want_uinv=True)
     proj = full.u[ncols:, :]
     section = full.uinv[:, ncols:]
-    mats = tuple(_freeze(linalg.mul(proj, linalg.mul(_np_action(m)[a], section)))
-                 for a in m.group.elements())
-    quot = GLattice(m.group, m.rank - ncols, mats)
-    return quot, _freeze(proj)
+    return _lattice(m.group, np.matmul(np.matmul(proj, m.action), section)), proj
 
 
 def conjugate(m: GLattice, u) -> GLattice:
@@ -277,45 +275,56 @@ def conjugate(m: GLattice, u) -> GLattice:
     if abs(linalg.det(u)) != 1:
         raise ValueError("basis change must be unimodular")
     uinv = linalg.solve(u, linalg.eye(m.rank))
-    mats = tuple(_freeze(linalg.mul(uinv, linalg.mul(_np_action(m)[a], u)))
-                 for a in m.group.elements())
-    return GLattice(m.group, m.rank, mats)
+    return _lattice(m.group, np.matmul(np.matmul(uinv, m.action), u))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GModulePresentation:
     """Finitely generated G-module: Z^n modulo the column span of ``relations``.
 
-    The action matrices act on the generators and must preserve the relation
-    lattice, so they descend to the quotient.  As for ``GLattice``, the
-    constructor checks the group law on ``generating_set`` only.
+    ``relations`` is a read-only ``(n, k)`` array whose columns span the
+    relation lattice, and ``action`` a read-only ``(|G|, n, n)`` stack of
+    matrices on the generators, held, hashed and compared as for
+    ``GLattice``.  The matrices must preserve the relation lattice, so they
+    descend to the quotient.  As for ``GLattice``, the constructor checks the
+    group law on ``generating_set`` only.
     """
 
     group: FiniteGroup
     generators: int
-    relations: Matrix  # generators x k, columns span the relation lattice
-    action: tuple[Matrix, ...]
+    relations: np.ndarray
+    action: np.ndarray
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.action) != self.group.order:
+        g, n = self.group, self.generators
+        if len(self.action) != g.order:
             raise ValueError("one action matrix per group element required")
-        _check_action(self.group, [_thaw(m, self.generators) for m in self.action],
-                      self.relations_matrix())
+        k = np.shape(self.relations)[-1] if n else 0
+        relations = _read_only(self.relations, (n, k))
+        action = _read_only(self.action, (g.order, n, n))
+        _check_action(g, action, relations)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "_hash", hash((g, n, tuple(relations.flat),
+                                                tuple(action.flat))))
 
-    def relations_matrix(self) -> np.ndarray:
-        k = len(self.relations[0]) if self.relations else 0
-        return linalg.intmat(self.relations, shape=(self.generators, k))
+    def __eq__(self, other):
+        return (isinstance(other, GModulePresentation) and self._hash == other._hash
+                and self.group == other.group
+                and self.generators == other.generators
+                and np.array_equal(self.relations, other.relations)
+                and np.array_equal(self.action, other.action))
 
-    def action_matrix(self, g: int) -> np.ndarray:
-        return _thaw(self.action[g], self.generators)
+    def __hash__(self):
+        return self._hash
 
 
 def presentation_mod(m: GLattice, modulus: int) -> GModulePresentation:
     """The finite module M / modulus*M with the inherited action."""
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    rel = _freeze(modulus * linalg.eye(m.rank))
-    return GModulePresentation(m.group, m.rank, rel, m.action)
+    return GModulePresentation(m.group, m.rank, modulus * linalg.eye(m.rank), m.action)
 
 
 @dataclass(frozen=True)

@@ -14,36 +14,24 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-IntMatrixLike = Sequence[Sequence[int]]
 
-
-def intmat(data: IntMatrixLike | np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Copy ``data`` into a fresh object-dtype matrix of Python ints.
+def intmat(data, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Copy ``data`` into a fresh object-dtype array of Python ints.
 
     ``shape`` is required when ``data`` cannot determine it (no rows, or rows
     of length zero).  Non-integer entries raise ``TypeError``.
     """
-    if isinstance(data, np.ndarray):
-        rows = data.tolist()
-    else:
-        rows = [list(r) for r in data]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if shape is not None:
-        if m and (m, n) != shape:
-            raise ValueError(f"data of shape {(m, n)} does not match requested {shape}")
-        m, n = shape
-    out = np.empty((m, n), dtype=object)
-    for i, r in enumerate(rows):
-        if len(r) != n:
-            raise ValueError("ragged rows")
-        for j, x in enumerate(r):
-            out[i, j] = operator.index(x)
+    src = np.array(data, dtype=object)
+    shape = src.shape if shape is None else tuple(shape)
+    if src.shape != shape and (src.size or 0 not in shape):
+        raise ValueError(f"data of shape {src.shape} does not match requested {shape}")
+    out = np.empty(shape, dtype=object)
+    out.reshape(-1)[:] = [operator.index(x) for x in src.flat]
     return out
 
 
-def zeros(m: int, n: int) -> np.ndarray:
-    out = np.empty((m, n), dtype=object)
+def zeros(*shape: int) -> np.ndarray:
+    out = np.empty(shape, dtype=object)
     out[...] = 0
     return out
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
+import numpy as np
+
 from . import linalg
 from .cohomology import cohomology, tate_h0
 from .errors import InternalInvariantError
 from .groups import FiniteGroup, trivial_subgroup
-from .lattices import (GLattice, Matrix, direct_sum_all, dual, glattice,
-                       invariants, norm_vector, quotient_lattice,
-                       regular_lattice, sign_lattice, trace_character,
-                       trivial_lattice)
+from .lattices import (GLattice, direct_sum_all, dual, glattice, invariants,
+                       norm_vector, quotient_lattice, regular_lattice,
+                       sign_lattice, trace_character, trivial_lattice)
 
 Splitting = Union["FiniteGroup", object]  # FiniteGroup or an AbelianGaloisDatum
 
@@ -73,7 +74,7 @@ class RankProfile(NamedTuple):
 class LatticeMap(NamedTuple):
     source: GLattice
     target: GLattice
-    matrix: Matrix  # target.rank x source.rank
+    matrix: tuple[tuple[int, ...], ...]  # target.rank x source.rank
 
 
 def make_torus(splitting, kind: str, *, dim: int = 1,
@@ -173,9 +174,8 @@ def norm_character(t: Torus) -> LatticeMap:
         raise ValueError("norm character is defined for res tori only")
     group = t.group
     source = trivial_lattice(group, 1)
-    ones = tuple((1,) for _ in range(t.dim))
-    mat = linalg.intmat(ones, shape=(t.dim, 1))
-    for g in group.elements():
-        if not linalg.is_zero(linalg.mul(t.X.matrix(g), mat) - mat):
-            raise InternalInvariantError("norm vector is not invariant")
-    return LatticeMap(source, t.X, tuple(tuple(row) for row in ones))
+    ones = ((1,),) * t.dim
+    mat = linalg.intmat(ones)
+    if not linalg.is_zero(np.matmul(t.X.action, mat) - mat):
+        raise InternalInvariantError("norm vector is not invariant")
+    return LatticeMap(source, t.X, ones)

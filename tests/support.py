@@ -18,10 +18,9 @@ from toruskit.cohomology import _tuple_index, bar_differential
 from toruskit.groups import (FiniteGroup, Subgroup, _group_from_table,
                              coset_gset, cyclic_group, cyclic_subgroups,
                              index_two_subgroups, product_group)
-from toruskit.lattices import (GLattice, GModulePresentation, _freeze,
-                               _np_action, conjugate, direct_sum, induce,
-                               permutation_lattice, restrict, sign_lattice,
-                               trivial_lattice)
+from toruskit.lattices import (GLattice, GModulePresentation, conjugate,
+                               direct_sum, induce, permutation_lattice,
+                               restrict, sign_lattice, trivial_lattice)
 
 
 def group_family_up_to_8() -> list[FiniteGroup]:
@@ -86,15 +85,15 @@ def hom_lattice(m: GLattice, n: GLattice) -> GLattice:
     mats = []
     for a in g.elements():
         big = linalg.zeros(rm * rn, rm * rn)
-        left = _np_action(n)[a]
-        right = _np_action(m)[g.inv(a)]
+        left = n.action[a]
+        right = m.action[g.inv(a)]
         # f -> left @ f @ right, flattened with index (j, i) -> j*rn + i
         for j, i in itertools.product(range(rm), range(rn)):
             img = linalg.mul(linalg.mul(left, _unit_matrix(rn, rm, i, j)), right)
             for jj, ii in itertools.product(range(rm), range(rn)):
                 big[jj * rn + ii, j * rn + i] = img[ii, jj]
-        mats.append(_freeze(big))
-    return GLattice(g, rm * rn, tuple(mats))
+        mats.append(big)
+    return GLattice(g, rm * rn, mats)
 
 
 def _unit_matrix(rows, cols, i, j):
@@ -108,20 +107,19 @@ def tensor_lattice(m: GLattice, n: GLattice) -> GLattice:
         raise ValueError("tensor lattice requires a common group")
     mats = []
     for a in m.group.elements():
-        am, an = _np_action(m)[a], _np_action(n)[a]
+        am, an = m.action[a], n.action[a]
         big = linalg.zeros(m.rank * n.rank, m.rank * n.rank)
         for i, j in itertools.product(range(m.rank), repeat=2):
             if am[i, j] != 0:
                 big[i * n.rank:(i + 1) * n.rank, j * n.rank:(j + 1) * n.rank] = \
                     am[i, j] * an
-        mats.append(_freeze(big))
-    return GLattice(m.group, m.rank * n.rank, tuple(mats))
+        mats.append(big)
+    return GLattice(m.group, m.rank * n.rank, mats)
 
 
 def presentation_of_lattice(m: GLattice) -> GModulePresentation:
     """The lattice viewed as a presented module with no relations."""
-    return GModulePresentation(m.group, m.rank,
-                               tuple(() for _ in range(m.rank)), m.action)
+    return GModulePresentation(m.group, m.rank, linalg.zeros(m.rank, 0), m.action)
 
 
 def is_saturated(a: np.ndarray) -> bool:
@@ -181,7 +179,7 @@ def bar_restrict_cochain(cochain: np.ndarray, group: FiniteGroup, sub: Subgroup,
 def bar_classes(lattice: GLattice, q: int):
     """H^q (q = 1, 2) from the bar complex: orders, generating cocycles and
     the coboundary matrix d^(q-1), read off one Smith form with U^-1."""
-    d_prev = bar_differential(lattice.group, _np_action(lattice), q - 1)
+    d_prev = bar_differential(lattice.group, lattice.action, q - 1)
     snf = linalg.smith_normal_form(d_prev, want_uinv=True)
     cols = [i for i in range(snf.rank) if snf.diagonal[i] >= 2]
     return [snf.diagonal[i] for i in cols], snf.uinv[:, cols], d_prev
@@ -192,8 +190,8 @@ def bar_presented_cohomology(module: GModulePresentation, q: int
     """(free rank, torsion) of H^q of a presented module from the bar complex:
     cocycles modulo relations over coboundaries plus relations."""
     group = module.group
-    mats = [module.action_matrix(a) for a in group.elements()]
-    rel = module.relations_matrix()
+    mats = module.action
+    rel = module.relations
 
     def relations(copies):
         n, k = rel.shape

@@ -23,6 +23,9 @@ def test_datum_validation():
         AbelianGaloisDatum(8, [1, 3, 5])  # not closed
     with pytest.raises(ValueError):
         AbelianGaloisDatum(8, [2])  # not a unit
+    for modulus in (0, -4):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            AbelianGaloisDatum(modulus)
     d = AbelianGaloisDatum(8, [1, 3])
     assert d.group.order == 2
     assert sorted(d.ramified) == [2]

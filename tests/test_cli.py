@@ -155,6 +155,11 @@ def test_exit_2_on_malformed(tmp_path):
                    {"field": {"type": "cyclotomic", "modulus": 4},
                     "torus": {"type": "lattice", "matrices": {"0": [[1]], "1": [[2]]}}})
     assert run(["info", notrep])[0] == 2
+    zero = write(tmp_path, "zero.json", {"field": {"type": "cyclotomic", "modulus": 0},
+                                         "torus": {"type": "res"}})
+    for sub in ("info", "tamagawa"):
+        code, out, err = run([sub, zero])
+        assert code == 2 and out == "" and "modulus" in err
     for group in ([1], {"type": "product", "factors": ["x"]}):
         spec = write(tmp_path, "group.json", {"field": {"type": "abstract", "group": group},
                                               "torus": {"type": "res"}})

@@ -1,4 +1,6 @@
+import importlib
 import random
+import types
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from toruskit.errors import EnumerationBoundError, UnsupportedRequestError
 from toruskit.groups import (all_subgroups, cyclic_group, cyclic_subgroups,
                              full_subgroup, product_group, subgroup_closure,
                              trivial_subgroup)
-from toruskit.lattices import (FGAbelian, _np_action, direct_sum, glattice,
-                               induce, norm_vector, presentation_mod,
-                               quotient_lattice, regular_lattice, restrict,
-                               sign_lattice, trivial_lattice)
+from toruskit.lattices import (FGAbelian, direct_sum, glattice, induce,
+                               norm_vector, presentation_mod, quotient_lattice,
+                               regular_lattice, restrict, sign_lattice,
+                               trivial_lattice)
 
 from toruskit.tamagawa import tamagawa_number
 from toruskit.tori import make_torus
@@ -118,7 +120,7 @@ def test_restriction_map_well_defined_under_representative_change():
         perturbed = src.generators + linalg.mul(src.reducer,
                                                 np.tile(shift, (1, src.generators.shape[1])))
         coords = tgt.coordinates(restrict_cochain(perturbed, KLEIN, h, 2, m.rank,
-                                                  action=_np_action(m)))
+                                                  action=m.action))
         base = linalg.intmat(rmap.matrix, shape=coords.shape)
         for i, d in enumerate(tgt.fg.torsion):
             for j in range(coords.shape[1]):
@@ -296,7 +298,7 @@ def test_bar_differentials_compose_to_zero():
     rng = random.Random(43)
     for g in (C2, C3, KLEIN):
         m = random_glattice(g, 2, rng)
-        mats = _np_action(m)
+        mats = m.action
         d0 = bar_differential(g, mats, 0)
         d1 = bar_differential(g, mats, 1)
         d2 = bar_differential(g, mats, 2)
@@ -304,12 +306,25 @@ def test_bar_differentials_compose_to_zero():
         assert linalg.is_zero(linalg.mul(d2, d1))
 
 
+def test_cohomology_submodule_is_shadowed_by_the_function():
+    # ``toruskit.cohomology`` is the re-exported function; importlib still
+    # returns the submodule, as the package docstring says.
+    import toruskit.cohomology as shadowed
+    module = importlib.import_module("toruskit.cohomology")
+    assert isinstance(module, types.ModuleType) and not isinstance(shadowed, types.ModuleType)
+    assert shadowed is module.cohomology is cohomology
+
+
 def test_cached_arrays_are_read_only():
     m = norm_one_lattice(KLEIN)
     classes = cohomology_classes(m, 2)
-    for cached in (_np_action(m)[1], classes.generators, classes.reducer):
+    pres = presentation_mod(m, 2)
+    for cached in (m.action[1], classes.generators, classes.reducer, pres.relations):
         with pytest.raises(ValueError):
             cached[0, 0] = 7
+    for stack in (m.action, pres.action):
+        with pytest.raises(ValueError):
+            stack[1, 0, 0] = 7
 
 
 def test_cocycle_generators_really_are_cocycles():
@@ -318,7 +333,7 @@ def test_cocycle_generators_really_are_cocycles():
             classes = cohomology_classes(m, q)
             if not classes.fg.torsion:
                 continue
-            d_q = differential(m.group, _np_action(m), q)
+            d_q = differential(m.group, m.action, q)
             assert linalg.is_zero(linalg.mul(d_q, classes.generators))
 
 
@@ -331,7 +346,7 @@ def test_small_resolution_matches_bar_complex():
                     norm_one_lattice(g),
                     direct_sum(regular_lattice(g), trivial_lattice(g, 1))]
         for m in lattices:
-            mats = _np_action(m)
+            mats = m.action
             d = [differential(g, mats, q) for q in (0, 1, 2)]
             assert linalg.is_zero(linalg.mul(d[1], d[0]))
             assert linalg.is_zero(linalg.mul(d[2], d[1]))

@@ -1,9 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
+from toruskit.cohomology import (_lattice_cohomology, _presented_cohomology,
+                                 cohomology)
 from toruskit.groups import (all_subgroups, cyclic_group, generating_set,
                              product_group, subgroup_closure,
                              trivial_subgroup)
@@ -28,18 +31,18 @@ KLEIN = product_group(C2, C2)
 def test_build_lattice_trivial():
     m = trivial_lattice(KLEIN, 3)
     assert m.rank == 3
-    assert all(mat == tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    assert all(mat.tolist() == [[int(i == j) for j in range(3)] for i in range(3)]
                for mat in m.action)
 
 
 def test_build_lattice_regular_c2_swaps():
     m = regular_lattice(C2)
-    assert m.action[1] == ((0, 1), (1, 0))
+    assert m.action[1].tolist() == [[0, 1], [1, 0]]
 
 
 def test_build_lattice_sign():
     m = sign_lattice(C2, trivial_subgroup(C2))
-    assert m.action[1] == ((-1,),)
+    assert m.action[1].tolist() == [[-1]]
     with pytest.raises(ValueError):
         sign_lattice(cyclic_group(3), trivial_subgroup(cyclic_group(3)))
 
@@ -54,17 +57,54 @@ def test_glattice_rejects_non_representations():
 def test_glattice_catches_corruption_outside_generating_set():
     # Validation checks X(a s) = X(a) X(s) on generators s only; a wrong
     # matrix for an element outside the generating set must still be caught.
+    # The corrupted element is no product of two generators, so a check on
+    # generator pairs alone would miss it.
     for g in (cyclic_group(8), product_group(C2, cyclic_group(4)),
               product_group(product_group(C2, C2), C2), s3_group()):
         good = regular_lattice(g)
         gens = generating_set(g)
         assert len(gens) < g.order - 1
-        bad = next(a for a in g.elements() if a != g.identity and a not in gens)
+        bad = max(a for a in g.elements() if a != g.identity and a not in gens)
+        assert all(g.mul(s, t) != bad for s in gens for t in gens)
         other = next(b for b in g.elements() if b not in (g.identity, bad))
         action = list(good.action)
         action[bad] = good.action[other]  # still a permutation matrix
         with pytest.raises(ValueError, match="group law"):
             GLattice(g, good.rank, tuple(action))
+
+
+def test_glattice_owns_a_read_only_copy():
+    # Nested lists, writeable arrays and read-only views of writeable arrays
+    # are copied in, so writing to the caller's data leaves the lattice alone.
+    for stack in (np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
+                  regular_lattice(C2).action.copy()):
+        view = stack[:]
+        view.flags.writeable = False
+        for data in (stack, view, stack.tolist()):
+            m = GLattice(C2, 2, data)
+            stack[1, 0, 0] = 5
+            assert m == regular_lattice(C2)
+            stack[1, 0, 0] = 0
+            with pytest.raises(ValueError):
+                m.action[1, 0, 0] = 5
+            assert m.matrix(1).flags.writeable
+
+
+def test_equal_lattices_share_hash_and_cache_entries():
+    first = random_glattice(C4, 2, random.Random(71))
+    again = glattice(C4, first.action.tolist())
+    assert again is not first and again.action is not first.action
+    assert again == first and hash(again) == hash(first)
+    for cache, module, rebuilt in (
+            (_lattice_cohomology, first, again),
+            (_presented_cohomology, presentation_mod(first, 3),
+             presentation_mod(again, 3))):
+        assert module == rebuilt and hash(module) == hash(rebuilt)
+        cohomology(C4, module, 1)
+        hits, misses = cache.cache_info().hits, cache.cache_info().misses
+        cohomology(C4, rebuilt, 1)
+        assert cache.cache_info().hits == hits + 1
+        assert cache.cache_info().misses == misses
 
 
 def test_induce_from_trivial_subgroup_is_regular():
@@ -99,7 +139,7 @@ def test_restrict():
     res = restrict(reg, trivial_subgroup(C2))
     assert res.rank == 2 and res.group.order == 1
     sign = sign_lattice(C2, trivial_subgroup(C2))
-    assert restrict(sign, trivial_subgroup(C2)).action == (((1,),),)
+    assert restrict(sign, trivial_subgroup(C2)).action.tolist() == [[[1]]]
     from toruskit.groups import full_subgroup
     assert restrict(reg, full_subgroup(C2)) == reg
 
@@ -122,7 +162,7 @@ def test_dual_is_character_level_involution():
 def test_direct_sum():
     sign = sign_lattice(C2, trivial_subgroup(C2))
     both = direct_sum(trivial_lattice(C2, 1), sign)
-    assert both.action[1] == ((1, 0), (0, -1))
+    assert both.action[1].tolist() == [[1, 0], [0, -1]]
     zero = trivial_lattice(C2, 0)
     assert direct_sum(sign, zero) == sign
     reg = regular_lattice(C2)
@@ -239,7 +279,7 @@ def test_presentation_mod():
     sign = sign_lattice(C2, trivial_subgroup(C2))
     pres = presentation_mod(sign, 3)
     assert pres.generators == 1
-    assert pres.relations == ((3,),)
+    assert pres.relations.tolist() == [[3]]
     with pytest.raises(ValueError):
         presentation_mod(sign, 0)
 

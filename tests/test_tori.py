@@ -39,7 +39,7 @@ def test_make_torus_norm_one_is_sign():
 
 
 def test_make_torus_so2_requires_order_two():
-    assert make_torus(QI, "so2").X.action[1] == ((-1,),)
+    assert make_torus(QI, "so2").X.action[1].tolist() == [[-1]]
     with pytest.raises(ValueError):
         make_torus(cyclic_group(3), "so2")
 

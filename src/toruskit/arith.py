@@ -3,9 +3,14 @@
 A datum is a modulus n and a subgroup H of (Z/n)^x; the Galois group of the
 fixed field is the quotient, Frobenius at an unramified p is the class of p,
 and the irreducible characters are Dirichlet characters mod n trivial on H.
-Root-of-unity values are carried exactly as rational exponents of e^(2 pi i),
-so orthogonality and character decompositions are integer-exact; only final
-L-values and residues become floats.
+The datum reads the quotient, its coset representatives and the element of
+every unit from one pass over the cosets.  Character values are carried
+exactly as rational exponents of e^(2 pi i).  The lattice character is
+integer-valued, so a character's multiplicity equals its average over the
+Galois conjugates of the character; that average replaces each root of unity
+by the mean of the primitive roots of its order, mu(e)/phi(e) (Ramanujan's
+sum), and the decomposition is an exact rational sum.  Only L-values and
+residues become floats.
 """
 
 from __future__ import annotations
@@ -21,12 +26,10 @@ from typing import NamedTuple
 from . import linalg
 from .errors import (InternalInvariantError, PoleError, RamifiedPrimeError,
                      UnsupportedRequestError)
-from .groups import (FiniteGroup, abelian_decomposition,
-                     cyclotomic_quotient_group, units_mod)
+from .groups import (FiniteGroup, _cyclotomic_cosets, _factorint,
+                     abelian_decomposition, units_mod)
 from .lattices import trace_character
 from .tori import Torus
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,7 @@ class AbelianGaloisDatum:
     subgroup: tuple[int, ...]
     group: FiniteGroup = field(init=False, compare=False)
     representatives: tuple[int, ...] = field(init=False, compare=False)
+    _element_of: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __init__(self, modulus: int, subgroup=None):
         if int(modulus) < 1:
@@ -45,46 +49,24 @@ class AbelianGaloisDatum:
         if subgroup is None:
             subgroup = (1 % self.modulus,)
         object.__setattr__(self, "subgroup", tuple(sorted({x % self.modulus for x in subgroup})))
-        group = cyclotomic_quotient_group(self.modulus, self.subgroup)
+        group, reps, element_of = _cyclotomic_cosets(self.modulus, self.subgroup)
         object.__setattr__(self, "group", group)
-        units = units_mod(self.modulus)
-        coset_rep = {}
-        for u in units:
-            coset = {u * h % self.modulus for h in self.subgroup}
-            coset_rep[u] = min(coset)
-        reps = tuple(sorted(set(coset_rep.values())))
         object.__setattr__(self, "representatives", reps)
-        object.__setattr__(self, "_coset_rep", coset_rep)
+        object.__setattr__(self, "_element_of", element_of)
 
     @property
     def ramified(self) -> frozenset[int]:
         """Finite primes dividing the modulus; the infinite place is always in S."""
-        return frozenset(p for p in range(2, self.modulus + 1)
-                         if self.modulus % p == 0 and _is_prime(p))
+        return frozenset(_factorint(self.modulus))
 
     def element_of_unit(self, u: int) -> int:
-        u %= self.modulus
-        if math.gcd(u, self.modulus) != 1:
+        element = self._element_of.get(u % self.modulus)
+        if element is None:
             raise ValueError(f"{u} is not a unit mod {self.modulus}")
-        return self.representatives.index(self._coset_rep[u])
+        return element
 
     def __repr__(self):
         return f"AbelianGaloisDatum(n={self.modulus}, |H|={len(self.subgroup)}, |G|={self.group.order})"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -100,7 +82,7 @@ def primes_up_to(n: int) -> list[int]:
 
 def frobenius(datum: AbelianGaloisDatum, p: int) -> int:
     """Class of an unramified prime p in (Z/n)^x / H, as a group element index."""
-    if not _is_prime(p):
+    if _factorint(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     if datum.modulus % p == 0:
         raise RamifiedPrimeError(f"{p} divides the modulus {datum.modulus}")
@@ -164,17 +146,20 @@ class DirichletCharacter:
 
     def primitive_exponent(self, a: int) -> Fraction:
         """Exponent of the primitive character of conductor f at a (a coprime to f)."""
-        f = self.conductor
-        a %= f
-        if math.gcd(a, f) != 1:
+        f, prim = _primitive_character(self)
+        if a % f not in prim:
             raise ValueError(f"{a} is not a unit mod the conductor {f}")
-        u = a if a else f  # a == 0 only when f == 1
-        # some u = a + k f is a unit mod n (CRT); the cycle length mod n is n/f
-        for _ in range(self.modulus // f + 1):
-            if math.gcd(u, self.modulus) == 1:
-                return self.exponent(u)
-            u += f
-        raise InternalInvariantError("no unit lift found in the progression")
+        return prim[a % f]
+
+
+def _primitive_character(chi: DirichletCharacter) -> tuple[int, dict[int, Fraction]]:
+    """The conductor f and the primitive character mod f, unit -> exponent.
+
+    Every unit mod f lifts to a unit mod n, and the character is constant on
+    the units over each unit mod f, so reducing the units mod f lists it.
+    """
+    f = chi.conductor
+    return f, {u % f: q for u, q in zip(chi.units(), chi.exponents)}
 
 
 def characters(datum: AbelianGaloisDatum) -> list[DirichletCharacter]:
@@ -183,13 +168,12 @@ def characters(datum: AbelianGaloisDatum) -> list[DirichletCharacter]:
     The trivial character comes first; the rest are sorted by their exponent
     vectors, so the listing is deterministic.
     """
-    return list(_characters_cached(datum.modulus, datum.subgroup))
+    return list(_characters_cached(datum))
 
 
 @lru_cache(maxsize=None)
-def _characters_cached(modulus: int, subgroup: tuple[int, ...]) -> tuple[DirichletCharacter, ...]:
-    datum = AbelianGaloisDatum(modulus, subgroup)
-    group = datum.group
+def _characters_cached(datum: AbelianGaloisDatum) -> tuple[DirichletCharacter, ...]:
+    modulus, group = datum.modulus, datum.group
     dec = abelian_decomposition(group)
     unit_coords = [dec.exponents[datum.element_of_unit(u)] for u in units_mod(modulus)]
     chars = []
@@ -215,23 +199,31 @@ class Decomposition(NamedTuple):
 def decompose(t: Torus) -> Decomposition:
     """Exact decomposition of the lattice character into Dirichlet characters.
 
-    Multiplicities come from the orthogonality inner product, evaluated in
-    the cyclotomic integers and reduced mod the cyclotomic polynomial, so a
-    non-integer result is impossible for a genuine action and raises.
+    The lattice character chi_Pi is integer-valued, so every Galois conjugate
+    of chi has the multiplicity of chi; averaging the inner product over them
+    gives m_chi = (1/phi(n)) * sum over units u of chi_Pi(u) * mu(e)/phi(e),
+    with e the order of chi(u) (Ramanujan's sum).  The sum is an exact
+    Fraction, so a non-integral or negative multiplicity, or a total other
+    than the dimension, is impossible for a genuine action and raises.
     """
     datum = t.splitting
     if not isinstance(datum, AbelianGaloisDatum):
         raise UnsupportedRequestError("character decomposition needs an arithmetic datum")
     chi_pi = trace_character(t.X)
-    group = datum.group
+    weights = [chi_pi[datum.element_of_unit(u)] for u in units_mod(datum.modulus)]
     out: dict[DirichletCharacter, int] = {}
     d = 0
     total = 0
     for chi in characters(datum):
-        exps = [(-chi.exponent(datum.representatives[g])) % 1 for g in group.elements()]
-        m = _exact_average(chi_pi, exps, group.order)
+        weight_of_order: dict[int, int] = {}
+        for w, q in zip(weights, chi.exponents):
+            weight_of_order[q.denominator] = weight_of_order.get(q.denominator, 0) + w
+        m = sum(w * _primitive_root_mean(e) for e, w in weight_of_order.items()) / len(weights)
+        if m.denominator != 1:
+            raise InternalInvariantError("character multiplicity is not an integer")
         if m < 0:
             raise InternalInvariantError("negative character multiplicity")
+        m = m.numerator
         total += m
         if chi.is_trivial():
             d = m
@@ -242,61 +234,13 @@ def decompose(t: Torus) -> Decomposition:
     return Decomposition(d, out)
 
 
-def _exact_average(weights, exponents: list[Fraction], order: int) -> int:
-    """(1/order) * sum of weights[g] * e^(2 pi i exponents[g]), exactly.
-
-    The sum is formed in Z[x]/(x^L - 1) and reduced mod the L-th cyclotomic
-    polynomial; the result must be a rational integer multiple of ``order``.
-    """
-    lcm = 1
-    for q in exponents:
-        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-    poly = [0] * lcm
-    for w, q in zip(weights, exponents):
-        poly[int(q * lcm) % lcm] += w
-    rem = _poly_mod(poly, _cyclotomic_poly(lcm))
-    if any(c != 0 for c in rem[1:]):
-        raise InternalInvariantError("character average is not rational")
-    value = rem[0] if rem else 0
-    if value % order:
-        raise InternalInvariantError("character average is not an integer")
-    return value // order
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divide_exact(poly, _cyclotomic_poly(d))
-    return tuple(poly)
-
-
-def _poly_divide_exact(num, den):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
-        q = c // den[-1]
-        out[k] = q
-        for i, dc in enumerate(den):
-            num[k + i] -= q * dc
-    assert all(c == 0 for c in num)
-    return out
-
-
-def _poly_mod(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    for k in range(len(num) - 1, dn - 1, -1):
-        c = num[k]
-        if c:
-            num[k] = 0
-            for i in range(dn):
-                num[k - dn + i] -= c * den[i]
-    return num[:dn]
+def _primitive_root_mean(e: int) -> Fraction:
+    """Mean of the primitive e-th roots of unity: mu(e)/phi(e)."""
+    mu, phi = 1, 1
+    for p, k in _factorint(e).items():
+        mu = 0 if k > 1 else -mu
+        phi *= p ** (k - 1) * (p - 1)
+    return Fraction(mu, phi)
 
 
 def local_artin_factor(t: Torus, p: int) -> Fraction:
@@ -321,14 +265,11 @@ def dirichlet_L1(chi: DirichletCharacter) -> complex:
     """
     if chi.is_trivial():
         raise PoleError("L(s, trivial character) has a pole at s = 1")
-    f = chi.conductor
-    prim = {}
-    for a in range(1, f):
-        if math.gcd(a, f) == 1:
-            prim[a] = chi.primitive_exponent(a)
-    tau_bar = sum(cmath.exp(2j * math.pi * (float(-q) + a / f)) for a, q in prim.items())
+    f, prim = _primitive_character(chi)
+    terms = sorted(prim.items())  # increasing a, so the float sums keep their order
+    tau_bar = sum(cmath.exp(2j * math.pi * (float(-q) + a / f)) for a, q in terms)
     total = 0j
-    for a, q in prim.items():
+    for a, q in terms:
         total += cmath.exp(-2j * math.pi * float(q)) * cmath.log(1 - cmath.exp(2j * math.pi * a / f))
     return -total / tau_bar
 

@@ -218,9 +218,27 @@ def units_mod(n: int) -> tuple[int, ...]:
     return tuple(a for a in range(n) if gcd(a, n) == 1)
 
 
-def cyclotomic_quotient_group(modulus: int, subgroup: Iterable[int] | None = None
-                              ) -> FiniteGroup:
-    """(Z/n)^x / H with elements ordered by increasing least coset representative."""
+def _factorint(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n by trial division; {} for n < 2."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _cyclotomic_cosets(modulus: int, subgroup: Iterable[int] | None = None
+                       ) -> tuple[FiniteGroup, tuple[int, ...], dict[int, int]]:
+    """(Z/n)^x / H, its least coset representatives and the element of each unit.
+
+    Units are visited in increasing order, so the first unit of a new coset
+    is its least representative, and the elements come out ordered by it.
+    """
     n = modulus
     units = units_mod(n)
     if subgroup is None:
@@ -231,21 +249,25 @@ def cyclotomic_quotient_group(modulus: int, subgroup: Iterable[int] | None = Non
         raise ValueError(f"subgroup {sorted(h)} is not a set of units mod {n}")
     if _generate(lambda a, b: a * b % n, 1 % n, sorted(h))[1] != h:
         raise ValueError(f"subgroup {sorted(h)} not closed under multiplication mod {n}")
-    coset_of = {}
-    reps = []
+    element_of: dict[int, int] = {}
+    reps: list[int] = []
     for u in units:
-        if u in coset_of:
-            continue
-        coset = frozenset(u * x % n for x in h)
-        rep = min(coset)
-        reps.append(rep)
-        for x in coset:
-            coset_of[x] = rep
-    reps.sort()
-    index = {rep: i for i, rep in enumerate(reps)}
-    table = [[index[coset_of[a * b % n]] for b in reps] for a in reps]
+        if u not in element_of:
+            element_of.update((u * x % n, len(reps)) for x in h)
+            reps.append(u)
+    table = [[element_of[a * b % n] for b in reps] for a in reps]
     label = f"(Z/{n})^x" if len(h) == 1 else f"(Z/{n})^x/H{len(h)}"
-    return _group_from_table(table, label)
+    return _group_from_table(table, label), tuple(reps), element_of
+
+
+def cyclotomic_quotient_group(modulus: int, subgroup: Iterable[int] | None = None
+                              ) -> FiniteGroup:
+    """(Z/n)^x / H, elements ordered by increasing least coset representative.
+
+    The group part of ``_cyclotomic_cosets``; an ``AbelianGaloisDatum`` takes
+    the representatives and the element of each unit from the same call.
+    """
+    return _cyclotomic_cosets(modulus, subgroup)[0]
 
 
 def make_group(spec: Mapping) -> FiniteGroup:

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .groups import (FiniteGroup, FiniteGSet, Subgroup, coset_representatives,
-                     generating_set)
+from .groups import (FiniteGroup, FiniteGSet, Subgroup, _factorint,
+                     coset_representatives, generating_set)
 
 
 def _read_only(data, shape: tuple[int, ...]) -> np.ndarray:
@@ -411,16 +411,3 @@ class FGAbelian:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"C{d}" for d in self.torsion)
         return " x ".join(parts) if parts else "0"
-
-
-def _factorint(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out

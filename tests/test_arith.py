@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from toruskit.arith import (AbelianGaloisDatum, DirichletCharacter, characters,
                             decompose, dirichlet_L1, frobenius,
                             local_artin_factor, primes_up_to, residue)
 from toruskit.errors import PoleError, RamifiedPrimeError, UnsupportedRequestError
-from toruskit.groups import cyclic_group
+from toruskit.groups import cyclic_group, units_mod
 from toruskit.tori import make_torus
 
 from support import l_chi3_series_oracle, l_chi4_series_oracle, sieve_primes
@@ -16,6 +17,7 @@ from support import l_chi3_series_oracle, l_chi4_series_oracle, sieve_primes
 QI = AbelianGaloisDatum(4)
 Q3 = AbelianGaloisDatum(3)
 GM = AbelianGaloisDatum(1)
+SQUARES_840 = (1, 121, 169, 289, 361, 529)
 
 
 def test_datum_validation():
@@ -31,6 +33,18 @@ def test_datum_validation():
     assert sorted(d.ramified) == [2]
     assert sorted(AbelianGaloisDatum(24).ramified) == [2, 3]
     assert sorted(GM.ramified) == []
+    assert AbelianGaloisDatum(840).ramified == {2, 3, 5, 7}
+    assert AbelianGaloisDatum(32).ramified == {2}
+    assert AbelianGaloisDatum(441).ramified == {3, 7}
+    for modulus, subgroup in ((120, (1, 49)), (840, SQUARES_840)):
+        d = AbelianGaloisDatum(modulus, subgroup)
+        for u in units_mod(modulus):
+            least = min(u * h % modulus for h in subgroup)
+            assert d.element_of_unit(u) == d.representatives.index(least)
+            assert d.element_of_unit(u - 3 * modulus) == d.element_of_unit(u)
+        for a in (0, 2, 35, modulus):
+            with pytest.raises(ValueError):
+                d.element_of_unit(a)
 
 
 def test_frobenius_gaussian():
@@ -38,8 +52,9 @@ def test_frobenius_gaussian():
     assert frobenius(QI, 3) != QI.group.identity
     with pytest.raises(RamifiedPrimeError):
         frobenius(QI, 2)
-    with pytest.raises(ValueError):
-        frobenius(QI, 9)
+    for n in (0, 1, -5, 9, 91):
+        with pytest.raises(ValueError):
+            frobenius(QI, n)
 
 
 def test_frobenius_respects_quotient():
@@ -101,6 +116,37 @@ def test_decompose_norm_one_gaussian():
     assert dec.d == 0
     ((chi, m),) = dec.multiplicities.items()
     assert m == 1 and chi.exponent(3) == Fraction(1, 2)
+
+
+SECOND_ROUTE_DATA = [
+    (3, None), (4, None), (5, None), (7, None), (8, None), (9, None),
+    (12, (1, 7)), (13, None), (15, None), (16, None), (21, None),
+    (24, (1, 5)), (32, None), (35, None), (40, None), (48, None),
+    (60, (1, 49)), (120, (1, 49)), (840, SQUARES_840),
+]
+
+
+@pytest.mark.parametrize("modulus, subgroup", SECOND_ROUTE_DATA)
+def test_decompose_matches_float_inner_products(modulus, subgroup):
+    # second route: (1/|G|) sum over g of chi_Pi(g) conj chi(g) in complex
+    # floats, with chi read at the coset representatives and chi_Pi as traces
+    datum = AbelianGaloisDatum(modulus, subgroup)
+    order = datum.group.order
+    res, n1 = make_torus(datum, "res"), make_torus(datum, "norm_one")
+    # the product doubles every nontrivial character; at |G| = 32 its
+    # rank-64 lattice alone takes seconds to validate, so res is left out
+    factors = [res, n1] if order <= 16 else [n1]
+    tori = [res, n1, make_torus(datum, "split", dim=2),
+            make_torus(datum, "product", factors=factors + [make_torus(datum, "split")])]
+    position = {u: i for i, u in enumerate(units_mod(modulus))}
+    for t in tori:
+        traces = [sum(int(x) for x in mat.diagonal()) for mat in t.X.action]
+        dec = decompose(t)
+        for chi in characters(datum):
+            inner = sum(traces[g] * cmath.exp(-2j * math.pi * float(chi.exponents[position[r]]))
+                        for g, r in enumerate(datum.representatives)) / order
+            m = dec.d if chi.is_trivial() else dec.multiplicities.get(chi, 0)
+            assert abs(inner - m) <= 1e-9, (modulus, t.kind, chi, inner, m)
 
 
 def test_decompose_needs_arithmetic_datum():

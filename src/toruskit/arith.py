@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import linalg
@@ -103,18 +103,19 @@ class DirichletCharacter:
     def units(self) -> tuple[int, ...]:
         return units_mod(self.modulus)
 
+    @cached_property
+    def _exponent_of(self) -> dict[int, Fraction]:
+        return dict(zip(self.units(), self.exponents))
+
     def exponent(self, a: int) -> Fraction:
-        a %= self.modulus
-        units = self.units()
-        if math.gcd(a, self.modulus) != 1:
+        q = self._exponent_of.get(a % self.modulus)
+        if q is None:
             raise ValueError(f"{a} is not a unit mod {self.modulus}")
-        return self.exponents[units.index(a)]
+        return q
 
     def value(self, a: int) -> complex:
-        a %= self.modulus
-        if math.gcd(a, self.modulus) != 1:
-            return 0j
-        return cmath.exp(2j * math.pi * float(self.exponent(a)))
+        q = self._exponent_of.get(a % self.modulus)
+        return 0j if q is None else cmath.exp(2j * math.pi * float(q))
 
     def is_trivial(self) -> bool:
         return all(q == 0 for q in self.exponents)
@@ -133,14 +134,12 @@ class DirichletCharacter:
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.modulus, tuple((-q) % 1 for q in self.exponents))
 
-    @property
+    @cached_property
     def conductor(self) -> int:
         """Least f | n such that the character factors through (Z/f)^x."""
         n = self.modulus
-        units = self.units()
         for f in sorted(d for d in range(1, n + 1) if n % d == 0):
-            if all(self.exponents[i] == 0 for i, u in enumerate(units)
-                   if u % f == 1 % f):
+            if all(q == 0 for u, q in self._exponent_of.items() if u % f == 1 % f):
                 return f
         raise InternalInvariantError("no conductor found")  # pragma: no cover
 
@@ -159,7 +158,7 @@ def _primitive_character(chi: DirichletCharacter) -> tuple[int, dict[int, Fracti
     the units over each unit mod f, so reducing the units mod f lists it.
     """
     f = chi.conductor
-    return f, {u % f: q for u, q in zip(chi.units(), chi.exponents)}
+    return f, {u % f: q for u, q in chi._exponent_of.items()}
 
 
 def characters(datum: AbelianGaloisDatum) -> list[DirichletCharacter]:
@@ -176,11 +175,14 @@ def _characters_cached(datum: AbelianGaloisDatum) -> tuple[DirichletCharacter, .
     modulus, group = datum.modulus, datum.group
     dec = abelian_decomposition(group)
     unit_coords = [dec.exponents[datum.element_of_unit(u)] for u in units_mod(modulus)]
+    # tup sends g_k to e^(2 pi i tup_k / n_k); exponents are numerators / lcm
+    lcm = math.lcm(*dec.orders)
+    fractions = [Fraction(a, lcm) for a in range(lcm)]
     chars = []
-    # the character with exponents tup sends g_k to e^(2 pi i tup_k / n_k)
     for tup in itertools.product(*(range(d) for d in dec.orders)):
-        exps = tuple(sum((Fraction(e * x, d) for e, x, d in zip(coords, tup, dec.orders)),
-                         Fraction(0)) % 1 for coords in unit_coords)
+        weights = [x * (lcm // d) for x, d in zip(tup, dec.orders)]
+        exps = tuple(fractions[sum(e * w for e, w in zip(coords, weights)) % lcm]
+                     for coords in unit_coords)
         chars.append(DirichletCharacter(modulus, exps))
     if len({c.exponents for c in chars}) != group.order:
         raise InternalInvariantError("character count does not match the group order")

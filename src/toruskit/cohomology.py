@@ -11,13 +11,12 @@ each multi-index alpha in N^k with |alpha| = q, and
 where D_i(b) is g_i - 1 for odd b and the norm 1 + g_i + ... + g_i^(n_i - 1)
 for even b (Brown, Cohomology of Groups, I.6 and V.1).  ``_boundary`` is the
 only code that writes d; ``differential`` evaluates cochains on the
-boundaries of basis chains.  The cochains of degree q are therefore
-M^C(q+k-1, k-1) instead of the M^(|G|^q) of the inhomogeneous bar complex,
-and H^q = ker d^q / im d^(q-1) is read off Smith normal forms.  For lattice
-coefficients and q >= 1 the group H^q is finite (it is killed by |G|), so
-ker d^q equals the saturation of im d^(q-1) inside the free cochain module;
-H^q is therefore exactly the torsion of coker d^(q-1).  Presented
-coefficients go through the general subquotient route, kernels included.
+boundaries of basis chains, so the cochains of degree q are M^C(q+k-1, k-1)
+instead of the M^(|G|^q) of the inhomogeneous bar complex.  H^q is
+Z^(rank ker d^q - rank d^(q-1)) plus the torsion of coker d^(q-1), finite
+for q >= 1.  A presented module Z^n/R is quasi-isomorphic to the complex
+R -> Z^n, so its cochains are the mapping cone C^q(Z^n) + C^(q+1)(R)
+(Weibel, Homological Algebra, 1.5); a lattice is the case R = 0.
 
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
@@ -40,7 +39,7 @@ from . import linalg
 from .errors import EnumerationBoundError, InternalInvariantError
 from .groups import (FiniteGroup, Subgroup, abelian_decomposition,
                      cyclic_subgroups)
-from .lattices import (FGAbelian, GLattice, GModulePresentation, invariants,
+from .lattices import (FGAbelian, GLattice, GModulePresentation,
                        norm_operator, restrict)
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
@@ -171,59 +170,57 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
     if module.group != group:
         raise ValueError("module is not over the given group")
     abelian_decomposition(group)
-    if isinstance(module, GLattice):
-        return _lattice_cohomology(module, q)
-    return _presented_cohomology(module, q)
+    return _cohomology(module, q)
 
 
-@lru_cache(maxsize=None)
-def _lattice_cohomology(module: GLattice, q: int) -> FGAbelian:
-    if q == 0:
-        _, fixed_rank = invariants(module)
-        return FGAbelian.free(fixed_rank)
-    d_prev = differential(module.group, module.action, q - 1)
-    return FGAbelian(0, linalg.invariant_factors(d_prev))
-
-
-def _relation_block(module: GModulePresentation, copies: int) -> np.ndarray:
-    rel = module.relations
-    n, k = rel.shape
+def _relation_block(basis: np.ndarray, copies: int) -> np.ndarray:
+    """``basis`` down the diagonal, once per cochain coordinate."""
+    n, k = basis.shape
     out = linalg.zeros(n * copies, k * copies)
     for t in range(copies):
-        out[t * n:(t + 1) * n, t * k:(t + 1) * k] = rel
+        out[t * n:(t + 1) * n, t * k:(t + 1) * k] = basis
     return out
 
 
 @lru_cache(maxsize=None)
-def _presented_cohomology(module: GModulePresentation, q: int) -> FGAbelian:
-    """Cocycles plus relation translates over coboundaries plus the same."""
-    group = module.group
-    dim_q = module.generators * _cochain_rank(group, q)
-    d_q = differential(group, module.action, q)
-    rel_next = _relation_block(module, _cochain_rank(group, q + 1))
-    kernel = linalg.kernel_basis(linalg.hstack([d_q, rel_next]))
-    cocycles = kernel[:dim_q, :]
-    rel_here = _relation_block(module, _cochain_rank(group, q))
-    if q == 0:
-        d_prev = linalg.zeros(dim_q, 0)
-    else:
-        d_prev = differential(group, module.action, q - 1)
-    return FGAbelian(*linalg.quotient_invariants(linalg.hstack([cocycles, rel_here]),
-                                                 linalg.hstack([d_prev, rel_here])))
+def _cohomology(module: GLattice | GModulePresentation, q: int) -> FGAbelian:
+    """H^q off the plain Smith forms of the cone's D^(q-1) and (q = 0) D^0.
+
+    D^q = [[d^q, B], [0, -d_R^(q+1)]] for B the Hermite basis of R, on which g
+    acts by A(g) = B^-1 X(g) B.  A lattice, or R = 0, has D = d."""
+    group, action = module.group, module.action
+    basis = None if isinstance(module, GLattice) else linalg.hermite_column(module.relations)
+    k = 0 if basis is None else basis.shape[1]
+    if k:
+        moved = linalg.solve(basis, linalg.hstack([linalg.mul(x, basis) for x in action]))
+        rel_action = [moved[:, g * k:(g + 1) * k] for g in group.elements()]
+
+    def cone(p: int) -> np.ndarray:
+        d = differential(group, action, p)
+        if not k:
+            return d
+        d_rel = differential(group, rel_action, p + 1)
+        return linalg.vstack([
+            linalg.hstack([d, _relation_block(basis, _cochain_rank(group, p + 1))]),
+            linalg.hstack([linalg.zeros(d_rel.shape[0], d.shape[1]), -d_rel])])
+
+    prev = linalg.smith_normal_form(cone(q - 1))
+    torsion = tuple(x for x in prev.diagonal if x >= 2)
+    if q:
+        return FGAbelian(0, torsion)
+    here = cone(0)
+    return FGAbelian(here.shape[1] - linalg.smith_normal_form(here).rank - prev.rank, torsion)
 
 
 def tate_h0(group: FiniteGroup, module: GLattice) -> FGAbelian:
-    """Fixed points modulo the image of the norm operator; always finite."""
+    """Tate's H^0: the fixed points M^G modulo the norm image NM.
+
+    M^G is saturated and N x = |G| x on it, so NM has finite index in M^G,
+    and M^G/NM is the torsion of coker N.  Any finite group will do.
+    """
     if module.group != group:
         raise ValueError("module is not over the given group")
-    basis, fixed_rank = invariants(module)
-    coords = linalg.solve(basis, norm_operator(module))
-    if coords is None:
-        raise InternalInvariantError("norm image escapes the fixed sublattice")
-    snf = linalg.smith_normal_form(coords)
-    if snf.rank != fixed_rank:
-        raise InternalInvariantError("norm quotient is not finite")
-    return FGAbelian(0, tuple(d for d in snf.diagonal[:snf.rank] if d >= 2))
+    return FGAbelian(0, linalg.invariant_factors(norm_operator(module)))
 
 
 @dataclass(frozen=True)

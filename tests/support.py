@@ -19,8 +19,9 @@ from toruskit.groups import (FiniteGroup, Subgroup, _group_from_table,
                              coset_gset, cyclic_group, cyclic_subgroups,
                              index_two_subgroups, product_group)
 from toruskit.lattices import (GLattice, GModulePresentation, conjugate,
-                               direct_sum, induce, permutation_lattice,
-                               restrict, sign_lattice, trivial_lattice)
+                               direct_sum, induce, invariants, norm_operator,
+                               permutation_lattice, restrict, sign_lattice,
+                               trivial_lattice)
 
 
 def group_family_up_to_8() -> list[FiniteGroup]:
@@ -207,6 +208,16 @@ def bar_presented_cohomology(module: GModulePresentation, q: int
     d_prev = bar_differential(group, mats, q - 1) if q else linalg.zeros(dim_q, 0)
     return linalg.quotient_invariants(linalg.hstack([kernel[:dim_q, :], here]),
                                       linalg.hstack([d_prev, here]))
+
+
+def fixed_point_tate_h0(lattice: GLattice) -> tuple[int, ...]:
+    """Invariant factors of M^G / NM, with NM written in a basis of M^G."""
+    basis, fixed_rank = invariants(lattice)
+    coords = linalg.solve(basis, norm_operator(lattice))
+    assert coords is not None, "norm image escapes the fixed sublattice"
+    snf = linalg.smith_normal_form(coords)
+    assert snf.rank == fixed_rank, "norm quotient is not finite"
+    return tuple(d for d in snf.diagonal[:snf.rank] if d >= 2)
 
 
 def _diagonal(entries) -> np.ndarray:

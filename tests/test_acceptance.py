@@ -171,6 +171,15 @@ def test_c04_order_32_norm_one_840_squares(tmp_path):
                  "H^2 = Sha^2 = C2^10, tau = 1/32")
 
 
+def test_c04_order_32_presented_h1_mod_2():
+    # 0 -> J -> J -> J/2 -> 0 gives H^1(G, J/2) = H^1(G, J)/2 + H^2(G, J)[2]
+    # = C2^5 + C2^10 for the 840/squares norm-one torus.
+    squares = [1, 121, 169, 289, 361, 529]
+    t = make_torus(datum(840, squares), "norm_one")
+    assert cohomology(t.group, presentation_mod(t.X, 2), 1) == FGAbelian(0, (2,) * 15)
+    report("04", "|G| = 32 presented H^1(G, J/2) = C2^15 through the mapping cone")
+
+
 def test_c05_shapiro_all_subgroups():
     instances = 0
     for g in group_family_up_to_8():

@@ -280,3 +280,29 @@ def test_primes_up_to():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_up_to(1) == []
     assert primes_up_to(10 ** 4) == sieve_primes(10 ** 4)
+
+
+def test_character_exponents_follow_the_unit_listing():
+    units = units_mod(840)
+    for chi in characters(AbelianGaloisDatum(840, SQUARES_840)):
+        for u in units:
+            assert chi.exponent(u) == chi.exponent(u + 840) == chi.exponents[units.index(u)]
+        with pytest.raises(ValueError):
+            chi.exponent(2)
+
+
+def test_character_order_is_pinned():
+    # 840/squares is C2^5; its characters come in binary order of their
+    # signs at 11, 13, 17, 19 and 23
+    chars = characters(AbelianGaloisDatum(840, SQUARES_840))
+    assert ["".join(str(int(2 * chi.exponent(u))) for u in (11, 13, 17, 19, 23))
+            for chi in chars] == [format(i, "05b") for i in range(32)]
+    assert [chi.conductor for chi in chars] == [
+        1, 168, 120, 35, 40, 420, 12, 56, 84, 8, 280, 60, 840, 5, 7, 24,
+        140, 120, 168, 4, 56, 3, 105, 40, 15, 280, 8, 21, 24, 28, 20, 840]
+    # (Z/15)^x = <2> x <11> = C4 x C2
+    q = Fraction
+    assert [(chi.exponent(2), chi.exponent(11), chi.conductor)
+            for chi in characters(AbelianGaloisDatum(15))] == [
+        (0, 0, 1), (0, q(1, 2), 15), (q(1, 4), 0, 5), (q(1, 4), q(1, 2), 15),
+        (q(1, 2), q(1, 2), 3), (q(1, 2), 0, 5), (q(3, 4), q(1, 2), 15), (q(3, 4), 0, 5)]

@@ -14,17 +14,18 @@ from toruskit.errors import EnumerationBoundError, UnsupportedRequestError
 from toruskit.groups import (all_subgroups, cyclic_group, cyclic_subgroups,
                              full_subgroup, product_group, subgroup_closure,
                              trivial_subgroup)
-from toruskit.lattices import (FGAbelian, direct_sum, glattice, induce,
-                               norm_vector, presentation_mod, quotient_lattice,
-                               regular_lattice, restrict, sign_lattice,
-                               trivial_lattice)
+from toruskit.lattices import (FGAbelian, GModulePresentation, direct_sum,
+                               glattice, induce, norm_vector, presentation_mod,
+                               quotient_lattice, regular_lattice, restrict,
+                               sign_lattice, trivial_lattice)
 
 from toruskit.tamagawa import tamagawa_number
 from toruskit.tori import make_torus
 
 from support import (bar_presented_cohomology, bar_sha2, brute_force_cocycles,
-                     brute_force_h1_order, group_family_up_to_8,
-                     presentation_of_lattice, random_glattice, s3_group)
+                     brute_force_h1_order, fixed_point_tate_h0,
+                     group_family_up_to_8, presentation_of_lattice,
+                     random_glattice, s3_group)
 
 C2 = cyclic_group(2)
 C3 = cyclic_group(3)
@@ -75,6 +76,14 @@ def test_tate_h0_examples():
     assert tate_h0(C2, trivial_lattice(C2, 1)) == FGAbelian(0, (2,))
     assert tate_h0(C2, regular_lattice(C2)).is_trivial()
     assert tate_h0(C2, SIGN).is_trivial()
+
+
+def test_tate_h0_matches_fixed_point_route():
+    rng = random.Random(59)
+    for g in group_family_up_to_8() + [s3_group()]:
+        for m in (random_glattice(g, 2, rng), random_glattice(g, 2, rng),
+                  regular_lattice(g), norm_one_lattice(g)):
+            assert tate_h0(g, m).torsion == fixed_point_tate_h0(m), (g, m)
 
 
 def test_restriction_to_whole_group_is_identity():
@@ -229,8 +238,8 @@ def test_torsion_annihilated_by_group_order():
 
 
 def test_lattice_fast_path_matches_explicit_kernel_route():
-    # The presented-module route materializes ker d^q directly; feeding it a
-    # relation-free presentation must reproduce the lattice answers.
+    # A relation-free presentation takes the presented branch: its Hermite
+    # relation basis is empty, so D = d and the lattice answers come back.
     rng = random.Random(37)
     cases = [SIGN, regular_lattice(C2), norm_one_lattice(KLEIN),
              norm_one_lattice(C4), random_glattice(C4, 2, rng),
@@ -356,15 +365,36 @@ def test_small_resolution_matches_bar_complex():
             assert sha2_cyclic(g, m).torsion == bar_sha2(m), (g, m)
 
 
+def orbit_presentation(m, rng, modulus):
+    """Z^n modulo the G-orbit of a random vector, plus modulus * Z^n if any.
+
+    The orbit columns are dependent, and often span less than Z^n, so the
+    relation inclusion needs its Hermite basis and H^0 can have a free part.
+    """
+    v = linalg.intmat([[rng.randrange(-2, 3)] for _ in range(m.rank)])
+    cols = [linalg.mul(m.action[a], v) for a in m.group.elements()]
+    if modulus:
+        cols.append(modulus * linalg.eye(m.rank))
+    return GModulePresentation(m.group, m.rank, linalg.hstack(cols), m.action)
+
+
 def test_presented_small_resolution_matches_bar_complex():
-    rng = random.Random(53)
+    # presentation_mod has independent relation columns; orbit presentations
+    # have dependent ones, and H^0 must pick up a free part somewhere.
+    rng, orbit_rng = random.Random(53), random.Random(61)
+    free_h0 = 0
     for g in (C2, C3, C4, KLEIN):
-        for m in (random_glattice(g, 2, rng), norm_one_lattice(g)):
-            for modulus in (2, 3):
-                pres = presentation_mod(m, modulus)
-                for q in (0, 1, 2):
-                    fg = cohomology(g, pres, q)
-                    assert (fg.free_rank, fg.torsion) == bar_presented_cohomology(pres, q)
+        cases = [presentation_mod(m, modulus)
+                 for m in (random_glattice(g, 2, rng), norm_one_lattice(g))
+                 for modulus in (2, 3)]
+        m = random_glattice(g, 2, orbit_rng)
+        cases += [orbit_presentation(m, orbit_rng, modulus) for modulus in (0, 2)]
+        for pres in cases:
+            for q in (0, 1, 2):
+                fg = cohomology(g, pres, q)
+                assert (fg.free_rank, fg.torsion) == bar_presented_cohomology(pres, q)
+            free_h0 += cohomology(g, pres, 0).free_rank > 0
+    assert free_h0
 
 
 def test_non_abelian_group_is_unsupported():

@@ -14,9 +14,9 @@ only code that writes d; ``differential`` evaluates cochains on the
 boundaries of basis chains, so the cochains of degree q are M^C(q+k-1, k-1)
 instead of the M^(|G|^q) of the inhomogeneous bar complex.  H^q is
 Z^(rank ker d^q - rank d^(q-1)) plus the torsion of coker d^(q-1), finite
-for q >= 1.  A presented module Z^n/R is quasi-isomorphic to the complex
-R -> Z^n, so its cochains are the mapping cone C^q(Z^n) + C^(q+1)(R)
-(Weibel, Homological Algebra, 1.5); a lattice is the case R = 0.
+for q >= 1.  A presented module Z^n/R on which G acts through Z^n (see
+``_relation_complex``) is quasi-isomorphic to R -> Z^n, so its cochains are
+the cone C^q(Z^n) + C^(q+1)(R) (Weibel, 1.5); a lattice is the case R = 0.
 
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
@@ -28,6 +28,7 @@ this engine with; no package path calls it.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,9 +39,9 @@ import numpy as np
 from . import linalg
 from .errors import EnumerationBoundError, InternalInvariantError
 from .groups import (FiniteGroup, Subgroup, abelian_decomposition,
-                     cyclic_subgroups)
+                     cyclic_subgroups, generating_set)
 from .lattices import (FGAbelian, GLattice, GModulePresentation,
-                       norm_operator, restrict)
+                       norm_operator, regular_lattice, restrict)
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
 
@@ -173,43 +174,60 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
     return _cohomology(module, q)
 
 
-def _relation_block(basis: np.ndarray, copies: int) -> np.ndarray:
-    """``basis`` down the diagonal, once per cochain coordinate."""
-    n, k = basis.shape
-    out = linalg.zeros(n * copies, k * copies)
-    for t in range(copies):
-        out[t * n:(t + 1) * n, t * k:(t + 1) * k] = basis
-    return out
+@lru_cache(maxsize=None)
+def _relation_complex(module: GLattice | GModulePresentation) -> tuple:
+    """(X, B, A): the module as the lattice complex B: Z^k -> Z^n.
+
+    X(g) acts on Z^n itself and A(g) = B^-1 X(g) B on Z^k, for B the Hermite
+    basis of R (k = 0 for a lattice).  An action that holds only modulo R is
+    first rewritten as Z[G]^n / K, Z[G] acting regularly and K the kernel of
+    e_(g,i) -> X(g) e_i, spanned by R and e_(g,i) - X(g) e_i in the identity's
+    block, so that the cone is a complex."""
+    group, action = module.group, module.action
+    if isinstance(module, GLattice):
+        return action, linalg.zeros(module.rank, 0), []
+    rel, n, order, ident = module.relations, module.generators, group.order, group.identity
+    # X(a s) = X(a) X(s) is compared on v = (1, b, b^2, ...): b exceeds every
+    # entry of X(a) X(s) - X(a s), so a nonzero difference cannot kill v.
+    c = max((abs(x) for x in action.flat), default=0)
+    v = linalg.intmat([(n * c * c + c + 1) ** i for i in range(n)], (n,))
+    images = np.dot(action, v)
+    if not (np.array_equal(images[ident], v) and all(
+            np.array_equal(np.dot(action, images[s]), images[[row[s] for row in group.table]])
+            for s in generating_set(group))):
+        regular = np.stack([np.kron(x, linalg.eye(n)) for x in regular_lattice(group).action])
+        kernel = linalg.hstack([linalg.eye(n * order), linalg.zeros(n * order, rel.shape[1])])
+        kernel[ident * n:(ident + 1) * n, :] -= linalg.hstack(list(action) + [-rel])
+        action, rel = regular, kernel
+    basis = linalg.hermite_column(rel)
+    k = basis.shape[1]
+    moved = linalg.solve(basis, linalg.hstack([linalg.mul(x, basis) for x in action]))
+    return action, basis, [moved[:, g * k:(g + 1) * k] for g in group.elements()]
 
 
 @lru_cache(maxsize=None)
 def _cohomology(module: GLattice | GModulePresentation, q: int) -> FGAbelian:
-    """H^q off the plain Smith forms of the cone's D^(q-1) and (q = 0) D^0.
+    """H^q as the torsion of coker D^(q-1) plus, for q = 0, the rank of M^G.
 
-    D^q = [[d^q, B], [0, -d_R^(q+1)]] for B the Hermite basis of R, on which g
-    acts by A(g) = B^-1 X(g) B.  A lattice, or R = 0, has D = d."""
-    group, action = module.group, module.action
-    basis = None if isinstance(module, GLattice) else linalg.hermite_column(module.relations)
-    k = 0 if basis is None else basis.shape[1]
+    D^q = [[d^q, B], [0, -d_R^(q+1)]] is the cone differential of
+    ``_relation_complex``; a lattice, or R = 0, has D = d.  Over Q invariants
+    are exact, so rank M^G = rank (Z^n)^G - rank R^G."""
+    group = module.group
+    action, basis, rel_action = _relation_complex(module)
+    k = basis.shape[1]
+    d = differential(group, action, q - 1)
     if k:
-        moved = linalg.solve(basis, linalg.hstack([linalg.mul(x, basis) for x in action]))
-        rel_action = [moved[:, g * k:(g + 1) * k] for g in group.elements()]
-
-    def cone(p: int) -> np.ndarray:
-        d = differential(group, action, p)
-        if not k:
-            return d
-        d_rel = differential(group, rel_action, p + 1)
-        return linalg.vstack([
-            linalg.hstack([d, _relation_block(basis, _cochain_rank(group, p + 1))]),
+        d_rel = differential(group, rel_action, q)
+        d = linalg.vstack([
+            linalg.hstack([d, np.kron(linalg.eye(_cochain_rank(group, q)), basis)]),
             linalg.hstack([linalg.zeros(d_rel.shape[0], d.shape[1]), -d_rel])])
-
-    prev = linalg.smith_normal_form(cone(q - 1))
-    torsion = tuple(x for x in prev.diagonal if x >= 2)
+    torsion = tuple(x for x in linalg.smith_normal_form(d).diagonal if x >= 2)
     if q:
         return FGAbelian(0, torsion)
-    here = cone(0)
-    return FGAbelian(here.shape[1] - linalg.smith_normal_form(here).rank - prev.rank, torsion)
+
+    def fixed_rank(mats) -> int:
+        return len(mats[0]) - linalg.smith_normal_form(differential(group, mats, 0)).rank
+    return FGAbelian(fixed_rank(action) - (fixed_rank(rel_action) if k else 0), torsion)
 
 
 def tate_h0(group: FiniteGroup, module: GLattice) -> FGAbelian:
@@ -366,13 +384,6 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
     return RestrictionMap(source.fg, target.fg, matrix)
 
 
-def _diagonal(entries: Sequence[int]) -> np.ndarray:
-    out = linalg.zeros(len(entries), len(entries))
-    for i, d in enumerate(entries):
-        out[i, i] = d
-    return out
-
-
 def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     """Kernel of H^2(G, M) -> prod over cyclic subgroups of H^2(C, Res M).
 
@@ -395,9 +406,9 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     # (x, y) solves [R | diag(target orders)] (x, y) = 0 for some y.
     target_orders = [d for rmap in maps for d in rmap.target.torsion]
     system = linalg.hstack([linalg.vstack([linalg.intmat(rmap.matrix) for rmap in maps]),
-                            _diagonal(target_orders)])
+                            np.diag(linalg.intmat(target_orders, (len(target_orders),)))])
     kernel = linalg.kernel_basis(system)[:len(total.torsion), :]
-    diag = _diagonal(total.torsion)
+    diag = np.diag(linalg.intmat(total.torsion, (len(total.torsion),)))
     free_rank, torsion = linalg.quotient_invariants(
         linalg.hstack([kernel, diag]), diag)
     if free_rank:
@@ -430,9 +441,7 @@ def enumerate_splittings(group: FiniteGroup, module: GModulePresentation
     if module.group != group:
         raise ValueError("module is not over the given group")
     orders, act = _finite_module_structure(module)
-    size = 1
-    for d in orders:
-        size *= d
+    size = math.prod(orders)
     if size ** group.order > SPLITTING_ENUMERATION_BOUND:
         raise EnumerationBoundError(
             f"{size}^{group.order} candidate maps exceed the "
@@ -445,18 +454,9 @@ def enumerate_splittings(group: FiniteGroup, module: GModulePresentation
     def neg(u):
         return tuple((-x) % d for x, d in zip(u, orders))
 
-    cocycles = []
-    for values in itertools.product(elements, repeat=group.order):
-        ok = True
-        for a in group.elements():
-            if not ok:
-                break
-            for b in group.elements():
-                if values[group.mul(a, b)] != add(values[a], act(a, values[b])):
-                    ok = False
-                    break
-        if ok:
-            cocycles.append(tuple(values))
+    cocycles = [values for values in itertools.product(elements, repeat=group.order)
+                if all(values[group.mul(a, b)] == add(values[a], act(a, values[b]))
+                       for a in group.elements() for b in group.elements())]
     coboundaries = {tuple(add(act(a, x), neg(x)) for a in group.elements())
                     for x in elements}
     if cocycles and len(cocycles) % len(coboundaries) != 0:

@@ -238,8 +238,8 @@ def test_torsion_annihilated_by_group_order():
 
 
 def test_lattice_fast_path_matches_explicit_kernel_route():
-    # A relation-free presentation takes the presented branch: its Hermite
-    # relation basis is empty, so D = d and the lattice answers come back.
+    # Lattices and their relation-free presentations share the cone engine;
+    # the bar complex's cocycles over coboundaries checks both.
     rng = random.Random(37)
     cases = [SIGN, regular_lattice(C2), norm_one_lattice(KLEIN),
              norm_one_lattice(C4), random_glattice(C4, 2, rng),
@@ -247,7 +247,8 @@ def test_lattice_fast_path_matches_explicit_kernel_route():
     for m in cases:
         pres = presentation_of_lattice(m)
         for q in (0, 1, 2):
-            assert cohomology(m.group, pres, q) == cohomology(m.group, m, q)
+            bar = FGAbelian(*bar_presented_cohomology(pres, q))
+            assert cohomology(m.group, pres, q) == cohomology(m.group, m, q) == bar
 
 
 def test_presented_cohomology_finite_coefficients():
@@ -380,20 +381,28 @@ def orbit_presentation(m, rng, modulus):
 
 def test_presented_small_resolution_matches_bar_complex():
     # presentation_mod has independent relation columns; orbit presentations
-    # have dependent ones, and H^0 must pick up a free part somewhere.
+    # have dependent ones, and H^0 must pick up a free part somewhere.  The
+    # last cases act on Z^n/R but not on Z^n: Z/3 with the sign action
+    # written as 2 (and the identity as 4), 3, 7 and 9 acting on Z/8 and Z/16,
+    # and units of order 3 and 4 acting on Z/7 and Z/5, which no integer lifts.
     rng, orbit_rng = random.Random(53), random.Random(61)
     free_h0 = 0
+    cases = []
     for g in (C2, C3, C4, KLEIN):
-        cases = [presentation_mod(m, modulus)
-                 for m in (random_glattice(g, 2, rng), norm_one_lattice(g))
-                 for modulus in (2, 3)]
+        cases += [presentation_mod(m, modulus)
+                  for m in (random_glattice(g, 2, rng), norm_one_lattice(g))
+                  for modulus in (2, 3)]
         m = random_glattice(g, 2, orbit_rng)
         cases += [orbit_presentation(m, orbit_rng, modulus) for modulus in (0, 2)]
-        for pres in cases:
-            for q in (0, 1, 2):
-                fg = cohomology(g, pres, q)
-                assert (fg.free_rank, fg.torsion) == bar_presented_cohomology(pres, q)
-            free_h0 += cohomology(g, pres, 0).free_rank > 0
+    cases += [GModulePresentation(g, 1, ((modulus,),), tuple(((x,),) for x in scalars))
+              for g, modulus, scalars in [
+                  (C2, 3, (1, 2)), (C2, 3, (4, 2)), (C2, 8, (1, 3)), (C2, 16, (1, 7)),
+                  (C2, 16, (1, 9)), (C3, 7, (1, 2, 4)), (C4, 5, (1, 2, 4, 3))]]
+    for pres in cases:
+        for q in (0, 1, 2):
+            fg = cohomology(pres.group, pres, q)
+            assert (fg.free_rank, fg.torsion) == bar_presented_cohomology(pres, q), (pres, q)
+        free_h0 += cohomology(pres.group, pres, 0).free_rank > 0
     assert free_h0
 
 

@@ -9,7 +9,9 @@ exactly as rational exponents of e^(2 pi i).  The lattice character is
 integer-valued, so a character's multiplicity equals its average over the
 Galois conjugates of the character; that average replaces each root of unity
 by the mean of the primitive roots of its order, mu(e)/phi(e) (Ramanujan's
-sum), and the decomposition is an exact rational sum.  Only L-values and
+sum), and the decomposition is an exact rational sum.  det(I - Frob/p) comes
+from the characteristic polynomial of Frobenius, built from the same trace
+character by Newton's identities once per Galois element.  Only L-values and
 residues become floats.
 """
 
@@ -23,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from . import linalg
 from .errors import (InternalInvariantError, PoleError, RamifiedPrimeError,
                      UnsupportedRequestError)
 from .groups import (FiniteGroup, _cyclotomic_cosets, _factorint,
@@ -246,16 +247,20 @@ def _primitive_root_mean(e: int) -> Fraction:
 
 
 def local_artin_factor(t: Torus, p: int) -> Fraction:
-    """Euler factor at s=1 of the lattice character: 1/det(I - Frob/p)."""
+    """Euler factor at s=1 of the lattice character: 1/det(I - Frob/p).
+
+    det(p I - X(Frob)) is the characteristic polynomial of X(Frob) (built from
+    the trace character by Newton's identities, once per Galois element) at p.
+    """
     datum = t.splitting
     if not isinstance(datum, AbelianGaloisDatum):
         raise UnsupportedRequestError("local factors need an arithmetic datum")
-    frob = frobenius(datum, p)
-    r = t.dim
-    denom = linalg.det(p * linalg.eye(r) - t.X.action[frob])
+    denom = 0
+    for c in t.X.characteristic_polynomials[frobenius(datum, p)]:
+        denom = denom * p + c
     if denom <= 0:
         raise InternalInvariantError("local determinant must be positive")
-    return Fraction(p ** r, denom)
+    return Fraction(p ** t.dim, denom)
 
 
 def dirichlet_L1(chi: DirichletCharacter) -> complex:

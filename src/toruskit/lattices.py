@@ -5,7 +5,7 @@ Python ints, the matrix of every group element in element order; a presented
 module adds one read-only relation matrix.  Both are hashed once, when they
 are built, and compare by value, so they are cheap ``lru_cache`` keys.  The
 constructors (trivial, sign, regular, permutation, induced, restricted, duals,
-sums, quotients, conjugates) build or slice that stack directly.
+sums, quotients) build or slice that stack directly.
 ``FGAbelian`` carries finitely generated abelian groups as invariant factors
 plus a free rank.  All normal-form work is delegated to :mod:`toruskit.linalg`.
 """
@@ -13,12 +13,13 @@ plus a free rank.  All normal-form work is delegated to :mod:`toruskit.linalg`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
+from .errors import InternalInvariantError
 from .groups import (FiniteGroup, FiniteGSet, Subgroup, _factorint,
                      coset_representatives, generating_set)
 
@@ -79,6 +80,27 @@ class GLattice:
 
     def matrix(self, g: int) -> np.ndarray:
         return self.action[g].copy()
+
+    @cached_property
+    def characteristic_polynomials(self) -> tuple[tuple[int, ...], ...]:
+        """det(x I - X(g)) for every element g, coefficients from x^rank down.
+
+        X(g)^i = X(g^i), so the eigenvalue power sums are p_i = chi(g^i), and
+        Newton's identities k e_k = sum over i <= k of (-1)^(i-1) e_(k-i) p_i
+        give the coefficients c_k = (-1)^k e_k as k c_k = -sum c_(k-i) p_i.
+        """
+        chi, table, out = trace_character(self), self.group.table, []
+        for g in self.group.elements():
+            sums, c, power = [], [1], g
+            for k in range(1, self.rank + 1):
+                sums.append(chi[power])
+                power = table[power][g]
+                c_k, rem = divmod(-sum(a * b for a, b in zip(c, reversed(sums))), k)
+                if rem:
+                    raise InternalInvariantError("Newton's identities left a remainder")
+                c.append(c_k)
+            out.append(tuple(c))
+        return tuple(out)
 
     def __repr__(self):
         return f"GLattice({self.group.label or self.group.order}, rank={self.rank})"
@@ -267,15 +289,6 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
     proj = full.u[ncols:, :]
     section = full.uinv[:, ncols:]
     return _lattice(m.group, np.matmul(np.matmul(proj, m.action), section)), proj
-
-
-def conjugate(m: GLattice, u) -> GLattice:
-    """Change of basis: the same lattice written on the columns of u."""
-    u = u if isinstance(u, np.ndarray) else linalg.intmat(u)
-    if abs(linalg.det(u)) != 1:
-        raise ValueError("basis change must be unimodular")
-    uinv = linalg.solve(u, linalg.eye(m.rank))
-    return _lattice(m.group, np.matmul(np.matmul(uinv, m.action), u))
 
 
 @dataclass(frozen=True, eq=False)

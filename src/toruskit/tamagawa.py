@@ -1,10 +1,12 @@
 """Local volumes, canonical convergence coefficients, and Tamagawa numbers.
 
 The unramified local volume of the integral points is the exact rational
-det(I - Frob/p); the canonical coefficient is its inverse off the ramified
-set and 1 on it.  The global number tau comes out of the finiteness theorem
-as a ratio of two cohomology orders, and a numeric adelic check reproduces
-tau = 1 for the multiplicative group from quadrature alone.
+det(I - Frob/p), read off the characteristic polynomial of Frobenius (built
+from the trace character by Newton's identities, once per Galois element);
+the canonical coefficient is its inverse off the ramified set and 1 on it.
+The global number tau comes out of the finiteness theorem as a ratio of two
+cohomology orders, and a numeric adelic check reproduces tau = 1 for the
+multiplicative group from quadrature alone.
 """
 
 from __future__ import annotations

@@ -10,18 +10,21 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
 from toruskit import linalg
+from toruskit.arith import frobenius
 from toruskit.cohomology import _tuple_index, bar_differential
 from toruskit.groups import (FiniteGroup, Subgroup, _group_from_table,
                              coset_gset, cyclic_group, cyclic_subgroups,
                              index_two_subgroups, product_group)
-from toruskit.lattices import (GLattice, GModulePresentation, conjugate,
-                               direct_sum, induce, invariants, norm_operator,
+from toruskit.lattices import (GLattice, GModulePresentation, direct_sum,
+                               induce, invariants, norm_operator,
                                permutation_lattice, restrict, sign_lattice,
                                trivial_lattice)
+from toruskit.tori import Torus
 
 
 def group_family_up_to_8() -> list[FiniteGroup]:
@@ -39,6 +42,25 @@ def s3_group() -> FiniteGroup:
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[tuple(a[b[x]] for x in range(3))] for b in perms] for a in perms]
     return _group_from_table(table, "S3")
+
+
+def conjugate(m: GLattice, u) -> GLattice:
+    """Change of basis: the same lattice written on the columns of u."""
+    u = u if isinstance(u, np.ndarray) else linalg.intmat(u)
+    if abs(linalg.det(u)) != 1:
+        raise ValueError("basis change must be unimodular")
+    uinv = linalg.solve(u, linalg.eye(m.rank))
+    return GLattice(m.group, m.rank, np.matmul(np.matmul(uinv, m.action), u))
+
+
+def bareiss_charpoly_value(m: GLattice, g: int, x: int) -> int:
+    """det(x I - X(g)) by one Bareiss determinant of the matrix itself."""
+    return linalg.det(x * linalg.eye(m.rank) - m.action[g])
+
+
+def bareiss_local_factor(t: Torus, p: int) -> Fraction:
+    """1/det(I - Frob_p/p) from the Frobenius matrix, with no character."""
+    return Fraction(p ** t.dim, bareiss_charpoly_value(t.X, frobenius(t.splitting, p), p))
 
 
 def random_unimodular(rank: int, rng: random.Random, steps: int = 8) -> np.ndarray:

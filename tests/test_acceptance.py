@@ -22,7 +22,7 @@ from toruskit.cli import main as cli_main
 from toruskit.cohomology import (cohomology, enumerate_splittings, sha2_cyclic)
 from toruskit.groups import (all_subgroups, cyclic_group, product_group,
                              subgroup_closure, trivial_subgroup)
-from toruskit.lattices import (FGAbelian, conjugate, direct_sum, induce,
+from toruskit.lattices import (FGAbelian, direct_sum, induce,
                                presentation_mod, regular_lattice,
                                sign_lattice, trivial_lattice)
 from toruskit.tamagawa import (canonical_coefficients, gm_adelic_check,
@@ -30,7 +30,7 @@ from toruskit.tamagawa import (canonical_coefficients, gm_adelic_check,
 from toruskit.tori import (RealClassification, classify_real, isogenous,
                            make_torus)
 
-from support import (brute_force_h1_order, group_family_up_to_8,
+from support import (brute_force_h1_order, conjugate, group_family_up_to_8,
                      l_chi4_series_oracle, random_glattice, random_unimodular,
                      sieve_primes)
 

@@ -10,7 +10,7 @@ from toruskit.groups import (all_subgroups, cyclic_group, generating_set,
                              product_group, subgroup_closure,
                              trivial_subgroup)
 from toruskit.lattices import (FGAbelian, GLattice, GModulePresentation,
-                               conjugate, direct_sum, dual, glattice, induce,
+                               direct_sum, dual, glattice, induce,
                                invariants, norm_operator, norm_vector,
                                permutation_lattice, presentation_mod,
                                quotient_lattice, regular_lattice, restrict,
@@ -18,7 +18,7 @@ from toruskit.lattices import (FGAbelian, GLattice, GModulePresentation,
 
 from toruskit.tori import make_torus
 
-from support import (group_family_up_to_8, hom_lattice,
+from support import (conjugate, group_family_up_to_8, hom_lattice,
                      presentation_of_lattice, random_glattice,
                      random_unimodular, s3_group, tensor_lattice)
 

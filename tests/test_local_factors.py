@@ -1,0 +1,148 @@
+"""Local factors from characteristic polynomials against Bareiss determinants.
+
+``GLattice.characteristic_polynomials`` builds det(x I - X(g)) from the trace
+character by Newton's identities; the oracle in ``support`` takes one Bareiss
+determinant of x I - X(g) itself, so the two routes share no code.
+"""
+
+import random
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from toruskit import lattices
+from toruskit.arith import AbelianGaloisDatum, frobenius, local_artin_factor
+from toruskit.errors import InternalInvariantError, RamifiedPrimeError
+from toruskit.groups import cyclic_group
+from toruskit.lattices import direct_sum, regular_lattice
+from toruskit.tamagawa import canonical_coefficients
+from toruskit.tori import Torus, make_torus
+
+from support import (bareiss_charpoly_value, bareiss_local_factor, conjugate,
+                     group_family_up_to_8, random_glattice, random_unimodular,
+                     sieve_primes)
+
+WITNESS = AbelianGaloisDatum(120, (1, 49))
+SQUARES_840 = AbelianGaloisDatum(840, (1, 121, 169, 289, 361, 529))
+POINTS = (-3, 0, 1, 2, 3, 7, 101)  # x = 0 gives det(-X(g)) = +-1
+
+
+@pytest.fixture(scope="module")
+def witness():
+    return make_torus(WITNESS, "norm_one")
+
+
+def _at(poly, x):
+    value = 0
+    for c in poly:
+        value = value * x + c
+    return value
+
+
+def _assert_matches_bareiss(lattice, points=POINTS):
+    polys = lattice.characteristic_polynomials
+    assert len(polys) == lattice.group.order
+    for g, poly in enumerate(polys):
+        assert len(poly) == lattice.rank + 1 and poly[0] == 1
+        for x in points:
+            assert _at(poly, x) == bareiss_charpoly_value(lattice, g, x), (g, x)
+
+
+def test_characteristic_polynomials_match_bareiss_on_small_groups():
+    rng = random.Random(2020)
+    for group in group_family_up_to_8():
+        reg = regular_lattice(group)
+        randoms = [random_glattice(group, 2, rng) for _ in range(3)]
+        for lattice in [reg, direct_sum(*randoms[:2])] + randoms:
+            _assert_matches_bareiss(lattice)
+            twisted = conjugate(lattice, random_unimodular(lattice.rank, rng))
+            assert twisted.characteristic_polynomials == lattice.characteristic_polynomials
+            _assert_matches_bareiss(twisted, (2, 5))
+
+
+@pytest.mark.parametrize("datum", [WITNESS, SQUARES_840], ids=["120/{1,49}", "840/squares"])
+def test_norm_one_local_factors_match_bareiss(datum):
+    t = make_torus(datum, "norm_one")
+    _assert_matches_bareiss(t.X, (0, 3))
+    seen = set()
+    for p in sieve_primes(1100):  # 1009 is the least prime split in 840/squares
+        if datum.modulus % p == 0:
+            continue
+        g = frobenius(datum, p)
+        if g not in seen:  # one prime per Frobenius class pays a Bareiss determinant
+            seen.add(g)
+            assert local_artin_factor(t, p) == bareiss_local_factor(t, p), p
+    assert seen == set(datum.group.elements())
+
+
+def test_local_factor_is_basis_independent(witness):
+    u = random_unimodular(witness.dim, random.Random(7))
+    twisted = Torus(WITNESS, conjugate(witness.X, u), "lattice")
+    assert twisted.X != witness.X
+    for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71):
+        assert local_artin_factor(twisted, p) == local_artin_factor(witness, p)
+        assert local_artin_factor(twisted, p) == bareiss_local_factor(twisted, p)
+
+
+@given(st.sampled_from(group_family_up_to_8()), st.integers(0, 2 ** 32),
+       st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=3))
+@settings(deadline=None, max_examples=60)
+def test_characteristic_polynomials_match_bareiss_hypothesis(group, seed, points):
+    rng = random.Random(seed)
+    lattice = direct_sum(random_glattice(group, 2, rng), random_glattice(group, 2, rng))
+    _assert_matches_bareiss(lattice, points)
+
+
+@given(st.sampled_from([p for p in sieve_primes(20000) if 120 % p]))
+@settings(deadline=None, max_examples=40)
+def test_witness_local_factor_matches_bareiss_hypothesis(witness, p):
+    assert local_artin_factor(witness, p) == bareiss_local_factor(witness, p)
+
+
+def test_local_factor_rejects_ramified_and_composite(witness):
+    for p in (2, 3, 5):
+        with pytest.raises(RamifiedPrimeError):
+            local_artin_factor(witness, p)
+    for n in (0, 1, 49, 77, 7 * 7 * 11):
+        with pytest.raises(ValueError, match="not prime"):
+            local_artin_factor(witness, n)
+
+
+def test_newton_remainder_raises(monkeypatch):
+    # (2, 1) is no character of C2: its power sums give c_2 = -1/2
+    monkeypatch.setattr(lattices, "trace_character", lambda m: (2, 1))
+    with pytest.raises(InternalInvariantError, match="remainder"):
+        regular_lattice(cyclic_group(2)).characteristic_polynomials
+
+
+def test_characteristic_polynomials_are_cached_immutable_tuples():
+    t = make_torus(WITNESS, "norm_one")
+    polys = t.X.characteristic_polynomials
+    assert t.X.characteristic_polynomials is polys
+    assert type(polys) is tuple
+    assert all(type(poly) is tuple and all(type(c) is int for c in poly) for poly in polys)
+    with pytest.raises(FrozenInstanceError):
+        t.X.characteristic_polynomials = ()
+    with pytest.raises(FrozenInstanceError):
+        del t.X.characteristic_polynomials
+    assert t.X.characteristic_polynomials is polys
+
+
+def test_equal_lattices_built_separately_give_identical_factors():
+    first = make_torus(WITNESS, "norm_one")
+    second = make_torus(AbelianGaloisDatum(120, (49, 1)), "norm_one")
+    assert first.X == second.X and first.X is not second.X
+    assert first.X.characteristic_polynomials == second.X.characteristic_polynomials
+    for p in sieve_primes(300):
+        if 120 % p:
+            assert local_artin_factor(first, p) == local_artin_factor(second, p)
+
+
+def test_canonical_coefficients_match_bareiss_route(witness):
+    coeffs = canonical_coefficients(witness, 2000)
+    assert list(coeffs) == sieve_primes(2000)
+    for p, value in coeffs.items():
+        want = Fraction(1) if 120 % p == 0 else bareiss_local_factor(witness, p)
+        assert value == want, p

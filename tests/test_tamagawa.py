@@ -8,13 +8,12 @@ from toruskit.arith import AbelianGaloisDatum, primes_up_to
 from toruskit.cohomology import cohomology
 from toruskit.errors import RamifiedPrimeError, UnsupportedRequestError
 from toruskit.groups import cyclic_group, product_group
-from toruskit.lattices import conjugate
 from toruskit.tamagawa import (QuadratureGrid, canonical_coefficients,
                                gm_adelic_check, local_volume, simpson,
                                tamagawa_number)
 from toruskit.tori import make_torus
 
-from support import random_unimodular
+from support import conjugate, random_unimodular
 
 GM = AbelianGaloisDatum(1)
 QI = AbelianGaloisDatum(4)

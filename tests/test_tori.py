@@ -5,13 +5,13 @@ import pytest
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
 from toruskit.groups import cyclic_group, product_group, trivial_subgroup
-from toruskit.lattices import (conjugate, direct_sum, regular_lattice,
-                               sign_lattice, trace_character, trivial_lattice)
+from toruskit.lattices import (direct_sum, regular_lattice, sign_lattice,
+                               trace_character, trivial_lattice)
 from toruskit.tori import (RealClassification, Torus, classify_real,
                            dual_torus, isogenous, make_torus, norm_character,
                            rank_profile)
 
-from support import random_unimodular
+from support import conjugate, random_unimodular
 
 C1 = cyclic_group(1)
 C2 = cyclic_group(2)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -44,9 +45,10 @@ class AbelianGaloisDatum:
     _element_of: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __init__(self, modulus: int, subgroup=None):
-        if int(modulus) < 1:
+        modulus = operator.index(modulus)
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "modulus", int(modulus))
+        object.__setattr__(self, "modulus", modulus)
         if subgroup is None:
             subgroup = (1 % self.modulus,)
         object.__setattr__(self, "subgroup", tuple(sorted({x % self.modulus for x in subgroup})))

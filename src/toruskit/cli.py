@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ def _rat(x: Fraction) -> str:
 def load_splitting(spec: dict):
     kind = spec["type"]
     if kind == "cyclotomic":
-        return AbelianGaloisDatum(int(spec["modulus"]), spec.get("subgroup"))
+        return AbelianGaloisDatum(operator.index(spec["modulus"]), spec.get("subgroup"))
     if kind == "abstract":
         return make_group(spec["group"])
     raise ValueError(f"unknown field type {kind!r}")
@@ -42,7 +43,7 @@ def load_splitting(spec: dict):
 def build_torus(splitting, spec: dict) -> Torus:
     kind = spec["type"]
     if kind == "split":
-        return make_torus(splitting, "split", dim=int(spec["dim"]))
+        return make_torus(splitting, "split", dim=operator.index(spec["dim"]))
     if kind in ("res", "norm_one", "so2"):
         return make_torus(splitting, kind)
     if kind == "product":

@@ -196,12 +196,12 @@ def _relation_complex(module: GLattice | GModulePresentation) -> tuple:
             np.array_equal(np.dot(action, images[s]), images[[row[s] for row in group.table]])
             for s in generating_set(group))):
         regular = np.stack([np.kron(x, linalg.eye(n)) for x in regular_lattice(group).action])
-        kernel = linalg.hstack([linalg.eye(n * order), linalg.zeros(n * order, rel.shape[1])])
-        kernel[ident * n:(ident + 1) * n, :] -= linalg.hstack(list(action) + [-rel])
+        kernel = np.hstack([linalg.eye(n * order), linalg.zeros(n * order, rel.shape[1])])
+        kernel[ident * n:(ident + 1) * n, :] -= np.hstack(list(action) + [-rel])
         action, rel = regular, kernel
     basis = linalg.hermite_column(rel)
     k = basis.shape[1]
-    moved = linalg.solve(basis, linalg.hstack([linalg.mul(x, basis) for x in action]))
+    moved = linalg.solve(basis, np.hstack([linalg.mul(x, basis) for x in action]))
     return action, basis, [moved[:, g * k:(g + 1) * k] for g in group.elements()]
 
 
@@ -218,9 +218,9 @@ def _cohomology(module: GLattice | GModulePresentation, q: int) -> FGAbelian:
     d = differential(group, action, q - 1)
     if k:
         d_rel = differential(group, rel_action, q)
-        d = linalg.vstack([
-            linalg.hstack([d, np.kron(linalg.eye(_cochain_rank(group, q)), basis)]),
-            linalg.hstack([linalg.zeros(d_rel.shape[0], d.shape[1]), -d_rel])])
+        d = np.vstack([
+            np.hstack([d, np.kron(linalg.eye(_cochain_rank(group, q)), basis)]),
+            np.hstack([linalg.zeros(d_rel.shape[0], d.shape[1]), -d_rel])])
     torsion = tuple(x for x in linalg.smith_normal_form(d).diagonal if x >= 2)
     if q:
         return FGAbelian(0, torsion)
@@ -243,28 +243,31 @@ def tate_h0(group: FiniteGroup, module: GLattice) -> FGAbelian:
 
 @dataclass(frozen=True)
 class CohomologyClasses:
-    """H^q(G, M) of a lattice, q in {1, 2}, with cocycle representatives.
+    """H^q(G, M) of a lattice, q in {1, 2}, read off one Smith form
+    U d^(q-1) V = D of the coboundary matrix.
 
-    ``generators`` columns are cocycles in the free cochain module; their
-    classes generate H^q with orders ``fg.torsion``, in that order.
-    ``reducer`` is d^(q-1), whose columns span the coboundaries.  Both arrays
-    are cached and read-only.
+    ``generators`` columns are cocycles in the free cochain module, the
+    columns of U^-1 at the diagonal entries d >= 2; their classes generate
+    H^q with orders ``fg.torsion``, in that order.  ``reducer`` is d^(q-1),
+    whose columns span the coboundaries.  The matching rows of U,
+    ``coordinate_rows``, give a cocycle's class coordinates mod the orders,
+    and the rows past the rank, ``cocycle_test``, vanish exactly on cocycles:
+    H^q is finite, so the cocycles are the saturation of the coboundaries.
+    All arrays are cached and read-only.
     """
 
     fg: FGAbelian
     generators: np.ndarray
     reducer: np.ndarray
+    coordinate_rows: np.ndarray
+    cocycle_test: np.ndarray
 
     def coordinates(self, cocycles: np.ndarray) -> np.ndarray:
         """Class coordinates of cocycle columns on ``generators``, mod orders."""
-        orders = self.fg.torsion
-        if not orders:
-            return linalg.zeros(0, cocycles.shape[1])
-        sol = linalg.solve(linalg.hstack([self.generators, self.reducer]), cocycles)
-        if sol is None:
+        if not linalg.is_zero(linalg.mul(self.cocycle_test, cocycles)):
             raise InternalInvariantError("vector is not a cocycle of this class group")
-        out = sol[:len(orders), :]
-        for i, d in enumerate(orders):
+        out = linalg.mul(self.coordinate_rows, cocycles)
+        for i, d in enumerate(self.fg.torsion):
             out[i, :] %= d
         return out
 
@@ -275,13 +278,12 @@ def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
     if q not in (1, 2):
         raise ValueError("cocycle representatives are computed in degrees 1 and 2")
     d_prev = differential(module.group, module.action, q - 1)
-    snf = linalg.smith_normal_form(d_prev, want_uinv=True)
+    snf = linalg.smith_normal_form(d_prev, want_u=True, want_uinv=True)
     cols = [i for i in range(snf.rank) if snf.diagonal[i] >= 2]
-    gens = snf.uinv[:, cols]
-    gens.flags.writeable = False
-    d_prev.flags.writeable = False
-    return CohomologyClasses(FGAbelian(0, tuple(snf.diagonal[i] for i in cols)),
-                             gens, d_prev)
+    arrays = (snf.uinv[:, cols], d_prev, snf.u[cols], snf.u[snf.rank:])
+    for a in arrays:
+        a.flags.writeable = False
+    return CohomologyClasses(FGAbelian(0, tuple(snf.diagonal[i] for i in cols)), *arrays)
 
 
 class RestrictionMap(NamedTuple):
@@ -388,7 +390,8 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     """Kernel of H^2(G, M) -> prod over cyclic subgroups of H^2(C, Res M).
 
     Cyclic subgroups stand in for the decomposition groups of unramified
-    places.
+    places.  The kernel is read off the restriction matrices by duality; see
+    ``_kernel_invariants``.
     """
     if module.group != group:
         raise ValueError("module is not over the given group")
@@ -402,18 +405,27 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
             if not rmap.target.is_trivial()]
     if not maps:
         return total
-    # x in H^2(G) lies in the kernel iff every R_C x = 0 in its target, i.e.
-    # (x, y) solves [R | diag(target orders)] (x, y) = 0 for some y.
-    target_orders = [d for rmap in maps for d in rmap.target.torsion]
-    system = linalg.hstack([linalg.vstack([linalg.intmat(rmap.matrix) for rmap in maps]),
-                            np.diag(linalg.intmat(target_orders, (len(target_orders),)))])
-    kernel = linalg.kernel_basis(system)[:len(total.torsion), :]
-    diag = np.diag(linalg.intmat(total.torsion, (len(total.torsion),)))
-    free_rank, torsion = linalg.quotient_invariants(
-        linalg.hstack([kernel, diag]), diag)
-    if free_rank:
-        raise InternalInvariantError("local-kernel subgroup came out infinite")
-    return FGAbelian(0, torsion)
+    return FGAbelian(0, _kernel_invariants(
+        total.torsion, [e for rmap in maps for e in rmap.target.torsion],
+        [row for rmap in maps for row in rmap.matrix]))
+
+
+def _kernel_invariants(source: Sequence[int], target: Sequence[int],
+                       matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Invariant factors of the kernel of phi: sum Z/d_i -> sum Z/e_j,
+    phi(x)_j = sum over i of R_ji x_i, for d = ``source``, e = ``target``
+    and R = ``matrix``.
+
+    For finite abelian groups ker phi is dual to coker phi^dual.  On the dual
+    bases phi^dual has entries d_i R_ji / e_j, integers because phi is well
+    defined, so the kernel has the invariant factors of [R^dual | diag(d)].
+    """
+    d = linalg.intmat(source, (len(source),))
+    e = linalg.intmat([[x] for x in target], (len(target), 1))
+    scaled = linalg.intmat(matrix, (len(target), len(source))) * d
+    if not linalg.is_zero(scaled % e):
+        raise InternalInvariantError("restriction is not well defined on the classes")
+    return linalg.invariant_factors(np.hstack([(scaled // e).T, np.diag(d)]))
 
 
 class SplittingEnumeration(NamedTuple):

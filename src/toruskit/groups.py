@@ -9,6 +9,7 @@ matrix is reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -244,7 +245,7 @@ def _cyclotomic_cosets(modulus: int, subgroup: Iterable[int] | None = None
     if subgroup is None:
         h = frozenset({1 % n})
     else:
-        h = frozenset(x % n for x in subgroup)
+        h = frozenset(operator.index(x) % n for x in subgroup)
     if not h or not h <= set(units):
         raise ValueError(f"subgroup {sorted(h)} is not a set of units mod {n}")
     if _generate(lambda a, b: a * b % n, 1 % n, sorted(h))[1] != h:
@@ -283,7 +284,7 @@ def make_group(spec: Mapping) -> FiniteGroup:
         raise ValueError(f"group descriptor must be an object, got {spec!r}")
     kind = spec.get("type")
     if kind == "cyclic":
-        return cyclic_group(int(spec["n"]))
+        return cyclic_group(operator.index(spec["n"]))
     if kind == "product":
         factors = [make_group(s) for s in spec["factors"]]
         if not factors:
@@ -293,7 +294,7 @@ def make_group(spec: Mapping) -> FiniteGroup:
             g = product_group(g, f)
         return g
     if kind == "cyclotomic":
-        return cyclotomic_quotient_group(int(spec["modulus"]), spec.get("subgroup"))
+        return cyclotomic_quotient_group(operator.index(spec["modulus"]), spec.get("subgroup"))
     raise ValueError(f"unknown group descriptor type {kind!r}")
 
 
@@ -415,18 +416,6 @@ def coset_gset(g: FiniteGroup, h: Subgroup) -> FiniteGSet:
     index = {rep: i for i, rep in enumerate(reps)}
     action = tuple(tuple(index[coset_of[g.mul(a, r)]] for r in reps) for a in g.elements())
     return FiniteGSet(g, len(reps), action)
-
-
-def coset_representatives(g: FiniteGroup, h: Subgroup) -> list[int]:
-    seen = set()
-    reps = []
-    for x in g.elements():
-        if x in seen:
-            continue
-        coset = {g.mul(x, k) for k in h.elements}
-        reps.append(min(coset))
-        seen |= coset
-    return sorted(reps)
 
 
 def orbits(x: FiniteGSet) -> list[tuple[tuple[int, ...], Subgroup]]:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import linalg
 from .errors import InternalInvariantError
-from .groups import (FiniteGroup, FiniteGSet, Subgroup, _factorint,
-                     coset_representatives, generating_set)
+from .groups import (FiniteGroup, FiniteGSet, Subgroup, _factorint, coset_gset,
+                     generating_set)
 
 
 def _read_only(data, shape: tuple[int, ...]) -> np.ndarray:
@@ -129,10 +129,10 @@ def _check_action(group: FiniteGroup, stack: np.ndarray,
         return
     if linalg.solve(rel, ident) is None:
         raise ValueError("identity must act as the identity on the quotient")
-    if gens and linalg.solve(rel, linalg.hstack(
+    if gens and linalg.solve(rel, np.hstack(
             [linalg.mul(stack[s], rel) for s in gens])) is None:
         raise ValueError("action does not preserve the relation lattice")
-    if gens and linalg.solve(rel, linalg.hstack(
+    if gens and linalg.solve(rel, np.hstack(
             [block for diff in laws for block in diff])) is None:
         raise ValueError("action does not respect the group law on the quotient")
 
@@ -191,18 +191,18 @@ def induce(h: Subgroup, a: GLattice) -> GLattice:
     g = h.parent
     if a.group != h.as_group():
         raise ValueError("lattice is not over the given subgroup")
-    reps = coset_representatives(g, h)
-    rep_index = {}
-    for i, r in enumerate(reps):
-        for k in h.elements:
-            rep_index[g.mul(r, k)] = i
+    cosets = coset_gset(g, h).action
+    # Cosets are ordered by least representative, so r_0 is element 0, x r_0
+    # lies in coset cosets[x][0], and r_j is the least such product in coset j.
+    reps = [g.order] * len(cosets[0])
+    for x in g.elements():
+        j = cosets[x][0]
+        reps[j] = min(reps[j], g.mul(x, 0))
     r_a = a.rank
     stack = linalg.zeros(g.order, len(reps) * r_a, len(reps) * r_a)
     for x in g.elements():
-        for i, r in enumerate(reps):
-            xr = g.mul(x, r)
-            j = rep_index[xr]
-            k = g.mul(g.inv(reps[j]), xr)  # x . r_i = r_j . k with k in H
+        for i, j in enumerate(cosets[x]):
+            k = g.mul(g.inv(reps[j]), g.mul(x, reps[i]))  # x r_i = r_j k with k in H
             stack[x, j * r_a:(j + 1) * r_a, i * r_a:(i + 1) * r_a] = a.action[h.position(k)]
     return _lattice(g, stack)
 
@@ -253,7 +253,7 @@ def invariants(m: GLattice) -> tuple[np.ndarray, int]:
     rows = [m.action[s] - linalg.eye(m.rank) for s in generating_set(m.group)]
     if not rows:
         return linalg.eye(m.rank), m.rank
-    basis = linalg.kernel_basis(linalg.vstack(rows))
+    basis = linalg.kernel_basis(np.vstack(rows))
     return basis, basis.shape[1]
 
 
@@ -267,26 +267,26 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
 
     ``sub_basis`` is a rank x s integer matrix whose columns form a basis of
     the sublattice.  Torsion quotients are refused (the sublattice must be
-    saturated), as is any basis the group action does not preserve.
+    saturated), as is any basis the group action does not preserve.  All of
+    it is read off one Smith form U S V = D of the Hermite basis S: with D = 1
+    the last rows of U vanish exactly on the sublattice, and they are the
+    projection.
     """
     s = sub_basis if isinstance(sub_basis, np.ndarray) else linalg.intmat(
         sub_basis, shape=(m.rank, len(sub_basis[0]) if len(sub_basis) else 0))
     if s.shape[0] != m.rank:
         raise ValueError("sublattice basis lives in the wrong ambient rank")
     ncols = s.shape[1]
-    if ncols:
-        snf = linalg.smith_normal_form(s)
-        if snf.rank != ncols:
-            raise ValueError("sublattice basis columns are dependent")
-        if any(d != 1 for d in snf.diagonal[:snf.rank]):
-            raise ValueError("sublattice is not saturated; quotient would have torsion")
-        s = linalg.hermite_column(s)  # canonical basis of the same sublattice
-        gens = generating_set(m.group)  # stable under generators is stable
-        if gens and linalg.solve(s, linalg.hstack(
-                [linalg.mul(m.action[a], s) for a in gens])) is None:
-            raise ValueError("sublattice is not stable under the group action")
+    s = linalg.hermite_column(s)  # canonical basis of the same sublattice
+    if s.shape[1] < ncols:
+        raise ValueError("sublattice basis columns are dependent")
     full = linalg.smith_normal_form(s, want_u=True, want_uinv=True)
+    if any(d != 1 for d in full.diagonal):
+        raise ValueError("sublattice is not saturated; quotient would have torsion")
     proj = full.u[ncols:, :]
+    if not all(linalg.is_zero(linalg.mul(linalg.mul(proj, m.action[a]), s))
+               for a in generating_set(m.group)):  # stable under generators is stable
+        raise ValueError("sublattice is not stable under the group action")
     section = full.uinv[:, ncols:]
     return _lattice(m.group, np.matmul(np.matmul(proj, m.action), section)), proj
 

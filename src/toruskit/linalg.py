@@ -2,15 +2,15 @@
 
 All matrices are numpy arrays with ``dtype=object`` holding Python ints, so
 nothing ever rounds or overflows.  The workhorse is a Smith normal form with
-optional unimodular transforms; kernels, saturations, integer solves and
-subquotient structures are derived from it.  A column-style Hermite form is
-used to put lattice bases into a canonical shape.
+optional unimodular transforms; kernels, saturations and integer solves are
+derived from it.  A column-style Hermite form is used to put lattice bases
+into a canonical shape.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,32 +50,6 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
         return zeros(a.shape[0], b.shape[1])
     return np.dot(a, b)
-
-
-def hstack(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    blocks = [b for b in blocks]
-    m = blocks[0].shape[0]
-    out = zeros(m, sum(b.shape[1] for b in blocks))
-    j = 0
-    for b in blocks:
-        if b.shape[0] != m:
-            raise ValueError("row mismatch in hstack")
-        out[:, j:j + b.shape[1]] = b
-        j += b.shape[1]
-    return out
-
-
-def vstack(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    blocks = [b for b in blocks]
-    n = blocks[0].shape[1]
-    out = zeros(sum(b.shape[0] for b in blocks), n)
-    i = 0
-    for b in blocks:
-        if b.shape[1] != n:
-            raise ValueError("column mismatch in vstack")
-        out[i:i + b.shape[0], :] = b
-        i += b.shape[0]
-    return out
 
 
 def is_zero(a: np.ndarray) -> bool:
@@ -326,19 +300,3 @@ def hermite_column(a: np.ndarray) -> np.ndarray:
     # drop zero columns
     keep = [j for j in range(n) if not is_zero(h[:, j:j + 1])]
     return h[:, keep] if keep else zeros(m, 0)
-
-
-def quotient_invariants(numerator: np.ndarray, denominator: np.ndarray
-                        ) -> tuple[int, tuple[int, ...]]:
-    """Structure of span(numerator)/span(denominator) inside Z^m.
-
-    Requires span(denominator) <= span(numerator).  Returns (free_rank,
-    torsion invariant factors).
-    """
-    basis = hermite_column(numerator)
-    x = solve(basis, denominator)
-    if x is None:
-        raise ValueError("denominator does not lie in the span of the numerator")
-    snf = smith_normal_form(x)
-    torsion = tuple(t for t in snf.diagonal[:snf.rank] if t >= 2)
-    return basis.shape[1] - snf.rank, torsion

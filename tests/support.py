@@ -170,16 +170,32 @@ def brute_force_cocycles(lattice: GLattice) -> tuple[np.ndarray, np.ndarray]:
             block[:, a * r:(a + 1) * r] -= linalg.eye(r)
             block[:, b * r:(b + 1) * r] -= lattice.matrix(a)
             rows.append(block)
-    cocycles = linalg.kernel_basis(linalg.vstack(rows))
+    cocycles = linalg.kernel_basis(np.vstack(rows))
     cob = linalg.zeros(n, r)
     for a in group.elements():
         cob[a * r:(a + 1) * r, :] = lattice.matrix(a) - linalg.eye(r)
     return cocycles, cob
 
 
+def quotient_invariants(numerator: np.ndarray, denominator: np.ndarray
+                        ) -> tuple[int, tuple[int, ...]]:
+    """Structure of span(numerator)/span(denominator) inside Z^m.
+
+    Requires span(denominator) <= span(numerator).  Returns (free_rank,
+    torsion invariant factors).
+    """
+    basis = linalg.hermite_column(numerator)
+    x = linalg.solve(basis, denominator)
+    if x is None:
+        raise ValueError("denominator does not lie in the span of the numerator")
+    snf = linalg.smith_normal_form(x)
+    torsion = tuple(t for t in snf.diagonal[:snf.rank] if t >= 2)
+    return basis.shape[1] - snf.rank, torsion
+
+
 def brute_force_h1_order(lattice: GLattice) -> int:
     z1, b1 = brute_force_cocycles(lattice)
-    free_rank, torsion = linalg.quotient_invariants(z1, b1)
+    free_rank, torsion = quotient_invariants(z1, b1)
     assert free_rank == 0
     order = 1
     for d in torsion:
@@ -225,11 +241,11 @@ def bar_presented_cohomology(module: GModulePresentation, q: int
 
     dim_q = module.generators * group.order ** q
     d_q = bar_differential(group, mats, q)
-    kernel = linalg.kernel_basis(linalg.hstack([d_q, relations(group.order ** (q + 1))]))
+    kernel = linalg.kernel_basis(np.hstack([d_q, relations(group.order ** (q + 1))]))
     here = relations(group.order ** q)
     d_prev = bar_differential(group, mats, q - 1) if q else linalg.zeros(dim_q, 0)
-    return linalg.quotient_invariants(linalg.hstack([kernel[:dim_q, :], here]),
-                                      linalg.hstack([d_prev, here]))
+    return quotient_invariants(np.hstack([kernel[:dim_q, :], here]),
+                               np.hstack([d_prev, here]))
 
 
 def fixed_point_tate_h0(lattice: GLattice) -> tuple[int, ...]:
@@ -262,17 +278,17 @@ def bar_sha2(lattice: GLattice) -> tuple[int, ...]:
         if not t_orders:
             continue
         cochains = bar_restrict_cochain(gens, group, sub, 2, lattice.rank)
-        coords = linalg.solve(linalg.hstack([t_gens, t_cob]), cochains)
+        coords = linalg.solve(np.hstack([t_gens, t_cob]), cochains)
         assert coords is not None
         blocks.append(coords[:len(t_orders), :])
         target_orders += t_orders
     if not blocks:
         return tuple(orders)
     # x lies in the kernel iff R x = 0 modulo the target orders
-    system = linalg.hstack([linalg.vstack(blocks), _diagonal(target_orders)])
+    system = np.hstack([np.vstack(blocks), _diagonal(target_orders)])
     kernel = linalg.kernel_basis(system)[:len(orders), :]
     diag = _diagonal(orders)
-    free_rank, torsion = linalg.quotient_invariants(linalg.hstack([kernel, diag]), diag)
+    free_rank, torsion = quotient_invariants(np.hstack([kernel, diag]), diag)
     assert free_rank == 0
     return torsion
 

@@ -160,6 +160,18 @@ def test_exit_2_on_malformed(tmp_path):
     for sub in ("info", "tamagawa"):
         code, out, err = run([sub, zero])
         assert code == 2 and out == "" and "modulus" in err
+    # Non-integer numbers are refused, not truncated.
+    for field, torus in (({"type": "cyclotomic", "modulus": 7.5}, {"type": "res"}),
+                         ({"type": "cyclotomic", "modulus": 15, "subgroup": [1, 4.0]},
+                          {"type": "res"}),
+                         ({"type": "cyclotomic", "modulus": 5}, {"type": "split", "dim": 2.9}),
+                         ({"type": "abstract", "group": {"type": "cyclic", "n": 2.7}},
+                          {"type": "res"}),
+                         ({"type": "abstract", "group": {"type": "cyclotomic", "modulus": 7.5}},
+                          {"type": "res"})):
+        spec = write(tmp_path, "real.json", {"field": field, "torus": torus})
+        code, out, err = run(["info", spec])
+        assert code == 2 and out == "" and "malformed" in err
     for group in ([1], {"type": "product", "factors": ["x"]}):
         spec = write(tmp_path, "group.json", {"field": {"type": "abstract", "group": group},
                                               "torus": {"type": "res"}})

@@ -1,16 +1,22 @@
 import importlib
+import itertools
+import math
+import operator
 import random
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruskit import linalg
-from toruskit.cohomology import (bar_differential, cohomology,
-                                 cohomology_classes, differential,
+from toruskit.cohomology import (_kernel_invariants, bar_differential,
+                                 cohomology, cohomology_classes, differential,
                                  enumerate_splittings, restrict_cochain,
                                  restriction_map, sha2_cyclic, tate_h0)
-from toruskit.errors import EnumerationBoundError, UnsupportedRequestError
+from toruskit.errors import (EnumerationBoundError, InternalInvariantError,
+                             UnsupportedRequestError)
 from toruskit.groups import (all_subgroups, cyclic_group, cyclic_subgroups,
                              full_subgroup, product_group, subgroup_closure,
                              trivial_subgroup)
@@ -187,6 +193,56 @@ def test_sha2_active_path_norm_one_plus_trivial():
         assert sha2_cyclic(g, m) == FGAbelian(0, expected)
 
 
+@st.composite
+def _divisibility_chain(draw, max_len):
+    head = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.integers(1, 3), max_size=max_len - 1))
+    return tuple(itertools.accumulate([head] + steps, operator.mul))
+
+
+@st.composite
+def _finite_map(draw):
+    """(d, e, R): a well-defined map sum Z/d_i -> sum Z/e_j, at most 4096 x.
+
+    x_i has order d_i, so R_ji must be a multiple of e_j / gcd(e_j, d_i);
+    entries are not reduced mod e_j.
+    """
+    d = draw(_divisibility_chain(4).filter(lambda c: math.prod(c) <= 4096))
+    e = draw(_divisibility_chain(3))
+    matrix = tuple(tuple(draw(st.integers(-g, 2 * g)) * (ej // g)
+                         for g in (math.gcd(ej, di) for di in d)) for ej in e)
+    return d, e, matrix
+
+
+def _order_counts(orders, elements):
+    """How many of ``elements`` (tuples in sum Z/orders) have each order."""
+    return Counter(math.lcm(*(n // math.gcd(n, x) for n, x in zip(orders, t)))
+                   for t in elements)
+
+
+@given(_finite_map())
+@settings(deadline=None, max_examples=60)
+def test_kernel_by_duality_matches_enumeration(data):
+    # Finite abelian groups with the same number of elements of each order
+    # are isomorphic, so the counts pin down the kernel.
+    d, e, matrix = data
+    kernel = [x for x in itertools.product(*map(range, d))
+              if all(sum(r * v for r, v in zip(row, x)) % ej == 0
+                     for row, ej in zip(matrix, e))]
+    factors = _kernel_invariants(d, e, matrix)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert _order_counts(d, kernel) == _order_counts(
+        factors, itertools.product(*map(range, factors)))
+
+
+def test_kernel_by_duality_rejects_ill_defined_maps():
+    # x -> x from Z/2 to Z/4 does not respect 2x = 0
+    with pytest.raises(InternalInvariantError):
+        _kernel_invariants((2,), (4,), ((1,),))
+    assert _kernel_invariants((2,), (4,), ((2,),)) == ()
+    assert _kernel_invariants((2, 4), (), ()) == (2, 4)
+
+
 def test_shapiro_small():
     rng = random.Random(3)
     for g in (C4, cyclic_group(6), KLEIN):
@@ -329,7 +385,8 @@ def test_cached_arrays_are_read_only():
     m = norm_one_lattice(KLEIN)
     classes = cohomology_classes(m, 2)
     pres = presentation_mod(m, 2)
-    for cached in (m.action[1], classes.generators, classes.reducer, pres.relations):
+    for cached in (m.action[1], classes.generators, classes.reducer,
+                   classes.coordinate_rows, classes.cocycle_test, pres.relations):
         with pytest.raises(ValueError):
             cached[0, 0] = 7
     for stack in (m.action, pres.action):
@@ -345,6 +402,23 @@ def test_cocycle_generators_really_are_cocycles():
                 continue
             d_q = differential(m.group, m.action, q)
             assert linalg.is_zero(linalg.mul(d_q, classes.generators))
+
+
+def test_coordinates_reject_non_cocycles():
+    # over a cyclic group every 1-cochain is a cocycle, so use the Klein group
+    for m, q in ((norm_one_lattice(KLEIN), 2), (norm_one_lattice(KLEIN), 1),
+                 (regular_lattice(KLEIN), 1)):
+        classes = cohomology_classes(m, q)
+        orders = classes.fg.torsion
+        assert linalg.is_zero(classes.coordinates(classes.generators)
+                              - linalg.eye(len(orders)))
+        d_q = differential(m.group, m.action, q)
+        units = [linalg.eye(d_q.shape[1])[:, j:j + 1] for j in range(d_q.shape[1])]
+        bad = next(u for u in units if not linalg.is_zero(linalg.mul(d_q, u)))
+        for cochain in (bad, np.hstack([bad, bad]),
+                        classes.generators[:, :1] + bad if orders else bad):
+            with pytest.raises(InternalInvariantError):
+                classes.coordinates(cochain)
 
 
 def test_small_resolution_matches_bar_complex():
@@ -376,7 +450,7 @@ def orbit_presentation(m, rng, modulus):
     cols = [linalg.mul(m.action[a], v) for a in m.group.elements()]
     if modulus:
         cols.append(modulus * linalg.eye(m.rank))
-    return GModulePresentation(m.group, m.rank, linalg.hstack(cols), m.action)
+    return GModulePresentation(m.group, m.rank, np.hstack(cols), m.action)
 
 
 def test_presented_small_resolution_matches_bar_complex():

@@ -216,14 +216,16 @@ def test_quotient_lattice_edges():
 
 def test_quotient_lattice_rejects_torsion():
     m = trivial_lattice(C2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not saturated"):
         quotient_lattice(m, 2 * linalg.eye(2))
+    with pytest.raises(ValueError, match="dependent"):
+        quotient_lattice(m, linalg.intmat([[2, 4], [0, 0]]))
 
 
 def test_quotient_lattice_rejects_unstable():
     reg = regular_lattice(C2)
     unstable = linalg.intmat([[1], [0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not stable"):
         quotient_lattice(reg, unstable)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -31,6 +30,7 @@ from .errors import (InternalInvariantError, PoleError, RamifiedPrimeError,
 from .groups import (FiniteGroup, _cyclotomic_cosets, _factorint,
                      abelian_decomposition, units_mod)
 from .lattices import trace_character
+from .linalg import integer
 from .tori import Torus
 
 
@@ -45,13 +45,13 @@ class AbelianGaloisDatum:
     _element_of: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __init__(self, modulus: int, subgroup=None):
-        modulus = operator.index(modulus)
+        modulus = integer(modulus)
         if modulus < 1:
             raise ValueError("modulus must be positive")
         object.__setattr__(self, "modulus", modulus)
         if subgroup is None:
             subgroup = (1 % self.modulus,)
-        object.__setattr__(self, "subgroup", tuple(sorted({x % self.modulus for x in subgroup})))
+        object.__setattr__(self, "subgroup", tuple(sorted({integer(x) % self.modulus for x in subgroup})))
         group, reps, element_of = _cyclotomic_cosets(self.modulus, self.subgroup)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "representatives", reps)

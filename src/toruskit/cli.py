@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 from fractions import Fraction
 
@@ -20,6 +19,7 @@ from .errors import (InternalInvariantError, RamifiedPrimeError,
                      UnsupportedRequestError)
 from .groups import make_group
 from .lattices import trace_character
+from .linalg import integer
 from .tamagawa import (QuadratureGrid, canonical_coefficients,
                        gm_adelic_check, tamagawa_number)
 from .tori import Torus, classify_real, isogenous, make_torus, rank_profile
@@ -34,7 +34,7 @@ def _rat(x: Fraction) -> str:
 def load_splitting(spec: dict):
     kind = spec["type"]
     if kind == "cyclotomic":
-        return AbelianGaloisDatum(operator.index(spec["modulus"]), spec.get("subgroup"))
+        return AbelianGaloisDatum(integer(spec["modulus"]), spec.get("subgroup"))
     if kind == "abstract":
         return make_group(spec["group"])
     raise ValueError(f"unknown field type {kind!r}")
@@ -43,7 +43,7 @@ def load_splitting(spec: dict):
 def build_torus(splitting, spec: dict) -> Torus:
     kind = spec["type"]
     if kind == "split":
-        return make_torus(splitting, "split", dim=operator.index(spec["dim"]))
+        return make_torus(splitting, "split", dim=integer(spec["dim"]))
     if kind in ("res", "norm_one", "so2"):
         return make_torus(splitting, kind)
     if kind == "product":

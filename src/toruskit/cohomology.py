@@ -14,9 +14,9 @@ only code that writes d; ``differential`` evaluates cochains on the
 boundaries of basis chains, so the cochains of degree q are M^C(q+k-1, k-1)
 instead of the M^(|G|^q) of the inhomogeneous bar complex.  H^q is
 Z^(rank ker d^q - rank d^(q-1)) plus the torsion of coker d^(q-1), finite
-for q >= 1.  A presented module Z^n/R on which G acts through Z^n (see
-``_relation_complex``) is quasi-isomorphic to R -> Z^n, so its cochains are
-the cone C^q(Z^n) + C^(q+1)(R) (Weibel, 1.5); a lattice is the case R = 0.
+for q >= 1.  A presented module Z^n/R on which G acts through Z^n (the
+constructors' probe test) is quasi-isomorphic to R -> Z^n, so its cochains
+are the cone C^q(Z^n) + C^(q+1)(R) (Weibel, 1.5); a lattice is the case R = 0.
 
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
@@ -38,9 +38,8 @@ import numpy as np
 
 from . import linalg
 from .errors import EnumerationBoundError, InternalInvariantError
-from .groups import (FiniteGroup, Subgroup, abelian_decomposition,
-                     cyclic_subgroups, generating_set)
-from .lattices import (FGAbelian, GLattice, GModulePresentation,
+from .groups import FiniteGroup, Subgroup, abelian_decomposition, cyclic_subgroups
+from .lattices import (FGAbelian, GLattice, GModulePresentation, _holds_exactly,
                        norm_operator, regular_lattice, restrict)
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
@@ -179,22 +178,15 @@ def _relation_complex(module: GLattice | GModulePresentation) -> tuple:
     """(X, B, A): the module as the lattice complex B: Z^k -> Z^n.
 
     X(g) acts on Z^n itself and A(g) = B^-1 X(g) B on Z^k, for B the Hermite
-    basis of R (k = 0 for a lattice).  An action that holds only modulo R is
-    first rewritten as Z[G]^n / K, Z[G] acting regularly and K the kernel of
+    basis of R (k = 0 for a lattice).  An action that fails ``_holds_exactly``
+    is first rewritten as Z[G]^n / K, Z[G] acting regularly and K the kernel of
     e_(g,i) -> X(g) e_i, spanned by R and e_(g,i) - X(g) e_i in the identity's
     block, so that the cone is a complex."""
     group, action = module.group, module.action
     if isinstance(module, GLattice):
         return action, linalg.zeros(module.rank, 0), []
     rel, n, order, ident = module.relations, module.generators, group.order, group.identity
-    # X(a s) = X(a) X(s) is compared on v = (1, b, b^2, ...): b exceeds every
-    # entry of X(a) X(s) - X(a s), so a nonzero difference cannot kill v.
-    c = max((abs(x) for x in action.flat), default=0)
-    v = linalg.intmat([(n * c * c + c + 1) ** i for i in range(n)], (n,))
-    images = np.dot(action, v)
-    if not (np.array_equal(images[ident], v) and all(
-            np.array_equal(np.dot(action, images[s]), images[[row[s] for row in group.table]])
-            for s in generating_set(group))):
+    if not all(_holds_exactly(group, action)):
         regular = np.stack([np.kron(x, linalg.eye(n)) for x in regular_lattice(group).action])
         kernel = np.hstack([linalg.eye(n * order), linalg.zeros(n * order, rel.shape[1])])
         kernel[ident * n:(ident + 1) * n, :] -= np.hstack(list(action) + [-rel])

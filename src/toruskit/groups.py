@@ -9,13 +9,13 @@ matrix is reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InternalInvariantError, UnsupportedRequestError
+from .linalg import integer
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ def _cyclotomic_cosets(modulus: int, subgroup: Iterable[int] | None = None
     if subgroup is None:
         h = frozenset({1 % n})
     else:
-        h = frozenset(operator.index(x) % n for x in subgroup)
+        h = frozenset(integer(x) % n for x in subgroup)
     if not h or not h <= set(units):
         raise ValueError(f"subgroup {sorted(h)} is not a set of units mod {n}")
     if _generate(lambda a, b: a * b % n, 1 % n, sorted(h))[1] != h:
@@ -284,7 +284,7 @@ def make_group(spec: Mapping) -> FiniteGroup:
         raise ValueError(f"group descriptor must be an object, got {spec!r}")
     kind = spec.get("type")
     if kind == "cyclic":
-        return cyclic_group(operator.index(spec["n"]))
+        return cyclic_group(integer(spec["n"]))
     if kind == "product":
         factors = [make_group(s) for s in spec["factors"]]
         if not factors:
@@ -294,7 +294,7 @@ def make_group(spec: Mapping) -> FiniteGroup:
             g = product_group(g, f)
         return g
     if kind == "cyclotomic":
-        return cyclotomic_quotient_group(operator.index(spec["modulus"]), spec.get("subgroup"))
+        return cyclotomic_quotient_group(integer(spec["modulus"]), spec.get("subgroup"))
     raise ValueError(f"unknown group descriptor type {kind!r}")
 
 

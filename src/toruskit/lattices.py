@@ -48,13 +48,9 @@ class GLattice:
     equality compares group, rank and entries, so a lattice rebuilt from the
     same data hits every cache keyed on the first.
 
-    The constructor checks that the assignment is a homomorphism sending the
-    identity to the identity matrix (which forces every matrix to be
-    unimodular).  Like every group-law check in the package, it reads only a
-    generating set: X(a s) = X(a) X(s) for every a and every s in
-    ``generating_set`` suffices, because every element is a word in the
-    generators, so X(ab) = X(a) X(b) follows by induction on the length of b.
-    """
+    The constructor checks (``_check_action``) that the assignment is a
+    homomorphism sending the identity to the identity matrix, which forces
+    every matrix to be unimodular."""
 
     group: FiniteGroup
     rank: int
@@ -106,34 +102,43 @@ class GLattice:
         return f"GLattice({self.group.label or self.group.order}, rank={self.rank})"
 
 
+def _holds_exactly(group: FiniteGroup, stack: np.ndarray) -> tuple[bool, bool]:
+    """(X(e) = I, X(a s) = X(a) X(s) for all a and s in ``generating_set``),
+    exactly.  Generators suffice, as every element is a word in them.  Both
+    are tested on v = (1, b, b^2, ...): for c the largest entry, b = n c^2 +
+    c + 1 exceeds every entry of X(a) X(s) - X(a s) and, unless X = 0, of
+    X(e) - I, so by base-b digits no nonzero difference vanishes on v."""
+    n, c = stack.shape[1], np.abs(stack).max(initial=0)
+    v = np.array([(n * c * c + c + 1) ** i for i in range(n)], dtype=object)
+    images = np.dot(stack, v)
+    return (np.array_equal(images[group.identity], v),
+            all(np.array_equal(np.dot(stack, images[s]), images[[row[s] for row in group.table]])
+                for s in generating_set(group)))
+
+
 def _check_action(group: FiniteGroup, stack: np.ndarray,
                   rel: np.ndarray | None = None) -> None:
     """Raise ``ValueError`` unless a -> stack[a] is an action on Z^n / span(rel).
 
-    The group law is checked as X(a s) = X(a) X(s) for s in ``generating_set``
-    only, one product over the whole stack per generator.  Without relations
-    matrices are compared exactly, stopping after the first generator that
-    fails.  With relations each property (identity, relation lattice
-    preserved, group law) is one solve over the stacked differences: X(a)
-    then preserves span(rel) for every a, by the same induction.
-    """
-    gens = generating_set(group)
-    ident = stack[group.identity] - linalg.eye(stack.shape[1])
-    laws = (np.matmul(stack, stack[s]) - stack[[row[s] for row in group.table]]
-            for s in gens)
+    What holds on Z^n (``_holds_exactly``) holds modulo R, so identity and
+    group law cost a solve each only when they fail on Z^n; "X(s) preserves
+    span(rel)" for s in ``generating_set`` is one solve."""
+    identity, law = _holds_exactly(group, stack)
     if rel is None or rel.shape[1] == 0:
-        if not linalg.is_zero(ident):
+        if not identity:
             raise ValueError("identity must act as the identity matrix")
-        if not all(linalg.is_zero(diff) for diff in laws):
+        if not law:
             raise ValueError("action matrices do not respect the group law")
         return
-    if linalg.solve(rel, ident) is None:
+    gens = generating_set(group)
+    if not identity and linalg.solve(rel, stack[group.identity] - linalg.eye(len(rel))) is None:
         raise ValueError("identity must act as the identity on the quotient")
     if gens and linalg.solve(rel, np.hstack(
             [linalg.mul(stack[s], rel) for s in gens])) is None:
         raise ValueError("action does not preserve the relation lattice")
-    if gens and linalg.solve(rel, np.hstack(
-            [block for diff in laws for block in diff])) is None:
+    if not law and linalg.solve(rel, np.hstack(
+            [block for s in gens for block in
+             np.matmul(stack, stack[s]) - stack[[row[s] for row in group.table]]])) is None:
         raise ValueError("action does not respect the group law on the quotient")
 
 
@@ -297,11 +302,9 @@ class GModulePresentation:
 
     ``relations`` is a read-only ``(n, k)`` array whose columns span the
     relation lattice, and ``action`` a read-only ``(|G|, n, n)`` stack of
-    matrices on the generators, held, hashed and compared as for
+    matrices on the generators, held, hashed, compared and checked as for
     ``GLattice``.  The matrices must preserve the relation lattice, so they
-    descend to the quotient.  As for ``GLattice``, the constructor checks the
-    group law on ``generating_set`` only.
-    """
+    descend to the quotient."""
 
     group: FiniteGroup
     generators: int

@@ -15,18 +15,23 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 
+def integer(x) -> int:
+    if isinstance(x, bool):  # operator.index would read JSON true as 1
+        raise TypeError(f"expected an integer, got {x!r}")
+    return operator.index(x)
+
+
 def intmat(data, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """Copy ``data`` into a fresh object-dtype array of Python ints.
 
     ``shape`` is required when ``data`` cannot determine it (no rows, or rows
-    of length zero).  Non-integer entries raise ``TypeError``.
-    """
+    of length zero).  Non-integer entries raise ``TypeError`` (``integer``)."""
     src = np.array(data, dtype=object)
     shape = src.shape if shape is None else tuple(shape)
     if src.shape != shape and (src.size or 0 not in shape):
         raise ValueError(f"data of shape {src.shape} does not match requested {shape}")
     out = np.empty(shape, dtype=object)
-    out.reshape(-1)[:] = [operator.index(x) for x in src.flat]
+    out.reshape(-1)[:] = [integer(x) for x in src.flat]
     return out
 
 

@@ -19,7 +19,8 @@ from toruskit.arith import frobenius
 from toruskit.cohomology import _tuple_index, bar_differential
 from toruskit.groups import (FiniteGroup, Subgroup, _group_from_table,
                              coset_gset, cyclic_group, cyclic_subgroups,
-                             index_two_subgroups, product_group)
+                             generating_set, index_two_subgroups,
+                             product_group)
 from toruskit.lattices import (GLattice, GModulePresentation, direct_sum,
                                induce, invariants, norm_operator,
                                permutation_lattice, restrict, sign_lattice,
@@ -51,6 +52,35 @@ def conjugate(m: GLattice, u) -> GLattice:
         raise ValueError("basis change must be unimodular")
     uinv = linalg.solve(u, linalg.eye(m.rank))
     return GLattice(m.group, m.rank, np.matmul(np.matmul(uinv, m.action), u))
+
+
+def reference_action_error(group: FiniteGroup, stack: np.ndarray,
+                           rel: np.ndarray | None = None) -> str | None:
+    """The message a constructor must raise for ``stack``, or None if it is
+    an action on Z^n / span(rel) (on Z^n when ``rel`` is None or empty).
+
+    The group law is checked by forming X(a) X(b) over the whole stack for
+    every b, not only generators, and compared exactly or, with relations,
+    modulo span(rel) by one solve; no probe vector is involved.  As in the
+    constructors, "preserves span(rel)" is asked of the generators.
+    """
+    ident = stack[group.identity] - linalg.eye(stack.shape[1])
+    laws = [np.matmul(stack, stack[b]) - stack[[row[b] for row in group.table]]
+            for b in group.elements()]
+    if rel is None or rel.shape[1] == 0:
+        if not linalg.is_zero(ident):
+            return "identity must act as the identity matrix"
+        if not all(linalg.is_zero(diff) for diff in laws):
+            return "action matrices do not respect the group law"
+        return None
+    gens = generating_set(group)
+    if linalg.solve(rel, ident) is None:
+        return "identity must act as the identity on the quotient"
+    if gens and linalg.solve(rel, np.hstack([linalg.mul(stack[s], rel) for s in gens])) is None:
+        return "action does not preserve the relation lattice"
+    if linalg.solve(rel, np.hstack([block for diff in laws for block in diff])) is None:
+        return "action does not respect the group law on the quotient"
+    return None
 
 
 def bareiss_charpoly_value(m: GLattice, g: int, x: int) -> int:

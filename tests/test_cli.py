@@ -172,6 +172,21 @@ def test_exit_2_on_malformed(tmp_path):
         spec = write(tmp_path, "real.json", {"field": field, "torus": torus})
         code, out, err = run(["info", spec])
         assert code == 2 and out == "" and "malformed" in err
+    # JSON booleans are not integers, though Python reads true as 1.
+    for field, torus in (({"type": "cyclotomic", "modulus": True}, {"type": "res"}),
+                         ({"type": "cyclotomic", "modulus": 5}, {"type": "split", "dim": True}),
+                         ({"type": "abstract", "group": {"type": "cyclic", "n": True}},
+                          {"type": "res"}),
+                         ({"type": "cyclotomic", "modulus": 15, "subgroup": [True]},
+                          {"type": "res"}),
+                         ({"type": "abstract", "group": {"type": "cyclotomic", "modulus": 15,
+                                                         "subgroup": [True]}},
+                          {"type": "res"}),
+                         ({"type": "cyclotomic", "modulus": 4},
+                          {"type": "lattice", "matrices": [[[True]], [[True]]]})):
+        spec = write(tmp_path, "bool.json", {"field": field, "torus": torus})
+        code, out, err = run(["info", spec])
+        assert code == 2 and out == "" and "malformed" in err
     for group in ([1], {"type": "product", "factors": ["x"]}):
         spec = write(tmp_path, "group.json", {"field": {"type": "abstract", "group": group},
                                               "torus": {"type": "res"}})

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
@@ -20,7 +21,8 @@ from toruskit.tori import make_torus
 
 from support import (conjugate, group_family_up_to_8, hom_lattice,
                      presentation_of_lattice, random_glattice,
-                     random_unimodular, s3_group, tensor_lattice)
+                     random_unimodular, rank_two_pool, reference_action_error,
+                     s3_group, tensor_lattice)
 
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
@@ -324,7 +326,8 @@ def test_presentation_catches_corruption_outside_generating_set():
 
 
 def test_presentation_mod_validates_with_three_solves(monkeypatch):
-    # one solve each for identity, relation lattice and group law, whatever |G|
+    # The action holds on Z^n, so identity and group law hold modulo R with no
+    # solve: one solve, for the relation lattice, whatever |G|.
     m = make_torus(AbelianGaloisDatum(15), "norm_one").X
     calls = []
     original = linalg.solve
@@ -336,7 +339,90 @@ def test_presentation_mod_validates_with_three_solves(monkeypatch):
     monkeypatch.setattr(linalg, "solve", counting)
     pres = presentation_mod(m, 2)
     assert m.group.order == 8 and pres.generators == 7
-    assert len(calls) <= 3
+    assert len(calls) == 1
+
+
+_LAW_GROUPS = group_family_up_to_8() + [s3_group()]
+
+
+@st.composite
+def _perturbed_stacks(draw):
+    """(group, stack): a valid action, possibly with one entry moved by a
+    nonzero integer drawn on both sides of the probe's base b, or with one
+    coset x<s> of the first generator s moved to M X(x)."""
+    g = draw(st.sampled_from(_LAW_GROUPS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(("random", "regular", "induced", "conjugate", "rank0")))
+    if kind == "random":
+        m = random_glattice(g, 2, rng)
+    elif kind == "regular":
+        m = regular_lattice(g)
+    elif kind == "induced":
+        h = rng.choice(all_subgroups(g))
+        m = induce(h, random_glattice(h.as_group(), 2, rng))
+    elif kind == "conjugate":  # entries far above 1
+        base = rng.choice(rank_two_pool(g) + [regular_lattice(g)])
+        m = conjugate(base, random_unimodular(base.rank, rng, draw(st.integers(8, 40))))
+    else:
+        m = trivial_lattice(g, 0)
+    stack = m.action.copy()
+    move = draw(st.sampled_from(("none", "entry", "coset"))) if m.rank else "none"
+    if move == "entry":
+        c = np.abs(stack).max()
+        b = m.rank * c * c + c + 1
+        size = draw(st.one_of(st.integers(1, 3), st.sampled_from((b - 1, b, b + 1, b * b)),
+                              st.integers(1, b ** m.rank)))
+        a, i, j = (draw(st.integers(0, bound - 1)) for bound in (g.order, m.rank, m.rank))
+        stack[a, i, j] += draw(st.sampled_from((1, -1))) * size
+    elif move == "coset":
+        # X(x s) = X(x) X(s) still holds for the first generator s, so only
+        # the other generators (or the identity) can see the move.
+        s = (generating_set(g) or (g.identity,))[0]
+        coset = [draw(st.integers(0, g.order - 1))]
+        while g.mul(coset[-1], s) != coset[0]:
+            coset.append(g.mul(coset[-1], s))
+        u = random_unimodular(m.rank, rng) if draw(st.booleans()) else \
+            linalg.intmat([[rng.randint(-9, 9) for _ in range(m.rank)] for _ in range(m.rank)])
+        for x in coset:
+            stack[x] = linalg.mul(u, stack[x])
+    return g, stack
+
+
+def _constructor_error(build) -> str | None:
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(_perturbed_stacks())
+@settings(deadline=None, max_examples=150)
+def test_probe_group_law_matches_full_products(case):
+    # The constructors decide the group law on one probe vector; the
+    # reference multiplies every pair of matrices.  Verdict and message agree,
+    # on Z^n and modulo 3 Z^n (where moves by multiples of 3 keep an action).
+    g, stack = case
+    n = stack.shape[1]
+    assert _constructor_error(lambda: GLattice(g, n, stack)) == \
+        reference_action_error(g, stack)
+    rel = 3 * linalg.eye(n)
+    assert _constructor_error(lambda: GModulePresentation(g, n, rel, stack)) == \
+        reference_action_error(g, stack, rel)
+
+
+def test_probe_base_exceeds_product_entries():
+    # X(g) = [[-c, 1], [0, 1]] is no involution, yet X(g)^2 - I =
+    # [[c^2 - 1, 1 - c], [0, 0]] vanishes on (1, c + 1): a probe in base
+    # c + 1 would accept it.  The base n c^2 + c + 1 bounds every entry.
+    for c in range(2, 40):
+        stack = linalg.intmat([[[1, 0], [0, 1]], [[-c, 1], [0, 1]]])
+        assert reference_action_error(C2, stack) is not None
+        with pytest.raises(ValueError, match="group law"):
+            GLattice(C2, 2, stack)
+        rel = 5 * linalg.eye(2)
+        assert _constructor_error(lambda: GModulePresentation(C2, 2, rel, stack)) == \
+            reference_action_error(C2, stack, rel)
 
 
 def test_fgabelian_normalization():

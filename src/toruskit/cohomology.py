@@ -15,8 +15,9 @@ boundaries of basis chains, so the cochains of degree q are M^C(q+k-1, k-1)
 instead of the M^(|G|^q) of the inhomogeneous bar complex.  H^q is
 Z^(rank ker d^q - rank d^(q-1)) plus the torsion of coker d^(q-1), finite
 for q >= 1.  A presented module Z^n/R on which G acts through Z^n (the
-constructors' probe test) is quasi-isomorphic to R -> Z^n, so its cochains
-are the cone C^q(Z^n) + C^(q+1)(R) (Weibel, 1.5); a lattice is the case R = 0.
+constructors' probe test) is quasi-isomorphic to R -> Z^n, read in the Smith
+frame of R that its constructor computed, so its cochains are the cone
+C^q(Z^n) + C^(q+1)(R) (Weibel, 1.5); a lattice is the case R = 0.
 
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
@@ -39,8 +40,8 @@ import numpy as np
 from . import linalg
 from .errors import EnumerationBoundError, InternalInvariantError
 from .groups import FiniteGroup, Subgroup, abelian_decomposition, cyclic_subgroups
-from .lattices import (FGAbelian, GLattice, GModulePresentation, _holds_exactly,
-                       norm_operator, regular_lattice, restrict)
+from .lattices import (FGAbelian, GLattice, GModulePresentation, norm_operator,
+                       regular_lattice, restrict)
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
 
@@ -175,26 +176,28 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
 
 @lru_cache(maxsize=None)
 def _relation_complex(module: GLattice | GModulePresentation) -> tuple:
-    """(X, B, A): the module as the lattice complex B: Z^k -> Z^n.
+    """(M, B, A): the module as the lattice complex B: Z^r -> Z^n, read in the
+    Smith frame U R V = diag(d) that its constructor computed (``_frame``).
 
-    X(g) acts on Z^n itself and A(g) = B^-1 X(g) B on Z^k, for B the Hermite
-    basis of R (k = 0 for a lattice).  An action that fails ``_holds_exactly``
-    is first rewritten as Z[G]^n / K, Z[G] acting regularly and K the kernel of
-    e_(g,i) -> X(g) e_i, spanned by R and e_(g,i) - X(g) e_i in the identity's
-    block, so that the cone is a complex."""
-    group, action = module.group, module.action
+    M(g) = U X(g) U^-1 acts on Z^n itself, B is diag(d) over n - r zero rows,
+    and A(g) = diag(d)^-1 M(g)[:r, :r] diag(d) acts on Z^r (r = 0 for a
+    lattice).  An action that holds only modulo R is first rewritten as
+    Z[G]^n / K, Z[G] acting regularly and K the kernel of e_(g,i) -> X(g) e_i,
+    spanned by R and e_(g,i) - X(g) e_i in the identity's block, so that the
+    cone is a complex; that presentation's constructor computes its frame."""
+    group = module.group
     if isinstance(module, GLattice):
-        return action, linalg.zeros(module.rank, 0), []
-    rel, n, order, ident = module.relations, module.generators, group.order, group.identity
-    if not all(_holds_exactly(group, action)):
+        return module.action, linalg.zeros(module.rank, 0), []
+    exact, d, frame = module._frame
+    if not exact:
+        rel, n, order, ident = module.relations, module.generators, group.order, group.identity
         regular = np.stack([np.kron(x, linalg.eye(n)) for x in regular_lattice(group).action])
         kernel = np.hstack([linalg.eye(n * order), linalg.zeros(n * order, rel.shape[1])])
-        kernel[ident * n:(ident + 1) * n, :] -= np.hstack(list(action) + [-rel])
-        action, rel = regular, kernel
-    basis = linalg.hermite_column(rel)
-    k = basis.shape[1]
-    moved = linalg.solve(basis, np.hstack([linalg.mul(x, basis) for x in action]))
-    return action, basis, [moved[:, g * k:(g + 1) * k] for g in group.elements()]
+        kernel[ident * n:(ident + 1) * n, :] -= np.hstack(list(module.action) + [-rel])
+        return _relation_complex(GModulePresentation(group, n * order, kernel, regular))
+    d = linalg.intmat(d, (len(d),))
+    basis = np.vstack([np.diag(d), linalg.zeros(module.generators - len(d), len(d))])
+    return frame, basis, [m[:len(d), :len(d)] * d // d[:, None] for m in frame]
 
 
 @lru_cache(maxsize=None)
@@ -240,8 +243,7 @@ class CohomologyClasses:
 
     ``generators`` columns are cocycles in the free cochain module, the
     columns of U^-1 at the diagonal entries d >= 2; their classes generate
-    H^q with orders ``fg.torsion``, in that order.  ``reducer`` is d^(q-1),
-    whose columns span the coboundaries.  The matching rows of U,
+    H^q with orders ``fg.torsion``, in that order.  The matching rows of U,
     ``coordinate_rows``, give a cocycle's class coordinates mod the orders,
     and the rows past the rank, ``cocycle_test``, vanish exactly on cocycles:
     H^q is finite, so the cocycles are the saturation of the coboundaries.
@@ -250,7 +252,6 @@ class CohomologyClasses:
 
     fg: FGAbelian
     generators: np.ndarray
-    reducer: np.ndarray
     coordinate_rows: np.ndarray
     cocycle_test: np.ndarray
 
@@ -269,10 +270,10 @@ def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
     """H^q as the torsion of coker d^(q-1), generated by columns of U^-1."""
     if q not in (1, 2):
         raise ValueError("cocycle representatives are computed in degrees 1 and 2")
-    d_prev = differential(module.group, module.action, q - 1)
-    snf = linalg.smith_normal_form(d_prev, want_u=True, want_uinv=True)
+    snf = linalg.smith_normal_form(differential(module.group, module.action, q - 1),
+                                   want_u=True, want_uinv=True)
     cols = [i for i in range(snf.rank) if snf.diagonal[i] >= 2]
-    arrays = (snf.uinv[:, cols], d_prev, snf.u[cols], snf.u[snf.rank:])
+    arrays = (snf.uinv[:, cols], snf.u[cols], snf.u[snf.rank:])
     for a in arrays:
         a.flags.writeable = False
     return CohomologyClasses(FGAbelian(0, tuple(snf.diagonal[i] for i in cols)), *arrays)
@@ -341,18 +342,13 @@ def _chain_map(sub: Subgroup) -> tuple[tuple[Chain, ...], ...]:
     return tuple(phi)
 
 
-def restrict_cochain(cochain: np.ndarray, group: FiniteGroup, sub: Subgroup,
-                     q: int, rank: int, *, action: Sequence[np.ndarray]) -> np.ndarray:
-    """Pull cochain columns of G (on a rank-``rank`` lattice) back to H along
-    the chain map phi_q: f o phi at e'_beta is f evaluated on phi(e'_beta).
-
-    ``action[a]`` is the matrix of element a of G.
-    """
-    if sub.parent != group:
-        raise ValueError("subgroup does not belong to the given group")
-    if action[group.identity].shape[0] != rank:
-        raise ValueError("action matrices do not have the given rank")
-    return linalg.mul(_evaluation(group, action, q, _chain_map(sub)[q]), cochain)
+def restrict_cochain(module: GLattice, sub: Subgroup, q: int,
+                     cochain: np.ndarray) -> np.ndarray:
+    """Pull degree-q cochain columns of G on ``module`` back to H along the
+    chain map phi_q: f o phi at e'_beta is f evaluated on phi(e'_beta)."""
+    if sub.parent != module.group:
+        raise ValueError("subgroup does not belong to the module's group")
+    return linalg.mul(_evaluation(module.group, module.action, q, _chain_map(sub)[q]), cochain)
 
 
 def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
@@ -371,9 +367,7 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
         return RestrictionMap(cohomology(group, module, q), FGAbelian.trivial(), ())
     source = cohomology_classes(module, q)
     target = cohomology_classes(restricted, q)
-    cochains = restrict_cochain(source.generators, group, sub, q, module.rank,
-                                action=module.action)
-    coords = target.coordinates(cochains)
+    coords = target.coordinates(restrict_cochain(module, sub, q, source.generators))
     matrix = tuple(tuple(int(x) for x in row) for row in coords.tolist())
     return RestrictionMap(source.fg, target.fg, matrix)
 
@@ -473,14 +467,13 @@ def _finite_module_structure(module: GModulePresentation):
     """Residue coordinates for a finite presented module.
 
     Returns (orders, act) where the module is the product of Z/orders[i] and
-    act(g, coords) applies the group action in those coordinates.
+    act(g, coords) applies the group action in those coordinates: the Smith
+    frame of the relations, as its constructor computed it.
     """
     n = module.generators
-    snf = linalg.smith_normal_form(module.relations, want_u=True, want_uinv=True)
-    if snf.rank != n:
+    _, orders, mats = module._frame
+    if len(orders) != n:
         raise ValueError("module is not finite")
-    orders = tuple(int(d) for d in snf.diagonal[:n])
-    mats = np.matmul(np.matmul(snf.u, module.action), snf.uinv)
 
     def act(a: int, coords: Sequence[int]) -> tuple[int, ...]:
         w = mats[a]

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InternalInvariantError
-from .groups import (FiniteGroup, FiniteGSet, Subgroup, _factorint, coset_gset,
-                     generating_set)
+from .groups import FiniteGroup, FiniteGSet, Subgroup, coset_gset, generating_set
 
 
 def _read_only(data, shape: tuple[int, ...]) -> np.ndarray:
@@ -116,30 +115,41 @@ def _holds_exactly(group: FiniteGroup, stack: np.ndarray) -> tuple[bool, bool]:
                 for s in generating_set(group)))
 
 
-def _check_action(group: FiniteGroup, stack: np.ndarray,
-                  rel: np.ndarray | None = None) -> None:
+def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray | None = None
+                  ) -> tuple[bool, tuple[int, ...], np.ndarray]:
     """Raise ``ValueError`` unless a -> stack[a] is an action on Z^n / span(rel).
 
-    What holds on Z^n (``_holds_exactly``) holds modulo R, so identity and
-    group law cost a solve each only when they fail on Z^n; "X(s) preserves
-    span(rel)" for s in ``generating_set`` is one solve."""
+    Returns the Smith frame (exact, d, M) of the quotient: ``exact`` says the
+    action holds on Z^n itself, and U rel V = diag(d) with d_1 | ... | d_r
+    nonzero puts Z^n / span(rel) into the coordinates Z/d_1 + ... + Z/d_r +
+    Z^(n-r), where a acts by M(a) = U X(a) U^-1.  What holds on Z^n
+    (``_holds_exactly``) holds modulo R, so identity and group law are tested
+    in the frame only when they fail on Z^n: a column lies in span(diag(d))
+    when its first r entries are multiples of d and the rest vanish."""
     identity, law = _holds_exactly(group, stack)
     if rel is None or rel.shape[1] == 0:
         if not identity:
             raise ValueError("identity must act as the identity matrix")
         if not law:
             raise ValueError("action matrices do not respect the group law")
-        return
+        return True, (), stack
+    snf = linalg.smith_normal_form(rel, want_u=True, want_uinv=True)
+    r, frame = snf.rank, np.matmul(np.matmul(snf.u, stack), snf.uinv)
+    frame.flags.writeable = False
+    d = linalg.intmat(snf.diagonal[:r], (r,))
+
+    def spanned(cols: np.ndarray) -> bool:
+        return linalg.is_zero(cols[:r] % d[:, None]) and linalg.is_zero(cols[r:])
     gens = generating_set(group)
-    if not identity and linalg.solve(rel, stack[group.identity] - linalg.eye(len(rel))) is None:
+    if not identity and not spanned(frame[group.identity] - linalg.eye(len(rel))):
         raise ValueError("identity must act as the identity on the quotient")
-    if gens and linalg.solve(rel, np.hstack(
-            [linalg.mul(stack[s], rel) for s in gens])) is None:
+    if gens and not spanned(np.hstack([frame[s][:, :r] * d for s in gens])):
         raise ValueError("action does not preserve the relation lattice")
-    if not law and linalg.solve(rel, np.hstack(
+    if not law and not spanned(np.hstack(
             [block for s in gens for block in
-             np.matmul(stack, stack[s]) - stack[[row[s] for row in group.table]]])) is None:
+             np.matmul(frame, frame[s]) - frame[[row[s] for row in group.table]]])):
         raise ValueError("action does not respect the group law on the quotient")
+    return identity and law, snf.diagonal[:r], frame
 
 
 def _lattice(group: FiniteGroup, stack: np.ndarray) -> GLattice:
@@ -304,13 +314,16 @@ class GModulePresentation:
     relation lattice, and ``action`` a read-only ``(|G|, n, n)`` stack of
     matrices on the generators, held, hashed, compared and checked as for
     ``GLattice``.  The matrices must preserve the relation lattice, so they
-    descend to the quotient."""
+    descend to the quotient.  The check puts the relations into Smith form
+    once; ``_frame`` keeps what ``_check_action`` read off it, and the
+    cohomology engine and the splitting enumerator reuse it."""
 
     group: FiniteGroup
     generators: int
     relations: np.ndarray
     action: np.ndarray
     _hash: int = field(init=False, repr=False)
+    _frame: tuple[bool, tuple[int, ...], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         g, n = self.group, self.generators
@@ -319,7 +332,7 @@ class GModulePresentation:
         k = np.shape(self.relations)[-1] if n else 0
         relations = _read_only(self.relations, (n, k))
         action = _read_only(self.action, (g.order, n, n))
-        _check_action(g, action, relations)
+        object.__setattr__(self, "_frame", _check_action(g, action, relations))
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "_hash", hash((g, n, tuple(relations.flat),
@@ -375,25 +388,9 @@ class FGAbelian:
     @classmethod
     def from_divisors(cls, divisors: Iterable[int]) -> "FGAbelian":
         """Normalize arbitrary cyclic orders (0 meaning Z) to invariant factors."""
-        rank = 0
-        primary: dict[int, list[int]] = {}
-        for d in divisors:
-            d = abs(int(d))
-            if d == 0:
-                rank += 1
-            elif d > 1:
-                for p, e in _factorint(d).items():
-                    primary.setdefault(p, []).append(e)
-        chains = {p: sorted(v, reverse=True) for p, v in primary.items()}
-        width = max((len(c) for c in chains.values()), default=0)
-        factors = []
-        for i in range(width):
-            f = 1
-            for p, chain in chains.items():
-                if i < len(chain):
-                    f *= p ** chain[i]
-            factors.append(f)
-        return cls(rank, tuple(sorted(factors)))
+        orders = [abs(int(d)) for d in divisors]
+        finite = linalg.intmat([d for d in orders if d], (len(orders) - orders.count(0),))
+        return cls(orders.count(0), linalg.invariant_factors(np.diag(finite)))
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion

@@ -31,7 +31,7 @@ from toruskit.tori import make_torus
 from support import (bar_presented_cohomology, bar_sha2, brute_force_cocycles,
                      brute_force_h1_order, fixed_point_tate_h0,
                      group_family_up_to_8, presentation_of_lattice,
-                     random_glattice, s3_group)
+                     random_glattice, random_unimodular, s3_group)
 
 C2 = cyclic_group(2)
 C3 = cyclic_group(3)
@@ -129,13 +129,11 @@ def test_restriction_map_well_defined_under_representative_change():
     rmap = restriction_map(KLEIN, m, h, 2)
     src = cohomology_classes(m, 2)
     tgt = cohomology_classes(restrict(m, h), 2)
+    d1 = differential(KLEIN, m.action, 1)
     for _ in range(5):
-        shift = linalg.intmat([[rng.randrange(-3, 4)]
-                               for _ in range(src.reducer.shape[1])])
-        perturbed = src.generators + linalg.mul(src.reducer,
-                                                np.tile(shift, (1, src.generators.shape[1])))
-        coords = tgt.coordinates(restrict_cochain(perturbed, KLEIN, h, 2, m.rank,
-                                                  action=m.action))
+        shift = linalg.intmat([[rng.randrange(-3, 4)] for _ in range(d1.shape[1])])
+        perturbed = src.generators + linalg.mul(d1, np.tile(shift, (1, src.generators.shape[1])))
+        coords = tgt.coordinates(restrict_cochain(m, h, 2, perturbed))
         base = linalg.intmat(rmap.matrix, shape=coords.shape)
         for i, d in enumerate(tgt.fg.torsion):
             for j in range(coords.shape[1]):
@@ -385,11 +383,11 @@ def test_cached_arrays_are_read_only():
     m = norm_one_lattice(KLEIN)
     classes = cohomology_classes(m, 2)
     pres = presentation_mod(m, 2)
-    for cached in (m.action[1], classes.generators, classes.reducer,
-                   classes.coordinate_rows, classes.cocycle_test, pres.relations):
+    for cached in (m.action[1], classes.generators, classes.coordinate_rows,
+                   classes.cocycle_test, pres.relations):
         with pytest.raises(ValueError):
             cached[0, 0] = 7
-    for stack in (m.action, pres.action):
+    for stack in (m.action, pres.action, pres._frame[2]):
         with pytest.raises(ValueError):
             stack[1, 0, 0] = 7
 
@@ -478,6 +476,28 @@ def test_presented_small_resolution_matches_bar_complex():
             assert (fg.free_rank, fg.torsion) == bar_presented_cohomology(pres, q), (pres, q)
         free_h0 += cohomology(pres.group, pres, 0).free_rank > 0
     assert free_h0
+
+
+@given(st.sampled_from(group_family_up_to_8()), st.sampled_from([(2, 3), (4, 6), (2, 0)]),
+       st.integers(0, 2 ** 32))
+@settings(deadline=None, max_examples=36)
+def test_presented_cohomology_reads_any_smith_frame(g, scales, seed):
+    # presentation_mod has the frame U = I.  X = X1 + X2 with R = diag(a I, b I)
+    # does not: its Smith form merges chains (2, 3 -> 1, 6) or leaves a free
+    # part (b = 0), and conjugating by a unimodular P, to (P X P^-1, P R),
+    # scrambles U further.  Both must give the direct sum of the summands' H^q.
+    rng = random.Random(seed)
+    x1, x2 = random_glattice(g, 2, rng), random_glattice(g, 2, rng)
+    x, (a, b) = direct_sum(x1, x2), scales
+    rel = np.diag(linalg.intmat([a] * x1.rank + [b] * x2.rank, (x.rank,)))
+    p = random_unimodular(x.rank, rng, steps=rng.randint(1, 4))
+    conjugated = np.matmul(np.matmul(p, x.action), linalg.solve(p, linalg.eye(x.rank)))
+    plain = GModulePresentation(g, x.rank, rel, x.action)
+    moved = GModulePresentation(g, x.rank, linalg.mul(p, rel), conjugated)
+    for q in (0, 1, 2):
+        summands = cohomology(g, presentation_mod(x1, a), q).direct_sum(
+            cohomology(g, presentation_mod(x2, b) if b else x2, q))
+        assert cohomology(g, plain, q) == summands == cohomology(g, moved, q), (g, scales, q)
 
 
 def test_non_abelian_group_is_unsupported():

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
-from toruskit.cohomology import _cohomology, cohomology
+from toruskit.cohomology import (_cohomology, _relation_complex, cohomology,
+                                 enumerate_splittings)
 from toruskit.groups import (all_subgroups, cyclic_group, generating_set,
                              product_group, subgroup_closure,
                              trivial_subgroup)
@@ -326,20 +327,31 @@ def test_presentation_catches_corruption_outside_generating_set():
 
 
 def test_presentation_mod_validates_with_three_solves(monkeypatch):
-    # The action holds on Z^n, so identity and group law hold modulo R with no
-    # solve: one solve, for the relation lattice, whatever |G|.
-    m = make_torus(AbelianGaloisDatum(15), "norm_one").X
-    calls = []
-    original = linalg.solve
+    # The constructor puts the relations into Smith form once, with U and
+    # U^-1; validation, the relation cone of H^0-H^2 and the splitting
+    # enumerator all read that frame, so no solve and no second transform.
+    m = make_torus(AbelianGaloisDatum(5), "norm_one").X
+    solves, transforms = [], []
+    solve, smith = linalg.solve, linalg.smith_normal_form
 
-    def counting(a, b):
-        calls.append(b.shape)
-        return original(a, b)
+    def counting_solve(a, b):
+        solves.append(b.shape)
+        return solve(a, b)
 
-    monkeypatch.setattr(linalg, "solve", counting)
+    def counting_smith(a, **wants):
+        if any(wants.values()):
+            transforms.append(a.shape)
+        return smith(a, **wants)
+
+    monkeypatch.setattr(linalg, "solve", counting_solve)
+    monkeypatch.setattr(linalg, "smith_normal_form", counting_smith)
+    _relation_complex.cache_clear()  # an earlier test may have built this cone
+    _cohomology.cache_clear()
     pres = presentation_mod(m, 2)
-    assert m.group.order == 8 and pres.generators == 7
-    assert len(calls) == 1
+    assert m.group.order == 4 and pres.generators == 3
+    assert all(cohomology(m.group, pres, q) == FGAbelian(0, (2,)) for q in (0, 1, 2))
+    assert enumerate_splittings(m.group, pres).class_count == 2
+    assert solves == [] and transforms == [(3, 3)]
 
 
 _LAW_GROUPS = group_family_up_to_8() + [s3_group()]

@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (InternalInvariantError, PoleError, RamifiedPrimeError,
@@ -170,11 +170,6 @@ def characters(datum: AbelianGaloisDatum) -> list[DirichletCharacter]:
     The trivial character comes first; the rest are sorted by their exponent
     vectors, so the listing is deterministic.
     """
-    return list(_characters_cached(datum))
-
-
-@lru_cache(maxsize=None)
-def _characters_cached(datum: AbelianGaloisDatum) -> tuple[DirichletCharacter, ...]:
     modulus, group = datum.modulus, datum.group
     dec = abelian_decomposition(group)
     unit_coords = [dec.exponents[datum.element_of_unit(u)] for u in units_mod(modulus)]
@@ -191,7 +186,7 @@ def _characters_cached(datum: AbelianGaloisDatum) -> tuple[DirichletCharacter, .
         raise InternalInvariantError("character count does not match the group order")
     trivial = [c for c in chars if c.is_trivial()]
     rest = sorted((c for c in chars if not c.is_trivial()), key=lambda c: c.exponents)
-    return tuple(trivial + rest)
+    return trivial + rest
 
 
 class Decomposition(NamedTuple):

@@ -216,7 +216,7 @@ def _cohomology(module: GLattice | GModulePresentation, q: int) -> FGAbelian:
         d = np.vstack([
             np.hstack([d, np.kron(linalg.eye(_cochain_rank(group, q)), basis)]),
             np.hstack([linalg.zeros(d_rel.shape[0], d.shape[1]), -d_rel])])
-    torsion = tuple(x for x in linalg.smith_normal_form(d).diagonal if x >= 2)
+    torsion = linalg.invariant_factors(d)
     if q:
         return FGAbelian(0, torsion)
 

@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers.
 
 All matrices are numpy arrays with ``dtype=object`` holding Python ints, so
-nothing ever rounds or overflows.  The workhorse is a Smith normal form with
-optional unimodular transforms; kernels, saturations and integer solves are
-derived from it.  A column-style Hermite form is used to put lattice bases
+nothing ever rounds or overflows.  The workhorse is a one-pass Smith normal
+form with optional unimodular transforms, which keeps the divisibility chain
+at every pivot; invariant factors, kernels and integer solves are derived
+from it.  A column-style Hermite form is used to put lattice bases
 into a canonical shape.
 """
 
@@ -104,6 +105,19 @@ class SmithForm(NamedTuple):
 
 def smith_normal_form(a: np.ndarray, want_u: bool = False,
                       want_uinv: bool = False, want_v: bool = False) -> SmithForm:
+    """The Smith normal form of ``a``, with U, U^-1 and V on request.
+
+    One elimination loop: step t moves the first nonzero entry of least
+    absolute value in the trailing block to (t, t), then clears row and
+    column t, taking any nonzero remainder as a new, smaller pivot.  Once
+    they are clear, d_t must divide every entry of the trailing block; if
+    it does not, the offending row is added to row t and clearing resumes,
+    so d_1 | d_2 | ... holds as each pivot is fixed.  The diagonal is unique;
+    U, U^-1 and V are one valid choice among many.
+
+    >>> smith_normal_form(intmat([[2, 0], [0, 3]])).diagonal
+    (1, 6)
+    """
     d = a.copy() if a.dtype == object else intmat(a)
     m, n = d.shape
     u = eye(m) if want_u else None
@@ -144,21 +158,11 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
             v[:, [i, j]] = v[:, [j, i]]
 
     def find_pivot(t):
-        # Prefer a +-1 entry (no coefficient growth), else minimal |entry|.
-        sub = d[t:, t:]
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
+        rows, cols = np.nonzero(d[t:, t:])
+        if not len(rows):
             return None
-        best = None
-        best_abs = None
-        for i, j in zip(nz[0], nz[1]):
-            val = abs(sub[i, j])
-            if val == 1:
-                return (t + int(i), t + int(j))
-            if best_abs is None or val < best_abs:
-                best_abs = val
-                best = (t + int(i), t + int(j))
-        return best
+        k = int(np.argmin(np.abs(d[t + rows, t + cols])))
+        return t + int(rows[k]), t + int(cols[k])
 
     t = 0
     limit = min(m, n)
@@ -198,35 +202,16 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
                     break
             if again:
                 continue
-            if is_zero(d[t + 1:, t:t + 1]) and is_zero(d[t:t + 1, t + 1:]):
-                break
+            if d[t, t] != 1:
+                # d_t must divide the trailing block; the remainder of an
+                # entry that it does not divide becomes a smaller pivot
+                rest = np.nonzero(d[t + 1:, t + 1:] % d[t, t])[0]
+                if len(rest):
+                    row_add(t, t + 1 + int(rest[0]), 1)
+                    continue
+            break
         t += 1
     rank = t
-
-    # Enforce the divisibility chain d_i | d_j for i < j.
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            if d[j, j] % d[i, i] == 0:
-                continue
-            col_add(i, j, 1)  # puts d_jj into position (j, i)
-            while True:
-                if d[i, i] < 0:
-                    row_negate(i)
-                q = d[j, i] // d[i, i]
-                if q:
-                    row_add(j, i, -q)
-                if d[j, i] != 0:
-                    row_swap(i, j)
-                    continue
-                q2 = d[i, j] // d[i, i]
-                if q2:
-                    col_add(j, i, -q2)
-                if d[i, j] != 0:
-                    col_swap(i, j)
-                    continue
-                break
-            if d[j, j] < 0:
-                row_negate(j)
 
     diag = tuple(int(d[k, k]) for k in range(limit))
     return SmithForm(diag, rank, u, uinv, v)

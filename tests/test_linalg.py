@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toruskit import linalg
 
@@ -21,7 +21,21 @@ def diagonal_matrix(shape, diag):
     return d
 
 
+# Pivots that do not divide their trailing block: the divisibility chain is
+# restored inside the elimination loop (the last follows a unit pivot).
+CHAIN_REPAIRS = ([[2, 0], [0, 3]], [[4, 0], [0, 6]], [[-2, 0], [0, 3]],
+                 [[2, 0, 0], [0, 3, 0]], [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
+                 [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+
+
+def chain_examples(test):
+    for rows in CHAIN_REPAIRS:
+        test = example(rows)(test)
+    return test
+
+
 @given(matrix_lists())
+@chain_examples
 @settings(deadline=None, max_examples=80)
 def test_smith_form_properties(rows):
     a = linalg.intmat(rows)
@@ -39,6 +53,7 @@ def test_smith_form_properties(rows):
 
 
 @given(matrix_lists())
+@chain_examples
 @settings(deadline=None, max_examples=60)
 def test_smith_matches_sympy(rows):
     sympy = pytest.importorskip("sympy")

@@ -134,14 +134,18 @@ def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray | None 
             raise ValueError("action matrices do not respect the group law")
         return True, (), stack
     snf = linalg.smith_normal_form(rel, want_u=True, want_uinv=True)
-    r, frame = snf.rank, np.matmul(np.matmul(snf.u, stack), snf.uinv)
-    frame.flags.writeable = False
+    r, eye = snf.rank, linalg.eye(len(rel))
+    if np.array_equal(snf.u, eye):  # then U^-1 = I too: the frame is the stack
+        frame = stack
+    else:
+        frame = np.matmul(np.matmul(snf.u, stack), snf.uinv)
+        frame.flags.writeable = False
     d = linalg.intmat(snf.diagonal[:r], (r,))
 
     def spanned(cols: np.ndarray) -> bool:
         return linalg.is_zero(cols[:r] % d[:, None]) and linalg.is_zero(cols[r:])
     gens = generating_set(group)
-    if not identity and not spanned(frame[group.identity] - linalg.eye(len(rel))):
+    if not identity and not spanned(frame[group.identity] - eye):
         raise ValueError("identity must act as the identity on the quotient")
     if gens and not spanned(np.hstack([frame[s][:, :r] * d for s in gens])):
         raise ValueError("action does not preserve the relation lattice")

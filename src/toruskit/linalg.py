@@ -4,12 +4,15 @@ All matrices are numpy arrays with ``dtype=object`` holding Python ints, so
 nothing ever rounds or overflows.  The workhorse is a one-pass Smith normal
 form with optional unimodular transforms, which keeps the divisibility chain
 at every pivot; invariant factors, kernels and integer solves are derived
-from it.  A column-style Hermite form is used to put lattice bases
-into a canonical shape.
+from it.  A form without transforms first eliminates +-1 pivots on sparse
+rows, so the dense loop sees only the core of a resolution differential.
+A column-style Hermite form is used to put lattice bases into a canonical
+shape.
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
 from typing import NamedTuple, Optional
 
@@ -103,6 +106,62 @@ class SmithForm(NamedTuple):
     v: Optional[np.ndarray]
 
 
+def _unit_pivots(rows: list[dict[int, int]]) -> tuple[int, np.ndarray]:
+    """Eliminate +-1 pivots from the sparse rows {column: entry}, in place.
+
+    A pivot a_ij = p = +-1 clears its column by row operations (row k minus
+    a_kj p times row i) and then its row by column operations, which touch
+    nothing else; neither changes the invariant factors.  Pivots go cheapest
+    first by Markowitz cost (row nonzeros - 1) (column nonzeros - 1), kept
+    in a heap and re-checked when popped; entries that fill-in turns into
+    +-1 join it.  Returns the number of pivots and the dense core: the rows
+    and columns that still hold a nonzero entry, none of them +-1."""
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+    heap = [(cost(i, j), i, j) for i, row in enumerate(rows)
+            for j, x in row.items() if x in (1, -1)]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        old, i, j = heapq.heappop(heap)
+        pivot = rows[i]
+        if pivot.get(j) not in (1, -1):
+            continue  # eliminated, or no longer a unit
+        if cost(i, j) > old:
+            heapq.heappush(heap, (cost(i, j), i, j))
+            continue
+        p = pivot[j]
+        for k in cols[j] - {i}:
+            row, f = rows[k], rows[k][j] * p
+            for l, x in pivot.items():
+                y = row.get(l, 0) - f * x
+                if y:
+                    if l not in row:
+                        cols[l].add(k)
+                    row[l] = y
+                    if y in (1, -1):
+                        heapq.heappush(heap, (cost(k, l), k, l))
+                else:
+                    del row[l]
+                    cols[l].discard(k)
+        for l in pivot:
+            cols[l].discard(i)
+        rows[i] = {}
+        units += 1
+    left = [row for row in rows if row]
+    index = {j: c for c, j in enumerate(sorted(set().union(*left)))}
+    core = zeros(len(left), len(index))
+    for r, row in enumerate(left):
+        for j, x in row.items():
+            core[r, index[j]] = x
+    return units, core
+
+
 def smith_normal_form(a: np.ndarray, want_u: bool = False,
                       want_uinv: bool = False, want_v: bool = False) -> SmithForm:
     """The Smith normal form of ``a``, with U, U^-1 and V on request.
@@ -115,10 +174,26 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
     so d_1 | d_2 | ... holds as each pivot is fixed.  The diagonal is unique;
     U, U^-1 and V are one valid choice among many.
 
+    Without transforms, ``_unit_pivots`` first eliminates the +-1 pivots,
+    if there are any, cheapest first by Markowitz cost, and the loop runs on
+    the core that is left; each eliminated pivot puts a 1 in front of the
+    core's diagonal.  Requests for U, U^-1 or V run the loop on the whole
+    matrix.
+
     >>> smith_normal_form(intmat([[2, 0], [0, 3]])).diagonal
     (1, 6)
     """
     d = a.copy() if a.dtype == object else intmat(a)
+    size = min(d.shape)
+    units = 0
+    if not (want_u or want_uinv or want_v):
+        nonzero = np.nonzero(d)
+        values = d[nonzero].tolist()
+        if 1 in values or -1 in values:
+            rows = [{} for _ in range(d.shape[0])]
+            for i, j, x in zip(*(k.tolist() for k in nonzero), values):
+                rows[i][j] = x
+            units, d = _unit_pivots(rows)
     m, n = d.shape
     u = eye(m) if want_u else None
     uinv = eye(m) if want_uinv else None
@@ -211,10 +286,8 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
                     continue
             break
         t += 1
-    rank = t
-
-    diag = tuple(int(d[k, k]) for k in range(limit))
-    return SmithForm(diag, rank, u, uinv, v)
+    diag = (1,) * units + tuple(int(d[k, k]) for k in range(t))
+    return SmithForm(diag + (0,) * (size - len(diag)), units + t, u, uinv, v)
 
 
 def invariant_factors(a: np.ndarray) -> tuple[int, ...]:

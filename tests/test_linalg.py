@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -65,6 +66,41 @@ def test_smith_matches_sympy(rows):
     theirs = sorted(abs(int(ref[i, i])) for i in range(min(ref.shape))
                     if ref[i, i] != 0)
     assert sorted(ours) == theirs
+
+
+# Entries of resolution differentials: mostly +-1, some larger.
+SPARSE_ENTRIES = (1, -1, 1, -1, 1, -1, 2, -2, 3, -4, 6)
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=25):
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    density = draw(st.floats(0.05, 0.4))
+    rng = draw(st.randoms(use_true_random=False))
+    a = linalg.zeros(m, n)
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < density:
+                a[i, j] = rng.choice(SPARSE_ENTRIES)
+    return a
+
+
+@given(sparse_matrices())
+@example(linalg.zeros(0, 4))
+@example(linalg.zeros(3, 0))
+@example(linalg.zeros(3, 5))
+@example(linalg.intmat([[1, 2, 0], [0, -1, 3], [0, 0, 1]]))  # units only: empty core
+@example(linalg.intmat([[2, 4, 0], [6, 8, 2], [0, 2, 4]]))  # 2 A: nothing to eliminate
+@example(linalg.intmat([[1, 2], [2, 3]]))  # eliminating the 1 leaves a new -1
+@example(np.array([[3, 1, 0], [1, 2, -1], [0, 5, 4]], dtype=np.int64))
+@settings(deadline=None, max_examples=60)
+def test_plain_smith_form_matches_transform_loop(a):
+    # The plain form eliminates +-1 pivots before its loop; a form with V
+    # runs the loop alone on the whole matrix.
+    plain = linalg.smith_normal_form(a)
+    dense = linalg.smith_normal_form(a, want_v=True)
+    assert plain.diagonal == dense.diagonal
+    assert plain.rank == dense.rank
 
 
 @given(matrix_lists())

@@ -1,13 +1,12 @@
 """Exact linear algebra over the integers.
 
 All matrices are numpy arrays with ``dtype=object`` holding Python ints, so
-nothing ever rounds or overflows.  The workhorse is a one-pass Smith normal
-form with optional unimodular transforms, which keeps the divisibility chain
-at every pivot; invariant factors, kernels and integer solves are derived
-from it.  A form without transforms first eliminates +-1 pivots on sparse
-rows, so the dense loop sees only the core of a resolution differential.
-A column-style Hermite form is used to put lattice bases into a canonical
-shape.
+nothing ever rounds or overflows.  The workhorse is a Smith normal form with
+optional unimodular transforms: one elimination on sparse rows, +-1 pivots
+first by Markowitz cost, which keeps the divisibility chain at every pivot
+and serves plain and transform requests alike.  Invariant factors, kernels
+and integer solves are derived from it.  A column-style Hermite form is used
+to put lattice bases into a canonical shape.
 """
 
 from __future__ import annotations
@@ -106,188 +105,160 @@ class SmithForm(NamedTuple):
     v: Optional[np.ndarray]
 
 
-def _unit_pivots(rows: list[dict[int, int]]) -> tuple[int, np.ndarray]:
-    """Eliminate +-1 pivots from the sparse rows {column: entry}, in place.
+def _axpy(y: dict[int, int], c: int, x: dict[int, int]) -> None:
+    """y += c x on sparse vectors {index: entry}, c != 0."""
+    for k, xk in x.items():
+        s = y.get(k, 0) + c * xk
+        if s:
+            y[k] = s
+        else:
+            del y[k]
 
-    A pivot a_ij = p = +-1 clears its column by row operations (row k minus
-    a_kj p times row i) and then its row by column operations, which touch
-    nothing else; neither changes the invariant factors.  Pivots go cheapest
-    first by Markowitz cost (row nonzeros - 1) (column nonzeros - 1), kept
-    in a heap and re-checked when popped; entries that fill-in turns into
-    +-1 join it.  Returns the number of pivots and the dense core: the rows
-    and columns that still hold a nonzero entry, none of them +-1."""
-    cols: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            cols.setdefault(j, set()).add(i)
 
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-    heap = [(cost(i, j), i, j) for i, row in enumerate(rows)
-            for j, x in row.items() if x in (1, -1)]
-    heapq.heapify(heap)
-    units = 0
-    while heap:
-        old, i, j = heapq.heappop(heap)
-        pivot = rows[i]
-        if pivot.get(j) not in (1, -1):
-            continue  # eliminated, or no longer a unit
-        if cost(i, j) > old:
-            heapq.heappush(heap, (cost(i, j), i, j))
-            continue
-        p = pivot[j]
-        for k in cols[j] - {i}:
-            row, f = rows[k], rows[k][j] * p
-            for l, x in pivot.items():
-                y = row.get(l, 0) - f * x
-                if y:
-                    if l not in row:
-                        cols[l].add(k)
-                    row[l] = y
-                    if y in (1, -1):
-                        heapq.heappush(heap, (cost(k, l), k, l))
-                else:
-                    del row[l]
-                    cols[l].discard(k)
-        for l in pivot:
-            cols[l].discard(i)
-        rows[i] = {}
-        units += 1
-    left = [row for row in rows if row]
-    index = {j: c for c, j in enumerate(sorted(set().union(*left)))}
-    core = zeros(len(left), len(index))
-    for r, row in enumerate(left):
-        for j, x in row.items():
-            core[r, index[j]] = x
-    return units, core
+def _dense(vectors: list[dict[int, int]], fixed: list[int], signs: list[int]) -> np.ndarray:
+    """The square matrix whose rows are signs[t] * vectors[fixed[t]], then
+    the other vectors in index order."""
+    order = fixed + sorted(set(range(len(vectors))).difference(fixed))
+    out = zeros(len(order), len(order))
+    for r, k in enumerate(order):
+        s = signs[r] if r < len(signs) else 1
+        for c, x in vectors[k].items():
+            out[r, c] = s * x
+    return out
 
 
 def smith_normal_form(a: np.ndarray, want_u: bool = False,
                       want_uinv: bool = False, want_v: bool = False) -> SmithForm:
     """The Smith normal form of ``a``, with U, U^-1 and V on request.
 
-    One elimination loop: step t moves the first nonzero entry of least
-    absolute value in the trailing block to (t, t), then clears row and
-    column t, taking any nonzero remainder as a new, smaller pivot.  Once
-    they are clear, d_t must divide every entry of the trailing block; if
-    it does not, the offending row is added to row t and clearing resumes,
-    so d_1 | d_2 | ... holds as each pivot is fixed.  The diagonal is unique;
-    U, U^-1 and V are one valid choice among many.
+    One elimination on sparse rows {column: entry}.  Each step takes a +-1
+    entry of least Markowitz cost (row nonzeros - 1) (column nonzeros - 1)
+    from a heap that is re-checked when popped, or, once no +-1 is left, the
+    first entry of least absolute value.  It clears the pivot's column by
+    row operations and only then its row by column operations; a remainder
+    ends the step and is a smaller entry for a later one.  A pivot p != +-1
+    is fixed only when p divides every entry left; otherwise the row of one
+    that it does not divide is added to the pivot row, and clearing that row
+    leaves a remainder.  So the pivots are fixed in the order d_1 | d_2 | ...,
+    the +-1 first.  The elimination stops once no nonzero entry is left.
 
-    Without transforms, ``_unit_pivots`` first eliminates the +-1 pivots,
-    if there are any, cheapest first by Markowitz cost, and the loop runs on
-    the core that is left; each eliminated pivot puts a 1 in front of the
-    core's diagonal.  Requests for U, U^-1 or V run the loop on the whole
-    matrix.
+    U rows, U^-1 columns and V columns are kept as sparse vectors only when
+    asked for, then put into pivot order and made dense once at the end.
+    The diagonal is unique; U, U^-1 and V are one valid choice among many.
 
     >>> smith_normal_form(intmat([[2, 0], [0, 3]])).diagonal
     (1, 6)
     """
-    d = a.copy() if a.dtype == object else intmat(a)
-    size = min(d.shape)
-    units = 0
-    if not (want_u or want_uinv or want_v):
-        nonzero = np.nonzero(d)
-        values = d[nonzero].tolist()
-        if 1 in values or -1 in values:
-            rows = [{} for _ in range(d.shape[0])]
-            for i, j, x in zip(*(k.tolist() for k in nonzero), values):
-                rows[i][j] = x
-            units, d = _unit_pivots(rows)
-    m, n = d.shape
-    u = eye(m) if want_u else None
-    uinv = eye(m) if want_uinv else None
-    v = eye(n) if want_v else None
+    if a.dtype != object:
+        a = intmat(a)
+    m, n = a.shape
+    rows: list[dict[int, int]] = [{} for _ in range(m)]
+    cols: list[set[int]] = [set() for _ in range(n)]
+    nonzero = np.nonzero(a)
+    for i, j, x in zip(*(k.tolist() for k in nonzero), a[nonzero].tolist()):
+        rows[i][j] = x
+        cols[j].add(i)
+    nnz = len(nonzero[0])
+    u = [{k: 1} for k in range(m)] if want_u else None
+    uinv = [{k: 1} for k in range(m)] if want_uinv else None
+    v = [{k: 1} for k in range(n)] if want_v else None
 
-    def row_add(i, j, c):
-        # row_i += c * row_j
-        d[i, :] += c * d[j, :]
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+    heap = [(cost(i, j), i, j) for i, row in enumerate(rows)
+            for j, x in row.items() if x in (1, -1)]
+    heapq.heapify(heap)
+
+    def add_row(k, c, i):
+        # row k += c row i; U^-1 takes column i -= c column k
+        nonlocal nnz
+        row = rows[k]
+        for l, x in rows[i].items():
+            y = row.get(l, 0) + c * x
+            if y:
+                if l not in row:
+                    cols[l].add(k)
+                    nnz += 1
+                row[l] = y
+                if y in (1, -1):
+                    heapq.heappush(heap, (cost(k, l), k, l))
+            else:
+                del row[l]
+                cols[l].discard(k)
+                nnz -= 1
         if u is not None:
-            u[i, :] += c * u[j, :]
+            _axpy(u[k], c, u[i])
         if uinv is not None:
-            uinv[:, j] -= c * uinv[:, i]
+            _axpy(uinv[i], -c, uinv[k])
 
-    def row_swap(i, j):
-        d[[i, j]] = d[[j, i]]
-        if u is not None:
-            u[[i, j]] = u[[j, i]]
-        if uinv is not None:
-            uinv[:, [i, j]] = uinv[:, [j, i]]
-
-    def row_negate(i):
-        d[i, :] *= -1
-        if u is not None:
-            u[i, :] *= -1
-        if uinv is not None:
-            uinv[:, i] *= -1
-
-    def col_add(j, i, c):
-        # col_j += c * col_i
-        d[:, j] += c * d[:, i]
-        if v is not None:
-            v[:, j] += c * v[:, i]
-
-    def col_swap(i, j):
-        d[:, [i, j]] = d[:, [j, i]]
-        if v is not None:
-            v[:, [i, j]] = v[:, [j, i]]
-
-    def find_pivot(t):
-        rows, cols = np.nonzero(d[t:, t:])
-        if not len(rows):
-            return None
-        k = int(np.argmin(np.abs(d[t + rows, t + cols])))
-        return t + int(rows[k]), t + int(cols[k])
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        piv = find_pivot(t)
-        if piv is None:
-            break
-        if piv[0] != t:
-            row_swap(t, piv[0])
-        if piv[1] != t:
-            col_swap(t, piv[1])
-        while True:
-            if d[t, t] < 0:
-                row_negate(t)
-            # clear column t
-            again = False
-            for i in np.nonzero(d[t + 1:, t])[0]:
-                i = t + 1 + int(i)
-                q = d[i, t] // d[t, t]
-                if q:
-                    row_add(i, t, -q)
-                if d[i, t] != 0:
-                    row_swap(t, i)  # strictly smaller pivot
-                    again = True
-                    break
-            if again:
+    def clear_row(i, j):
+        # column l -= q column j for l != j; column j is clear but for row i,
+        # so only row i and V change.  True if a remainder is left.
+        nonlocal nnz
+        pivot = rows[i]
+        p = pivot[j]
+        for l in [l for l in pivot if l != j]:
+            q = pivot[l] // p
+            if not q:
                 continue
-            # clear row t
-            for j in np.nonzero(d[t, t + 1:])[0]:
-                j = t + 1 + int(j)
-                q = d[t, j] // d[t, t]
-                if q:
-                    col_add(j, t, -q)
-                if d[t, j] != 0:
-                    col_swap(t, j)
-                    again = True
-                    break
-            if again:
+            if v is not None:
+                _axpy(v[l], -q, v[j])
+            y = pivot[l] - q * p
+            if y:
+                pivot[l] = y
+            else:
+                del pivot[l]
+                cols[l].discard(i)
+                nnz -= 1
+        return len(pivot) > 1
+
+    live = range(m)  # rows that may be nonzero; none turns nonzero again
+
+    def pick():
+        nonlocal live
+        while heap:
+            old, i, j = heapq.heappop(heap)
+            if rows[i].get(j) not in (1, -1):
+                continue  # eliminated, or no longer a unit
+            if cost(i, j) > old:
+                heapq.heappush(heap, (cost(i, j), i, j))
                 continue
-            if d[t, t] != 1:
-                # d_t must divide the trailing block; the remainder of an
-                # entry that it does not divide becomes a smaller pivot
-                rest = np.nonzero(d[t + 1:, t + 1:] % d[t, t])[0]
-                if len(rest):
-                    row_add(t, t + 1 + int(rest[0]), 1)
-                    continue
-            break
-        t += 1
-    diag = (1,) * units + tuple(int(d[k, k]) for k in range(t))
-    return SmithForm(diag + (0,) * (size - len(diag)), units + t, u, uinv, v)
+            return i, j
+        live = [i for i in live if rows[i]]
+        return min((abs(x), i, j) for i in live for j, x in rows[i].items())[1:]
+
+    pivots: list[tuple[int, int, int]] = []
+    while nnz:
+        i, j = pick()
+        pivot = rows[i]
+        p = pivot[j]
+        for k in cols[j] - {i}:
+            add_row(k, -(rows[k][j] // p), i)
+        if p not in (1, -1):
+            if len(cols[j]) > 1 or clear_row(i, j):
+                continue  # the remainder is a smaller entry
+            bad = next((k for k in live if any(x % p for x in rows[k].values())), None)
+            if bad is not None:
+                add_row(i, 1, bad)
+                clear_row(i, j)
+                continue
+        elif v is not None:
+            clear_row(i, j)
+        pivots.append((i, j, p))
+        for l in pivot:
+            cols[l].discard(i)
+        nnz -= len(pivot)
+        rows[i] = {}
+    signs = [1 if p > 0 else -1 for _, _, p in pivots]
+    fixed = [i for i, _, _ in pivots]
+    if u is not None:
+        u = _dense(u, fixed, signs)
+    if uinv is not None:
+        uinv = _dense(uinv, fixed, signs).T.copy()
+    if v is not None:
+        v = _dense(v, [j for _, j, _ in pivots], []).T.copy()
+    diag = tuple(abs(p) for _, _, p in pivots)
+    return SmithForm(diag + (0,) * (min(m, n) - len(diag)), len(diag), u, uinv, v)
 
 
 def invariant_factors(a: np.ndarray) -> tuple[int, ...]:

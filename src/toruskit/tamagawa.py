@@ -60,15 +60,18 @@ def tamagawa_number(t: Torus) -> Fraction:
     return Fraction(h1.order(), sha.order())
 
 
+# The adelic check's numerator is sampled at u = log t in [LOG_MIN, LOG_MAX],
+# its denominator at t in [0, T_MAX]; F(T_MAX) < 1e-86.
+LOG_MIN, LOG_MAX, T_MAX = -18.0, 2.5, 8.0
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Sampling for the adelic check: a log-variable grid for the numerator
-    and a direct t-grid for the denominator."""
+    """Sampling for the adelic check: ``points`` samples on each of the
+    log-variable grid of the numerator and the direct t-grid of the
+    denominator."""
 
     points: int = 2001
-    t_max: float = 8.0
-    log_min: float = -18.0
-    log_max: float = 2.5
 
 
 class GmAdelicCheck(NamedTuple):
@@ -126,10 +129,10 @@ def gm_adelic_check(pmax: int = 100, grid: QuadratureGrid | None = None,
     def f(t):
         return scale * 2.0 * t * np.exp(-math.pi * t * t)
 
-    u = np.linspace(grid.log_min, grid.log_max, grid.points)
+    u = np.linspace(LOG_MIN, LOG_MAX, grid.points)
     numerator = simpson(f(np.exp(u)), x=u)
 
-    t = np.linspace(0.0, grid.t_max, grid.points)
+    t = np.linspace(0.0, T_MAX, grid.points)
     integrand = np.empty_like(t)
     integrand[0] = scale * 2.0  # limit of F(t)/t at t = 0
     integrand[1:] = f(t[1:]) / t[1:]

@@ -181,8 +181,8 @@ def test_c04_order_32_presented_h1_mod_2():
 
 
 def test_c04_order_32_presented_h2_mod_2():
-    # H^2(G, J/2) = H^2(G, J)/2 + H^3(G, J)[2] = C2^10 + C2^25; the cone's
-    # 1550 x 620 differential goes through the sparse unit-pivot reduction.
+    # H^2(G, J/2) = H^2(G, J)/2 + H^3(G, J)[2] = C2^10 + C2^25, read off the
+    # Smith form of the cone's 1550 x 620 differential.
     squares = [1, 121, 169, 289, 361, 529]
     t = make_torus(datum(840, squares), "norm_one")
     assert cohomology(t.group, presentation_mod(t.X, 2), 2) == FGAbelian(0, (2,) * 35)

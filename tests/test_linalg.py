@@ -93,14 +93,22 @@ def sparse_matrices(draw, max_dim=25):
 @example(linalg.intmat([[2, 4, 0], [6, 8, 2], [0, 2, 4]]))  # 2 A: nothing to eliminate
 @example(linalg.intmat([[1, 2], [2, 3]]))  # eliminating the 1 leaves a new -1
 @example(np.array([[3, 1, 0], [1, 2, -1], [0, 5, 4]], dtype=np.int64))
+# unimodular; clearing row 0 while column 0 still holds a remainder breaks it
+@example(linalg.intmat([[-3, 2, 0, 2], [0, 1, 0, 0], [3, 0, 1, -2], [-4, 2, 0, 3]]))
+@example(linalg.intmat([[1] * 8] * 8))  # the first pivot empties every row
+@example(linalg.intmat([[-2, 3], [0, 4]]))  # negative pivots, a remainder in the row
 @settings(deadline=None, max_examples=60)
 def test_plain_smith_form_matches_transform_loop(a):
-    # The plain form eliminates +-1 pivots before its loop; a form with V
-    # runs the loop alone on the whole matrix.
+    # Plain and transform requests share one elimination; U, U^-1 and V must
+    # be unimodular, U A V = D, and D the plain form's diagonal.
     plain = linalg.smith_normal_form(a)
-    dense = linalg.smith_normal_form(a, want_v=True)
-    assert plain.diagonal == dense.diagonal
-    assert plain.rank == dense.rank
+    snf = linalg.smith_normal_form(a, want_u=True, want_uinv=True, want_v=True)
+    assert snf.diagonal == plain.diagonal
+    assert snf.rank == plain.rank
+    d = diagonal_matrix(a.shape, snf.diagonal)
+    assert linalg.is_zero(linalg.mul(linalg.mul(snf.u, linalg.intmat(a)), snf.v) - d)
+    assert linalg.is_zero(linalg.mul(snf.u, snf.uinv) - linalg.eye(a.shape[0]))
+    assert abs(linalg.det(snf.u)) == abs(linalg.det(snf.v)) == 1
 
 
 @given(matrix_lists())

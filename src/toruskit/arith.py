@@ -252,8 +252,14 @@ def local_artin_factor(t: Torus, p: int) -> Fraction:
     datum = t.splitting
     if not isinstance(datum, AbelianGaloisDatum):
         raise UnsupportedRequestError("local factors need an arithmetic datum")
+    return _artin_factor(t, frobenius(datum, p), p)
+
+
+def _artin_factor(t: Torus, frob: int, p: int) -> Fraction:
+    """1/det(I - X(frob)/p) for a prime p whose Frobenius element is frob,
+    with det(p I - X(frob)) evaluated at p by Horner's rule."""
     denom = 0
-    for c in t.X.characteristic_polynomials[frobenius(datum, p)]:
+    for c in t.X.characteristic_polynomials[frob]:
         denom = denom * p + c
     if denom <= 0:
         raise InternalInvariantError("local determinant must be positive")

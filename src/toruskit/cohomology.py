@@ -22,6 +22,11 @@ C^q(Z^n) + C^(q+1)(R) (Weibel, 1.5); a lattice is the case R = 0.
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
 contracting homotopy and evaluated on cochains by the same helper as d.
+H^q, its cocycle classes, each restriction map and Sha^2 are computed once
+per module and kept in ``lru_cache``s keyed by value, so equal lattices share
+entries; every cache in the package holds at most ``_CACHE_SIZE`` (1024)
+entries.  The cached results are immutable: frozen ``FGAbelian``s, tuples and
+read-only arrays.
 ``bar_differential`` is kept as the independent reference the tests compare
 this engine with; no package path calls it.
 """
@@ -39,7 +44,8 @@ import numpy as np
 
 from . import linalg
 from .errors import EnumerationBoundError, InternalInvariantError
-from .groups import FiniteGroup, Subgroup, abelian_decomposition, cyclic_subgroups
+from .groups import (_CACHE_SIZE, FiniteGroup, Subgroup, abelian_decomposition,
+                     cyclic_subgroups)
 from .lattices import (FGAbelian, GLattice, GModulePresentation, norm_operator,
                        regular_lattice, restrict)
 
@@ -88,7 +94,7 @@ def bar_differential(group: FiniteGroup, mats: Sequence[np.ndarray], q: int) -> 
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _multi_indices(k: int, q: int) -> tuple[tuple[int, ...], ...]:
     """alpha in N^k with |alpha| = q, in decreasing lexicographic order."""
     if k == 0:
@@ -97,7 +103,7 @@ def _multi_indices(k: int, q: int) -> tuple[tuple[int, ...], ...]:
                  for rest in _multi_indices(k - 1, q - a))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _positions(k: int, q: int) -> dict[tuple[int, ...], int]:
     return {alpha: i for i, alpha in enumerate(_multi_indices(k, q))}
 
@@ -174,7 +180,7 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
     return _cohomology(module, q)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _relation_complex(module: GLattice | GModulePresentation) -> tuple:
     """(M, B, A): the module as the lattice complex B: Z^r -> Z^n, read in the
     Smith frame U R V = diag(d) that its constructor computed (``_frame``).
@@ -200,7 +206,7 @@ def _relation_complex(module: GLattice | GModulePresentation) -> tuple:
     return frame, basis, [m[:len(d), :len(d)] * d // d[:, None] for m in frame]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _cohomology(module: GLattice | GModulePresentation, q: int) -> FGAbelian:
     """H^q as the torsion of coker D^(q-1) plus, for q = 0, the rank of M^G.
 
@@ -265,7 +271,7 @@ class CohomologyClasses:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
     """H^q as the torsion of coker d^(q-1), generated by columns of U^-1."""
     if q not in (1, 2):
@@ -309,7 +315,7 @@ def _contract(chain: Chain, orders: Sequence[int]) -> Chain:
     return {key: c for key, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _chain_map(sub: Subgroup) -> tuple[tuple[Chain, ...], ...]:
     """phi_q(e'_beta) for q = 0, 1, 2: a chain map from the resolution of H
     into that of G over Z[H], lifting the identity of Z.
@@ -362,9 +368,14 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
         raise ValueError("restriction is computed in degrees 1 and 2")
     if module.group != group or sub.parent != group:
         raise ValueError("module and subgroup must belong to the given group")
+    return _restriction_map(module, sub, q)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _restriction_map(module: GLattice, sub: Subgroup, q: int) -> RestrictionMap:
     restricted = restrict(module, sub)
     if cohomology(restricted.group, restricted, q).is_trivial():
-        return RestrictionMap(cohomology(group, module, q), FGAbelian.trivial(), ())
+        return RestrictionMap(cohomology(module.group, module, q), FGAbelian.trivial(), ())
     source = cohomology_classes(module, q)
     target = cohomology_classes(restricted, q)
     coords = target.coordinates(restrict_cochain(module, sub, q, source.generators))
@@ -381,6 +392,12 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     """
     if module.group != group:
         raise ValueError("module is not over the given group")
+    return _sha2_cyclic(module)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _sha2_cyclic(module: GLattice) -> FGAbelian:
+    group = module.group
     total = cohomology(group, module, 2)
     if total.is_trivial():
         return FGAbelian.trivial()

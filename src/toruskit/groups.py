@@ -17,6 +17,11 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import InternalInvariantError, UnsupportedRequestError
 from .linalg import integer
 
+# The one bound on every lru_cache in the package.  A Sha^2 pass over C2^8
+# restricts to all 256 of its cyclic subgroups besides computing H^2(G), so a
+# bound of 256 would evict that pass's own entries.
+_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -98,7 +103,7 @@ def _generate(mul, identity, candidates) -> tuple[list, set]:
     return gens, span
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def generating_set(group: FiniteGroup) -> tuple[int, ...]:
     """Generators chosen greedily in element order, each outside the span of
     the earlier ones; at most log2 |G| of them, for any finite group."""
@@ -128,7 +133,7 @@ def _mixed_radix(exps: Iterable[int], orders: Iterable[int]) -> int:
     return idx
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def abelian_decomposition(group: FiniteGroup) -> AbelianDecomposition:
     """Independent cyclic generators of an abelian group, largest order first.
 
@@ -328,7 +333,7 @@ class Subgroup:
         return self.elements.index(parent_element)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _subgroup_as_group(sub: Subgroup) -> FiniteGroup:
     pos = {g: i for i, g in enumerate(sub.elements)}
     table = [[pos[sub.parent.mul(a, b)] for b in sub.elements] for a in sub.elements]

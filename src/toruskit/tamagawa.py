@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import AbelianGaloisDatum, local_artin_factor, primes_up_to
+from .arith import AbelianGaloisDatum, _artin_factor, local_artin_factor, primes_up_to
 from .cohomology import cohomology, sha2_cyclic
 from .errors import InternalInvariantError, UnsupportedRequestError
 from .tori import Torus, make_torus
@@ -42,8 +42,8 @@ def canonical_coefficients(t: Torus, pmax: int) -> dict[int, Fraction]:
     for p in primes_up_to(pmax):
         if p in ramified:
             out[p] = Fraction(1)
-        else:
-            out[p] = local_artin_factor(t, p)
+        else:  # a sieve prime off S: Frobenius is its class, no primality test
+            out[p] = _artin_factor(t, datum.element_of_unit(p), p)
     return out
 
 
@@ -109,8 +109,11 @@ def gm_adelic_check(pmax: int = 100, grid: QuadratureGrid | None = None,
     domain (product of unit balls times the positive ray): the finite places
     contribute the exact product of coefficient times volume, the ray is
     integrated in the substituted coordinate u = log t, and the normalizing
-    integral is done directly in t.  The two quadratures are independent, so
-    tau_hat = 1 is a genuine numeric outcome rather than an identity.
+    integral is done directly in t.  The coefficient-volume product is 1 by
+    construction, since lambda_p is the inverse local volume; both integrals
+    equal that of the self-dual Gaussian exp(-pi t^2) over R, which is 1.  So
+    tau_hat = 1 checks Simpson's rule on the two grids and the Gaussian's
+    normalization, not the arithmetic of the coefficients.
     ``scale`` multiplies F; the result must not depend on it.
     """
     if pmax < 2:

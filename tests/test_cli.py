@@ -71,31 +71,31 @@ def test_volumes_ramified_lambda_one(tmp_path):
     assert payload["ramified"] == [2]
 
 
-def test_volumes_one_local_factor_per_prime(tmp_path, monkeypatch):
+def count_local_factors(monkeypatch) -> list[int]:
+    """The primes of every local factor the tamagawa module evaluates, by the
+    public ``local_artin_factor`` or by the Horner helper behind it."""
     from toruskit import tamagawa
     calls = []
-    original = tamagawa.local_artin_factor
+    for name in ("local_artin_factor", "_artin_factor"):
+        original = getattr(tamagawa, name)
 
-    def counting(t, p):
-        calls.append(p)
-        return original(t, p)
+        def counting(*args, original=original):
+            calls.append(args[-1])
+            return original(*args)
 
-    monkeypatch.setattr(tamagawa, "local_artin_factor", counting)
+        monkeypatch.setattr(tamagawa, name, counting)
+    return calls
+
+
+def test_volumes_one_local_factor_per_prime(tmp_path, monkeypatch):
+    calls = count_local_factors(monkeypatch)
     payload = run_json(["volumes", "--pmax", "30", write(tmp_path, "r.json", QI_RES)])
     assert payload["volume"]["3"] == "8/9" and payload["lambda"]["3"] == "9/8"
     assert sorted(calls) == [int(p) for p in payload["volume"]]
 
 
 def test_check_gm_one_local_factor_per_prime(monkeypatch):
-    from toruskit import tamagawa
-    calls = []
-    original = tamagawa.local_artin_factor
-
-    def counting(t, p):
-        calls.append(p)
-        return original(t, p)
-
-    monkeypatch.setattr(tamagawa, "local_artin_factor", counting)
+    calls = count_local_factors(monkeypatch)
     payload = run_json(["check-gm", "--pmax", "100"])
     assert payload["coefficient_volume_product"] == "1"
     assert len(calls) == 25 and len(set(calls)) == 25

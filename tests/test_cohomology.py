@@ -1,8 +1,10 @@
+import dataclasses
 import importlib
 import itertools
 import math
 import operator
 import random
+import sys
 import types
 from collections import Counter
 
@@ -10,16 +12,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toruskit.cli  # noqa: F401  (loads every module, for the cache scan)
 from toruskit import linalg
-from toruskit.cohomology import (_kernel_invariants, bar_differential,
+from toruskit.arith import AbelianGaloisDatum
+from toruskit.cohomology import (_kernel_invariants, _restriction_map,
+                                 _sha2_cyclic, bar_differential,
                                  cohomology, cohomology_classes, differential,
                                  enumerate_splittings, restrict_cochain,
                                  restriction_map, sha2_cyclic, tate_h0)
 from toruskit.errors import (EnumerationBoundError, InternalInvariantError,
                              UnsupportedRequestError)
-from toruskit.groups import (all_subgroups, cyclic_group, cyclic_subgroups,
-                             full_subgroup, product_group, subgroup_closure,
-                             trivial_subgroup)
+from toruskit.groups import (_CACHE_SIZE, all_subgroups, cyclic_group,
+                             cyclic_subgroups, full_subgroup, product_group,
+                             subgroup_closure, trivial_subgroup)
 from toruskit.lattices import (FGAbelian, GModulePresentation, direct_sum,
                                glattice, induce, norm_vector, presentation_mod,
                                quotient_lattice, regular_lattice, restrict,
@@ -189,6 +194,79 @@ def test_sha2_active_path_norm_one_plus_trivial():
         assert sha2_cyclic(g, trivial_lattice(g, 1)).is_trivial()
         assert cohomology(g, norm_one_lattice(g), 2) == FGAbelian(0, expected)
         assert sha2_cyclic(g, m) == FGAbelian(0, expected)
+
+
+def test_sha2_order_16_matches_bar_complex_through_the_cache():
+    # On the 120/{1,49} norm-one torus plus Z, H^2 = C2^10 and 15 cyclic
+    # subgroups have nonzero H^2 (the torus alone has none).  Sha^2 read off
+    # cached restriction maps, cached itself, and recomputed after clearing
+    # both caches must each be the bar complex's.
+    t = make_torus(AbelianGaloisDatum(120, (1, 49)), "norm_one")
+    g, m = t.group, direct_sum(t.X, trivial_lattice(t.group, 1))
+    subs = cyclic_subgroups(g)
+    active = sum(1 for c in subs if not restriction_map(g, m, c, 2).target.is_trivial())
+    assert cohomology(g, m, 2) == FGAbelian(0, (2,) * 10) and active == 15
+    want = bar_sha2(m)
+    assert want == (2,) * 6
+    before = _restriction_map.cache_info()
+    first = sha2_cyclic(g, m)
+    after = _restriction_map.cache_info()
+    assert after.hits == before.hits + len(subs) and after.misses == before.misses
+    sha_hits = _sha2_cyclic.cache_info().hits
+    assert sha2_cyclic(g, m) is first
+    assert _sha2_cyclic.cache_info().hits == sha_hits + 1
+    _sha2_cyclic.cache_clear()
+    _restriction_map.cache_clear()
+    again = sha2_cyclic(g, m)
+    assert _restriction_map.cache_info().misses == len(subs)
+    assert first.torsion == again.torsion == want
+
+
+def test_equal_lattices_share_restriction_and_sha2_entries():
+    g = product_group(C2, C4)
+    first = direct_sum(norm_one_lattice(g), trivial_lattice(g, 1))
+    again = glattice(g, first.action.tolist())
+    assert again is not first and again == first
+    _sha2_cyclic.cache_clear()
+    _restriction_map.cache_clear()
+    sha = sha2_cyclic(g, first)
+    assert sha == FGAbelian(0, (2,))
+    subs = cyclic_subgroups(g)
+    assert _sha2_cyclic.cache_info()[:2] == (0, 1)
+    assert _restriction_map.cache_info()[:2] == (0, len(subs))
+    assert sha2_cyclic(g, again) is sha
+    assert _sha2_cyclic.cache_info()[:2] == (1, 1)
+    for sub in cyclic_subgroups(g):  # equal subgroups, built again
+        rmap = restriction_map(g, again, sub, 2)
+        assert rmap is restriction_map(g, first, sub, 2)
+        assert type(rmap.matrix) is tuple
+        assert all(type(row) is tuple and all(type(x) is int for x in row)
+                   for row in rmap.matrix)
+    assert _restriction_map.cache_info()[:2] == (2 * len(subs), len(subs))
+    for value, attr in ((sha, "torsion"), (rmap.source, "free_rank"),
+                        (rmap.target, "torsion")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, attr, ())
+    with pytest.raises(AttributeError):
+        rmap.matrix = ()
+
+
+def test_every_cache_has_the_shared_bound():
+    # The scan the benchmark's cache registry makes: every lru_cache defined
+    # in a toruskit module.
+    caches = {}
+    for key, module in sorted(sys.modules.items()):
+        if key != "toruskit" and not key.startswith("toruskit."):
+            continue
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_info", None)) \
+                    and getattr(value, "__module__", None) == key:
+                caches[f"{key}.{value.__name__}"] = value
+    assert {"toruskit.cohomology._restriction_map", "toruskit.cohomology._sha2_cyclic",
+            "toruskit.cohomology._cohomology", "toruskit.groups.abelian_decomposition"} \
+        <= set(caches)
+    for name, cache in caches.items():
+        assert cache.cache_parameters()["maxsize"] == _CACHE_SIZE == 1024, name
 
 
 @st.composite

@@ -5,7 +5,9 @@ Python ints, the matrix of every group element in element order; a presented
 module adds one read-only relation matrix.  Both are hashed once, when they
 are built, and compare by value, so they are cheap ``lru_cache`` keys.  The
 constructors (trivial, sign, regular, permutation, induced, restricted, duals,
-sums, quotients) build or slice that stack directly.
+sums) build or slice that stack directly.  A quotient forms proj X(a) section
+from sparse rows (``linalg.stack_product``): the norm-one stack at |G| = 96
+is about 2 % nonzero.
 ``FGAbelian`` carries finitely generated abelian groups as invariant factors
 plus a free rank.  All normal-form work is delegated to :mod:`toruskit.linalg`.
 """
@@ -289,7 +291,10 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
     saturated), as is any basis the group action does not preserve.  All of
     it is read off one Smith form U S V = D of the Hermite basis S: with D = 1
     the last rows of U vanish exactly on the sublattice, and they are the
-    projection.
+    projection; the matching columns of U^-1 are a section of it.  The
+    quotient's stack proj X(a) section multiplies nonzero entries only
+    (``linalg.stack_product``): the projection of a norm vector has two
+    nonzeros per row and its section one per column.
     """
     s = sub_basis if isinstance(sub_basis, np.ndarray) else linalg.intmat(
         sub_basis, shape=(m.rank, len(sub_basis[0]) if len(sub_basis) else 0))
@@ -303,11 +308,11 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
     if any(d != 1 for d in full.diagonal):
         raise ValueError("sublattice is not saturated; quotient would have torsion")
     proj = full.u[ncols:, :]
-    if not all(linalg.is_zero(linalg.mul(linalg.mul(proj, m.action[a]), s))
+    if not all(linalg.is_zero(linalg.mul(proj, linalg.mul(m.action[a], s)))
                for a in generating_set(m.group)):  # stable under generators is stable
         raise ValueError("sublattice is not stable under the group action")
     section = full.uinv[:, ncols:]
-    return _lattice(m.group, np.matmul(np.matmul(proj, m.action), section)), proj
+    return _lattice(m.group, linalg.stack_product(proj, m.action, section)), proj
 
 
 @dataclass(frozen=True, eq=False)

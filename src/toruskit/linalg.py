@@ -6,7 +6,8 @@ optional unimodular transforms: one elimination on sparse rows, +-1 pivots
 first by Markowitz cost, which keeps the divisibility chain at every pivot
 and serves plain and transform requests alike.  Invariant factors, kernels
 and integer solves are derived from it.  A column-style Hermite form is used
-to put lattice bases into a canonical shape.
+to put lattice bases into a canonical shape, and products over a stack of
+sparse matrices multiply nonzero entries only.
 """
 
 from __future__ import annotations
@@ -115,6 +116,48 @@ def _axpy(y: dict[int, int], c: int, x: dict[int, int]) -> None:
             del y[k]
 
 
+def sparse_rows(a: np.ndarray) -> list[dict[int, int]]:
+    """The rows of the 2-D object array ``a`` as sparse vectors {column: entry}."""
+    rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
+    nonzero = np.nonzero(a)
+    for i, j, x in zip(*(k.tolist() for k in nonzero), a[nonzero].tolist()):
+        rows[i][j] = x
+    return rows
+
+
+def stack_product(left: np.ndarray, stack: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ X @ right for every matrix X of the ``(k, n, n)`` object stack.
+
+    Only nonzero entries are multiplied.  ``left``, ``right`` and the stack
+    are each read once as sparse rows; row i of left @ X sums the rows of X
+    that the nonzeros of row i of ``left`` select, and its nonzeros select
+    the rows of ``right`` in turn.  The sums are written into the dense
+    ``(k, r, c)`` result at once.
+    """
+    k, n = stack.shape[:2]
+    if left.shape[1] != n or right.shape[0] != n:
+        raise ValueError(f"shape mismatch {left.shape} @ {stack.shape} @ {right.shape}")
+    r, c = left.shape[0], right.shape[1]
+    lrows, rrows = sparse_rows(left), sparse_rows(right)
+    xrows = sparse_rows(stack.reshape(k * n, n))
+    sums: dict[int, int] = {}  # flat index into the result: entry
+    for a in range(k):
+        x = xrows[a * n:(a + 1) * n]
+        for i, lrow in enumerate(lrows):
+            lx: dict[int, int] = {}
+            for l, y in lrow.items():
+                for j, z in x[l].items():
+                    lx[j] = lx.get(j, 0) + y * z
+            base = (a * r + i) * c
+            for l, y in lx.items():
+                for j, z in rrows[l].items():
+                    sums[base + j] = sums.get(base + j, 0) + y * z
+    out = zeros(k, r, c)
+    if sums:
+        out.reshape(-1)[list(sums)] = np.array(list(sums.values()), dtype=object)
+    return out
+
+
 def _dense(vectors: list[dict[int, int]], fixed: list[int], signs: list[int]) -> np.ndarray:
     """The square matrix whose rows are signs[t] * vectors[fixed[t]], then
     the other vectors in index order."""
@@ -152,13 +195,12 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
     if a.dtype != object:
         a = intmat(a)
     m, n = a.shape
-    rows: list[dict[int, int]] = [{} for _ in range(m)]
+    rows = sparse_rows(a)
     cols: list[set[int]] = [set() for _ in range(n)]
-    nonzero = np.nonzero(a)
-    for i, j, x in zip(*(k.tolist() for k in nonzero), a[nonzero].tolist()):
-        rows[i][j] = x
-        cols[j].add(i)
-    nnz = len(nonzero[0])
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    nnz = sum(map(len, rows))
     u = [{k: 1} for k in range(m)] if want_u else None
     uinv = [{k: 1} for k in range(m)] if want_uinv else None
     v = [{k: 1} for k in range(n)] if want_v else None

@@ -83,6 +83,18 @@ def reference_action_error(group: FiniteGroup, stack: np.ndarray,
     return None
 
 
+def reference_quotient_action(m: GLattice, proj: np.ndarray) -> np.ndarray:
+    """proj X(a) section for every a, by object-dtype ``np.matmul`` over the
+    whole stack, for the projection ``proj`` that ``quotient_lattice`` returns.
+
+    The section is any integer right inverse of ``proj``, here one solve: two
+    differ by vectors of the sublattice ker(proj), which X(a) keeps and
+    ``proj`` kills, so the product does not depend on the choice.
+    """
+    section = linalg.solve(proj, linalg.eye(proj.shape[0]))
+    return np.matmul(np.matmul(proj, m.action), section)
+
+
 def bareiss_charpoly_value(m: GLattice, g: int, x: int) -> int:
     """det(x I - X(g)) by one Bareiss determinant of the matrix itself."""
     return linalg.det(x * linalg.eye(m.rank) - m.action[g])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -23,7 +24,7 @@ from toruskit.tori import make_torus
 from support import (conjugate, group_family_up_to_8, hom_lattice,
                      presentation_of_lattice, random_glattice,
                      random_unimodular, rank_two_pool, reference_action_error,
-                     s3_group, tensor_lattice)
+                     reference_quotient_action, s3_group, tensor_lattice)
 
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
@@ -230,6 +231,57 @@ def test_quotient_lattice_rejects_unstable():
     unstable = linalg.intmat([[1], [0]])
     with pytest.raises(ValueError, match="not stable"):
         quotient_lattice(reg, unstable)
+
+
+@st.composite
+def _stable_sublattices(draw):
+    """(lattice, basis): a lattice over a group of order <= 8 and the basis
+    of a G-stable saturated sublattice of it."""
+    g = draw(st.sampled_from(group_family_up_to_8()))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(("regular", "induced", "random", "conjugate")))
+    if kind == "regular":
+        m = regular_lattice(g)
+    elif kind == "induced":
+        h = rng.choice(all_subgroups(g))
+        m = induce(h, random_glattice(h.as_group(), 2, rng))
+    elif kind == "random":
+        m = random_glattice(g, 2, rng)
+    else:  # entries far above 1
+        base = rng.choice(rank_two_pool(g) + [regular_lattice(g)])
+        m = conjugate(base, random_unimodular(base.rank, rng, draw(st.integers(8, 40))))
+    sub = draw(st.sampled_from(("norm", "invariants", "norm_kernel", "zero", "full")))
+    if sub == "norm":  # N e_1 is fixed, so its primitive part spans a stable line
+        v = norm_vector(m)
+        d = math.gcd(*v[:, 0])
+        return m, v // d if d else linalg.zeros(m.rank, 0)
+    if sub == "invariants":
+        return m, invariants(m)[0]
+    if sub == "norm_kernel":  # N X(g) = N, so ker N is stable
+        return m, linalg.kernel_basis(norm_operator(m))
+    return m, linalg.zeros(m.rank, 0) if sub == "zero" else linalg.eye(m.rank)
+
+
+def _assert_quotient_is_object_product(m, basis):
+    quot, proj = quotient_lattice(m, basis)
+    assert np.array_equal(quot.action, reference_quotient_action(m, proj))
+    assert all(type(x) is int for x in quot.action.flat)
+
+
+@given(_stable_sublattices())
+@settings(deadline=None, max_examples=120)
+def test_quotient_action_matches_object_product(case):
+    # The quotient stack is formed from nonzero entries only; the reference
+    # multiplies the whole stack.  Zero-column bases give M itself, full-rank
+    # bases a rank-0 quotient.
+    _assert_quotient_is_object_product(*case)
+
+
+def test_quotient_action_matches_object_product_at_order_32():
+    squares = (1, 121, 169, 289, 361, 529)
+    reg = make_torus(AbelianGaloisDatum(840, squares), "res").X
+    assert reg.group.order == 32
+    _assert_quotient_is_object_product(reg, norm_vector(reg))
 
 
 def test_frobenius_reciprocity_fixed_points():

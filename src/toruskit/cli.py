@@ -59,9 +59,12 @@ def build_torus(splitting, spec: dict) -> Torus:
 
 
 def load_torus(path: str) -> Torus:
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    return build_torus(load_splitting(spec["field"]), spec["torus"])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+        return build_torus(load_splitting(spec["field"]), spec["torus"])
+    except RecursionError:  # JSON or descriptors nested past the recursion limit
+        raise ValueError("spec is nested too deeply") from None
 
 
 def cmd_info(args) -> dict:
@@ -188,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prec", type=int, default=15)
     p.set_defaults(handler=cmd_residue)
 
-    p = sub.add_parser("tamagawa", help="Tamagawa number with its cohomological parts")
+    p = sub.add_parser("tamagawa", help="tau_omega = #H^1 / #Sha^2_omega (kernel of restriction to "
+                       "cyclic subgroups); Ono's tau if every decomposition group is cyclic")
     p.add_argument("file")
     p.set_defaults(handler=cmd_tamagawa)
 

@@ -200,7 +200,7 @@ def _relation_complex(module: GLattice | GModulePresentation) -> tuple:
         regular = np.stack([np.kron(x, linalg.eye(n)) for x in regular_lattice(group).action])
         kernel = np.hstack([linalg.eye(n * order), linalg.zeros(n * order, rel.shape[1])])
         kernel[ident * n:(ident + 1) * n, :] -= np.hstack(list(module.action) + [-rel])
-        return _relation_complex(GModulePresentation(group, n * order, kernel, regular))
+        return _relation_complex(GModulePresentation(group, kernel, regular))
     d = linalg.intmat(d, (len(d),))
     basis = np.vstack([np.diag(d), linalg.zeros(module.generators - len(d), len(d))])
     return frame, basis, [m[:len(d), :len(d)] * d // d[:, None] for m in frame]
@@ -276,8 +276,7 @@ def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
     """H^q as the torsion of coker d^(q-1), generated by columns of U^-1."""
     if q not in (1, 2):
         raise ValueError("cocycle representatives are computed in degrees 1 and 2")
-    snf = linalg.smith_normal_form(differential(module.group, module.action, q - 1),
-                                   want_u=True, want_uinv=True)
+    snf = linalg.smith_normal_form(differential(module.group, module.action, q - 1), want_u=True)
     cols = [i for i in range(snf.rank) if snf.diagonal[i] >= 2]
     arrays = (snf.uinv[:, cols], snf.u[cols], snf.u[snf.rank:])
     for a in arrays:

@@ -25,14 +25,46 @@ _CACHE_SIZE = 1024
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    order: int
+    """A finite group as its multiplication table ``table[a][b] = ab``; the order,
+    identity and inverses are read off it, and equality sees the table alone."""
+
     table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
     label: str = field(compare=False, default="")
+    order: int = field(init=False, compare=False)
+    identity: int = field(init=False, compare=False)
+    inverse: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        _check_group_axioms(self.order, self.table, self.identity, self.inverse)
+        table = tuple(map(tuple, self.table))
+        order = len(table)
+        if order <= 0:
+            raise ValueError("group order must be positive")
+        if any(len(row) != order for row in table):
+            raise ValueError("multiplication table has wrong shape")
+        if any(min(row) < 0 or max(row) >= order for row in table):
+            raise ValueError("table entry out of range")
+        plain = tuple(range(order))
+        identity = next((e for e, row in enumerate(table)
+                         if row == plain and tuple(r[e] for r in table) == plain), None)
+        if identity is None:
+            raise ValueError("no identity element")
+        if any(identity not in row for row in table):
+            raise ValueError("missing inverse")
+        inverse = tuple(row.index(identity) for row in table)
+        if any(table[b][a] != identity for a, b in enumerate(inverse)):
+            raise ValueError("two-sided inverse missing")
+        # Light's test: the c with (ab)c = a(bc) for all a, b are closed under
+        # products, so checking c in a generating set proves associativity.  The
+        # raw table is used, so a rejected table leaves nothing in any cache.
+        for c in _generate(lambda a, b: table[a][b], identity, range(order))[0]:
+            times_c = [row[c] for row in table]
+            for row in table:
+                if [times_c[x] for x in row] != [row[x] for x in times_c]:
+                    raise ValueError("associativity fails")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverse", inverse)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -52,30 +84,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.label or self.order})"
-
-
-def _check_group_axioms(order, table, identity, inverse):
-    if order <= 0:
-        raise ValueError("group order must be positive")
-    if len(table) != order or any(len(row) != order for row in table):
-        raise ValueError("multiplication table has wrong shape")
-    if any(min(row) < 0 or max(row) >= order for row in table):
-        raise ValueError("table entry out of range")
-    if any(table[identity][a] != a or table[a][identity] != a for a in range(order)):
-        raise ValueError("identity row/column is not fixed")
-    if len(inverse) != order:
-        raise ValueError("inverse list has wrong length")
-    if any(table[a][b] != identity or table[b][a] != identity
-           for a, b in enumerate(inverse)):
-        raise ValueError("two-sided inverse missing")
-    # Light's test: the c with (ab)c = a(bc) for all a, b are closed under
-    # products, so checking c in a generating set proves associativity.  The
-    # raw table is used, so a rejected table leaves nothing in any cache.
-    for c in _generate(lambda a, b: table[a][b], identity, range(order))[0]:
-        times_c = [row[c] for row in table]
-        for row in table:
-            if [times_c[x] for x in row] != [row[x] for x in times_c]:
-                raise ValueError("associativity fails")
 
 
 def _generate(mul, identity, candidates) -> tuple[list, set]:
@@ -182,30 +190,11 @@ def abelian_decomposition(group: FiniteGroup) -> AbelianDecomposition:
                                 tuple(exps[a] for a in group.elements()), tuple(by_index))
 
 
-def _group_from_table(table, label):
-    order = len(table)
-    table = tuple(tuple(row) for row in table)
-    identity = None
-    for e in range(order):
-        if all(table[e][a] == a and table[a][e] == a for a in range(order)):
-            identity = e
-            break
-    if identity is None:
-        raise ValueError("no identity element")
-    inverse = []
-    for a in range(order):
-        inv = next((b for b in range(order) if table[a][b] == identity), None)
-        if inv is None:
-            raise ValueError("missing inverse")
-        inverse.append(inv)
-    return FiniteGroup(order, table, identity, tuple(inverse), label)
-
-
 def cyclic_group(n: int) -> FiniteGroup:
     if n <= 0:
         raise ValueError(f"cyclic group order must be positive, got {n}")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return _group_from_table(table, f"C{n}")
+    return FiniteGroup(table, f"C{n}")
 
 
 def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -215,7 +204,7 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     for a1, b1 in itertools.product(range(n1), range(n2)):
         for a2, b2 in itertools.product(range(n1), range(n2)):
             table[a1 * n2 + b1][a2 * n2 + b2] = g1.mul(a1, a2) * n2 + g2.mul(b1, b2)
-    return _group_from_table(table, f"{g1.label or 'G'}x{g2.label or 'G'}")
+    return FiniteGroup(table, f"{g1.label or 'G'}x{g2.label or 'G'}")
 
 
 def units_mod(n: int) -> tuple[int, ...]:
@@ -263,7 +252,7 @@ def _cyclotomic_cosets(modulus: int, subgroup: Iterable[int] | None = None
             reps.append(u)
     table = [[element_of[a * b % n] for b in reps] for a in reps]
     label = f"(Z/{n})^x" if len(h) == 1 else f"(Z/{n})^x/H{len(h)}"
-    return _group_from_table(table, label), tuple(reps), element_of
+    return FiniteGroup(table, label), tuple(reps), element_of
 
 
 def cyclotomic_quotient_group(modulus: int, subgroup: Iterable[int] | None = None
@@ -337,7 +326,7 @@ class Subgroup:
 def _subgroup_as_group(sub: Subgroup) -> FiniteGroup:
     pos = {g: i for i, g in enumerate(sub.elements)}
     table = [[pos[sub.parent.mul(a, b)] for b in sub.elements] for a in sub.elements]
-    return _group_from_table(table, f"{sub.parent.label}|H{sub.order}")
+    return FiniteGroup(table, f"{sub.parent.label}|H{sub.order}")
 
 
 def subgroup_closure(parent: FiniteGroup, generators: Iterable[int]) -> Subgroup:
@@ -385,14 +374,15 @@ def index_two_subgroups(g: FiniteGroup) -> list[Subgroup]:
 @dataclass(frozen=True)
 class FiniteGSet:
     group: FiniteGroup
-    size: int
     action: tuple[tuple[int, ...], ...]  # action[g][x] = g . x
+    size: int = field(init=False, compare=False)  # the identity row's length
 
     def __post_init__(self):
         g = self.group
-        if len(self.action) != g.order or any(len(row) != self.size for row in self.action):
+        ident = self.action[g.identity] if len(self.action) == g.order else None
+        if ident is None or any(len(row) != len(ident) for row in self.action):
             raise ValueError("action table has wrong shape")
-        ident = self.action[g.identity]
+        object.__setattr__(self, "size", len(ident))
         if tuple(ident) != tuple(range(self.size)):
             raise ValueError("identity must act as the identity permutation")
         if any(sorted(row) != list(range(self.size)) for row in self.action):
@@ -420,7 +410,7 @@ def coset_gset(g: FiniteGroup, h: Subgroup) -> FiniteGSet:
     reps.sort()
     index = {rep: i for i, rep in enumerate(reps)}
     action = tuple(tuple(index[coset_of[g.mul(a, r)]] for r in reps) for a in g.elements())
-    return FiniteGSet(g, len(reps), action)
+    return FiniteGSet(g, action)
 
 
 def orbits(x: FiniteGSet) -> list[tuple[tuple[int, ...], Subgroup]]:

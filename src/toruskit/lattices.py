@@ -54,18 +54,20 @@ class GLattice:
     every matrix to be unimodular."""
 
     group: FiniteGroup
-    rank: int
     action: np.ndarray
+    rank: int = field(init=False)  # the size of the identity's matrix
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.group
         if len(self.action) != g.order:
             raise ValueError("one action matrix per group element required")
-        action = _read_only(self.action, (g.order, self.rank, self.rank))
+        n = len(self.action[g.identity])
+        action = _read_only(self.action, (g.order, n, n))
         _check_action(g, action)
         object.__setattr__(self, "action", action)
-        object.__setattr__(self, "_hash", hash((g, self.rank, tuple(action.flat))))
+        object.__setattr__(self, "rank", n)
+        object.__setattr__(self, "_hash", hash((g, n, tuple(action.flat))))
 
     def __eq__(self, other):
         return (isinstance(other, GLattice) and self._hash == other._hash
@@ -135,7 +137,7 @@ def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray | None 
         if not law:
             raise ValueError("action matrices do not respect the group law")
         return True, (), stack
-    snf = linalg.smith_normal_form(rel, want_u=True, want_uinv=True)
+    snf = linalg.smith_normal_form(rel, want_u=True)
     r, eye = snf.rank, linalg.eye(len(rel))
     if np.array_equal(snf.u, eye):  # then U^-1 = I too: the frame is the stack
         frame = stack
@@ -162,11 +164,11 @@ def _lattice(group: FiniteGroup, stack: np.ndarray) -> GLattice:
     """GLattice on a stack a constructor just built; frozen in place, it is
     shared instead of copied."""
     stack.flags.writeable = False
-    return GLattice(group, stack.shape[1], stack)
+    return GLattice(group, stack)
 
 
 def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) -> GLattice:
-    return GLattice(group, len(matrices[0]) if len(matrices) else 0, matrices)
+    return GLattice(group, matrices)
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
@@ -304,7 +306,7 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
     s = linalg.hermite_column(s)  # canonical basis of the same sublattice
     if s.shape[1] < ncols:
         raise ValueError("sublattice basis columns are dependent")
-    full = linalg.smith_normal_form(s, want_u=True, want_uinv=True)
+    full = linalg.smith_normal_form(s, want_u=True)
     if any(d != 1 for d in full.diagonal):
         raise ValueError("sublattice is not saturated; quotient would have torsion")
     proj = full.u[ncols:, :]
@@ -328,20 +330,22 @@ class GModulePresentation:
     cohomology engine and the splitting enumerator reuse it."""
 
     group: FiniteGroup
-    generators: int
     relations: np.ndarray
     action: np.ndarray
+    generators: int = field(init=False)  # the size of the identity's matrix
     _hash: int = field(init=False, repr=False)
     _frame: tuple[bool, tuple[int, ...], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        g, n = self.group, self.generators
+        g = self.group
         if len(self.action) != g.order:
             raise ValueError("one action matrix per group element required")
+        n = len(self.action[g.identity])
+        action = _read_only(self.action, (g.order, n, n))
         k = np.shape(self.relations)[-1] if n else 0
         relations = _read_only(self.relations, (n, k))
-        action = _read_only(self.action, (g.order, n, n))
         object.__setattr__(self, "_frame", _check_action(g, action, relations))
+        object.__setattr__(self, "generators", n)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "_hash", hash((g, n, tuple(relations.flat),
@@ -362,7 +366,7 @@ def presentation_mod(m: GLattice, modulus: int) -> GModulePresentation:
     """The finite module M / modulus*M with the inherited action."""
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    return GModulePresentation(m.group, m.rank, modulus * linalg.eye(m.rank), m.action)
+    return GModulePresentation(m.group, modulus * linalg.eye(m.rank), m.action)
 
 
 @dataclass(frozen=True)

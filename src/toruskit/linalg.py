@@ -171,8 +171,8 @@ def _dense(vectors: list[dict[int, int]], fixed: list[int], signs: list[int]) ->
 
 
 def smith_normal_form(a: np.ndarray, want_u: bool = False,
-                      want_uinv: bool = False, want_v: bool = False) -> SmithForm:
-    """The Smith normal form of ``a``, with U, U^-1 and V on request.
+                      want_v: bool = False) -> SmithForm:
+    """The Smith normal form of ``a``, with U and U^-1, and V, on request.
 
     One elimination on sparse rows {column: entry}.  Each step takes a +-1
     entry of least Markowitz cost (row nonzeros - 1) (column nonzeros - 1)
@@ -202,7 +202,7 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
             cols[j].add(i)
     nnz = sum(map(len, rows))
     u = [{k: 1} for k in range(m)] if want_u else None
-    uinv = [{k: 1} for k in range(m)] if want_uinv else None
+    uinv = [{k: 1} for k in range(m)] if want_u else None
     v = [{k: 1} for k in range(n)] if want_v else None
 
     def cost(i, j):
@@ -230,7 +230,6 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
                 nnz -= 1
         if u is not None:
             _axpy(u[k], c, u[i])
-        if uinv is not None:
             _axpy(uinv[i], -c, uinv[k])
 
     def clear_row(i, j):
@@ -295,7 +294,6 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
     fixed = [i for i, _, _ in pivots]
     if u is not None:
         u = _dense(u, fixed, signs)
-    if uinv is not None:
         uinv = _dense(uinv, fixed, signs).T.copy()
     if v is not None:
         v = _dense(v, [j for _, j, _ in pivots], []).T.copy()

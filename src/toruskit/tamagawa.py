@@ -48,9 +48,13 @@ def canonical_coefficients(t: Torus, pmax: int) -> dict[int, Fraction]:
 
 
 def tamagawa_number(t: Torus) -> Fraction:
-    """tau(T) as the ratio #H^1(G, X) / #Sha2_cyc(G, X), an exact rational.
+    """tau_omega = #H^1(G, X) / #Sha^2_omega(G, X), an exact rational.
 
-    Any splitting datum works, since both sides only see the lattice.
+    Sha^2_omega is the kernel of restriction from H^2 to the cyclic subgroups
+    (Colliot-Thelene and Sansuc 1977).  tau_omega is Ono's tau(T) when every
+    decomposition group is cyclic, and may differ otherwise: the norm-one
+    torus over 120/{1, 49} has tau_omega = 1/4 but tau(T) = 8.  Any splitting
+    datum works, since both sides only see the lattice.
     """
     group = t.group
     h1 = cohomology(group, t.X, 1)

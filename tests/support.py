@@ -17,8 +17,7 @@ import numpy as np
 from toruskit import linalg
 from toruskit.arith import frobenius
 from toruskit.cohomology import _tuple_index, bar_differential
-from toruskit.groups import (FiniteGroup, Subgroup, _group_from_table,
-                             coset_gset, cyclic_group, cyclic_subgroups,
+from toruskit.groups import (FiniteGroup, Subgroup, coset_gset, cyclic_group, cyclic_subgroups,
                              generating_set, index_two_subgroups,
                              product_group)
 from toruskit.lattices import (GLattice, GModulePresentation, direct_sum,
@@ -42,7 +41,7 @@ def s3_group() -> FiniteGroup:
     perms = list(itertools.permutations(range(3)))
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[tuple(a[b[x]] for x in range(3))] for b in perms] for a in perms]
-    return _group_from_table(table, "S3")
+    return FiniteGroup(table, "S3")
 
 
 def conjugate(m: GLattice, u) -> GLattice:
@@ -51,7 +50,7 @@ def conjugate(m: GLattice, u) -> GLattice:
     if abs(linalg.det(u)) != 1:
         raise ValueError("basis change must be unimodular")
     uinv = linalg.solve(u, linalg.eye(m.rank))
-    return GLattice(m.group, m.rank, np.matmul(np.matmul(uinv, m.action), u))
+    return GLattice(m.group, np.matmul(np.matmul(uinv, m.action), u))
 
 
 def reference_action_error(group: FiniteGroup, stack: np.ndarray,
@@ -158,7 +157,7 @@ def hom_lattice(m: GLattice, n: GLattice) -> GLattice:
             for jj, ii in itertools.product(range(rm), range(rn)):
                 big[jj * rn + ii, j * rn + i] = img[ii, jj]
         mats.append(big)
-    return GLattice(g, rm * rn, mats)
+    return GLattice(g, mats)
 
 
 def _unit_matrix(rows, cols, i, j):
@@ -179,12 +178,12 @@ def tensor_lattice(m: GLattice, n: GLattice) -> GLattice:
                 big[i * n.rank:(i + 1) * n.rank, j * n.rank:(j + 1) * n.rank] = \
                     am[i, j] * an
         mats.append(big)
-    return GLattice(m.group, m.rank * n.rank, mats)
+    return GLattice(m.group, mats)
 
 
 def presentation_of_lattice(m: GLattice) -> GModulePresentation:
     """The lattice viewed as a presented module with no relations."""
-    return GModulePresentation(m.group, m.rank, linalg.zeros(m.rank, 0), m.action)
+    return GModulePresentation(m.group, linalg.zeros(m.rank, 0), m.action)
 
 
 def is_saturated(a: np.ndarray) -> bool:
@@ -261,7 +260,7 @@ def bar_classes(lattice: GLattice, q: int):
     """H^q (q = 1, 2) from the bar complex: orders, generating cocycles and
     the coboundary matrix d^(q-1), read off one Smith form with U^-1."""
     d_prev = bar_differential(lattice.group, lattice.action, q - 1)
-    snf = linalg.smith_normal_form(d_prev, want_uinv=True)
+    snf = linalg.smith_normal_form(d_prev, want_u=True)
     cols = [i for i in range(snf.rank) if snf.diagonal[i] >= 2]
     return [snf.diagonal[i] for i in cols], snf.uinv[:, cols], d_prev
 

@@ -194,6 +194,18 @@ def test_exit_2_on_malformed(tmp_path):
         assert code == 2 and out == "" and "malformed" in err
 
 
+def test_exit_2_on_deeply_nested_input(tmp_path):
+    # Both exceed the interpreter's recursion limit while the spec is read.
+    product = ('{"field": {"type": "cyclotomic", "modulus": 4}, "torus": '
+               + '{"type": "product", "factors": [' * 500 + '{"type": "split", "dim": 1}'
+               + ']}' * 500 + '}')
+    for name, text in (("product.json", product), ("array.json", "[" * 100000 + "]" * 100000)):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(["info", str(path)])
+        assert code == 2 and out == "" and "malformed input" in err
+
+
 def test_exit_2_on_bad_usage():
     code, _, _ = run(["no-such-command"])
     assert code == 2

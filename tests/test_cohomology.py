@@ -526,7 +526,7 @@ def orbit_presentation(m, rng, modulus):
     cols = [linalg.mul(m.action[a], v) for a in m.group.elements()]
     if modulus:
         cols.append(modulus * linalg.eye(m.rank))
-    return GModulePresentation(m.group, m.rank, np.hstack(cols), m.action)
+    return GModulePresentation(m.group, np.hstack(cols), m.action)
 
 
 def test_presented_small_resolution_matches_bar_complex():
@@ -544,7 +544,7 @@ def test_presented_small_resolution_matches_bar_complex():
                   for modulus in (2, 3)]
         m = random_glattice(g, 2, orbit_rng)
         cases += [orbit_presentation(m, orbit_rng, modulus) for modulus in (0, 2)]
-    cases += [GModulePresentation(g, 1, ((modulus,),), tuple(((x,),) for x in scalars))
+    cases += [GModulePresentation(g, ((modulus,),), tuple(((x,),) for x in scalars))
               for g, modulus, scalars in [
                   (C2, 3, (1, 2)), (C2, 3, (4, 2)), (C2, 8, (1, 3)), (C2, 16, (1, 7)),
                   (C2, 16, (1, 9)), (C3, 7, (1, 2, 4)), (C4, 5, (1, 2, 4, 3))]]
@@ -570,8 +570,8 @@ def test_presented_cohomology_reads_any_smith_frame(g, scales, seed):
     rel = np.diag(linalg.intmat([a] * x1.rank + [b] * x2.rank, (x.rank,)))
     p = random_unimodular(x.rank, rng, steps=rng.randint(1, 4))
     conjugated = np.matmul(np.matmul(p, x.action), linalg.solve(p, linalg.eye(x.rank)))
-    plain = GModulePresentation(g, x.rank, rel, x.action)
-    moved = GModulePresentation(g, x.rank, linalg.mul(p, rel), conjugated)
+    plain = GModulePresentation(g, rel, x.action)
+    moved = GModulePresentation(g, linalg.mul(p, rel), conjugated)
     for q in (0, 1, 2):
         summands = cohomology(g, presentation_mod(x1, a), q).direct_sum(
             cohomology(g, presentation_mod(x2, b) if b else x2, q))

@@ -3,6 +3,7 @@ import math
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from toruskit.errors import UnsupportedRequestError
 from toruskit.groups import (FiniteGSet, FiniteGroup, Subgroup,
@@ -132,7 +133,7 @@ def test_subgroup_as_group_roundtrip():
 
 def test_orbits_trivial_action():
     g = cyclic_group(2)
-    x = FiniteGSet(g, 3, tuple(tuple(range(3)) for _ in g.elements()))
+    x = FiniteGSet(g, tuple(tuple(range(3)) for _ in g.elements()))
     out = orbits(x)
     assert [o for o, _ in out] == [(0,), (1,), (2,)]
     assert all(stab.order == 2 for _, stab in out)
@@ -140,7 +141,7 @@ def test_orbits_trivial_action():
 
 def test_orbits_swap():
     g = cyclic_group(2)
-    x = FiniteGSet(g, 2, ((0, 1), (1, 0)))
+    x = FiniteGSet(g, ((0, 1), (1, 0)))
     out = orbits(x)
     assert out[0][0] == (0, 1)
     assert out[0][1].order == 1
@@ -148,8 +149,7 @@ def test_orbits_swap():
 
 def test_orbits_regular_klein():
     g = product_group(cyclic_group(2), cyclic_group(2))
-    x = FiniteGSet(g, g.order, tuple(tuple(g.mul(a, b) for b in g.elements())
-                                     for a in g.elements()))
+    x = FiniteGSet(g, tuple(tuple(g.mul(a, b) for b in g.elements()) for a in g.elements()))
     out = orbits(x)
     assert len(out) == 1
     assert len(out[0][0]) == 4 and out[0][1].order == 1
@@ -169,9 +169,13 @@ def test_orbit_stabilizer_identity():
 def test_gset_validation():
     g = cyclic_group(2)
     with pytest.raises(ValueError):
-        FiniteGSet(g, 2, ((0, 1), (0, 1), (0, 1)))  # wrong shape
+        FiniteGSet(g, ((0, 1), (0, 1), (0, 1)))  # wrong shape
+    for ragged in (((0, 1), (1,)), ((0,), (1, 0))):
+        with pytest.raises(ValueError, match="wrong shape"):
+            FiniteGSet(g, ragged)
+    assert FiniteGSet(g, ((0, 1, 2), (1, 0, 2))).size == 3
     with pytest.raises(ValueError):
-        FiniteGSet(g, 2, ((1, 0), (0, 1)))  # identity must act trivially
+        FiniteGSet(g, ((1, 0), (0, 1)))  # identity must act trivially
 
 
 def test_gset_catches_corruption_outside_generating_set():
@@ -183,19 +187,68 @@ def test_gset_catches_corruption_outside_generating_set():
         gens = generating_set(g)
         bad = max(a for a in g.elements() if a != g.identity and a not in gens)
         other = next(b for b in g.elements() if b not in (g.identity, bad))
-        FiniteGSet(g, g.order, tuple(regular))
+        FiniteGSet(g, tuple(regular))
         regular[bad] = regular[other]
         with pytest.raises(ValueError, match="group law"):
-            FiniteGSet(g, g.order, tuple(regular))
+            FiniteGSet(g, tuple(regular))
 
 
-def test_group_rejects_non_associative_loop():
+def _relabel(table, perm):
+    """The table with every element a renamed perm[a]."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, c in enumerate(row):
+            out[perm[a]][perm[b]] = perm[c]
+    return out
+
+
+@given(st.sampled_from(group_family_up_to_8() + [s3_group()]), st.data())
+@settings(deadline=None)
+def test_group_fields_follow_a_relabelled_table(g, data):
+    # Order, identity and inverses are read off the table, wherever the
+    # relabelling puts them; a table that breaks one of them is refused.
+    perm = data.draw(st.permutations(range(g.order)))
+    h = FiniteGroup(_relabel(g.table, perm))
+    assert h == FiniteGroup(h.table) and h.order == g.order
+    assert h.identity == perm[g.identity]
+    assert all(h.inverse[perm[a]] == perm[g.inverse[a]] for a in g.elements())
+    e, others = h.identity, [x for x in h.elements() if x != h.identity]
+    if not others:
+        return
+    with pytest.raises(ValueError, match="no identity"):
+        FiniteGroup([list(h.elements())] * g.order)  # x y = y: every x is a left identity
+    a = data.draw(st.sampled_from(others))
+    b = h.inverse[a]
+    table = [list(row) for row in h.table]
+    table[a][b] = a  # row a no longer holds the identity
+    with pytest.raises(ValueError, match="missing inverse"):
+        FiniteGroup(table)
+    if g.order < 3:
+        return
+    # Renaming two products leaves no element acting trivially on both
+    # sides: a transposition of three or more elements is no translation.
+    x, y = data.draw(st.lists(st.sampled_from(h.elements()), min_size=2, max_size=2,
+                              unique=True))
+    with pytest.raises(ValueError, match="no identity"):
+        FiniteGroup([[{x: y, y: x}.get(c, c) for c in row] for row in h.table])
+    # Moving the identity in row b from column a to column c (not a, not e)
+    # keeps every row's identity but makes a b = e while b a != e.
+    c = data.draw(st.sampled_from([x for x in others if x != a]))
+    table = [list(row) for row in h.table]
+    table[b][a], table[b][c] = table[b][c], table[b][a]
+    with pytest.raises(ValueError, match="two-sided inverse"):
+        FiniteGroup(table)
+
+
+@given(st.permutations(range(5)))
+@example([0, 1, 2, 3, 4])
+def test_group_rejects_non_associative_loop(perm):
     # a Latin square with identity 0 and every element its own two-sided
-    # inverse, but (1 2) 2 = 3 2 = 4 while 1 (2 2) = 1 0 = 1
+    # inverse, but (1 2) 2 = 3 2 = 4 while 1 (2 2) = 1 0 = 1, under any labels
     rows = ("01234", "10342", "24013", "32401", "43120")
     table = tuple(tuple(int(x) for x in row) for row in rows)
     with pytest.raises(ValueError, match="associativity"):
-        FiniteGroup(5, table, 0, (0, 1, 2, 3, 4))
+        FiniteGroup(_relabel(table, perm))
 
 
 def test_subgroup_validation():

@@ -73,7 +73,7 @@ def test_glattice_catches_corruption_outside_generating_set():
         action = list(good.action)
         action[bad] = good.action[other]  # still a permutation matrix
         with pytest.raises(ValueError, match="group law"):
-            GLattice(g, good.rank, tuple(action))
+            GLattice(g, tuple(action))
 
 
 def test_glattice_owns_a_read_only_copy():
@@ -84,7 +84,7 @@ def test_glattice_owns_a_read_only_copy():
         view = stack[:]
         view.flags.writeable = False
         for data in (stack, view, stack.tolist()):
-            m = GLattice(C2, 2, data)
+            m = GLattice(C2, data)
             stack[1, 0, 0] = 5
             assert m == regular_lattice(C2)
             stack[1, 0, 0] = 0
@@ -341,24 +341,24 @@ def test_presentation_mod():
 def test_presentation_validates_action():
     # scaling by 0 is no group action on Z/3
     with pytest.raises(ValueError):
-        GModulePresentation(C2, 1, ((3,),), (((1,),), ((0,),)))
+        GModulePresentation(C2, ((3,),), (((1,),), ((0,),)))
     # multiplication by 2 IS an involution mod 3, even though 2*2 != 1 over Z
-    GModulePresentation(C2, 1, ((3,),), (((1,),), ((2,),)))
+    GModulePresentation(C2, ((3,),), (((1,),), ((2,),)))
     # identity may act as anything congruent to the identity
-    GModulePresentation(C2, 1, ((3,),), (((4,),), ((2,),)))
+    GModulePresentation(C2, ((3,),), (((4,),), ((2,),)))
 
 
 def test_presentation_rejects_identity_off_the_quotient():
     # 2 is not congruent to 1 mod 3
     with pytest.raises(ValueError, match="identity"):
-        GModulePresentation(C2, 1, ((3,),), (((2,),), ((2,),)))
+        GModulePresentation(C2, ((3,),), (((2,),), ((2,),)))
 
 
 def test_presentation_rejects_unpreserved_relations():
     # Z/2 + Z with the swap: an involution, but (2, 0) goes to (0, 2)
     swap = ((0, 1), (1, 0))
     with pytest.raises(ValueError, match="preserve"):
-        GModulePresentation(C2, 2, ((2,), (0,)), (((1, 0), (0, 1)), swap))
+        GModulePresentation(C2, ((2,), (0,)), (((1, 0), (0, 1)), swap))
 
 
 def test_presentation_catches_corruption_outside_generating_set():
@@ -375,7 +375,7 @@ def test_presentation_catches_corruption_outside_generating_set():
         action[bad] = good.action[other]
         for pres in (presentation_mod(good, 3), presentation_of_lattice(good)):
             with pytest.raises(ValueError, match="group law"):
-                GModulePresentation(g, pres.generators, pres.relations, tuple(action))
+                GModulePresentation(g, pres.relations, tuple(action))
 
 
 def test_presentation_mod_validates_with_three_solves(monkeypatch):
@@ -468,10 +468,10 @@ def test_probe_group_law_matches_full_products(case):
     # on Z^n and modulo 3 Z^n (where moves by multiples of 3 keep an action).
     g, stack = case
     n = stack.shape[1]
-    assert _constructor_error(lambda: GLattice(g, n, stack)) == \
+    assert _constructor_error(lambda: GLattice(g, stack)) == \
         reference_action_error(g, stack)
     rel = 3 * linalg.eye(n)
-    assert _constructor_error(lambda: GModulePresentation(g, n, rel, stack)) == \
+    assert _constructor_error(lambda: GModulePresentation(g, rel, stack)) == \
         reference_action_error(g, stack, rel)
 
 
@@ -483,10 +483,35 @@ def test_probe_base_exceeds_product_entries():
         stack = linalg.intmat([[[1, 0], [0, 1]], [[-c, 1], [0, 1]]])
         assert reference_action_error(C2, stack) is not None
         with pytest.raises(ValueError, match="group law"):
-            GLattice(C2, 2, stack)
+            GLattice(C2, stack)
         rel = 5 * linalg.eye(2)
-        assert _constructor_error(lambda: GModulePresentation(C2, 2, rel, stack)) == \
+        assert _constructor_error(lambda: GModulePresentation(C2, rel, stack)) == \
             reference_action_error(C2, stack, rel)
+
+
+@pytest.mark.parametrize("stack", [
+    [[[1, 0], [0, 1]]],  # one matrix for two elements
+    [[[1, 0, 0], [0, 1, 0]]] * 2,  # not square
+    np.zeros((2, 2, 3), dtype=int),  # not square, as an array
+    [[[1, 0], [0, 1]], [[1]]],  # ragged matrices
+    [[[1, 0], [0, 1]], [[0, 1], [1]]],  # a ragged row
+    [[[1]], [[0, 1], [1, 0]]],  # the identity's matrix sets the rank
+], ids=["count", "non-square", "non-square-array", "ragged", "ragged-row", "rank"])
+def test_malformed_stacks_raise_one_message(stack):
+    # The rank, and a presented module's number of generators, are read off
+    # the identity's matrix; both constructors refuse the rest alike.
+    rel = 3 * linalg.eye(len(stack[C2.identity]))
+    message = _constructor_error(lambda: GLattice(C2, stack))
+    assert message is not None
+    assert _constructor_error(lambda: GModulePresentation(C2, rel, stack)) == message
+
+
+def test_rank_and_generators_are_read_off_the_identity():
+    assert GLattice(C2, [[], []]).rank == 0
+    assert GModulePresentation(C2, [], [[], []]).generators == 0
+    swap = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    assert GLattice(C2, swap).rank == 2 == regular_lattice(C2).rank
+    assert GModulePresentation(C2, [[2], [2]], swap).generators == 2
 
 
 def test_fgabelian_normalization():

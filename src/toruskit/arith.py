@@ -97,11 +97,20 @@ class DirichletCharacter:
     """Character mod n trivial on H, stored as exact exponents of e^(2 pi i).
 
     ``exponents[i]`` is the exponent at ``units_mod(modulus)[i]``, a Fraction
-    in [0, 1); the value at non-units is 0.
+    in [0, 1); the value at non-units is 0.  The hash is taken once, on first
+    use, and from the numerators: equal Fractions in lowest terms have equal
+    numerators, and hashing a Fraction costs several times more.
     """
 
     modulus: int
     exponents: tuple[Fraction, ...]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.modulus, tuple(q.numerator for q in self.exponents)))
+
+    def __hash__(self):
+        return self._hash
 
     def units(self) -> tuple[int, ...]:
         return units_mod(self.modulus)
@@ -176,13 +185,13 @@ def characters(datum: AbelianGaloisDatum) -> list[DirichletCharacter]:
     # tup sends g_k to e^(2 pi i tup_k / n_k); exponents are numerators / lcm
     lcm = math.lcm(*dec.orders)
     fractions = [Fraction(a, lcm) for a in range(lcm)]
-    chars = []
+    chars, numerators = [], set()
     for tup in itertools.product(*(range(d) for d in dec.orders)):
         weights = [x * (lcm // d) for x, d in zip(tup, dec.orders)]
-        exps = tuple(fractions[sum(e * w for e, w in zip(coords, weights)) % lcm]
-                     for coords in unit_coords)
-        chars.append(DirichletCharacter(modulus, exps))
-    if len({c.exponents for c in chars}) != group.order:
+        nums = tuple(sum(e * w for e, w in zip(coords, weights)) % lcm for coords in unit_coords)
+        numerators.add(nums)
+        chars.append(DirichletCharacter(modulus, tuple(fractions[a] for a in nums)))
+    if len(numerators) != group.order:
         raise InternalInvariantError("character count does not match the group order")
     trivial = [c for c in chars if c.is_trivial()]
     rest = sorted((c for c in chars if not c.is_trivial()), key=lambda c: c.exponents)

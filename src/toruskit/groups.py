@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple
 
@@ -26,7 +26,9 @@ _CACHE_SIZE = 1024
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group as its multiplication table ``table[a][b] = ab``; the order,
-    identity and inverses are read off it, and equality sees the table alone."""
+    identity and inverses are read off it, and equality sees the table alone.
+    The table is hashed once, on first use: every ``lru_cache`` keyed on a
+    group, a subgroup or a lattice hashes the group again."""
 
     table: tuple[tuple[int, ...], ...]
     label: str = field(compare=False, default="")
@@ -65,6 +67,13 @@ class FiniteGroup:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", inverse)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.table)
+
+    def __hash__(self):
+        return self._hash
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -207,6 +216,7 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, f"{g1.label or 'G'}x{g2.label or 'G'}")
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def units_mod(n: int) -> tuple[int, ...]:
     if n <= 0:
         raise ValueError("modulus must be positive")

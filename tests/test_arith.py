@@ -306,3 +306,18 @@ def test_character_order_is_pinned():
             for chi in characters(AbelianGaloisDatum(15))] == [
         (0, 0, 1), (0, q(1, 2), 15), (q(1, 4), 0, 5), (q(1, 4), q(1, 2), 15),
         (q(1, 2), q(1, 2), 3), (q(1, 2), 0, 5), (q(3, 4), q(1, 2), 15), (q(3, 4), 0, 5)]
+
+
+def test_character_hash_agrees_with_equality():
+    # The hash is taken from the numerators of the exponents in lowest terms;
+    # a character rebuilt from other Fraction objects of the same values is
+    # the same dictionary key, and the products of one datum's characters
+    # stay inside its listing.
+    chars = characters(AbelianGaloisDatum(15))
+    keys = {chi: i for i, chi in enumerate(chars)}
+    for i, chi in enumerate(chars):
+        again = DirichletCharacter(15, tuple(Fraction(2 * q.numerator, 2 * q.denominator)
+                                             for q in chi.exponents))
+        assert again == chi and hash(again) == hash(chi) and keys[again] == i
+        assert all(chi * psi in keys for psi in chars)
+    assert len(keys) == len(chars) == 8

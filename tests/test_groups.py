@@ -251,6 +251,18 @@ def test_group_rejects_non_associative_loop(perm):
         FiniteGroup(_relabel(table, perm))
 
 
+def test_group_hash_sees_the_table_alone():
+    # Labels do not enter equality or the hash, so a group rebuilt from the
+    # same table under another label hits the cache entries of the first.
+    g = product_group(cyclic_group(2), cyclic_group(4))
+    h = FiniteGroup(g.table, "renamed")
+    assert h == g and hash(h) == hash(g) and h.label != g.label
+    generating_set(g)
+    hits = generating_set.cache_info().hits
+    assert generating_set(h) == generating_set(g)
+    assert generating_set.cache_info().hits == hits + 2
+
+
 def test_subgroup_validation():
     g = cyclic_group(4)
     with pytest.raises(ValueError):

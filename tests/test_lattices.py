@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
@@ -12,8 +12,9 @@ from toruskit.cohomology import (_cohomology, _relation_complex, cohomology,
 from toruskit.groups import (all_subgroups, cyclic_group, generating_set,
                              product_group, subgroup_closure,
                              trivial_subgroup)
-from toruskit.lattices import (FGAbelian, GLattice, GModulePresentation,
-                               direct_sum, dual, glattice, induce,
+from toruskit.lattices import (_NONZERO_PROBE_ENTRIES, FGAbelian, GLattice,
+                               GModulePresentation, direct_sum, direct_sum_all,
+                               dual, glattice, induce,
                                invariants, norm_operator, norm_vector,
                                permutation_lattice, presentation_mod,
                                quotient_lattice, regular_lattice, restrict,
@@ -429,7 +430,14 @@ def _perturbed_stacks(draw):
         m = conjugate(base, random_unimodular(base.rank, rng, draw(st.integers(8, 40))))
     else:
         m = trivial_lattice(g, 0)
-    stack = m.action.copy()
+    return g, _moved(draw, rng, m)
+
+
+def _moved(draw, rng: random.Random, m: GLattice) -> np.ndarray:
+    """A copy of the stack of ``m``, possibly with one entry moved by a
+    nonzero integer drawn on both sides of the probe's base b, or with one
+    coset x<s> of the first generator s moved to M X(x)."""
+    g, stack = m.group, m.action.copy()
     move = draw(st.sampled_from(("none", "entry", "coset"))) if m.rank else "none"
     if move == "entry":
         c = np.abs(stack).max()
@@ -449,7 +457,7 @@ def _perturbed_stacks(draw):
             linalg.intmat([[rng.randint(-9, 9) for _ in range(m.rank)] for _ in range(m.rank)])
         for x in coset:
             stack[x] = linalg.mul(u, stack[x])
-    return g, stack
+    return stack
 
 
 def _constructor_error(build) -> str | None:
@@ -471,6 +479,58 @@ def test_probe_group_law_matches_full_products(case):
     assert _constructor_error(lambda: GLattice(g, stack)) == \
         reference_action_error(g, stack)
     rel = 3 * linalg.eye(n)
+    assert _constructor_error(lambda: GModulePresentation(g, rel, stack)) == \
+        reference_action_error(g, stack, rel)
+
+
+_ORDER_16 = [cyclic_group(16), product_group(C2, cyclic_group(8)), product_group(C4, C4),
+             product_group(KLEIN, C4), product_group(KLEIN, KLEIN)]
+
+
+@st.composite
+def _stacks_around_the_nonzero_probe(draw):
+    """(group, stack) as in ``_perturbed_stacks``, of |G| n^2 entries on both
+    sides of ``_NONZERO_PROBE_ENTRIES``: a direct sum of random lattices over
+    a group of order at most 8, of rank within two of where |G| n^2 reaches
+    the threshold, or the regular lattice of a group of order 16."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if rng.random() < 0.2:  # the reference takes about 0.2 s at |G| = 16
+        m = regular_lattice(draw(st.sampled_from(_ORDER_16)))
+    else:
+        g = draw(st.sampled_from(group_family_up_to_8()))
+        edge = math.isqrt(_NONZERO_PROBE_ENTRIES // g.order)
+        rank = edge + rng.randint(-2, 2)
+        parts = [random_glattice(g, 2, rng)]
+        while sum(p.rank for p in parts) < rank:
+            parts.append(random_glattice(g, min(2, rank - sum(p.rank for p in parts)), rng))
+        m = direct_sum_all(parts)
+    return m.group, _moved(draw, rng, m)
+
+
+def _padded(*blocks) -> np.ndarray:
+    """A stack of rank 23 whose X(a) is blocks[a] on the first coordinates
+    and the identity on the rest; over C2 it has 1058 entries, past
+    ``_NONZERO_PROBE_ENTRIES``."""
+    stack = np.repeat(linalg.eye(23)[None], len(blocks), axis=0)
+    for a, block in enumerate(blocks):
+        block = linalg.intmat(block)
+        stack[a, :len(block), :len(block)] = block
+    return stack
+
+
+@given(_stacks_around_the_nonzero_probe())
+@example((C2, linalg.zeros(2, 23, 23)))
+@example((C2, _padded([[1]], [[-1, 0], [0, 0]])))  # X(g) has an all-zero row
+@example((C2, _padded([[1, 0], [0, 1]], [[-7, 1], [0, 1]])))
+@settings(deadline=None, max_examples=25)
+def test_nonzero_probe_matches_full_products(case):
+    # As test_probe_group_law_matches_full_products, on stacks that put
+    # |G| n^2 on both sides of the threshold where the probe stops taking
+    # np.dot over every entry and multiplies nonzero entries only.
+    g, stack = case
+    rel = 3 * linalg.eye(stack.shape[1])
+    assert _constructor_error(lambda: GLattice(g, stack)) == \
+        reference_action_error(g, stack)
     assert _constructor_error(lambda: GModulePresentation(g, rel, stack)) == \
         reference_action_error(g, stack, rel)
 

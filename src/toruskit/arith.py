@@ -98,8 +98,9 @@ class DirichletCharacter:
 
     ``exponents[i]`` is the exponent at ``units_mod(modulus)[i]``, a Fraction
     in [0, 1); the value at non-units is 0.  The hash is taken once, on first
-    use, and from the numerators: equal Fractions in lowest terms have equal
-    numerators, and hashing a Fraction costs several times more.
+    use, from each exponent's numerator and denominator: a Fraction is kept
+    in lowest terms, so equal exponents give equal pairs, distinct ones
+    distinct pairs, and hashing a Fraction costs several times more.
     """
 
     modulus: int
@@ -107,7 +108,8 @@ class DirichletCharacter:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.modulus, tuple(q.numerator for q in self.exponents)))
+        return hash((self.modulus,
+                     tuple((q.numerator, q.denominator) for q in self.exponents)))
 
     def __hash__(self):
         return self._hash

@@ -7,8 +7,8 @@ are built, and compare by value, so they are cheap ``lru_cache`` keys.  The
 constructors (trivial, sign, regular, permutation, induced, restricted, duals,
 sums) build or slice that stack directly.  A quotient forms proj X(a) section
 from sparse rows (``linalg.stack_product``): the norm-one stack at |G| = 96
-is about 2 % nonzero, and the group-law probe of a stack that large reads
-its nonzero entries only.
+is about 2 % nonzero, and the group-law probe of every stack reads its
+nonzero entries only (``linalg.stack_times``).
 ``FGAbelian`` carries finitely generated abelian groups as invariant factors
 plus a free rank.  All normal-form work is delegated to :mod:`toruskit.linalg`.
 """
@@ -106,16 +106,6 @@ class GLattice:
         return f"GLattice({self.group.label or self.group.order}, rank={self.rank})"
 
 
-# Stacks of at least this many entries (|G| n^2) are probed from their
-# nonzeros, smaller ones by np.dot over every entry.  Microseconds per probe,
-# dense -> nonzero, medians of three best-of-7 runs on a shared 2-vCPU x86
-# host (Python 3.11, numpy 2.4): 49 -> 65 at 200 entries (C2, rank 10), 108
-# -> 111 at 392 (the |G| = 8 norm-one torus of Q(zeta_15)), 143 -> 111 at 1024
-# (C2^2, rank 16), 1130 -> 390 at 4096 (Z[C2^4]) and 10262 -> 1829 at 32768
-# (Z[C2^5]).  A regular stack is 1/|G| nonzero, a norm-one quotient about 2/|G|.
-_NONZERO_PROBE_ENTRIES = 1024
-
-
 def _holds_exactly(group: FiniteGroup, stack: np.ndarray) -> tuple[bool, bool]:
     """(X(e) = I, X(a s) = X(a) X(s) for all a and s in ``generating_set``),
     exactly.  Generators suffice, as every element is a word in them.  Both
@@ -123,33 +113,18 @@ def _holds_exactly(group: FiniteGroup, stack: np.ndarray) -> tuple[bool, bool]:
     c + 1 exceeds every entry of X(a) X(s) - X(a s) and, unless X = 0, of
     X(e) - I, so by base-b digits no nonzero difference vanishes on v.
 
-    Every X(a) w is evaluated at once, in one of two ways chosen by the size
-    of the stack: below ``_NONZERO_PROBE_ENTRIES`` entries by ``np.dot`` over
-    the whole stack, from there on from its nonzeros, read once from the
-    ``(|G| n, n)`` view as (row, column, entry) and summed per row with
-    ``np.add.reduceat`` into the rows that have any."""
+    Every X(a) w is evaluated at once from the stack's nonzeros
+    (``linalg.stack_times``): a regular stack is 1/|G| nonzero, a norm-one
+    quotient about 2/|G|."""
     n = stack.shape[1]
-    if stack.size < _NONZERO_PROBE_ENTRIES:
-        c = np.abs(stack).max(initial=0)
-
-        def times(w: np.ndarray) -> np.ndarray:
-            return np.dot(stack, w)
-    else:
-        flat = stack.reshape(-1, n)
-        rows, cols = np.nonzero(flat)
-        entries = flat[rows, cols]
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        c = np.abs(entries).max(initial=0)
-
-        def times(w: np.ndarray) -> np.ndarray:
-            out = linalg.zeros(len(flat))
-            if len(entries):
-                out[rows[starts]] = np.add.reduceat(entries * w[cols], starts)
-            return out.reshape(-1, n)
+    c, times = linalg.stack_times(stack)
     v = np.array([(n * c * c + c + 1) ** i for i in range(n)], dtype=object)
     images = times(v)
-    return (np.array_equal(images[group.identity], v),
-            all(np.array_equal(times(images[s]), images[[row[s] for row in group.table]])
+    # Compared as lists: on small stacks that is several times faster than
+    # np.array_equal over object arrays.
+    listed = images.tolist()
+    return (listed[group.identity] == v.tolist(),
+            all(times(images[s]).tolist() == [listed[row[s]] for row in group.table]
                 for s in generating_set(group)))
 
 

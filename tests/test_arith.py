@@ -309,10 +309,11 @@ def test_character_order_is_pinned():
 
 
 def test_character_hash_agrees_with_equality():
-    # The hash is taken from the numerators of the exponents in lowest terms;
-    # a character rebuilt from other Fraction objects of the same values is
-    # the same dictionary key, and the products of one datum's characters
-    # stay inside its listing.
+    # The hash is taken from the exponents in lowest terms; a character
+    # rebuilt from other Fraction objects of the same values is the same
+    # dictionary key, the products of one datum's characters stay inside its
+    # listing, and exponent tuples that share numerators (1/4 against 1/2)
+    # hash apart.
     chars = characters(AbelianGaloisDatum(15))
     keys = {chi: i for i, chi in enumerate(chars)}
     for i, chi in enumerate(chars):
@@ -321,3 +322,6 @@ def test_character_hash_agrees_with_equality():
         assert again == chi and hash(again) == hash(chi) and keys[again] == i
         assert all(chi * psi in keys for psi in chars)
     assert len(keys) == len(chars) == 8
+    quarter = DirichletCharacter(5, (Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)))
+    half = DirichletCharacter(5, (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1, 2)))
+    assert hash(quarter) != hash(half)

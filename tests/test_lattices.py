@@ -12,7 +12,7 @@ from toruskit.cohomology import (_cohomology, _relation_complex, cohomology,
 from toruskit.groups import (all_subgroups, cyclic_group, generating_set,
                              product_group, subgroup_closure,
                              trivial_subgroup)
-from toruskit.lattices import (_NONZERO_PROBE_ENTRIES, FGAbelian, GLattice,
+from toruskit.lattices import (FGAbelian, GLattice,
                                GModulePresentation, direct_sum, direct_sum_all,
                                dual, glattice, induce,
                                invariants, norm_operator, norm_vector,
@@ -488,18 +488,17 @@ _ORDER_16 = [cyclic_group(16), product_group(C2, cyclic_group(8)), product_group
 
 
 @st.composite
-def _stacks_around_the_nonzero_probe(draw):
-    """(group, stack) as in ``_perturbed_stacks``, of |G| n^2 entries on both
-    sides of ``_NONZERO_PROBE_ENTRIES``: a direct sum of random lattices over
-    a group of order at most 8, of rank within two of where |G| n^2 reaches
-    the threshold, or the regular lattice of a group of order 16."""
+def _larger_stacks(draw):
+    """(group, stack) as in ``_perturbed_stacks``, of about 10^3 entries
+    |G| n^2: a direct sum of random lattices over a group of order at most
+    8, of rank within two of where |G| n^2 reaches 1024, or the regular
+    lattice of a group of order 16."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if rng.random() < 0.2:  # the reference takes about 0.2 s at |G| = 16
         m = regular_lattice(draw(st.sampled_from(_ORDER_16)))
     else:
         g = draw(st.sampled_from(group_family_up_to_8()))
-        edge = math.isqrt(_NONZERO_PROBE_ENTRIES // g.order)
-        rank = edge + rng.randint(-2, 2)
+        rank = math.isqrt(1024 // g.order) + rng.randint(-2, 2)
         parts = [random_glattice(g, 2, rng)]
         while sum(p.rank for p in parts) < rank:
             parts.append(random_glattice(g, min(2, rank - sum(p.rank for p in parts)), rng))
@@ -509,8 +508,7 @@ def _stacks_around_the_nonzero_probe(draw):
 
 def _padded(*blocks) -> np.ndarray:
     """A stack of rank 23 whose X(a) is blocks[a] on the first coordinates
-    and the identity on the rest; over C2 it has 1058 entries, past
-    ``_NONZERO_PROBE_ENTRIES``."""
+    and the identity on the rest."""
     stack = np.repeat(linalg.eye(23)[None], len(blocks), axis=0)
     for a, block in enumerate(blocks):
         block = linalg.intmat(block)
@@ -518,15 +516,15 @@ def _padded(*blocks) -> np.ndarray:
     return stack
 
 
-@given(_stacks_around_the_nonzero_probe())
+@given(_larger_stacks())
 @example((C2, linalg.zeros(2, 23, 23)))
 @example((C2, _padded([[1]], [[-1, 0], [0, 0]])))  # X(g) has an all-zero row
 @example((C2, _padded([[1, 0], [0, 1]], [[-7, 1], [0, 1]])))
 @settings(deadline=None, max_examples=25)
 def test_nonzero_probe_matches_full_products(case):
-    # As test_probe_group_law_matches_full_products, on stacks that put
-    # |G| n^2 on both sides of the threshold where the probe stops taking
-    # np.dot over every entry and multiplies nonzero entries only.
+    # As test_probe_group_law_matches_full_products, on stacks ten times
+    # larger, and on an all-zero stack and a zero row, which the probe's
+    # nonzero reading must still write as zeros.
     g, stack = case
     rel = 3 * linalg.eye(stack.shape[1])
     assert _constructor_error(lambda: GLattice(g, stack)) == \

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import (InternalInvariantError, PoleError, RamifiedPrimeError,
                      UnsupportedRequestError)
-from .groups import (FiniteGroup, _cyclotomic_cosets, _factorint,
+from .groups import (FiniteGroup, _cyclotomic_cosets, _factorint, _is_prime,
                      abelian_decomposition, units_mod)
 from .lattices import trace_character
 from .linalg import integer
@@ -77,15 +77,21 @@ def primes_up_to(n: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, int(n ** 0.5) + 1):
+    for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def frobenius(datum: AbelianGaloisDatum, p: int) -> int:
-    """Class of an unramified prime p in (Z/n)^x / H, as a group element index."""
-    if _factorint(p) != {p: 1}:
+    """Class of an unramified prime p in (Z/n)^x / H, as a group element index.
+
+    p is read as an integer (``bool``, ``float`` and ``Fraction`` raise
+    ``TypeError``) and tested by trial division by 2, 3 and each 6k +- 1 up
+    to its square root.
+    """
+    p = integer(p)
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if datum.modulus % p == 0:
         raise RamifiedPrimeError(f"{p} divides the modulus {datum.modulus}")
@@ -179,25 +185,29 @@ def characters(datum: AbelianGaloisDatum) -> list[DirichletCharacter]:
     """All characters of the quotient group, as Dirichlet characters mod n.
 
     The trivial character comes first; the rest are sorted by their exponent
-    vectors, so the listing is deterministic.
+    vectors, so the listing is deterministic.  Each character is summed once
+    per group element and then spread over the units of its coset.
     """
     modulus, group = datum.modulus, datum.group
     dec = abelian_decomposition(group)
-    unit_coords = [dec.exponents[datum.element_of_unit(u)] for u in units_mod(modulus)]
     # tup sends g_k to e^(2 pi i tup_k / n_k); exponents are numerators / lcm
     lcm = math.lcm(*dec.orders)
-    fractions = [Fraction(a, lcm) for a in range(lcm)]
-    chars, numerators = [], set()
+    tables = set()
     for tup in itertools.product(*(range(d) for d in dec.orders)):
         weights = [x * (lcm // d) for x, d in zip(tup, dec.orders)]
-        nums = tuple(sum(e * w for e, w in zip(coords, weights)) % lcm for coords in unit_coords)
-        numerators.add(nums)
-        chars.append(DirichletCharacter(modulus, tuple(fractions[a] for a in nums)))
-    if len(numerators) != group.order:
+        tables.add(tuple(sum(e * w for e, w in zip(coords, weights)) % lcm
+                         for coords in dec.exponents))
+    if len(tables) != group.order:
         raise InternalInvariantError("character count does not match the group order")
-    trivial = [c for c in chars if c.is_trivial()]
-    rest = sorted((c for c in chars if not c.is_trivial()), key=lambda c: c.exponents)
-    return trivial + rest
+    # Elements are numbered in the order their least units appear, so the
+    # numerators per element sort as the exponents per unit, trivial first.
+    unit_elements = [datum.element_of_unit(u) for u in units_mod(modulus)]
+    fractions = [Fraction(a, lcm) for a in range(lcm)]
+    chars = []
+    for nums in sorted(tables):
+        at = [fractions[a] for a in nums]
+        chars.append(DirichletCharacter(modulus, tuple(at[g] for g in unit_elements)))
+    return chars
 
 
 class Decomposition(NamedTuple):
@@ -212,24 +222,27 @@ def decompose(t: Torus) -> Decomposition:
 
     The lattice character chi_Pi is integer-valued, so every Galois conjugate
     of chi has the multiplicity of chi; averaging the inner product over them
-    gives m_chi = (1/phi(n)) * sum over units u of chi_Pi(u) * mu(e)/phi(e),
-    with e the order of chi(u) (Ramanujan's sum).  The sum is an exact
-    Fraction, so a non-integral or negative multiplicity, or a total other
-    than the dimension, is impossible for a genuine action and raises.
+    gives m_chi = (1/|G|) * sum over group elements g of chi_Pi(g) * mu(e)/phi(e),
+    with e the order of chi(g), the denominator of its exponent at the least
+    unit of g (Ramanujan's sum).  The sum is an exact Fraction, so a
+    non-integral or negative multiplicity, or a total other than the
+    dimension, is impossible for a genuine action and raises.
     """
     datum = t.splitting
     if not isinstance(datum, AbelianGaloisDatum):
         raise UnsupportedRequestError("character decomposition needs an arithmetic datum")
     chi_pi = trace_character(t.X)
-    weights = [chi_pi[datum.element_of_unit(u)] for u in units_mod(datum.modulus)]
+    position = {u: i for i, u in enumerate(units_mod(datum.modulus))}
+    at_reps = [position[r] for r in datum.representatives]
     out: dict[DirichletCharacter, int] = {}
     d = 0
     total = 0
     for chi in characters(datum):
         weight_of_order: dict[int, int] = {}
-        for w, q in zip(weights, chi.exponents):
-            weight_of_order[q.denominator] = weight_of_order.get(q.denominator, 0) + w
-        m = sum(w * _primitive_root_mean(e) for e, w in weight_of_order.items()) / len(weights)
+        for w, i in zip(chi_pi, at_reps):
+            e = chi.exponents[i].denominator
+            weight_of_order[e] = weight_of_order.get(e, 0) + w
+        m = sum(w * _primitive_root_mean(e) for e, w in weight_of_order.items()) / len(chi_pi)
         if m.denominator != 1:
             raise InternalInvariantError("character multiplicity is not an integer")
         if m < 0:
@@ -260,21 +273,34 @@ def local_artin_factor(t: Torus, p: int) -> Fraction:
     det(p I - X(Frob)) is the characteristic polynomial of X(Frob) (built from
     the trace character by Newton's identities, once per Galois element) at p.
     """
+    frob, p = _unramified_frobenius(t, p)
+    return _artin_factor(t, frob, p)
+
+
+def _unramified_frobenius(t: Torus, p: int) -> tuple[int, int]:
+    """Frobenius at p as a group element, and p as an int: checks the datum,
+    then that p is prime, then that p is unramified."""
     datum = t.splitting
     if not isinstance(datum, AbelianGaloisDatum):
         raise UnsupportedRequestError("local factors need an arithmetic datum")
-    return _artin_factor(t, frobenius(datum, p), p)
+    p = integer(p)
+    return frobenius(datum, p), p
 
 
 def _artin_factor(t: Torus, frob: int, p: int) -> Fraction:
-    """1/det(I - X(frob)/p) for a prime p whose Frobenius element is frob,
-    with det(p I - X(frob)) evaluated at p by Horner's rule."""
-    denom = 0
+    """1/det(I - X(frob)/p) for a prime p whose Frobenius element is frob."""
+    return Fraction(p ** t.dim, _local_determinant(t, frob, p))
+
+
+def _local_determinant(t: Torus, frob: int, p: int) -> int:
+    """det(p I - X(frob)), positive: the characteristic polynomial of X(frob)
+    evaluated at p by Horner's rule."""
+    det = 0
     for c in t.X.characteristic_polynomials[frob]:
-        denom = denom * p + c
-    if denom <= 0:
+        det = det * p + c
+    if det <= 0:
         raise InternalInvariantError("local determinant must be positive")
-    return Fraction(p ** t.dim, denom)
+    return det
 
 
 def dirichlet_L1(chi: DirichletCharacter) -> complex:

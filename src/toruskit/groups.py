@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InternalInvariantError, UnsupportedRequestError
@@ -235,6 +235,16 @@ def _factorint(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division by 2, 3 and each 6k +- 1 up to
+    isqrt(n); every prime above 3 is 6k +- 1."""
+    if n < 5:
+        return n == 2 or n == 3
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    return all(n % k and n % (k + 2) for k in range(5, isqrt(n) + 1, 6))
 
 
 def _cyclotomic_cosets(modulus: int, subgroup: Iterable[int] | None = None

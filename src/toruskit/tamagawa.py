@@ -18,16 +18,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import AbelianGaloisDatum, _artin_factor, local_artin_factor, primes_up_to
+from .arith import (AbelianGaloisDatum, _artin_factor, _local_determinant,
+                    _unramified_frobenius, primes_up_to)
 from .cohomology import cohomology, sha2_cyclic
 from .errors import InternalInvariantError, UnsupportedRequestError
 from .tori import Torus, make_torus
 
 
 def local_volume(t: Torus, p: int) -> Fraction:
-    """vol(T(Z_p)) = det(I - Frob_p / p), an exact positive rational."""
-    factor = local_artin_factor(t, p)
-    return 1 / factor
+    """vol(T(Z_p)) = det(I - Frob_p / p), an exact positive rational.
+
+    The inverse of ``local_artin_factor``, with the same checks in the same
+    order, built as one Fraction from the same determinant."""
+    frob, p = _unramified_frobenius(t, p)
+    return Fraction(_local_determinant(t, frob, p), p ** t.dim)
 
 
 def canonical_coefficients(t: Torus, pmax: int) -> dict[int, Fraction]:

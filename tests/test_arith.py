@@ -280,6 +280,8 @@ def test_primes_up_to():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_up_to(1) == []
     assert primes_up_to(10 ** 4) == sieve_primes(10 ** 4)
+    for n in range(-2, 200):  # every length the stride slices can end at
+        assert primes_up_to(n) == sieve_primes(n), n
 
 
 def test_character_exponents_follow_the_unit_listing():

@@ -72,18 +72,18 @@ def test_volumes_ramified_lambda_one(tmp_path):
 
 
 def count_local_factors(monkeypatch) -> list[int]:
-    """The primes of every local factor the tamagawa module evaluates, by the
-    public ``local_artin_factor`` or by the Horner helper behind it."""
-    from toruskit import tamagawa
+    """The primes of every local factor evaluated, by patching each binding of
+    ``_local_determinant``, the one Horner evaluation behind every factor."""
+    from toruskit import arith, tamagawa
     calls = []
-    for name in ("local_artin_factor", "_artin_factor"):
-        original = getattr(tamagawa, name)
+    original = arith._local_determinant
 
-        def counting(*args, original=original):
-            calls.append(args[-1])
-            return original(*args)
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
 
-        monkeypatch.setattr(tamagawa, name, counting)
+    for module in (arith, tamagawa):
+        monkeypatch.setattr(module, "_local_determinant", counting)
     return calls
 
 

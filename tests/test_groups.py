@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from toruskit.errors import UnsupportedRequestError
-from toruskit.groups import (FiniteGSet, FiniteGroup, Subgroup,
+from toruskit.groups import (FiniteGSet, FiniteGroup, Subgroup, _is_prime,
                              abelian_decomposition, all_subgroups, coset_gset,
                              cyclic_group, cyclic_subgroups,
                              cyclotomic_quotient_group, generating_set,
@@ -317,3 +317,24 @@ def test_generating_set_generates(g):
     gens = generating_set(g)
     assert 2 ** len(gens) <= g.order
     assert subgroup_closure(g, gens).order == g.order
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(-5, 20001):
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911)
+
+
+def test_is_prime_on_composites_trial_division_must_reach():
+    primes = [p for p in range(5, 400) if _is_prime(p)]
+    squares = [p * p for p in primes] + [19997 ** 2, 999983 ** 2]
+    # products of two primes of the forms 6k - 1 and 6k + 1, both factors
+    # near the square root, so the scan has to reach its last step
+    near_root = [p * q for p, q in itertools.combinations(primes, 2) if q - p <= 6]
+    for n in CARMICHAEL + tuple(squares) + tuple(near_root) + (3 * 5 * 7 * 11 * 13,):
+        assert not _is_prime(n), n
+    assert _is_prime(2 ** 31 - 1) and _is_prime(19997) and _is_prime(999983)
+    assert not _is_prime(2 ** 31 - 3) and not _is_prime((2 ** 31 - 1) * 3)

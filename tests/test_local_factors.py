@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from toruskit import lattices
 from toruskit.arith import AbelianGaloisDatum, frobenius, local_artin_factor
-from toruskit.errors import InternalInvariantError, RamifiedPrimeError
+from toruskit.errors import (InternalInvariantError, RamifiedPrimeError,
+                             UnsupportedRequestError)
 from toruskit.groups import cyclic_group
 from toruskit.lattices import direct_sum, regular_lattice
-from toruskit.tamagawa import canonical_coefficients
+from toruskit.tamagawa import canonical_coefficients, local_volume
 from toruskit.tori import Torus, make_torus
 
 from support import (bareiss_charpoly_value, bareiss_local_factor, conjugate,
@@ -99,6 +100,7 @@ def test_characteristic_polynomials_match_bareiss_hypothesis(group, seed, points
 @settings(deadline=None, max_examples=40)
 def test_witness_local_factor_matches_bareiss_hypothesis(witness, p):
     assert local_artin_factor(witness, p) == bareiss_local_factor(witness, p)
+    assert local_volume(witness, p) * bareiss_local_factor(witness, p) == 1
 
 
 def test_local_factor_rejects_ramified_and_composite(witness):
@@ -108,6 +110,26 @@ def test_local_factor_rejects_ramified_and_composite(witness):
     for n in (0, 1, 49, 77, 7 * 7 * 11):
         with pytest.raises(ValueError, match="not prime"):
             local_artin_factor(witness, n)
+
+
+@pytest.mark.parametrize("p", [True, 7.0, Fraction(7), Fraction(15, 2)])
+def test_local_factors_read_p_as_an_integer(witness, p):
+    for call in (lambda: frobenius(WITNESS, p), lambda: local_artin_factor(witness, p),
+                 lambda: local_volume(witness, p)):
+        with pytest.raises(TypeError, match="integer"):
+            call()
+
+
+def test_local_volume_keeps_the_check_order(witness):
+    # datum, then "not prime", then ramified, as local_artin_factor
+    plain = make_torus(cyclic_group(2), "res")
+    for t, p, error, message in ((plain, 4, UnsupportedRequestError, "datum"),
+                                 (plain, 7.0, UnsupportedRequestError, "datum"),
+                                 (witness, 4, ValueError, "not prime"),
+                                 (witness, 2, RamifiedPrimeError, "divides")):
+        for fn in (local_artin_factor, local_volume):
+            with pytest.raises(error, match=message):
+                fn(t, p)
 
 
 def test_newton_remainder_raises(monkeypatch):

@@ -87,8 +87,9 @@ def frobenius(datum: AbelianGaloisDatum, p: int) -> int:
     """Class of an unramified prime p in (Z/n)^x / H, as a group element index.
 
     p is read as an integer (``bool``, ``float`` and ``Fraction`` raise
-    ``TypeError``) and tested by trial division by 2, 3 and each 6k +- 1 up
-    to its square root.
+    ``TypeError``) and tested by ``groups._is_prime``: trial division below
+    10^6, a deterministic Miller-Rabin test from there, and
+    ``UnsupportedRequestError`` from psi_13 = 3317044064679887385961981 up.
     """
     p = integer(p)
     if not _is_prime(p):

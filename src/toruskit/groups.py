@@ -237,14 +237,46 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
+# Strong probable-prime bases: the first thirteen primes decide primality of
+# every n below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).  Twelve
+# are not enough: psi_12 = 318665857834031151167461 passes bases 2 ... 37.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981  # psi_13
+
+
 def _is_prime(n: int) -> bool:
-    """Whether n is prime, by trial division by 2, 3 and each 6k +- 1 up to
-    isqrt(n); every prime above 3 is 6k +- 1."""
-    if n < 5:
-        return n == 2 or n == 3
-    if n % 2 == 0 or n % 3 == 0:
+    """Whether n is prime.
+
+    Below 10^6 by trial division by 2, 3 and each 6k +- 1 up to isqrt(n)
+    (every prime above 3 is 6k +- 1), at most 166 steps.  From 10^6 by the
+    strong probable-prime test to the bases ``_MILLER_RABIN_BASES``, which is
+    exact below psi_13; from psi_13 up it raises
+    ``UnsupportedRequestError``."""
+    if n < 10 ** 6:
+        if n < 5:
+            return n == 2 or n == 3
+        if n % 2 == 0 or n % 3 == 0:
+            return False
+        return all(n % k and n % (k + 2) for k in range(5, isqrt(n) + 1, 6))
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        raise UnsupportedRequestError(
+            f"primality is decided below {_MILLER_RABIN_EXACT_BELOW} only")
+    if n % 2 == 0:
         return False
-    return all(n % k and n % (k + 2) for k in range(5, isqrt(n) + 1, 6))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a witnesses that n is composite
+    return True
 
 
 def _cyclotomic_cosets(modulus: int, subgroup: Iterable[int] | None = None

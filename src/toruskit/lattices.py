@@ -3,12 +3,22 @@
 A lattice of rank n is held as one read-only ``(|G|, n, n)`` object array of
 Python ints, the matrix of every group element in element order; a presented
 module adds one read-only relation matrix.  Both are hashed once, when they
-are built, and compare by value, so they are cheap ``lru_cache`` keys.  The
-constructors (trivial, sign, regular, permutation, induced, restricted, duals,
-sums) build or slice that stack directly.  A quotient forms proj X(a) section
-from sparse rows (``linalg.stack_product``): the norm-one stack at |G| = 96
-is about 2 % nonzero, and the group-law probe of every stack reads its
-nonzero entries only (``linalg.stack_times``).
+are built, and compare by value, so they are cheap ``lru_cache`` keys.
+
+Caller data is probed: ``GLattice(...)``, ``glattice`` (and so explicit
+``lattice`` tori) and ``GModulePresentation`` run the group-law probe
+(``_check_action``), which reads the stack's nonzero entries only
+(``linalg.stack_times``).  The package's own constructors derive: trivial,
+sign, regular, permutation, induced, restricted, dual, direct-sum and
+quotient lattices build or slice their stack from inputs that are already
+validated, check only their own arguments, and are actions by construction,
+so they are frozen and hashed but not probed (``_derived``).  A quotient's
+saturation and stability checks are what make proj X(a) section an action;
+it is formed from sparse rows (``linalg.stack_product``): the norm-one stack
+at |G| = 96 is about 2 % nonzero.  ``tests/test_lattices.py`` stands in for
+the probe on them: ``test_derived_lattices_are_actions`` checks every derived
+constructor against full matrix products, and
+``test_only_caller_data_is_probed`` counts the probes.
 ``FGAbelian`` carries finitely generated abelian groups as invariant factors
 plus a free rank.  All normal-form work is delegated to :mod:`toruskit.linalg`.
 """
@@ -16,7 +26,7 @@ plus a free rank.  All normal-form work is delegated to :mod:`toruskit.linalg`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,7 +62,11 @@ class GLattice:
 
     The constructor checks (``_check_action``) that the assignment is a
     homomorphism sending the identity to the identity matrix, which forces
-    every matrix to be unimodular."""
+    every matrix to be unimodular.  Only caller data comes through it
+    (``glattice`` and explicit ``lattice`` tori too); the package's
+    constructors (trivial, sign, regular, permutation, induced, restricted,
+    dual, sum and quotient lattices) build actions by construction and skip
+    the check (``_derived``), with the same rank, hash and equality."""
 
     group: FiniteGroup
     action: np.ndarray
@@ -169,11 +183,22 @@ def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray | None 
     return identity and law, snf.diagonal[:r], frame
 
 
-def _lattice(group: FiniteGroup, stack: np.ndarray) -> GLattice:
-    """GLattice on a stack a constructor just built; frozen in place, it is
-    shared instead of copied."""
+def _derived(group: FiniteGroup, stack: np.ndarray) -> GLattice:
+    """GLattice on a stack that a constructor just built from validated
+    inputs, and that is an action by construction.
+
+    The stack is frozen in place and shared, and rank and hash are set as
+    ``GLattice.__post_init__`` sets them, so the result equals, hashes like
+    and shares every cache entry with ``glattice(group, stack.tolist())``.
+    No probe runs: ``tests/test_lattices.py::test_derived_lattices_are_actions``
+    checks every derived constructor against full products instead."""
     stack.flags.writeable = False
-    return GLattice(group, stack)
+    m = object.__new__(GLattice)
+    n = stack.shape[1]
+    for name, value in (("group", group), ("action", stack), ("rank", n),
+                        ("_hash", hash((group, n, tuple(stack.flat))))):
+        object.__setattr__(m, name, value)
+    return m
 
 
 def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) -> GLattice:
@@ -183,7 +208,7 @@ def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) ->
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
     if rank < 0:
         raise ValueError("rank must be nonnegative")
-    return _lattice(group, np.repeat(linalg.eye(rank)[None], group.order, axis=0))
+    return _derived(group, np.repeat(linalg.eye(rank)[None], group.order, axis=0))
 
 
 def sign_lattice(group: FiniteGroup, kernel: Subgroup) -> GLattice:
@@ -192,7 +217,7 @@ def sign_lattice(group: FiniteGroup, kernel: Subgroup) -> GLattice:
         raise ValueError("kernel must be a subgroup of the acting group")
     if kernel.index != 2:
         raise ValueError("sign lattice needs an index-2 subgroup as kernel")
-    return _lattice(group, np.array([[[1 if g in kernel.elements else -1]]
+    return _derived(group, np.array([[[1 if g in kernel.elements else -1]]
                                      for g in group.elements()], dtype=object))
 
 
@@ -202,7 +227,7 @@ def _permutation(group: FiniteGroup, images: Sequence[Sequence[int]]) -> GLattic
     stack = linalg.zeros(group.order, n, n)
     for a, row in enumerate(images):
         stack[a, list(row), list(range(n))] = 1
-    return _lattice(group, stack)
+    return _derived(group, stack)
 
 
 def permutation_lattice(gset: FiniteGSet) -> GLattice:
@@ -236,35 +261,38 @@ def induce(h: Subgroup, a: GLattice) -> GLattice:
         for i, j in enumerate(cosets[x]):
             k = g.mul(g.inv(reps[j]), g.mul(x, reps[i]))  # x r_i = r_j k with k in H
             stack[x, j * r_a:(j + 1) * r_a, i * r_a:(i + 1) * r_a] = a.action[h.position(k)]
-    return _lattice(g, stack)
+    return _derived(g, stack)
 
 
 def restrict(m: GLattice, h: Subgroup) -> GLattice:
     if h.parent != m.group:
         raise ValueError("subgroup does not belong to the lattice's group")
-    return _lattice(h.as_group(), m.action[list(h.elements)])
+    return _derived(h.as_group(), m.action[list(h.elements)])
 
 
 def dual(m: GLattice) -> GLattice:
     """Contragredient lattice: g acts by the transpose of the g^-1 matrix."""
     g = m.group
-    return _lattice(g, m.action[list(g.inverse)].swapaxes(1, 2).copy())
+    return _derived(g, m.action[list(g.inverse)].swapaxes(1, 2).copy())
 
 
 def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
-    if m1.group != m2.group:
-        raise ValueError("direct sum requires lattices over the same group")
-    r1, r2 = m1.rank, m2.rank
-    stack = linalg.zeros(m1.group.order, r1 + r2, r1 + r2)
-    stack[:, :r1, :r1] = m1.action
-    stack[:, r1:, r1:] = m2.action
-    return _lattice(m1.group, stack)
+    return direct_sum_all([m1, m2])
 
 
 def direct_sum_all(lattices: Sequence[GLattice]) -> GLattice:
+    """One block-diagonal stack, the summands in order down the diagonal."""
     if not lattices:
         raise ValueError("empty direct sum")
-    return reduce(direct_sum, lattices)
+    group = lattices[0].group
+    if any(m.group != group for m in lattices):
+        raise ValueError("direct sum requires lattices over the same group")
+    n = sum(m.rank for m in lattices)
+    stack, at = linalg.zeros(group.order, n, n), 0
+    for m in lattices:
+        stack[:, at:at + m.rank, at:at + m.rank] = m.action
+        at += m.rank
+    return _derived(group, stack)
 
 
 def norm_operator(m: GLattice) -> np.ndarray:
@@ -323,7 +351,7 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
                for a in generating_set(m.group)):  # stable under generators is stable
         raise ValueError("sublattice is not stable under the group action")
     section = full.uinv[:, ncols:]
-    return _lattice(m.group, linalg.stack_product(proj, m.action, section)), proj
+    return _derived(m.group, linalg.stack_product(proj, m.action, section)), proj
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +400,11 @@ class GModulePresentation:
 
 
 def presentation_mod(m: GLattice, modulus: int) -> GModulePresentation:
-    """The finite module M / modulus*M with the inherited action."""
+    """The finite module M / modulus*M with the inherited action.
+
+    The modulus is read as an integer: ``bool``, ``float`` and ``Fraction``
+    raise ``TypeError``."""
+    modulus = linalg.integer(modulus)
     if modulus <= 0:
         raise ValueError("modulus must be positive")
     return GModulePresentation(m.group, modulus * linalg.eye(m.rank), m.action)

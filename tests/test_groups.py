@@ -1,10 +1,12 @@
 import itertools
 import math
 from math import gcd
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from toruskit.arith import AbelianGaloisDatum, frobenius
 from toruskit.errors import UnsupportedRequestError
 from toruskit.groups import (FiniteGSet, FiniteGroup, Subgroup, _is_prime,
                              abelian_decomposition, all_subgroups, coset_gset,
@@ -320,8 +322,9 @@ def test_generating_set_generates(g):
 
 
 def test_is_prime_matches_sympy():
+    # Trial division below 10^6, Miller-Rabin from there.
     sympy = pytest.importorskip("sympy")
-    for n in range(-5, 20001):
+    for n in itertools.chain(range(-5, 20001), range(10 ** 6 - 2000, 10 ** 6 + 2001)):
         assert _is_prime(n) == sympy.isprime(n), n
 
 
@@ -338,3 +341,34 @@ def test_is_prime_on_composites_trial_division_must_reach():
         assert not _is_prime(n), n
     assert _is_prime(2 ** 31 - 1) and _is_prime(19997) and _is_prime(999983)
     assert not _is_prime(2 ** 31 - 3) and not _is_prime((2 ** 31 - 1) * 3)
+
+
+PSI_12 = 318665857834031151167461  # strong pseudoprime to bases 2 ... 37
+PSI_13 = 3317044064679887385961981  # strong pseudoprime to bases 2 ... 41
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 3215031751 passes bases 2, 3, 5, 7; 3825123056546413051 passes 2 ... 23;
+    # psi_12 passes 2 ... 37 and fails only 41.
+    for n in (3215031751, 3825123056546413051, PSI_12):
+        assert not _is_prime(n), n
+    assert _is_prime(PSI_13 - 168)  # the largest prime below psi_13
+
+
+def test_is_prime_decides_a_mersenne_prime_in_bounded_time():
+    # Trial division needs about 2.5 * 10^8 steps at 2^61 - 1 (48 s).
+    best = math.inf
+    for _ in range(5):
+        start = perf_counter()
+        assert _is_prime(2 ** 61 - 1)
+        best = min(best, perf_counter() - start)
+    assert best < 0.01, best
+
+
+def test_frobenius_refuses_primality_it_cannot_decide():
+    datum = AbelianGaloisDatum(5)
+    with pytest.raises(UnsupportedRequestError, match="primality"):
+        frobenius(datum, PSI_13)
+    with pytest.raises(UnsupportedRequestError):
+        _is_prime(PSI_13 + 2)
+    assert frobenius(datum, 2 ** 61 - 1) == frobenius(datum, 11)  # both 1 mod 5

@@ -1,16 +1,17 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from toruskit import linalg
+from toruskit import lattices, linalg
 from toruskit.arith import AbelianGaloisDatum
 from toruskit.cohomology import (_cohomology, _relation_complex, cohomology,
                                  enumerate_splittings)
-from toruskit.groups import (all_subgroups, cyclic_group, generating_set,
-                             product_group, subgroup_closure,
+from toruskit.groups import (all_subgroups, coset_gset, cyclic_group, generating_set,
+                             index_two_subgroups, product_group, subgroup_closure,
                              trivial_subgroup)
 from toruskit.lattices import (FGAbelian, GLattice,
                                GModulePresentation, direct_sum, direct_sum_all,
@@ -24,8 +25,9 @@ from toruskit.tori import make_torus
 
 from support import (conjugate, group_family_up_to_8, hom_lattice,
                      presentation_of_lattice, random_glattice,
-                     random_unimodular, rank_two_pool, reference_action_error,
-                     reference_quotient_action, s3_group, tensor_lattice)
+                     random_unimodular, rank_one_pool, rank_two_pool,
+                     reference_action_error, reference_quotient_action,
+                     s3_group, tensor_lattice)
 
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
@@ -339,6 +341,18 @@ def test_presentation_mod():
         presentation_mod(sign, 0)
 
 
+def test_presentation_mod_reads_modulus_as_an_integer():
+    # True used to give M / 1 M; the modulus is read through linalg.integer.
+    reg = regular_lattice(C2)
+    for modulus in (True, False, 2.0, Fraction(2)):
+        with pytest.raises(TypeError):
+            presentation_mod(reg, modulus)
+    for modulus in (0, -2):
+        with pytest.raises(ValueError, match="positive"):
+            presentation_mod(reg, modulus)
+    assert presentation_mod(reg, np.int64(2)) == presentation_mod(reg, 2)
+
+
 def test_presentation_validates_action():
     # scaling by 0 is no group action on Z/3
     with pytest.raises(ValueError):
@@ -531,6 +545,82 @@ def test_nonzero_probe_matches_full_products(case):
         reference_action_error(g, stack)
     assert _constructor_error(lambda: GModulePresentation(g, rel, stack)) == \
         reference_action_error(g, stack, rel)
+
+
+def _derived_family(g, rng: random.Random):
+    """Yield (constructor, lattice) for every constructor that skips the
+    probe, over ``g``, each before anything probes a lattice built from it:
+    trivial and sign lattices; direct sums of 1-4 lattices from the pools;
+    on the regular lattice, a scrambled random lattice of rank at most 2 and
+    the norm-one quotient, restrictions to every subgroup, duals and
+    invariant quotients; induced lattices and coset permutation lattices
+    from every subgroup."""
+    reg = regular_lattice(g)
+    ones = rank_one_pool(g)
+    yield "trivial", trivial_lattice(g, rng.randint(0, 2))
+    yield from (("sign", m) for m in ones[1:])
+    yield "direct_sum_all", direct_sum_all(rng.choices(ones + [reg], k=rng.randint(1, 4)))
+    pool = rank_two_pool(g) + [random_glattice(g, 2, rng)]
+    yield "direct_sum_all", direct_sum_all(rng.choices(pool, k=rng.randint(1, 4)))
+    norm_one, _ = quotient_lattice(reg, norm_vector(reg))
+    yield "norm_one", norm_one
+    for m in (reg, pool[-1], norm_one):
+        yield "dual", dual(m)
+        yield "quotient", quotient_lattice(m, invariants(m)[0])[0]
+        yield from (("restrict", restrict(m, h)) for h in all_subgroups(g))
+    for h in all_subgroups(g):
+        yield "permutation", permutation_lattice(coset_gset(g, h))
+        yield "induce", induce(h, random_glattice(h.as_group(), 2, rng))
+
+
+@given(st.sampled_from(_LAW_GROUPS), st.integers(0, 2 ** 32))
+@example(s3_group(), 0)  # the duals and induced lattices of S3 are not abelian
+@settings(deadline=None, max_examples=20)
+def test_derived_lattices_are_actions(g, seed):
+    # Derived lattices are not probed at run time; here every one of them is
+    # an action by full products over the whole stack, and it equals, and
+    # hashes like, the probed lattice rebuilt from its nested lists.
+    for name, m in _derived_family(g, random.Random(seed)):
+        assert reference_action_error(m.group, m.action) is None, name
+        again = glattice(m.group, m.action.tolist())
+        assert again == m and hash(again) == hash(m), name
+        assert not m.action.flags.writeable, name
+
+
+def test_only_caller_data_is_probed(monkeypatch):
+    # The derived constructors never run the probe; GLattice(...), glattice
+    # and explicit lattice tori run it once each.
+    calls = []
+    probe = lattices._holds_exactly
+
+    def counting(group, stack):
+        calls.append(stack.shape)
+        return probe(group, stack)
+
+    monkeypatch.setattr(lattices, "_holds_exactly", counting)
+    g = product_group(C2, C4)
+    h = subgroup_closure(g, [2])
+    reg = regular_lattice(g)
+    trivial_lattice(g, 2)
+    sign_lattice(g, index_two_subgroups(g)[0])
+    permutation_lattice(coset_gset(g, h))
+    induce(h, sign_lattice(h.as_group(), trivial_subgroup(h.as_group())))
+    restrict(reg, h)
+    direct_sum(reg, reg)
+    direct_sum_all([reg, dual(reg), trivial_lattice(g, 1)])
+    quotient_lattice(reg, norm_vector(reg))
+    quotient_lattice(reg, invariants(reg)[0])
+    for kind in ("norm_one", "res", "split"):
+        make_torus(g, kind)
+    make_torus(g, "product", factors=[make_torus(g, "res")] * 3)
+    assert calls == []
+    nested = reg.action.tolist()
+    GLattice(g, nested)
+    assert len(calls) == 1
+    glattice(g, nested)
+    assert len(calls) == 2
+    make_torus(g, "lattice", matrices=nested)
+    assert calls == [(8, 8, 8)] * 3
 
 
 def test_probe_base_exceeds_product_entries():

@@ -212,7 +212,8 @@ def _cohomology(module: GLattice | GModulePresentation, q: int) -> FGAbelian:
 
     D^q = [[d^q, B], [0, -d_R^(q+1)]] is the cone differential of
     ``_relation_complex``; a lattice, or R = 0, has D = d.  Over Q invariants
-    are exact, so rank M^G = rank (Z^n)^G - rank R^G."""
+    are exact, so rank M^G = rank (Z^n)^G - rank R^G, and a fixed rank is the
+    average of a trace character: (sum over g of tr M(g) - tr A(g)) / |G|."""
     group = module.group
     action, basis, rel_action = _relation_complex(module)
     k = basis.shape[1]
@@ -225,10 +226,11 @@ def _cohomology(module: GLattice | GModulePresentation, q: int) -> FGAbelian:
     torsion = linalg.invariant_factors(d)
     if q:
         return FGAbelian(0, torsion)
-
-    def fixed_rank(mats) -> int:
-        return len(mats[0]) - linalg.smith_normal_form(differential(group, mats, 0)).rank
-    return FGAbelian(fixed_rank(action) - (fixed_rank(rel_action) if k else 0), torsion)
+    free_rank, rem = divmod(sum(map(np.trace, action)) - sum(map(np.trace, rel_action)),
+                            group.order)
+    if rem:
+        raise InternalInvariantError("the trace character does not average to a rank")
+    return FGAbelian(free_rank, torsion)
 
 
 def tate_h0(group: FiniteGroup, module: GLattice) -> FGAbelian:

@@ -2,22 +2,21 @@
 
 A lattice of rank n is held as one read-only ``(|G|, n, n)`` object array of
 Python ints, the matrix of every group element in element order; a presented
-module adds one read-only relation matrix.  Both are hashed once, when they
-are built, and compare by value, so they are cheap ``lru_cache`` keys.
+module adds one read-only relation matrix.  Both are hashed on first use,
+and compare by value, so they are cheap ``lru_cache`` keys.
 
-Caller data is probed: ``GLattice(...)``, ``glattice`` (and so explicit
-``lattice`` tori) and ``GModulePresentation`` run the group-law probe
-(``_check_action``), which reads the stack's nonzero entries only
-(``linalg.stack_times``).  The package's own constructors derive: trivial,
-sign, regular, permutation, induced, restricted, dual, direct-sum and
-quotient lattices build or slice their stack from inputs that are already
+Caller data is copied (``linalg.intmat``) and probed: ``GLattice(...)``,
+``glattice`` (and so explicit ``lattice`` tori) and ``GModulePresentation``
+run the group-law probe (``_check_action``) over the stack's sparse rows.
+The package's own constructors derive: trivial, sign, regular, permutation,
+induced, restricted, dual, direct-sum and quotient lattices and
+``presentation_mod`` build their arrays from inputs that are already
 validated, check only their own arguments, and are actions by construction,
-so they are frozen and hashed but not probed (``_derived``).  A quotient's
-saturation and stability checks are what make proj X(a) section an action;
-it is formed from sparse rows (``linalg.stack_product``): the norm-one stack
-at |G| = 96 is about 2 % nonzero.  ``tests/test_lattices.py`` stands in for
-the probe on them: ``test_derived_lattices_are_actions`` checks every derived
-constructor against full matrix products, and
+so they are frozen but not probed (``_derived``).  A quotient's saturation
+and stability checks are what make proj X(a) section an action; it is
+formed from sparse rows (``linalg.stack_product``).  In
+``tests/test_lattices.py``, ``test_derived_lattices_are_actions`` and
+``test_presentation_mod_is_derived`` stand in for the probe on them, and
 ``test_only_caller_data_is_probed`` counts the probes.
 ``FGAbelian`` carries finitely generated abelian groups as invariant factors
 plus a free rank.  All normal-form work is delegated to :mod:`toruskit.linalg`.
@@ -37,16 +36,11 @@ from .groups import FiniteGroup, FiniteGSet, Subgroup, coset_gset, generating_se
 
 
 def _read_only(data, shape: tuple[int, ...]) -> np.ndarray:
-    """``data`` as a read-only object array of Python ints of shape ``shape``.
-
-    A read-only object array that owns its entries, such as another lattice's
-    ``action``, is shared; anything else is copied, so no caller keeps a
-    handle that writes into the result.
-    """
-    if not (isinstance(data, np.ndarray) and data.dtype == object and data.shape == shape
-            and data.base is None and not data.flags.writeable):
-        data = linalg.intmat(data, shape)
-        data.flags.writeable = False
+    """A read-only copy of ``data`` as an object array of Python ints of shape
+    ``shape``: every entry passes ``linalg.integer``, and no caller keeps a
+    handle that writes into the result."""
+    data = linalg.intmat(data, shape)
+    data.flags.writeable = False
     return data
 
 
@@ -55,10 +49,10 @@ class GLattice:
     """A rank-n free Z-module with ``group`` acting through integer matrices.
 
     ``action`` is a read-only ``(|G|, n, n)`` object array of Python ints, and
-    ``action[g]`` is the matrix of g on column vectors.  Nested lists and
-    writeable arrays are copied in.  The hash is computed once, here, and
-    equality compares group, rank and entries, so a lattice rebuilt from the
-    same data hits every cache keyed on the first.
+    ``action[g]`` is the matrix of g on column vectors.  Caller data (nested
+    lists or any array) is copied in.  The hash is computed on first use,
+    and equality compares group, rank and entries, so a lattice rebuilt from
+    the same data hits every cache keyed on the first.
 
     The constructor checks (``_check_action``) that the assignment is a
     homomorphism sending the identity to the identity matrix, which forces
@@ -71,7 +65,6 @@ class GLattice:
     group: FiniteGroup
     action: np.ndarray
     rank: int = field(init=False)  # the size of the identity's matrix
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.group
@@ -82,7 +75,10 @@ class GLattice:
         _check_action(g, action)
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "_hash", hash((g, n, tuple(action.flat))))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.group, self.rank, tuple(self.action.flat)))
 
     def __eq__(self, other):
         return (isinstance(other, GLattice) and self._hash == other._hash
@@ -127,18 +123,20 @@ def _holds_exactly(group: FiniteGroup, stack: np.ndarray) -> tuple[bool, bool]:
     c + 1 exceeds every entry of X(a) X(s) - X(a s) and, unless X = 0, of
     X(e) - I, so by base-b digits no nonzero difference vanishes on v.
 
-    Every X(a) w is evaluated at once from the stack's nonzeros
-    (``linalg.stack_times``): a regular stack is 1/|G| nonzero, a norm-one
+    Every X(a) w is summed in plain Python over the stack's sparse rows
+    (``linalg.sparse_rows``): a regular stack is 1/|G| nonzero, a norm-one
     quotient about 2/|G|."""
-    n = stack.shape[1]
-    c, times = linalg.stack_times(stack)
-    v = np.array([(n * c * c + c + 1) ** i for i in range(n)], dtype=object)
+    k, n = stack.shape[:2]
+    rows = linalg.sparse_rows(stack.reshape(k * n, n))
+    c = max((abs(x) for row in rows for x in row.values()), default=0)
+    v = [(n * c * c + c + 1) ** i for i in range(n)]
+
+    def times(w: list[int]) -> list[list[int]]:
+        return [[sum(x * w[j] for j, x in row.items()) for row in rows[a * n:(a + 1) * n]]
+                for a in range(k)]
     images = times(v)
-    # Compared as lists: on small stacks that is several times faster than
-    # np.array_equal over object arrays.
-    listed = images.tolist()
-    return (listed[group.identity] == v.tolist(),
-            all(times(images[s]).tolist() == [listed[row[s]] for row in group.table]
+    return (images[group.identity] == v,
+            all(times(images[s]) == [images[row[s]] for row in group.table]
                 for s in generating_set(group)))
 
 
@@ -183,22 +181,19 @@ def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray | None 
     return identity and law, snf.diagonal[:r], frame
 
 
-def _derived(group: FiniteGroup, stack: np.ndarray) -> GLattice:
-    """GLattice on a stack that a constructor just built from validated
-    inputs, and that is an action by construction.
+def _derived(cls, **fields):
+    """A ``cls`` record on the fields that ``__post_init__`` would set, which a
+    constructor just built from validated inputs as an action by construction.
 
-    The stack is frozen in place and shared, and rank and hash are set as
-    ``GLattice.__post_init__`` sets them, so the result equals, hashes like
-    and shares every cache entry with ``glattice(group, stack.tolist())``.
-    No probe runs: ``tests/test_lattices.py::test_derived_lattices_are_actions``
-    checks every derived constructor against full products instead."""
-    stack.flags.writeable = False
-    m = object.__new__(GLattice)
-    n = stack.shape[1]
-    for name, value in (("group", group), ("action", stack), ("rank", n),
-                        ("_hash", hash((group, n, tuple(stack.flat))))):
-        object.__setattr__(m, name, value)
-    return m
+    Array fields are frozen in place and shared.  The result equals, hashes
+    like and shares every cache entry with the probed record built from the
+    same nested lists; no probe runs."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(record, name, value)
+    return record
 
 
 def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) -> GLattice:
@@ -208,7 +203,8 @@ def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) ->
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
     if rank < 0:
         raise ValueError("rank must be nonnegative")
-    return _derived(group, np.repeat(linalg.eye(rank)[None], group.order, axis=0))
+    return _derived(GLattice, group=group, rank=rank,
+                    action=np.repeat(linalg.eye(rank)[None], group.order, axis=0))
 
 
 def sign_lattice(group: FiniteGroup, kernel: Subgroup) -> GLattice:
@@ -217,8 +213,8 @@ def sign_lattice(group: FiniteGroup, kernel: Subgroup) -> GLattice:
         raise ValueError("kernel must be a subgroup of the acting group")
     if kernel.index != 2:
         raise ValueError("sign lattice needs an index-2 subgroup as kernel")
-    return _derived(group, np.array([[[1 if g in kernel.elements else -1]]
-                                     for g in group.elements()], dtype=object))
+    return _derived(GLattice, group=group, rank=1, action=np.array(
+        [[[1 if g in kernel.elements else -1]] for g in group.elements()], dtype=object))
 
 
 def _permutation(group: FiniteGroup, images: Sequence[Sequence[int]]) -> GLattice:
@@ -227,7 +223,7 @@ def _permutation(group: FiniteGroup, images: Sequence[Sequence[int]]) -> GLattic
     stack = linalg.zeros(group.order, n, n)
     for a, row in enumerate(images):
         stack[a, list(row), list(range(n))] = 1
-    return _derived(group, stack)
+    return _derived(GLattice, group=group, action=stack, rank=n)
 
 
 def permutation_lattice(gset: FiniteGSet) -> GLattice:
@@ -261,19 +257,20 @@ def induce(h: Subgroup, a: GLattice) -> GLattice:
         for i, j in enumerate(cosets[x]):
             k = g.mul(g.inv(reps[j]), g.mul(x, reps[i]))  # x r_i = r_j k with k in H
             stack[x, j * r_a:(j + 1) * r_a, i * r_a:(i + 1) * r_a] = a.action[h.position(k)]
-    return _derived(g, stack)
+    return _derived(GLattice, group=g, action=stack, rank=len(reps) * r_a)
 
 
 def restrict(m: GLattice, h: Subgroup) -> GLattice:
     if h.parent != m.group:
         raise ValueError("subgroup does not belong to the lattice's group")
-    return _derived(h.as_group(), m.action[list(h.elements)])
+    return _derived(GLattice, group=h.as_group(), rank=m.rank, action=m.action[list(h.elements)])
 
 
 def dual(m: GLattice) -> GLattice:
     """Contragredient lattice: g acts by the transpose of the g^-1 matrix."""
     g = m.group
-    return _derived(g, m.action[list(g.inverse)].swapaxes(1, 2).copy())
+    return _derived(GLattice, group=g, action=m.action[list(g.inverse)].swapaxes(1, 2).copy(),
+                    rank=m.rank)
 
 
 def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
@@ -292,7 +289,7 @@ def direct_sum_all(lattices: Sequence[GLattice]) -> GLattice:
     for m in lattices:
         stack[:, at:at + m.rank, at:at + m.rank] = m.action
         at += m.rank
-    return _derived(group, stack)
+    return _derived(GLattice, group=group, action=stack, rank=n)
 
 
 def norm_operator(m: GLattice) -> np.ndarray:
@@ -351,7 +348,8 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
                for a in generating_set(m.group)):  # stable under generators is stable
         raise ValueError("sublattice is not stable under the group action")
     section = full.uinv[:, ncols:]
-    return _derived(m.group, linalg.stack_product(proj, m.action, section)), proj
+    quotient = linalg.stack_product(proj, m.action, section)
+    return _derived(GLattice, group=m.group, action=quotient, rank=len(proj)), proj
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,17 +358,16 @@ class GModulePresentation:
 
     ``relations`` is a read-only ``(n, k)`` array whose columns span the
     relation lattice, and ``action`` a read-only ``(|G|, n, n)`` stack of
-    matrices on the generators, held, hashed, compared and checked as for
-    ``GLattice``.  The matrices must preserve the relation lattice, so they
-    descend to the quotient.  The check puts the relations into Smith form
-    once; ``_frame`` keeps what ``_check_action`` read off it, and the
-    cohomology engine and the splitting enumerator reuse it."""
+    matrices on the generators, copied in, hashed on first use, compared and
+    checked as for ``GLattice``.  The matrices must preserve the relation
+    lattice, so they descend to the quotient.  The check puts the relations
+    into Smith form once; ``_frame`` keeps what ``_check_action`` read off
+    it, and the cohomology engine and the splitting enumerator reuse it."""
 
     group: FiniteGroup
     relations: np.ndarray
     action: np.ndarray
     generators: int = field(init=False)  # the size of the identity's matrix
-    _hash: int = field(init=False, repr=False)
     _frame: tuple[bool, tuple[int, ...], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -385,8 +382,11 @@ class GModulePresentation:
         object.__setattr__(self, "generators", n)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "action", action)
-        object.__setattr__(self, "_hash", hash((g, n, tuple(relations.flat),
-                                                tuple(action.flat))))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.group, self.generators, tuple(self.relations.flat),
+                     tuple(self.action.flat)))
 
     def __eq__(self, other):
         return (isinstance(other, GModulePresentation) and self._hash == other._hash
@@ -400,14 +400,17 @@ class GModulePresentation:
 
 
 def presentation_mod(m: GLattice, modulus: int) -> GModulePresentation:
-    """The finite module M / modulus*M with the inherited action.
+    """The finite module M / modulus*M with the inherited action, derived on
+    the shared stack with the Smith frame (True, (modulus,) * rank, stack).
 
     The modulus is read as an integer: ``bool``, ``float`` and ``Fraction``
     raise ``TypeError``."""
     modulus = linalg.integer(modulus)
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    return GModulePresentation(m.group, modulus * linalg.eye(m.rank), m.action)
+    n = m.rank
+    return _derived(GModulePresentation, group=m.group, relations=modulus * linalg.eye(n),
+                    action=m.action, generators=n, _frame=(True, (modulus,) * n, m.action))
 
 
 @dataclass(frozen=True)

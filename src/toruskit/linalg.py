@@ -6,16 +6,17 @@ optional unimodular transforms: one elimination on sparse rows, +-1 pivots
 first by Markowitz cost, which keeps the divisibility chain at every pivot
 and serves plain and transform requests alike.  Invariant factors, kernels
 and integer solves are derived from it.  A column-style Hermite form is used
-to put lattice bases into a canonical shape, and products over a stack of
-sparse matrices, with a matrix or with a vector, multiply nonzero entries
-only.
+to put lattice bases into a canonical shape, and the product of a stack of
+sparse matrices with a matrix on either side multiplies nonzero entries only.
+``sparse_rows`` is the one reader that turns a matrix into rows: the Smith
+form, the stack product and the lattices' group-law probe all read it.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -117,45 +118,13 @@ def _axpy(y: dict[int, int], c: int, x: dict[int, int]) -> None:
             del y[k]
 
 
-def nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, columns, entries) of the nonzeros of the 2-D array ``a``, in
-    row-major order."""
-    rows, cols = np.nonzero(a)
-    return rows, cols, a[rows, cols]
-
-
 def sparse_rows(a: np.ndarray) -> list[dict[int, int]]:
     """The rows of the 2-D object array ``a`` as sparse vectors {column: entry}."""
     rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
-    for i, j, x in zip(*(k.tolist() for k in nonzeros(a))):
+    at = np.nonzero(a)
+    for i, j, x in zip(at[0].tolist(), at[1].tolist(), a[at].tolist()):
         rows[i][j] = x
     return rows
-
-
-def stack_times(stack: np.ndarray) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
-    """(c, times) for the ``(k, n, n)`` object stack: c is its largest
-    absolute entry, and times(w) is the ``(k, n)`` array of every X(a) w.
-
-    Only nonzero entries are multiplied.  They are read once from the
-    ``(k n, n)`` view; each call sums entry * w[column] per row with
-    ``np.add.reduceat``, and writes the sums into zeros if some row has
-    none."""
-    k, n = stack.shape[:2]
-    rows, cols, entries = nonzeros(stack.reshape(k * n, n))
-    first = np.empty(len(rows), dtype=bool)  # where each row's nonzeros start
-    first[:1] = True
-    np.not_equal(rows[1:], rows[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    hit = rows[starts]
-
-    def times(w: np.ndarray) -> np.ndarray:
-        sums = np.add.reduceat(entries * w[cols], starts)
-        if len(hit) == k * n:  # no zero row, as in every invertible X(a)
-            return sums.reshape(k, n)
-        out = zeros(k * n)
-        out[hit] = sums
-        return out.reshape(k, n)
-    return max(map(abs, entries.tolist()), default=0), times
 
 
 def stack_product(left: np.ndarray, stack: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -18,9 +18,9 @@ from . import linalg
 from .cohomology import cohomology, tate_h0
 from .errors import InternalInvariantError
 from .groups import FiniteGroup, trivial_subgroup
-from .lattices import (GLattice, direct_sum_all, dual, glattice, invariants,
-                       norm_vector, quotient_lattice, regular_lattice,
-                       sign_lattice, trace_character, trivial_lattice)
+from .lattices import (GLattice, direct_sum_all, dual, glattice, norm_vector,
+                       quotient_lattice, regular_lattice, sign_lattice,
+                       trace_character, trivial_lattice)
 
 Splitting = Union["FiniteGroup", object]  # FiniteGroup or an AbelianGaloisDatum
 
@@ -117,8 +117,9 @@ def make_torus(splitting, kind: str, *, dim: int = 1,
 
 
 def rank_profile(t: Torus) -> RankProfile:
-    """Dimension, rank of the split part, rank of the anisotropic part."""
-    _, split_rank = invariants(t.X)
+    """Dimension, rank of the split part (rank X^G, the average of the trace
+    character), rank of the anisotropic part."""
+    split_rank = sum(trace_character(t.X)) // t.group.order
     return RankProfile(t.dim, split_rank, t.dim - split_rank)
 
 

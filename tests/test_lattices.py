@@ -96,6 +96,41 @@ def test_glattice_owns_a_read_only_copy():
             assert m.matrix(1).flags.writeable
 
 
+def _frozen(data) -> np.ndarray:
+    """``data`` as a read-only object array that owns its entries, as they are."""
+    out = np.array(data, dtype=object)
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize("entry", [1.0, True, Fraction(1)], ids=["float", "bool", "Fraction"])
+def test_frozen_arrays_are_read_as_integers(entry):
+    # A read-only object array is caller data like any other: it is copied
+    # through linalg.intmat, so an entry that is no integer raises TypeError
+    # as it does in nested lists.
+    stack, rel = _frozen([[[entry]], [[entry]]]), _frozen([[entry]])
+    for build in (lambda: GLattice(C2, stack), lambda: glattice(C2, stack),
+                  lambda: GModulePresentation(C2, ((3,),), stack),
+                  lambda: GModulePresentation(C2, rel, (((1,),), ((2,),)))):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_caller_cannot_write_into_a_validated_record():
+    # A caller who froze their own array, built records on it and then made
+    # it writeable again writes into their own array only.
+    stack, rel = linalg.intmat([[[1]], [[-1]]]), linalg.intmat([[3]])
+    stack.flags.writeable = rel.flags.writeable = False
+    m, pres = GLattice(C2, stack), GModulePresentation(C2, rel, stack)
+    stack.flags.writeable = rel.flags.writeable = True
+    stack[1, 0, 0], rel[0, 0] = 1, 1
+    sign = sign_lattice(C2, trivial_subgroup(C2))
+    assert m.action.tolist() == [[[1]], [[-1]]] and hash(m) == hash(sign)
+    assert cohomology(C2, m, 1) == FGAbelian(0, (2,))
+    assert pres.relations.tolist() == [[3]] and pres.action.tolist() == [[[1]], [[-1]]]
+    assert pres == presentation_mod(sign, 3) and hash(pres) == hash(presentation_mod(sign, 3))
+
+
 def test_equal_lattices_share_hash_and_cache_entries():
     first = random_glattice(C4, 2, random.Random(71))
     again = glattice(C4, first.action.tolist())
@@ -394,9 +429,9 @@ def test_presentation_catches_corruption_outside_generating_set():
 
 
 def test_presentation_mod_validates_with_three_solves(monkeypatch):
-    # The constructor puts the relations into Smith form once, with U and
-    # U^-1; validation, the relation cone of H^0-H^2 and the splitting
-    # enumerator all read that frame, so no solve and no second transform.
+    # presentation_mod derives its Smith frame (U = I for modulus * I), and
+    # the relation cone of H^0-H^2 and the splitting enumerator read it, so
+    # no solve and no Smith form with transforms runs at all.
     m = make_torus(AbelianGaloisDatum(5), "norm_one").X
     solves, transforms = [], []
     solve, smith = linalg.solve, linalg.smith_normal_form
@@ -418,7 +453,7 @@ def test_presentation_mod_validates_with_three_solves(monkeypatch):
     assert m.group.order == 4 and pres.generators == 3
     assert all(cohomology(m.group, pres, q) == FGAbelian(0, (2,)) for q in (0, 1, 2))
     assert enumerate_splittings(m.group, pres).class_count == 2
-    assert solves == [] and transforms == [(3, 3)]
+    assert solves == [] and transforms == []
 
 
 _LAW_GROUPS = group_family_up_to_8() + [s3_group()]
@@ -483,6 +518,10 @@ def _constructor_error(build) -> str | None:
 
 
 @given(_perturbed_stacks())
+@example((C2, linalg.zeros(2, 3, 3)))
+@example((C2, linalg.intmat([[[1, 0], [0, 1]], [[-1, 0], [0, 0]]])))  # a zero row
+@example((C2, linalg.intmat([[[1, 0], [0, 1]], [[1, -2 ** 71], [0, -1]]])))  # an involution
+@example((C2, linalg.intmat([[[1, 0], [0, 1]], [[1, 2 ** 70], [0, 1]]])))  # X(g)^2 != I
 @settings(deadline=None, max_examples=150)
 def test_probe_group_law_matches_full_products(case):
     # The constructors decide the group law on one probe vector; the
@@ -588,8 +627,9 @@ def test_derived_lattices_are_actions(g, seed):
 
 
 def test_only_caller_data_is_probed(monkeypatch):
-    # The derived constructors never run the probe; GLattice(...), glattice
-    # and explicit lattice tori run it once each.
+    # The derived constructors, presentation_mod among them, never run the
+    # probe; GLattice(...), glattice, explicit lattice tori and
+    # GModulePresentation(...) run it once each.
     calls = []
     probe = lattices._holds_exactly
 
@@ -613,6 +653,7 @@ def test_only_caller_data_is_probed(monkeypatch):
     for kind in ("norm_one", "res", "split"):
         make_torus(g, kind)
     make_torus(g, "product", factors=[make_torus(g, "res")] * 3)
+    presentation_mod(reg, 3)
     assert calls == []
     nested = reg.action.tolist()
     GLattice(g, nested)
@@ -620,7 +661,50 @@ def test_only_caller_data_is_probed(monkeypatch):
     glattice(g, nested)
     assert len(calls) == 2
     make_torus(g, "lattice", matrices=nested)
-    assert calls == [(8, 8, 8)] * 3
+    assert len(calls) == 3
+    GModulePresentation(g, 3 * linalg.eye(8), nested)
+    assert calls == [(8, 8, 8)] * 4
+
+
+@given(st.sampled_from(group_family_up_to_8()), st.sampled_from((1, 2, 3, 6)),
+       st.integers(0, 2 ** 32))
+@settings(deadline=None, max_examples=30)
+def test_presentation_mod_is_derived(g, k, seed):
+    # presentation_mod runs neither the probe nor a Smith form.  The module
+    # that GModulePresentation probes and puts into Smith form from the same
+    # nested lists must equal it and hash like it, have the same frame and
+    # the same H^0-H^2 (each computed from empty caches), and the same count
+    # of splitting classes.
+    m = random_glattice(g, 2, random.Random(seed))
+    derived = presentation_mod(m, k)
+    probed = GModulePresentation(g, k * linalg.eye(m.rank), m.action.tolist())
+    assert derived == probed and hash(derived) == hash(probed)
+    (exact, d, frame), (exact_p, d_p, frame_p) = derived._frame, probed._frame
+    assert exact is exact_p is True and d == d_p and np.array_equal(frame, frame_p)
+    for q in (0, 1, 2):
+        answers = []
+        for module in (derived, probed):
+            _relation_complex.cache_clear()
+            _cohomology.cache_clear()
+            answers.append(cohomology(g, module, q))
+        assert answers[0] == answers[1], q
+    if k ** (m.rank * g.order) <= 10 ** 4:
+        assert enumerate_splittings(g, derived).class_count == \
+            enumerate_splittings(g, probed).class_count
+
+
+def test_records_are_hashed_on_first_use():
+    # Derived records carry no hash until something hashes them; then it is
+    # the hash of the probed record built from the same nested lists, and it
+    # sees the group as well as the entries.
+    g = product_group(C2, C4)
+    m = dual(regular_lattice(g))
+    pres = presentation_mod(m, 3)
+    assert "_hash" not in vars(m) and "_hash" not in vars(pres)
+    assert hash(pres) == hash(GModulePresentation(g, 3 * linalg.eye(8), m.action.tolist()))
+    assert "_hash" in vars(pres) and "_hash" not in vars(m)
+    assert hash(m) == hash(glattice(g, m.action.tolist())) and "_hash" in vars(m)
+    assert hash(trivial_lattice(C4, 2)) != hash(trivial_lattice(KLEIN, 2))
 
 
 def test_probe_base_exceeds_product_entries():

@@ -178,30 +178,3 @@ def test_empty_shapes():
 def test_intmat_rejects_non_integers():
     with pytest.raises(TypeError):
         linalg.intmat([[1.5]])
-
-
-@st.composite
-def sparse_stacks(draw):
-    """A (k, n, n) object stack, n = 0 included, mostly zeros, with zero rows
-    and entries past 64 bits; and a vector of length n."""
-    k, n = draw(st.integers(1, 4)), draw(st.integers(0, 5))
-    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
-    stack = linalg.intmat(draw(st.lists(entry, min_size=k * n * n, max_size=k * n * n)), (k * n * n,))
-    w = linalg.intmat(draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n, max_size=n)), (n,))
-    return stack.reshape(k, n, n), w
-
-
-@given(sparse_stacks())
-@example((linalg.zeros(3, 4, 4), linalg.intmat([1, 2, 3, 4])))
-@example((linalg.zeros(2, 0, 0), linalg.zeros(0)))
-@settings(max_examples=200)
-def test_stack_times_matches_dense_products(case):
-    # From nonzeros only: the largest absolute entry and every X(a) w, as
-    # the object matmul over the whole stack gives them.
-    stack, w = case
-    c, times = linalg.stack_times(stack)
-    assert c == max((abs(x) for x in stack.flat), default=0)
-    out = times(w)
-    assert out.shape == stack.shape[:2] and out.dtype == object
-    assert np.array_equal(out, np.matmul(stack, w))
-    assert all(type(x) is int for x in out.flat)

@@ -1,17 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
 from toruskit.groups import cyclic_group, product_group, trivial_subgroup
-from toruskit.lattices import (direct_sum, regular_lattice, sign_lattice,
-                               trace_character, trivial_lattice)
+from toruskit.lattices import (direct_sum, direct_sum_all, invariants, regular_lattice,
+                               sign_lattice, trace_character, trivial_lattice)
 from toruskit.tori import (RealClassification, Torus, classify_real,
                            dual_torus, isogenous, make_torus, norm_character,
                            rank_profile)
 
-from support import conjugate, random_unimodular
+from support import (conjugate, group_family_up_to_8, random_glattice,
+                     random_unimodular, s3_group)
 
 C1 = cyclic_group(1)
 C2 = cyclic_group(2)
@@ -72,6 +74,18 @@ def test_rank_profile_res():
     for n in (1, 2, 4):
         t = make_torus(cyclic_group(n), "res")
         assert rank_profile(t) == (n, 1, n - 1)
+
+
+@given(st.sampled_from(group_family_up_to_8() + [s3_group()]), st.integers(0, 2 ** 32))
+@settings(deadline=None, max_examples=40)
+def test_split_rank_is_the_rank_of_the_fixed_sublattice(g, seed):
+    # rank_profile averages the trace character; invariants computes a
+    # basis of X^G from a Smith form and a Hermite form.
+    rng = random.Random(seed)
+    parts = [random_glattice(g, 2, rng) for _ in range(rng.randint(1, 3))]
+    for kind, t in (("norm_one", make_torus(g, "norm_one")), ("res", make_torus(g, "res")),
+                    ("lattice", Torus(g, direct_sum_all(parts), "lattice"))):
+        assert rank_profile(t).split_rank == invariants(t.X)[1], kind
 
 
 def test_classify_real_basic_tori():

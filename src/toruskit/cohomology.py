@@ -46,8 +46,8 @@ from . import linalg
 from .errors import EnumerationBoundError, InternalInvariantError
 from .groups import (_CACHE_SIZE, FiniteGroup, Subgroup, abelian_decomposition,
                      cyclic_subgroups)
-from .lattices import (FGAbelian, GLattice, GModulePresentation, norm_operator,
-                       regular_lattice, restrict)
+from .lattices import (FGAbelian, GLattice, GModulePresentation, _derived, _smith_frame,
+                       norm_operator, regular_lattice, restrict)
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
 
@@ -187,23 +187,31 @@ def _relation_complex(module: GLattice | GModulePresentation) -> tuple:
 
     M(g) = U X(g) U^-1 acts on Z^n itself, B is diag(d) over n - r zero rows,
     and A(g) = diag(d)^-1 M(g)[:r, :r] diag(d) acts on Z^r (r = 0 for a
-    lattice).  An action that holds only modulo R is first rewritten as
-    Z[G]^n / K, Z[G] acting regularly and K the kernel of e_(g,i) -> X(g) e_i,
-    spanned by R and e_(g,i) - X(g) e_i in the identity's block, so that the
-    cone is a complex; that presentation's constructor computes its frame."""
-    group = module.group
+    lattice).  An action that holds only modulo R is first rewritten
+    (``_regular_cover``) so that the cone is a complex."""
     if isinstance(module, GLattice):
         return module.action, linalg.zeros(module.rank, 0), []
     exact, d, frame = module._frame
     if not exact:
-        rel, n, order, ident = module.relations, module.generators, group.order, group.identity
-        regular = np.stack([np.kron(x, linalg.eye(n)) for x in regular_lattice(group).action])
-        kernel = np.hstack([linalg.eye(n * order), linalg.zeros(n * order, rel.shape[1])])
-        kernel[ident * n:(ident + 1) * n, :] -= np.hstack(list(module.action) + [-rel])
-        return _relation_complex(GModulePresentation(group, kernel, regular))
+        return _relation_complex(_regular_cover(module))
     d = linalg.intmat(d, (len(d),))
     basis = np.vstack([np.diag(d), linalg.zeros(module.generators - len(d), len(d))])
     return frame, basis, [m[:len(d), :len(d)] * d // d[:, None] for m in frame]
+
+
+def _regular_cover(module: GModulePresentation) -> GModulePresentation:
+    """The module as Z[G]^n / K, Z[G] acting regularly and K the kernel of
+    e_(g,i) -> X(g) e_i, spanned by R and e_(g,i) - X(g) e_i in the identity's
+    block.  Derived: the regular action holds on Z[G]^n, and K is G-stable as
+    the module's constructor checked its action modulo R."""
+    group, rel, n = module.group, module.relations, module.generators
+    order, ident = group.order, group.identity
+    regular = np.stack([np.kron(x, linalg.eye(n)) for x in regular_lattice(group).action])
+    kernel = np.hstack([linalg.eye(n * order), linalg.zeros(n * order, rel.shape[1])])
+    kernel[ident * n:(ident + 1) * n, :] -= np.hstack(list(module.action) + [-rel])
+    d, frame = _smith_frame(regular, kernel)
+    return _derived(GModulePresentation, group=group, relations=kernel, action=regular,
+                    generators=n * order, _frame=(True, d, frame))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

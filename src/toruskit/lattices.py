@@ -11,10 +11,11 @@ run the group-law probe (``_check_action``) over the stack's sparse rows.
 The package's own constructors derive: trivial, sign, regular, permutation,
 induced, restricted, dual, direct-sum and quotient lattices and
 ``presentation_mod`` build their arrays from inputs that are already
-validated, check only their own arguments, and are actions by construction,
-so they are frozen but not probed (``_derived``).  A quotient's saturation
-and stability checks are what make proj X(a) section an action; it is
-formed from sparse rows (``linalg.stack_product``).  In
+validated, check only their own arguments, and are actions by construction, so
+they are frozen but not probed (``_derived``), as is the Z[G]^n / K rewrite of
+a module acting only modulo its relations in ``cohomology``.  A quotient's
+saturation and stability checks are what make proj X(a) section an action; it
+is formed from sparse rows (``linalg.stack_product``).  In
 ``tests/test_lattices.py``, ``test_derived_lattices_are_actions`` and
 ``test_presentation_mod_is_derived`` stand in for the probe on them, and
 ``test_only_caller_data_is_probed`` counts the probes.
@@ -158,14 +159,9 @@ def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray | None 
         if not law:
             raise ValueError("action matrices do not respect the group law")
         return True, (), stack
-    snf = linalg.smith_normal_form(rel, want_u=True)
-    r, eye = snf.rank, linalg.eye(len(rel))
-    if np.array_equal(snf.u, eye):  # then U^-1 = I too: the frame is the stack
-        frame = stack
-    else:
-        frame = np.matmul(np.matmul(snf.u, stack), snf.uinv)
-        frame.flags.writeable = False
-    d = linalg.intmat(snf.diagonal[:r], (r,))
+    diagonal, frame = _smith_frame(stack, rel)
+    r, eye = len(diagonal), linalg.eye(len(rel))
+    d = linalg.intmat(diagonal, (r,))
 
     def spanned(cols: np.ndarray) -> bool:
         return linalg.is_zero(cols[:r] % d[:, None]) and linalg.is_zero(cols[r:])
@@ -178,7 +174,18 @@ def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray | None 
             [block for s in gens for block in
              np.matmul(frame, frame[s]) - frame[[row[s] for row in group.table]]])):
         raise ValueError("action does not respect the group law on the quotient")
-    return identity and law, snf.diagonal[:r], frame
+    return identity and law, diagonal, frame
+
+
+def _smith_frame(stack: np.ndarray, rel: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """(d, M): d_1 | ... | d_r, the nonzero diagonal of one Smith form U rel V,
+    and the read-only frame M(a) = U X(a) U^-1 of the stack X.  Relations
+    whose U is I, such as m I, keep the stack itself as the frame."""
+    snf, frame = linalg.smith_normal_form(rel, want_u=True), stack
+    if not np.array_equal(snf.u, linalg.eye(len(rel))):  # else U^-1 = I too
+        frame = np.matmul(np.matmul(snf.u, stack), snf.uinv)
+        frame.flags.writeable = False
+    return snf.diagonal[:snf.rank], frame
 
 
 def _derived(cls, **fields):

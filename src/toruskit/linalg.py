@@ -2,9 +2,10 @@
 
 All matrices are numpy arrays with ``dtype=object`` holding Python ints, so
 nothing ever rounds or overflows.  The workhorse is a Smith normal form with
-optional unimodular transforms: one elimination on sparse rows, +-1 pivots
-first by Markowitz cost, which keeps the divisibility chain at every pivot
-and serves plain and transform requests alike.  Invariant factors, kernels
+optional unimodular transforms: one elimination on sparse rows that takes
++-1 pivots in one sweep over the columns, sparsest first, then entries of
+least absolute value; it keeps the divisibility chain at every pivot and
+serves plain and transform requests alike.  Invariant factors, kernels
 and integer solves are derived from it.  A column-style Hermite form is used
 to put lattice bases into a canonical shape, and the product of a stack of
 sparse matrices with a matrix on either side multiplies nonzero entries only.
@@ -14,7 +15,6 @@ form, the stack product and the lattices' group-law probe all read it.
 
 from __future__ import annotations
 
-import heapq
 import operator
 from typing import NamedTuple, Optional
 
@@ -31,13 +31,15 @@ def intmat(data, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """Copy ``data`` into a fresh object-dtype array of Python ints.
 
     ``shape`` is required when ``data`` cannot determine it (no rows, or rows
-    of length zero).  Non-integer entries raise ``TypeError`` (``integer``)."""
+    of length zero).  Entries of type exactly ``int`` are copied as they are;
+    every other entry goes through ``integer``, so non-integers raise
+    ``TypeError``."""
     src = np.array(data, dtype=object)
     shape = src.shape if shape is None else tuple(shape)
     if src.shape != shape and (src.size or 0 not in shape):
         raise ValueError(f"data of shape {src.shape} does not match requested {shape}")
     out = np.empty(shape, dtype=object)
-    out.reshape(-1)[:] = [integer(x) for x in src.flat]
+    out.reshape(-1)[:] = [x if type(x) is int else integer(x) for x in src.flat]
     return out
 
 
@@ -176,16 +178,17 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
                       want_v: bool = False) -> SmithForm:
     """The Smith normal form of ``a``, with U and U^-1, and V, on request.
 
-    One elimination on sparse rows {column: entry}.  Each step takes a +-1
-    entry of least Markowitz cost (row nonzeros - 1) (column nonzeros - 1)
-    from a heap that is re-checked when popped, or, once no +-1 is left, the
-    first entry of least absolute value.  It clears the pivot's column by
-    row operations and only then its row by column operations; a remainder
-    ends the step and is a smaller entry for a later one.  A pivot p != +-1
-    is fixed only when p divides every entry left; otherwise the row of one
-    that it does not divide is added to the pivot row, and clearing that row
-    leaves a remainder.  So the pivots are fixed in the order d_1 | d_2 | ...,
-    the +-1 first.  The elimination stops once no nonzero entry is left.
+    One elimination on sparse rows {column: entry}.  It first sweeps the
+    columns once, sparsest first by their nonzeros at the start, and pivots
+    each on a +-1 in its sparsest row, if it has one.  Then, while any entry
+    is left, it pivots on the first entry of least absolute value: the
+    non-unit pivots, and any +-1 that fill-in made after the sweep passed.
+    Each step clears the pivot's column by row operations and only then its
+    row by column operations; a remainder ends the step and is a smaller
+    entry for a later one.  A pivot p != +-1 is fixed only when p divides
+    every entry left; otherwise the row of one that it does not divide is
+    added to the pivot row, and clearing that row leaves a remainder.  So
+    the pivots are fixed in the order d_1 | d_2 | ..., the +-1 first.
 
     U rows, U^-1 columns and V columns are kept as sparse vectors only when
     asked for, then put into pivot order and made dense once at the end.
@@ -207,12 +210,6 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
     uinv = [{k: 1} for k in range(m)] if want_u else None
     v = [{k: 1} for k in range(n)] if want_v else None
 
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-    heap = [(cost(i, j), i, j) for i, row in enumerate(rows)
-            for j, x in row.items() if x in (1, -1)]
-    heapq.heapify(heap)
-
     def add_row(k, c, i):
         # row k += c row i; U^-1 takes column i -= c column k
         nonlocal nnz
@@ -224,8 +221,6 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
                     cols[l].add(k)
                     nnz += 1
                 row[l] = y
-                if y in (1, -1):
-                    heapq.heappush(heap, (cost(k, l), k, l))
             else:
                 del row[l]
                 cols[l].discard(k)
@@ -255,24 +250,19 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
                 nnz -= 1
         return len(pivot) > 1
 
-    live = range(m)  # rows that may be nonzero; none turns nonzero again
+    live = list(range(m))  # rows that may be nonzero; none turns nonzero again
 
-    def pick():
-        nonlocal live
-        while heap:
-            old, i, j = heapq.heappop(heap)
-            if rows[i].get(j) not in (1, -1):
-                continue  # eliminated, or no longer a unit
-            if cost(i, j) > old:
-                heapq.heappush(heap, (cost(i, j), i, j))
-                continue
-            return i, j
-        live = [i for i in live if rows[i]]
-        return min((abs(x), i, j) for i in live for j, x in rows[i].items())[1:]
+    def steps():  # ties go to the lower index: columns, then rows
+        for j in sorted(range(n), key=lambda j: len(cols[j])):
+            units = [i for i in cols[j] if rows[i][j] in (1, -1)]
+            if units:
+                yield min(units, key=lambda i: (len(rows[i]), i)), j
+        while nnz:
+            live[:] = [i for i in live if rows[i]]
+            yield min((abs(x), i, j) for i in live for j, x in rows[i].items())[1:]
 
     pivots: list[tuple[int, int, int]] = []
-    while nnz:
-        i, j = pick()
+    for i, j in steps():
         pivot = rows[i]
         p = pivot[j]
         for k in cols[j] - {i}:
@@ -320,18 +310,12 @@ def solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     if b.shape[0] != a.shape[0]:
         raise ValueError("shape mismatch in solve")
     snf = smith_normal_form(a, want_u=True, want_v=True)
-    y = mul(snf.u, b)
+    r, y = snf.rank, mul(snf.u, b)  # D V^-1 X = U b
+    d = intmat(snf.diagonal[:r], (r,))[:, None]
+    if not is_zero(y[:r] % d) or not is_zero(y[r:]):
+        return None
     x = zeros(a.shape[1], b.shape[1])
-    for i in range(a.shape[0]):
-        di = snf.diagonal[i] if i < len(snf.diagonal) else 0
-        for j in range(b.shape[1]):
-            if i < snf.rank:
-                q, r = divmod(y[i, j], di)
-                if r != 0:
-                    return None
-                x[i, j] = q
-            elif y[i, j] != 0:
-                return None
+    x[:r] = y[:r] // d
     return mul(snf.v, x)
 
 

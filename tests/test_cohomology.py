@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import toruskit.cli  # noqa: F401  (loads every module, for the cache scan)
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
-from toruskit.cohomology import (_kernel_invariants, _restriction_map,
+from toruskit.cohomology import (_kernel_invariants, _regular_cover, _restriction_map,
                                  _sha2_cyclic, bar_differential,
                                  cohomology, cohomology_classes, differential,
                                  enumerate_splittings, restrict_cochain,
@@ -554,6 +554,26 @@ def test_presented_small_resolution_matches_bar_complex():
             assert (fg.free_rank, fg.torsion) == bar_presented_cohomology(pres, q), (pres, q)
         free_h0 += cohomology(pres.group, pres, 0).free_rank > 0
     assert free_h0
+
+
+def test_regular_cover_is_the_probed_rebuild():
+    # An action that holds only modulo R is rewritten as Z[G]^n / K without
+    # the probe; the record must equal, hash like and carry the Smith frame
+    # of GModulePresentation(...) on the same entries.  The last case has
+    # two generators and relations diag(3, 5), whose own frame is not I.
+    cases = [GModulePresentation(g, ((modulus,),), tuple(((x,),) for x in scalars))
+             for g, modulus, scalars in [(C2, 3, (1, 2)), (C3, 7, (1, 2, 4)),
+                                         (C4, 5, (1, 2, 4, 3))]]
+    cases.append(GModulePresentation(C2, ((3, 0), (0, 5)), (((1, 0), (0, 1)), ((2, 0), (0, 4)))))
+    for pres in cases:
+        assert not pres._frame[0], pres
+        cover = _regular_cover(pres)
+        probed = GModulePresentation(pres.group, cover.relations.tolist(), cover.action.tolist())
+        assert cover == probed and hash(cover) == hash(probed)
+        assert cover.generators == probed.generators == pres.generators * pres.group.order
+        (exact, d, frame), want = cover._frame, probed._frame
+        assert (exact, d) == want[:2] and np.array_equal(frame, want[2]), pres
+        assert not (cover.relations.flags.writeable or frame.flags.writeable)
 
 
 @given(st.sampled_from(group_family_up_to_8()), st.sampled_from([(2, 3), (4, 6), (2, 0)]),

@@ -664,6 +664,13 @@ def test_only_caller_data_is_probed(monkeypatch):
     assert len(calls) == 3
     GModulePresentation(g, 3 * linalg.eye(8), nested)
     assert calls == [(8, 8, 8)] * 4
+    # Z/3 with C2 acting by 2 holds only modulo 3; H^1 reads it as the
+    # derived Z[C2] / K, so only the constructor probes.
+    calls.clear()
+    _relation_complex.cache_clear()  # an earlier test may have built this cone
+    _cohomology.cache_clear()
+    cohomology(C2, GModulePresentation(C2, ((3,),), (((1,),), ((2,),))), 1)
+    assert calls == [(2, 1, 1)]
 
 
 @given(st.sampled_from(group_family_up_to_8()), st.sampled_from((1, 2, 3, 6)),

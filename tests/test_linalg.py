@@ -111,6 +111,33 @@ def test_plain_smith_form_matches_transform_loop(a):
     assert abs(linalg.det(snf.u)) == abs(linalg.det(snf.v)) == 1
 
 
+@st.composite
+def permuted_sparse_matrices(draw):
+    a = draw(sparse_matrices())
+    m, n = a.shape
+    return a, draw(st.permutations(range(m))), draw(st.permutations(range(n)))
+
+
+# Swapping the columns of [[1, 2], [2, 3]] puts its 1 in the column the sweep
+# visits last; eliminating it leaves a -1 in the column visited first, which
+# only the least-|entry| loop can take.
+@given(permuted_sparse_matrices())
+@example((linalg.intmat([[1, 2], [2, 3]]), [0, 1], [1, 0]))
+@settings(deadline=None, max_examples=60)
+def test_smith_diagonal_does_not_depend_on_pivot_order(case):
+    # Permuting rows and columns changes the sweep's column order and its
+    # choice of rows, and so every pivot; the diagonal is unique.
+    a, rows, cols = case
+    want = linalg.smith_normal_form(a)
+    b = a[list(rows)][:, list(cols)]
+    plain = linalg.smith_normal_form(b)
+    snf = linalg.smith_normal_form(b, want_u=True, want_v=True)
+    assert (plain.diagonal, plain.rank) == (snf.diagonal, snf.rank) == (want.diagonal, want.rank)
+    d = diagonal_matrix(b.shape, snf.diagonal)
+    assert linalg.is_zero(linalg.mul(linalg.mul(snf.u, b), snf.v) - d)
+    assert linalg.is_zero(linalg.mul(snf.u, snf.uinv) - linalg.eye(b.shape[0]))
+
+
 @given(matrix_lists())
 @settings(deadline=None, max_examples=60)
 def test_kernel_basis(rows):

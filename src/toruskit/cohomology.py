@@ -16,8 +16,10 @@ instead of the M^(|G|^q) of the inhomogeneous bar complex.  H^q is
 Z^(rank ker d^q - rank d^(q-1)) plus the torsion of coker d^(q-1), finite
 for q >= 1.  A presented module Z^n/R on which G acts through Z^n (the
 constructors' probe test) is quasi-isomorphic to R -> Z^n, read in the Smith
-frame of R that its constructor computed, so its cochains are the cone
-C^q(Z^n) + C^(q+1)(R) (Weibel, 1.5); a lattice is the case R = 0.
+frame of R that its constructor computed (``lattices._relation_complex``), so
+its cochains are the cone C^q(Z^n) + C^(q+1)(R) (Weibel, 1.5).  A lattice is
+the presented module with no relations, so one engine serves both: R = 0
+and the cone is the resolution's own complex.
 
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
@@ -46,8 +48,8 @@ from . import linalg
 from .errors import EnumerationBoundError, InternalInvariantError
 from .groups import (_CACHE_SIZE, FiniteGroup, Subgroup, abelian_decomposition,
                      cyclic_subgroups)
-from .lattices import (FGAbelian, GLattice, GModulePresentation, _derived, _smith_frame,
-                       norm_operator, regular_lattice, restrict)
+from .lattices import (FGAbelian, GLattice, GModulePresentation, _relation_complex,
+                       norm_operator, restrict)
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
 
@@ -181,41 +183,7 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _relation_complex(module: GLattice | GModulePresentation) -> tuple:
-    """(M, B, A): the module as the lattice complex B: Z^r -> Z^n, read in the
-    Smith frame U R V = diag(d) that its constructor computed (``_frame``).
-
-    M(g) = U X(g) U^-1 acts on Z^n itself, B is diag(d) over n - r zero rows,
-    and A(g) = diag(d)^-1 M(g)[:r, :r] diag(d) acts on Z^r (r = 0 for a
-    lattice).  An action that holds only modulo R is first rewritten
-    (``_regular_cover``) so that the cone is a complex."""
-    if isinstance(module, GLattice):
-        return module.action, linalg.zeros(module.rank, 0), []
-    exact, d, frame = module._frame
-    if not exact:
-        return _relation_complex(_regular_cover(module))
-    d = linalg.intmat(d, (len(d),))
-    basis = np.vstack([np.diag(d), linalg.zeros(module.generators - len(d), len(d))])
-    return frame, basis, [m[:len(d), :len(d)] * d // d[:, None] for m in frame]
-
-
-def _regular_cover(module: GModulePresentation) -> GModulePresentation:
-    """The module as Z[G]^n / K, Z[G] acting regularly and K the kernel of
-    e_(g,i) -> X(g) e_i, spanned by R and e_(g,i) - X(g) e_i in the identity's
-    block.  Derived: the regular action holds on Z[G]^n, and K is G-stable as
-    the module's constructor checked its action modulo R."""
-    group, rel, n = module.group, module.relations, module.generators
-    order, ident = group.order, group.identity
-    regular = np.stack([np.kron(x, linalg.eye(n)) for x in regular_lattice(group).action])
-    kernel = np.hstack([linalg.eye(n * order), linalg.zeros(n * order, rel.shape[1])])
-    kernel[ident * n:(ident + 1) * n, :] -= np.hstack(list(module.action) + [-rel])
-    d, frame = _smith_frame(regular, kernel)
-    return _derived(GModulePresentation, group=group, relations=kernel, action=regular,
-                    generators=n * order, _frame=(True, d, frame))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _cohomology(module: GLattice | GModulePresentation, q: int) -> FGAbelian:
+def _cohomology(module: GModulePresentation, q: int) -> FGAbelian:
     """H^q as the torsion of coker D^(q-1) plus, for q = 0, the rank of M^G.
 
     D^q = [[d^q, B], [0, -d_R^(q+1)]] is the cone differential of
@@ -283,7 +251,11 @@ class CohomologyClasses:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
-    """H^q as the torsion of coker d^(q-1), generated by columns of U^-1."""
+    """H^q as the torsion of coker d^(q-1), generated by columns of U^-1.
+
+    The generators are whichever the Smith form's pivot order gives, so they
+    change with the lattice's basis and with the elimination; the group they
+    generate does not."""
     if q not in (1, 2):
         raise ValueError("cocycle representatives are computed in degrees 1 and 2")
     snf = linalg.smith_normal_form(differential(module.group, module.action, q - 1), want_u=True)
@@ -295,7 +267,12 @@ def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
 
 
 class RestrictionMap(NamedTuple):
-    """Integer matrix of H^q(G, M) -> H^q(H, Res M) on chosen generators."""
+    """Integer matrix of H^q(G, M) -> H^q(H, Res M) on chosen generators.
+
+    ``matrix`` is written in the generators of ``cohomology_classes`` on both
+    sides, which follow the Smith form's pivot order, so a change of the
+    lattice's basis may change it; ``source``, ``target`` and the kernel do
+    not change."""
 
     source: FGAbelian
     target: FGAbelian
@@ -370,8 +347,9 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
                     q: int) -> RestrictionMap:
     """Cochain-level restriction on cohomology, q in {1, 2}.
 
-    A vanishing target gives the empty matrix without building any cocycle
-    representatives.
+    The matrix is in the generators of ``cohomology_classes``, not canonical
+    ones (see ``RestrictionMap``).  A vanishing target gives the empty matrix
+    without building any cocycle representatives.
     """
     if q not in (1, 2):
         raise ValueError("restriction is computed in degrees 1 and 2")
@@ -410,13 +388,9 @@ def _sha2_cyclic(module: GLattice) -> FGAbelian:
     total = cohomology(group, module, 2)
     if total.is_trivial():
         return FGAbelian.trivial()
-    # Only subgroups with nonvanishing H^2 constrain the kernel, and
-    # restriction to the others builds no cocycle representatives.
-    maps = [rmap for rmap in (restriction_map(group, module, sub, 2)
-                              for sub in cyclic_subgroups(group))
-            if not rmap.target.is_trivial()]
-    if not maps:
-        return total
+    # A subgroup with vanishing H^2 adds no rows and no factors, and its
+    # restriction builds no cocycle representatives.
+    maps = [restriction_map(group, module, sub, 2) for sub in cyclic_subgroups(group)]
     return FGAbelian(0, _kernel_invariants(
         total.torsion, [e for rmap in maps for e in rmap.target.torsion],
         [row for rmap in maps for row in rmap.matrix]))

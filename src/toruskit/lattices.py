@@ -1,39 +1,37 @@
-"""G-lattices: free Z-modules with a finite group acting by unimodular matrices.
+"""G-modules: Z^n modulo a relation lattice, with a finite group acting.
 
-A lattice of rank n is held as one read-only ``(|G|, n, n)`` object array of
-Python ints, the matrix of every group element in element order; a presented
-module adds one read-only relation matrix.  Both are hashed on first use,
-and compare by value, so they are cheap ``lru_cache`` keys.
+``GModulePresentation`` is the one record: a read-only ``(n, k)`` relation
+matrix and a read-only ``(|G|, n, n)`` object array of Python ints, the matrix
+of every group element in element order.  A ``GLattice`` is the record with
+no relations (n x 0).  Both share one constructor, one hash (computed on first
+use) and one type-strict equality, so they are cheap ``lru_cache`` keys.
 
-Caller data is copied (``linalg.intmat``) and probed: ``GLattice(...)``,
-``glattice`` (and so explicit ``lattice`` tori) and ``GModulePresentation``
-run the group-law probe (``_check_action``) over the stack's sparse rows.
-The package's own constructors derive: trivial, sign, regular, permutation,
-induced, restricted, dual, direct-sum and quotient lattices and
-``presentation_mod`` build their arrays from inputs that are already
-validated, check only their own arguments, and are actions by construction, so
-they are frozen but not probed (``_derived``), as is the Z[G]^n / K rewrite of
-a module acting only modulo its relations in ``cohomology``.  A quotient's
-saturation and stability checks are what make proj X(a) section an action; it
-is formed from sparse rows (``linalg.stack_product``).  In
+Caller data (``GLattice(...)``, ``glattice``, explicit ``lattice`` tori,
+``GModulePresentation(...)``) is copied (``linalg.intmat``) and probed
+(``_check_action``).  The package's own constructors build actions by
+construction from validated inputs, check only their own arguments and derive
+(``_derived``, unprobed): the lattices through ``_lattice``, plus
+``presentation_mod`` and ``_regular_cover``.  A quotient's stack proj X(a)
+section is formed from sparse rows (``linalg.stack_product``).  In
 ``tests/test_lattices.py``, ``test_derived_lattices_are_actions`` and
-``test_presentation_mod_is_derived`` stand in for the probe on them, and
-``test_only_caller_data_is_probed`` counts the probes.
-``FGAbelian`` carries finitely generated abelian groups as invariant factors
-plus a free rank.  All normal-form work is delegated to :mod:`toruskit.linalg`.
+``test_presentation_mod_is_derived`` stand in for the probe on them.
+``_relation_complex`` reads a record's Smith frame as the complex R -> Z^n
+whose cone the cohomology engine takes.  ``FGAbelian`` carries finitely
+generated abelian groups as invariant factors plus a free rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import InternalInvariantError
-from .groups import FiniteGroup, FiniteGSet, Subgroup, coset_gset, generating_set
+from .groups import (_CACHE_SIZE, FiniteGroup, FiniteGSet, Subgroup, coset_gset,
+                     generating_set)
 
 
 def _read_only(data, shape: tuple[int, ...]) -> np.ndarray:
@@ -46,26 +44,29 @@ def _read_only(data, shape: tuple[int, ...]) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GLattice:
-    """A rank-n free Z-module with ``group`` acting through integer matrices.
+class GModulePresentation:
+    """Finitely generated G-module: Z^n modulo the column span of ``relations``.
 
-    ``action`` is a read-only ``(|G|, n, n)`` object array of Python ints, and
-    ``action[g]`` is the matrix of g on column vectors.  Caller data (nested
-    lists or any array) is copied in.  The hash is computed on first use,
-    and equality compares group, rank and entries, so a lattice rebuilt from
-    the same data hits every cache keyed on the first.
+    ``relations`` is a read-only ``(n, k)`` array whose columns span the
+    relation lattice, and ``action`` a read-only ``(|G|, n, n)`` object array
+    of Python ints, ``action[g]`` the matrix of g on the generators (column
+    vectors).  Caller data (nested lists or any array) is copied in.  The
+    hash is computed on first use, and equality compares type, group,
+    relations and entries, so a record rebuilt from the same data
+    hits every cache keyed on the first.
 
-    The constructor checks (``_check_action``) that the assignment is a
-    homomorphism sending the identity to the identity matrix, which forces
-    every matrix to be unimodular.  Only caller data comes through it
-    (``glattice`` and explicit ``lattice`` tori too); the package's
-    constructors (trivial, sign, regular, permutation, induced, restricted,
-    dual, sum and quotient lattices) build actions by construction and skip
-    the check (``_derived``), with the same rank, hash and equality."""
+    The constructor checks (``_check_action``) that the matrices preserve the
+    relation lattice and act on the quotient as a homomorphism sending the
+    identity to the identity; with no relations this forces every matrix to
+    be unimodular.  It puts the relations into Smith form once, and
+    ``_frame`` keeps what it read off: the cohomology engine and the
+    splitting enumerator reuse it."""
 
     group: FiniteGroup
+    relations: np.ndarray
     action: np.ndarray
-    rank: int = field(init=False)  # the size of the identity's matrix
+    generators: int = field(init=False)  # the size of the identity's matrix
+    _frame: tuple[bool, tuple[int, ...], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.group
@@ -73,21 +74,47 @@ class GLattice:
             raise ValueError("one action matrix per group element required")
         n = len(self.action[g.identity])
         action = _read_only(self.action, (g.order, n, n))
-        _check_action(g, action)
+        k = np.shape(self.relations)[-1] if n else 0
+        relations = _read_only(self.relations, (n, k))
+        object.__setattr__(self, "_frame", _check_action(g, action, relations))
+        object.__setattr__(self, "generators", n)
+        object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "action", action)
-        object.__setattr__(self, "rank", n)
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.group, self.rank, tuple(self.action.flat)))
+        return hash((self.group, self.generators, tuple(self.relations.flat),
+                     tuple(self.action.flat)))
 
     def __eq__(self, other):
-        return (isinstance(other, GLattice) and self._hash == other._hash
-                and self.group == other.group and self.rank == other.rank
-                and np.array_equal(self.action, other.action))
+        # Equal stacks fix n, and n x k relations (0 x 0 when n = 0) are then
+        # equal when their nested lists are; a lattice's are n empty lists.
+        return (type(other) is type(self) and self._hash == other._hash
+                and self.group == other.group
+                and np.array_equal(self.action, other.action)
+                and self.relations.tolist() == other.relations.tolist())
 
     def __hash__(self):
         return self._hash
+
+
+@dataclass(frozen=True, eq=False)
+class GLattice(GModulePresentation):
+    """A rank-n free Z-module with ``group`` acting by unimodular matrices:
+    ``GLattice(group, action)`` is the presented module whose ``relations``
+    are a read-only n x 0 array, and ``rank`` is ``generators``.  It never
+    equals a ``GModulePresentation`` on the same entries.  The package's
+    constructors derive lattices (``_lattice``) with the same hash and
+    equality as the probed ones."""
+
+    relations: np.ndarray = field(init=False, default=(), repr=False)  # read as n x 0
+
+    # Restated, so that lattice construction has an entry of its own to wrap.
+    __post_init__ = GModulePresentation.__post_init__
+
+    @property
+    def rank(self) -> int:
+        return self.generators
 
     def matrix(self, g: int) -> np.ndarray:
         return self.action[g].copy()
@@ -141,7 +168,7 @@ def _holds_exactly(group: FiniteGroup, stack: np.ndarray) -> tuple[bool, bool]:
                 for s in generating_set(group)))
 
 
-def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray | None = None
+def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray
                   ) -> tuple[bool, tuple[int, ...], np.ndarray]:
     """Raise ``ValueError`` unless a -> stack[a] is an action on Z^n / span(rel).
 
@@ -153,7 +180,7 @@ def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray | None 
     in the frame only when they fail on Z^n: a column lies in span(diag(d))
     when its first r entries are multiples of d and the rest vanish."""
     identity, law = _holds_exactly(group, stack)
-    if rel is None or rel.shape[1] == 0:
+    if rel.shape[1] == 0:
         if not identity:
             raise ValueError("identity must act as the identity matrix")
         if not law:
@@ -188,19 +215,27 @@ def _smith_frame(stack: np.ndarray, rel: np.ndarray) -> tuple[tuple[int, ...], n
     return snf.diagonal[:snf.rank], frame
 
 
-def _derived(cls, **fields):
-    """A ``cls`` record on the fields that ``__post_init__`` would set, which a
-    constructor just built from validated inputs as an action by construction.
+def _derived(cls, group: FiniteGroup, relations: np.ndarray, action: np.ndarray,
+             frame: tuple[bool, tuple[int, ...], np.ndarray]):
+    """A ``cls`` record on what ``__post_init__`` would set, which a
+    constructor just built from validated inputs as an action by construction
+    with the Smith frame ``frame``.
 
-    Array fields are frozen in place and shared.  The result equals, hashes
+    The arrays are frozen in place and shared.  The result equals, hashes
     like and shares every cache entry with the probed record built from the
     same nested lists; no probe runs."""
     record = object.__new__(cls)
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+    relations.flags.writeable = action.flags.writeable = False
+    for name, value in (("group", group), ("relations", relations), ("action", action),
+                        ("generators", len(relations)), ("_frame", frame)):
         object.__setattr__(record, name, value)
     return record
+
+
+def _lattice(group: FiniteGroup, stack: np.ndarray) -> GLattice:
+    """The derived lattice of a fresh ``(|G|, n, n)`` stack that is an action
+    by construction: no relations, and the stack is its own frame."""
+    return _derived(GLattice, group, linalg.zeros(stack.shape[1], 0), stack, (True, (), stack))
 
 
 def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) -> GLattice:
@@ -210,8 +245,7 @@ def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) ->
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
     if rank < 0:
         raise ValueError("rank must be nonnegative")
-    return _derived(GLattice, group=group, rank=rank,
-                    action=np.repeat(linalg.eye(rank)[None], group.order, axis=0))
+    return _lattice(group, np.repeat(linalg.eye(rank)[None], group.order, axis=0))
 
 
 def sign_lattice(group: FiniteGroup, kernel: Subgroup) -> GLattice:
@@ -220,7 +254,7 @@ def sign_lattice(group: FiniteGroup, kernel: Subgroup) -> GLattice:
         raise ValueError("kernel must be a subgroup of the acting group")
     if kernel.index != 2:
         raise ValueError("sign lattice needs an index-2 subgroup as kernel")
-    return _derived(GLattice, group=group, rank=1, action=np.array(
+    return _lattice(group, np.array(
         [[[1 if g in kernel.elements else -1]] for g in group.elements()], dtype=object))
 
 
@@ -230,7 +264,7 @@ def _permutation(group: FiniteGroup, images: Sequence[Sequence[int]]) -> GLattic
     stack = linalg.zeros(group.order, n, n)
     for a, row in enumerate(images):
         stack[a, list(row), list(range(n))] = 1
-    return _derived(GLattice, group=group, action=stack, rank=n)
+    return _lattice(group, stack)
 
 
 def permutation_lattice(gset: FiniteGSet) -> GLattice:
@@ -264,20 +298,19 @@ def induce(h: Subgroup, a: GLattice) -> GLattice:
         for i, j in enumerate(cosets[x]):
             k = g.mul(g.inv(reps[j]), g.mul(x, reps[i]))  # x r_i = r_j k with k in H
             stack[x, j * r_a:(j + 1) * r_a, i * r_a:(i + 1) * r_a] = a.action[h.position(k)]
-    return _derived(GLattice, group=g, action=stack, rank=len(reps) * r_a)
+    return _lattice(g, stack)
 
 
 def restrict(m: GLattice, h: Subgroup) -> GLattice:
     if h.parent != m.group:
         raise ValueError("subgroup does not belong to the lattice's group")
-    return _derived(GLattice, group=h.as_group(), rank=m.rank, action=m.action[list(h.elements)])
+    return _lattice(h.as_group(), m.action[list(h.elements)])
 
 
 def dual(m: GLattice) -> GLattice:
     """Contragredient lattice: g acts by the transpose of the g^-1 matrix."""
     g = m.group
-    return _derived(GLattice, group=g, action=m.action[list(g.inverse)].swapaxes(1, 2).copy(),
-                    rank=m.rank)
+    return _lattice(g, m.action[list(g.inverse)].swapaxes(1, 2).copy())
 
 
 def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
@@ -296,7 +329,7 @@ def direct_sum_all(lattices: Sequence[GLattice]) -> GLattice:
     for m in lattices:
         stack[:, at:at + m.rank, at:at + m.rank] = m.action
         at += m.rank
-    return _derived(GLattice, group=group, action=stack, rank=n)
+    return _lattice(group, stack)
 
 
 def norm_operator(m: GLattice) -> np.ndarray:
@@ -356,54 +389,8 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
         raise ValueError("sublattice is not stable under the group action")
     section = full.uinv[:, ncols:]
     quotient = linalg.stack_product(proj, m.action, section)
-    return _derived(GLattice, group=m.group, action=quotient, rank=len(proj)), proj
+    return _lattice(m.group, quotient), proj
 
-
-@dataclass(frozen=True, eq=False)
-class GModulePresentation:
-    """Finitely generated G-module: Z^n modulo the column span of ``relations``.
-
-    ``relations`` is a read-only ``(n, k)`` array whose columns span the
-    relation lattice, and ``action`` a read-only ``(|G|, n, n)`` stack of
-    matrices on the generators, copied in, hashed on first use, compared and
-    checked as for ``GLattice``.  The matrices must preserve the relation
-    lattice, so they descend to the quotient.  The check puts the relations
-    into Smith form once; ``_frame`` keeps what ``_check_action`` read off
-    it, and the cohomology engine and the splitting enumerator reuse it."""
-
-    group: FiniteGroup
-    relations: np.ndarray
-    action: np.ndarray
-    generators: int = field(init=False)  # the size of the identity's matrix
-    _frame: tuple[bool, tuple[int, ...], np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        g = self.group
-        if len(self.action) != g.order:
-            raise ValueError("one action matrix per group element required")
-        n = len(self.action[g.identity])
-        action = _read_only(self.action, (g.order, n, n))
-        k = np.shape(self.relations)[-1] if n else 0
-        relations = _read_only(self.relations, (n, k))
-        object.__setattr__(self, "_frame", _check_action(g, action, relations))
-        object.__setattr__(self, "generators", n)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "action", action)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.group, self.generators, tuple(self.relations.flat),
-                     tuple(self.action.flat)))
-
-    def __eq__(self, other):
-        return (isinstance(other, GModulePresentation) and self._hash == other._hash
-                and self.group == other.group
-                and self.generators == other.generators
-                and np.array_equal(self.relations, other.relations)
-                and np.array_equal(self.action, other.action))
-
-    def __hash__(self):
-        return self._hash
 
 
 def presentation_mod(m: GLattice, modulus: int) -> GModulePresentation:
@@ -415,14 +402,49 @@ def presentation_mod(m: GLattice, modulus: int) -> GModulePresentation:
     modulus = linalg.integer(modulus)
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    n = m.rank
-    return _derived(GModulePresentation, group=m.group, relations=modulus * linalg.eye(n),
-                    action=m.action, generators=n, _frame=(True, (modulus,) * n, m.action))
+    return _derived(GModulePresentation, m.group, modulus * linalg.eye(m.rank), m.action,
+                    (True, (modulus,) * m.rank, m.action))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _relation_complex(module: GModulePresentation) -> tuple:
+    """(M, B, A): the module as the lattice complex B: Z^r -> Z^n, read in the
+    Smith frame U R V = diag(d) that its constructor computed (``_frame``).
+
+    M(g) = U X(g) U^-1 acts on Z^n itself, B is diag(d) over n - r zero rows,
+    and A(g) = diag(d)^-1 M(g)[:r, :r] diag(d) acts on Z^r.  With r = 0, a
+    lattice or relations that span nothing, B is n x 0 and A empty.  An action
+    that holds only modulo R is first rewritten (``_regular_cover``) so that
+    the cone is a complex."""
+    exact, d, frame = module._frame
+    if not exact:
+        return _relation_complex(_regular_cover(module))
+    if not d:
+        return frame, linalg.zeros(module.generators, 0), []
+    d = linalg.intmat(d, (len(d),))
+    basis = np.vstack([np.diag(d), linalg.zeros(module.generators - len(d), len(d))])
+    return frame, basis, [m[:len(d), :len(d)] * d // d[:, None] for m in frame]
+
+
+def _regular_cover(module: GModulePresentation) -> GModulePresentation:
+    """The module as Z[G]^n / K, Z[G] acting regularly and K the kernel of
+    e_(g,i) -> X(g) e_i, spanned by R and e_(g,i) - X(g) e_i in the identity's
+    block.  Derived: the regular action holds on Z[G]^n, and K is G-stable as
+    the module's constructor checked its action modulo R."""
+    group, rel, n = module.group, module.relations, module.generators
+    order, ident = group.order, group.identity
+    regular = np.stack([np.kron(x, linalg.eye(n)) for x in regular_lattice(group).action])
+    kernel = np.hstack([linalg.eye(n * order), linalg.zeros(n * order, rel.shape[1])])
+    kernel[ident * n:(ident + 1) * n, :] -= np.hstack(list(module.action) + [-rel])
+    d, frame = _smith_frame(regular, kernel)
+    return _derived(GModulePresentation, group, kernel, regular, (True, d, frame))
 
 
 @dataclass(frozen=True)
 class FGAbelian:
-    """Finitely generated abelian group: free rank plus invariant factors.
+    """Finitely generated abelian group: free rank plus invariant factors,
+    read as integers (``linalg.integer``; a ``bool`` or ``float`` raises
+    ``TypeError``) and kept as a tuple of ints.
 
     >>> str(FGAbelian.from_divisors([0, 4, 6]))
     'Z x C2 x C12'
@@ -432,6 +454,8 @@ class FGAbelian:
     torsion: tuple[int, ...]  # d1 | d2 | ..., each >= 2
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", linalg.integer(self.free_rank))
+        object.__setattr__(self, "torsion", tuple(map(linalg.integer, self.torsion)))
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for d in self.torsion:
@@ -452,7 +476,7 @@ class FGAbelian:
     @classmethod
     def from_divisors(cls, divisors: Iterable[int]) -> "FGAbelian":
         """Normalize arbitrary cyclic orders (0 meaning Z) to invariant factors."""
-        orders = [abs(int(d)) for d in divisors]
+        orders = [abs(linalg.integer(d)) for d in divisors]
         finite = linalg.intmat([d for d in orders if d], (len(orders) - orders.count(0),))
         return cls(orders.count(0), linalg.invariant_factors(np.diag(finite)))
 

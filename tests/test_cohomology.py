@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import toruskit.cli  # noqa: F401  (loads every module, for the cache scan)
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
-from toruskit.cohomology import (_kernel_invariants, _regular_cover, _restriction_map,
+from toruskit.cohomology import (_kernel_invariants, _restriction_map,
                                  _sha2_cyclic, bar_differential,
                                  cohomology, cohomology_classes, differential,
                                  enumerate_splittings, restrict_cochain,
@@ -23,9 +23,9 @@ from toruskit.cohomology import (_kernel_invariants, _regular_cover, _restrictio
 from toruskit.errors import (EnumerationBoundError, InternalInvariantError,
                              UnsupportedRequestError)
 from toruskit.groups import (_CACHE_SIZE, all_subgroups, cyclic_group,
-                             cyclic_subgroups, full_subgroup, product_group,
+                             cyclic_subgroups, full_subgroup, index_two_subgroups, product_group,
                              subgroup_closure, trivial_subgroup)
-from toruskit.lattices import (FGAbelian, GModulePresentation, direct_sum,
+from toruskit.lattices import (FGAbelian, GModulePresentation, _regular_cover, direct_sum,
                                glattice, induce, norm_vector, presentation_mod,
                                quotient_lattice, regular_lattice, restrict,
                                sign_lattice, trivial_lattice)
@@ -33,7 +33,7 @@ from toruskit.lattices import (FGAbelian, GModulePresentation, direct_sum,
 from toruskit.tamagawa import tamagawa_number
 from toruskit.tori import make_torus
 
-from support import (bar_presented_cohomology, bar_sha2, brute_force_cocycles,
+from support import (bar_presented_cohomology, bar_sha2, brute_force_cocycles, conjugate,
                      brute_force_h1_order, fixed_point_tate_h0,
                      group_family_up_to_8, presentation_of_lattice,
                      random_glattice, random_unimodular, s3_group)
@@ -95,6 +95,19 @@ def test_tate_h0_matches_fixed_point_route():
         for m in (random_glattice(g, 2, rng), random_glattice(g, 2, rng),
                   regular_lattice(g), norm_one_lattice(g)):
             assert tate_h0(g, m).torsion == fixed_point_tate_h0(m), (g, m)
+
+
+def test_tate_periodicity_on_cyclic_groups():
+    # H^0-hat(C_n, M) = H^2(C_n, M) for every cyclic group: the norm
+    # operator's cokernel against the resolution's degree 2.
+    rng = random.Random(2401)
+    for n in range(1, 9):
+        g = cyclic_group(n)
+        cases = [random_glattice(g, 3, rng) for _ in range(20)]
+        cases += [regular_lattice(g), trivial_lattice(g, 1), trivial_lattice(g, 2)]
+        cases += [sign_lattice(g, h) for h in index_two_subgroups(g)]
+        for m in cases:
+            assert tate_h0(g, m) == cohomology(g, m, 2), (n, m.action.tolist())
 
 
 def test_restriction_to_whole_group_is_identity():
@@ -220,6 +233,27 @@ def test_sha2_order_16_matches_bar_complex_through_the_cache():
     again = sha2_cyclic(g, m)
     assert _restriction_map.cache_info().misses == len(subs)
     assert first.torsion == again.torsion == want
+
+
+@pytest.mark.parametrize("modulus, subgroup", [(15, None), (24, None), (120, (1, 49))])
+def test_restriction_matrices_change_only_with_the_basis(modulus, subgroup):
+    # RestrictionMap.matrix is written in the generators that the Smith form
+    # of d^(q-1) picks, so a unimodular change of the lattice's basis may
+    # change it.  What it describes may not change: for every cyclic
+    # restriction in degrees 1 and 2, the source, the target and the kernel,
+    # and so Sha^2.
+    m = make_torus(AbelianGaloisDatum(modulus, subgroup), "norm_one").X
+    g = m.group
+    moved = conjugate(m, random_unimodular(m.rank, random.Random(modulus)))
+    assert moved != m
+    for sub in cyclic_subgroups(g):
+        for q in (1, 2):
+            want, got = restriction_map(g, m, sub, q), restriction_map(g, moved, sub, q)
+            assert (got.source, got.target) == (want.source, want.target), (sub, q)
+            assert _kernel_invariants(got.source.torsion, got.target.torsion, got.matrix) \
+                == _kernel_invariants(want.source.torsion, want.target.torsion,
+                                      want.matrix), (sub, q)
+    assert sha2_cyclic(g, moved) == sha2_cyclic(g, m)
 
 
 def test_equal_lattices_share_restriction_and_sha2_entries():

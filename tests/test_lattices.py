@@ -8,13 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from toruskit import lattices, linalg
 from toruskit.arith import AbelianGaloisDatum
-from toruskit.cohomology import (_cohomology, _relation_complex, cohomology,
-                                 enumerate_splittings)
+from toruskit.cohomology import _cohomology, cohomology, enumerate_splittings
 from toruskit.groups import (all_subgroups, coset_gset, cyclic_group, generating_set,
                              index_two_subgroups, product_group, subgroup_closure,
                              trivial_subgroup)
 from toruskit.lattices import (FGAbelian, GLattice,
-                               GModulePresentation, direct_sum, direct_sum_all,
+                               GModulePresentation, _relation_complex, direct_sum, direct_sum_all,
                                dual, glattice, induce,
                                invariants, norm_operator, norm_vector,
                                permutation_lattice, presentation_mod,
@@ -745,12 +744,53 @@ def test_malformed_stacks_raise_one_message(stack):
     assert _constructor_error(lambda: GModulePresentation(C2, rel, stack)) == message
 
 
+@pytest.mark.parametrize("g", [C2, C4, KLEIN, product_group(C2, C4)], ids=str)
+def test_a_lattice_is_the_presentation_with_no_relations(g):
+    # One record: a lattice is a GModulePresentation whose relations are a
+    # read-only n x 0 array, probed, hashed and compared by the same code,
+    # yet never equal to the presentation on the same entries.  Relations
+    # that are all zero columns give the lattice's H^0-H^2, with an n x 0
+    # basis in the cone, not the zero columns.
+    assert issubclass(GLattice, GModulePresentation)
+    assert "__post_init__" in GLattice.__dict__
+    rng = random.Random(g.order)
+    for m in (regular_lattice(g), trivial_lattice(g, 0), random_glattice(g, 2, rng),
+              quotient_lattice(regular_lattice(g), norm_vector(regular_lattice(g)))[0]):
+        probed = GLattice(g, m.action.tolist())
+        for lattice in (m, probed):
+            assert lattice.relations.shape == (lattice.rank, 0)
+            assert not lattice.relations.flags.writeable
+            assert lattice.rank == lattice.generators == m.rank
+        assert probed == m and hash(probed) == hash(m)
+        assert m != presentation_of_lattice(m) != m
+        zero = GModulePresentation(g, linalg.zeros(m.rank, 2), m.action)
+        assert zero != m
+        _relation_complex.cache_clear()
+        assert _relation_complex(zero)[1].shape == (m.rank, 0)
+        for q in (0, 1, 2):
+            assert cohomology(g, zero, q) == cohomology(g, m, q), (m, q)
+
+
 def test_rank_and_generators_are_read_off_the_identity():
     assert GLattice(C2, [[], []]).rank == 0
     assert GModulePresentation(C2, [], [[], []]).generators == 0
     swap = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
     assert GLattice(C2, swap).rank == 2 == regular_lattice(C2).rank
     assert GModulePresentation(C2, [[2], [2]], swap).generators == 2
+
+
+def test_fgabelian_reads_integers():
+    # int() truncated 2.5 to 2 and read True as 1, and the constructor kept
+    # floats, printing Z^1.5 and C2.0.
+    for build in (lambda: FGAbelian.from_divisors([2.5, 4]),
+                  lambda: FGAbelian.from_divisors([True, 2]),
+                  lambda: FGAbelian(1.5, ()), lambda: FGAbelian(0, (2.0, 4))):
+        with pytest.raises(TypeError):
+            build()
+    g = FGAbelian(np.int64(1), [np.int64(2), 4])
+    assert g == FGAbelian(1, (2, 4)) and str(g) == "Z x C2 x C4"
+    assert type(g.free_rank) is int and type(g.torsion) is tuple
+    assert all(type(d) is int for d in g.torsion)
 
 
 def test_fgabelian_normalization():

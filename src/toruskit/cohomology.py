@@ -16,19 +16,20 @@ instead of the M^(|G|^q) of the inhomogeneous bar complex.  H^q is
 Z^(rank ker d^q - rank d^(q-1)) plus the torsion of coker d^(q-1), finite
 for q >= 1.  A presented module Z^n/R on which G acts through Z^n (the
 constructors' probe test) is quasi-isomorphic to R -> Z^n, read in the Smith
-frame of R that its constructor computed (``lattices._relation_complex``), so
-its cochains are the cone C^q(Z^n) + C^(q+1)(R) (Weibel, 1.5).  A lattice is
-the presented module with no relations, so one engine serves both: R = 0
-and the cone is the resolution's own complex.
+frame of R that its constructor computed (the record's cached property
+``_relation_complex``), so its cochains are the cone C^q(Z^n) + C^(q+1)(R)
+(Weibel, 1.5).  A lattice is the presented module with no relations, so one
+engine serves both: R = 0 and the cone is the resolution's own complex.
 
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
 contracting homotopy and evaluated on cochains by the same helper as d.
-H^q, its cocycle classes, each restriction map and Sha^2 are computed once
-per module and kept in ``lru_cache``s keyed by value, so equal lattices share
-entries; every cache in the package holds at most ``_CACHE_SIZE`` (1024)
-entries.  The cached results are immutable: frozen ``FGAbelian``s, tuples and
-read-only arrays.
+Restriction and Sha^2 take lattices only.  H^q, its cocycle classes, each
+restriction map and Sha^2 are each one module-level ``lru_cache``d function
+that checks its own arguments, keyed by value and type: equal modules share
+entries, and ``True`` for 1 is checked again.  Every cache in the package
+holds at most ``_CACHE_SIZE`` (1024) entries.  The cached results are
+immutable: frozen ``FGAbelian``s, tuples and read-only arrays.
 ``bar_differential`` is kept as the independent reference the tests compare
 this engine with; no package path calls it.
 """
@@ -48,8 +49,7 @@ from . import linalg
 from .errors import EnumerationBoundError, InternalInvariantError
 from .groups import (_CACHE_SIZE, FiniteGroup, Subgroup, abelian_decomposition,
                      cyclic_subgroups)
-from .lattices import (FGAbelian, GLattice, GModulePresentation, _relation_complex,
-                       norm_operator, restrict)
+from .lattices import FGAbelian, GLattice, GModulePresentation, norm_operator, restrict
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
 
@@ -110,11 +110,6 @@ def _positions(k: int, q: int) -> dict[tuple[int, ...], int]:
     return {alpha: i for i, alpha in enumerate(_multi_indices(k, q))}
 
 
-def _cochain_rank(group: FiniteGroup, q: int) -> int:
-    """Number of free generators of the degree-q resolution module."""
-    return len(_multi_indices(len(abelian_decomposition(group).orders), q))
-
-
 # Chains of the resolution of G, as Z-combinations of the basis g^t e_alpha:
 # {(t, alpha): coefficient}, t the exponent tuple of the group element.
 Chain = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
@@ -168,36 +163,30 @@ def _evaluation(group: FiniteGroup, mats: Sequence[np.ndarray], q: int,
     return out
 
 
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
                q: int) -> FGAbelian:
     """H^q(G, M) as a finitely generated abelian group, q in {0, 1, 2}.
 
-    G must be abelian; other groups raise ``UnsupportedRequestError``.
-    """
+    G must be abelian; other groups raise ``UnsupportedRequestError``.  q is
+    read by ``linalg.integer``.  H^q is the torsion of coker D^(q-1) plus, for
+    q = 0, the rank of M^G.  D^q = [[d^q, B], [0, -d_R^(q+1)]] is the cone
+    differential of ``module._relation_complex``; a lattice, or R = 0, has
+    D = d.  Over Q invariants are exact, so rank M^G = rank (Z^n)^G - rank
+    R^G, and a fixed rank is the average of a trace character: (sum over g of
+    tr M(g) - tr A(g)) / |G|."""
+    q = linalg.integer(q)
     if q not in (0, 1, 2):
         raise ValueError("cohomology degree must be 0, 1 or 2")
     if module.group != group:
         raise ValueError("module is not over the given group")
-    abelian_decomposition(group)
-    return _cohomology(module, q)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _cohomology(module: GModulePresentation, q: int) -> FGAbelian:
-    """H^q as the torsion of coker D^(q-1) plus, for q = 0, the rank of M^G.
-
-    D^q = [[d^q, B], [0, -d_R^(q+1)]] is the cone differential of
-    ``_relation_complex``; a lattice, or R = 0, has D = d.  Over Q invariants
-    are exact, so rank M^G = rank (Z^n)^G - rank R^G, and a fixed rank is the
-    average of a trace character: (sum over g of tr M(g) - tr A(g)) / |G|."""
-    group = module.group
-    action, basis, rel_action = _relation_complex(module)
+    action, basis, rel_action = module._relation_complex
     k = basis.shape[1]
     d = differential(group, action, q - 1)
     if k:
         d_rel = differential(group, rel_action, q)
         d = np.vstack([
-            np.hstack([d, np.kron(linalg.eye(_cochain_rank(group, q)), basis)]),
+            np.hstack([d, np.kron(linalg.eye(len(d) // len(basis)), basis)]),
             np.hstack([linalg.zeros(d_rel.shape[0], d.shape[1]), -d_rel])])
     torsion = linalg.invariant_factors(d)
     if q:
@@ -249,13 +238,17 @@ class CohomologyClasses:
         return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
-    """H^q as the torsion of coker d^(q-1), generated by columns of U^-1.
+    """H^q of a lattice as the torsion of coker d^(q-1), generated by columns
+    of U^-1.
 
     The generators are whichever the Smith form's pivot order gives, so they
     change with the lattice's basis and with the elimination; the group they
     generate does not."""
+    if not isinstance(module, GLattice):
+        raise TypeError(f"expected a GLattice, got {type(module).__name__}")
+    q = linalg.integer(q)
     if q not in (1, 2):
         raise ValueError("cocycle representatives are computed in degrees 1 and 2")
     snf = linalg.smith_normal_form(differential(module.group, module.action, q - 1), want_u=True)
@@ -338,28 +331,27 @@ def restrict_cochain(module: GLattice, sub: Subgroup, q: int,
                      cochain: np.ndarray) -> np.ndarray:
     """Pull degree-q cochain columns of G on ``module`` back to H along the
     chain map phi_q: f o phi at e'_beta is f evaluated on phi(e'_beta)."""
+    if not isinstance(module, GLattice):
+        raise TypeError(f"expected a GLattice, got {type(module).__name__}")
     if sub.parent != module.group:
         raise ValueError("subgroup does not belong to the module's group")
     return linalg.mul(_evaluation(module.group, module.action, q, _chain_map(sub)[q]), cochain)
 
 
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
                     q: int) -> RestrictionMap:
-    """Cochain-level restriction on cohomology, q in {1, 2}.
+    """Cochain-level restriction on cohomology, q in {1, 2}, of a lattice.
 
     The matrix is in the generators of ``cohomology_classes``, not canonical
     ones (see ``RestrictionMap``).  A vanishing target gives the empty matrix
     without building any cocycle representatives.
     """
+    q = linalg.integer(q)
     if q not in (1, 2):
         raise ValueError("restriction is computed in degrees 1 and 2")
     if module.group != group or sub.parent != group:
         raise ValueError("module and subgroup must belong to the given group")
-    return _restriction_map(module, sub, q)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _restriction_map(module: GLattice, sub: Subgroup, q: int) -> RestrictionMap:
     restricted = restrict(module, sub)
     if cohomology(restricted.group, restricted, q).is_trivial():
         return RestrictionMap(cohomology(module.group, module, q), FGAbelian.trivial(), ())
@@ -370,21 +362,19 @@ def _restriction_map(module: GLattice, sub: Subgroup, q: int) -> RestrictionMap:
     return RestrictionMap(source.fg, target.fg, matrix)
 
 
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
-    """Kernel of H^2(G, M) -> prod over cyclic subgroups of H^2(C, Res M).
+    """Kernel of H^2(G, M) -> prod over cyclic subgroups of H^2(C, Res M),
+    for a lattice M.
 
     Cyclic subgroups stand in for the decomposition groups of unramified
     places.  The kernel is read off the restriction matrices by duality; see
     ``_kernel_invariants``.
     """
+    if not isinstance(module, GLattice):
+        raise TypeError(f"expected a GLattice, got {type(module).__name__}")
     if module.group != group:
         raise ValueError("module is not over the given group")
-    return _sha2_cyclic(module)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _sha2_cyclic(module: GLattice) -> FGAbelian:
-    group = module.group
     total = cohomology(group, module, 2)
     if total.is_trivial():
         return FGAbelian.trivial()

@@ -15,23 +15,23 @@ construction from validated inputs, check only their own arguments and derive
 section is formed from sparse rows (``linalg.stack_product``).  In
 ``tests/test_lattices.py``, ``test_derived_lattices_are_actions`` and
 ``test_presentation_mod_is_derived`` stand in for the probe on them.
-``_relation_complex`` reads a record's Smith frame as the complex R -> Z^n
-whose cone the cohomology engine takes.  ``FGAbelian`` carries finitely
-generated abelian groups as invariant factors plus a free rank.
+A record's cached property ``_relation_complex`` reads its Smith frame as the
+complex R -> Z^n whose cone the cohomology engine takes.  Functions written
+for lattices raise ``TypeError`` on any other module.  ``FGAbelian`` carries
+finitely generated abelian groups as invariant factors plus a free rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import InternalInvariantError
-from .groups import (_CACHE_SIZE, FiniteGroup, FiniteGSet, Subgroup, coset_gset,
-                     generating_set)
+from .groups import FiniteGroup, FiniteGSet, Subgroup, coset_gset, generating_set
 
 
 def _read_only(data, shape: tuple[int, ...]) -> np.ndarray:
@@ -85,6 +85,25 @@ class GModulePresentation:
     def _hash(self) -> int:
         return hash((self.group, self.generators, tuple(self.relations.flat),
                      tuple(self.action.flat)))
+
+    @cached_property
+    def _relation_complex(self) -> tuple:
+        """(M, B, A): the module as the lattice complex B: Z^r -> Z^n, read in
+        the Smith frame U R V = diag(d) of ``_frame``.
+
+        M(g) = U X(g) U^-1 acts on Z^n itself, B is diag(d) over n - r zero
+        rows, and A(g) = diag(d)^-1 M(g)[:r, :r] diag(d) acts on Z^r.  With
+        r = 0, a lattice or relations that span nothing, B is n x 0 and A
+        empty.  An action that holds only modulo R is first rewritten
+        (``_regular_cover``) so that the cone is a complex."""
+        exact, d, frame = self._frame
+        if not exact:
+            return _regular_cover(self)._relation_complex
+        if not d:
+            return frame, linalg.zeros(self.generators, 0), []
+        d = linalg.intmat(d, (len(d),))
+        basis = np.vstack([np.diag(d), linalg.zeros(self.generators - len(d), len(d))])
+        return frame, basis, [m[:len(d), :len(d)] * d // d[:, None] for m in frame]
 
     def __eq__(self, other):
         # Equal stacks fix n, and n x k relations (0 x 0 when n = 0) are then
@@ -301,7 +320,14 @@ def induce(h: Subgroup, a: GLattice) -> GLattice:
     return _lattice(g, stack)
 
 
+def _require_lattice(m) -> None:
+    # Read as a lattice, a presented module would lose its relations.
+    if not isinstance(m, GLattice):
+        raise TypeError(f"expected a GLattice, got {type(m).__name__}")
+
+
 def restrict(m: GLattice, h: Subgroup) -> GLattice:
+    _require_lattice(m)
     if h.parent != m.group:
         raise ValueError("subgroup does not belong to the lattice's group")
     return _lattice(h.as_group(), m.action[list(h.elements)])
@@ -309,6 +335,7 @@ def restrict(m: GLattice, h: Subgroup) -> GLattice:
 
 def dual(m: GLattice) -> GLattice:
     """Contragredient lattice: g acts by the transpose of the g^-1 matrix."""
+    _require_lattice(m)
     g = m.group
     return _lattice(g, m.action[list(g.inverse)].swapaxes(1, 2).copy())
 
@@ -334,6 +361,7 @@ def direct_sum_all(lattices: Sequence[GLattice]) -> GLattice:
 
 def norm_operator(m: GLattice) -> np.ndarray:
     """The averaging operator N = sum over g of action(g)."""
+    _require_lattice(m)
     return m.action.sum(axis=0)
 
 
@@ -356,6 +384,7 @@ def invariants(m: GLattice) -> tuple[np.ndarray, int]:
 
 def trace_character(m: GLattice) -> tuple[int, ...]:
     """chi(g) = trace of the matrix of g, indexed by group element."""
+    _require_lattice(m)
     return tuple(sum(mat.diagonal().tolist()) for mat in m.action)
 
 
@@ -404,26 +433,6 @@ def presentation_mod(m: GLattice, modulus: int) -> GModulePresentation:
         raise ValueError("modulus must be positive")
     return _derived(GModulePresentation, m.group, modulus * linalg.eye(m.rank), m.action,
                     (True, (modulus,) * m.rank, m.action))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _relation_complex(module: GModulePresentation) -> tuple:
-    """(M, B, A): the module as the lattice complex B: Z^r -> Z^n, read in the
-    Smith frame U R V = diag(d) that its constructor computed (``_frame``).
-
-    M(g) = U X(g) U^-1 acts on Z^n itself, B is diag(d) over n - r zero rows,
-    and A(g) = diag(d)^-1 M(g)[:r, :r] diag(d) acts on Z^r.  With r = 0, a
-    lattice or relations that span nothing, B is n x 0 and A empty.  An action
-    that holds only modulo R is first rewritten (``_regular_cover``) so that
-    the cone is a complex."""
-    exact, d, frame = module._frame
-    if not exact:
-        return _relation_complex(_regular_cover(module))
-    if not d:
-        return frame, linalg.zeros(module.generators, 0), []
-    d = linalg.intmat(d, (len(d),))
-    basis = np.vstack([np.diag(d), linalg.zeros(module.generators - len(d), len(d))])
-    return frame, basis, [m[:len(d), :len(d)] * d // d[:, None] for m in frame]
 
 
 def _regular_cover(module: GModulePresentation) -> GModulePresentation:

@@ -15,9 +15,8 @@ from hypothesis import given, settings, strategies as st
 import toruskit.cli  # noqa: F401  (loads every module, for the cache scan)
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
-from toruskit.cohomology import (_kernel_invariants, _restriction_map,
-                                 _sha2_cyclic, bar_differential,
-                                 cohomology, cohomology_classes, differential,
+from toruskit.cohomology import (_kernel_invariants, bar_differential, cohomology,
+                                 cohomology_classes, differential,
                                  enumerate_splittings, restrict_cochain,
                                  restriction_map, sha2_cyclic, tate_h0)
 from toruskit.errors import (EnumerationBoundError, InternalInvariantError,
@@ -26,9 +25,9 @@ from toruskit.groups import (_CACHE_SIZE, all_subgroups, cyclic_group,
                              cyclic_subgroups, full_subgroup, index_two_subgroups, product_group,
                              subgroup_closure, trivial_subgroup)
 from toruskit.lattices import (FGAbelian, GModulePresentation, _regular_cover, direct_sum,
-                               glattice, induce, norm_vector, presentation_mod,
-                               quotient_lattice, regular_lattice, restrict,
-                               sign_lattice, trivial_lattice)
+                               dual, glattice, induce, norm_operator, norm_vector,
+                               presentation_mod, quotient_lattice, regular_lattice, restrict,
+                               sign_lattice, trace_character, trivial_lattice)
 
 from toruskit.tamagawa import tamagawa_number
 from toruskit.tori import make_torus
@@ -221,17 +220,17 @@ def test_sha2_order_16_matches_bar_complex_through_the_cache():
     assert cohomology(g, m, 2) == FGAbelian(0, (2,) * 10) and active == 15
     want = bar_sha2(m)
     assert want == (2,) * 6
-    before = _restriction_map.cache_info()
+    before = restriction_map.cache_info()
     first = sha2_cyclic(g, m)
-    after = _restriction_map.cache_info()
+    after = restriction_map.cache_info()
     assert after.hits == before.hits + len(subs) and after.misses == before.misses
-    sha_hits = _sha2_cyclic.cache_info().hits
+    sha_hits = sha2_cyclic.cache_info().hits
     assert sha2_cyclic(g, m) is first
-    assert _sha2_cyclic.cache_info().hits == sha_hits + 1
-    _sha2_cyclic.cache_clear()
-    _restriction_map.cache_clear()
+    assert sha2_cyclic.cache_info().hits == sha_hits + 1
+    sha2_cyclic.cache_clear()
+    restriction_map.cache_clear()
     again = sha2_cyclic(g, m)
-    assert _restriction_map.cache_info().misses == len(subs)
+    assert restriction_map.cache_info().misses == len(subs)
     assert first.torsion == again.torsion == want
 
 
@@ -261,28 +260,86 @@ def test_equal_lattices_share_restriction_and_sha2_entries():
     first = direct_sum(norm_one_lattice(g), trivial_lattice(g, 1))
     again = glattice(g, first.action.tolist())
     assert again is not first and again == first
-    _sha2_cyclic.cache_clear()
-    _restriction_map.cache_clear()
+    sha2_cyclic.cache_clear()
+    restriction_map.cache_clear()
     sha = sha2_cyclic(g, first)
     assert sha == FGAbelian(0, (2,))
     subs = cyclic_subgroups(g)
-    assert _sha2_cyclic.cache_info()[:2] == (0, 1)
-    assert _restriction_map.cache_info()[:2] == (0, len(subs))
+    assert sha2_cyclic.cache_info()[:2] == (0, 1)
+    assert restriction_map.cache_info()[:2] == (0, len(subs))
     assert sha2_cyclic(g, again) is sha
-    assert _sha2_cyclic.cache_info()[:2] == (1, 1)
+    assert sha2_cyclic.cache_info()[:2] == (1, 1)
     for sub in cyclic_subgroups(g):  # equal subgroups, built again
         rmap = restriction_map(g, again, sub, 2)
         assert rmap is restriction_map(g, first, sub, 2)
         assert type(rmap.matrix) is tuple
         assert all(type(row) is tuple and all(type(x) is int for x in row)
                    for row in rmap.matrix)
-    assert _restriction_map.cache_info()[:2] == (2 * len(subs), len(subs))
+    assert restriction_map.cache_info()[:2] == (2 * len(subs), len(subs))
     for value, attr in ((sha, "torsion"), (rmap.source, "free_rank"),
                         (rmap.target, "torsion")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, attr, ())
     with pytest.raises(AttributeError):
         rmap.matrix = ()
+
+
+def test_degree_is_read_as_an_integer():
+    # From cold caches, 1.0 and True are refused as degrees; a numpy integer
+    # is read as the int it holds.
+    t = make_torus(AbelianGaloisDatum(15), "norm_one")
+    g, m, c = t.group, t.X, cyclic_subgroups(t.group)[-1]
+    for cache in (cohomology, cohomology_classes, restriction_map):
+        cache.cache_clear()
+    for q in (1.0, True):
+        for call in (lambda: cohomology(g, m, q), lambda: cohomology_classes(m, q),
+                     lambda: restriction_map(g, m, c, q)):
+            with pytest.raises(TypeError):
+                call()
+    assert cohomology(g, m, np.int64(1)) == cohomology(g, m, 1) == FGAbelian(0, (2, 4))
+    assert restriction_map(g, m, c, np.int64(1)) == restriction_map(g, m, c, 1)
+
+
+def test_a_cache_hit_never_skips_a_check():
+    # The checks run inside the cached functions and keys are typed, so an
+    # entry cached for (g, m, 1) answers no call the checks refuse.
+    t = make_torus(AbelianGaloisDatum(15), "norm_one")
+    g, m, c = t.group, t.X, cyclic_subgroups(t.group)[-1]
+    h1, rmap = cohomology(g, m, 1), restriction_map(g, m, c, 1)
+    classes = cohomology_classes(m, 1)
+    other = cyclic_subgroups(C4)[-1]
+    for call in (lambda: cohomology(g, SIGN, 1), lambda: cohomology(C4, m, 1),
+                 lambda: cohomology(g, m, 3), lambda: restriction_map(g, m, other, 1),
+                 lambda: restriction_map(C4, m, c, 1), lambda: restriction_map(g, m, c, 3)):
+        with pytest.raises(ValueError):
+            call()
+    for q in (True, 1.0):
+        for call in (lambda: cohomology(g, m, q), lambda: cohomology_classes(m, q),
+                     lambda: restriction_map(g, m, c, q)):
+            with pytest.raises(TypeError):
+                call()
+    assert cohomology(g, m, 1) is h1 and restriction_map(g, m, c, 1) is rmap
+    assert cohomology_classes(m, 1) is classes
+
+
+def test_lattice_functions_refuse_presented_modules():
+    # Read as a lattice, a presented module loses its relations: on X/2X of
+    # the 15 norm-one torus, restriction would start from H^2(G, X) = C2 and
+    # Sha^2 would come out as all of H^2(G, X/2X) = C2^4.  Only cohomology
+    # and the splitting enumerator take presented modules.
+    t = make_torus(AbelianGaloisDatum(15), "norm_one")
+    g, c = t.group, cyclic_subgroups(t.group)[-1]
+    cocycles = cohomology_classes(t.X, 1).generators
+    mod2 = presentation_mod(t.X, 2)
+    assert cohomology(g, mod2, 2) == FGAbelian(0, (2, 2, 2, 2))
+    for pres in (mod2, presentation_of_lattice(t.X)):
+        for fn, args in ((restrict, (pres, c)), (dual, (pres,)), (trace_character, (pres,)),
+                         (norm_operator, (pres,)), (tate_h0, (g, pres)),
+                         (cohomology_classes, (pres, 2)),
+                         (restrict_cochain, (pres, c, 1, cocycles)),
+                         (restriction_map, (g, pres, c, 2)), (sha2_cyclic, (g, pres))):
+            with pytest.raises(TypeError):
+                fn(*args)
 
 
 def test_every_cache_has_the_shared_bound():
@@ -296,8 +353,8 @@ def test_every_cache_has_the_shared_bound():
             if callable(getattr(value, "cache_info", None)) \
                     and getattr(value, "__module__", None) == key:
                 caches[f"{key}.{value.__name__}"] = value
-    assert {"toruskit.cohomology._restriction_map", "toruskit.cohomology._sha2_cyclic",
-            "toruskit.cohomology._cohomology", "toruskit.groups.abelian_decomposition"} \
+    assert {"toruskit.cohomology.restriction_map", "toruskit.cohomology.sha2_cyclic",
+            "toruskit.cohomology.cohomology", "toruskit.groups.abelian_decomposition"} \
         <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] == _CACHE_SIZE == 1024, name

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from toruskit import lattices, linalg
 from toruskit.arith import AbelianGaloisDatum
-from toruskit.cohomology import _cohomology, cohomology, enumerate_splittings
+from toruskit.cohomology import cohomology, enumerate_splittings
 from toruskit.groups import (all_subgroups, coset_gset, cyclic_group, generating_set,
                              index_two_subgroups, product_group, subgroup_closure,
                              trivial_subgroup)
 from toruskit.lattices import (FGAbelian, GLattice,
-                               GModulePresentation, _relation_complex, direct_sum, direct_sum_all,
+                               GModulePresentation, direct_sum, direct_sum_all,
                                dual, glattice, induce,
                                invariants, norm_operator, norm_vector,
                                permutation_lattice, presentation_mod,
@@ -139,10 +139,10 @@ def test_equal_lattices_share_hash_and_cache_entries():
                             (presentation_mod(first, 3), presentation_mod(again, 3))):
         assert module == rebuilt and hash(module) == hash(rebuilt)
         cohomology(C4, module, 1)
-        hits, misses = _cohomology.cache_info().hits, _cohomology.cache_info().misses
+        hits, misses = cohomology.cache_info().hits, cohomology.cache_info().misses
         cohomology(C4, rebuilt, 1)
-        assert _cohomology.cache_info().hits == hits + 1
-        assert _cohomology.cache_info().misses == misses
+        assert cohomology.cache_info().hits == hits + 1
+        assert cohomology.cache_info().misses == misses
 
 
 def test_induce_from_trivial_subgroup_is_regular():
@@ -446,8 +446,7 @@ def test_presentation_mod_validates_with_three_solves(monkeypatch):
 
     monkeypatch.setattr(linalg, "solve", counting_solve)
     monkeypatch.setattr(linalg, "smith_normal_form", counting_smith)
-    _relation_complex.cache_clear()  # an earlier test may have built this cone
-    _cohomology.cache_clear()
+    cohomology.cache_clear()
     pres = presentation_mod(m, 2)
     assert m.group.order == 4 and pres.generators == 3
     assert all(cohomology(m.group, pres, q) == FGAbelian(0, (2,)) for q in (0, 1, 2))
@@ -666,10 +665,27 @@ def test_only_caller_data_is_probed(monkeypatch):
     # Z/3 with C2 acting by 2 holds only modulo 3; H^1 reads it as the
     # derived Z[C2] / K, so only the constructor probes.
     calls.clear()
-    _relation_complex.cache_clear()  # an earlier test may have built this cone
-    _cohomology.cache_clear()
+    cohomology.cache_clear()
     cohomology(C2, GModulePresentation(C2, ((3,),), (((1,),), ((2,),))), 1)
     assert calls == [(2, 1, 1)]
+
+
+def test_the_regular_cover_is_built_once_per_record(monkeypatch):
+    # Z/3 with C2 acting by 2 holds only modulo 3, so its relation complex is
+    # read off the regular cover; the record keeps that complex, and H^0, H^1
+    # and H^2 build the cover once between them.
+    covers = []
+    cover = lattices._regular_cover
+
+    def counting(module):
+        covers.append(module)
+        return cover(module)
+
+    monkeypatch.setattr(lattices, "_regular_cover", counting)
+    cohomology.cache_clear()
+    pres = GModulePresentation(C2, ((3,),), (((1,),), ((2,),)))
+    assert all(cohomology(C2, pres, q).is_trivial() for q in (0, 1, 2))
+    assert len(covers) == 1 and covers[0] is pres
 
 
 @given(st.sampled_from(group_family_up_to_8()), st.sampled_from((1, 2, 3, 6)),
@@ -690,8 +706,7 @@ def test_presentation_mod_is_derived(g, k, seed):
     for q in (0, 1, 2):
         answers = []
         for module in (derived, probed):
-            _relation_complex.cache_clear()
-            _cohomology.cache_clear()
+            cohomology.cache_clear()
             answers.append(cohomology(g, module, q))
         assert answers[0] == answers[1], q
     if k ** (m.rank * g.order) <= 10 ** 4:
@@ -765,8 +780,7 @@ def test_a_lattice_is_the_presentation_with_no_relations(g):
         assert m != presentation_of_lattice(m) != m
         zero = GModulePresentation(g, linalg.zeros(m.rank, 2), m.action)
         assert zero != m
-        _relation_complex.cache_clear()
-        assert _relation_complex(zero)[1].shape == (m.rank, 0)
+        assert zero._relation_complex[1].shape == (m.rank, 0)
         for q in (0, 1, 2):
             assert cohomology(g, zero, q) == cohomology(g, m, q), (m, q)
 

@@ -1,6 +1,8 @@
 """The benchmark's hooks into toruskit: the tracer wraps functions by name,
 so every name must resolve, and the CLI must reproduce the golden stdout."""
 
+import ast
+import glob
 import importlib
 import importlib.util
 import io
@@ -10,6 +12,7 @@ import sys
 
 import pytest
 
+import toruskit
 from toruskit import cli
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -41,6 +44,27 @@ def test_tracer_targets_resolve():
         cls = getattr(importlib.import_module("toruskit." + mod_name), cls_name, None)
         assert cls is not None, f"toruskit.{mod_name}.{cls_name}"
         assert attr in cls.__dict__, f"toruskit.{mod_name}.{cls_name}.{attr}"
+
+
+def test_every_lru_cache_is_module_level_and_registered():
+    # The benchmark clears the caches that CacheRegistry finds among module
+    # attributes before each cold query.  A cache on a method or a nested
+    # function would survive that and make cold queries warm unnoticed.
+    registered = {name for name, _ in load_tracer().CacheRegistry().caches}
+    package = os.path.dirname(os.path.abspath(toruskit.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        module = "toruskit." + os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            for dec in getattr(node, "decorator_list", ()):
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "attr", getattr(target, "id", None)) == "lru_cache":
+                    assert node in tree.body, f"{module}.{node.name} is not module-level"
+                    found.append(f"{module}.{node.name}")
+    assert found
+    assert set(found) <= registered, set(found) - registered
 
 
 def test_cli_matches_golden_stdout(tmp_path, monkeypatch):

@@ -23,13 +23,16 @@ engine serves both: R = 0 and the cone is the resolution's own complex.
 
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
-contracting homotopy and evaluated on cochains by the same helper as d.
-Restriction and Sha^2 take lattices only.  H^q, its cocycle classes, each
-restriction map and Sha^2 are each one module-level ``lru_cache``d function
-that checks its own arguments, keyed by value and type: equal modules share
-entries, and ``True`` for 1 is checked again.  Every cache in the package
-holds at most ``_CACHE_SIZE`` (1024) entries.  The cached results are
-immutable: frozen ``FGAbelian``s, tuples and read-only arrays.
+contracting homotopy and evaluated on cochains by the same helper as d.  The
+target H^q(H, Res M) is read off d^(q-1) of H's resolution on M's own
+matrices at H's elements; no restricted lattice is built, so the caches hold
+no entry for one.  Restriction and Sha^2 take lattices only.  H^q, its
+cocycle classes, each restriction map and Sha^2 are each one module-level
+``lru_cache``d function that checks its own arguments, keyed by value and
+type: equal modules share entries, and ``True`` for 1 is checked again.
+Every cache in the package holds at most ``_CACHE_SIZE`` (1024) entries.
+The cached results are immutable: frozen ``FGAbelian``s, tuples and
+read-only arrays.
 ``bar_differential`` is kept as the independent reference the tests compare
 this engine with; no package path calls it.
 """
@@ -49,7 +52,7 @@ from . import linalg
 from .errors import EnumerationBoundError, InternalInvariantError
 from .groups import (_CACHE_SIZE, FiniteGroup, Subgroup, abelian_decomposition,
                      cyclic_subgroups)
-from .lattices import FGAbelian, GLattice, GModulePresentation, norm_operator, restrict
+from .lattices import FGAbelian, GLattice, GModulePresentation, norm_operator
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
 
@@ -251,7 +254,12 @@ def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
     q = linalg.integer(q)
     if q not in (1, 2):
         raise ValueError("cocycle representatives are computed in degrees 1 and 2")
-    snf = linalg.smith_normal_form(differential(module.group, module.action, q - 1), want_u=True)
+    return _classes(differential(module.group, module.action, q - 1))
+
+
+def _classes(d: np.ndarray) -> CohomologyClasses:
+    """The classes of the torsion of coker d, read off one Smith form U d V."""
+    snf = linalg.smith_normal_form(d, want_u=True)
     cols = [i for i in range(snf.rank) if snf.diagonal[i] >= 2]
     arrays = (snf.uinv[:, cols], snf.u[cols], snf.u[snf.rank:])
     for a in arrays:
@@ -262,10 +270,11 @@ def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
 class RestrictionMap(NamedTuple):
     """Integer matrix of H^q(G, M) -> H^q(H, Res M) on chosen generators.
 
-    ``matrix`` is written in the generators of ``cohomology_classes`` on both
-    sides, which follow the Smith form's pivot order, so a change of the
-    lattice's basis may change it; ``source``, ``target`` and the kernel do
-    not change."""
+    ``matrix`` is written in the generators of ``cohomology_classes`` on G's
+    side and in those of the same Smith form of H's d^(q-1) on the other
+    (the generators ``cohomology_classes(restrict(M, H), q)`` gives).  Both
+    follow the Smith form's pivot order, so a change of the lattice's basis
+    may change it; ``source``, ``target`` and the kernel do not change."""
 
     source: FGAbelian
     target: FGAbelian
@@ -330,9 +339,13 @@ def _chain_map(sub: Subgroup) -> tuple[tuple[Chain, ...], ...]:
 def restrict_cochain(module: GLattice, sub: Subgroup, q: int,
                      cochain: np.ndarray) -> np.ndarray:
     """Pull degree-q cochain columns of G on ``module`` back to H along the
-    chain map phi_q: f o phi at e'_beta is f evaluated on phi(e'_beta)."""
+    chain map phi_q, q in {0, 1, 2}: f o phi at e'_beta is f evaluated on
+    phi(e'_beta)."""
     if not isinstance(module, GLattice):
         raise TypeError(f"expected a GLattice, got {type(module).__name__}")
+    q = linalg.integer(q)
+    if q not in (0, 1, 2):
+        raise ValueError("cochains are restricted in degrees 0, 1 and 2")
     if sub.parent != module.group:
         raise ValueError("subgroup does not belong to the module's group")
     return linalg.mul(_evaluation(module.group, module.action, q, _chain_map(sub)[q]), cochain)
@@ -343,20 +356,24 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
                     q: int) -> RestrictionMap:
     """Cochain-level restriction on cohomology, q in {1, 2}, of a lattice.
 
-    The matrix is in the generators of ``cohomology_classes``, not canonical
-    ones (see ``RestrictionMap``).  A vanishing target gives the empty matrix
-    without building any cocycle representatives.
+    H^q(H, Res M) is read off d^(q-1) of H's resolution on M's own matrices
+    at H's elements; no restricted lattice is built.  A vanishing target,
+    decided by the plain Smith form, gives the empty matrix without building
+    any cocycle representatives.  The matrix is in the generators of Smith
+    forms with U, not canonical ones (see ``RestrictionMap``).
     """
+    if not isinstance(module, GLattice):
+        raise TypeError(f"expected a GLattice, got {type(module).__name__}")
     q = linalg.integer(q)
     if q not in (1, 2):
         raise ValueError("restriction is computed in degrees 1 and 2")
     if module.group != group or sub.parent != group:
         raise ValueError("module and subgroup must belong to the given group")
-    restricted = restrict(module, sub)
-    if cohomology(restricted.group, restricted, q).is_trivial():
-        return RestrictionMap(cohomology(module.group, module, q), FGAbelian.trivial(), ())
+    d = differential(sub.as_group(), module.action[list(sub.elements)], q - 1)
+    if not linalg.invariant_factors(d):
+        return RestrictionMap(cohomology(group, module, q), FGAbelian.trivial(), ())
     source = cohomology_classes(module, q)
-    target = cohomology_classes(restricted, q)
+    target = _classes(d)
     coords = target.coordinates(restrict_cochain(module, sub, q, source.generators))
     matrix = tuple(tuple(int(x) for x in row) for row in coords.tolist())
     return RestrictionMap(source.fg, target.fg, matrix)
@@ -379,8 +396,11 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     if total.is_trivial():
         return FGAbelian.trivial()
     # A subgroup with vanishing H^2 adds no rows and no factors, and its
-    # restriction builds no cocycle representatives.
+    # restriction builds no cocycle representatives; with no rows at all the
+    # kernel is H^2 itself.
     maps = [restriction_map(group, module, sub, 2) for sub in cyclic_subgroups(group)]
+    if all(rmap.target.is_trivial() for rmap in maps):
+        return total
     return FGAbelian(0, _kernel_invariants(
         total.torsion, [e for rmap in maps for e in rmap.target.torsion],
         [row for rmap in maps for row in rmap.matrix]))

@@ -18,8 +18,9 @@ from .errors import InternalInvariantError, UnsupportedRequestError
 from .linalg import integer
 
 # The one bound on every lru_cache in the package.  A Sha^2 pass over C2^8
-# restricts to all 256 of its cyclic subgroups besides computing H^2(G), so a
-# bound of 256 would evict that pass's own entries.
+# restricts to all 256 of its cyclic subgroups, so restriction_map and
+# Subgroup.as_group each keep 256 entries from that one pass, and a bound of
+# 256 would leave no room for a second lattice over the same group.
 _CACHE_SIZE = 1024
 
 

@@ -136,6 +136,10 @@ class GLattice(GModulePresentation):
         return self.generators
 
     def matrix(self, g: int) -> np.ndarray:
+        """A writable copy of the matrix of element g, read by ``linalg.integer``."""
+        g = linalg.integer(g)
+        if not 0 <= g < self.group.order:
+            raise ValueError(f"no group element {g} in a group of order {self.group.order}")
         return self.action[g].copy()
 
     @cached_property
@@ -295,12 +299,19 @@ def regular_lattice(group: FiniteGroup) -> GLattice:
     return _permutation(group, group.table)
 
 
+def _require_lattice(m) -> None:
+    # Read as a lattice, a presented module would lose its relations.
+    if not isinstance(m, GLattice):
+        raise TypeError(f"expected a GLattice, got {type(m).__name__}")
+
+
 def induce(h: Subgroup, a: GLattice) -> GLattice:
     """Induction from a subgroup: block-permute cosets, twist by the H-action.
 
     ``a`` must be a lattice over ``h.as_group()``; the result has rank
     [G:H] * rank(a) on the basis (coset representative, basis vector of a).
     """
+    _require_lattice(a)
     g = h.parent
     if a.group != h.as_group():
         raise ValueError("lattice is not over the given subgroup")
@@ -318,12 +329,6 @@ def induce(h: Subgroup, a: GLattice) -> GLattice:
             k = g.mul(g.inv(reps[j]), g.mul(x, reps[i]))  # x r_i = r_j k with k in H
             stack[x, j * r_a:(j + 1) * r_a, i * r_a:(i + 1) * r_a] = a.action[h.position(k)]
     return _lattice(g, stack)
-
-
-def _require_lattice(m) -> None:
-    # Read as a lattice, a presented module would lose its relations.
-    if not isinstance(m, GLattice):
-        raise TypeError(f"expected a GLattice, got {type(m).__name__}")
 
 
 def restrict(m: GLattice, h: Subgroup) -> GLattice:
@@ -348,6 +353,8 @@ def direct_sum_all(lattices: Sequence[GLattice]) -> GLattice:
     """One block-diagonal stack, the summands in order down the diagonal."""
     if not lattices:
         raise ValueError("empty direct sum")
+    for m in lattices:
+        _require_lattice(m)
     group = lattices[0].group
     if any(m.group != group for m in lattices):
         raise ValueError("direct sum requires lattices over the same group")
@@ -375,6 +382,7 @@ def invariants(m: GLattice) -> tuple[np.ndarray, int]:
 
     A vector fixed by a generating set is fixed by the whole group.
     """
+    _require_lattice(m)
     rows = [m.action[s] - linalg.eye(m.rank) for s in generating_set(m.group)]
     if not rows:
         return linalg.eye(m.rank), m.rank
@@ -401,6 +409,7 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
     (``linalg.stack_product``): the projection of a norm vector has two
     nonzeros per row and its section one per column.
     """
+    _require_lattice(m)
     s = sub_basis if isinstance(sub_basis, np.ndarray) else linalg.intmat(
         sub_basis, shape=(m.rank, len(sub_basis[0]) if len(sub_basis) else 0))
     if s.shape[0] != m.rank:

@@ -25,9 +25,10 @@ from toruskit.groups import (_CACHE_SIZE, all_subgroups, cyclic_group,
                              cyclic_subgroups, full_subgroup, index_two_subgroups, product_group,
                              subgroup_closure, trivial_subgroup)
 from toruskit.lattices import (FGAbelian, GModulePresentation, _regular_cover, direct_sum,
-                               dual, glattice, induce, norm_operator, norm_vector,
-                               presentation_mod, quotient_lattice, regular_lattice, restrict,
-                               sign_lattice, trace_character, trivial_lattice)
+                               direct_sum_all, dual, glattice, induce, invariants,
+                               norm_operator, norm_vector, presentation_mod, quotient_lattice,
+                               regular_lattice, restrict, sign_lattice, trace_character,
+                               trivial_lattice)
 
 from toruskit.tamagawa import tamagawa_number
 from toruskit.tori import make_torus
@@ -234,6 +235,53 @@ def test_sha2_order_16_matches_bar_complex_through_the_cache():
     assert first.torsion == again.torsion == want
 
 
+@pytest.mark.parametrize("modulus, subgroup", [(15, None), (120, (1, 49))])
+def test_sha2_without_cyclic_targets_is_h2_itself(modulus, subgroup):
+    # H^2(C, Res J) = H^3(C, Z) = 0 for every cyclic C, so no restriction
+    # constrains the kernel and Sha^2 is the cached H^2 object itself.
+    t = make_torus(AbelianGaloisDatum(modulus, subgroup), "norm_one")
+    g, x = t.group, t.X
+    sha2_cyclic.cache_clear()
+    assert all(restriction_map(g, x, c, 2).target.is_trivial() for c in cyclic_subgroups(g))
+    assert not cohomology(g, x, 2).is_trivial()
+    assert sha2_cyclic(g, x) is cohomology(g, x, 2)
+
+
+@pytest.mark.parametrize("modulus, subgroup", [(15, None), (24, None), (120, (1, 49))])
+def test_restriction_map_matches_the_restricted_lattice_route(modulus, subgroup):
+    # restriction_map reads H^q(C, Res M) off M's own matrices at C's
+    # elements.  The public route builds restrict(M, C) and asks cohomology
+    # and cohomology_classes about it; source, target and matrix must agree.
+    x = make_torus(AbelianGaloisDatum(modulus, subgroup), "norm_one").X
+    g = x.group
+    for m in (x, direct_sum(x, trivial_lattice(g, 1))):
+        for c, q in itertools.product(cyclic_subgroups(g), (1, 2)):
+            res = restrict(m, c)
+            rmap = restriction_map(g, m, c, q)
+            assert rmap.source == cohomology(g, m, q), (c, q)
+            assert rmap.target == cohomology(c.as_group(), res, q), (c, q)
+            if rmap.target.is_trivial():
+                assert rmap.matrix == (), (c, q)
+                continue
+            coords = cohomology_classes(res, q).coordinates(
+                restrict_cochain(m, c, q, cohomology_classes(m, q).generators))
+            assert rmap.matrix == tuple(tuple(int(v) for v in row)
+                                        for row in coords.tolist()), (c, q)
+
+
+def test_sha2_caches_only_the_answers_about_the_module():
+    # 15 of the 16 cyclic restrictions of the 120/{1,49} norm-one torus plus
+    # Z have a nonzero target, yet no restricted lattice enters a cache:
+    # cohomology holds H^2(G, M) alone and cohomology_classes its classes.
+    t = make_torus(AbelianGaloisDatum(120, (1, 49)), "norm_one")
+    g, m = t.group, direct_sum(t.X, trivial_lattice(t.group, 1))
+    for cache in (cohomology, cohomology_classes, restriction_map, sha2_cyclic):
+        cache.cache_clear()
+    assert sha2_cyclic(g, m) == FGAbelian(0, (2,) * 6)
+    assert cohomology.cache_info().currsize == 1
+    assert cohomology_classes.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("modulus, subgroup", [(15, None), (24, None), (120, (1, 49))])
 def test_restriction_matrices_change_only_with_the_basis(modulus, subgroup):
     # RestrictionMap.matrix is written in the generators that the Smith form
@@ -298,6 +346,16 @@ def test_degree_is_read_as_an_integer():
                 call()
     assert cohomology(g, m, np.int64(1)) == cohomology(g, m, 1) == FGAbelian(0, (2, 4))
     assert restriction_map(g, m, c, np.int64(1)) == restriction_map(g, m, c, 1)
+    # restrict_cochain reads q the same way and restricts degrees 0 to 2.
+    cocycles = cohomology_classes(m, 1).generators
+    for q in (1.0, True):
+        with pytest.raises(TypeError):
+            restrict_cochain(m, c, q, cocycles)
+    for q in (-1, 3):
+        with pytest.raises(ValueError):
+            restrict_cochain(m, c, q, cocycles)
+    assert np.array_equal(restrict_cochain(m, c, np.int64(1), cocycles),
+                          restrict_cochain(m, c, 1, cocycles))
 
 
 def test_a_cache_hit_never_skips_a_check():
@@ -332,9 +390,13 @@ def test_lattice_functions_refuse_presented_modules():
     cocycles = cohomology_classes(t.X, 1).generators
     mod2 = presentation_mod(t.X, 2)
     assert cohomology(g, mod2, 2) == FGAbelian(0, (2, 2, 2, 2))
+    first = linalg.eye(t.X.rank)[:, :1]
     for pres in (mod2, presentation_of_lattice(t.X)):
         for fn, args in ((restrict, (pres, c)), (dual, (pres,)), (trace_character, (pres,)),
                          (norm_operator, (pres,)), (tate_h0, (g, pres)),
+                         (direct_sum_all, ([pres],)), (direct_sum_all, ([t.X, pres],)),
+                         (quotient_lattice, (pres, first)), (induce, (c, pres)),
+                         (invariants, (pres,)),
                          (cohomology_classes, (pres, 2)),
                          (restrict_cochain, (pres, c, 1, cocycles)),
                          (restriction_map, (g, pres, c, 2)), (sha2_cyclic, (g, pres))):

@@ -95,6 +95,19 @@ def test_glattice_owns_a_read_only_copy():
             assert m.matrix(1).flags.writeable
 
 
+def test_matrix_reads_the_element_as_an_integer():
+    # matrix(-1) would be the last element's matrix and matrix(True) the whole
+    # stack under numpy indexing; both are refused.
+    m = regular_lattice(C4)
+    assert m.matrix(np.int64(3)).tolist() == m.action[3].tolist()
+    for g in (-1, 4):
+        with pytest.raises(ValueError):
+            m.matrix(g)
+    for g in (True, 1.0):
+        with pytest.raises(TypeError):
+            m.matrix(g)
+
+
 def _frozen(data) -> np.ndarray:
     """``data`` as a read-only object array that owns its entries, as they are."""
     out = np.array(data, dtype=object)

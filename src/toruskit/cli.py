@@ -1,9 +1,10 @@
 """Batch front-end: read a torus spec file, run one computation, print JSON.
 
 Exit codes: 0 success, 2 malformed input, 3 unsupported request (ramified
-volume, nonabelian or missing arithmetic datum), 4 internal invariant
-violation.  Output is a single JSON object with stable key order; rationals
-are serialized as "num/den" strings so nothing is truncated.
+volume, nonabelian or missing arithmetic datum, ``--pmax`` or ``--points``
+past its bound), 4 internal invariant violation.  Output is a single JSON
+object with stable key order; rationals are serialized as "num/den" strings
+so nothing is truncated.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Elements are indices 0..order-1 in a canonical enumeration fixed by the
 constructor (cyclic: residues; products: lexicographic pairs; cyclotomic
 quotients: increasing smallest unit representatives), so every downstream
-matrix is reproducible byte for byte.
+matrix is reproducible byte for byte.  A group keeps the generating set that
+its constructor chose for the associativity test (``generating_set``), and
+every check that reads generators reads that one.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ class FiniteGroup:
     order: int = field(init=False, compare=False)
     identity: int = field(init=False, compare=False)
     inverse: tuple[int, ...] = field(init=False, compare=False)
+    _spanning_set: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         table = tuple(map(tuple, self.table))
@@ -59,15 +62,15 @@ class FiniteGroup:
         # Light's test: the c with (ab)c = a(bc) for all a, b are closed under
         # products, so checking c in a generating set proves associativity.  The
         # raw table is used, so a rejected table leaves nothing in any cache.
-        for c in _generate(lambda a, b: table[a][b], identity, range(order))[0]:
+        spanning = tuple(_generate(lambda a, b: table[a][b], identity, range(order))[0])
+        for c in spanning:
             times_c = [row[c] for row in table]
             for row in table:
                 if [times_c[x] for x in row] != [row[x] for x in times_c]:
                     raise ValueError("associativity fails")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverse", inverse)
+        for name, value in (("table", table), ("order", order), ("identity", identity),
+                            ("inverse", inverse), ("_spanning_set", spanning)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def _hash(self) -> int:
@@ -121,11 +124,10 @@ def _generate(mul, identity, candidates) -> tuple[list, set]:
     return gens, span
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def generating_set(group: FiniteGroup) -> tuple[int, ...]:
-    """Generators chosen greedily in element order, each outside the span of
-    the earlier ones; at most log2 |G| of them, for any finite group."""
-    return tuple(_generate(group.mul, group.identity, group.elements())[0])
+    """The group's own generating set, chosen by its constructor greedily in
+    element order, each outside the span of the earlier ones: at most log2 |G|."""
+    return group._spanning_set
 
 
 class AbelianDecomposition(NamedTuple):
@@ -201,6 +203,7 @@ def abelian_decomposition(group: FiniteGroup) -> AbelianDecomposition:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    n = integer(n)
     if n <= 0:
         raise ValueError(f"cyclic group order must be positive, got {n}")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
@@ -351,9 +354,11 @@ class Subgroup:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        els = set(self.elements)
-        if tuple(sorted(els)) != self.elements:
+        elements = _element_indices(self.parent, self.elements)
+        els = set(elements)
+        if tuple(sorted(els)) != elements:
             raise ValueError("subgroup elements must be sorted and distinct")
+        object.__setattr__(self, "elements", elements)
         if self.parent.identity not in els:
             raise ValueError("subgroup misses the identity")
         # a finite subset closed under products is a subgroup
@@ -382,8 +387,17 @@ def _subgroup_as_group(sub: Subgroup) -> FiniteGroup:
     return FiniteGroup(table, f"{sub.parent.label}|H{sub.order}")
 
 
+def _element_indices(parent: FiniteGroup, xs: Iterable[int]) -> tuple[int, ...]:
+    """``xs`` read as integers (``integer``) that index elements of ``parent``."""
+    xs = tuple(x if type(x) is int else integer(x) for x in xs)
+    bad = next((x for x in xs if not 0 <= x < parent.order), None)
+    if bad is not None:
+        raise ValueError(f"no group element {bad} in a group of order {parent.order}")
+    return xs
+
+
 def subgroup_closure(parent: FiniteGroup, generators: Iterable[int]) -> Subgroup:
-    span = _generate(parent.mul, parent.identity, generators)[1]
+    span = _generate(parent.mul, parent.identity, _element_indices(parent, generators))[1]
     return Subgroup(parent, tuple(sorted(span)))
 
 

@@ -11,8 +11,9 @@ Caller data (``GLattice(...)``, ``glattice``, explicit ``lattice`` tori,
 (``_check_action``).  The package's own constructors build actions by
 construction from validated inputs, check only their own arguments and derive
 (``_derived``, unprobed): the lattices through ``_lattice``, plus
-``presentation_mod`` and ``_regular_cover``.  A quotient's stack proj X(a)
-section is formed from sparse rows (``linalg.stack_product``).  In
+``presentation_mod`` and ``_regular_cover``.  Stacks are multiplied only by
+``linalg.stack_product``, on sparse rows: a quotient's proj X(a) section, a
+Smith frame U X(a) U^-1 and the group law in that frame.  In
 ``tests/test_lattices.py``, ``test_derived_lattices_are_actions`` and
 ``test_presentation_mod_is_derived`` stand in for the probe on them.
 A record's cached property ``_relation_complex`` reads its Smith frame as the
@@ -221,20 +222,19 @@ def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray
     if gens and not spanned(np.hstack([frame[s][:, :r] * d for s in gens])):
         raise ValueError("action does not preserve the relation lattice")
     if not law and not spanned(np.hstack(
-            [block for s in gens for block in
-             np.matmul(frame, frame[s]) - frame[[row[s] for row in group.table]]])):
+            [block for s in gens for block in linalg.stack_product(eye, frame, frame[s])
+             - frame[[row[s] for row in group.table]]])):
         raise ValueError("action does not respect the group law on the quotient")
     return identity and law, diagonal, frame
 
 
 def _smith_frame(stack: np.ndarray, rel: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     """(d, M): d_1 | ... | d_r, the nonzero diagonal of one Smith form U rel V,
-    and the read-only frame M(a) = U X(a) U^-1 of the stack X.  Relations
-    whose U is I, such as m I, keep the stack itself as the frame."""
-    snf, frame = linalg.smith_normal_form(rel, want_u=True), stack
-    if not np.array_equal(snf.u, linalg.eye(len(rel))):  # else U^-1 = I too
-        frame = np.matmul(np.matmul(snf.u, stack), snf.uinv)
-        frame.flags.writeable = False
+    and the read-only frame M(a) = U X(a) U^-1 of the stack X.  Like every
+    product over a whole stack, it is one ``linalg.stack_product``."""
+    snf = linalg.smith_normal_form(rel, want_u=True)
+    frame = linalg.stack_product(snf.u, stack, snf.uinv)
+    frame.flags.writeable = False
     return snf.diagonal[:snf.rank], frame
 
 
@@ -373,8 +373,9 @@ def norm_operator(m: GLattice) -> np.ndarray:
 
 
 def norm_vector(m: GLattice) -> np.ndarray:
-    """Image of the first basis vector under the norm operator, as a column."""
-    return norm_operator(m)[:, :1]
+    """N e_1, the sum of the first columns of the stack, as a column."""
+    _require_lattice(m)
+    return m.action[:, :, :1].sum(axis=0)
 
 
 def invariants(m: GLattice) -> tuple[np.ndarray, int]:
@@ -451,7 +452,8 @@ def _regular_cover(module: GModulePresentation) -> GModulePresentation:
     the module's constructor checked its action modulo R."""
     group, rel, n = module.group, module.relations, module.generators
     order, ident = group.order, group.identity
-    regular = np.stack([np.kron(x, linalg.eye(n)) for x in regular_lattice(group).action])
+    regular = _permutation(group, [[b * n + i for b in row for i in range(n)]
+                                   for row in group.table]).action
     kernel = np.hstack([linalg.eye(n * order), linalg.zeros(n * order, rel.shape[1])])
     kernel[ident * n:(ident + 1) * n, :] -= np.hstack(list(module.action) + [-rel])
     d, frame = _smith_frame(regular, kernel)

@@ -34,10 +34,19 @@ def local_volume(t: Torus, p: int) -> Fraction:
     return Fraction(_local_determinant(t, frob, p), p ** t.dim)
 
 
+# The largest pmax for canonical_coefficients, and so for gm_adelic_check:
+# 500 times 20000, the largest the benchmark asks for.  The sieve takes
+# pmax + 1 bytes, and the answer one Fraction per prime (664579 below 10^7).
+PMAX_LIMIT = 10 ** 7
+
+
 def canonical_coefficients(t: Torus, pmax: int) -> dict[int, Fraction]:
-    """Lambda_p for p <= pmax: the inverse local volume off S, 1 on S."""
+    """Lambda_p for p <= pmax: the inverse local volume off S, 1 on S.  A
+    ``pmax`` above ``PMAX_LIMIT`` raises ``UnsupportedRequestError``."""
     if pmax < 2:
         raise ValueError("pmax must be at least 2")
+    if pmax > PMAX_LIMIT:
+        raise UnsupportedRequestError(f"pmax is bounded by {PMAX_LIMIT}, got {pmax}")
     datum = t.splitting
     if not isinstance(datum, AbelianGaloisDatum):
         raise UnsupportedRequestError("canonical coefficients need an arithmetic datum")
@@ -69,8 +78,10 @@ def tamagawa_number(t: Torus) -> Fraction:
 
 
 # The adelic check's numerator is sampled at u = log t in [LOG_MIN, LOG_MAX],
-# its denominator at t in [0, T_MAX]; F(T_MAX) < 1e-86.
+# its denominator at t in [0, T_MAX]; F(T_MAX) < 1e-86.  Each grid holds at
+# most POINTS_LIMIT samples.
 LOG_MIN, LOG_MAX, T_MAX = -18.0, 2.5, 8.0
+POINTS_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -122,13 +133,18 @@ def gm_adelic_check(pmax: int = 100, grid: QuadratureGrid | None = None,
     equal that of the self-dual Gaussian exp(-pi t^2) over R, which is 1.  So
     tau_hat = 1 checks Simpson's rule on the two grids and the Gaussian's
     normalization, not the arithmetic of the coefficients.
-    ``scale`` multiplies F; the result must not depend on it.
+    ``scale`` multiplies F; the result must not depend on it.  A ``pmax``
+    above ``PMAX_LIMIT`` or a grid of more than ``POINTS_LIMIT`` points raises
+    ``UnsupportedRequestError``.
     """
     if pmax < 2:
         raise ValueError("pmax must be at least 2")
     grid = grid or QuadratureGrid()
     if grid.points < 9:
         raise ValueError("grid too coarse: need at least 9 points")
+    if grid.points > POINTS_LIMIT:
+        raise UnsupportedRequestError(
+            f"quadrature points are bounded by {POINTS_LIMIT}, got {grid.points}")
     if scale <= 0:
         raise ValueError("scale must be positive")
     gm = _gm_torus()

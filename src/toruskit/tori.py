@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
-import numpy as np
-
 from . import linalg
 from .cohomology import cohomology, tate_h0
 from .errors import InternalInvariantError
@@ -177,6 +175,6 @@ def norm_character(t: Torus) -> LatticeMap:
     source = trivial_lattice(group, 1)
     ones = ((1,),) * t.dim
     mat = linalg.intmat(ones)
-    if not linalg.is_zero(np.matmul(t.X.action, mat) - mat):
+    if not linalg.is_zero(linalg.stack_product(linalg.eye(t.dim), t.X.action, mat) - mat):
         raise InternalInvariantError("norm vector is not invariant")
     return LatticeMap(source, t.X, ones)

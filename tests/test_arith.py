@@ -327,3 +327,15 @@ def test_character_hash_agrees_with_equality():
     quarter = DirichletCharacter(5, (Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)))
     half = DirichletCharacter(5, (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1, 2)))
     assert hash(quarter) != hash(half)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: characters(Q3)[1] * characters(QI)[1], "common modulus",
+                 id="product"),
+    pytest.param(lambda: characters(QI)[1].primitive_exponent(2),
+                 "not a unit mod the conductor 4", id="primitive"),
+])
+def test_character_argument_checks(call, fragment):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert fragment in str(exc.value)

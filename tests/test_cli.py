@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from toruskit.cli import main
 
 GM = {"field": {"type": "cyclotomic", "modulus": 1},
@@ -151,6 +153,10 @@ def test_exit_2_on_malformed(tmp_path):
     assert code == 2
     wrong = write(tmp_path, "wrong.json", {"field": {"type": "q"}, "torus": {}})
     assert run(["info", wrong])[0] == 2
+    kind = write(tmp_path, "kind.json", {"field": {"type": "cyclotomic", "modulus": 4},
+                                         "torus": {"type": "spin"}})
+    code, out, err = run(["info", kind])
+    assert (code, out) == (2, "") and "malformed input: unknown torus type 'spin'" in err
     notrep = write(tmp_path, "notrep.json",
                    {"field": {"type": "cyclotomic", "modulus": 4},
                     "torus": {"type": "lattice", "matrices": {"0": [[1]], "1": [[2]]}}})
@@ -216,6 +222,19 @@ def test_exit_3_on_unsupported(tmp_path):
     code, out, err = run(["residue", path])
     assert code == 3 and "unsupported" in err
     assert run(["volumes", path])[0] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["volumes", "--pmax", "10000000000000", "GM"],
+    ["check-gm", "--pmax", "10000000000000"],
+    ["check-gm", "--points", "1000000000"],
+], ids=["volumes-pmax", "check-gm-pmax", "check-gm-points"])
+def test_exit_3_on_numeric_inputs_past_their_bounds(tmp_path, argv):
+    # Each would otherwise allocate a sieve or a quadrature grid of that size.
+    argv = [write(tmp_path, "gm.json", GM) if a == "GM" else a for a in argv]
+    code, out, err = run(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("unsupported request:") and err.count("\n") == 1, err
 
 
 def test_exit_4_on_internal_invariant_violation(tmp_path, monkeypatch):

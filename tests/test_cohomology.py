@@ -761,3 +761,24 @@ def test_non_abelian_group_is_unsupported():
         sha2_cyclic(s3, regular_lattice(s3))
     with pytest.raises(UnsupportedRequestError):
         tamagawa_number(make_torus(s3, "norm_one"))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: bar_differential(C2, regular_lattice(C2).action, 3), ValueError,
+                 "only degrees 0, 1, 2", id="bar-degree"),
+    pytest.param(lambda: tate_h0(C4, regular_lattice(C2)), ValueError,
+                 "not over the given group", id="tate-group"),
+    pytest.param(lambda: cohomology_classes(regular_lattice(C2), 3), ValueError,
+                 "degrees 1 and 2", id="classes-degree"),
+    pytest.param(lambda: restrict_cochain(regular_lattice(C2), trivial_subgroup(C4), 1,
+                                          linalg.zeros(4, 1)), ValueError,
+                 "subgroup does not belong", id="cochain-subgroup"),
+    pytest.param(lambda: sha2_cyclic(C4, regular_lattice(C2)), ValueError,
+                 "not over the given group", id="sha2-group"),
+    pytest.param(lambda: enumerate_splittings(C4, presentation_mod(regular_lattice(C2), 2)),
+                 ValueError, "not over the given group", id="splittings-group"),
+])
+def test_cohomology_argument_checks(call, error, fragment):
+    with pytest.raises(error) as exc:
+        call()
+    assert fragment in str(exc.value)

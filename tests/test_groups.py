@@ -14,7 +14,7 @@ from toruskit.groups import (FiniteGSet, FiniteGroup, Subgroup, _is_prime,
                              cyclotomic_quotient_group, generating_set,
                              index_two_subgroups, make_group, orbits,
                              product_group, subgroup_closure,
-                             trivial_subgroup)
+                             trivial_subgroup, units_mod)
 
 from support import group_family_up_to_8, s3_group
 
@@ -259,10 +259,10 @@ def test_group_hash_sees_the_table_alone():
     g = product_group(cyclic_group(2), cyclic_group(4))
     h = FiniteGroup(g.table, "renamed")
     assert h == g and hash(h) == hash(g) and h.label != g.label
-    generating_set(g)
-    hits = generating_set.cache_info().hits
-    assert generating_set(h) == generating_set(g)
-    assert generating_set.cache_info().hits == hits + 2
+    abelian_decomposition(g)
+    hits = abelian_decomposition.cache_info().hits
+    assert abelian_decomposition(h) == abelian_decomposition(g)
+    assert abelian_decomposition.cache_info().hits == hits + 2
 
 
 def test_subgroup_validation():
@@ -372,3 +372,35 @@ def test_frobenius_refuses_primality_it_cannot_decide():
     with pytest.raises(UnsupportedRequestError):
         _is_prime(PSI_13 + 2)
     assert frobenius(datum, 2 ** 61 - 1) == frobenius(datum, 11)  # both 1 mod 5
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: FiniteGroup(()), ValueError, "order must be positive", id="empty"),
+    pytest.param(lambda: FiniteGroup(((0, 1),)), ValueError, "wrong shape", id="shape"),
+    pytest.param(lambda: FiniteGroup(((0, 2), (1, 0))), ValueError, "out of range",
+                 id="entry"),
+    pytest.param(lambda: units_mod(0), ValueError, "modulus must be positive", id="units"),
+    pytest.param(lambda: make_group({"type": "product", "factors": []}), ValueError,
+                 "at least one factor", id="product"),
+    pytest.param(lambda: Subgroup(cyclic_group(4), (2, 0)), ValueError,
+                 "sorted and distinct", id="unsorted"),
+    pytest.param(lambda: FiniteGSet(cyclic_group(2), ((0, 1), (0, 0))), ValueError,
+                 "act by permutations", id="gset"),
+    # JSON true is not the element 1, and an index past the table is refused
+    # before any product is looked up.
+    pytest.param(lambda: cyclic_group(True), TypeError, "expected an integer", id="cyclic-bool"),
+    pytest.param(lambda: subgroup_closure(cyclic_group(2), [5]), ValueError,
+                 "no group element 5", id="closure-range"),
+    pytest.param(lambda: subgroup_closure(cyclic_group(2), [-1]), ValueError,
+                 "no group element -1", id="closure-negative"),
+    pytest.param(lambda: subgroup_closure(cyclic_group(2), [True]), TypeError,
+                 "expected an integer", id="closure-bool"),
+    pytest.param(lambda: Subgroup(cyclic_group(2), (0, 5)), ValueError,
+                 "no group element 5", id="subgroup-range"),
+    pytest.param(lambda: Subgroup(cyclic_group(2), (0, True)), TypeError,
+                 "expected an integer", id="subgroup-bool"),
+])
+def test_group_argument_checks(call, error, fragment):
+    with pytest.raises(error) as exc:
+        call()
+    assert fragment in str(exc.value)

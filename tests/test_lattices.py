@@ -869,3 +869,22 @@ def test_fgabelian_direct_sum_commutes(xs, ys):
     a, b = FGAbelian.from_divisors(xs), FGAbelian.from_divisors(ys)
     assert a.direct_sum(b) == b.direct_sum(a)
     assert a.direct_sum(b) == FGAbelian.from_divisors(xs + ys)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: trivial_lattice(C2, -1), ValueError, "rank must be nonnegative",
+                 id="trivial-rank"),
+    pytest.param(lambda: sign_lattice(C4, trivial_subgroup(C2)), ValueError,
+                 "subgroup of the acting group", id="sign-kernel"),
+    pytest.param(lambda: induce(trivial_subgroup(C2), trivial_lattice(C2)), ValueError,
+                 "not over the given subgroup", id="induce-group"),
+    pytest.param(lambda: restrict(regular_lattice(C2), trivial_subgroup(C4)), ValueError,
+                 "does not belong", id="restrict-subgroup"),
+    pytest.param(lambda: direct_sum_all([]), ValueError, "empty direct sum", id="empty-sum"),
+    pytest.param(lambda: quotient_lattice(regular_lattice(C2), linalg.intmat([[1]])),
+                 ValueError, "wrong ambient rank", id="quotient-rank"),
+])
+def test_lattice_argument_checks(call, error, fragment):
+    with pytest.raises(error) as exc:
+        call()
+    assert fragment in str(exc.value)

@@ -205,3 +205,18 @@ def test_empty_shapes():
 def test_intmat_rejects_non_integers():
     with pytest.raises(TypeError):
         linalg.intmat([[1.5]])
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: linalg.mul(linalg.zeros(2, 3), linalg.zeros(2, 3)),
+                 "shape mismatch", id="mul"),
+    pytest.param(lambda: linalg.det(linalg.zeros(2, 3)), "non-square", id="det"),
+    pytest.param(lambda: linalg.stack_product(linalg.eye(2), linalg.zeros(1, 3, 3),
+                                              linalg.eye(3)), "shape mismatch", id="stack"),
+    pytest.param(lambda: linalg.solve(linalg.eye(2), linalg.zeros(3, 1)),
+                 "shape mismatch in solve", id="solve"),
+])
+def test_shape_checks(call, fragment):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert fragment in str(exc.value)

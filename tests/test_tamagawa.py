@@ -8,9 +8,9 @@ from toruskit.arith import AbelianGaloisDatum, primes_up_to
 from toruskit.cohomology import cohomology
 from toruskit.errors import RamifiedPrimeError, UnsupportedRequestError
 from toruskit.groups import cyclic_group, product_group
-from toruskit.tamagawa import (QuadratureGrid, canonical_coefficients,
-                               gm_adelic_check, local_volume, simpson,
-                               tamagawa_number)
+from toruskit.tamagawa import (PMAX_LIMIT, POINTS_LIMIT, QuadratureGrid,
+                               canonical_coefficients, gm_adelic_check, local_volume,
+                               simpson, tamagawa_number)
 from toruskit.tori import make_torus
 
 from support import conjugate, random_unimodular
@@ -188,3 +188,25 @@ def test_import_loads_no_scipy():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: gm_adelic_check(pmax=1), ValueError, "at least 2", id="pmax"),
+    pytest.param(lambda: gm_adelic_check(grid=QuadratureGrid(points=5)), ValueError,
+                 "need at least 9 points", id="coarse"),
+    pytest.param(lambda: gm_adelic_check(scale=0), ValueError, "scale must be positive",
+                 id="scale"),
+    pytest.param(lambda: gm_adelic_check(pmax=PMAX_LIMIT + 1), UnsupportedRequestError,
+                 f"pmax is bounded by {PMAX_LIMIT}", id="pmax-bound"),
+    pytest.param(lambda: canonical_coefficients(make_torus(QI, "res"), PMAX_LIMIT + 1),
+                 UnsupportedRequestError, f"pmax is bounded by {PMAX_LIMIT}",
+                 id="coefficients-bound"),
+    pytest.param(lambda: gm_adelic_check(grid=QuadratureGrid(points=POINTS_LIMIT + 1)),
+                 UnsupportedRequestError, f"points are bounded by {POINTS_LIMIT}",
+                 id="points-bound"),
+])
+def test_tamagawa_argument_checks(call, error, fragment):
+    # The bounds refuse before a sieve or a grid of that size is allocated.
+    with pytest.raises(error) as exc:
+        call()
+    assert fragment in str(exc.value)

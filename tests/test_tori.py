@@ -193,3 +193,22 @@ def test_norm_character_exact_sequence():
 def test_torus_splitting_mismatch():
     with pytest.raises(ValueError):
         Torus(QI, regular_lattice(cyclic_group(3)), "res")
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: make_torus(object(), "split"), TypeError,
+                 "FiniteGroup or carry a .group", id="splitting"),
+    pytest.param(lambda: make_torus(C2, "product"), ValueError, "at least one factor",
+                 id="no-factors"),
+    pytest.param(lambda: make_torus(C2, "product", factors=[
+        make_torus(C2, "split"), make_torus(cyclic_group(4), "split")]), ValueError,
+                 "share the splitting datum", id="mixed-factors"),
+    pytest.param(lambda: make_torus(C2, "lattice"), ValueError,
+                 "one matrix per group element", id="no-matrices"),
+    pytest.param(lambda: make_torus(C2, "spin"), ValueError, "unknown torus kind",
+                 id="kind"),
+])
+def test_make_torus_argument_checks(call, error, fragment):
+    with pytest.raises(error) as exc:
+        call()
+    assert fragment in str(exc.value)

@@ -1,10 +1,10 @@
 """Batch front-end: read a torus spec file, run one computation, print JSON.
 
 Exit codes: 0 success, 2 malformed input, 3 unsupported request (ramified
-volume, nonabelian or missing arithmetic datum, ``--pmax`` or ``--points``
-past its bound), 4 internal invariant violation.  Output is a single JSON
-object with stable key order; rationals are serialized as "num/den" strings
-so nothing is truncated.
+volume, nonabelian or missing arithmetic datum, a group order, a modulus,
+``--pmax``, ``--points`` or ``--prec`` past its bound), 4 internal invariant
+violation.  Output is a single JSON object with stable key order; rationals
+are serialized as "num/den" strings so nothing is truncated.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .tamagawa import (QuadratureGrid, canonical_coefficients,
 from .tori import Torus, classify_real, isogenous, make_torus, rank_profile
 
 SCHEMA_VERSION = 1
+PREC_LIMIT = 17  # significant digits a double carries; more would only pad
 
 
 def _rat(x: Fraction) -> str:
@@ -122,6 +123,10 @@ def cmd_volumes(args) -> dict:
 
 
 def cmd_residue(args) -> dict:
+    if args.prec < 1:
+        raise ValueError(f"--prec must be at least 1, got {args.prec}")
+    if args.prec > PREC_LIMIT:
+        raise UnsupportedRequestError(f"--prec is bounded by {PREC_LIMIT}, got {args.prec}")
     t = load_torus(args.file)
     result = residue(t)
     return {

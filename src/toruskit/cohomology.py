@@ -32,7 +32,7 @@ cocycle classes, each restriction map and Sha^2 are each one module-level
 type: equal modules share entries, and ``True`` for 1 is checked again.
 Every cache in the package holds at most ``_CACHE_SIZE`` (1024) entries.
 The cached results are immutable: frozen ``FGAbelian``s, tuples and
-read-only arrays.
+``linalg.Matrix`` sparse rows, the one matrix type of every differential.
 ``bar_differential`` is kept as the independent reference the tests compare
 this engine with; no package path calls it.
 """
@@ -46,13 +46,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from . import linalg
 from .errors import EnumerationBoundError, InternalInvariantError
 from .groups import (_CACHE_SIZE, FiniteGroup, Subgroup, abelian_decomposition,
                      cyclic_subgroups)
 from .lattices import FGAbelian, GLattice, GModulePresentation, norm_operator
+from .linalg import Matrix
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
 
@@ -64,39 +63,40 @@ def _tuple_index(gs: Sequence[int], base: int) -> int:
     return idx
 
 
-def bar_differential(group: FiniteGroup, mats: Sequence[np.ndarray], q: int) -> np.ndarray:
+def bar_differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matrix:
     """Matrix of d^q from M^(|G|^q) to M^(|G|^(q+1)), M of rank n.
 
     The inhomogeneous bar complex, kept as the tests' reference for the
     small resolution.
     """
+    mats = [linalg.intmat(x) for x in mats]
     n = mats[0].shape[0]
     order = group.order
     ident = linalg.eye(n)
-    out = linalg.zeros(n * order ** (q + 1), n * order ** q)
+    out: list[dict[int, int]] = [{} for _ in range(n * order ** (q + 1))]
 
-    def add(row_tuple, col_tuple, block):
-        i = _tuple_index(row_tuple, order) * n
-        j = _tuple_index(col_tuple, order) * n
-        out[i:i + n, j:j + n] += block
+    def add(row_tuple, col_tuple, block, c=1):
+        linalg.add_block(out, _tuple_index(row_tuple, order) * n,
+                         _tuple_index(col_tuple, order) * n, c, block)
 
     if q == 0:
         for a in group.elements():
-            add((a,), (), mats[a] - ident)
+            add((a,), (), mats[a])
+            add((a,), (), ident, -1)
     elif q == 1:
         for a, b in itertools.product(group.elements(), repeat=2):
             add((a, b), (b,), mats[a])
-            add((a, b), (group.mul(a, b),), -ident)
+            add((a, b), (group.mul(a, b),), ident, -1)
             add((a, b), (a,), ident)
     elif q == 2:
         for a, b, c in itertools.product(group.elements(), repeat=3):
             add((a, b, c), (b, c), mats[a])
-            add((a, b, c), (group.mul(a, b), c), -ident)
+            add((a, b, c), (group.mul(a, b), c), ident, -1)
             add((a, b, c), (a, group.mul(b, c)), ident)
-            add((a, b, c), (a, b), -ident)
+            add((a, b, c), (a, b), ident, -1)
     else:
         raise ValueError("only degrees 0, 1, 2 are supported")
-    return out
+    return linalg.from_rows((len(out), n * order ** q), out)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -137,7 +137,7 @@ def _boundary(chain: Chain, orders: Sequence[int]) -> Chain:
     return {key: c for key, c in out.items() if c}
 
 
-def differential(group: FiniteGroup, mats: Sequence[np.ndarray], q: int) -> np.ndarray:
+def differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matrix:
     """Matrix of d^q on the small cochains, M^C(q+k-1, k-1) to M^C(q+k, k-1).
 
     ``mats[a]`` is the matrix of group element a on M; row block beta holds
@@ -149,8 +149,8 @@ def differential(group: FiniteGroup, mats: Sequence[np.ndarray], q: int) -> np.n
                                          for beta in _multi_indices(len(orders), q + 1)])
 
 
-def _evaluation(group: FiniteGroup, mats: Sequence[np.ndarray], q: int,
-                chains: Sequence[Chain]) -> np.ndarray:
+def _evaluation(group: FiniteGroup, mats: Sequence[Matrix], q: int,
+                chains: Sequence[Chain]) -> Matrix:
     """Matrix of f -> (f(c) for c in chains) on degree-q cochains.
 
     A cochain is Z[G]-linear, so f(g^t e_alpha) = X(g^t) f(e_alpha).
@@ -158,12 +158,11 @@ def _evaluation(group: FiniteGroup, mats: Sequence[np.ndarray], q: int,
     dec = abelian_decomposition(group)
     cols = _positions(len(dec.orders), q)
     n = mats[group.identity].shape[0]
-    out = linalg.zeros(n * len(chains), n * len(cols))
+    out: list[dict[int, int]] = [{} for _ in range(n * len(chains))]
     for r, chain in enumerate(chains):
         for (t, alpha), c in chain.items():
-            j = cols[alpha] * n
-            out[r * n:(r + 1) * n, j:j + n] += c * mats[dec.element(t)]
-    return out
+            linalg.add_block(out, r * n, cols[alpha] * n, c, mats[dec.element(t)])
+    return linalg.from_rows((len(out), n * len(cols)), out)
 
 
 @lru_cache(maxsize=_CACHE_SIZE, typed=True)
@@ -184,17 +183,17 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
     if module.group != group:
         raise ValueError("module is not over the given group")
     action, basis, rel_action = module._relation_complex
-    k = basis.shape[1]
-    d = differential(group, action, q - 1)
-    if k:
-        d_rel = differential(group, rel_action, q)
-        d = np.vstack([
-            np.hstack([d, np.kron(linalg.eye(len(d) // len(basis)), basis)]),
-            np.hstack([linalg.zeros(d_rel.shape[0], d.shape[1]), -d_rel])])
+    (n, r), d = basis.shape, differential(group, action, q - 1)
+    if r:  # D = [[d, I x B], [0, -d_R]]: row i of d meets row i mod n of B
+        d_rel, w = differential(group, rel_action, q), d.shape[1]
+        d = Matrix((d.shape[0] + d_rel.shape[0], w + d_rel.shape[1]), tuple(
+            row + tuple((w + i // n * r + j, x) for j, x in basis.rows[i % n])
+            for i, row in enumerate(d.rows)) + tuple(
+            tuple((w + j, -x) for j, x in row) for row in d_rel.rows))
     torsion = linalg.invariant_factors(d)
     if q:
         return FGAbelian(0, torsion)
-    free_rank, rem = divmod(sum(map(np.trace, action)) - sum(map(np.trace, rel_action)),
+    free_rank, rem = divmod(sum(map(linalg.trace, action)) - sum(map(linalg.trace, rel_action)),
                             group.order)
     if rem:
         raise InternalInvariantError("the trace character does not average to a rank")
@@ -223,22 +222,21 @@ class CohomologyClasses:
     ``coordinate_rows``, give a cocycle's class coordinates mod the orders,
     and the rows past the rank, ``cocycle_test``, vanish exactly on cocycles:
     H^q is finite, so the cocycles are the saturation of the coboundaries.
-    All arrays are cached and read-only.
+    All matrices are cached and immutable.
     """
 
     fg: FGAbelian
-    generators: np.ndarray
-    coordinate_rows: np.ndarray
-    cocycle_test: np.ndarray
+    generators: Matrix
+    coordinate_rows: Matrix
+    cocycle_test: Matrix
 
-    def coordinates(self, cocycles: np.ndarray) -> np.ndarray:
+    def coordinates(self, cocycles) -> Matrix:
         """Class coordinates of cocycle columns on ``generators``, mod orders."""
         if not linalg.is_zero(linalg.mul(self.cocycle_test, cocycles)):
             raise InternalInvariantError("vector is not a cocycle of this class group")
         out = linalg.mul(self.coordinate_rows, cocycles)
-        for i, d in enumerate(self.fg.torsion):
-            out[i, :] %= d
-        return out
+        return linalg.from_rows(out.shape, ({j: x % d for j, x in row}
+                                            for row, d in zip(out.rows, self.fg.torsion)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE, typed=True)
@@ -257,14 +255,13 @@ def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
     return _classes(differential(module.group, module.action, q - 1))
 
 
-def _classes(d: np.ndarray) -> CohomologyClasses:
+def _classes(d: Matrix) -> CohomologyClasses:
     """The classes of the torsion of coker d, read off one Smith form U d V."""
     snf = linalg.smith_normal_form(d, want_u=True)
     cols = [i for i in range(snf.rank) if snf.diagonal[i] >= 2]
-    arrays = (snf.uinv[:, cols], snf.u[cols], snf.u[snf.rank:])
-    for a in arrays:
-        a.flags.writeable = False
-    return CohomologyClasses(FGAbelian(0, tuple(snf.diagonal[i] for i in cols)), *arrays)
+    return CohomologyClasses(FGAbelian(0, tuple(snf.diagonal[i] for i in cols)),
+                             snf.uinv.take(cols=cols), snf.u.take(rows=cols),
+                             snf.u.take(rows=range(snf.rank, d.shape[0])))
 
 
 class RestrictionMap(NamedTuple):
@@ -336,8 +333,7 @@ def _chain_map(sub: Subgroup) -> tuple[tuple[Chain, ...], ...]:
     return tuple(phi)
 
 
-def restrict_cochain(module: GLattice, sub: Subgroup, q: int,
-                     cochain: np.ndarray) -> np.ndarray:
+def restrict_cochain(module: GLattice, sub: Subgroup, q: int, cochain) -> Matrix:
     """Pull degree-q cochain columns of G on ``module`` back to H along the
     chain map phi_q, q in {0, 1, 2}: f o phi at e'_beta is f evaluated on
     phi(e'_beta)."""
@@ -369,13 +365,13 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
         raise ValueError("restriction is computed in degrees 1 and 2")
     if module.group != group or sub.parent != group:
         raise ValueError("module and subgroup must belong to the given group")
-    d = differential(sub.as_group(), module.action[list(sub.elements)], q - 1)
+    d = differential(sub.as_group(), [module.action[a] for a in sub.elements], q - 1)
     if not linalg.invariant_factors(d):
         return RestrictionMap(cohomology(group, module, q), FGAbelian.trivial(), ())
     source = cohomology_classes(module, q)
     target = _classes(d)
     coords = target.coordinates(restrict_cochain(module, sub, q, source.generators))
-    matrix = tuple(tuple(int(x) for x in row) for row in coords.tolist())
+    matrix = tuple(map(tuple, coords.tolist()))
     return RestrictionMap(source.fg, target.fg, matrix)
 
 
@@ -416,12 +412,13 @@ def _kernel_invariants(source: Sequence[int], target: Sequence[int],
     bases phi^dual has entries d_i R_ji / e_j, integers because phi is well
     defined, so the kernel has the invariant factors of [R^dual | diag(d)].
     """
-    d = linalg.intmat(source, (len(source),))
-    e = linalg.intmat([[x] for x in target], (len(target), 1))
-    scaled = linalg.intmat(matrix, (len(target), len(source))) * d
-    if not linalg.is_zero(scaled % e):
+    m, k = len(target), len(source)
+    dual = linalg.intmat(matrix, (m, k)).T.rows
+    if any(x * source[i] % target[j] for i, row in enumerate(dual) for j, x in row):
         raise InternalInvariantError("restriction is not well defined on the classes")
-    return linalg.invariant_factors(np.hstack([(scaled // e).T, np.diag(d)]))
+    return linalg.invariant_factors(Matrix((k, m + k), tuple(
+        tuple((j, x * source[i] // target[j]) for j, x in row) + ((m + i, source[i]),)
+        for i, row in enumerate(dual))))
 
 
 class SplittingEnumeration(NamedTuple):
@@ -486,8 +483,7 @@ def _finite_module_structure(module: GModulePresentation):
         raise ValueError("module is not finite")
 
     def act(a: int, coords: Sequence[int]) -> tuple[int, ...]:
-        w = mats[a]
-        return tuple(int(sum(w[i, j] * coords[j] for j in range(n))) % orders[i]
-                     for i in range(n))
+        return tuple(sum(x * coords[j] for j, x in row) % orders[i]
+                     for i, row in enumerate(mats[a].rows))
 
     return orders, act

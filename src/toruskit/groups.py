@@ -25,6 +25,17 @@ from .linalg import integer
 # 256 would leave no room for a second lattice over the same group.
 _CACHE_SIZE = 1024
 
+# A group is a |G| x |G| table (|G| = 2052: 0.8 s, 96 MB; 8208: 24.6 s, 1.07 GB).
+# Orders past ORDER_LIMIT, and cyclotomic moduli past MODULUS_LIMIT (units_mod:
+# 0.21 s at 10^6), raise UnsupportedRequestError before anything that size is built.
+ORDER_LIMIT = 2048
+MODULUS_LIMIT = 10 ** 6
+
+
+def _bounded(order: int) -> None:
+    if order > ORDER_LIMIT:
+        raise UnsupportedRequestError(f"group order is bounded by {ORDER_LIMIT}, got {order}")
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -206,6 +217,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     n = integer(n)
     if n <= 0:
         raise ValueError(f"cyclic group order must be positive, got {n}")
+    _bounded(n)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroup(table, f"C{n}")
 
@@ -213,6 +225,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product; element (a, b) has index a*|G2| + b (lexicographic)."""
     n1, n2 = g1.order, g2.order
+    _bounded(n1 * n2)
     table = [[0] * (n1 * n2) for _ in range(n1 * n2)]
     for a1, b1 in itertools.product(range(n1), range(n2)):
         for a2, b2 in itertools.product(range(n1), range(n2)):
@@ -291,6 +304,8 @@ def _cyclotomic_cosets(modulus: int, subgroup: Iterable[int] | None = None
     is its least representative, and the elements come out ordered by it.
     """
     n = modulus
+    if n > MODULUS_LIMIT:
+        raise UnsupportedRequestError(f"modulus is bounded by {MODULUS_LIMIT}, got {n}")
     units = units_mod(n)
     if subgroup is None:
         h = frozenset({1 % n})
@@ -300,6 +315,7 @@ def _cyclotomic_cosets(modulus: int, subgroup: Iterable[int] | None = None
         raise ValueError(f"subgroup {sorted(h)} is not a set of units mod {n}")
     if _generate(lambda a, b: a * b % n, 1 % n, sorted(h))[1] != h:
         raise ValueError(f"subgroup {sorted(h)} not closed under multiplication mod {n}")
+    _bounded(len(units) // len(h))
     element_of: dict[int, int] = {}
     reps: list[int] = []
     for u in units:

@@ -1,19 +1,20 @@
 """G-modules: Z^n modulo a relation lattice, with a finite group acting.
 
-``GModulePresentation`` is the one record: a read-only ``(n, k)`` relation
-matrix and a read-only ``(|G|, n, n)`` object array of Python ints, the matrix
-of every group element in element order.  A ``GLattice`` is the record with
-no relations (n x 0).  Both share one constructor, one hash (computed on first
-use) and one type-strict equality, so they are cheap ``lru_cache`` keys.
+``GModulePresentation`` is the one record: an ``(n, k)`` relation matrix and
+a stack, the tuple of the ``n x n`` matrices of the group elements in element
+order, all immutable ``linalg.Matrix`` sparse rows.  A ``GLattice`` is the
+record with no relations (n x 0).  Both share one constructor, one hash
+(computed on first use) and one type-strict equality, so they are cheap
+``lru_cache`` keys.
 
 Caller data (``GLattice(...)``, ``glattice``, explicit ``lattice`` tori,
-``GModulePresentation(...)``) is copied (``linalg.intmat``) and probed
+``GModulePresentation(...)``) is read (``linalg.intmat``) and probed
 (``_check_action``).  The package's own constructors build actions by
 construction from validated inputs, check only their own arguments and derive
 (``_derived``, unprobed): the lattices through ``_lattice``, plus
 ``presentation_mod`` and ``_regular_cover``.  Stacks are multiplied only by
-``linalg.stack_product``, on sparse rows: a quotient's proj X(a) section, a
-Smith frame U X(a) U^-1 and the group law in that frame.  In
+``linalg.stack_product``: a quotient's proj X(a) section, a Smith frame
+U X(a) U^-1 and the group law in that frame.  In
 ``tests/test_lattices.py``, ``test_derived_lattices_are_actions`` and
 ``test_presentation_mod_is_derived`` stand in for the probe on them.
 A record's cached property ``_relation_complex`` reads its Smith frame as the
@@ -28,30 +29,26 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import linalg
 from .errors import InternalInvariantError
 from .groups import FiniteGroup, FiniteGSet, Subgroup, coset_gset, generating_set
+from .linalg import Matrix
+
+Stack = tuple[Matrix, ...]
 
 
-def _read_only(data, shape: tuple[int, ...]) -> np.ndarray:
-    """A read-only copy of ``data`` as an object array of Python ints of shape
-    ``shape``: every entry passes ``linalg.integer``, and no caller keeps a
-    handle that writes into the result."""
-    data = linalg.intmat(data, shape)
-    data.flags.writeable = False
-    return data
+def _as_lists(data):  # caller data, a hand-built Matrix too, read entry by entry
+    return data.tolist() if hasattr(data, "tolist") else data
 
 
 @dataclass(frozen=True, eq=False)
 class GModulePresentation:
     """Finitely generated G-module: Z^n modulo the column span of ``relations``.
 
-    ``relations`` is a read-only ``(n, k)`` array whose columns span the
-    relation lattice, and ``action`` a read-only ``(|G|, n, n)`` object array
-    of Python ints, ``action[g]`` the matrix of g on the generators (column
-    vectors).  Caller data (nested lists or any array) is copied in.  The
+    ``relations`` is an ``(n, k)`` matrix whose columns span the relation
+    lattice, and ``action`` a stack, ``action[g]`` the ``n x n`` matrix of g
+    on the generators (column vectors).  Caller data (matrices, nested lists
+    or any arrays) is read through ``linalg.intmat``.  The
     hash is computed on first use, and equality compares type, group,
     relations and entries, so a record rebuilt from the same data
     hits every cache keyed on the first.
@@ -64,19 +61,20 @@ class GModulePresentation:
     splitting enumerator reuse it."""
 
     group: FiniteGroup
-    relations: np.ndarray
-    action: np.ndarray
+    relations: Matrix
+    action: Stack
     generators: int = field(init=False)  # the size of the identity's matrix
-    _frame: tuple[bool, tuple[int, ...], np.ndarray] = field(init=False, repr=False)
+    _frame: tuple[bool, tuple[int, ...], Stack] = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.group
         if len(self.action) != g.order:
             raise ValueError("one action matrix per group element required")
-        n = len(self.action[g.identity])
-        action = _read_only(self.action, (g.order, n, n))
-        k = np.shape(self.relations)[-1] if n else 0
-        relations = _read_only(self.relations, (n, k))
+        stack = [_as_lists(x) for x in _as_lists(self.action)]
+        n = linalg.intmat(stack[g.identity]).shape[0]
+        action = tuple(linalg.intmat(x, (n, n)) for x in stack)
+        relations = linalg.intmat(_as_lists(self.relations))
+        relations = linalg.intmat(relations, (n, relations.shape[1] if n else 0))
         object.__setattr__(self, "_frame", _check_action(g, action, relations))
         object.__setattr__(self, "generators", n)
         object.__setattr__(self, "relations", relations)
@@ -84,8 +82,7 @@ class GModulePresentation:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.group, self.generators, tuple(self.relations.flat),
-                     tuple(self.action.flat)))
+        return hash((self.group, self.relations, self.action))
 
     @cached_property
     def _relation_complex(self) -> tuple:
@@ -94,25 +91,21 @@ class GModulePresentation:
 
         M(g) = U X(g) U^-1 acts on Z^n itself, B is diag(d) over n - r zero
         rows, and A(g) = diag(d)^-1 M(g)[:r, :r] diag(d) acts on Z^r.  With
-        r = 0, a lattice or relations that span nothing, B is n x 0 and A
-        empty.  An action that holds only modulo R is first rewritten
+        r = 0, a lattice or relations that span nothing, B is n x 0 and A(g)
+        0 x 0.  An action that holds only modulo R is first rewritten
         (``_regular_cover``) so that the cone is a complex."""
         exact, d, frame = self._frame
         if not exact:
             return _regular_cover(self)._relation_complex
-        if not d:
-            return frame, linalg.zeros(self.generators, 0), []
-        d = linalg.intmat(d, (len(d),))
-        basis = np.vstack([np.diag(d), linalg.zeros(self.generators - len(d), len(d))])
-        return frame, basis, [m[:len(d), :len(d)] * d // d[:, None] for m in frame]
+        r = len(d)
+        return frame, linalg.diag(d, self.generators), [Matrix((r, r), tuple(
+            tuple((j, x * d[j] // d[i]) for j, x in row if j < r)
+            for i, row in enumerate(m.rows[:r]))) for m in frame]
 
     def __eq__(self, other):
-        # Equal stacks fix n, and n x k relations (0 x 0 when n = 0) are then
-        # equal when their nested lists are; a lattice's are n empty lists.
         return (type(other) is type(self) and self._hash == other._hash
-                and self.group == other.group
-                and np.array_equal(self.action, other.action)
-                and self.relations.tolist() == other.relations.tolist())
+                and self.group == other.group and self.action == other.action
+                and self.relations == other.relations)
 
     def __hash__(self):
         return self._hash
@@ -122,12 +115,12 @@ class GModulePresentation:
 class GLattice(GModulePresentation):
     """A rank-n free Z-module with ``group`` acting by unimodular matrices:
     ``GLattice(group, action)`` is the presented module whose ``relations``
-    are a read-only n x 0 array, and ``rank`` is ``generators``.  It never
+    are an n x 0 matrix, and ``rank`` is ``generators``.  It never
     equals a ``GModulePresentation`` on the same entries.  The package's
     constructors derive lattices (``_lattice``) with the same hash and
     equality as the probed ones."""
 
-    relations: np.ndarray = field(init=False, default=(), repr=False)  # read as n x 0
+    relations: Matrix = field(init=False, default=(), repr=False)  # read as n x 0
 
     # Restated, so that lattice construction has an entry of its own to wrap.
     __post_init__ = GModulePresentation.__post_init__
@@ -136,12 +129,12 @@ class GLattice(GModulePresentation):
     def rank(self) -> int:
         return self.generators
 
-    def matrix(self, g: int) -> np.ndarray:
-        """A writable copy of the matrix of element g, read by ``linalg.integer``."""
+    def matrix(self, g: int) -> Matrix:
+        """The matrix of element g, read by ``linalg.integer``."""
         g = linalg.integer(g)
         if not 0 <= g < self.group.order:
             raise ValueError(f"no group element {g} in a group of order {self.group.order}")
-        return self.action[g].copy()
+        return self.action[g]
 
     @cached_property
     def characteristic_polynomials(self) -> tuple[tuple[int, ...], ...]:
@@ -168,32 +161,29 @@ class GLattice(GModulePresentation):
         return f"GLattice({self.group.label or self.group.order}, rank={self.rank})"
 
 
-def _holds_exactly(group: FiniteGroup, stack: np.ndarray) -> tuple[bool, bool]:
+def _holds_exactly(group: FiniteGroup, stack: Stack) -> tuple[bool, bool]:
     """(X(e) = I, X(a s) = X(a) X(s) for all a and s in ``generating_set``),
     exactly.  Generators suffice, as every element is a word in them.  Both
     are tested on v = (1, b, b^2, ...): for c the largest entry, b = n c^2 +
     c + 1 exceeds every entry of X(a) X(s) - X(a s) and, unless X = 0, of
     X(e) - I, so by base-b digits no nonzero difference vanishes on v.
 
-    Every X(a) w is summed in plain Python over the stack's sparse rows
-    (``linalg.sparse_rows``): a regular stack is 1/|G| nonzero, a norm-one
-    quotient about 2/|G|."""
-    k, n = stack.shape[:2]
-    rows = linalg.sparse_rows(stack.reshape(k * n, n))
-    c = max((abs(x) for row in rows for x in row.values()), default=0)
+    Every X(a) w is summed in plain Python over the stack's sparse rows: a
+    regular stack is 1/|G| nonzero, a norm-one quotient about 2/|G|."""
+    n = stack[group.identity].shape[0]
+    c = max((abs(x) for m in stack for _, _, x in m.items()), default=0)
     v = [(n * c * c + c + 1) ** i for i in range(n)]
 
     def times(w: list[int]) -> list[list[int]]:
-        return [[sum(x * w[j] for j, x in row.items()) for row in rows[a * n:(a + 1) * n]]
-                for a in range(k)]
+        return [[sum(x * w[j] for j, x in row) for row in m.rows] for m in stack]
     images = times(v)
     return (images[group.identity] == v,
             all(times(images[s]) == [images[row[s]] for row in group.table]
                 for s in generating_set(group)))
 
 
-def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray
-                  ) -> tuple[bool, tuple[int, ...], np.ndarray]:
+def _check_action(group: FiniteGroup, stack: Stack, rel: Matrix
+                  ) -> tuple[bool, tuple[int, ...], Stack]:
     """Raise ``ValueError`` unless a -> stack[a] is an action on Z^n / span(rel).
 
     Returns the Smith frame (exact, d, M) of the quotient: ``exact`` says the
@@ -201,8 +191,8 @@ def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray
     nonzero puts Z^n / span(rel) into the coordinates Z/d_1 + ... + Z/d_r +
     Z^(n-r), where a acts by M(a) = U X(a) U^-1.  What holds on Z^n
     (``_holds_exactly``) holds modulo R, so identity and group law are tested
-    in the frame only when they fail on Z^n: a column lies in span(diag(d))
-    when its first r entries are multiples of d and the rest vanish."""
+    in the frame only when they fail on Z^n: an entry (i, x) of a column
+    lies in span(diag(d)) when i < r and d_i divides x."""
     identity, law = _holds_exactly(group, stack)
     if rel.shape[1] == 0:
         if not identity:
@@ -210,55 +200,53 @@ def _check_action(group: FiniteGroup, stack: np.ndarray, rel: np.ndarray
         if not law:
             raise ValueError("action matrices do not respect the group law")
         return True, (), stack
-    diagonal, frame = _smith_frame(stack, rel)
-    r, eye = len(diagonal), linalg.eye(len(rel))
-    d = linalg.intmat(diagonal, (r,))
+    d, frame = _smith_frame(stack, rel)
+    r, eye = len(d), linalg.eye(rel.shape[0])
 
-    def spanned(cols: np.ndarray) -> bool:
-        return linalg.is_zero(cols[:r] % d[:, None]) and linalg.is_zero(cols[r:])
+    def spanned(entries) -> bool:
+        return all(i < r and x % d[i] == 0 for i, x in entries)
     gens = generating_set(group)
-    if not identity and not spanned(frame[group.identity] - eye):
+    if not identity and not spanned(
+            (i, x) for i, _, x in linalg.combine([(1, frame[group.identity]), (-1, eye)]).items()):
         raise ValueError("identity must act as the identity on the quotient")
-    if gens and not spanned(np.hstack([frame[s][:, :r] * d for s in gens])):
+    if not spanned((i, x * d[j]) for s in gens for i, j, x in frame[s].items() if j < r):
         raise ValueError("action does not preserve the relation lattice")
-    if not law and not spanned(np.hstack(
-            [block for s in gens for block in linalg.stack_product(eye, frame, frame[s])
-             - frame[[row[s] for row in group.table]]])):
+    if not law and not spanned(
+            (i, x) for s in gens
+            for m, row in zip(linalg.stack_product(eye, frame, frame[s]), group.table)
+            for i, _, x in linalg.combine([(1, m), (-1, frame[row[s]])]).items()):
         raise ValueError("action does not respect the group law on the quotient")
-    return identity and law, diagonal, frame
+    return identity and law, d, frame
 
 
-def _smith_frame(stack: np.ndarray, rel: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+def _smith_frame(stack: Stack, rel: Matrix) -> tuple[tuple[int, ...], Stack]:
     """(d, M): d_1 | ... | d_r, the nonzero diagonal of one Smith form U rel V,
-    and the read-only frame M(a) = U X(a) U^-1 of the stack X.  Like every
-    product over a whole stack, it is one ``linalg.stack_product``."""
+    and the frame M(a) = U X(a) U^-1 of the stack X.  Like every product over
+    a whole stack, it is one ``linalg.stack_product``."""
     snf = linalg.smith_normal_form(rel, want_u=True)
-    frame = linalg.stack_product(snf.u, stack, snf.uinv)
-    frame.flags.writeable = False
-    return snf.diagonal[:snf.rank], frame
+    return snf.diagonal[:snf.rank], linalg.stack_product(snf.u, stack, snf.uinv)
 
 
-def _derived(cls, group: FiniteGroup, relations: np.ndarray, action: np.ndarray,
-             frame: tuple[bool, tuple[int, ...], np.ndarray]):
+def _derived(cls, group: FiniteGroup, relations: Matrix, action: Stack,
+             frame: tuple[bool, tuple[int, ...], Stack]):
     """A ``cls`` record on what ``__post_init__`` would set, which a
     constructor just built from validated inputs as an action by construction
     with the Smith frame ``frame``.
 
-    The arrays are frozen in place and shared.  The result equals, hashes
-    like and shares every cache entry with the probed record built from the
-    same nested lists; no probe runs."""
+    The immutable matrices are shared.  The result equals, hashes like and
+    shares every cache entry with the probed record built from the same
+    nested lists; no probe runs."""
     record = object.__new__(cls)
-    relations.flags.writeable = action.flags.writeable = False
     for name, value in (("group", group), ("relations", relations), ("action", action),
-                        ("generators", len(relations)), ("_frame", frame)):
+                        ("generators", relations.shape[0]), ("_frame", frame)):
         object.__setattr__(record, name, value)
     return record
 
 
-def _lattice(group: FiniteGroup, stack: np.ndarray) -> GLattice:
-    """The derived lattice of a fresh ``(|G|, n, n)`` stack that is an action
-    by construction: no relations, and the stack is its own frame."""
-    return _derived(GLattice, group, linalg.zeros(stack.shape[1], 0), stack, (True, (), stack))
+def _lattice(group: FiniteGroup, stack: Stack) -> GLattice:
+    """The derived lattice of a fresh stack that is an action by
+    construction: no relations, and the stack is its own frame."""
+    return _derived(GLattice, group, linalg.zeros(stack[0].shape[0], 0), stack, (True, (), stack))
 
 
 def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) -> GLattice:
@@ -268,7 +256,7 @@ def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) ->
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
     if rank < 0:
         raise ValueError("rank must be nonnegative")
-    return _lattice(group, np.repeat(linalg.eye(rank)[None], group.order, axis=0))
+    return _lattice(group, (linalg.eye(rank),) * group.order)
 
 
 def sign_lattice(group: FiniteGroup, kernel: Subgroup) -> GLattice:
@@ -277,17 +265,15 @@ def sign_lattice(group: FiniteGroup, kernel: Subgroup) -> GLattice:
         raise ValueError("kernel must be a subgroup of the acting group")
     if kernel.index != 2:
         raise ValueError("sign lattice needs an index-2 subgroup as kernel")
-    return _lattice(group, np.array(
-        [[[1 if g in kernel.elements else -1]] for g in group.elements()], dtype=object))
+    return _lattice(group, tuple(linalg.diag((1 if g in kernel.elements else -1,))
+                                 for g in group.elements()))
 
 
 def _permutation(group: FiniteGroup, images: Sequence[Sequence[int]]) -> GLattice:
     """a sends basis vector x to basis vector images[a][x]."""
-    n = len(images[group.identity])
-    stack = linalg.zeros(group.order, n, n)
-    for a, row in enumerate(images):
-        stack[a, list(row), list(range(n))] = 1
-    return _lattice(group, stack)
+    n = len(images[group.identity])  # row y of X(a) has its 1 at the x sent to y
+    return _lattice(group, tuple(Matrix((n, n), tuple(((x, 1),) for _, x in sorted(
+        zip(row, range(n))))) for row in images))
 
 
 def permutation_lattice(gset: FiniteGSet) -> GLattice:
@@ -322,27 +308,29 @@ def induce(h: Subgroup, a: GLattice) -> GLattice:
     for x in g.elements():
         j = cosets[x][0]
         reps[j] = min(reps[j], g.mul(x, 0))
-    r_a = a.rank
-    stack = linalg.zeros(g.order, len(reps) * r_a, len(reps) * r_a)
+    r_a, n = a.rank, len(reps) * a.rank
+    stack = []
     for x in g.elements():
+        rows: list[dict[int, int]] = [{} for _ in range(n)]
         for i, j in enumerate(cosets[x]):
             k = g.mul(g.inv(reps[j]), g.mul(x, reps[i]))  # x r_i = r_j k with k in H
-            stack[x, j * r_a:(j + 1) * r_a, i * r_a:(i + 1) * r_a] = a.action[h.position(k)]
-    return _lattice(g, stack)
+            linalg.add_block(rows, j * r_a, i * r_a, 1, a.action[h.position(k)])
+        stack.append(linalg.from_rows((n, n), rows))
+    return _lattice(g, tuple(stack))
 
 
 def restrict(m: GLattice, h: Subgroup) -> GLattice:
     _require_lattice(m)
     if h.parent != m.group:
         raise ValueError("subgroup does not belong to the lattice's group")
-    return _lattice(h.as_group(), m.action[list(h.elements)])
+    return _lattice(h.as_group(), tuple(m.action[a] for a in h.elements))
 
 
 def dual(m: GLattice) -> GLattice:
     """Contragredient lattice: g acts by the transpose of the g^-1 matrix."""
     _require_lattice(m)
     g = m.group
-    return _lattice(g, m.action[list(g.inverse)].swapaxes(1, 2).copy())
+    return _lattice(g, tuple(m.action[a].T for a in g.inverse))
 
 
 def direct_sum(m1: GLattice, m2: GLattice) -> GLattice:
@@ -358,46 +346,44 @@ def direct_sum_all(lattices: Sequence[GLattice]) -> GLattice:
     group = lattices[0].group
     if any(m.group != group for m in lattices):
         raise ValueError("direct sum requires lattices over the same group")
-    n = sum(m.rank for m in lattices)
-    stack, at = linalg.zeros(group.order, n, n), 0
-    for m in lattices:
-        stack[:, at:at + m.rank, at:at + m.rank] = m.action
-        at += m.rank
-    return _lattice(group, stack)
+    at = [sum(m.rank for m in lattices[:k]) for k in range(len(lattices) + 1)]
+    return _lattice(group, tuple(Matrix((at[-1], at[-1]), tuple(
+        tuple((j + at[k], x) for j, x in row)
+        for k, m in enumerate(lattices) for row in m.action[a].rows))
+        for a in group.elements()))
 
 
-def norm_operator(m: GLattice) -> np.ndarray:
+def norm_operator(m: GLattice) -> Matrix:
     """The averaging operator N = sum over g of action(g)."""
     _require_lattice(m)
-    return m.action.sum(axis=0)
+    return linalg.combine((1, x) for x in m.action)
 
 
-def norm_vector(m: GLattice) -> np.ndarray:
+def norm_vector(m: GLattice) -> Matrix:
     """N e_1, the sum of the first columns of the stack, as a column."""
     _require_lattice(m)
-    return m.action[:, :, :1].sum(axis=0)
+    return linalg.combine((1, x.take(cols=[0])) for x in m.action)
 
 
-def invariants(m: GLattice) -> tuple[np.ndarray, int]:
+def invariants(m: GLattice) -> tuple[Matrix, int]:
     """Hermite basis of the fixed sublattice M^G (saturated) and its rank.
 
     A vector fixed by a generating set is fixed by the whole group.
     """
     _require_lattice(m)
-    rows = [m.action[s] - linalg.eye(m.rank) for s in generating_set(m.group)]
-    if not rows:
-        return linalg.eye(m.rank), m.rank
-    basis = linalg.kernel_basis(np.vstack(rows))
+    gens, eye = generating_set(m.group), linalg.eye(m.rank)
+    rows = [linalg.combine([(1, m.action[s]), (-1, eye)]).rows for s in gens]
+    basis = linalg.kernel_basis(Matrix((len(gens) * m.rank, m.rank), sum(rows, ())))
     return basis, basis.shape[1]
 
 
 def trace_character(m: GLattice) -> tuple[int, ...]:
     """chi(g) = trace of the matrix of g, indexed by group element."""
     _require_lattice(m)
-    return tuple(sum(mat.diagonal().tolist()) for mat in m.action)
+    return tuple(map(linalg.trace, m.action))
 
 
-def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
+def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, Matrix]:
     """Quotient by a G-stable saturated sublattice, with the projection matrix.
 
     ``sub_basis`` is a rank x s integer matrix whose columns form a basis of
@@ -411,8 +397,7 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
     nonzeros per row and its section one per column.
     """
     _require_lattice(m)
-    s = sub_basis if isinstance(sub_basis, np.ndarray) else linalg.intmat(
-        sub_basis, shape=(m.rank, len(sub_basis[0]) if len(sub_basis) else 0))
+    s = linalg.intmat(sub_basis)
     if s.shape[0] != m.rank:
         raise ValueError("sublattice basis lives in the wrong ambient rank")
     ncols = s.shape[1]
@@ -422,11 +407,11 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, np.ndarray]:
     full = linalg.smith_normal_form(s, want_u=True)
     if any(d != 1 for d in full.diagonal):
         raise ValueError("sublattice is not saturated; quotient would have torsion")
-    proj = full.u[ncols:, :]
+    proj = full.u.take(rows=range(ncols, m.rank))
     if not all(linalg.is_zero(linalg.mul(proj, linalg.mul(m.action[a], s)))
                for a in generating_set(m.group)):  # stable under generators is stable
         raise ValueError("sublattice is not stable under the group action")
-    section = full.uinv[:, ncols:]
+    section = full.uinv.take(cols=range(ncols, m.rank))
     quotient = linalg.stack_product(proj, m.action, section)
     return _lattice(m.group, quotient), proj
 
@@ -441,8 +426,8 @@ def presentation_mod(m: GLattice, modulus: int) -> GModulePresentation:
     modulus = linalg.integer(modulus)
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    return _derived(GModulePresentation, m.group, modulus * linalg.eye(m.rank), m.action,
-                    (True, (modulus,) * m.rank, m.action))
+    return _derived(GModulePresentation, m.group, linalg.diag((modulus,) * m.rank),
+                    m.action, (True, (modulus,) * m.rank, m.action))
 
 
 def _regular_cover(module: GModulePresentation) -> GModulePresentation:
@@ -454,8 +439,12 @@ def _regular_cover(module: GModulePresentation) -> GModulePresentation:
     order, ident = group.order, group.identity
     regular = _permutation(group, [[b * n + i for b in row for i in range(n)]
                                    for row in group.table]).action
-    kernel = np.hstack([linalg.eye(n * order), linalg.zeros(n * order, rel.shape[1])])
-    kernel[ident * n:(ident + 1) * n, :] -= np.hstack(list(module.action) + [-rel])
+    # [I | 0] less [X(0) ... X(|G| - 1) | -R] in the identity's block of rows
+    kernel = [{y: 1} for y in range(n * order)]
+    for g, x in enumerate(module.action):
+        linalg.add_block(kernel, ident * n, g * n, -1, x)
+    linalg.add_block(kernel, ident * n, n * order, 1, rel)
+    kernel = linalg.from_rows((n * order, n * order + rel.shape[1]), kernel)
     d, frame = _smith_frame(regular, kernel)
     return _derived(GModulePresentation, group, kernel, regular, (True, d, frame))
 
@@ -497,8 +486,7 @@ class FGAbelian:
     def from_divisors(cls, divisors: Iterable[int]) -> "FGAbelian":
         """Normalize arbitrary cyclic orders (0 meaning Z) to invariant factors."""
         orders = [abs(linalg.integer(d)) for d in divisors]
-        finite = linalg.intmat([d for d in orders if d], (len(orders) - orders.count(0),))
-        return cls(orders.count(0), linalg.invariant_factors(np.diag(finite)))
+        return cls(orders.count(0), linalg.invariant_factors(linalg.diag([d for d in orders if d])))
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion

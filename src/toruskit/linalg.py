@@ -1,24 +1,25 @@
 """Exact linear algebra over the integers.
 
-All matrices are numpy arrays with ``dtype=object`` holding Python ints, so
-nothing ever rounds or overflows.  The workhorse is a Smith normal form with
-optional unimodular transforms: one elimination on sparse rows that takes
-+-1 pivots in one sweep over the columns, sparsest first, then entries of
-least absolute value; it keeps the divisibility chain at every pivot and
-serves plain and transform requests alike.  Invariant factors, kernels
-and integer solves are derived from it.  A column-style Hermite form is used
-to put lattice bases into a canonical shape, and the product of a stack of
-sparse matrices with a matrix on either side multiplies nonzero entries only.
-``sparse_rows`` is the one reader that turns a matrix into rows: the Smith
-form, the stack product and the lattices' group-law probe all read it.
+Every matrix is a ``Matrix``: an immutable shape plus, per row, the (column,
+entry) pairs of its nonzero Python ints, so nothing rounds or overflows and
+only nonzero entries cost work; a stack is a tuple of them, one per group
+element.  ``intmat`` reads caller data (nested lists, any array) through
+``integer``.  The workhorse is a Smith normal form with optional unimodular
+transforms: one elimination on sparse rows that takes +-1 pivots in one sweep
+over the columns, sparsest first, then entries of least absolute value; it
+keeps the divisibility chain at every pivot and serves plain and transform
+requests alike.  Invariant factors, kernels and integer solves are derived
+from it.  A column-style Hermite form puts lattice bases into a canonical
+shape, and ``stack_product`` multiplies a stack by a matrix on either side.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-import numpy as np
+_entry = operator.itemgetter(1)
 
 
 def integer(x) -> int:
@@ -27,72 +28,170 @@ def integer(x) -> int:
     return operator.index(x)
 
 
-def intmat(data, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """Copy ``data`` into a fresh object-dtype array of Python ints.
+@dataclass(frozen=True)
+class Matrix:
+    """An immutable m x n integer matrix, built by ``intmat`` or the package:
+    ``rows[i]`` holds the (column, entry) pairs of row i's nonzero entries,
+    columns increasing.  Equality and the hash see the shape and the rows."""
 
+    shape: tuple[int, int]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def T(self) -> Matrix:
+        cols: list[list] = [[] for _ in range(self.shape[1])]
+        for i, j, x in self.items():
+            cols[j].append((i, x))
+        return Matrix(self.shape[::-1], tuple(map(tuple, cols)))
+
+    def items(self) -> Iterable[tuple[int, int, int]]:  # (i, j, entry) where nonzero
+        return ((i, j, x) for i, row in enumerate(self.rows) for j, x in row)
+
+    def tolist(self) -> list[list[int]]:
+        out = [[0] * self.shape[1] for _ in self.rows]
+        for i, j, x in self.items():
+            out[i][j] = x
+        return out
+
+    def _entries(self) -> list[int]:  # the nonzero entries, and a 0 if any
+        xs = [x for _, _, x in self.items()]
+        return xs + [0] * (len(xs) < self.size)
+
+    def max(self) -> int:
+        return max(self._entries())
+
+    def min(self) -> int:
+        return min(self._entries())
+
+    def take(self, rows: Iterable[int] | None = None,
+             cols: Iterable[int] | None = None) -> Matrix:
+        """The submatrix on ``rows`` and ``cols`` (all when None), in their order."""
+        picked = self.rows if rows is None else tuple(self.rows[i] for i in rows)
+        at = {j: k for k, j in enumerate(range(self.shape[1]) if cols is None else cols)}
+        return Matrix((len(picked), len(at)), tuple(
+            tuple(sorted((at[j], x) for j, x in row if j in at)) for row in picked))
+
+
+def from_rows(shape: tuple[int, int], rows: Iterable[dict[int, int]]) -> Matrix:
+    """The matrix whose rows are the sparse vectors {column: entry}."""
+    return Matrix(shape, tuple([tuple(sorted(filter(_entry, row.items()))) for row in rows]))
+
+
+def intmat(data, shape: tuple[int, int] | None = None) -> Matrix:
+    """``data`` as a ``Matrix``: a Matrix as it is, anything else (nested
+    lists, any array) read row by row, each entry through ``integer``.
     ``shape`` is required when ``data`` cannot determine it (no rows, or rows
-    of length zero).  Entries of type exactly ``int`` are copied as they are;
-    every other entry goes through ``integer``, so non-integers raise
-    ``TypeError``."""
-    src = np.array(data, dtype=object)
-    shape = src.shape if shape is None else tuple(shape)
-    if src.shape != shape and (src.size or 0 not in shape):
-        raise ValueError(f"data of shape {src.shape} does not match requested {shape}")
-    out = np.empty(shape, dtype=object)
-    out.reshape(-1)[:] = [x if type(x) is int else integer(x) for x in src.flat]
-    return out
+    of length zero); a mismatch raises ``ValueError``."""
+    if type(data) is not Matrix:
+        lists = data.tolist() if hasattr(data, "tolist") else data
+        rows = [[x if type(x) is int else integer(x) for x in row] for row in lists]
+        n = len(rows[0]) if rows else getattr(data, "shape", (0,))[-1]  # an array's width
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix rows differ in length")
+        data = Matrix((len(rows), n), tuple(
+            tuple((j, x) for j, x in enumerate(row) if x) for row in rows))
+    if shape is None or data.shape == tuple(shape):
+        return data
+    if data.size or 0 not in shape:
+        raise ValueError(f"data of shape {data.shape} does not match requested {tuple(shape)}")
+    return zeros(*shape)
 
 
-def zeros(*shape: int) -> np.ndarray:
-    out = np.empty(shape, dtype=object)
-    out[...] = 0
-    return out
+def zeros(m: int, n: int) -> Matrix:
+    return Matrix((m, n), ((),) * m)
 
 
-def eye(n: int) -> np.ndarray:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+def diag(entries: Sequence[int], m: int | None = None) -> Matrix:
+    """The m x len(entries) matrix, m = len(entries) unless given, with
+    ``entries`` down its diagonal."""
+    n = len(entries)
+    m = n if m is None else m
+    return Matrix((m, n), tuple(((i, x),) if x else () for i, x in enumerate(entries))
+                  + ((),) * (m - n))
 
 
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product; handles empty inner dimensions."""
+def eye(n: int) -> Matrix:
+    return diag((1,) * n)
+
+
+def mul(a, b) -> Matrix:
+    """Exact matrix product: row i of a b sums the rows of b that row i of a selects."""
+    a, b = intmat(a), intmat(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-        return zeros(a.shape[0], b.shape[1])
-    return np.dot(a, b)
+    rows = []
+    for row in a.rows:
+        out: dict[int, int] = {}
+        for l, y in row:
+            for j, z in b.rows[l]:
+                out[j] = out.get(j, 0) + y * z
+        rows.append(out)
+    return from_rows((a.shape[0], b.shape[1]), rows)
 
 
-def is_zero(a: np.ndarray) -> bool:
-    return a.size == 0 or not (a != 0).any()
+def add_block(rows: list[dict[int, int]], i: int, j: int, c: int, a: Matrix) -> None:
+    """Add c a to the sparse rows {column: entry} with a's (0, 0) at (i, j)."""
+    for l, row in enumerate(a.rows):
+        out = rows[i + l]
+        for k, x in row:
+            out[j + k] = out.get(j + k, 0) + c * x
 
 
-def det(a: np.ndarray) -> int:
+def combine(terms: Iterable[tuple[int, Matrix]]) -> Matrix:
+    """The sum of c a over the pairs (c, a) of ``terms``, at least one, all
+    matrices of one shape."""
+    terms = [(c, intmat(a)) for c, a in terms]
+    shape = terms[0][1].shape
+    rows: list[dict[int, int]] = [{} for _ in range(shape[0])]
+    for c, a in terms:
+        if a.shape != shape:
+            raise ValueError(f"shape mismatch {shape} + {a.shape}")
+        add_block(rows, 0, 0, c, a)
+    return from_rows(shape, rows)
+
+
+def stack_product(left, stack: Sequence[Matrix], right) -> tuple[Matrix, ...]:
+    """left @ X @ right for every matrix X of ``stack``, over nonzero entries."""
+    left, right = intmat(left), intmat(right)
+    return tuple(mul(mul(left, x), right) for x in stack)
+
+
+def is_zero(a) -> bool:
+    return not any(intmat(a).rows)
+
+
+def trace(a: Matrix) -> int:
+    return sum(x for i, j, x in a.items() if i == j)
+
+
+def det(a) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
+    a = intmat(a)
     m, n = a.shape
     if m != n:
         raise ValueError("determinant of a non-square matrix")
     if m == 0:
         return 1
-    d = a.copy()
-    sign = 1
-    prev = 1
+    d = a.tolist()
+    sign = prev = 1
     for k in range(m - 1):
-        if d[k, k] == 0:
+        if d[k][k] == 0:
             for i in range(k + 1, m):
-                if d[i, k] != 0:
-                    d[[k, i]] = d[[i, k]]
+                if d[i][k] != 0:
+                    d[k], d[i] = d[i], d[k]
                     sign = -sign
                     break
             else:
                 return 0
         for i in range(k + 1, m):
             for j in range(k + 1, m):
-                d[i, j] = (d[i, j] * d[k, k] - d[i, k] * d[k, j]) // prev
-        prev = d[k, k]
-    return sign * int(d[m - 1, m - 1])
+                d[i][j] = (d[i][j] * d[k][k] - d[i][k] * d[k][j]) // prev
+        prev = d[k][k]
+    return sign * d[m - 1][m - 1]
 
 
 class SmithForm(NamedTuple):
@@ -105,9 +204,9 @@ class SmithForm(NamedTuple):
 
     diagonal: tuple[int, ...]
     rank: int
-    u: Optional[np.ndarray]
-    uinv: Optional[np.ndarray]
-    v: Optional[np.ndarray]
+    u: Optional[Matrix]
+    uinv: Optional[Matrix]
+    v: Optional[Matrix]
 
 
 def _axpy(y: dict[int, int], c: int, x: dict[int, int]) -> None:
@@ -120,62 +219,16 @@ def _axpy(y: dict[int, int], c: int, x: dict[int, int]) -> None:
             del y[k]
 
 
-def sparse_rows(a: np.ndarray) -> list[dict[int, int]]:
-    """The rows of the 2-D object array ``a`` as sparse vectors {column: entry}."""
-    rows: list[dict[int, int]] = [{} for _ in range(a.shape[0])]
-    at = np.nonzero(a)
-    for i, j, x in zip(at[0].tolist(), at[1].tolist(), a[at].tolist()):
-        rows[i][j] = x
-    return rows
-
-
-def stack_product(left: np.ndarray, stack: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ X @ right for every matrix X of the ``(k, n, n)`` object stack.
-
-    Only nonzero entries are multiplied.  ``left``, ``right`` and the stack
-    are each read once as sparse rows; row i of left @ X sums the rows of X
-    that the nonzeros of row i of ``left`` select, and its nonzeros select
-    the rows of ``right`` in turn.  The sums are written into the dense
-    ``(k, r, c)`` result at once.
-    """
-    k, n = stack.shape[:2]
-    if left.shape[1] != n or right.shape[0] != n:
-        raise ValueError(f"shape mismatch {left.shape} @ {stack.shape} @ {right.shape}")
-    r, c = left.shape[0], right.shape[1]
-    lrows, rrows = sparse_rows(left), sparse_rows(right)
-    xrows = sparse_rows(stack.reshape(k * n, n))
-    sums: dict[int, int] = {}  # flat index into the result: entry
-    for a in range(k):
-        x = xrows[a * n:(a + 1) * n]
-        for i, lrow in enumerate(lrows):
-            lx: dict[int, int] = {}
-            for l, y in lrow.items():
-                for j, z in x[l].items():
-                    lx[j] = lx.get(j, 0) + y * z
-            base = (a * r + i) * c
-            for l, y in lx.items():
-                for j, z in rrows[l].items():
-                    sums[base + j] = sums.get(base + j, 0) + y * z
-    out = zeros(k, r, c)
-    if sums:
-        out.reshape(-1)[list(sums)] = np.array(list(sums.values()), dtype=object)
-    return out
-
-
-def _dense(vectors: list[dict[int, int]], fixed: list[int], signs: list[int]) -> np.ndarray:
+def _ordered(vectors: list[dict[int, int]], fixed: list[int], signs: list[int]) -> Matrix:
     """The square matrix whose rows are signs[t] * vectors[fixed[t]], then
     the other vectors in index order."""
     order = fixed + sorted(set(range(len(vectors))).difference(fixed))
-    out = zeros(len(order), len(order))
-    for r, k in enumerate(order):
-        s = signs[r] if r < len(signs) else 1
-        for c, x in vectors[k].items():
-            out[r, c] = s * x
-    return out
+    return from_rows((len(order), len(order)), (
+        {c: -x for c, x in vectors[k].items()} if r < len(signs) and signs[r] < 0
+        else vectors[k] for r, k in enumerate(order)))
 
 
-def smith_normal_form(a: np.ndarray, want_u: bool = False,
-                      want_v: bool = False) -> SmithForm:
+def smith_normal_form(a, want_u: bool = False, want_v: bool = False) -> SmithForm:
     """The Smith normal form of ``a``, with U and U^-1, and V, on request.
 
     One elimination on sparse rows {column: entry}.  It first sweeps the
@@ -191,16 +244,15 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
     the pivots are fixed in the order d_1 | d_2 | ..., the +-1 first.
 
     U rows, U^-1 columns and V columns are kept as sparse vectors only when
-    asked for, then put into pivot order and made dense once at the end.
-    The diagonal is unique; U, U^-1 and V are one valid choice among many.
+    asked for, then put into pivot order once at the end.  The diagonal is
+    unique; U, U^-1 and V are one valid choice among many.
 
     >>> smith_normal_form(intmat([[2, 0], [0, 3]])).diagonal
     (1, 6)
     """
-    if a.dtype != object:
-        a = intmat(a)
+    a = intmat(a)
     m, n = a.shape
-    rows = sparse_rows(a)
+    rows = [dict(row) for row in a.rows]
     cols: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -285,78 +337,69 @@ def smith_normal_form(a: np.ndarray, want_u: bool = False,
     signs = [1 if p > 0 else -1 for _, _, p in pivots]
     fixed = [i for i, _, _ in pivots]
     if u is not None:
-        u = _dense(u, fixed, signs)
-        uinv = _dense(uinv, fixed, signs).T.copy()
+        u = _ordered(u, fixed, signs)
+        uinv = _ordered(uinv, fixed, signs).T
     if v is not None:
-        v = _dense(v, [j for _, j, _ in pivots], []).T.copy()
-    diag = tuple(abs(p) for _, _, p in pivots)
-    return SmithForm(diag + (0,) * (min(m, n) - len(diag)), len(diag), u, uinv, v)
+        v = _ordered(v, [j for _, j, _ in pivots], []).T
+    fixed_d = tuple(abs(p) for _, _, p in pivots)
+    return SmithForm(fixed_d + (0,) * (min(m, n) - len(fixed_d)), len(fixed_d), u, uinv, v)
 
 
-def invariant_factors(a: np.ndarray) -> tuple[int, ...]:
+def invariant_factors(a) -> tuple[int, ...]:
     """Nontrivial invariant factors (entries >= 2) of the Smith form."""
     return tuple(x for x in smith_normal_form(a).diagonal if x not in (0, 1))
 
 
-def kernel_basis(a: np.ndarray) -> np.ndarray:
+def kernel_basis(a) -> Matrix:
     """Columns form a basis of {x : a @ x = 0}; always a saturated lattice."""
     snf = smith_normal_form(a, want_v=True)
-    ker = snf.v[:, snf.rank:]
-    return hermite_column(ker)
+    return hermite_column(snf.v.take(cols=range(snf.rank, snf.v.shape[1])))
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+def solve(a, b) -> Optional[Matrix]:
     """An integer solution X of a @ X = b, or None if there is none."""
+    a, b = intmat(a), intmat(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError("shape mismatch in solve")
     snf = smith_normal_form(a, want_u=True, want_v=True)
     r, y = snf.rank, mul(snf.u, b)  # D V^-1 X = U b
-    d = intmat(snf.diagonal[:r], (r,))[:, None]
-    if not is_zero(y[:r] % d) or not is_zero(y[r:]):
+    d = snf.diagonal
+    if any(i >= r or x % d[i] for i, _, x in y.items()):
         return None
-    x = zeros(a.shape[1], b.shape[1])
-    x[:r] = y[:r] // d
+    x = from_rows((a.shape[1], b.shape[1]), [{j: z // d[i] for j, z in row} for i, row in
+                                             enumerate(y.rows[:r])] + [{}] * (a.shape[1] - r))
     return mul(snf.v, x)
 
 
-def hermite_column(a: np.ndarray) -> np.ndarray:
+def hermite_column(a) -> Matrix:
     """Column-style Hermite normal form, zero columns dropped.
 
     Pivots are positive and sit strictly lower as one moves right; entries to
     the right of a pivot in its row vanish and entries to the left are reduced
     into [0, pivot).  The result is the canonical basis of the column span.
     """
-    h = a.copy() if a.dtype == object else intmat(a)
-    m, n = h.shape
+    a = intmat(a)
+    m, n = a.shape
+    h = a.T.tolist()  # h[j] is column j
+
+    def sub(j, q, c):  # column j -= q column c
+        h[j] = [x - q * y for x, y in zip(h[j], h[c])]
     c = 0  # next pivot column
     for r in range(m):
         # gcd-collect row r into column c using columns >= c
-        piv = None
-        for j in range(c, n):
-            if h[r, j] != 0:
-                piv = j
-                break
+        piv = next((j for j in range(c, n) if h[j][r] != 0), None)
         if piv is None:
             continue
-        if piv != c:
-            h[:, [c, piv]] = h[:, [piv, c]]
+        h[c], h[piv] = h[piv], h[c]
         for j in range(c + 1, n):
-            while h[r, j] != 0:
-                q = h[r, j] // h[r, c]
-                if q:
-                    h[:, j] -= q * h[:, c]
-                if h[r, j] == 0:
-                    break
-                h[:, [c, j]] = h[:, [j, c]]
-        if h[r, c] < 0:
-            h[:, c] *= -1
+            while h[j][r]:
+                sub(j, h[j][r] // h[c][r], c)
+                if h[j][r]:
+                    h[c], h[j] = h[j], h[c]
+        if h[c][r] < 0:
+            h[c] = [-x for x in h[c]]
         for j in range(c):
-            q = h[r, j] // h[r, c]
-            if q:
-                h[:, j] -= q * h[:, c]
+            sub(j, h[j][r] // h[c][r], c)
         c += 1
-        if c == n:
-            break
-    # drop zero columns
-    keep = [j for j in range(n) if not is_zero(h[:, j:j + 1])]
-    return h[:, keep] if keep else zeros(m, 0)
+    keep = [col for col in h if any(col)]
+    return intmat(keep, (len(keep), m)).T

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .arith import (AbelianGaloisDatum, _artin_factor, _local_determinant,
                     _unramified_frobenius, primes_up_to)
 from .cohomology import cohomology, sha2_cyclic
@@ -99,11 +97,13 @@ class GmAdelicCheck(NamedTuple):
     coefficient_volume_product: Fraction
 
 
-def simpson(y: np.ndarray, x: np.ndarray) -> float:
+def simpson(y, x) -> float:
     """Composite Simpson rule for samples y at increasing x, len(y) >= 3.
 
     Interval pairs take the uneven-spacing rule, an even count adds Cartwright's
-    last-interval correction; tests pin the order of operations bit for bit."""
+    last-interval correction; tests pin numpy's sums bit for bit, so it and
+    ``gm_adelic_check`` alone import numpy, where they run."""
+    import numpy as np
     n, h = len(y), np.diff(x)
     stop = n - 2 if n % 2 else n - 3
     h0, h1 = h[0:stop:2], h[1:stop + 1:2]
@@ -147,6 +147,7 @@ def gm_adelic_check(pmax: int = 100, grid: QuadratureGrid | None = None,
             f"quadrature points are bounded by {POINTS_LIMIT}, got {grid.points}")
     if scale <= 0:
         raise ValueError("scale must be positive")
+    import numpy as np
     gm = _gm_torus()
     coeffs = canonical_coefficients(gm, pmax)
     product = Fraction(1)

@@ -175,6 +175,6 @@ def norm_character(t: Torus) -> LatticeMap:
     source = trivial_lattice(group, 1)
     ones = ((1,),) * t.dim
     mat = linalg.intmat(ones)
-    if not linalg.is_zero(linalg.stack_product(linalg.eye(t.dim), t.X.action, mat) - mat):
+    if linalg.stack_product(linalg.eye(t.dim), t.X.action, mat) != (mat,) * t.group.order:
         raise InternalInvariantError("norm vector is not invariant")
     return LatticeMap(source, t.X, ones)

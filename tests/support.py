@@ -44,17 +44,33 @@ def s3_group() -> FiniteGroup:
     return FiniteGroup(table, "S3")
 
 
+def dense(x) -> np.ndarray:
+    """A package matrix, or a stack (sequence) of them, as an object-dtype
+    array of Python ints; an array is returned as it is.  The one place where
+    the tests turn package output into numpy arrays for their own arithmetic,
+    indexing and comparisons."""
+    if isinstance(x, np.ndarray):
+        return x
+    if isinstance(x, linalg.Matrix):
+        return np.array(x.tolist(), dtype=object).reshape(x.shape)
+    return np.stack([dense(m) for m in x])
+
+
+def identity(n: int) -> np.ndarray:
+    return dense(linalg.eye(n))
+
+
 def conjugate(m: GLattice, u) -> GLattice:
     """Change of basis: the same lattice written on the columns of u."""
-    u = u if isinstance(u, np.ndarray) else linalg.intmat(u)
+    u = dense(linalg.intmat(u))
     if abs(linalg.det(u)) != 1:
         raise ValueError("basis change must be unimodular")
-    uinv = linalg.solve(u, linalg.eye(m.rank))
-    return GLattice(m.group, np.matmul(np.matmul(uinv, m.action), u))
+    uinv = dense(linalg.solve(u, linalg.eye(m.rank)))
+    return GLattice(m.group, np.matmul(np.matmul(uinv, dense(m.action)), u))
 
 
-def reference_action_error(group: FiniteGroup, stack: np.ndarray,
-                           rel: np.ndarray | None = None) -> str | None:
+def reference_action_error(group: FiniteGroup, stack,
+                           rel=None) -> str | None:
     """The message a constructor must raise for ``stack``, or None if it is
     an action on Z^n / span(rel) (on Z^n when ``rel`` is None or empty).
 
@@ -63,26 +79,28 @@ def reference_action_error(group: FiniteGroup, stack: np.ndarray,
     modulo span(rel) by one solve; no probe vector is involved.  As in the
     constructors, "preserves span(rel)" is asked of the generators.
     """
-    ident = stack[group.identity] - linalg.eye(stack.shape[1])
+    stack = dense(stack)
+    rel = None if rel is None else dense(rel)
+    ident = stack[group.identity] - identity(stack.shape[1])
     laws = [np.matmul(stack, stack[b]) - stack[[row[b] for row in group.table]]
             for b in group.elements()]
     if rel is None or rel.shape[1] == 0:
-        if not linalg.is_zero(ident):
+        if np.any(ident != 0):
             return "identity must act as the identity matrix"
-        if not all(linalg.is_zero(diff) for diff in laws):
+        if any(np.any(diff != 0) for diff in laws):
             return "action matrices do not respect the group law"
         return None
     gens = generating_set(group)
     if linalg.solve(rel, ident) is None:
         return "identity must act as the identity on the quotient"
-    if gens and linalg.solve(rel, np.hstack([linalg.mul(stack[s], rel) for s in gens])) is None:
+    if gens and linalg.solve(rel, np.hstack([np.matmul(stack[s], rel) for s in gens])) is None:
         return "action does not preserve the relation lattice"
     if linalg.solve(rel, np.hstack([block for diff in laws for block in diff])) is None:
         return "action does not respect the group law on the quotient"
     return None
 
 
-def reference_quotient_action(m: GLattice, proj: np.ndarray) -> np.ndarray:
+def reference_quotient_action(m: GLattice, proj) -> np.ndarray:
     """proj X(a) section for every a, by object-dtype ``np.matmul`` over the
     whole stack, for the projection ``proj`` that ``quotient_lattice`` returns.
 
@@ -90,13 +108,13 @@ def reference_quotient_action(m: GLattice, proj: np.ndarray) -> np.ndarray:
     differ by vectors of the sublattice ker(proj), which X(a) keeps and
     ``proj`` kills, so the product does not depend on the choice.
     """
-    section = linalg.solve(proj, linalg.eye(proj.shape[0]))
-    return np.matmul(np.matmul(proj, m.action), section)
+    section = dense(linalg.solve(proj, linalg.eye(proj.shape[0])))
+    return np.matmul(np.matmul(dense(proj), dense(m.action)), section)
 
 
 def bareiss_charpoly_value(m: GLattice, g: int, x: int) -> int:
     """det(x I - X(g)) by one Bareiss determinant of the matrix itself."""
-    return linalg.det(x * linalg.eye(m.rank) - m.action[g])
+    return linalg.det(x * identity(m.rank) - dense(m.action[g]))
 
 
 def bareiss_local_factor(t: Torus, p: int) -> Fraction:
@@ -105,7 +123,7 @@ def bareiss_local_factor(t: Torus, p: int) -> Fraction:
 
 
 def random_unimodular(rank: int, rng: random.Random, steps: int = 8) -> np.ndarray:
-    u = linalg.eye(rank)
+    u = identity(rank)
     for _ in range(steps):
         i, j = rng.randrange(rank), rng.randrange(rank)
         if i == j:
@@ -148,12 +166,12 @@ def hom_lattice(m: GLattice, n: GLattice) -> GLattice:
     rm, rn = m.rank, n.rank
     mats = []
     for a in g.elements():
-        big = linalg.zeros(rm * rn, rm * rn)
-        left = n.action[a]
-        right = m.action[g.inv(a)]
+        big = np.zeros((rm * rn, rm * rn), dtype=object)
+        left = dense(n.action[a])
+        right = dense(m.action[g.inv(a)])
         # f -> left @ f @ right, flattened with index (j, i) -> j*rn + i
         for j, i in itertools.product(range(rm), range(rn)):
-            img = linalg.mul(linalg.mul(left, _unit_matrix(rn, rm, i, j)), right)
+            img = np.matmul(np.matmul(left, _unit_matrix(rn, rm, i, j)), right)
             for jj, ii in itertools.product(range(rm), range(rn)):
                 big[jj * rn + ii, j * rn + i] = img[ii, jj]
         mats.append(big)
@@ -161,7 +179,7 @@ def hom_lattice(m: GLattice, n: GLattice) -> GLattice:
 
 
 def _unit_matrix(rows, cols, i, j):
-    u = linalg.zeros(rows, cols)
+    u = np.zeros((rows, cols), dtype=object)
     u[i, j] = 1
     return u
 
@@ -171,8 +189,8 @@ def tensor_lattice(m: GLattice, n: GLattice) -> GLattice:
         raise ValueError("tensor lattice requires a common group")
     mats = []
     for a in m.group.elements():
-        am, an = m.action[a], n.action[a]
-        big = linalg.zeros(m.rank * n.rank, m.rank * n.rank)
+        am, an = dense(m.action[a]), dense(n.action[a])
+        big = np.zeros((m.rank * n.rank, m.rank * n.rank), dtype=object)
         for i, j in itertools.product(range(m.rank), repeat=2):
             if am[i, j] != 0:
                 big[i * n.rank:(i + 1) * n.rank, j * n.rank:(j + 1) * n.rank] = \
@@ -186,7 +204,7 @@ def presentation_of_lattice(m: GLattice) -> GModulePresentation:
     return GModulePresentation(m.group, linalg.zeros(m.rank, 0), m.action)
 
 
-def is_saturated(a: np.ndarray) -> bool:
+def is_saturated(a) -> bool:
     """True when Z^m / colspan(a) is torsion-free and a has full column rank."""
     snf = linalg.smith_normal_form(a)
     return snf.rank == a.shape[1] and all(x == 1 for x in snf.diagonal[:snf.rank])
@@ -205,21 +223,20 @@ def brute_force_cocycles(lattice: GLattice) -> tuple[np.ndarray, np.ndarray]:
     rows = []
     for a in group.elements():
         for b in group.elements():
-            block = linalg.zeros(r, n)
+            block = np.zeros((r, n), dtype=object)
             ab = group.mul(a, b)
-            block[:, ab * r:(ab + 1) * r] += linalg.eye(r)
-            block[:, a * r:(a + 1) * r] -= linalg.eye(r)
-            block[:, b * r:(b + 1) * r] -= lattice.matrix(a)
+            block[:, ab * r:(ab + 1) * r] += identity(r)
+            block[:, a * r:(a + 1) * r] -= identity(r)
+            block[:, b * r:(b + 1) * r] -= dense(lattice.matrix(a))
             rows.append(block)
-    cocycles = linalg.kernel_basis(np.vstack(rows))
-    cob = linalg.zeros(n, r)
+    cocycles = dense(linalg.kernel_basis(np.vstack(rows)))
+    cob = np.zeros((n, r), dtype=object)
     for a in group.elements():
-        cob[a * r:(a + 1) * r, :] = lattice.matrix(a) - linalg.eye(r)
+        cob[a * r:(a + 1) * r, :] = dense(lattice.matrix(a)) - identity(r)
     return cocycles, cob
 
 
-def quotient_invariants(numerator: np.ndarray, denominator: np.ndarray
-                        ) -> tuple[int, tuple[int, ...]]:
+def quotient_invariants(numerator, denominator) -> tuple[int, tuple[int, ...]]:
     """Structure of span(numerator)/span(denominator) inside Z^m.
 
     Requires span(denominator) <= span(numerator).  Returns (free_rank,
@@ -244,11 +261,11 @@ def brute_force_h1_order(lattice: GLattice) -> int:
     return order
 
 
-def bar_restrict_cochain(cochain: np.ndarray, group: FiniteGroup, sub: Subgroup,
+def bar_restrict_cochain(cochain, group: FiniteGroup, sub: Subgroup,
                          q: int, rank: int) -> np.ndarray:
     """Pull bar cochain columns on G^q back to H^q along the inclusion."""
-    h = sub.order
-    out = linalg.zeros(rank * h ** q, cochain.shape[1])
+    h, cochain = sub.order, dense(cochain)
+    out = np.zeros((rank * h ** q, cochain.shape[1]), dtype=object)
     for tup in itertools.product(range(h), repeat=q):
         src = _tuple_index([sub.elements[i] for i in tup], group.order) * rank
         dst = _tuple_index(tup, h) * rank
@@ -262,7 +279,7 @@ def bar_classes(lattice: GLattice, q: int):
     d_prev = bar_differential(lattice.group, lattice.action, q - 1)
     snf = linalg.smith_normal_form(d_prev, want_u=True)
     cols = [i for i in range(snf.rank) if snf.diagonal[i] >= 2]
-    return [snf.diagonal[i] for i in cols], snf.uinv[:, cols], d_prev
+    return [snf.diagonal[i] for i in cols], dense(snf.uinv)[:, cols], dense(d_prev)
 
 
 def bar_presented_cohomology(module: GModulePresentation, q: int
@@ -271,20 +288,20 @@ def bar_presented_cohomology(module: GModulePresentation, q: int
     cocycles modulo relations over coboundaries plus relations."""
     group = module.group
     mats = module.action
-    rel = module.relations
+    rel = dense(module.relations)
 
     def relations(copies):
         n, k = rel.shape
-        out = linalg.zeros(n * copies, k * copies)
+        out = np.zeros((n * copies, k * copies), dtype=object)
         for t in range(copies):
             out[t * n:(t + 1) * n, t * k:(t + 1) * k] = rel
         return out
 
     dim_q = module.generators * group.order ** q
-    d_q = bar_differential(group, mats, q)
-    kernel = linalg.kernel_basis(np.hstack([d_q, relations(group.order ** (q + 1))]))
+    d_q = dense(bar_differential(group, mats, q))
+    kernel = dense(linalg.kernel_basis(np.hstack([d_q, relations(group.order ** (q + 1))])))
     here = relations(group.order ** q)
-    d_prev = bar_differential(group, mats, q - 1) if q else linalg.zeros(dim_q, 0)
+    d_prev = dense(bar_differential(group, mats, q - 1) if q else linalg.zeros(dim_q, 0))
     return quotient_invariants(np.hstack([kernel[:dim_q, :], here]),
                                np.hstack([d_prev, here]))
 
@@ -300,7 +317,7 @@ def fixed_point_tate_h0(lattice: GLattice) -> tuple[int, ...]:
 
 
 def _diagonal(entries) -> np.ndarray:
-    out = linalg.zeros(len(entries), len(entries))
+    out = np.zeros((len(entries), len(entries)), dtype=object)
     for i, d in enumerate(entries):
         out[i, i] = d
     return out
@@ -321,13 +338,13 @@ def bar_sha2(lattice: GLattice) -> tuple[int, ...]:
         cochains = bar_restrict_cochain(gens, group, sub, 2, lattice.rank)
         coords = linalg.solve(np.hstack([t_gens, t_cob]), cochains)
         assert coords is not None
-        blocks.append(coords[:len(t_orders), :])
+        blocks.append(dense(coords)[:len(t_orders), :])
         target_orders += t_orders
     if not blocks:
         return tuple(orders)
     # x lies in the kernel iff R x = 0 modulo the target orders
     system = np.hstack([np.vstack(blocks), _diagonal(target_orders)])
-    kernel = linalg.kernel_basis(system)[:len(orders), :]
+    kernel = dense(linalg.kernel_basis(system))[:len(orders), :]
     diag = _diagonal(orders)
     free_rank, torsion = quotient_invariants(np.hstack([kernel, diag]), diag)
     assert free_rank == 0

@@ -262,7 +262,7 @@ def test_c08_real_classification():
 
     def torus_of(lattice):
         return make_torus(QI, "lattice",
-                          matrices=[[list(r) for r in m] for m in lattice.action])
+                          matrices=[m.tolist() for m in lattice.action])
 
     for lattice, want in zip(basics, outcomes):
         assert classify_real(torus_of(lattice)) == want

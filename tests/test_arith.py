@@ -12,7 +12,7 @@ from toruskit.errors import PoleError, RamifiedPrimeError, UnsupportedRequestErr
 from toruskit.groups import cyclic_group, units_mod
 from toruskit.tori import make_torus
 
-from support import l_chi3_series_oracle, l_chi4_series_oracle, sieve_primes
+from support import dense, identity, l_chi3_series_oracle, l_chi4_series_oracle, sieve_primes
 
 QI = AbelianGaloisDatum(4)
 Q3 = AbelianGaloisDatum(3)
@@ -140,7 +140,7 @@ def test_decompose_matches_float_inner_products(modulus, subgroup):
             make_torus(datum, "product", factors=factors + [make_torus(datum, "split")])]
     position = {u: i for i, u in enumerate(units_mod(modulus))}
     for t in tori:
-        traces = [sum(int(x) for x in mat.diagonal()) for mat in t.X.action]
+        traces = [sum(int(x) for x in dense(mat).diagonal()) for mat in t.X.action]
         dec = decompose(t)
         for chi in characters(datum):
             inner = sum(traces[g] * cmath.exp(-2j * math.pi * float(chi.exponents[position[r]]))
@@ -254,7 +254,7 @@ def test_euler_product_at_two_matches_character_factors_exactly():
         if p == 2:
             continue
         frob = frobenius(QI, p)
-        mat = linalg.intmat([[p * p, 0], [0, p * p]]) - t.X.matrix(frob)
+        mat = p * p * identity(2) - dense(t.X.matrix(frob))
         det_side *= Fraction(p ** 4, linalg.det(mat))
         chi_p = 1 if chi.exponent(p) == 0 else -1
         char_side *= Fraction(p * p, p * p - 1) * Fraction(p * p, p * p - chi_p)

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -235,6 +236,37 @@ def test_exit_3_on_numeric_inputs_past_their_bounds(tmp_path, argv):
     code, out, err = run(argv)
     assert (code, out) == (3, "")
     assert err.startswith("unsupported request:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("prec, want", [(10 ** 9, 3), (18, 3), (0, 2), (-1, 2)])
+def test_residue_precision_is_bounded(tmp_path, monkeypatch, prec, want):
+    # A double carries at most 17 significant digits; --prec 10^9 used to
+    # format a buffer of a gigabyte.  The refusal comes before the spec is
+    # even read.
+    from toruskit import cli
+
+    def unread(_path):
+        raise AssertionError("the torus was loaded")
+
+    monkeypatch.setattr(cli, "load_torus", unread)
+    code, out, err = run(["residue", "--prec", str(prec), write(tmp_path, "n1.json", QI_N1)])
+    assert (code, out) == (want, "") and err.count("\n") == 1, err
+    assert err.startswith("unsupported request:" if want == 3 else "malformed input:"), err
+
+
+def test_residue_precision_limit_is_accepted(tmp_path):
+    path = write(tmp_path, "n1.json", QI_N1)
+    assert run_json(["residue", "--prec", "17", path])["rho"] == "0.78539816339744828"
+    assert run_json(["residue", path])["rho"] == "0.785398163397448"
+
+
+def test_info_refuses_a_modulus_past_its_bound_at_once(tmp_path):
+    # (Z/1000003)^x has order 1000002: its table would have 10^12 entries.
+    spec = {"field": {"type": "cyclotomic", "modulus": 1000003}, "torus": {"type": "res"}}
+    start = time.perf_counter()
+    code, out, err = run(["info", write(tmp_path, "big.json", spec)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "") and err.startswith("unsupported request:"), err
 
 
 def test_exit_4_on_internal_invariant_violation(tmp_path, monkeypatch):

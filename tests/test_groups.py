@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from math import gcd
 from time import perf_counter
 
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from toruskit.arith import AbelianGaloisDatum, frobenius
 from toruskit.errors import UnsupportedRequestError
-from toruskit.groups import (FiniteGSet, FiniteGroup, Subgroup, _is_prime,
-                             abelian_decomposition, all_subgroups, coset_gset,
+from toruskit.groups import (MODULUS_LIMIT, ORDER_LIMIT, FiniteGSet, FiniteGroup, Subgroup,
+                             _is_prime, abelian_decomposition, all_subgroups, coset_gset,
                              cyclic_group, cyclic_subgroups,
                              cyclotomic_quotient_group, generating_set,
                              index_two_subgroups, make_group, orbits,
@@ -404,3 +405,37 @@ def test_group_argument_checks(call, error, fragment):
     with pytest.raises(error) as exc:
         call()
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: cyclic_group(10 ** 7), id="cyclic-order"),
+    pytest.param(lambda: make_group({"type": "cyclotomic", "modulus": 1000003}), id="modulus"),
+    pytest.param(lambda: AbelianGaloisDatum(1000003), id="datum-modulus"),
+    pytest.param(lambda: product_group(cyclic_group(64), cyclic_group(64)), id="product-order"),
+    pytest.param(lambda: cyclotomic_quotient_group(4099), id="cyclotomic-order"),  # 4098 units
+])
+def test_group_size_is_refused_before_any_table(build):
+    # The table of a group of order 10^7 has 10^14 entries, and the units of
+    # a modulus past 10^6 take seconds to list; both are refused at once,
+    # before anything of that size is allocated.
+    tracemalloc.start()
+    start = perf_counter()
+    try:
+        with pytest.raises(UnsupportedRequestError, match="bounded by"):
+            build()
+        elapsed, peak = perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 10 ** 6, (elapsed, peak)
+
+
+def test_group_bounds_keep_the_largest_inputs():
+    # The quotient of conductor 503659 by the kernel of the quadratic
+    # characters of 13, 17, -43 and 53 is C2^4 (26208 units in H), and the
+    # largest groups the suite, CI and benchmark build have order 384.
+    assert ORDER_LIMIT >= 384 and MODULUS_LIMIT >= 503659
+    squares = {p: {x * x % p for x in range(1, p)} for p in (13, 17, 43, 53)}
+    h = [u for u in range(1, 503659) if all(u % p in s for p, s in squares.items())]
+    datum = AbelianGaloisDatum(503659, h)
+    assert len(h) == 26208 and datum.group.order == 16
+    assert abelian_decomposition(datum.group).orders == (2, 2, 2, 2)

@@ -87,3 +87,42 @@ def test_cli_matches_golden_stdout(tmp_path, monkeypatch):
         code = cli.main([sub] + [str(paths.get(a, a)) for a in args],
                         stdout=out, stderr=io.StringIO())
         assert (code, out.getvalue()) == (0, golden[workloads.cli_case_id(sub, args)])
+
+
+_CLI_SUBCOMMANDS = ["info", "cohomology", "classify-real", "isogeny", "volumes", "residue",
+                    "tamagawa"]
+
+
+@pytest.mark.parametrize("sub", _CLI_SUBCOMMANDS)
+def test_cli_subcommands_load_no_numpy(tmp_path, monkeypatch, sub):
+    # Every subcommand but check-gm runs without numpy: the first golden case
+    # of each, through cli.main in a fresh interpreter, gives the golden
+    # stdout and leaves no numpy module loaded.
+    import subprocess
+
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = load_perfbench(WORKLOADS, "perfbench_workloads")
+    assert set(workloads.CLI_CASES) == set(_CLI_SUBCOMMANDS) | {"check-gm"}
+    args = workloads.CLI_CASES[sub][0]
+    argv = [sub]
+    for a in args:
+        if a in workloads.CLI_SPECS:
+            modulus, subgroup, torus = workloads.CLI_SPECS[a]
+            field = {"type": "cyclotomic", "modulus": modulus}
+            if subgroup is not None:
+                field["subgroup"] = list(subgroup)
+            path = tmp_path / f"{a}.json"
+            path.write_text(json.dumps({"field": field, "torus": torus}))
+            a = str(path)
+        argv.append(a)
+    code = ("import io, json, sys; from toruskit import cli; out = io.StringIO(); "
+            f"status = cli.main({argv!r}, stdout=out, stderr=io.StringIO()); "
+            "print(json.dumps([status, out.getvalue(), "
+            "[m for m in sys.modules if m.split('.')[0] == 'numpy']]))")
+    src = os.path.dirname(os.path.dirname(toruskit.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    with open(workloads.GOLDEN_PATH, encoding="utf-8") as fh:
+        golden = json.load(fh)[workloads.cli_case_id(sub, args)]
+    assert json.loads(proc.stdout) == [0, golden, []]

@@ -105,7 +105,7 @@ def test_tamagawa_invariant_under_basis_change():
     for _ in range(3):
         u = random_unimodular(t.dim, rng)
         twisted = make_torus(t.splitting, "lattice", matrices=[
-            [list(r) for r in m] for m in conjugate(t.X, u).action])
+            m.tolist() for m in conjugate(t.X, u).action])
         assert tamagawa_number(twisted) == tau
 
 
@@ -184,6 +184,22 @@ def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(toruskit.__file__))
     code = ("import sys, toruskit; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_numpy():
+    # numpy is imported only inside simpson and gm_adelic_check.
+    import os
+    import subprocess
+    import sys
+
+    import toruskit
+    src = os.path.dirname(os.path.dirname(toruskit.__file__))
+    code = ("import sys, toruskit, toruskit.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr

@@ -22,7 +22,7 @@ QI = AbelianGaloisDatum(4)  # order-2 Galois group
 
 def lattice_torus(splitting, lattice):
     return make_torus(splitting, "lattice", matrices=[
-        [list(row) for row in m] for m in lattice.action])
+        m.tolist() for m in lattice.action])
 
 
 def test_make_torus_split():

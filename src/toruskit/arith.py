@@ -20,11 +20,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
+from ._record import Record
 from .errors import (InternalInvariantError, PoleError, RamifiedPrimeError,
                      UnsupportedRequestError)
 from .groups import (FiniteGroup, _cyclotomic_cosets, _factorint, _is_prime,
@@ -34,15 +34,12 @@ from .linalg import integer
 from .tori import Torus
 
 
-@dataclass(frozen=True)
-class AbelianGaloisDatum:
-    """K/Q presented as the fixed field of H <= (Z/n)^x inside Q(zeta_n)."""
+class AbelianGaloisDatum(Record):
+    """K/Q presented as the fixed field of H <= (Z/n)^x inside Q(zeta_n).
+    Equality sees the modulus and the subgroup; ``group`` and
+    ``representatives`` are read off them."""
 
-    modulus: int
-    subgroup: tuple[int, ...]
-    group: FiniteGroup = field(init=False, compare=False)
-    representatives: tuple[int, ...] = field(init=False, compare=False)
-    _element_of: dict[int, int] = field(init=False, compare=False, repr=False)
+    _fields = ("modulus", "subgroup")
 
     def __init__(self, modulus: int, subgroup=None):
         modulus = integer(modulus)
@@ -99,19 +96,29 @@ def frobenius(datum: AbelianGaloisDatum, p: int) -> int:
     return datum.element_of_unit(p)
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(Record):
     """Character mod n trivial on H, stored as exact exponents of e^(2 pi i).
 
     ``exponents[i]`` is the exponent at ``units_mod(modulus)[i]``, a Fraction
-    in [0, 1); the value at non-units is 0.  The hash is taken once, on first
+    in [0, 1); the value at non-units is 0.  The modulus is read by
+    ``integer``, and a count of exponents other than the number of units
+    raises ``ValueError``; that the exponents form a character is trusted,
+    not checked.  The hash is taken once, on first
     use, from each exponent's numerator and denominator: a Fraction is kept
     in lowest terms, so equal exponents give equal pairs, distinct ones
     distinct pairs, and hashing a Fraction costs several times more.
     """
 
-    modulus: int
-    exponents: tuple[Fraction, ...]
+    _fields = ("modulus", "exponents")
+
+    def __init__(self, modulus: int, exponents: tuple[Fraction, ...]):
+        modulus, exponents = integer(modulus), tuple(exponents)
+        units = len(units_mod(modulus))
+        if len(exponents) != units:
+            raise ValueError(f"a character mod {modulus} takes one exponent per unit, "
+                             f"{units}, got {len(exponents)}")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "exponents", exponents)
 
     @cached_property
     def _hash(self) -> int:

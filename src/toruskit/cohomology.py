@@ -42,11 +42,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import linalg
+from ._record import Record
 from .errors import EnumerationBoundError, InternalInvariantError
 from .groups import (_CACHE_SIZE, FiniteGroup, Subgroup, abelian_decomposition,
                      cyclic_subgroups)
@@ -211,8 +211,7 @@ def tate_h0(group: FiniteGroup, module: GLattice) -> FGAbelian:
     return FGAbelian(0, linalg.invariant_factors(norm_operator(module)))
 
 
-@dataclass(frozen=True)
-class CohomologyClasses:
+class CohomologyClasses(Record):
     """H^q(G, M) of a lattice, q in {1, 2}, read off one Smith form
     U d^(q-1) V = D of the coboundary matrix.
 
@@ -225,10 +224,14 @@ class CohomologyClasses:
     All matrices are cached and immutable.
     """
 
-    fg: FGAbelian
-    generators: Matrix
-    coordinate_rows: Matrix
-    cocycle_test: Matrix
+    _fields = ("fg", "generators", "coordinate_rows", "cocycle_test")
+
+    def __init__(self, fg: FGAbelian, generators: Matrix, coordinate_rows: Matrix,
+                 cocycle_test: Matrix):
+        object.__setattr__(self, "fg", fg)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "coordinate_rows", coordinate_rows)
+        object.__setattr__(self, "cocycle_test", cocycle_test)
 
     def coordinates(self, cocycles) -> Matrix:
         """Class coordinates of cocycle columns on ``generators``, mod orders."""

@@ -11,11 +11,11 @@ every check that reads generators reads that one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, NamedTuple
 
+from ._record import Record
 from .errors import InternalInvariantError, UnsupportedRequestError
 from .linalg import integer
 
@@ -37,21 +37,18 @@ def _bounded(order: int) -> None:
         raise UnsupportedRequestError(f"group order is bounded by {ORDER_LIMIT}, got {order}")
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """A finite group as its multiplication table ``table[a][b] = ab``; the order,
     identity and inverses are read off it, and equality sees the table alone.
     The table is hashed once, on first use: every ``lru_cache`` keyed on a
     group, a subgroup or a lattice hashes the group again."""
 
-    table: tuple[tuple[int, ...], ...]
-    label: str = field(compare=False, default="")
-    order: int = field(init=False, compare=False)
-    identity: int = field(init=False, compare=False)
-    inverse: tuple[int, ...] = field(init=False, compare=False)
-    _spanning_set: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    def __init__(self, table: Iterable[Iterable[int]], label: str = ""):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "label", label)
+        self.__post_init__()
 
-    def __post_init__(self):
+    def __post_init__(self):  # validation, a method of its own so that it can be timed alone
         table = tuple(map(tuple, self.table))
         order = len(table)
         if order <= 0:
@@ -89,6 +86,11 @@ class FiniteGroup:
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or self.table == other.table
+        return NotImplemented
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -237,6 +239,8 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 def units_mod(n: int) -> tuple[int, ...]:
     if n <= 0:
         raise ValueError("modulus must be positive")
+    if n > MODULUS_LIMIT:
+        raise UnsupportedRequestError(f"modulus is bounded by {MODULUS_LIMIT}, got {n}")
     return tuple(a for a in range(n) if gcd(a, n) == 1)
 
 
@@ -304,8 +308,6 @@ def _cyclotomic_cosets(modulus: int, subgroup: Iterable[int] | None = None
     is its least representative, and the elements come out ordered by it.
     """
     n = modulus
-    if n > MODULUS_LIMIT:
-        raise UnsupportedRequestError(f"modulus is bounded by {MODULUS_LIMIT}, got {n}")
     units = units_mod(n)
     if subgroup is None:
         h = frozenset({1 % n})
@@ -364,16 +366,15 @@ def make_group(spec: Mapping) -> FiniteGroup:
     raise ValueError(f"unknown group descriptor type {kind!r}")
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup
-    elements: tuple[int, ...]
+class Subgroup(Record):
+    _fields = ("parent", "elements")
 
-    def __post_init__(self):
-        elements = _element_indices(self.parent, self.elements)
+    def __init__(self, parent: FiniteGroup, elements: Iterable[int]):
+        elements = _element_indices(parent, elements)
         els = set(elements)
         if tuple(sorted(els)) != elements:
             raise ValueError("subgroup elements must be sorted and distinct")
+        object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "elements", elements)
         if self.parent.identity not in els:
             raise ValueError("subgroup misses the identity")
@@ -394,6 +395,14 @@ class Subgroup:
 
     def position(self, parent_element: int) -> int:
         return self.elements.index(parent_element)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parent, self.elements) == (other.parent, other.elements)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parent, self.elements))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -454,18 +463,17 @@ def index_two_subgroups(g: FiniteGroup) -> list[Subgroup]:
     return [s for s in all_subgroups(g) if s.index == 2]
 
 
-@dataclass(frozen=True)
-class FiniteGSet:
-    group: FiniteGroup
-    action: tuple[tuple[int, ...], ...]  # action[g][x] = g . x
-    size: int = field(init=False, compare=False)  # the identity row's length
+class FiniteGSet(Record):
+    _fields = ("group", "action")  # action[g][x] = g . x
 
-    def __post_init__(self):
+    def __init__(self, group: FiniteGroup, action: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "action", action)
         g = self.group
         ident = self.action[g.identity] if len(self.action) == g.order else None
         if ident is None or any(len(row) != len(ident) for row in self.action):
             raise ValueError("action table has wrong shape")
-        object.__setattr__(self, "size", len(ident))
+        object.__setattr__(self, "size", len(ident))  # the identity row's length, not compared
         if tuple(ident) != tuple(range(self.size)):
             raise ValueError("identity must act as the identity permutation")
         if any(sorted(row) != list(range(self.size)) for row in self.action):
@@ -476,6 +484,9 @@ class FiniteGSet:
             for a, row in enumerate(self.action):
                 if [row[x] for x in self.action[s]] != list(self.action[g.mul(a, s)]):
                     raise ValueError("action is not compatible with the group law")
+
+    def __repr__(self):
+        return f"FiniteGSet(group={self.group!r}, action={self.action!r}, size={self.size!r})"
 
 
 def coset_gset(g: FiniteGroup, h: Subgroup) -> FiniteGSet:

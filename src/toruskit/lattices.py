@@ -25,11 +25,11 @@ finitely generated abelian groups as invariant factors plus a free rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
+from ._record import Record
 from .errors import InternalInvariantError
 from .groups import FiniteGroup, FiniteGSet, Subgroup, coset_gset, generating_set
 from .linalg import Matrix
@@ -41,8 +41,7 @@ def _as_lists(data):  # caller data, a hand-built Matrix too, read entry by entr
     return data.tolist() if hasattr(data, "tolist") else data
 
 
-@dataclass(frozen=True, eq=False)
-class GModulePresentation:
+class GModulePresentation(Record):
     """Finitely generated G-module: Z^n modulo the column span of ``relations``.
 
     ``relations`` is an ``(n, k)`` matrix whose columns span the relation
@@ -58,13 +57,16 @@ class GModulePresentation:
     identity to the identity; with no relations this forces every matrix to
     be unimodular.  It puts the relations into Smith form once, and
     ``_frame`` keeps what it read off: the cohomology engine and the
-    splitting enumerator reuse it."""
+    splitting enumerator reuse it.  ``generators`` is the size of the
+    identity's matrix."""
 
-    group: FiniteGroup
-    relations: Matrix
-    action: Stack
-    generators: int = field(init=False)  # the size of the identity's matrix
-    _frame: tuple[bool, tuple[int, ...], Stack] = field(init=False, repr=False)
+    _fields = ("group", "relations", "action", "generators")
+
+    def __init__(self, group: FiniteGroup, relations, action):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "action", action)
+        self.__post_init__()
 
     def __post_init__(self):
         g = self.group
@@ -111,7 +113,6 @@ class GModulePresentation:
         return self._hash
 
 
-@dataclass(frozen=True, eq=False)
 class GLattice(GModulePresentation):
     """A rank-n free Z-module with ``group`` acting by unimodular matrices:
     ``GLattice(group, action)`` is the presented module whose ``relations``
@@ -120,7 +121,8 @@ class GLattice(GModulePresentation):
     constructors derive lattices (``_lattice``) with the same hash and
     equality as the probed ones."""
 
-    relations: Matrix = field(init=False, default=(), repr=False)  # read as n x 0
+    def __init__(self, group: FiniteGroup, action):
+        super().__init__(group, (), action)  # no relations: read as n x 0
 
     # Restated, so that lattice construction has an entry of its own to wrap.
     __post_init__ = GModulePresentation.__post_init__
@@ -254,6 +256,7 @@ def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) ->
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
+    rank = linalg.integer(rank)
     if rank < 0:
         raise ValueError("rank must be nonnegative")
     return _lattice(group, (linalg.eye(rank),) * group.order)
@@ -449,8 +452,7 @@ def _regular_cover(module: GModulePresentation) -> GModulePresentation:
     return _derived(GModulePresentation, group, kernel, regular, (True, d, frame))
 
 
-@dataclass(frozen=True)
-class FGAbelian:
+class FGAbelian(Record):
     """Finitely generated abelian group: free rank plus invariant factors,
     read as integers (``linalg.integer``; a ``bool`` or ``float`` raises
     ``TypeError``) and kept as a tuple of ints.
@@ -459,12 +461,11 @@ class FGAbelian:
     'Z x C2 x C12'
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]  # d1 | d2 | ..., each >= 2
+    _fields = ("free_rank", "torsion")  # torsion: d1 | d2 | ..., each >= 2
 
-    def __post_init__(self):
-        object.__setattr__(self, "free_rank", linalg.integer(self.free_rank))
-        object.__setattr__(self, "torsion", tuple(map(linalg.integer, self.torsion)))
+    def __init__(self, free_rank: int, torsion: Iterable[int]):
+        object.__setattr__(self, "free_rank", linalg.integer(free_rank))
+        object.__setattr__(self, "torsion", tuple(map(linalg.integer, torsion)))
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for d in self.torsion:

@@ -16,10 +16,12 @@ shape, and ``stack_product`` multiplies a stack by a matrix on either side.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from ._record import Record
+
 _entry = operator.itemgetter(1)
+_set = object.__setattr__  # looked up once: every product builds Matrix records
 
 
 def integer(x) -> int:
@@ -28,14 +30,24 @@ def integer(x) -> int:
     return operator.index(x)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """An immutable m x n integer matrix, built by ``intmat`` or the package:
     ``rows[i]`` holds the (column, entry) pairs of row i's nonzero entries,
     columns increasing.  Equality and the hash see the shape and the rows."""
 
-    shape: tuple[int, int]
-    rows: tuple[tuple[tuple[int, int], ...], ...]
+    _fields = ("shape", "rows")
+
+    def __init__(self, shape: tuple[int, int], rows: tuple[tuple[tuple[int, int], ...], ...]):
+        _set(self, "shape", shape)
+        _set(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.shape, self.rows) == (other.shape, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.shape, self.rows))
 
     @property
     def size(self) -> int:

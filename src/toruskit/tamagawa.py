@@ -12,14 +12,15 @@ multiplicative group from quadrature alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._record import Record
 from .arith import (AbelianGaloisDatum, _artin_factor, _local_determinant,
                     _unramified_frobenius, primes_up_to)
 from .cohomology import cohomology, sha2_cyclic
 from .errors import InternalInvariantError, UnsupportedRequestError
+from .linalg import integer
 from .tori import Torus, make_torus
 
 
@@ -39,8 +40,10 @@ PMAX_LIMIT = 10 ** 7
 
 
 def canonical_coefficients(t: Torus, pmax: int) -> dict[int, Fraction]:
-    """Lambda_p for p <= pmax: the inverse local volume off S, 1 on S.  A
-    ``pmax`` above ``PMAX_LIMIT`` raises ``UnsupportedRequestError``."""
+    """Lambda_p for p <= pmax: the inverse local volume off S, 1 on S.
+    ``pmax`` is read by ``integer``; above ``PMAX_LIMIT`` it raises
+    ``UnsupportedRequestError``."""
+    pmax = integer(pmax)
     if pmax < 2:
         raise ValueError("pmax must be at least 2")
     if pmax > PMAX_LIMIT:
@@ -82,13 +85,15 @@ LOG_MIN, LOG_MAX, T_MAX = -18.0, 2.5, 8.0
 POINTS_LIMIT = 10 ** 6
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(Record):
     """Sampling for the adelic check: ``points`` samples on each of the
     log-variable grid of the numerator and the direct t-grid of the
-    denominator."""
+    denominator, read by ``integer``."""
 
-    points: int = 2001
+    _fields = ("points",)
+
+    def __init__(self, points: int = 2001):
+        object.__setattr__(self, "points", integer(points))
 
 
 class GmAdelicCheck(NamedTuple):
@@ -133,10 +138,11 @@ def gm_adelic_check(pmax: int = 100, grid: QuadratureGrid | None = None,
     equal that of the self-dual Gaussian exp(-pi t^2) over R, which is 1.  So
     tau_hat = 1 checks Simpson's rule on the two grids and the Gaussian's
     normalization, not the arithmetic of the coefficients.
-    ``scale`` multiplies F; the result must not depend on it.  A ``pmax``
-    above ``PMAX_LIMIT`` or a grid of more than ``POINTS_LIMIT`` points raises
-    ``UnsupportedRequestError``.
+    ``scale`` multiplies F; the result must not depend on it.  ``pmax`` is
+    read by ``integer``.  A ``pmax`` above ``PMAX_LIMIT`` or a grid of more
+    than ``POINTS_LIMIT`` points raises ``UnsupportedRequestError``.
     """
+    pmax = integer(pmax)
     if pmax < 2:
         raise ValueError("pmax must be at least 2")
     grid = grid or QuadratureGrid()

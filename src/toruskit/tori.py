@@ -9,10 +9,10 @@ pure lattice computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 from . import linalg
+from ._record import Record
 from .cohomology import cohomology, tate_h0
 from .errors import InternalInvariantError
 from .groups import FiniteGroup, trivial_subgroup
@@ -32,15 +32,15 @@ def splitting_group(splitting) -> FiniteGroup:
     raise TypeError("splitting must be a FiniteGroup or carry a .group")
 
 
-@dataclass(frozen=True)
-class Torus:
-    splitting: Splitting
-    X: GLattice
-    kind: str
+class Torus(Record):
+    _fields = ("splitting", "X", "kind")
 
-    def __post_init__(self):
-        if self.X.group != splitting_group(self.splitting):
+    def __init__(self, splitting: Splitting, X: GLattice, kind: str):
+        if X.group != splitting_group(splitting):
             raise ValueError("character lattice group does not match the splitting datum")
+        object.__setattr__(self, "splitting", splitting)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "kind", kind)
 
     @property
     def dim(self) -> int:
@@ -54,13 +54,15 @@ class Torus:
         return f"Torus({self.kind}, dim={self.dim}, G={self.group.label or self.group.order})"
 
 
-@dataclass(frozen=True)
-class RealClassification:
+class RealClassification(Record):
     """T(R) = (R^x)^a x (C^x)^b x (circle)^c."""
 
-    a: int
-    b: int
-    c: int
+    _fields = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
 
 class RankProfile(NamedTuple):

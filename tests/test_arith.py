@@ -334,8 +334,19 @@ def test_character_hash_agrees_with_equality():
                  id="product"),
     pytest.param(lambda: characters(QI)[1].primitive_exponent(2),
                  "not a unit mod the conductor 4", id="primitive"),
+    # one exponent per unit: a short list used to end in "no conductor found"
+    pytest.param(lambda: DirichletCharacter(5, (Fraction(1, 3),)).conductor,
+                 "takes one exponent per unit, 4, got 1", id="too-few"),
+    pytest.param(lambda: DirichletCharacter(4, (Fraction(0),) * 3),
+                 "takes one exponent per unit, 2, got 3", id="too-many"),
 ])
 def test_character_argument_checks(call, fragment):
     with pytest.raises(ValueError) as exc:
         call()
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("modulus", [True, 5.0, "5"])
+def test_character_reads_its_modulus_as_an_integer(modulus):
+    with pytest.raises(TypeError, match="integer"):
+        DirichletCharacter(modulus, (Fraction(0),))

@@ -206,6 +206,23 @@ def test_import_loads_no_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_dataclasses():
+    # Records are plain classes: importing dataclasses would pull in inspect
+    # (and ast, dis, tokenize), which a bare interpreter does not load.
+    import os
+    import subprocess
+    import sys
+
+    import toruskit
+    src = os.path.dirname(os.path.dirname(toruskit.__file__))
+    code = ("import sys, toruskit, toruskit.cli; "
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("call, error, fragment", [
     pytest.param(lambda: gm_adelic_check(pmax=1), ValueError, "at least 2", id="pmax"),
     pytest.param(lambda: gm_adelic_check(grid=QuadratureGrid(points=5)), ValueError,
@@ -220,6 +237,16 @@ def test_import_loads_no_numpy():
     pytest.param(lambda: gm_adelic_check(grid=QuadratureGrid(points=POINTS_LIMIT + 1)),
                  UnsupportedRequestError, f"points are bounded by {POINTS_LIMIT}",
                  id="points-bound"),
+    # Integer arguments are read by linalg.integer: a float or a string is no
+    # count, and JSON true is not 1.
+    pytest.param(lambda: canonical_coefficients(make_torus(QI, "res"), 100.5), TypeError,
+                 "integer", id="coefficients-float"),
+    pytest.param(lambda: canonical_coefficients(make_torus(QI, "res"), True), TypeError,
+                 "integer", id="coefficients-bool"),
+    pytest.param(lambda: gm_adelic_check(pmax=100.5), TypeError, "integer", id="pmax-float"),
+    pytest.param(lambda: gm_adelic_check(pmax=True), TypeError, "integer", id="pmax-bool"),
+    pytest.param(lambda: QuadratureGrid(points=True), TypeError, "integer", id="points-bool"),
+    pytest.param(lambda: QuadratureGrid(points="101"), TypeError, "integer", id="points-str"),
 ])
 def test_tamagawa_argument_checks(call, error, fragment):
     # The bounds refuse before a sieve or a grid of that size is allocated.

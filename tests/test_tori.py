@@ -207,6 +207,10 @@ def test_torus_splitting_mismatch():
                  "one matrix per group element", id="no-matrices"),
     pytest.param(lambda: make_torus(C2, "spin"), ValueError, "unknown torus kind",
                  id="kind"),
+    pytest.param(lambda: make_torus(C2, "split", dim=True), TypeError, "integer",
+                 id="dim-bool"),
+    pytest.param(lambda: make_torus(C2, "split", dim=2.0), TypeError, "integer",
+                 id="dim-float"),
 ])
 def test_make_torus_argument_checks(call, error, fragment):
     with pytest.raises(error) as exc:

@@ -27,14 +27,15 @@ _CACHE_SIZE = 1024
 
 # A group is a |G| x |G| table (|G| = 2052: 0.8 s, 96 MB; 8208: 24.6 s, 1.07 GB).
 # Orders past ORDER_LIMIT, and cyclotomic moduli past MODULUS_LIMIT (units_mod:
-# 0.21 s at 10^6), raise UnsupportedRequestError before anything that size is built.
+# 0.21 s at 10^6), raise UnsupportedRequestError before anything that size is built;
+# so do lattice ranks past ORDER_LIMIT, the rank of the largest regular lattice.
 ORDER_LIMIT = 2048
 MODULUS_LIMIT = 10 ** 6
 
 
-def _bounded(order: int) -> None:
-    if order > ORDER_LIMIT:
-        raise UnsupportedRequestError(f"group order is bounded by {ORDER_LIMIT}, got {order}")
+def _bounded(n: int, what: str = "group order") -> None:
+    if n > ORDER_LIMIT:
+        raise UnsupportedRequestError(f"{what} is bounded by {ORDER_LIMIT}, got {n}")
 
 
 class FiniteGroup(Record):
@@ -466,7 +467,10 @@ def index_two_subgroups(g: FiniteGroup) -> list[Subgroup]:
 class FiniteGSet(Record):
     _fields = ("group", "action")  # action[g][x] = g . x
 
-    def __init__(self, group: FiniteGroup, action: tuple[tuple[int, ...], ...]):
+    def __init__(self, group: FiniteGroup, action: Iterable[Iterable[int]]):
+        # a copy, each entry read by ``integer``: the caller's table may change
+        action = tuple(tuple(x if type(x) is int else integer(x) for x in row)
+                       for row in action)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "action", action)
         g = self.group
@@ -474,7 +478,7 @@ class FiniteGSet(Record):
         if ident is None or any(len(row) != len(ident) for row in self.action):
             raise ValueError("action table has wrong shape")
         object.__setattr__(self, "size", len(ident))  # the identity row's length, not compared
-        if tuple(ident) != tuple(range(self.size)):
+        if ident != tuple(range(self.size)):
             raise ValueError("identity must act as the identity permutation")
         if any(sorted(row) != list(range(self.size)) for row in self.action):
             raise ValueError("group elements must act by permutations")
@@ -482,7 +486,7 @@ class FiniteGSet(Record):
         # induction on the length of b as a word in the generators
         for s in generating_set(g):
             for a, row in enumerate(self.action):
-                if [row[x] for x in self.action[s]] != list(self.action[g.mul(a, s)]):
+                if tuple(row[x] for x in self.action[s]) != self.action[g.mul(a, s)]:
                     raise ValueError("action is not compatible with the group law")
 
     def __repr__(self):

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from ._record import Record
 from .errors import InternalInvariantError
-from .groups import FiniteGroup, FiniteGSet, Subgroup, coset_gset, generating_set
+from .groups import FiniteGroup, FiniteGSet, Subgroup, _bounded, coset_gset, generating_set
 from .linalg import Matrix
 
 Stack = tuple[Matrix, ...]
@@ -259,6 +259,7 @@ def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
     rank = linalg.integer(rank)
     if rank < 0:
         raise ValueError("rank must be nonnegative")
+    _bounded(rank, "lattice rank")
     return _lattice(group, (linalg.eye(rank),) * group.order)
 
 
@@ -350,6 +351,7 @@ def direct_sum_all(lattices: Sequence[GLattice]) -> GLattice:
     if any(m.group != group for m in lattices):
         raise ValueError("direct sum requires lattices over the same group")
     at = [sum(m.rank for m in lattices[:k]) for k in range(len(lattices) + 1)]
+    _bounded(at[-1], "lattice rank")
     return _lattice(group, tuple(Matrix((at[-1], at[-1]), tuple(
         tuple((j + at[k], x) for j, x in row)
         for k, m in enumerate(lattices) for row in m.action[a].rows))

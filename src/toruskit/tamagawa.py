@@ -6,7 +6,8 @@ from the trace character by Newton's identities, once per Galois element);
 the canonical coefficient is its inverse off the ramified set and 1 on it.
 The global number tau comes out of the finiteness theorem as a ratio of two
 cohomology orders, and a numeric adelic check reproduces tau = 1 for the
-multiplicative group from quadrature alone.
+multiplicative group from quadrature alone, on plain floats taking numpy's
+operations in numpy's order.
 """
 
 from __future__ import annotations
@@ -102,20 +103,54 @@ class GmAdelicCheck(NamedTuple):
     coefficient_volume_product: Fraction
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """numpy's ``linspace(start, stop, n)``: i * step + start, then ``stop``."""
+    step = (stop - start) / (n - 1)
+    return [i * step + start for i in range(n - 1)] + [stop]
+
+
+def _pairwise_sum(v: list[float], lo: int = 0, hi: int | None = None) -> float:
+    """v[lo:hi] added in numpy's pairwise order, so the sum is numpy's bit for
+    bit: from Python 3.12 the builtin ``sum`` of floats is compensated."""
+    hi = len(v) if hi is None else hi
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(v, lo, lo + half) + _pairwise_sum(v, lo + half, hi)
+    total, tail = -0.0, lo
+    if n >= 8:  # eight running sums, then the tail in order
+        r, tail = v[lo:lo + 8], hi - n % 8
+        for i in range(lo + 8, tail, 8):
+            for j in range(8):
+                r[j] += v[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(tail, hi):
+        total += v[i]
+    return total
+
+
 def simpson(y, x) -> float:
-    """Composite Simpson rule for samples y at increasing x, len(y) >= 3.
+    """Composite Simpson rule for samples y at increasing x, lists or arrays
+    of the same length, at least 3.
 
     Interval pairs take the uneven-spacing rule, an even count adds Cartwright's
-    last-interval correction; tests pin numpy's sums bit for bit, so it and
-    ``gm_adelic_check`` alone import numpy, where they run."""
-    import numpy as np
-    n, h = len(y), np.diff(x)
-    stop = n - 2 if n % 2 else n - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
-                                  + y[2:stop + 2:2] * (2.0 - ratio)))
+    last-interval correction; the operations and the pairwise sum are numpy's,
+    in numpy's order, and tests pin the result to scipy's bit for bit."""
+    y, x = [float(v) for v in y], [float(v) for v in x]
+    n = len(y)
+    if len(x) != n:
+        raise ValueError(f"simpson needs one abscissa per sample, got {len(x)} for {n}")
+    if n < 3:
+        raise ValueError(f"simpson needs at least 3 samples, got {n}")
+    h = [b - a for a, b in zip(x, x[1:])]
+    terms = []
+    for i in range(0, n - 2 if n % 2 else n - 3, 2):
+        h0, h1 = h[i], h[i + 1]
+        hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
+        terms.append(hsum / 6.0 * (y[i] * (2.0 - 1.0 / ratio)
+                                   + y[i + 1] * (hsum * (hsum / hprod))
+                                   + y[i + 2] * (2.0 - ratio)))
+    result = _pairwise_sum(terms)
     if n % 2 == 0:
         a, b = h[-2], h[-1]
         alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
@@ -151,9 +186,8 @@ def gm_adelic_check(pmax: int = 100, grid: QuadratureGrid | None = None,
     if grid.points > POINTS_LIMIT:
         raise UnsupportedRequestError(
             f"quadrature points are bounded by {POINTS_LIMIT}, got {grid.points}")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    import numpy as np
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     gm = _gm_torus()
     coeffs = canonical_coefficients(gm, pmax)
     product = Fraction(1)
@@ -161,15 +195,14 @@ def gm_adelic_check(pmax: int = 100, grid: QuadratureGrid | None = None,
         product *= lam * (1 / lam)
 
     def f(t):
-        return scale * 2.0 * t * np.exp(-math.pi * t * t)
+        return scale * 2.0 * t * math.exp(-math.pi * t * t)
 
-    u = np.linspace(LOG_MIN, LOG_MAX, grid.points)
-    numerator = simpson(f(np.exp(u)), x=u)
+    u = _linspace(LOG_MIN, LOG_MAX, grid.points)
+    numerator = simpson([f(math.exp(v)) for v in u], x=u)
 
-    t = np.linspace(0.0, T_MAX, grid.points)
-    integrand = np.empty_like(t)
-    integrand[0] = scale * 2.0  # limit of F(t)/t at t = 0
-    integrand[1:] = f(t[1:]) / t[1:]
+    t = _linspace(0.0, T_MAX, grid.points)
+    # F(t)/t, with its limit at t = 0
+    integrand = [scale * 2.0] + [f(s) / s for s in t[1:]]
     denominator = simpson(integrand, x=t)
     coarse = simpson(integrand[::2], x=t[::2])
     err = abs(denominator - coarse) / abs(denominator)

@@ -238,6 +238,42 @@ def test_exit_3_on_numeric_inputs_past_their_bounds(tmp_path, argv):
     assert err.startswith("unsupported request:") and err.count("\n") == 1, err
 
 
+def _split(dim):
+    return {"type": "split", "dim": dim}
+
+
+@pytest.mark.parametrize("torus", [
+    _split(10 ** 9),
+    {"type": "product", "factors": [_split(2048), _split(2048)]},
+], ids=["split", "product"])
+def test_exit_3_on_lattice_rank_past_the_bound(tmp_path, monkeypatch, torus):
+    # A rank past ORDER_LIMIT (2048) is refused before a matrix of that size is
+    # built: a 60-byte spec used to ask for a 10^9 x 10^9 identity.
+    from toruskit import linalg
+    from toruskit.groups import ORDER_LIMIT
+
+    eye = linalg.eye
+
+    def bounded_eye(n):
+        assert n <= ORDER_LIMIT, f"eye({n}) was built"
+        return eye(n)
+
+    monkeypatch.setattr(linalg, "eye", bounded_eye)
+    path = write(tmp_path, "big.json", {"field": {"type": "cyclotomic", "modulus": 4},
+                                        "torus": torus})
+    start = time.perf_counter()
+    code, out, err = run(["info", path])
+    assert (code, out) == (3, "") and time.perf_counter() - start < 5
+    assert err.startswith("unsupported request:") and "rank is bounded by 2048" in err, err
+
+
+def test_lattice_rank_at_the_bound_builds(tmp_path):
+    path = write(tmp_path, "split.json", {"field": {"type": "cyclotomic", "modulus": 4},
+                                          "torus": _split(2048)})
+    payload = run_json(["info", path])
+    assert (payload["dim"], payload["split_rank"]) == (2048, 2048)
+
+
 @pytest.mark.parametrize("prec, want", [(10 ** 9, 3), (18, 3), (0, 2), (-1, 2)])
 def test_residue_precision_is_bounded(tmp_path, monkeypatch, prec, want):
     # A double carries at most 17 significant digits; --prec 10^9 used to

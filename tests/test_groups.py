@@ -181,6 +181,24 @@ def test_gset_validation():
         FiniteGSet(g, ((1, 0), (0, 1)))  # identity must act trivially
 
 
+def test_gset_copies_its_action_table():
+    # Changing the caller's table after construction changes nothing, and the
+    # G-set still hashes.
+    table = [[0, 1], [1, 0]]
+    x = FiniteGSet(cyclic_group(2), table)
+    table[1] = [0, 1]
+    table[0][1] = 0
+    assert x.action == ((0, 1), (1, 0))
+    assert hash(x) == hash(FiniteGSet(cyclic_group(2), ((0, 1), (1, 0))))
+
+
+def test_gset_reads_entries_as_integers():
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        FiniteGSet(cyclic_group(2), ((0, 1), (1.0, 0)))
+    with pytest.raises(TypeError, match="expected an integer"):
+        FiniteGSet(cyclic_group(2), ((0, 1), (True, 0)))
+
+
 def test_gset_catches_corruption_outside_generating_set():
     # the action law is checked on generators only; a wrong permutation for
     # an element outside the generating set must still be caught

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from toruskit import lattices, linalg
 from toruskit.arith import AbelianGaloisDatum
 from toruskit.cohomology import cohomology, enumerate_splittings
+from toruskit.errors import UnsupportedRequestError
 from toruskit.groups import (all_subgroups, coset_gset, cyclic_group, generating_set,
                              index_two_subgroups, product_group, subgroup_closure,
                              trivial_subgroup)
@@ -888,6 +889,12 @@ def test_fgabelian_direct_sum_commutes(xs, ys):
     pytest.param(lambda: restrict(regular_lattice(C2), trivial_subgroup(C4)), ValueError,
                  "does not belong", id="restrict-subgroup"),
     pytest.param(lambda: direct_sum_all([]), ValueError, "empty direct sum", id="empty-sum"),
+    # Ranks past groups.ORDER_LIMIT (2048) are refused before anything is built.
+    pytest.param(lambda: trivial_lattice(C2, 2049), UnsupportedRequestError,
+                 "lattice rank is bounded by 2048, got 2049", id="trivial-rank-bound"),
+    pytest.param(lambda: direct_sum_all([trivial_lattice(C2, 2048), regular_lattice(C2)]),
+                 UnsupportedRequestError, "lattice rank is bounded by 2048, got 2050",
+                 id="sum-rank-bound"),
     pytest.param(lambda: quotient_lattice(regular_lattice(C2), linalg.intmat([[1]])),
                  ValueError, "wrong ambient rank", id="quotient-rank"),
 ])

@@ -90,19 +90,19 @@ def test_cli_matches_golden_stdout(tmp_path, monkeypatch):
 
 
 _CLI_SUBCOMMANDS = ["info", "cohomology", "classify-real", "isogeny", "volumes", "residue",
-                    "tamagawa"]
+                    "tamagawa", "check-gm"]
 
 
 @pytest.mark.parametrize("sub", _CLI_SUBCOMMANDS)
 def test_cli_subcommands_load_no_numpy(tmp_path, monkeypatch, sub):
-    # Every subcommand but check-gm runs without numpy: the first golden case
-    # of each, through cli.main in a fresh interpreter, gives the golden
-    # stdout and leaves no numpy module loaded.
+    # Every subcommand runs without numpy: the first golden case of each,
+    # through cli.main in a fresh interpreter, gives the golden stdout and
+    # leaves no numpy module loaded.
     import subprocess
 
     monkeypatch.syspath_prepend(PERFBENCH)
     workloads = load_perfbench(WORKLOADS, "perfbench_workloads")
-    assert set(workloads.CLI_CASES) == set(_CLI_SUBCOMMANDS) | {"check-gm"}
+    assert set(workloads.CLI_CASES) == set(_CLI_SUBCOMMANDS)
     args = workloads.CLI_CASES[sub][0]
     argv = [sub]
     for a in args:

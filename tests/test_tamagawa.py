@@ -167,12 +167,27 @@ def test_simpson_exact_on_quadratics(n):
 
 
 def test_simpson_matches_scipy_bit_for_bit():
+    # 129 and 257 cross the pairwise sum's 128-term blocks, 8193 and 50001
+    # split it several levels deep; lists and arrays give the same float.
     scipy_integrate = pytest.importorskip("scipy.integrate")
     rng = np.random.default_rng(5)
-    for n in list(range(3, 40)) + [1000, 1001]:
+    for n in list(range(3, 40)) + [1000, 1001, 129, 257, 8193, 50001]:
         for x in (np.linspace(-18.0, 2.5, n), np.sort(rng.uniform(0.0, 8.0, n))):
             y = np.exp(-x * x) + rng.normal(size=n)
-            assert simpson(y, x) == scipy_integrate.simpson(y, x=x)
+            want = scipy_integrate.simpson(y, x=x)
+            assert simpson(y, x) == want
+            assert simpson(y.tolist(), x.tolist()) == want
+
+
+@pytest.mark.parametrize("y, x, fragment", [
+    pytest.param([1.0] * 5, [float(i) for i in range(7)], "one abscissa per sample, got 7 for 5",
+                 id="lengths"),
+    pytest.param([1.0, 1.0], [0.0, 1.0], "at least 3 samples, got 2", id="two"),
+    pytest.param([], [], "at least 3 samples, got 0", id="empty"),
+])
+def test_simpson_argument_checks(y, x, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        simpson(y, x)
 
 
 def test_import_loads_no_scipy():
@@ -191,7 +206,7 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_numpy():
-    # numpy is imported only inside simpson and gm_adelic_check.
+    # The package runs on the standard library; numpy is a test extra.
     import os
     import subprocess
     import sys
@@ -229,6 +244,10 @@ def test_import_loads_no_dataclasses():
                  "need at least 9 points", id="coarse"),
     pytest.param(lambda: gm_adelic_check(scale=0), ValueError, "scale must be positive",
                  id="scale"),
+    pytest.param(lambda: gm_adelic_check(scale=float("nan")), ValueError,
+                 "scale must be positive and finite", id="scale-nan"),
+    pytest.param(lambda: gm_adelic_check(scale=float("inf")), ValueError,
+                 "scale must be positive and finite", id="scale-inf"),
     pytest.param(lambda: gm_adelic_check(pmax=PMAX_LIMIT + 1), UnsupportedRequestError,
                  f"pmax is bounded by {PMAX_LIMIT}", id="pmax-bound"),
     pytest.param(lambda: canonical_coefficients(make_torus(QI, "res"), PMAX_LIMIT + 1),

@@ -37,20 +37,16 @@ from .linalg import Matrix
 Stack = tuple[Matrix, ...]
 
 
-def _as_lists(data):  # caller data, a hand-built Matrix too, read entry by entry
-    return data.tolist() if hasattr(data, "tolist") else data
-
-
 class GModulePresentation(Record):
     """Finitely generated G-module: Z^n modulo the column span of ``relations``.
 
     ``relations`` is an ``(n, k)`` matrix whose columns span the relation
     lattice, and ``action`` a stack, ``action[g]`` the ``n x n`` matrix of g
     on the generators (column vectors).  Caller data (matrices, nested lists
-    or any arrays) is read through ``linalg.intmat``.  The
-    hash is computed on first use, and equality compares type, group,
-    relations and entries, so a record rebuilt from the same data
-    hits every cache keyed on the first.
+    or any arrays) is read once, through ``linalg.intmat``: a ``Matrix`` was
+    checked when it was built and is taken as it is.  The hash is computed on
+    first use, and equality compares type, group, relations and entries, so a
+    record rebuilt from the same data hits every cache keyed on the first.
 
     The constructor checks (``_check_action``) that the matrices preserve the
     relation lattice and act on the quotient as a homomorphism sending the
@@ -72,10 +68,10 @@ class GModulePresentation(Record):
         g = self.group
         if len(self.action) != g.order:
             raise ValueError("one action matrix per group element required")
-        stack = [_as_lists(x) for x in _as_lists(self.action)]
-        n = linalg.intmat(stack[g.identity]).shape[0]
-        action = tuple(linalg.intmat(x, (n, n)) for x in stack)
-        relations = linalg.intmat(_as_lists(self.relations))
+        action = tuple(map(linalg.intmat, self.action))
+        n = action[g.identity].shape[0]
+        action = tuple(linalg.intmat(x, (n, n)) for x in action)
+        relations = linalg.intmat(self.relations)
         relations = linalg.intmat(relations, (n, relations.shape[1] if n else 0))
         object.__setattr__(self, "_frame", _check_action(g, action, relations))
         object.__setattr__(self, "generators", n)
@@ -100,7 +96,7 @@ class GModulePresentation(Record):
         if not exact:
             return _regular_cover(self)._relation_complex
         r = len(d)
-        return frame, linalg.diag(d, self.generators), [Matrix((r, r), tuple(
+        return frame, linalg.diag(d, self.generators), [linalg._matrix((r, r), tuple(
             tuple((j, x * d[j] // d[i]) for j, x in row if j < r)
             for i, row in enumerate(m.rows[:r]))) for m in frame]
 
@@ -276,7 +272,7 @@ def sign_lattice(group: FiniteGroup, kernel: Subgroup) -> GLattice:
 def _permutation(group: FiniteGroup, images: Sequence[Sequence[int]]) -> GLattice:
     """a sends basis vector x to basis vector images[a][x]."""
     n = len(images[group.identity])  # row y of X(a) has its 1 at the x sent to y
-    return _lattice(group, tuple(Matrix((n, n), tuple(((x, 1),) for _, x in sorted(
+    return _lattice(group, tuple(linalg._matrix((n, n), tuple(((x, 1),) for _, x in sorted(
         zip(row, range(n))))) for row in images))
 
 
@@ -305,6 +301,7 @@ def induce(h: Subgroup, a: GLattice) -> GLattice:
     g = h.parent
     if a.group != h.as_group():
         raise ValueError("lattice is not over the given subgroup")
+    _bounded(h.index * a.rank, "lattice rank")
     cosets = coset_gset(g, h).action
     # Cosets are ordered by least representative, so r_0 is element 0, x r_0
     # lies in coset cosets[x][0], and r_j is the least such product in coset j.
@@ -318,8 +315,8 @@ def induce(h: Subgroup, a: GLattice) -> GLattice:
         rows: list[dict[int, int]] = [{} for _ in range(n)]
         for i, j in enumerate(cosets[x]):
             k = g.mul(g.inv(reps[j]), g.mul(x, reps[i]))  # x r_i = r_j k with k in H
-            linalg.add_block(rows, j * r_a, i * r_a, 1, a.action[h.position(k)])
-        stack.append(linalg.from_rows((n, n), rows))
+            linalg._add_block(rows, j * r_a, i * r_a, 1, a.action[h.position(k)])
+        stack.append(linalg._from_rows((n, n), rows))
     return _lattice(g, tuple(stack))
 
 
@@ -352,7 +349,7 @@ def direct_sum_all(lattices: Sequence[GLattice]) -> GLattice:
         raise ValueError("direct sum requires lattices over the same group")
     at = [sum(m.rank for m in lattices[:k]) for k in range(len(lattices) + 1)]
     _bounded(at[-1], "lattice rank")
-    return _lattice(group, tuple(Matrix((at[-1], at[-1]), tuple(
+    return _lattice(group, tuple(linalg._matrix((at[-1], at[-1]), tuple(
         tuple((j + at[k], x) for j, x in row)
         for k, m in enumerate(lattices) for row in m.action[a].rows))
         for a in group.elements()))
@@ -378,7 +375,7 @@ def invariants(m: GLattice) -> tuple[Matrix, int]:
     _require_lattice(m)
     gens, eye = generating_set(m.group), linalg.eye(m.rank)
     rows = [linalg.combine([(1, m.action[s]), (-1, eye)]).rows for s in gens]
-    basis = linalg.kernel_basis(Matrix((len(gens) * m.rank, m.rank), sum(rows, ())))
+    basis = linalg.kernel_basis(linalg._matrix((len(gens) * m.rank, m.rank), sum(rows, ())))
     return basis, basis.shape[1]
 
 
@@ -447,9 +444,9 @@ def _regular_cover(module: GModulePresentation) -> GModulePresentation:
     # [I | 0] less [X(0) ... X(|G| - 1) | -R] in the identity's block of rows
     kernel = [{y: 1} for y in range(n * order)]
     for g, x in enumerate(module.action):
-        linalg.add_block(kernel, ident * n, g * n, -1, x)
-    linalg.add_block(kernel, ident * n, n * order, 1, rel)
-    kernel = linalg.from_rows((n * order, n * order + rel.shape[1]), kernel)
+        linalg._add_block(kernel, ident * n, g * n, -1, x)
+    linalg._add_block(kernel, ident * n, n * order, 1, rel)
+    kernel = linalg._from_rows((n * order, n * order + rel.shape[1]), kernel)
     d, frame = _smith_frame(regular, kernel)
     return _derived(GModulePresentation, group, kernel, regular, (True, d, frame))
 

@@ -3,14 +3,19 @@
 Every matrix is a ``Matrix``: an immutable shape plus, per row, the (column,
 entry) pairs of its nonzero Python ints, so nothing rounds or overflows and
 only nonzero entries cost work; a stack is a tuple of them, one per group
-element.  ``intmat`` reads caller data (nested lists, any array) through
-``integer``.  The workhorse is a Smith normal form with optional unimodular
-transforms: one elimination on sparse rows that takes +-1 pivots in one sweep
-over the columns, sparsest first, then entries of least absolute value; it
-keeps the divisibility chain at every pivot and serves plain and transform
-requests alike.  Invariant factors, kernels and integer solves are derived
-from it.  A column-style Hermite form puts lattice bases into a canonical
-shape, and ``stack_product`` multiplies a stack by a matrix on either side.
+element.  One rule reads caller data: a matrix is checked once, when it is
+built.  ``Matrix(shape, rows)`` checks sparse rows, and ``intmat`` reads
+dense data (nested lists, any array); both read each entry through
+``integer``.  So every ``Matrix`` is valid, and ``intmat`` passes one
+through.  Only the package builds matrices unchecked, through ``_matrix``,
+on rows it made valid itself.  The workhorse is a Smith normal form with
+optional unimodular transforms: one elimination on sparse rows that takes
++-1 pivots in one sweep over the columns, sparsest first, then entries of
+least absolute value; it keeps the divisibility chain at every pivot and
+serves plain and transform requests alike.  Invariant factors, kernels and
+integer solves are derived from it.  A column-style Hermite form puts
+lattice bases into a canonical shape, and ``stack_product`` multiplies a
+stack by a matrix on either side.
 """
 
 from __future__ import annotations
@@ -31,13 +36,33 @@ def integer(x) -> int:
 
 
 class Matrix(Record):
-    """An immutable m x n integer matrix, built by ``intmat`` or the package:
-    ``rows[i]`` holds the (column, entry) pairs of row i's nonzero entries,
-    columns increasing.  Equality and the hash see the shape and the rows."""
+    """An immutable m x n integer matrix: ``rows[i]`` holds the (column,
+    entry) pairs of row i's nonzero entries, columns increasing.  Equality
+    and the hash see the shape and the rows.
+
+    The constructor checks a caller's matrix: ``shape`` is two non-negative
+    ints, and there is one row per row index, whose columns are ints
+    increasing inside [0, n) and whose entries are nonzero.  Columns and
+    entries are read through ``integer`` (a ``bool``, ``float`` or
+    ``Fraction`` raises ``TypeError``, a numpy int becomes an int); any other
+    violation raises ``ValueError``.  It stores the tuples it built, not the
+    caller's objects."""
 
     _fields = ("shape", "rows")
 
     def __init__(self, shape: tuple[int, int], rows: tuple[tuple[tuple[int, int], ...], ...]):
+        shape = tuple(map(integer, shape))
+        if len(shape) != 2 or min(shape) < 0:
+            raise ValueError(f"a matrix shape is two non-negative ints, got {shape}")
+        rows = tuple(tuple((integer(j), integer(x)) for j, x in row) for row in rows)
+        if len(rows) != shape[0]:
+            raise ValueError(f"{len(rows)} rows for a matrix of shape {shape}")
+        for row in rows:
+            cols = [-1] + [j for j, _ in row] + [shape[1]]
+            if any(a >= b for a, b in zip(cols, cols[1:])):
+                raise ValueError(f"row columns must increase inside [0, {shape[1]}), got {row}")
+            if not all(x for _, x in row):
+                raise ValueError(f"a row lists a zero entry: {row}")
         _set(self, "shape", shape)
         _set(self, "rows", rows)
 
@@ -58,7 +83,7 @@ class Matrix(Record):
         cols: list[list] = [[] for _ in range(self.shape[1])]
         for i, j, x in self.items():
             cols[j].append((i, x))
-        return Matrix(self.shape[::-1], tuple(map(tuple, cols)))
+        return _matrix(self.shape[::-1], tuple(map(tuple, cols)))
 
     def items(self) -> Iterable[tuple[int, int, int]]:  # (i, j, entry) where nonzero
         return ((i, j, x) for i, row in enumerate(self.rows) for j, x in row)
@@ -84,27 +109,38 @@ class Matrix(Record):
         """The submatrix on ``rows`` and ``cols`` (all when None), in their order."""
         picked = self.rows if rows is None else tuple(self.rows[i] for i in rows)
         at = {j: k for k, j in enumerate(range(self.shape[1]) if cols is None else cols)}
-        return Matrix((len(picked), len(at)), tuple(
+        return _matrix((len(picked), len(at)), tuple(
             tuple(sorted((at[j], x) for j, x in row if j in at)) for row in picked))
 
 
-def from_rows(shape: tuple[int, int], rows: Iterable[dict[int, int]]) -> Matrix:
-    """The matrix whose rows are the sparse vectors {column: entry}."""
-    return Matrix(shape, tuple([tuple(sorted(filter(_entry, row.items()))) for row in rows]))
+def _matrix(shape: tuple[int, int], rows: tuple[tuple[tuple[int, int], ...], ...]) -> Matrix:
+    """The ``Matrix`` on rows the package built valid, unchecked: checking
+    every internal product too took the median cold tau query of
+    ``perfbench`` (``cold_tamagawa``) from 1.9 to 3.3 ms."""
+    a = object.__new__(Matrix)
+    _set(a, "shape", shape)
+    _set(a, "rows", rows)
+    return a
+
+
+def _from_rows(shape: tuple[int, int], rows: Iterable[dict[int, int]]) -> Matrix:
+    """The matrix whose rows are the sparse vectors {column: entry} of ints."""
+    return _matrix(shape, tuple([tuple(sorted(filter(_entry, row.items()))) for row in rows]))
 
 
 def intmat(data, shape: tuple[int, int] | None = None) -> Matrix:
-    """``data`` as a ``Matrix``: a Matrix as it is, anything else (nested
-    lists, any array) read row by row, each entry through ``integer``.
-    ``shape`` is required when ``data`` cannot determine it (no rows, or rows
-    of length zero); a mismatch raises ``ValueError``."""
+    """``data`` as a ``Matrix``: a Matrix as it is, since its constructor
+    checked it, anything else (nested lists, any array) read row by row, each
+    entry through ``integer``.  ``shape`` is required when ``data`` cannot
+    determine it (no rows, or rows of length zero); a mismatch raises
+    ``ValueError``."""
     if type(data) is not Matrix:
         lists = data.tolist() if hasattr(data, "tolist") else data
         rows = [[x if type(x) is int else integer(x) for x in row] for row in lists]
         n = len(rows[0]) if rows else getattr(data, "shape", (0,))[-1]  # an array's width
         if any(len(row) != n for row in rows):
             raise ValueError("matrix rows differ in length")
-        data = Matrix((len(rows), n), tuple(
+        data = _matrix((len(rows), n), tuple(
             tuple((j, x) for j, x in enumerate(row) if x) for row in rows))
     if shape is None or data.shape == tuple(shape):
         return data
@@ -114,16 +150,23 @@ def intmat(data, shape: tuple[int, int] | None = None) -> Matrix:
 
 
 def zeros(m: int, n: int) -> Matrix:
-    return Matrix((m, n), ((),) * m)
+    """The m x n zero matrix; m and n are read through ``integer``."""
+    m, n = integer(m), integer(n)
+    if m < 0 or n < 0:
+        raise ValueError(f"a matrix shape is two non-negative ints, got {(m, n)}")
+    return _matrix((m, n), ((),) * m)
 
 
 def diag(entries: Sequence[int], m: int | None = None) -> Matrix:
-    """The m x len(entries) matrix, m = len(entries) unless given, with
-    ``entries`` down its diagonal."""
+    """The m x len(entries) matrix, m = len(entries) unless given and never
+    less, with ``entries``, read through ``integer``, down its diagonal."""
+    entries = list(map(integer, entries))
     n = len(entries)
-    m = n if m is None else m
-    return Matrix((m, n), tuple(((i, x),) if x else () for i, x in enumerate(entries))
-                  + ((),) * (m - n))
+    m = n if m is None else integer(m)
+    if m < n:
+        raise ValueError(f"a diagonal of {n} entries needs at least {n} rows, got {m}")
+    return _matrix((m, n), tuple(((i, x),) if x else () for i, x in enumerate(entries))
+                   + ((),) * (m - n))
 
 
 def eye(n: int) -> Matrix:
@@ -142,10 +185,10 @@ def mul(a, b) -> Matrix:
             for j, z in b.rows[l]:
                 out[j] = out.get(j, 0) + y * z
         rows.append(out)
-    return from_rows((a.shape[0], b.shape[1]), rows)
+    return _from_rows((a.shape[0], b.shape[1]), rows)
 
 
-def add_block(rows: list[dict[int, int]], i: int, j: int, c: int, a: Matrix) -> None:
+def _add_block(rows: list[dict[int, int]], i: int, j: int, c: int, a: Matrix) -> None:
     """Add c a to the sparse rows {column: entry} with a's (0, 0) at (i, j)."""
     for l, row in enumerate(a.rows):
         out = rows[i + l]
@@ -155,15 +198,15 @@ def add_block(rows: list[dict[int, int]], i: int, j: int, c: int, a: Matrix) -> 
 
 def combine(terms: Iterable[tuple[int, Matrix]]) -> Matrix:
     """The sum of c a over the pairs (c, a) of ``terms``, at least one, all
-    matrices of one shape."""
-    terms = [(c, intmat(a)) for c, a in terms]
+    matrices of one shape; each c is read through ``integer``."""
+    terms = [(integer(c), intmat(a)) for c, a in terms]
     shape = terms[0][1].shape
     rows: list[dict[int, int]] = [{} for _ in range(shape[0])]
     for c, a in terms:
         if a.shape != shape:
             raise ValueError(f"shape mismatch {shape} + {a.shape}")
-        add_block(rows, 0, 0, c, a)
-    return from_rows(shape, rows)
+        _add_block(rows, 0, 0, c, a)
+    return _from_rows(shape, rows)
 
 
 def stack_product(left, stack: Sequence[Matrix], right) -> tuple[Matrix, ...]:
@@ -235,7 +278,7 @@ def _ordered(vectors: list[dict[int, int]], fixed: list[int], signs: list[int]) 
     """The square matrix whose rows are signs[t] * vectors[fixed[t]], then
     the other vectors in index order."""
     order = fixed + sorted(set(range(len(vectors))).difference(fixed))
-    return from_rows((len(order), len(order)), (
+    return _from_rows((len(order), len(order)), (
         {c: -x for c, x in vectors[k].items()} if r < len(signs) and signs[r] < 0
         else vectors[k] for r, k in enumerate(order)))
 
@@ -378,8 +421,8 @@ def solve(a, b) -> Optional[Matrix]:
     d = snf.diagonal
     if any(i >= r or x % d[i] for i, _, x in y.items()):
         return None
-    x = from_rows((a.shape[1], b.shape[1]), [{j: z // d[i] for j, z in row} for i, row in
-                                             enumerate(y.rows[:r])] + [{}] * (a.shape[1] - r))
+    x = _from_rows((a.shape[1], b.shape[1]), [{j: z // d[i] for j, z in row} for i, row in
+                                              enumerate(y.rows[:r])] + [{}] * (a.shape[1] - r))
     return mul(snf.v, x)
 
 

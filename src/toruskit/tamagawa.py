@@ -7,7 +7,10 @@ the canonical coefficient is its inverse off the ramified set and 1 on it.
 The global number tau comes out of the finiteness theorem as a ratio of two
 cohomology orders, and a numeric adelic check reproduces tau = 1 for the
 multiplicative group from quadrature alone, on plain floats taking numpy's
-operations in numpy's order.
+operations in numpy's order.  Its Simpson rule equals scipy's bit for bit on
+the pinned test cases and on odd sample counts; on an even count, scipy
+takes the h^3 of Cartwright's correction from numpy's vectorised ``power``,
+which can differ from libm's ``pow`` by one ulp.
 """
 
 from __future__ import annotations
@@ -130,12 +133,15 @@ def _pairwise_sum(v: list[float], lo: int = 0, hi: int | None = None) -> float:
 
 
 def simpson(y, x) -> float:
-    """Composite Simpson rule for samples y at increasing x, lists or arrays
-    of the same length, at least 3.
+    """Composite Simpson rule for samples y at strictly increasing x, lists or
+    arrays of the same length, at least 3; other abscissae raise
+    ``ValueError``.
 
     Interval pairs take the uneven-spacing rule, an even count adds Cartwright's
     last-interval correction; the operations and the pairwise sum are numpy's,
-    in numpy's order, and tests pin the result to scipy's bit for bit."""
+    in numpy's order.  Tests pin the result to scipy's bit for bit; that holds
+    on odd counts, but on an even one scipy's h^3 comes from numpy's
+    vectorised ``power``, which can differ from ``b ** 3`` by one ulp."""
     y, x = [float(v) for v in y], [float(v) for v in x]
     n = len(y)
     if len(x) != n:
@@ -143,6 +149,8 @@ def simpson(y, x) -> float:
     if n < 3:
         raise ValueError(f"simpson needs at least 3 samples, got {n}")
     h = [b - a for a, b in zip(x, x[1:])]
+    if not all(step > 0 for step in h):  # a NaN step compares false too
+        raise ValueError("simpson needs increasing abscissae")
     terms = []
     for i in range(0, n - 2 if n % 2 else n - 3, 2):
         h0, h1 = h[i], h[i + 1]

@@ -3,6 +3,7 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from toruskit.cli import main
 
@@ -355,3 +356,111 @@ def test_deterministic_output(tmp_path):
         assert code == 0
         assert out.encode() == out.encode()  # bytes stable under encoding
         json.loads(out)  # every payload is a single valid JSON object
+
+
+# Every slot of a spec takes any JSON value or a near-valid one.  Inputs stay
+# small so that a valid spec computes in milliseconds: moduli <= 64, cyclic
+# n <= 8, abstract groups of order <= 64 when valid, at most 3 factors,
+# dim <= 3, --pmax <= 300, --points <= 101.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64) | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+SUBGROUPS = st.none() | st.just([1, -1]) | st.lists(st.integers(-1, 64), max_size=4)
+
+
+@st.composite
+def slot(draw, near):
+    """A near-valid value, and one time in sixteen any JSON value instead."""
+    return draw(JSON if draw(st.integers(0, 15)) == 0 else near)
+
+
+@st.composite
+def abstract_groups(draw, order=64):
+    """A group descriptor; a valid one has order at most ``order``."""
+    kind = draw(st.sampled_from(("cyclic", "cyclotomic", "product")))
+    if kind == "cyclic":
+        return {"type": kind, "n": draw(slot(st.integers(-1, min(order, 8))))}
+    if kind == "cyclotomic":  # |(Z/m)^x| < m for m >= 2
+        spec = {"type": kind, "modulus": draw(slot(st.integers(-1, min(order + 1, 64))))}
+        if draw(st.booleans()):
+            spec["subgroup"] = draw(slot(SUBGROUPS))
+        return spec
+    k = draw(st.integers(0, 3))  # k factors of order at most order^(1/k) each
+    return {"type": kind, "factors": draw(st.lists(
+        slot(abstract_groups(round(order ** (1 / max(k, 1))))), min_size=k, max_size=k))}
+
+
+FIELDS = slot(
+    st.builds(lambda m, h: {"type": "cyclotomic", "modulus": m, "subgroup": h},
+              slot(st.integers(-1, 64)), slot(SUBGROUPS))
+    | st.builds(lambda g: {"type": "abstract", "group": g}, slot(abstract_groups())))
+
+
+@st.composite
+def matrices(draw):
+    rank = draw(st.integers(0, 2))
+    entries = st.lists(st.lists(slot(st.integers(-2, 2)), min_size=rank, max_size=rank),
+                       min_size=rank, max_size=rank)
+    eye = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    pool = st.sampled_from([eye, [[-x for x in row] for row in eye]]) | entries
+    mats = draw(st.lists(slot(pool), max_size=4))
+    if draw(st.booleans()):  # the dict form, keyed by element
+        return {str(g): m for g, m in enumerate(mats)}
+    return mats
+
+
+@st.composite
+def tori(draw, depth=0):
+    kind = draw(st.sampled_from(("split", "res", "norm_one", "so2", "product", "lattice")))
+    if kind == "split":
+        return {"type": kind, "dim": draw(slot(st.integers(-1, 3)))}
+    if kind == "product" and depth == 0:
+        return {"type": kind, "factors": draw(st.lists(slot(tori(depth + 1)), max_size=3))}
+    if kind == "lattice":
+        return {"type": kind, "matrices": draw(slot(matrices()))}
+    return {"type": kind}
+
+
+SPECS = slot(st.fixed_dictionaries({"field": FIELDS, "torus": slot(tori())}))
+
+
+@st.composite
+def cli_calls(draw, path_a, path_b):
+    """(argv, {path: spec}) for one of the eight subcommands."""
+    command = draw(st.sampled_from(("info", "cohomology", "classify-real", "isogeny",
+                                    "volumes", "residue", "tamagawa", "check-gm")))
+    if command == "check-gm":
+        return [command, "--pmax", str(draw(st.integers(-1, 300))),
+                "--points", str(draw(st.integers(-1, 101)))], {}
+    specs = {path_a: draw(SPECS)}
+    argv = [command, path_a]
+    if command == "isogeny":
+        specs[path_b] = draw(SPECS)
+        argv.append(path_b)
+    elif command == "cohomology":
+        argv += ["--q", draw(st.sampled_from(("-1", "0", "1", "2", "3", "x")))]
+    elif command == "volumes":
+        argv += ["--pmax", str(draw(st.integers(-1, 300)))]
+    elif command == "residue":
+        argv += ["--prec", str(draw(st.integers(-1, 20)))]
+    return argv, specs
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=500, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_fuzz_exits_0_2_or_3(fuzz_dir, data):
+    # Any exit 4 or escaping exception is a reader bug: malformed input exits
+    # 2 and a request past a bound 3.
+    argv, specs = data.draw(cli_calls(str(fuzz_dir / "a.json"), str(fuzz_dir / "b.json")))
+    for path, spec in specs.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+    code, _, err = run(argv)
+    assert code in (0, 2, 3), (argv, specs, err)

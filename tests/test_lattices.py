@@ -123,14 +123,17 @@ def _frozen(data) -> np.ndarray:
 def test_frozen_arrays_are_read_as_integers(entry):
     # A read-only object array is caller data like any other: it is copied
     # through linalg.intmat, so an entry that is no integer raises TypeError
-    # as it does in nested lists.  So is a hand-built linalg.Matrix.
+    # as it does in nested lists.  A hand-built linalg.Matrix raises as it is
+    # built.
     stack, rel = _frozen([[[entry]], [[entry]]]), _frozen([[entry]])
-    hand = linalg.Matrix((1, 1), (((0, entry),),))
+
+    def hand():
+        return linalg.Matrix((1, 1), (((0, entry),),))
     for build in (lambda: GLattice(C2, stack), lambda: glattice(C2, stack),
                   lambda: GModulePresentation(C2, ((3,),), stack),
                   lambda: GModulePresentation(C2, rel, (((1,),), ((2,),))),
-                  lambda: GLattice(C2, (hand, hand)),
-                  lambda: GModulePresentation(C2, hand, (((1,),), ((2,),)))):
+                  lambda: GLattice(C2, (hand(), hand())),
+                  lambda: GModulePresentation(C2, hand(), (((1,),), ((2,),)))):
         with pytest.raises(TypeError):
             build()
 
@@ -895,6 +898,10 @@ def test_fgabelian_direct_sum_commutes(xs, ys):
     pytest.param(lambda: direct_sum_all([trivial_lattice(C2, 2048), regular_lattice(C2)]),
                  UnsupportedRequestError, "lattice rank is bounded by 2048, got 2050",
                  id="sum-rank-bound"),
+    pytest.param(lambda: induce(trivial_subgroup(C2),
+                                trivial_lattice(trivial_subgroup(C2).as_group(), 2048)),
+                 UnsupportedRequestError, "lattice rank is bounded by 2048, got 4096",
+                 id="induce-rank-bound"),
     pytest.param(lambda: quotient_lattice(regular_lattice(C2), linalg.intmat([[1]])),
                  ValueError, "wrong ambient rank", id="quotient-rank"),
 ])

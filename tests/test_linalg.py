@@ -201,6 +201,44 @@ def test_intmat_rejects_non_integers():
         linalg.intmat([[1.5]])
 
 
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: linalg.Matrix((1, 1), (((0, 2.5),),)), TypeError, id="float-entry"),
+    pytest.param(lambda: linalg.Matrix((1, 1), (((0, True),),)), TypeError, id="bool-entry"),
+    pytest.param(lambda: linalg.Matrix((1, 1), (((0.0, 1),),)), TypeError, id="float-column"),
+    pytest.param(lambda: linalg.Matrix((1.0, 1), ((),)), TypeError, id="float-shape"),
+    pytest.param(lambda: linalg.Matrix((1, 3), (((2, 1), (0, 1)),)), ValueError, id="unsorted"),
+    pytest.param(lambda: linalg.Matrix((1, 3), (((1, 1), (1, 2)),)), ValueError, id="repeated"),
+    pytest.param(lambda: linalg.Matrix((1, 2), (((2, 1),),)), ValueError, id="column-past-n"),
+    pytest.param(lambda: linalg.Matrix((1, 2), (((-1, 1),),)), ValueError, id="negative-column"),
+    pytest.param(lambda: linalg.Matrix((1, 2), (((0, 0),),)), ValueError, id="zero-entry"),
+    pytest.param(lambda: linalg.Matrix((2, 2), (((0, 1),),)), ValueError, id="row-count"),
+    pytest.param(lambda: linalg.Matrix((-1, 2), ()), ValueError, id="negative-shape"),
+    pytest.param(lambda: linalg.Matrix((1, 2, 3), ((),)), ValueError, id="three-dims"),
+    pytest.param(lambda: linalg.diag([2.5]), TypeError, id="diag-float"),
+    pytest.param(lambda: linalg.diag([1, 2], 1), ValueError, id="diag-short"),
+    pytest.param(lambda: linalg.zeros(-1, 2), ValueError, id="zeros-negative"),
+    pytest.param(lambda: linalg.combine([(0.5, linalg.eye(1))]), TypeError, id="combine-float"),
+])
+def test_every_matrix_is_checked_when_built(call, error):
+    # intmat takes a Matrix as it is, so no public way may build an invalid one:
+    # a hand-built float entry used to come back as a Smith diagonal (2.5,).
+    with pytest.raises(error):
+        call()
+
+
+def test_matrix_reads_numpy_ints_and_keeps_no_caller_object():
+    rows = [[(np.int64(1), np.int64(-3))], []]
+    m = linalg.Matrix([np.int64(2), 2], rows)
+    rows[0].append((0, 5))
+    want = linalg.intmat([[0, -3], [0, 0]])
+    assert m == want and hash(m) == hash(want)
+    assert m.shape == (2, 2) and m.rows == (((1, -3),), ())
+    assert all(type(v) is int for v in m.shape + m.rows[0][0])
+    assert linalg.smith_normal_form(m).diagonal == (3, 0)
+    d = linalg.diag(np.array([2, 0]), np.int64(3))
+    assert d == linalg.intmat([[2, 0], [0, 0], [0, 0]]) and type(d.rows[0][0][1]) is int
+
+
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: linalg.mul(linalg.zeros(2, 3), linalg.zeros(2, 3)),
                  "shape mismatch", id="mul"),

@@ -184,6 +184,9 @@ def test_simpson_matches_scipy_bit_for_bit():
                  id="lengths"),
     pytest.param([1.0, 1.0], [0.0, 1.0], "at least 3 samples, got 2", id="two"),
     pytest.param([], [], "at least 3 samples, got 0", id="empty"),
+    pytest.param([1, 2, 3], [0, 0, 1], "increasing abscissae", id="repeated"),
+    pytest.param([1, 2, 3], [2, 1, 0], "increasing abscissae", id="decreasing"),
+    pytest.param([1, 2, 3], [0, float("nan"), 1], "increasing abscissae", id="nan"),
 ])
 def test_simpson_argument_checks(y, x, fragment):
     with pytest.raises(ValueError, match=fragment):

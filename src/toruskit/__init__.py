@@ -23,8 +23,8 @@ from .lattices import (FGAbelian, GLattice, GModulePresentation, direct_sum,
                        permutation_lattice, presentation_mod, quotient_lattice,
                        regular_lattice, restrict, sign_lattice,
                        trace_character, trivial_lattice)
-from .tamagawa import (GmAdelicCheck, QuadratureGrid, canonical_coefficients,
-                       gm_adelic_check, local_volume, tamagawa_number)
+from .tamagawa import (GmAdelicCheck, canonical_coefficients, gm_adelic_check,
+                       local_volume, tamagawa_number)
 from .tori import (LatticeMap, RankProfile, RealClassification, Torus,
                    classify_real, dual_torus, isogenous, make_torus,
                    norm_character, rank_profile)

@@ -27,8 +27,8 @@ from typing import NamedTuple
 from ._record import Record
 from .errors import (InternalInvariantError, PoleError, RamifiedPrimeError,
                      UnsupportedRequestError)
-from .groups import (FiniteGroup, _cyclotomic_cosets, _factorint, _is_prime,
-                     abelian_decomposition, units_mod)
+from .groups import (_cyclotomic_cosets, _factorint, _is_prime, abelian_decomposition,
+                     units_mod)
 from .lattices import trace_character
 from .linalg import integer
 from .tori import Torus

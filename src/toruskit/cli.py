@@ -3,13 +3,16 @@
 Exit codes: 0 success, 2 malformed input, 3 unsupported request (ramified
 volume, nonabelian or missing arithmetic datum, a group order, a modulus,
 ``--pmax``, ``--points`` or ``--prec`` past its bound), 4 internal invariant
-violation.  Output is a single JSON object with stable key order; rationals
-are serialized as "num/den" strings so nothing is truncated.
+violation.  Output is a single JSON object with stable key order,
+``schema_version`` first; rationals are serialized as "num/den" strings so
+nothing is truncated.  ``main`` writes all of it, and every usage, error and
+``--help`` line, to the streams it is given.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -21,8 +24,7 @@ from .errors import (InternalInvariantError, RamifiedPrimeError,
 from .groups import make_group
 from .lattices import trace_character
 from .linalg import integer
-from .tamagawa import (QuadratureGrid, canonical_coefficients,
-                       gm_adelic_check, tamagawa_number)
+from .tamagawa import canonical_coefficients, gm_adelic_check, tamagawa_number
 from .tori import Torus, classify_real, isogenous, make_torus, rank_profile
 
 SCHEMA_VERSION = 1
@@ -73,7 +75,6 @@ def cmd_info(args) -> dict:
     t = load_torus(args.file)
     profile = rank_profile(t)
     return {
-        "schema_version": SCHEMA_VERSION,
         "group_order": t.group.order,
         "group_label": t.group.label,
         "dim": profile.dim,
@@ -87,7 +88,6 @@ def cmd_cohomology(args) -> dict:
     t = load_torus(args.file)
     h = cohomology(t.group, t.X, args.q)
     return {
-        "schema_version": SCHEMA_VERSION,
         "q": args.q,
         "free_rank": h.free_rank,
         "invariant_factors": list(h.torsion),
@@ -98,13 +98,13 @@ def cmd_cohomology(args) -> dict:
 def cmd_classify_real(args) -> dict:
     t = load_torus(args.file)
     cls = classify_real(t)
-    return {"schema_version": SCHEMA_VERSION, "a": cls.a, "b": cls.b, "c": cls.c}
+    return {"a": cls.a, "b": cls.b, "c": cls.c}
 
 
 def cmd_isogeny(args) -> dict:
     t1 = load_torus(args.file_a)
     t2 = load_torus(args.file_b)
-    return {"schema_version": SCHEMA_VERSION, "isogenous": isogenous(t1, t2)}
+    return {"isogenous": isogenous(t1, t2)}
 
 
 def cmd_volumes(args) -> dict:
@@ -114,7 +114,6 @@ def cmd_volumes(args) -> dict:
     volumes = {str(p): _rat(1 / coeffs[p])
                for p in sorted(coeffs) if p not in ramified}
     return {
-        "schema_version": SCHEMA_VERSION,
         "pmax": args.pmax,
         "ramified": sorted(ramified),
         "lambda": {str(p): _rat(v) for p, v in sorted(coeffs.items())},
@@ -129,11 +128,7 @@ def cmd_residue(args) -> dict:
         raise UnsupportedRequestError(f"--prec is bounded by {PREC_LIMIT}, got {args.prec}")
     t = load_torus(args.file)
     result = residue(t)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "d": result.d,
-        "rho": f"{result.rho:.{args.prec}g}",
-    }
+    return {"d": result.d, "rho": f"{result.rho:.{args.prec}g}"}
 
 
 def cmd_tamagawa(args) -> dict:
@@ -142,7 +137,6 @@ def cmd_tamagawa(args) -> dict:
     h1 = cohomology(t.group, t.X, 1)
     sha = sha2_cyclic(t.group, t.X)
     return {
-        "schema_version": SCHEMA_VERSION,
         "tau": _rat(tau),
         "numerator": tau.numerator,
         "denominator": tau.denominator,
@@ -152,10 +146,8 @@ def cmd_tamagawa(args) -> dict:
 
 
 def cmd_check_gm(args) -> dict:
-    grid = QuadratureGrid(points=args.points)
-    result = gm_adelic_check(args.pmax, grid)
+    result = gm_adelic_check(args.pmax, args.points)
     return {
-        "schema_version": SCHEMA_VERSION,
         "pmax": args.pmax,
         "tau_hat": result.tau_hat,
         "deviation": result.deviation,
@@ -214,8 +206,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:  # usage errors and --help go to the given streams too
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -229,7 +222,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as exc:
         err.write(f"malformed input: {exc}\n")
         return 2
-    out.write(json.dumps(payload, indent=2) + "\n")
+    out.write(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2) + "\n")
     return 0
 
 

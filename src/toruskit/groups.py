@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from ._record import Record
 from .errors import InternalInvariantError, UnsupportedRequestError
-from .linalg import integer
+from .linalg import integer, integers
 
 # The one bound on every lru_cache in the package.  A Sha^2 pass over C2^8
 # restricts to all 256 of its cyclic subgroups, so restriction_map and
@@ -39,8 +39,9 @@ def _bounded(n: int, what: str = "group order") -> None:
 
 
 class FiniteGroup(Record):
-    """A finite group as its multiplication table ``table[a][b] = ab``; the order,
-    identity and inverses are read off it, and equality sees the table alone.
+    """A finite group as its multiplication table ``table[a][b] = ab``, each entry
+    read by ``integer``; the order, identity and inverses are read off it, and
+    equality sees the table alone.
     The table is hashed once, on first use: every ``lru_cache`` keyed on a
     group, a subgroup or a lattice hashes the group again."""
 
@@ -50,7 +51,7 @@ class FiniteGroup(Record):
         self.__post_init__()
 
     def __post_init__(self):  # validation, a method of its own so that it can be timed alone
-        table = tuple(map(tuple, self.table))
+        table = tuple(map(integers, self.table))
         order = len(table)
         if order <= 0:
             raise ValueError("group order must be positive")
@@ -415,7 +416,7 @@ def _subgroup_as_group(sub: Subgroup) -> FiniteGroup:
 
 def _element_indices(parent: FiniteGroup, xs: Iterable[int]) -> tuple[int, ...]:
     """``xs`` read as integers (``integer``) that index elements of ``parent``."""
-    xs = tuple(x if type(x) is int else integer(x) for x in xs)
+    xs = integers(xs)
     bad = next((x for x in xs if not 0 <= x < parent.order), None)
     if bad is not None:
         raise ValueError(f"no group element {bad} in a group of order {parent.order}")
@@ -469,8 +470,7 @@ class FiniteGSet(Record):
 
     def __init__(self, group: FiniteGroup, action: Iterable[Iterable[int]]):
         # a copy, each entry read by ``integer``: the caller's table may change
-        action = tuple(tuple(x if type(x) is int else integer(x) for x in row)
-                       for row in action)
+        action = tuple(map(integers, action))
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "action", action)
         g = self.group

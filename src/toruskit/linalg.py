@@ -35,6 +35,11 @@ def integer(x) -> int:
     return operator.index(x)
 
 
+def integers(xs) -> tuple[int, ...]:
+    """The entries of ``xs`` read by ``integer``, as a tuple; an int is taken as it is."""
+    return tuple([x if type(x) is int else integer(x) for x in xs])
+
+
 class Matrix(Record):
     """An immutable m x n integer matrix: ``rows[i]`` holds the (column,
     entry) pairs of row i's nonzero entries, columns increasing.  Equality
@@ -136,7 +141,7 @@ def intmat(data, shape: tuple[int, int] | None = None) -> Matrix:
     ``ValueError``."""
     if type(data) is not Matrix:
         lists = data.tolist() if hasattr(data, "tolist") else data
-        rows = [[x if type(x) is int else integer(x) for x in row] for row in lists]
+        rows = [integers(row) for row in lists]
         n = len(rows[0]) if rows else getattr(data, "shape", (0,))[-1]  # an array's width
         if any(len(row) != n for row in rows):
             raise ValueError("matrix rows differ in length")

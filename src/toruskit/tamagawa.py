@@ -19,7 +19,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._record import Record
 from .arith import (AbelianGaloisDatum, _artin_factor, _local_determinant,
                     _unramified_frobenius, primes_up_to)
 from .cohomology import cohomology, sha2_cyclic
@@ -87,17 +86,6 @@ def tamagawa_number(t: Torus) -> Fraction:
 # most POINTS_LIMIT samples.
 LOG_MIN, LOG_MAX, T_MAX = -18.0, 2.5, 8.0
 POINTS_LIMIT = 10 ** 6
-
-
-class QuadratureGrid(Record):
-    """Sampling for the adelic check: ``points`` samples on each of the
-    log-variable grid of the numerator and the direct t-grid of the
-    denominator, read by ``integer``."""
-
-    _fields = ("points",)
-
-    def __init__(self, points: int = 2001):
-        object.__setattr__(self, "points", integer(points))
 
 
 class GmAdelicCheck(NamedTuple):
@@ -168,7 +156,7 @@ def simpson(y, x) -> float:
     return result
 
 
-def gm_adelic_check(pmax: int = 100, grid: QuadratureGrid | None = None,
+def gm_adelic_check(pmax: int = 100, points: int = 2001,
                     scale: float = 1.0) -> GmAdelicCheck:
     """Numeric Tamagawa number of the multiplicative group over Q.
 
@@ -181,19 +169,20 @@ def gm_adelic_check(pmax: int = 100, grid: QuadratureGrid | None = None,
     equal that of the self-dual Gaussian exp(-pi t^2) over R, which is 1.  So
     tau_hat = 1 checks Simpson's rule on the two grids and the Gaussian's
     normalization, not the arithmetic of the coefficients.
-    ``scale`` multiplies F; the result must not depend on it.  ``pmax`` is
-    read by ``integer``.  A ``pmax`` above ``PMAX_LIMIT`` or a grid of more
-    than ``POINTS_LIMIT`` points raises ``UnsupportedRequestError``.
+    ``points`` samples make each of the two grids, the numerator's in u and
+    the denominator's in t.  ``scale`` multiplies F; the result must not
+    depend on it.  ``pmax`` and ``points`` are read by ``integer``.  Fewer
+    than 9 points raise ``ValueError``; a ``pmax`` above ``PMAX_LIMIT`` or
+    more than ``POINTS_LIMIT`` points raise ``UnsupportedRequestError``.
     """
-    pmax = integer(pmax)
+    pmax, points = integer(pmax), integer(points)
     if pmax < 2:
         raise ValueError("pmax must be at least 2")
-    grid = grid or QuadratureGrid()
-    if grid.points < 9:
+    if points < 9:
         raise ValueError("grid too coarse: need at least 9 points")
-    if grid.points > POINTS_LIMIT:
+    if points > POINTS_LIMIT:
         raise UnsupportedRequestError(
-            f"quadrature points are bounded by {POINTS_LIMIT}, got {grid.points}")
+            f"quadrature points are bounded by {POINTS_LIMIT}, got {points}")
     if not 0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
     gm = _gm_torus()
@@ -205,10 +194,10 @@ def gm_adelic_check(pmax: int = 100, grid: QuadratureGrid | None = None,
     def f(t):
         return scale * 2.0 * t * math.exp(-math.pi * t * t)
 
-    u = _linspace(LOG_MIN, LOG_MAX, grid.points)
+    u = _linspace(LOG_MIN, LOG_MAX, points)
     numerator = simpson([f(math.exp(v)) for v in u], x=u)
 
-    t = _linspace(0.0, T_MAX, grid.points)
+    t = _linspace(0.0, T_MAX, points)
     # F(t)/t, with its limit at t = 0
     integrand = [scale * 2.0] + [f(s) / s for s in t[1:]]
     denominator = simpson(integrand, x=t)

@@ -9,7 +9,7 @@ pure lattice computations.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from ._record import Record
@@ -19,8 +19,6 @@ from .groups import FiniteGroup, trivial_subgroup
 from .lattices import (GLattice, direct_sum_all, dual, glattice, norm_vector,
                        quotient_lattice, regular_lattice, sign_lattice,
                        trace_character, trivial_lattice)
-
-Splitting = Union["FiniteGroup", object]  # FiniteGroup or an AbelianGaloisDatum
 
 
 def splitting_group(splitting) -> FiniteGroup:
@@ -35,7 +33,7 @@ def splitting_group(splitting) -> FiniteGroup:
 class Torus(Record):
     _fields = ("splitting", "X", "kind")
 
-    def __init__(self, splitting: Splitting, X: GLattice, kind: str):
+    def __init__(self, splitting, X: GLattice, kind: str):
         if X.group != splitting_group(splitting):
             raise ValueError("character lattice group does not match the splitting datum")
         object.__setattr__(self, "splitting", splitting)

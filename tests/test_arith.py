@@ -276,6 +276,60 @@ def test_class_number_formula_cross_check():
     assert abs(dirichlet_L1(chi) - cnf) <= 1e-9 * cnf
 
 
+def _kronecker(D, n):
+    """(D/n) for n > 0 prime to D = 0 or 1 mod 4: each 2 gives (D/2), the odd
+    part the Jacobi symbol."""
+    out = 1
+    while n % 2 == 0:
+        n //= 2
+        out *= 1 if D % 8 in (1, 7) else -1
+    a = D % n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _class_number(d):
+    """h(-d) as the number of reduced forms (a, b, c) of discriminant -d:
+    |b| <= a <= c, and b >= 0 if |b| = a or a = c."""
+    h = 0
+    for a in range(1, math.isqrt(d // 3) + 1):
+        for b in range(1 - a, a + 1):
+            c, r = divmod(b * b + d, 4 * a)
+            h += not r and c >= a and (b >= 0 or a < c)
+    return h
+
+
+def _squarefree(m):
+    return all(m % (p * p) for p in range(2, math.isqrt(m) + 1))
+
+
+def test_residue_matches_the_class_number_formula():
+    # The res torus of Q(sqrt(-d)) has rho = L(1, chi_-d) = 2 pi h / (w sqrt d),
+    # here for all 153 fundamental discriminants -d with d < 500.  The field
+    # is cut out by the units with (-d/u) = 1, and h counts reduced forms, so
+    # neither side shares code with characters or Gauss sums.
+    assert [_class_number(d) for d in (3, 4, 15, 23, 47, 71, 163)] == [1, 1, 2, 3, 5, 7, 1]
+    fields = 0
+    for d in range(3, 500):
+        if not (d % 4 == 3 and _squarefree(d) or d % 16 in (4, 8) and _squarefree(d // 4)):
+            continue
+        units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+        datum = AbelianGaloisDatum(d, [u for u in units if _kronecker(-d, u) == 1])
+        assert datum.group.order == 2, d
+        want = 2 * math.pi * _class_number(d) / ({3: 6, 4: 4}.get(d, 2) * math.sqrt(d))
+        assert abs(residue(make_torus(datum, "res")).rho - want) <= 1e-12 * want, d
+        fields += 1
+    assert fields == 153
+
+
 def test_primes_up_to():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_up_to(1) == []

@@ -219,6 +219,17 @@ def test_exit_2_on_bad_usage():
     assert code == 2
 
 
+def test_usage_and_help_go_to_the_given_streams(capsys):
+    # argparse writes usage errors to sys.stderr and --help to sys.stdout;
+    # main hands it the streams it was given.
+    code, out, err = run(["cohomology", "--q", "x", "f.json"])
+    assert (code, out) == (2, "") and err.startswith("usage: toruskit cohomology"), err
+    assert "argument --q: invalid int value: 'x'" in err
+    code, out, err = run(["--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: toruskit"), out
+    assert capsys.readouterr() == ("", "")
+
+
 def test_exit_3_on_unsupported(tmp_path):
     path = write(tmp_path, "abs.json", ABSTRACT_KLEIN_N1)
     code, out, err = run(["residue", path])
@@ -326,11 +337,15 @@ def test_module_entry_point(tmp_path):
     import toruskit
     src = os.path.dirname(os.path.dirname(toruskit.__file__))
     path = write(tmp_path, "gm.json", GM)
-    proc = subprocess.run([sys.executable, "-m", "toruskit.cli", "tamagawa", path],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["tau"] == "1"
+    # console_main exits with main's code, and writes what main writes in-process
+    for argv in (["tamagawa", path], ["tamagawa"]):
+        proc = subprocess.run([sys.executable, "-m", "toruskit.cli"] + argv,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(argv)
+    assert json.loads(run(["tamagawa", path])[1])["tau"] == "1"
+    code, out, err = run(["tamagawa"])
+    assert (code, out) == (2, "") and err.startswith("usage: toruskit tamagawa"), err
 
 
 def test_deterministic_output(tmp_path):

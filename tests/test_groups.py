@@ -192,6 +192,14 @@ def test_gset_copies_its_action_table():
     assert hash(x) == hash(FiniteGSet(cyclic_group(2), ((0, 1), (1, 0))))
 
 
+def test_group_table_entries_become_ints():
+    import numpy as np
+
+    g = FiniteGroup(np.array([[0, 1], [1, 0]]))
+    assert {type(x) for row in g.table for x in row} == {int}
+    assert g == cyclic_group(2) and hash(g) == hash(cyclic_group(2))
+
+
 def test_gset_reads_entries_as_integers():
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         FiniteGSet(cyclic_group(2), ((0, 1), (1.0, 0)))
@@ -418,6 +426,11 @@ def test_frobenius_refuses_primality_it_cannot_decide():
                  "no group element 5", id="subgroup-range"),
     pytest.param(lambda: Subgroup(cyclic_group(2), (0, True)), TypeError,
                  "expected an integer", id="subgroup-bool"),
+    # A table is read entry by entry through integer, as G-set tables are.
+    pytest.param(lambda: FiniteGroup([[False, True], [True, False]]), TypeError,
+                 "expected an integer", id="table-bool"),
+    pytest.param(lambda: FiniteGroup([[0, 1], [1, 0.0]]), TypeError,
+                 "cannot be interpreted as an integer", id="table-float"),
 ])
 def test_group_argument_checks(call, error, fragment):
     with pytest.raises(error) as exc:

@@ -16,7 +16,6 @@ from toruskit.arith import AbelianGaloisDatum, DirichletCharacter
 from toruskit.cohomology import CohomologyClasses
 from toruskit.groups import FiniteGroup, FiniteGSet, Subgroup, cyclic_group
 from toruskit.lattices import FGAbelian, GLattice, GModulePresentation
-from toruskit.tamagawa import QuadratureGrid
 from toruskit.tori import RealClassification, Torus
 
 C2, C4 = cyclic_group(2), cyclic_group(4)
@@ -64,8 +63,6 @@ CASES = [
      lambda: Torus(C2, GLattice(C2, [[[1]], [[-1]]]), "lattice"), None),
     (RealClassification, [("a", REQUIRED), ("b", REQUIRED), ("c", REQUIRED)], "c",
      lambda: RealClassification(1, 0, 2), lambda: RealClassification(1, 0, 3), None),
-    (QuadratureGrid, [("points", 2001)], "points",
-     lambda: QuadratureGrid(101), lambda: QuadratureGrid(points=103), None),
 ]
 
 

@@ -1,3 +1,6 @@
+import functools
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +11,9 @@ from toruskit.arith import AbelianGaloisDatum, primes_up_to
 from toruskit.cohomology import cohomology
 from toruskit.errors import RamifiedPrimeError, UnsupportedRequestError
 from toruskit.groups import cyclic_group, product_group
-from toruskit.tamagawa import (PMAX_LIMIT, POINTS_LIMIT, QuadratureGrid,
-                               canonical_coefficients, gm_adelic_check, local_volume,
-                               simpson, tamagawa_number)
+from toruskit.lattices import FGAbelian
+from toruskit.tamagawa import (PMAX_LIMIT, POINTS_LIMIT, canonical_coefficients,
+                               gm_adelic_check, local_volume, simpson, tamagawa_number)
 from toruskit.tori import make_torus
 
 from support import conjugate, random_unimodular
@@ -98,6 +101,61 @@ def test_tamagawa_multiplicative_over_products():
         assert tamagawa_number(prod) == tamagawa_number(res) * tamagawa_number(n1)
 
 
+def _partitions(n, largest=None):
+    """The partitions of n, parts non-increasing."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _abelian_groups(limit):
+    """Every abelian group of order <= limit, once, as its primary parts
+    {p: (e1, e2, ...)}: the sum of the Z/p^e."""
+    for n in range(1, limit + 1):
+        exponents, m, p = {}, n, 2
+        while m > 1:
+            while m % p == 0:
+                exponents[p] = exponents.get(p, 0) + 1
+                m //= p
+            p += 1
+        for parts in itertools.product(*map(_partitions, exponents.values())):
+            yield dict(zip(exponents, parts))
+
+
+def _invariant_factors(primary):
+    """d1 | d2 | ... of the sum of the Z/p^e over primary = {p: exponents}: the
+    i-th largest exponent of each p goes into the i-th largest factor."""
+    out = [1] * max(map(len, primary.values()), default=0)
+    for p, es in primary.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            out[-1 - i] *= p ** e
+    return tuple(out)
+
+
+def test_norm_one_and_res_over_every_abelian_group_up_to_64():
+    # For abelian G, H^1(G, J_G) = H^2(G, Z) = G^ = G and H^2(G, J_G) =
+    # H^3(G, Z) = wedge^2 G, whose primary parts are the Z/p^min(a, b) over
+    # pairs of the Z/p^a of G; so tau_omega(J_G) = |G| / #wedge^2 G, and
+    # tau_omega(R_G) = 1.  All 117 groups, about 1.3 s.
+    count = 0
+    for primary in _abelian_groups(64):
+        cyclic = [cyclic_group(p ** e) for p, es in primary.items() for e in es]
+        g = functools.reduce(product_group, cyclic) if cyclic else cyclic_group(1)
+        wedge = {p: [min(a, b) for a, b in itertools.combinations(es, 2)]
+                 for p, es in primary.items()}
+        j = make_torus(g, "norm_one")
+        assert cohomology(g, j.X, 1) == FGAbelian(0, _invariant_factors(primary)), primary
+        assert cohomology(g, j.X, 2) == FGAbelian(0, _invariant_factors(wedge)), primary
+        wedge_order = math.prod(p ** e for p, es in wedge.items() for e in es)
+        assert tamagawa_number(j) == Fraction(g.order, wedge_order), primary
+        assert tamagawa_number(make_torus(g, "res")) == 1, primary
+        count += 1
+    assert count == 117
+
+
 def test_tamagawa_invariant_under_basis_change():
     rng = random.Random(71)
     t = make_torus(AbelianGaloisDatum(8), "norm_one")
@@ -146,7 +204,7 @@ def test_gm_adelic_check_pmax_independence():
 
 def test_gm_adelic_check_grid_too_coarse():
     with pytest.raises(ValueError):
-        gm_adelic_check(10, QuadratureGrid(points=11))
+        gm_adelic_check(10, points=11)
 
 
 @pytest.mark.parametrize("points, tau_hat", [
@@ -154,7 +212,7 @@ def test_gm_adelic_check_grid_too_coarse():
     (1001, 0.9999999695400407),
 ])
 def test_gm_adelic_check_pinned_quadrature(points, tau_hat):
-    assert gm_adelic_check(20, QuadratureGrid(points=points)).tau_hat == tau_hat
+    assert gm_adelic_check(20, points=points).tau_hat == tau_hat
 
 
 @pytest.mark.parametrize("n", [3, 4, 9, 10, 51, 52])
@@ -243,7 +301,7 @@ def test_import_loads_no_dataclasses():
 
 @pytest.mark.parametrize("call, error, fragment", [
     pytest.param(lambda: gm_adelic_check(pmax=1), ValueError, "at least 2", id="pmax"),
-    pytest.param(lambda: gm_adelic_check(grid=QuadratureGrid(points=5)), ValueError,
+    pytest.param(lambda: gm_adelic_check(points=5), ValueError,
                  "need at least 9 points", id="coarse"),
     pytest.param(lambda: gm_adelic_check(scale=0), ValueError, "scale must be positive",
                  id="scale"),
@@ -256,7 +314,7 @@ def test_import_loads_no_dataclasses():
     pytest.param(lambda: canonical_coefficients(make_torus(QI, "res"), PMAX_LIMIT + 1),
                  UnsupportedRequestError, f"pmax is bounded by {PMAX_LIMIT}",
                  id="coefficients-bound"),
-    pytest.param(lambda: gm_adelic_check(grid=QuadratureGrid(points=POINTS_LIMIT + 1)),
+    pytest.param(lambda: gm_adelic_check(points=POINTS_LIMIT + 1),
                  UnsupportedRequestError, f"points are bounded by {POINTS_LIMIT}",
                  id="points-bound"),
     # Integer arguments are read by linalg.integer: a float or a string is no
@@ -267,8 +325,8 @@ def test_import_loads_no_dataclasses():
                  "integer", id="coefficients-bool"),
     pytest.param(lambda: gm_adelic_check(pmax=100.5), TypeError, "integer", id="pmax-float"),
     pytest.param(lambda: gm_adelic_check(pmax=True), TypeError, "integer", id="pmax-bool"),
-    pytest.param(lambda: QuadratureGrid(points=True), TypeError, "integer", id="points-bool"),
-    pytest.param(lambda: QuadratureGrid(points="101"), TypeError, "integer", id="points-str"),
+    pytest.param(lambda: gm_adelic_check(points=True), TypeError, "integer", id="points-bool"),
+    pytest.param(lambda: gm_adelic_check(points="101"), TypeError, "integer", id="points-str"),
 ])
 def test_tamagawa_argument_checks(call, error, fragment):
     # The bounds refuse before a sieve or a grid of that size is allocated.

@@ -27,10 +27,10 @@ from typing import NamedTuple
 from ._record import Record
 from .errors import (InternalInvariantError, PoleError, RamifiedPrimeError,
                      UnsupportedRequestError)
-from .groups import (_cyclotomic_cosets, _factorint, _is_prime, abelian_decomposition,
-                     units_mod)
+from .groups import (MODULUS_LIMIT, _cyclotomic_cosets, _factorint, _is_prime,
+                     abelian_decomposition, units_mod)
 from .lattices import trace_character
-from .linalg import integer
+from .linalg import bounded, integer
 from .tori import Torus
 
 
@@ -42,9 +42,7 @@ class AbelianGaloisDatum(Record):
     _fields = ("modulus", "subgroup")
 
     def __init__(self, modulus: int, subgroup=None):
-        modulus = integer(modulus)
-        if modulus < 1:
-            raise ValueError("modulus must be positive")
+        modulus = bounded(modulus, 1, MODULUS_LIMIT, "modulus")
         object.__setattr__(self, "modulus", modulus)
         if subgroup is None:
             subgroup = (1 % self.modulus,)

@@ -1,12 +1,12 @@
 """Batch front-end: read a torus spec file, run one computation, print JSON.
 
 Exit codes: 0 success, 2 malformed input, 3 unsupported request (ramified
-volume, nonabelian or missing arithmetic datum, a group order, a modulus,
-``--pmax``, ``--points`` or ``--prec`` past its bound), 4 internal invariant
-violation.  Output is a single JSON object with stable key order,
-``schema_version`` first; rationals are serialized as "num/den" strings so
-nothing is truncated.  ``main`` writes all of it, and every usage, error and
-``--help`` line, to the streams it is given.
+volume, nonabelian or missing arithmetic datum, a group order, a lattice
+rank, a modulus, ``--pmax``, ``--points`` or ``--prec`` past its bound), 4
+internal invariant violation.  Output is a single JSON object with stable
+key order, ``schema_version`` first; rationals are serialized as "num/den"
+strings so nothing is truncated.  ``main`` writes all of it, and every
+usage, error and ``--help`` line, to the streams it is given.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (InternalInvariantError, RamifiedPrimeError,
                      UnsupportedRequestError)
 from .groups import make_group
 from .lattices import trace_character
-from .linalg import integer
+from .linalg import bounded
 from .tamagawa import canonical_coefficients, gm_adelic_check, tamagawa_number
 from .tori import Torus, classify_real, isogenous, make_torus, rank_profile
 
@@ -38,7 +38,7 @@ def _rat(x: Fraction) -> str:
 def load_splitting(spec: dict):
     kind = spec["type"]
     if kind == "cyclotomic":
-        return AbelianGaloisDatum(integer(spec["modulus"]), spec.get("subgroup"))
+        return AbelianGaloisDatum(spec["modulus"], spec.get("subgroup"))
     if kind == "abstract":
         return make_group(spec["group"])
     raise ValueError(f"unknown field type {kind!r}")
@@ -47,7 +47,7 @@ def load_splitting(spec: dict):
 def build_torus(splitting, spec: dict) -> Torus:
     kind = spec["type"]
     if kind == "split":
-        return make_torus(splitting, "split", dim=integer(spec["dim"]))
+        return make_torus(splitting, "split", dim=spec["dim"])
     if kind in ("res", "norm_one", "so2"):
         return make_torus(splitting, kind)
     if kind == "product":
@@ -122,13 +122,10 @@ def cmd_volumes(args) -> dict:
 
 
 def cmd_residue(args) -> dict:
-    if args.prec < 1:
-        raise ValueError(f"--prec must be at least 1, got {args.prec}")
-    if args.prec > PREC_LIMIT:
-        raise UnsupportedRequestError(f"--prec is bounded by {PREC_LIMIT}, got {args.prec}")
+    prec = bounded(args.prec, 1, PREC_LIMIT, "--prec")
     t = load_torus(args.file)
     result = residue(t)
-    return {"d": result.d, "rho": f"{result.rho:.{args.prec}g}"}
+    return {"d": result.d, "rho": f"{result.rho:.{prec}g}"}
 
 
 def cmd_tamagawa(args) -> dict:

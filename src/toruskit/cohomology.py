@@ -171,16 +171,14 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
                q: int) -> FGAbelian:
     """H^q(G, M) as a finitely generated abelian group, q in {0, 1, 2}.
 
-    G must be abelian; other groups raise ``UnsupportedRequestError``.  q is
-    read by ``linalg.integer``.  H^q is the torsion of coker D^(q-1) plus, for
-    q = 0, the rank of M^G.  D^q = [[d^q, B], [0, -d_R^(q+1)]] is the cone
-    differential of ``module._relation_complex``; a lattice, or R = 0, has
-    D = d.  Over Q invariants are exact, so rank M^G = rank (Z^n)^G - rank
+    G must be abelian; other groups raise ``UnsupportedRequestError``, and so
+    does q > 2 (q is read by ``linalg.bounded``).  H^q is the torsion of
+    coker D^(q-1) plus, for q = 0, the rank of M^G.  D^q = [[d^q, B], [0,
+    -d_R^(q+1)]] is the cone differential of ``module._relation_complex``; a
+    lattice, or R = 0, has D = d.  Over Q invariants are exact, so rank M^G = rank (Z^n)^G - rank
     R^G, and a fixed rank is the average of a trace character: (sum over g of
     tr M(g) - tr A(g)) / |G|."""
-    q = linalg.integer(q)
-    if q not in (0, 1, 2):
-        raise ValueError("cohomology degree must be 0, 1 or 2")
+    q = linalg.bounded(q, 0, 2, "cohomology degree")
     if module.group != group:
         raise ValueError("module is not over the given group")
     action, basis, rel_action = module._relation_complex
@@ -252,9 +250,7 @@ def cohomology_classes(module: GLattice, q: int) -> CohomologyClasses:
     change with the lattice's basis and with the elimination; the group they
     generate does not."""
     _require_lattice(module)
-    q = linalg.integer(q)
-    if q not in (1, 2):
-        raise ValueError("cocycle representatives are computed in degrees 1 and 2")
+    q = linalg.bounded(q, 1, 2, "cocycle degree")
     return _classes(differential(module.group, module.action, q - 1))
 
 
@@ -341,9 +337,7 @@ def restrict_cochain(module: GLattice, sub: Subgroup, q: int, cochain) -> Matrix
     chain map phi_q, q in {0, 1, 2}: f o phi at e'_beta is f evaluated on
     phi(e'_beta)."""
     _require_lattice(module)
-    q = linalg.integer(q)
-    if q not in (0, 1, 2):
-        raise ValueError("cochains are restricted in degrees 0, 1 and 2")
+    q = linalg.bounded(q, 0, 2, "cochain degree")
     if sub.parent != module.group:
         raise ValueError("subgroup does not belong to the module's group")
     return linalg.mul(_evaluation(module.group, module.action, q, _chain_map(sub)[q]), cochain)
@@ -367,9 +361,7 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
     (see ``RestrictionMap``).
     """
     _require_lattice(module)
-    q = linalg.integer(q)
-    if q not in (1, 2):
-        raise ValueError("restriction is computed in degrees 1 and 2")
+    q = linalg.bounded(q, 1, 2, "restriction degree")
     if module.group != group or sub.parent != group:
         raise ValueError("module and subgroup must belong to the given group")
     d = differential(sub.as_group(), [module.action[a] for a in sub.elements], q - 1)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from ._record import Record
 from .errors import InternalInvariantError, UnsupportedRequestError
-from .linalg import integer, integers
+from .linalg import bounded, integer, integers
 
 # The one bound on every lru_cache in the package.  A Sha^2 pass over C2^8
 # restricts to all 256 of its cyclic subgroups, so restriction_map and
@@ -31,11 +31,6 @@ _CACHE_SIZE = 1024
 # so do lattice ranks past ORDER_LIMIT, the rank of the largest regular lattice.
 ORDER_LIMIT = 2048
 MODULUS_LIMIT = 10 ** 6
-
-
-def _bounded(n: int, what: str = "group order") -> None:
-    if n > ORDER_LIMIT:
-        raise UnsupportedRequestError(f"{what} is bounded by {ORDER_LIMIT}, got {n}")
 
 
 class FiniteGroup(Record):
@@ -218,10 +213,7 @@ def abelian_decomposition(group: FiniteGroup) -> AbelianDecomposition:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    n = integer(n)
-    if n <= 0:
-        raise ValueError(f"cyclic group order must be positive, got {n}")
-    _bounded(n)
+    n = bounded(n, 1, ORDER_LIMIT, "group order")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroup(table, f"C{n}")
 
@@ -229,7 +221,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product; element (a, b) has index a*|G2| + b (lexicographic)."""
     n1, n2 = g1.order, g2.order
-    _bounded(n1 * n2)
+    bounded(n1 * n2, 1, ORDER_LIMIT, "group order")
     table = [[0] * (n1 * n2) for _ in range(n1 * n2)]
     for a1, b1 in itertools.product(range(n1), range(n2)):
         for a2, b2 in itertools.product(range(n1), range(n2)):
@@ -237,12 +229,9 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, f"{g1.label or 'G'}x{g2.label or 'G'}")
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)  # typed: True is no key for 1
 def units_mod(n: int) -> tuple[int, ...]:
-    if n <= 0:
-        raise ValueError("modulus must be positive")
-    if n > MODULUS_LIMIT:
-        raise UnsupportedRequestError(f"modulus is bounded by {MODULUS_LIMIT}, got {n}")
+    n = bounded(n, 1, MODULUS_LIMIT, "modulus")
     return tuple(a for a in range(n) if gcd(a, n) == 1)
 
 
@@ -319,7 +308,7 @@ def _cyclotomic_cosets(modulus: int, subgroup: Iterable[int] | None = None
         raise ValueError(f"subgroup {sorted(h)} is not a set of units mod {n}")
     if _generate(lambda a, b: a * b % n, 1 % n, sorted(h))[1] != h:
         raise ValueError(f"subgroup {sorted(h)} not closed under multiplication mod {n}")
-    _bounded(len(units) // len(h))
+    bounded(len(units) // len(h), 1, ORDER_LIMIT, "group order")
     element_of: dict[int, int] = {}
     reps: list[int] = []
     for u in units:
@@ -354,7 +343,7 @@ def make_group(spec: Mapping) -> FiniteGroup:
         raise ValueError(f"group descriptor must be an object, got {spec!r}")
     kind = spec.get("type")
     if kind == "cyclic":
-        return cyclic_group(integer(spec["n"]))
+        return cyclic_group(spec["n"])
     if kind == "product":
         factors = [make_group(s) for s in spec["factors"]]
         if not factors:
@@ -364,7 +353,7 @@ def make_group(spec: Mapping) -> FiniteGroup:
             g = product_group(g, f)
         return g
     if kind == "cyclotomic":
-        return cyclotomic_quotient_group(integer(spec["modulus"]), spec.get("subgroup"))
+        return cyclotomic_quotient_group(spec["modulus"], spec.get("subgroup"))
     raise ValueError(f"unknown group descriptor type {kind!r}")
 
 

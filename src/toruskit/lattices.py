@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from ._record import Record
 from .errors import InternalInvariantError
-from .groups import FiniteGroup, FiniteGSet, Subgroup, _bounded, coset_gset, generating_set
+from .groups import ORDER_LIMIT, FiniteGroup, FiniteGSet, Subgroup, coset_gset, generating_set
 from .linalg import Matrix
 
 Stack = tuple[Matrix, ...]
@@ -252,10 +252,7 @@ def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) ->
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:
-    rank = linalg.integer(rank)
-    if rank < 0:
-        raise ValueError("rank must be nonnegative")
-    _bounded(rank, "lattice rank")
+    rank = linalg.bounded(rank, 0, ORDER_LIMIT, "lattice rank")
     return _lattice(group, (linalg.eye(rank),) * group.order)
 
 
@@ -301,7 +298,7 @@ def induce(h: Subgroup, a: GLattice) -> GLattice:
     g = h.parent
     if a.group != h.as_group():
         raise ValueError("lattice is not over the given subgroup")
-    _bounded(h.index * a.rank, "lattice rank")
+    linalg.bounded(h.index * a.rank, 0, ORDER_LIMIT, "lattice rank")
     cosets = coset_gset(g, h).action
     # Cosets are ordered by least representative, so r_0 is element 0, x r_0
     # lies in coset cosets[x][0], and r_j is the least such product in coset j.
@@ -348,7 +345,7 @@ def direct_sum_all(lattices: Sequence[GLattice]) -> GLattice:
     if any(m.group != group for m in lattices):
         raise ValueError("direct sum requires lattices over the same group")
     at = [sum(m.rank for m in lattices[:k]) for k in range(len(lattices) + 1)]
-    _bounded(at[-1], "lattice rank")
+    linalg.bounded(at[-1], 0, ORDER_LIMIT, "lattice rank")
     return _lattice(group, tuple(linalg._matrix((at[-1], at[-1]), tuple(
         tuple((j + at[k], x) for j, x in row)
         for k, m in enumerate(lattices) for row in m.action[a].rows))
@@ -425,9 +422,7 @@ def presentation_mod(m: GLattice, modulus: int) -> GModulePresentation:
 
     The modulus is read as an integer: ``bool``, ``float`` and ``Fraction``
     raise ``TypeError``."""
-    modulus = linalg.integer(modulus)
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
+    modulus = linalg.bounded(modulus, 1, None, "modulus")
     return _derived(GModulePresentation, m.group, linalg.diag((modulus,) * m.rank),
                     m.action, (True, (modulus,) * m.rank, m.action))
 

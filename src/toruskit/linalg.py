@@ -24,6 +24,7 @@ import operator
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._record import Record
+from .errors import UnsupportedRequestError
 
 _entry = operator.itemgetter(1)
 _set = object.__setattr__  # looked up once: every product builds Matrix records
@@ -33,6 +34,19 @@ def integer(x) -> int:
     if isinstance(x, bool):  # operator.index would read JSON true as 1
         raise TypeError(f"expected an integer, got {x!r}")
     return operator.index(x)
+
+
+def bounded(x, floor: int, limit: Optional[int], what: str, *, plural: bool = False) -> int:
+    """The count ``x``, read by ``integer``: below ``floor`` it is malformed
+    (``ValueError``), above a ``limit`` it is outside what toruskit computes
+    (``UnsupportedRequestError``).  Every count the package takes is read here."""
+    x = integer(x)
+    if x < floor:
+        raise ValueError(f"{what} must be at least {floor}, got {x}")
+    if limit is not None and x > limit:
+        raise UnsupportedRequestError(
+            f"{what} {'are' if plural else 'is'} bounded by {limit}, got {x}")
+    return x
 
 
 def integers(xs) -> tuple[int, ...]:

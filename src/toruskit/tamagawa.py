@@ -23,7 +23,7 @@ from .arith import (AbelianGaloisDatum, _artin_factor, _local_determinant,
                     _unramified_frobenius, primes_up_to)
 from .cohomology import cohomology, sha2_cyclic
 from .errors import InternalInvariantError, UnsupportedRequestError
-from .linalg import integer
+from .linalg import bounded
 from .tori import Torus, make_torus
 
 
@@ -44,13 +44,9 @@ PMAX_LIMIT = 10 ** 7
 
 def canonical_coefficients(t: Torus, pmax: int) -> dict[int, Fraction]:
     """Lambda_p for p <= pmax: the inverse local volume off S, 1 on S.
-    ``pmax`` is read by ``integer``; above ``PMAX_LIMIT`` it raises
-    ``UnsupportedRequestError``."""
-    pmax = integer(pmax)
-    if pmax < 2:
-        raise ValueError("pmax must be at least 2")
-    if pmax > PMAX_LIMIT:
-        raise UnsupportedRequestError(f"pmax is bounded by {PMAX_LIMIT}, got {pmax}")
+    ``pmax`` is read by ``bounded``: below 2 it raises ``ValueError``, above
+    ``PMAX_LIMIT`` ``UnsupportedRequestError``."""
+    pmax = bounded(pmax, 2, PMAX_LIMIT, "pmax")
     datum = t.splitting
     if not isinstance(datum, AbelianGaloisDatum):
         raise UnsupportedRequestError("canonical coefficients need an arithmetic datum")
@@ -156,8 +152,7 @@ def simpson(y, x) -> float:
     return result
 
 
-def gm_adelic_check(pmax: int = 100, points: int = 2001,
-                    scale: float = 1.0) -> GmAdelicCheck:
+def gm_adelic_check(pmax: int = 100, points: int = 2001) -> GmAdelicCheck:
     """Numeric Tamagawa number of the multiplicative group over Q.
 
     Integrates F(t) = 2 t exp(-pi t^2) over the idele-class fundamental
@@ -170,21 +165,12 @@ def gm_adelic_check(pmax: int = 100, points: int = 2001,
     tau_hat = 1 checks Simpson's rule on the two grids and the Gaussian's
     normalization, not the arithmetic of the coefficients.
     ``points`` samples make each of the two grids, the numerator's in u and
-    the denominator's in t.  ``scale`` multiplies F; the result must not
-    depend on it.  ``pmax`` and ``points`` are read by ``integer``.  Fewer
-    than 9 points raise ``ValueError``; a ``pmax`` above ``PMAX_LIMIT`` or
-    more than ``POINTS_LIMIT`` points raise ``UnsupportedRequestError``.
+    the denominator's in t.  ``points`` is read by ``bounded``: fewer than 9
+    raise ``ValueError``, more than ``POINTS_LIMIT``
+    ``UnsupportedRequestError``; ``canonical_coefficients`` reads ``pmax``
+    the same way, before either grid is built.
     """
-    pmax, points = integer(pmax), integer(points)
-    if pmax < 2:
-        raise ValueError("pmax must be at least 2")
-    if points < 9:
-        raise ValueError("grid too coarse: need at least 9 points")
-    if points > POINTS_LIMIT:
-        raise UnsupportedRequestError(
-            f"quadrature points are bounded by {POINTS_LIMIT}, got {points}")
-    if not 0 < scale < math.inf:
-        raise ValueError("scale must be positive and finite")
+    points = bounded(points, 9, POINTS_LIMIT, "quadrature points", plural=True)
     gm = _gm_torus()
     coeffs = canonical_coefficients(gm, pmax)
     product = Fraction(1)
@@ -192,14 +178,14 @@ def gm_adelic_check(pmax: int = 100, points: int = 2001,
         product *= lam * (1 / lam)
 
     def f(t):
-        return scale * 2.0 * t * math.exp(-math.pi * t * t)
+        return 2.0 * t * math.exp(-math.pi * t * t)
 
     u = _linspace(LOG_MIN, LOG_MAX, points)
     numerator = simpson([f(math.exp(v)) for v in u], x=u)
 
     t = _linspace(0.0, T_MAX, points)
     # F(t)/t, with its limit at t = 0
-    integrand = [scale * 2.0] + [f(s) / s for s in t[1:]]
+    integrand = [2.0] + [f(s) / s for s in t[1:]]
     denominator = simpson(integrand, x=t)
     coarse = simpson(integrand[::2], x=t[::2])
     err = abs(denominator - coarse) / abs(denominator)

@@ -102,8 +102,6 @@ def make_torus(splitting, kind: str, *, dim: int = 1,
         if not factors:
             raise ValueError("product of tori needs at least one factor")
         for t in factors:
-            if t.splitting != factors[0].splitting:
-                raise ValueError("product factors must share the splitting datum")
             if t.splitting != splitting:
                 raise ValueError("product factors must live over the given splitting")
         return Torus(splitting, direct_sum_all([t.X for t in factors]), kind)

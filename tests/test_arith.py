@@ -26,7 +26,7 @@ def test_datum_validation():
     with pytest.raises(ValueError):
         AbelianGaloisDatum(8, [2])  # not a unit
     for modulus in (0, -4):
-        with pytest.raises(ValueError, match="modulus must be positive"):
+        with pytest.raises(ValueError, match="modulus must be at least 1"):
             AbelianGaloisDatum(modulus)
     d = AbelianGaloisDatum(8, [1, 3])
     assert d.group.order == 2

@@ -779,7 +779,7 @@ def test_non_abelian_group_is_unsupported():
     pytest.param(lambda: tate_h0(C4, regular_lattice(C2)), ValueError,
                  "not over the given group", id="tate-group"),
     pytest.param(lambda: cohomology_classes(regular_lattice(C2), 3), ValueError,
-                 "degrees 1 and 2", id="classes-degree"),
+                 "cocycle degree is bounded by 2", id="classes-degree"),
     pytest.param(lambda: restrict_cochain(regular_lattice(C2), trivial_subgroup(C4), 1,
                                           linalg.zeros(4, 1)), ValueError,
                  "subgroup does not belong", id="cochain-subgroup"),

@@ -406,7 +406,10 @@ def test_frobenius_refuses_primality_it_cannot_decide():
     pytest.param(lambda: FiniteGroup(((0, 1),)), ValueError, "wrong shape", id="shape"),
     pytest.param(lambda: FiniteGroup(((0, 2), (1, 0))), ValueError, "out of range",
                  id="entry"),
-    pytest.param(lambda: units_mod(0), ValueError, "modulus must be positive", id="units"),
+    pytest.param(lambda: units_mod(0), ValueError, "modulus must be at least 1", id="units"),
+    # units_mod is cached by type, so True finds no entry of 1 to return.
+    pytest.param(lambda: (units_mod(1), units_mod(True)), TypeError, "expected an integer",
+                 id="units-bool"),
     pytest.param(lambda: make_group({"type": "product", "factors": []}), ValueError,
                  "at least one factor", id="product"),
     pytest.param(lambda: Subgroup(cyclic_group(4), (2, 0)), ValueError,

@@ -405,7 +405,7 @@ def test_presentation_mod_reads_modulus_as_an_integer():
         with pytest.raises(TypeError):
             presentation_mod(reg, modulus)
     for modulus in (0, -2):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="modulus must be at least 1"):
             presentation_mod(reg, modulus)
     assert presentation_mod(reg, np.int64(2)) == presentation_mod(reg, 2)
 
@@ -883,7 +883,7 @@ def test_fgabelian_direct_sum_commutes(xs, ys):
 
 
 @pytest.mark.parametrize("call, error, fragment", [
-    pytest.param(lambda: trivial_lattice(C2, -1), ValueError, "rank must be nonnegative",
+    pytest.param(lambda: trivial_lattice(C2, -1), ValueError, "rank must be at least 0",
                  id="trivial-rank"),
     pytest.param(lambda: sign_lattice(C4, trivial_subgroup(C2)), ValueError,
                  "subgroup of the acting group", id="sign-kernel"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from toruskit.arith import AbelianGaloisDatum, primes_up_to
-from toruskit.cohomology import cohomology
+from toruskit.cohomology import cohomology, sha2_cyclic
 from toruskit.errors import RamifiedPrimeError, UnsupportedRequestError
 from toruskit.groups import cyclic_group, product_group
 from toruskit.lattices import FGAbelian
@@ -93,12 +93,34 @@ def test_tamagawa_cyclic_is_h1_order():
         assert tamagawa_number(t) == h1.order() == n
 
 
+# The distinct data (modulus, subgroup) of perfbench's cold_tamagawa workload,
+# |G| = 2, 4, 8 and 16.
+COLD_TAMAGAWA_DATA = [
+    (4, None), (8, (1, 3)), (12, (1, 5)),
+    (5, None), (12, None), (16, (1, 7)),
+    (15, None), (24, None), (40, (1, 9)), (60, (1, 49)),
+    (120, (1, 49)), (17, None), (32, None), (40, None), (48, None),
+]
+
+
 def test_tamagawa_multiplicative_over_products():
-    for datum in (QI, AbelianGaloisDatum(8), AbelianGaloisDatum(3)):
-        res = make_torus(datum, "res")
-        n1 = make_torus(datum, "norm_one")
-        prod = make_torus(datum, "product", factors=[res, n1])
-        assert tamagawa_number(prod) == tamagawa_number(res) * tamagawa_number(n1)
+    # H^1 and H^2 are additive over a direct sum of lattices, and so is
+    # restriction to each cyclic subgroup, so tau_omega, #H^1 and #Sha^2_omega
+    # of a product are the products of the factors'.  Every pair of kinds,
+    # so2 where |G| = 2; about 0.2 s for all fifteen data.
+    def invariants(t):
+        return (tamagawa_number(t), cohomology(t.group, t.X, 1).order(),
+                sha2_cyclic(t.group, t.X).order())
+
+    for modulus, subgroup in COLD_TAMAGAWA_DATA:
+        datum = AbelianGaloisDatum(modulus, subgroup)
+        kinds = ["split", "res", "norm_one"] + (["so2"] if datum.group.order == 2 else [])
+        tori = {kind: make_torus(datum, kind) for kind in kinds}
+        alone = {kind: invariants(t) for kind, t in tori.items()}
+        for a, b in itertools.combinations_with_replacement(kinds, 2):
+            product = make_torus(datum, "product", factors=[tori[a], tori[b]])
+            want = tuple(x * y for x, y in zip(alone[a], alone[b]))
+            assert invariants(product) == want, (modulus, subgroup, a, b)
 
 
 def _partitions(n, largest=None):
@@ -186,12 +208,6 @@ def test_gm_adelic_check_defaults():
     result = gm_adelic_check()
     assert result.deviation <= 1e-3
     assert result.coefficient_volume_product == 1
-
-
-def test_gm_adelic_check_scale_invariance():
-    a = gm_adelic_check(50)
-    b = gm_adelic_check(50, scale=7.5)
-    assert abs(a.tau_hat - b.tau_hat) <= 1e-12
 
 
 def test_gm_adelic_check_pmax_independence():
@@ -302,13 +318,7 @@ def test_import_loads_no_dataclasses():
 @pytest.mark.parametrize("call, error, fragment", [
     pytest.param(lambda: gm_adelic_check(pmax=1), ValueError, "at least 2", id="pmax"),
     pytest.param(lambda: gm_adelic_check(points=5), ValueError,
-                 "need at least 9 points", id="coarse"),
-    pytest.param(lambda: gm_adelic_check(scale=0), ValueError, "scale must be positive",
-                 id="scale"),
-    pytest.param(lambda: gm_adelic_check(scale=float("nan")), ValueError,
-                 "scale must be positive and finite", id="scale-nan"),
-    pytest.param(lambda: gm_adelic_check(scale=float("inf")), ValueError,
-                 "scale must be positive and finite", id="scale-inf"),
+                 "quadrature points must be at least 9", id="coarse"),
     pytest.param(lambda: gm_adelic_check(pmax=PMAX_LIMIT + 1), UnsupportedRequestError,
                  f"pmax is bounded by {PMAX_LIMIT}", id="pmax-bound"),
     pytest.param(lambda: canonical_coefficients(make_torus(QI, "res"), PMAX_LIMIT + 1),

@@ -202,7 +202,7 @@ def test_torus_splitting_mismatch():
                  id="no-factors"),
     pytest.param(lambda: make_torus(C2, "product", factors=[
         make_torus(C2, "split"), make_torus(cyclic_group(4), "split")]), ValueError,
-                 "share the splitting datum", id="mixed-factors"),
+                 "live over the given splitting", id="mixed-factors"),
     pytest.param(lambda: make_torus(C2, "lattice"), ValueError,
                  "one matrix per group element", id="no-matrices"),
     pytest.param(lambda: make_torus(C2, "spin"), ValueError, "unknown torus kind",

@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 malformed input, 3 unsupported request (ramified
 volume, nonabelian or missing arithmetic datum, a group order, a lattice
-rank, a modulus, ``--pmax``, ``--points`` or ``--prec`` past its bound), 4
-internal invariant violation.  Output is a single JSON object with stable
-key order, ``schema_version`` first; rationals are serialized as "num/den"
-strings so nothing is truncated.  ``main`` writes all of it, and every
+rank, a modulus, ``--pmax``, ``--points``, ``--prec`` or a character table
+past its bound), 4 internal invariant violation.  Output is a single JSON
+object with stable key order, ``schema_version`` first; rationals are
+serialized as "num/den" strings so nothing is truncated.  ``main`` writes all of it, and every
 usage, error and ``--help`` line, to the streams it is given.
 """
 

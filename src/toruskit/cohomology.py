@@ -68,8 +68,9 @@ def bar_differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matr
     """Matrix of d^q from M^(|G|^q) to M^(|G|^(q+1)), M of rank n.
 
     The inhomogeneous bar complex, kept as the tests' reference for the
-    small resolution.
+    small resolution.  ``q`` is read by ``linalg.bounded``, as in ``cohomology``.
     """
+    q = linalg.bounded(q, 0, 2, "cohomology degree")
     mats = [linalg.intmat(x) for x in mats]
     n = mats[0].shape[0]
     order = group.order
@@ -89,29 +90,23 @@ def bar_differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matr
             add((a, b), (b,), mats[a])
             add((a, b), (group.mul(a, b),), ident, -1)
             add((a, b), (a,), ident)
-    elif q == 2:
+    else:
         for a, b, c in itertools.product(group.elements(), repeat=3):
             add((a, b, c), (b, c), mats[a])
             add((a, b, c), (group.mul(a, b), c), ident, -1)
             add((a, b, c), (a, group.mul(b, c)), ident)
             add((a, b, c), (a, b), ident, -1)
-    else:
-        raise ValueError("only degrees 0, 1, 2 are supported")
     return linalg._from_rows((len(out), n * order ** q), out)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _multi_indices(k: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """alpha in N^k with |alpha| = q, in decreasing lexicographic order."""
-    if k == 0:
-        return ((),) if q == 0 else ()
-    return tuple((a,) + rest for a in range(q, -1, -1)
-                 for rest in _multi_indices(k - 1, q - a))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _positions(k: int, q: int) -> dict[tuple[int, ...], int]:
-    return {alpha: i for i, alpha in enumerate(_multi_indices(k, q))}
+def _basis(k: int, q: int) -> dict[tuple[int, ...], int]:
+    """alpha in N^k with |alpha| = q, in decreasing lexicographic order, each
+    sent to its position; the keys iterate in that order."""
+    alphas = [()] if q == 0 else []
+    if k:
+        alphas = [(a,) + rest for a in range(q, -1, -1) for rest in _basis(k - 1, q - a)]
+    return {alpha: i for i, alpha in enumerate(alphas)}
 
 
 # Chains of the resolution of G, as Z-combinations of the basis g^t e_alpha:
@@ -147,7 +142,7 @@ def differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matrix:
     orders = abelian_decomposition(group).orders
     zero = (0,) * len(orders)
     return _evaluation(group, mats, q, [_boundary({(zero, beta): 1}, orders)
-                                         for beta in _multi_indices(len(orders), q + 1)])
+                                         for beta in _basis(len(orders), q + 1)])
 
 
 def _evaluation(group: FiniteGroup, mats: Sequence[Matrix], q: int,
@@ -157,7 +152,7 @@ def _evaluation(group: FiniteGroup, mats: Sequence[Matrix], q: int,
     A cochain is Z[G]-linear, so f(g^t e_alpha) = X(g^t) f(e_alpha).
     """
     dec = abelian_decomposition(group)
-    cols = _positions(len(dec.orders), q)
+    cols = _basis(len(dec.orders), q)
     n = mats[group.identity].shape[0]
     out: list[dict[int, int]] = [{} for _ in range(n * len(chains))]
     for r, chain in enumerate(chains):
@@ -315,12 +310,12 @@ def _chain_map(sub: Subgroup) -> tuple[tuple[Chain, ...], ...]:
     phi: list[tuple[Chain, ...]] = [({(zero, zero): 1},)]
     for q in (1, 2):
         images = []
-        for beta in _multi_indices(len(sub_dec.orders), q):
+        for beta in _basis(len(sub_dec.orders), q):
             target: Chain = defaultdict(int)
             for (u, lower), c in _boundary({((0,) * len(beta), beta): 1},
                                            sub_dec.orders).items():
                 shift = dec.exponents[sub.elements[sub_dec.element(u)]]
-                for (t, alpha), x in phi[q - 1][_positions(len(beta), q - 1)[lower]].items():
+                for (t, alpha), x in phi[q - 1][_basis(len(beta), q - 1)[lower]].items():
                     moved = tuple((a + b) % n for a, b, n in zip(t, shift, dec.orders))
                     target[(moved, alpha)] += c * x
             target = {key: c for key, c in target.items() if c}

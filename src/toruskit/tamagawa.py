@@ -19,11 +19,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import (AbelianGaloisDatum, _artin_factor, _local_determinant,
-                    _unramified_frobenius, primes_up_to)
+from .arith import (AbelianGaloisDatum, _arithmetic_datum, _local_determinant, frobenius,
+                    primes_up_to)
 from .cohomology import cohomology, sha2_cyclic
-from .errors import InternalInvariantError, UnsupportedRequestError
-from .linalg import bounded
+from .errors import InternalInvariantError
+from .linalg import bounded, integer
 from .tori import Torus, make_torus
 
 
@@ -32,8 +32,8 @@ def local_volume(t: Torus, p: int) -> Fraction:
 
     The inverse of ``local_artin_factor``, with the same checks in the same
     order, built as one Fraction from the same determinant."""
-    frob, p = _unramified_frobenius(t, p)
-    return Fraction(_local_determinant(t, frob, p), p ** t.dim)
+    datum, p = _arithmetic_datum(t, "local factors need"), integer(p)
+    return Fraction(_local_determinant(t, frobenius(datum, p), p), p ** t.dim)
 
 
 # The largest pmax for canonical_coefficients, and so for gm_adelic_check:
@@ -47,16 +47,14 @@ def canonical_coefficients(t: Torus, pmax: int) -> dict[int, Fraction]:
     ``pmax`` is read by ``bounded``: below 2 it raises ``ValueError``, above
     ``PMAX_LIMIT`` ``UnsupportedRequestError``."""
     pmax = bounded(pmax, 2, PMAX_LIMIT, "pmax")
-    datum = t.splitting
-    if not isinstance(datum, AbelianGaloisDatum):
-        raise UnsupportedRequestError("canonical coefficients need an arithmetic datum")
+    datum = _arithmetic_datum(t, "canonical coefficients need")
     ramified = datum.ramified
     out: dict[int, Fraction] = {}
     for p in primes_up_to(pmax):
         if p in ramified:
             out[p] = Fraction(1)
         else:  # a sieve prime off S: Frobenius is its class, no primality test
-            out[p] = _artin_factor(t, datum.element_of_unit(p), p)
+            out[p] = Fraction(p ** t.dim, _local_determinant(t, datum.element_of_unit(p), p))
     return out
 
 

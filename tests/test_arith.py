@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,23 @@ def test_residue_multiplicative():
         lhs = residue(prod).rho
         rhs = residue(res).rho * residue(n1).rho
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
+
+
+def test_residue_keeps_no_copy_of_the_units_per_character():
+    # (Z/8192)^x/<5^16>: 32 characters of phi = 4096 exponents each.  A
+    # unit -> exponent dict per character peaked at 5.5 MB here; the
+    # characters read their exponents at units_mod's positions instead.
+    n, g = 8192, pow(5, 16, 8192)
+    t = make_torus(AbelianGaloisDatum(n, {pow(g, i, n) for i in range(512)}), "res")
+    assert t.group.order == 32
+    tracemalloc.start()
+    try:
+        rho = residue(t).rho
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho == 0.2738445315622362
+    assert peak < 3 * 10 ** 6, peak
 
 
 def test_euler_product_at_two_matches_character_factors_exactly():

@@ -12,7 +12,7 @@ from time import perf_counter
 import pytest
 
 from toruskit import cli, linalg
-from toruskit.arith import AbelianGaloisDatum
+from toruskit.arith import AbelianGaloisDatum, characters
 from toruskit.cohomology import cohomology, cohomology_classes, restrict_cochain, restriction_map
 from toruskit.errors import UnsupportedRequestError
 from toruskit.groups import (MODULUS_LIMIT, ORDER_LIMIT, cyclic_group, cyclotomic_quotient_group,
@@ -90,3 +90,20 @@ def test_every_count_is_read_by_one_rule(make, floor, limit, name, verb):
             tracemalloc.stop()
         assert str(exc.value) == f"{name} {verb} bounded by {limit}, got {limit + 1}"
         assert elapsed < 0.1 and peak < 10 ** 6, (elapsed, peak)
+
+
+def test_character_table_is_bounded_before_it_is_built():
+    # (Z/2^19)^x/<5^64>: |G| = 128 characters of phi = 262144 exponents each
+    n, g = 2 ** 19, pow(5, 64, 2 ** 19)
+    datum = AbelianGaloisDatum(n, {pow(g, i, n) for i in range(2048)})
+    assert datum.group.order == 128
+    tracemalloc.start()
+    start = perf_counter()
+    try:
+        with pytest.raises(UnsupportedRequestError) as exc:
+            characters(datum)
+        elapsed, peak = perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "character table entries are bounded by 10000000, got 33554432"
+    assert elapsed < 0.1 and peak < 10 ** 6, (elapsed, peak)

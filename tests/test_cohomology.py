@@ -775,7 +775,7 @@ def test_non_abelian_group_is_unsupported():
 
 @pytest.mark.parametrize("call, error, fragment", [
     pytest.param(lambda: bar_differential(C2, regular_lattice(C2).action, 3), ValueError,
-                 "only degrees 0, 1, 2", id="bar-degree"),
+                 "cohomology degree is bounded by 2", id="bar-degree"),
     pytest.param(lambda: tate_h0(C4, regular_lattice(C2)), ValueError,
                  "not over the given group", id="tate-group"),
     pytest.param(lambda: cohomology_classes(regular_lattice(C2), 3), ValueError,

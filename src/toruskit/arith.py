@@ -102,10 +102,11 @@ class DirichletCharacter(Record):
     in [0, 1); the value at non-units is 0.  The modulus is read by
     ``integer``, and a count of exponents other than the number of units
     raises ``ValueError``; that the exponents form a character is trusted,
-    not checked.  The hash is taken once, on first
-    use, from each exponent's numerator and denominator: a Fraction is kept
-    in lowest terms, so equal exponents give equal pairs, distinct ones
-    distinct pairs, and hashing a Fraction costs several times more.
+    not checked.  The hash reads the numerator and denominator of the first
+    32 exponents only: a Fraction is kept in lowest terms, so equal exponents
+    give equal pairs, and hashing a Fraction costs several times more.  The
+    first 32 units generate (Z/n)^x for every n below 3000, so distinct
+    characters mod such n hash apart.
     """
 
     _fields = ("modulus", "exponents")
@@ -119,13 +120,9 @@ class DirichletCharacter(Record):
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "exponents", exponents)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.modulus,
-                     tuple((q.numerator, q.denominator) for q in self.exponents)))
-
     def __hash__(self):
-        return self._hash
+        return hash((self.modulus,
+                     tuple((q.numerator, q.denominator) for q in self.exponents[:32])))
 
     def units(self) -> tuple[int, ...]:
         return units_mod(self.modulus)
@@ -161,7 +158,8 @@ class DirichletCharacter(Record):
     def conductor(self) -> int:
         """Least f | n such that the character factors through (Z/f)^x."""
         n = self.modulus
-        for f in sorted(d for d in range(1, n + 1) if n % d == 0):
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        for f in sorted({*small, *(n // d for d in small)}):
             if all(q == 0 for u, q in zip(self.units(), self.exponents) if u % f == 1 % f):
                 return f
         raise InternalInvariantError("no conductor found")  # pragma: no cover

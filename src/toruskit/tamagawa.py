@@ -7,10 +7,12 @@ the canonical coefficient is its inverse off the ramified set and 1 on it.
 The global number tau comes out of the finiteness theorem as a ratio of two
 cohomology orders, and a numeric adelic check reproduces tau = 1 for the
 multiplicative group from quadrature alone, on plain floats taking numpy's
-operations in numpy's order.  Its Simpson rule equals scipy's bit for bit on
-the pinned test cases and on odd sample counts; on an even count, scipy
-takes the h^3 of Cartwright's correction from numpy's vectorised ``power``,
-which can differ from libm's ``pow`` by one ulp.
+operations in numpy's order: its coefficient-volume product is 1 by
+construction, so it builds no torus and sieves no primes.  Its Simpson rule
+equals scipy's bit for bit on the pinned test cases and on odd sample
+counts; on an even count, scipy takes the h^3 of Cartwright's correction
+from numpy's vectorised ``power``, which can differ from libm's ``pow`` by
+one ulp.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import (AbelianGaloisDatum, _arithmetic_datum, _local_determinant, frobenius,
-                    primes_up_to)
+from .arith import _arithmetic_datum, _local_determinant, frobenius, primes_up_to
 from .cohomology import cohomology, sha2_cyclic
 from .errors import InternalInvariantError
 from .linalg import bounded, integer
-from .tori import Torus, make_torus
+from .tori import Torus
 
 
 def local_volume(t: Torus, p: int) -> Fraction:
@@ -36,9 +37,11 @@ def local_volume(t: Torus, p: int) -> Fraction:
     return Fraction(_local_determinant(t, frobenius(datum, p), p), p ** t.dim)
 
 
-# The largest pmax for canonical_coefficients, and so for gm_adelic_check:
-# 500 times 20000, the largest the benchmark asks for.  The sieve takes
-# pmax + 1 bytes, and the answer one Fraction per prime (664579 below 10^7).
+# The largest pmax for canonical_coefficients: 500 times 20000, the largest
+# the benchmark asks for.  The sieve takes pmax + 1 bytes, and the answer one
+# Fraction per prime (664579 below 10^7).  gm_adelic_check reads its pmax
+# through the same bound, so the CLI refuses the same values, and sieves
+# nothing.
 PMAX_LIMIT = 10 ** 7
 
 
@@ -155,25 +158,24 @@ def gm_adelic_check(pmax: int = 100, points: int = 2001) -> GmAdelicCheck:
 
     Integrates F(t) = 2 t exp(-pi t^2) over the idele-class fundamental
     domain (product of unit balls times the positive ray): the finite places
-    contribute the exact product of coefficient times volume, the ray is
+    contribute the product of coefficient times volume, the ray is
     integrated in the substituted coordinate u = log t, and the normalizing
     integral is done directly in t.  The coefficient-volume product is 1 by
-    construction, since lambda_p is the inverse local volume; both integrals
-    equal that of the self-dual Gaussian exp(-pi t^2) over R, which is 1.  So
-    tau_hat = 1 checks Simpson's rule on the two grids and the Gaussian's
-    normalization, not the arithmetic of the coefficients.
+    construction, since lambda_p is the inverse local volume, so it is
+    returned as ``Fraction(1)`` and no local factor is computed; both
+    integrals equal that of the self-dual Gaussian exp(-pi t^2) over R,
+    which is 1.  So tau_hat = 1 checks Simpson's rule on the two grids and
+    the Gaussian's normalization, not the arithmetic of the coefficients.
     ``points`` samples make each of the two grids, the numerator's in u and
     the denominator's in t.  ``points`` is read by ``bounded``: fewer than 9
     raise ``ValueError``, more than ``POINTS_LIMIT``
-    ``UnsupportedRequestError``; ``canonical_coefficients`` reads ``pmax``
-    the same way, before either grid is built.
+    ``UnsupportedRequestError``.  ``pmax`` only keeps the CLI's contract: it
+    is read the same way, below 2 or above ``PMAX_LIMIT``, before either grid
+    is built, and otherwise changes nothing.
     """
     points = bounded(points, 9, POINTS_LIMIT, "quadrature points", plural=True)
-    gm = _gm_torus()
-    coeffs = canonical_coefficients(gm, pmax)
+    bounded(pmax, 2, PMAX_LIMIT, "pmax")
     product = Fraction(1)
-    for p, lam in coeffs.items():
-        product *= lam * (1 / lam)
 
     def f(t):
         return 2.0 * t * math.exp(-math.pi * t * t)
@@ -192,7 +194,3 @@ def gm_adelic_check(pmax: int = 100, points: int = 2001) -> GmAdelicCheck:
 
     tau_hat = float(product) * numerator / denominator
     return GmAdelicCheck(tau_hat, abs(tau_hat - 1.0), product)
-
-
-def _gm_torus() -> Torus:
-    return make_torus(AbelianGaloisDatum(1), "split", dim=1)

@@ -401,6 +401,46 @@ def test_character_hash_agrees_with_equality():
     assert hash(quarter) != hash(half)
 
 
+def test_character_hash_reads_a_bounded_prefix():
+    # (Z/4096)^x/<5^16>: phi = 2048 exponents per character.  Hashing one
+    # reads the numerators and denominators of at most 32 of them.
+    class Counting(Fraction):
+        reads = 0
+
+        @property
+        def numerator(self):
+            Counting.reads += 1
+            return super().numerator
+
+        @property
+        def denominator(self):
+            Counting.reads += 1
+            return super().denominator
+
+        def __hash__(self):
+            Counting.reads += 1
+            return super().__hash__()
+
+    n, g = 4096, pow(5, 16, 4096)
+    chi = characters(AbelianGaloisDatum(n, {pow(g, i, n) for i in range(64)}))[5]
+    counted = DirichletCharacter(n, tuple(Counting(q) for q in chi.exponents))
+    for _ in range(2):
+        Counting.reads = 0
+        assert hash(counted) == hash(chi) and Counting.reads <= 64
+
+
+def test_characters_of_every_datum_hash_apart():
+    # The first 32 units generate (Z/n)^x for every n below 3000, so the
+    # characters of each datum the suite builds have distinct hashes.
+    data = SECOND_ROUTE_DATA + [
+        (1, None), (8, (1, 3)), (8, (1, 5)), (8, (1, 7)), (12, None), (15, (1, 4)),
+        (24, None), (120, None), (260, None), (441, None), (840, None),
+        (8192, {pow(5, 16 * i, 8192) for i in range(128)})]
+    for modulus, subgroup in data:
+        chars = characters(AbelianGaloisDatum(modulus, subgroup))
+        assert len({hash(chi) for chi in chars}) == len(chars), modulus
+
+
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: characters(Q3)[1] * characters(QI)[1], "common modulus",
                  id="product"),

@@ -98,11 +98,13 @@ def test_volumes_one_local_factor_per_prime(tmp_path, monkeypatch):
     assert sorted(calls) == [int(p) for p in payload["volume"]]
 
 
-def test_check_gm_one_local_factor_per_prime(monkeypatch):
+def test_check_gm_computes_no_local_factor(monkeypatch):
+    # the coefficient-volume product is 1 by construction: --pmax is bounded
+    # and echoed, but no prime's factor is evaluated
     calls = count_local_factors(monkeypatch)
     payload = run_json(["check-gm", "--pmax", "100"])
     assert payload["coefficient_volume_product"] == "1"
-    assert len(calls) == 25 and len(set(calls)) == 25
+    assert calls == []
 
 
 def test_residue(tmp_path):

@@ -211,11 +211,12 @@ def test_gm_adelic_check_defaults():
 
 
 def test_gm_adelic_check_pmax_independence():
-    # every factor cancels exactly, so the rational part never moves
-    a = gm_adelic_check(2)
-    b = gm_adelic_check(500)
-    assert a.tau_hat == b.tau_hat == 0.9999999695400408
-    assert a.coefficient_volume_product == b.coefficient_volume_product == 1
+    # every factor cancels exactly, so the rational part never moves, up to
+    # the bound
+    a, b, c = (gm_adelic_check(pmax) for pmax in (2, 500, PMAX_LIMIT))
+    assert a.tau_hat == b.tau_hat == c.tau_hat == 0.9999999695400408
+    assert (a.coefficient_volume_product == b.coefficient_volume_product
+            == c.coefficient_volume_product == 1)
 
 
 def test_gm_adelic_check_grid_too_coarse():

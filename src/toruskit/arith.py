@@ -4,9 +4,10 @@ A datum is a modulus n and a subgroup H of (Z/n)^x; the Galois group of the
 fixed field is the quotient, Frobenius at an unramified p is the class of p,
 and the irreducible characters are Dirichlet characters mod n trivial on H.
 The datum reads the quotient, its coset representatives and the element of
-every unit from one pass over the cosets.  Character values are carried
-exactly as rational exponents of e^(2 pi i).  The lattice character is
-integer-valued, so a character's multiplicity equals its average over the
+every unit from one pass over the cosets.  A character holds one exact
+rational exponent of e^(2 pi i) per group element and is read at a unit
+through that map.  The lattice character is integer-valued, so a
+character's multiplicity equals its average over the
 Galois conjugates of the character; that average replaces each root of unity
 by the mean of the primitive roots of its order, mu(e)/phi(e) (Ramanujan's
 sum), and the decomposition is an exact rational sum.  det(I - Frob/p) comes
@@ -20,7 +21,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -29,7 +29,7 @@ from ._record import Record
 from .errors import (InternalInvariantError, PoleError, RamifiedPrimeError,
                      UnsupportedRequestError)
 from .groups import (MODULUS_LIMIT, _cyclotomic_cosets, _factorint, _is_prime,
-                     abelian_decomposition, units_mod)
+                     abelian_decomposition, generating_set, units_mod)
 from .lattices import trace_character
 from .linalg import bounded, integer
 from .tori import Torus
@@ -96,114 +96,100 @@ def frobenius(datum: AbelianGaloisDatum, p: int) -> int:
 
 
 class DirichletCharacter(Record):
-    """Character mod n trivial on H, stored as exact exponents of e^(2 pi i).
+    """Character of a datum's Galois group as exact exponents of e^(2 pi i).
 
-    ``exponents[i]`` is the exponent at ``units_mod(modulus)[i]``, a Fraction
-    in [0, 1); the value at non-units is 0.  The modulus is read by
-    ``integer``, and a count of exponents other than the number of units
-    raises ``ValueError``; that the exponents form a character is trusted,
-    not checked.  The hash reads the numerator and denominator of the first
-    32 exponents only: a Fraction is kept in lowest terms, so equal exponents
-    give equal pairs, and hashing a Fraction costs several times more.  The
-    first 32 units generate (Z/n)^x for every n below 3000, so distinct
-    characters mod such n hash apart.
+    ``exponents[g]`` is the exponent at group element g, a Fraction in [0, 1),
+    taken at every unit of g's coset; the value at non-units is 0.  A datum
+    other than an ``AbelianGaloisDatum`` raises ``TypeError``, a count of
+    exponents other than |G| ``ValueError``; that the exponents form a
+    character is trusted, not checked.  The hash reads the numerator and
+    denominator of the exponents at the group's ``generating_set`` only (at
+    most log2 |G| elements, kept by the group), which fix the character: a
+    Fraction is kept in lowest terms, so equal exponents give equal pairs,
+    and hashing one costs several times more.
     """
 
-    _fields = ("modulus", "exponents")
+    _fields = ("datum", "exponents")
 
-    def __init__(self, modulus: int, exponents: tuple[Fraction, ...]):
-        modulus, exponents = integer(modulus), tuple(exponents)
-        units = len(units_mod(modulus))
-        if len(exponents) != units:
-            raise ValueError(f"a character mod {modulus} takes one exponent per unit, "
-                             f"{units}, got {len(exponents)}")
-        object.__setattr__(self, "modulus", modulus)
+    def __init__(self, datum: AbelianGaloisDatum, exponents: tuple[Fraction, ...]):
+        if not isinstance(datum, AbelianGaloisDatum):
+            raise TypeError(f"a character needs an AbelianGaloisDatum, got {type(datum).__name__}")
+        exponents, order = tuple(exponents), datum.group.order
+        if len(exponents) != order:
+            raise ValueError(f"a character of {datum!r} takes one exponent per group element, "
+                             f"{order}, got {len(exponents)}")
+        object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "exponents", exponents)
 
     def __hash__(self):
-        return hash((self.modulus,
-                     tuple((q.numerator, q.denominator) for q in self.exponents[:32])))
+        at = self.exponents
+        return hash((self.modulus, tuple((at[g].numerator, at[g].denominator)
+                                         for g in generating_set(self.datum.group))))
 
-    def units(self) -> tuple[int, ...]:
-        return units_mod(self.modulus)
+    @property
+    def modulus(self) -> int:
+        return self.datum.modulus
 
     def exponent(self, a: int) -> Fraction:
-        i = _unit_position(self.modulus, a)
-        if i is None:
-            raise ValueError(f"{a} is not a unit mod {self.modulus}")
-        return self.exponents[i]
+        return self.exponents[self.datum.element_of_unit(a)]
 
     def value(self, a: int) -> complex:
-        i = _unit_position(self.modulus, a)
-        return 0j if i is None else cmath.exp(2j * math.pi * float(self.exponents[i]))
+        g = self.datum._element_of.get(a % self.modulus)
+        return 0j if g is None else cmath.exp(2j * math.pi * float(self.exponents[g]))
 
     def is_trivial(self) -> bool:
         return all(q == 0 for q in self.exponents)
 
     def is_odd(self) -> bool:
-        if self.modulus <= 2:
-            return False
-        return self.exponent(self.modulus - 1) != 0
+        return self.modulus > 2 and self.exponent(-1) != 0
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if self.modulus != other.modulus:
-            raise ValueError("character product needs a common modulus")
+        if self.datum != other.datum:
+            raise ValueError("character product needs a common datum")
         exps = tuple((a + b) % 1 for a, b in zip(self.exponents, other.exponents))
-        return DirichletCharacter(self.modulus, exps)
+        return DirichletCharacter(self.datum, exps)
 
     def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(self.modulus, tuple((-q) % 1 for q in self.exponents))
+        return DirichletCharacter(self.datum, tuple((-q) % 1 for q in self.exponents))
 
     @cached_property
     def conductor(self) -> int:
-        """Least f | n such that the character factors through (Z/f)^x."""
-        n = self.modulus
+        """Least f | n such that the character is trivial on the units = 1 mod f."""
+        n, at, element_of = self.modulus, self.exponents, self.datum._element_of
         small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
         for f in sorted({*small, *(n // d for d in small)}):
-            if all(q == 0 for u, q in zip(self.units(), self.exponents) if u % f == 1 % f):
+            if all(at[g] == 0 for g in map(element_of.get, range(1 % f, n, f)) if g is not None):
                 return f
         raise InternalInvariantError("no conductor found")  # pragma: no cover
 
     def primitive_exponent(self, a: int) -> Fraction:
-        """Exponent of the primitive character of conductor f at a (a coprime to f)."""
-        f, prim = _primitive_character(self)
-        if a % f not in prim:
-            raise ValueError(f"{a} is not a unit mod the conductor {f}")
-        return prim[a % f]
+        """Exponent of the primitive character of conductor f at a (a coprime to f),
+        read at the least unit mod n that is a mod f."""
+        f, element_of = self.conductor, self.datum._element_of
+        for u in range(a % f, self.modulus, f):
+            if u in element_of:
+                return self.exponents[element_of[u]]
+        raise ValueError(f"{a} is not a unit mod the conductor {f}")
 
 
-def _unit_position(n: int, a: int) -> int | None:
-    """The place of a mod n in the increasing ``units_mod(n)``, None for a non-unit."""
-    units, a = units_mod(n), a % n
-    i = bisect_left(units, a)
-    return i if i < len(units) and units[i] == a else None
-
-
-def _primitive_character(chi: DirichletCharacter) -> tuple[int, dict[int, Fraction]]:
-    """The conductor f and the primitive character mod f, unit -> exponent.
-
-    Every unit mod f lifts to a unit mod n, and the character is constant on
-    the units over each unit mod f, so reducing the units mod f lists it.
-    """
-    f = chi.conductor
-    return f, {u % f: q for u, q in zip(chi.units(), chi.exponents)}
-
-
-# The most exponents ``characters`` lists, |G| phi(n).  At 8.4 million, ``residue``
-# of a res torus peaked at 104 MB (|G| = 64) and 257 MB (|G| = 1024).
+# The most |G| phi(n) ``characters`` lists for: over all the characters, it bounds
+# the L-value sums (phi(f) <= phi(n) terms each) and, up to the factor n / phi(n),
+# the conductor scans (n / f residues at the conductor f).  At 8.4 million,
+# ``residue`` of a res torus took 0.06 s, peak 35 MB (|G| = 64), and 1.5 s, 201 MB
+# (|G| = 1024).
 CHARACTER_LIMIT = 10 ** 7
 
 
 def characters(datum: AbelianGaloisDatum) -> list[DirichletCharacter]:
-    """All characters of the quotient group, as Dirichlet characters mod n.
+    """All characters of the quotient group, one exponent per group element.
 
     The trivial character comes first; the rest are sorted by their exponent
     vectors, so the listing is deterministic.  Each character is summed once
-    per group element and then spread over the units of its coset.  The
-    table's |G| phi(n) entries are first read by ``bounded`` (``CHARACTER_LIMIT``).
+    per group element on ``abelian_decomposition``'s generators.  |G| phi(n)
+    is first read by ``bounded`` (``CHARACTER_LIMIT``).
     """
-    modulus, group = datum.modulus, datum.group
-    bounded(group.order * len(units_mod(modulus)), 1, CHARACTER_LIMIT,
+    group = datum.group
+    bounded(group.order * len(units_mod(datum.modulus)), 1, CHARACTER_LIMIT,
             "character table entries", plural=True)
     dec = abelian_decomposition(group)
     # tup sends g_k to e^(2 pi i tup_k / n_k); exponents are numerators / lcm
@@ -215,15 +201,9 @@ def characters(datum: AbelianGaloisDatum) -> list[DirichletCharacter]:
                          for coords in dec.exponents))
     if len(tables) != group.order:
         raise InternalInvariantError("character count does not match the group order")
-    # Elements are numbered in the order their least units appear, so the
-    # numerators per element sort as the exponents per unit, trivial first.
-    unit_elements = [datum.element_of_unit(u) for u in units_mod(modulus)]
     fractions = [Fraction(a, lcm) for a in range(lcm)]
-    chars = []
-    for nums in sorted(tables):
-        at = [fractions[a] for a in nums]
-        chars.append(DirichletCharacter(modulus, tuple(at[g] for g in unit_elements)))
-    return chars
+    return [DirichletCharacter(datum, tuple(fractions[a] for a in nums))
+            for nums in sorted(tables)]
 
 
 class Decomposition(NamedTuple):
@@ -239,21 +219,20 @@ def decompose(t: Torus) -> Decomposition:
     The lattice character chi_Pi is integer-valued, so every Galois conjugate
     of chi has the multiplicity of chi; averaging the inner product over them
     gives m_chi = (1/|G|) * sum over group elements g of chi_Pi(g) * mu(e)/phi(e),
-    with e the order of chi(g), the denominator of its exponent at the least
-    unit of g (Ramanujan's sum).  The sum is an exact Fraction, so a
+    with e the order of chi(g), the denominator of its exponent at g
+    (Ramanujan's sum).  The sum is an exact Fraction, so a
     non-integral or negative multiplicity, or a total other than the
     dimension, is impossible for a genuine action and raises.
     """
     datum = _arithmetic_datum(t, "character decomposition needs")
     chi_pi = trace_character(t.X)
-    at_reps = [_unit_position(datum.modulus, r) for r in datum.representatives]
     out: dict[DirichletCharacter, int] = {}
     d = 0
     total = 0
     for chi in characters(datum):
         weight_of_order: dict[int, int] = {}
-        for w, i in zip(chi_pi, at_reps):
-            e = chi.exponents[i].denominator
+        for w, q in zip(chi_pi, chi.exponents):
+            e = q.denominator
             weight_of_order[e] = weight_of_order.get(e, 0) + w
         m = sum(w * _primitive_root_mean(e) for e, w in weight_of_order.items()) / len(chi_pi)
         if m.denominator != 1:
@@ -318,12 +297,13 @@ def dirichlet_L1(chi: DirichletCharacter) -> complex:
     """
     if chi.is_trivial():
         raise PoleError("L(s, trivial character) has a pole at s = 1")
-    f, prim = _primitive_character(chi)
-    terms = sorted(prim.items())  # increasing a, so the float sums keep their order
-    tau_bar = sum(cmath.exp(2j * math.pi * (float(-q) + a / f)) for a, q in terms)
+    f, lift = chi.conductor, chi.primitive_exponent
+    # increasing a, so the float sums keep their order; float(-q) is -float(q)
+    terms = [(a, float(lift(a))) for a in units_mod(f)]
+    tau_bar = sum(cmath.exp(2j * math.pi * (-x + a / f)) for a, x in terms)
     total = 0j
-    for a, q in terms:
-        total += cmath.exp(-2j * math.pi * float(q)) * cmath.log(1 - cmath.exp(2j * math.pi * a / f))
+    for a, x in terms:
+        total += cmath.exp(-2j * math.pi * x) * cmath.log(1 - cmath.exp(2j * math.pi * a / f))
     return -total / tau_bar
 
 

@@ -2,20 +2,23 @@
 
 The oracles here deliberately avoid the production code paths they check:
 cocycle spaces are assembled straight from the defining equations, series
-are summed with Euler-Maclaurin tails, and primes come from a local sieve.
+are summed with Euler-Maclaurin tails, primes come from a local sieve, and
+characters are spread over the units mod n by a coset walk.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from toruskit import linalg
-from toruskit.arith import frobenius
+from toruskit.arith import characters, frobenius
 from toruskit.cohomology import _tuple_index, bar_differential
 from toruskit.groups import (FiniteGroup, Subgroup, coset_gset, cyclic_group, cyclic_subgroups,
                              generating_set, index_two_subgroups,
@@ -401,3 +404,49 @@ def catalan_series_oracle() -> float:
     a, b = 4.0 * terms + 1.0, 4.0 * terms + 3.0
     total += 0.5 * (b * b - a * a) / (a * a * b * b)  # Euler-Maclaurin half term
     return total
+
+
+def per_unit_character_check(datum) -> int:
+    """Check ``characters(datum)`` against each character spread over the units.
+
+    The units mod n are listed by gcd and walked in increasing order; each
+    unit not yet met opens the next group element's coset, its products with
+    H.  A character is then a unit -> exponent table, its conductor the least
+    f | n on which the table depends only on u mod f, and the character is
+    odd when its exponent at -1 is 1/2.  The package's conductor, parity,
+    value at every residue mod n (and at its negative representative) and
+    primitive exponent at every unit mod f (and refusal at a non-unit) must
+    agree.  Returns the number of characters.
+    """
+    n = datum.modulus
+    divisors = [f for f in range(1, n + 1) if n % f == 0]
+    cosets, met = [], set()
+    for u in range(n):
+        if math.gcd(u, n) == 1 and u not in met:
+            cosets.append(sorted({u * h % n for h in datum.subgroup}))
+            met.update(cosets[-1])
+    assert [c[0] for c in cosets] == list(datum.representatives)
+    chars = characters(datum)
+    assert len(chars) == len(cosets) == datum.group.order
+    for chi in chars:
+        table = {u: q for coset, q in zip(cosets, chi.exponents) for u in coset}
+
+        def reduces_mod(f):
+            seen = {}
+            return all(seen.setdefault(u % f, q) == q for u, q in table.items())
+
+        f = next(f for f in divisors if reduces_mod(f))
+        assert chi.conductor == f, (n, chi)
+        assert chi.is_odd() == (table[-1 % n] == Fraction(1, 2)), (n, chi)
+        for a in range(n):
+            want = cmath.exp(2j * math.pi * float(table[a])) if a in table else 0j
+            got = chi.value(a)
+            assert abs(got - want) <= 1e-12 and chi.value(a - n) == got, (n, chi, a)
+        primitive = {u % f: q for u, q in table.items()}
+        assert sorted(primitive) == [a for a in range(f) if math.gcd(a, f) == 1]
+        for a, q in primitive.items():
+            assert chi.primitive_exponent(a) == chi.primitive_exponent(a + f) == q, (n, chi, a)
+        if f > 1:
+            with pytest.raises(ValueError, match="not a unit mod the conductor"):
+                chi.primitive_exponent(f)
+    return len(chars)

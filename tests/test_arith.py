@@ -10,10 +10,11 @@ from toruskit.arith import (AbelianGaloisDatum, DirichletCharacter, characters,
                             decompose, dirichlet_L1, frobenius,
                             local_artin_factor, primes_up_to, residue)
 from toruskit.errors import PoleError, RamifiedPrimeError, UnsupportedRequestError
-from toruskit.groups import cyclic_group, units_mod
+from toruskit.groups import all_subgroups, cyclic_group, generating_set, units_mod
 from toruskit.tori import make_torus
 
-from support import dense, identity, l_chi3_series_oracle, l_chi4_series_oracle, sieve_primes
+from support import (dense, identity, l_chi3_series_oracle, l_chi4_series_oracle,
+                     per_unit_character_check, sieve_primes)
 
 QI = AbelianGaloisDatum(4)
 Q3 = AbelianGaloisDatum(3)
@@ -130,7 +131,7 @@ SECOND_ROUTE_DATA = [
 @pytest.mark.parametrize("modulus, subgroup", SECOND_ROUTE_DATA)
 def test_decompose_matches_float_inner_products(modulus, subgroup):
     # second route: (1/|G|) sum over g of chi_Pi(g) conj chi(g) in complex
-    # floats, with chi read at the coset representatives and chi_Pi as traces
+    # floats, with chi read at each group element and chi_Pi as traces
     datum = AbelianGaloisDatum(modulus, subgroup)
     order = datum.group.order
     res, n1 = make_torus(datum, "res"), make_torus(datum, "norm_one")
@@ -139,13 +140,12 @@ def test_decompose_matches_float_inner_products(modulus, subgroup):
     factors = [res, n1] if order <= 16 else [n1]
     tori = [res, n1, make_torus(datum, "split", dim=2),
             make_torus(datum, "product", factors=factors + [make_torus(datum, "split")])]
-    position = {u: i for i, u in enumerate(units_mod(modulus))}
     for t in tori:
         traces = [sum(int(x) for x in dense(mat).diagonal()) for mat in t.X.action]
         dec = decompose(t)
         for chi in characters(datum):
-            inner = sum(traces[g] * cmath.exp(-2j * math.pi * float(chi.exponents[position[r]]))
-                        for g, r in enumerate(datum.representatives)) / order
+            inner = sum(trace * cmath.exp(-2j * math.pi * float(q))
+                        for trace, q in zip(traces, chi.exponents)) / order
             m = dec.d if chi.is_trivial() else dec.multiplicities.get(chi, 0)
             assert abs(inner - m) <= 1e-9, (modulus, t.kind, chi, inner, m)
 
@@ -245,9 +245,9 @@ def test_residue_multiplicative():
 
 
 def test_residue_keeps_no_copy_of_the_units_per_character():
-    # (Z/8192)^x/<5^16>: 32 characters of phi = 4096 exponents each.  A
-    # unit -> exponent dict per character peaked at 5.5 MB here; the
-    # characters read their exponents at units_mod's positions instead.
+    # (Z/8192)^x/<5^16>: 32 characters, phi = 4096.  A unit -> exponent
+    # dict per character peaked at 5.5 MB here; the characters hold one
+    # exponent per group element instead.
     n, g = 8192, pow(5, 16, 8192)
     t = make_torus(AbelianGaloisDatum(n, {pow(g, i, n) for i in range(512)}), "res")
     assert t.group.order == 32
@@ -329,18 +329,22 @@ def _squarefree(m):
     return all(m % (p * p) for p in range(2, math.isqrt(m) + 1))
 
 
+def _imaginary_quadratic_fields():
+    """(d, the datum of Q(sqrt(-d))) for the 153 fundamental discriminants -d
+    with d < 500: the field is cut out by the units with (-d/u) = 1."""
+    for d in range(3, 500):
+        if d % 4 == 3 and _squarefree(d) or d % 16 in (4, 8) and _squarefree(d // 4):
+            units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+            yield d, AbelianGaloisDatum(d, [u for u in units if _kronecker(-d, u) == 1])
+
+
 def test_residue_matches_the_class_number_formula():
     # The res torus of Q(sqrt(-d)) has rho = L(1, chi_-d) = 2 pi h / (w sqrt d),
-    # here for all 153 fundamental discriminants -d with d < 500.  The field
-    # is cut out by the units with (-d/u) = 1, and h counts reduced forms, so
-    # neither side shares code with characters or Gauss sums.
+    # here for all 153 fundamental discriminants -d with d < 500.  h counts
+    # reduced forms, so neither side shares code with characters or Gauss sums.
     assert [_class_number(d) for d in (3, 4, 15, 23, 47, 71, 163)] == [1, 1, 2, 3, 5, 7, 1]
     fields = 0
-    for d in range(3, 500):
-        if not (d % 4 == 3 and _squarefree(d) or d % 16 in (4, 8) and _squarefree(d // 4)):
-            continue
-        units = [u for u in range(1, d) if math.gcd(u, d) == 1]
-        datum = AbelianGaloisDatum(d, [u for u in units if _kronecker(-d, u) == 1])
+    for d, datum in _imaginary_quadratic_fields():
         assert datum.group.order == 2, d
         want = 2 * math.pi * _class_number(d) / ({3: 6, 4: 4}.get(d, 2) * math.sqrt(d))
         assert abs(residue(make_torus(datum, "res")).rho - want) <= 1e-12 * want, d
@@ -357,10 +361,12 @@ def test_primes_up_to():
 
 
 def test_character_exponents_follow_the_unit_listing():
-    units = units_mod(840)
-    for chi in characters(AbelianGaloisDatum(840, SQUARES_840)):
-        for u in units:
-            assert chi.exponent(u) == chi.exponent(u + 840) == chi.exponents[units.index(u)]
+    datum = AbelianGaloisDatum(840, SQUARES_840)
+    for chi in characters(datum):
+        assert len(chi.exponents) == datum.group.order
+        for u in units_mod(840):
+            want = chi.exponents[datum.element_of_unit(u)]
+            assert chi.exponent(u) == chi.exponent(u + 840) == want
         with pytest.raises(ValueError):
             chi.exponent(2)
 
@@ -391,42 +397,65 @@ def test_character_hash_agrees_with_equality():
     chars = characters(AbelianGaloisDatum(15))
     keys = {chi: i for i, chi in enumerate(chars)}
     for i, chi in enumerate(chars):
-        again = DirichletCharacter(15, tuple(Fraction(2 * q.numerator, 2 * q.denominator)
-                                             for q in chi.exponents))
+        again = DirichletCharacter(chi.datum, tuple(Fraction(2 * q.numerator, 2 * q.denominator)
+                                                    for q in chi.exponents))
         assert again == chi and hash(again) == hash(chi) and keys[again] == i
         assert all(chi * psi in keys for psi in chars)
     assert len(keys) == len(chars) == 8
-    quarter = DirichletCharacter(5, (Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)))
-    half = DirichletCharacter(5, (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1, 2)))
+    five, q = AbelianGaloisDatum(5), Fraction
+    quarter = DirichletCharacter(five, (q(0), q(1, 4), q(3, 4), q(1, 2)))
+    half = DirichletCharacter(five, (q(0), q(1, 2), q(3, 4), q(1, 2)))
     assert hash(quarter) != hash(half)
 
 
-def test_character_hash_reads_a_bounded_prefix():
-    # (Z/4096)^x/<5^16>: phi = 2048 exponents per character.  Hashing one
-    # reads the numerators and denominators of at most 32 of them.
+def test_character_hash_reads_only_a_generating_set():
+    # (Z/4096)^x/<5^16> = C2 x C16: 32 exponents per character, two of them
+    # at the group's generating set, which fix the character.  Hashing one
+    # reads no other exponent, and needs no abelian_decomposition: that
+    # lru_cache compares the whole table of a rebuilt, equal group.
     class Counting(Fraction):
-        reads = 0
+        read = set()
 
         @property
         def numerator(self):
-            Counting.reads += 1
+            Counting.read.add(id(self))
             return super().numerator
 
         @property
         def denominator(self):
-            Counting.reads += 1
+            Counting.read.add(id(self))
             return super().denominator
 
         def __hash__(self):
-            Counting.reads += 1
+            Counting.read.add(id(self))
             return super().__hash__()
 
     n, g = 4096, pow(5, 16, 4096)
-    chi = characters(AbelianGaloisDatum(n, {pow(g, i, n) for i in range(64)}))[5]
-    counted = DirichletCharacter(n, tuple(Counting(q) for q in chi.exponents))
-    for _ in range(2):
-        Counting.reads = 0
-        assert hash(counted) == hash(chi) and Counting.reads <= 64
+    datum = AbelianGaloisDatum(n, {pow(g, i, n) for i in range(64)})
+    generators = generating_set(datum.group)
+    assert datum.group.order == 32 and len(generators) == 2
+    for chi in characters(datum):
+        counted = DirichletCharacter(datum, tuple(Counting(q) for q in chi.exponents))
+        for _ in range(2):
+            Counting.read = set()
+            assert hash(counted) == hash(chi)
+            assert Counting.read == {id(counted.exponents[g]) for g in generators}
+
+
+def test_characters_match_their_spread_over_the_units():
+    # Conductor, parity, values and primitive exponents against the per-unit
+    # oracle, on the data whose characters the suite reads: every subgroup of
+    # (Z/n)^x for n <= 64 (the CLI fuzz draws its moduli there), the larger
+    # named data and the 153 imaginary quadratic fields.
+    data = [(n, [AbelianGaloisDatum(n).representatives[e] for e in sub.elements])
+            for n in range(1, 65) for sub in all_subgroups(AbelianGaloisDatum(n).group)]
+    data += [
+        (120, (1, 49)), (840, SQUARES_840), (120, None), (260, None), (441, None), (840, None),
+        (4096, {pow(5, 16 * i, 4096) for i in range(64)}),
+        (8192, {pow(5, 16 * i, 8192) for i in range(128)})]
+    checked = sum(per_unit_character_check(AbelianGaloisDatum(n, h)) for n, h in data)
+    checked += sum(per_unit_character_check(datum) for _, datum in _imaginary_quadratic_fields())
+    assert checked > 3000, checked
 
 
 def test_characters_of_every_datum_hash_apart():
@@ -442,15 +471,15 @@ def test_characters_of_every_datum_hash_apart():
 
 
 @pytest.mark.parametrize("call, fragment", [
-    pytest.param(lambda: characters(Q3)[1] * characters(QI)[1], "common modulus",
+    pytest.param(lambda: characters(Q3)[1] * characters(QI)[1], "common datum",
                  id="product"),
     pytest.param(lambda: characters(QI)[1].primitive_exponent(2),
                  "not a unit mod the conductor 4", id="primitive"),
-    # one exponent per unit: a short list used to end in "no conductor found"
-    pytest.param(lambda: DirichletCharacter(5, (Fraction(1, 3),)).conductor,
-                 "takes one exponent per unit, 4, got 1", id="too-few"),
-    pytest.param(lambda: DirichletCharacter(4, (Fraction(0),) * 3),
-                 "takes one exponent per unit, 2, got 3", id="too-many"),
+    # one exponent per group element: a short list used to end in "no conductor found"
+    pytest.param(lambda: DirichletCharacter(AbelianGaloisDatum(5), (Fraction(1, 3),)).conductor,
+                 "takes one exponent per group element, 4, got 1", id="too-few"),
+    pytest.param(lambda: DirichletCharacter(QI, (Fraction(0),) * 3),
+                 "takes one exponent per group element, 2, got 3", id="too-many"),
 ])
 def test_character_argument_checks(call, fragment):
     with pytest.raises(ValueError) as exc:
@@ -458,7 +487,10 @@ def test_character_argument_checks(call, fragment):
     assert fragment in str(exc.value)
 
 
-@pytest.mark.parametrize("modulus", [True, 5.0, "5"])
-def test_character_reads_its_modulus_as_an_integer(modulus):
-    with pytest.raises(TypeError, match="integer"):
-        DirichletCharacter(modulus, (Fraction(0),))
+@pytest.mark.parametrize("datum", [
+    pytest.param(True, id="True"), pytest.param(5.0, id="5.0"), pytest.param("5", id="5"),
+    pytest.param(5, id="int"), pytest.param(None, id="None")])
+def test_character_takes_a_datum(datum):
+    # a modulus, or anything else that is not a datum, is refused as a type
+    with pytest.raises(TypeError, match="a character needs an AbelianGaloisDatum"):
+        DirichletCharacter(datum, (Fraction(0),))

@@ -7,7 +7,7 @@ from time import perf_counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from toruskit.arith import AbelianGaloisDatum, DirichletCharacter, frobenius
+from toruskit.arith import AbelianGaloisDatum, frobenius
 from toruskit.errors import UnsupportedRequestError
 from toruskit.groups import (MODULUS_LIMIT, ORDER_LIMIT, FiniteGSet, FiniteGroup, Subgroup,
                              _is_prime, abelian_decomposition, all_subgroups, coset_gset,
@@ -445,7 +445,6 @@ def test_group_argument_checks(call, error, fragment):
     pytest.param(lambda: cyclic_group(10 ** 7), id="cyclic-order"),
     pytest.param(lambda: make_group({"type": "cyclotomic", "modulus": 1000003}), id="modulus"),
     pytest.param(lambda: AbelianGaloisDatum(1000003), id="datum-modulus"),
-    pytest.param(lambda: DirichletCharacter(1000003, ()), id="character-modulus"),
     pytest.param(lambda: product_group(cyclic_group(64), cyclic_group(64)), id="product-order"),
     pytest.param(lambda: cyclotomic_quotient_group(4099), id="cyclotomic-order"),  # 4098 units
 ])

@@ -52,9 +52,9 @@ CASES = [
      lambda: FGAbelian(1, (2, 4)), lambda: FGAbelian(1, (2, 8)), None),
     (AbelianGaloisDatum, [("modulus", REQUIRED), ("subgroup", None)], "modulus",
      lambda: AbelianGaloisDatum(15), lambda: AbelianGaloisDatum(15, (1, 4)), None),
-    (DirichletCharacter, [("modulus", REQUIRED), ("exponents", REQUIRED)], "exponents",
-     lambda: DirichletCharacter(5, (Q(0), Q(1, 4), Q(3, 4), Q(1, 2))),
-     lambda: DirichletCharacter(5, (Q(0), Q(1, 2), Q(1, 2), Q(0))), None),
+    (DirichletCharacter, [("datum", REQUIRED), ("exponents", REQUIRED)], "exponents",
+     lambda: DirichletCharacter(AbelianGaloisDatum(5), (Q(0), Q(1, 4), Q(3, 4), Q(1, 2))),
+     lambda: DirichletCharacter(AbelianGaloisDatum(5), (Q(0), Q(1, 2), Q(1, 2), Q(0))), None),
     (CohomologyClasses, [("fg", REQUIRED), ("generators", REQUIRED),
                          ("coordinate_rows", REQUIRED), ("cocycle_test", REQUIRED)], "fg",
      lambda: classes(FGAbelian(0, (2,))), lambda: classes(FGAbelian(0, (3,))), None),

@@ -26,10 +26,12 @@ resolution of H into that of G, built from the resolution's explicit
 contracting homotopy and evaluated on cochains by the same helper as d.  The
 target H^q(H, Res M) is read off d^(q-1) of H's resolution on M's own
 matrices at H's elements; no restricted lattice is built, so the caches hold
-no entry for one.  Restriction and Sha^2 take lattices only.  H^q, its
-cocycle classes, each restriction map and Sha^2 are each one module-level
-``lru_cache``d function that checks its own arguments, keyed by value and
-type: equal modules share entries, and ``True`` for 1 is checked again.
+no entry for one.  Sha^2 restricts only to the maximal cyclic subgroups C
+whose H^2(C, M), the torsion of coker N_C, does not vanish.  Restriction and
+Sha^2 take lattices only.  H^q, its cocycle classes, each restriction map
+and Sha^2 are each one module-level ``lru_cache``d function that checks its
+own arguments, keyed by value and type: equal modules share entries, and
+``True`` for 1 is checked again.
 Every cache in the package holds at most ``_CACHE_SIZE`` (1024) entries.
 The cached results are immutable: frozen ``FGAbelian``s, tuples and
 ``linalg.Matrix`` sparse rows, the one matrix type of every differential.
@@ -48,8 +50,8 @@ from typing import NamedTuple, Sequence
 from . import linalg
 from ._record import Record
 from .errors import EnumerationBoundError, InternalInvariantError
-from .groups import (_CACHE_SIZE, FiniteGroup, Subgroup, abelian_decomposition,
-                     cyclic_subgroups)
+from .groups import (_CACHE_SIZE, FiniteGroup, Subgroup, _factorint,
+                     abelian_decomposition, cyclic_subgroups)
 from .lattices import (FGAbelian, GLattice, GModulePresentation, _require_lattice,
                        norm_operator)
 from .linalg import Matrix
@@ -346,14 +348,12 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
     H^q(H, Res M) is read off d^(q-1) of H's resolution on M's own matrices
     at H's elements; no restricted lattice is built.  A vanishing target,
     decided by the plain Smith form, gives the empty matrix without building
-    any cocycle representatives.  The plain form comes first because it
-    costs about half the one with U, and on a norm-one torus every cyclic
-    target vanishes (H^2(C, J_G) = H^3(C, Z) = 0): over the 256 cyclic
-    subgroups of C2^8 the plain forms took 0.09 s and forms with U 0.23-0.25
-    s, and over the 40 of (Z/260)^x 0.01 s against 0.018 s (Python 3.11, one
-    core of a shared 2-vCPU machine).  A nonzero target pays for both.  The
-    matrix is in the generators of Smith forms with U, not canonical ones
-    (see ``RestrictionMap``).
+    any cocycle representatives; the plain form costs about half the one
+    with U, and a nonzero target pays for both.  ``sha2_cyclic`` tests its
+    cyclic targets before it calls this, off the norm N_C alone (the d^1 of
+    a cyclic H), so it never calls it on a vanishing one.  The matrix is in
+    the generators of Smith forms with U, not canonical ones (see
+    ``RestrictionMap``).
     """
     _require_lattice(module)
     q = linalg.bounded(q, 1, 2, "restriction degree")
@@ -375,8 +375,12 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     for a lattice M.
 
     Cyclic subgroups stand in for the decomposition groups of unramified
-    places.  The kernel is read off the restriction matrices by duality; see
-    ``_kernel_invariants``.
+    places.  For C' in C, restriction to C' factors through C, so the kernel
+    over the maximal cyclic subgroups is the kernel over all of them; and a
+    C with H^2(C, M) = 0, read off one norm (``_cyclic_h2``), cuts nothing.
+    Only the remaining C are restricted, and the kernel is read off their
+    matrices by duality (``_kernel_invariants``).  On a norm-one torus every
+    cyclic H^2 vanishes (H^3(C, Z) = 0), so no restriction map is built.
     """
     _require_lattice(module)
     if module.group != group:
@@ -384,15 +388,41 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     total = cohomology(group, module, 2)
     if total.is_trivial():
         return FGAbelian.trivial()
-    # A subgroup with vanishing H^2 adds no rows and no factors, and its
-    # restriction builds no cocycle representatives; with no rows at all the
-    # kernel is H^2 itself.
-    maps = [restriction_map(group, module, sub, 2) for sub in cyclic_subgroups(group)]
-    if all(rmap.target.is_trivial() for rmap in maps):
+    # with no target left the kernel is H^2 itself
+    targets = [sub for sub in _maximal_cyclic_subgroups(group) if _cyclic_h2(module, sub)]
+    if not targets:
         return total
+    maps = [restriction_map(group, module, sub, 2) for sub in targets]
     return FGAbelian(0, _kernel_invariants(
         total.torsion, [e for rmap in maps for e in rmap.target.torsion],
         [row for rmap in maps for row in rmap.matrix]))
+
+
+def _maximal_cyclic_subgroups(group: FiniteGroup) -> list[Subgroup]:
+    """The cyclic subgroups of an abelian group that lie in no larger cyclic
+    one, in the order of ``cyclic_subgroups``.
+
+    <x> lies in a larger cyclic subgroup exactly when <x> = <z^p> for some z
+    and some prime p dividing ord(z), so one pass over the pairs (z, p) marks
+    every other one.  Each x is owned by <x>, the smallest cyclic subgroup
+    that holds it.
+    """
+    subs = cyclic_subgroups(group)
+    owner = {x: i for i in reversed(range(len(subs))) for x in subs[i].elements}
+    dec, primes = abelian_decomposition(group), _factorint(group.order)
+    inside = {owner[dec.element(p * e for e in dec.exponents[z])]
+              for z in group.elements() for p in primes if subs[owner[z]].order % p == 0}
+    return [sub for i, sub in enumerate(subs) if i not in inside]
+
+
+def _cyclic_h2(module: GLattice, sub: Subgroup) -> tuple[int, ...]:
+    """Invariant factors of H^2(C, Res M) for a cyclic subgroup C.
+
+    C's periodic resolution gives H^2(C, M) = M^C / N_C M, the torsion of
+    coker N_C for N_C = sum over c in C of M(c): the d^1 that
+    ``restriction_map`` reads off C's resolution.
+    """
+    return linalg.invariant_factors(linalg.combine((1, module.action[a]) for a in sub.elements))
 
 
 def _kernel_invariants(source: Sequence[int], target: Sequence[int],

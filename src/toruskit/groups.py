@@ -19,10 +19,12 @@ from ._record import Record
 from .errors import InternalInvariantError, UnsupportedRequestError
 from .linalg import bounded, integer, integers
 
-# The one bound on every lru_cache in the package.  A Sha^2 pass over C2^8
-# restricts to all 256 of its cyclic subgroups, so restriction_map and
-# Subgroup.as_group each keep 256 entries from that one pass, and a bound of
-# 256 would leave no room for a second lattice over the same group.
+# The one bound on every lru_cache in the package.  A Sha^2 pass restricts to
+# each maximal cyclic subgroup C with H^2(C, M) != 0.  Over C2^8 that is none
+# of the 255 for the norm-one torus, but all 255 for the norm-one torus plus
+# Z, so restriction_map, _chain_map and Subgroup.as_group each keep 255
+# entries from that one pass, and a bound of 256 would leave no room for a
+# second lattice over the same group.
 _CACHE_SIZE = 1024
 
 # A group is a |G| x |G| table (|G| = 2052: 0.8 s, 96 MB; 8208: 24.6 s, 1.07 GB).

@@ -19,11 +19,12 @@ import pytest
 
 from toruskit import linalg
 from toruskit.arith import characters, frobenius
-from toruskit.cohomology import _tuple_index, bar_differential
+from toruskit.cohomology import (_kernel_invariants, _tuple_index, bar_differential,
+                                 cohomology, restriction_map)
 from toruskit.groups import (FiniteGroup, Subgroup, coset_gset, cyclic_group, cyclic_subgroups,
                              generating_set, index_two_subgroups,
                              product_group)
-from toruskit.lattices import (GLattice, GModulePresentation, direct_sum,
+from toruskit.lattices import (FGAbelian, GLattice, GModulePresentation, direct_sum,
                                induce, invariants, norm_operator,
                                permutation_lattice, restrict, sign_lattice,
                                trivial_lattice)
@@ -352,6 +353,24 @@ def bar_sha2(lattice: GLattice) -> tuple[int, ...]:
     free_rank, torsion = quotient_invariants(np.hstack([kernel, diag]), diag)
     assert free_rank == 0
     return torsion
+
+
+def sha2_over_every_cyclic_subgroup(group: FiniteGroup, module: GLattice) -> FGAbelian:
+    """Sha^2 the long way: ``restriction_map`` to every cyclic subgroup, the
+    trivial one and those inside larger ones included, with no test for a
+    vanishing target, then the kernel by duality."""
+    maps = [restriction_map(group, module, sub, 2) for sub in cyclic_subgroups(group)]
+    return FGAbelian(0, _kernel_invariants(
+        cohomology(group, module, 2).torsion,
+        [e for rmap in maps for e in rmap.target.torsion],
+        [row for rmap in maps for row in rmap.matrix]))
+
+
+def maximal_by_inclusion(subgroups: list[Subgroup]) -> list[Subgroup]:
+    """The members of ``subgroups`` that lie in no other member, by a pairwise
+    subset test, in their given order."""
+    sets = [set(s.elements) for s in subgroups]
+    return [s for s, e in zip(subgroups, sets) if not any(e < f for f in sets)]
 
 
 def sieve_primes(n: int) -> list[int]:

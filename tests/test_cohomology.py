@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 import toruskit.cli  # noqa: F401  (loads every module, for the cache scan)
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
-from toruskit.cohomology import (_kernel_invariants, bar_differential, cohomology,
-                                 cohomology_classes, differential,
+from toruskit.cohomology import (_cyclic_h2, _kernel_invariants, _maximal_cyclic_subgroups,
+                                 bar_differential, cohomology, cohomology_classes, differential,
                                  enumerate_splittings, restrict_cochain,
                                  restriction_map, sha2_cyclic, tate_h0)
 from toruskit.errors import (EnumerationBoundError, InternalInvariantError,
@@ -34,8 +34,9 @@ from toruskit.tori import make_torus
 
 from support import (bar_presented_cohomology, bar_sha2, brute_force_cocycles, conjugate,
                      brute_force_h1_order, dense, fixed_point_tate_h0, identity,
-                     group_family_up_to_8, presentation_of_lattice,
-                     random_glattice, random_unimodular, s3_group)
+                     group_family_up_to_8, maximal_by_inclusion, presentation_of_lattice,
+                     random_glattice, random_unimodular, s3_group,
+                     sha2_over_every_cyclic_subgroup)
 
 C2 = cyclic_group(2)
 C3 = cyclic_group(3)
@@ -211,27 +212,29 @@ def test_sha2_active_path_norm_one_plus_trivial():
 
 def test_sha2_order_16_matches_bar_complex_through_the_cache():
     # On the 120/{1,49} norm-one torus plus Z, H^2 = C2^10 and 15 cyclic
-    # subgroups have nonzero H^2 (the torus alone has none).  Sha^2 read off
-    # cached restriction maps, cached itself, and recomputed after clearing
-    # both caches must each be the bar complex's.
+    # subgroups have nonzero H^2 (the torus alone has none).  G = C2^4, so
+    # those 15 are the maximal ones, and Sha^2 restricts to exactly them.
+    # Sha^2 read off cached restriction maps, cached itself, and recomputed
+    # after clearing both caches must each be the bar complex's.
     t = make_torus(AbelianGaloisDatum(120, (1, 49)), "norm_one")
     g, m = t.group, direct_sum(t.X, trivial_lattice(t.group, 1))
     subs = cyclic_subgroups(g)
     active = sum(1 for c in subs if not restriction_map(g, m, c, 2).target.is_trivial())
     assert cohomology(g, m, 2) == FGAbelian(0, (2,) * 10) and active == 15
+    assert len(subs) == 16
     want = bar_sha2(m)
     assert want == (2,) * 6
     before = restriction_map.cache_info()
     first = sha2_cyclic(g, m)
     after = restriction_map.cache_info()
-    assert after.hits == before.hits + len(subs) and after.misses == before.misses
+    assert after.hits == before.hits + 15 and after.misses == before.misses
     sha_hits = sha2_cyclic.cache_info().hits
     assert sha2_cyclic(g, m) is first
     assert sha2_cyclic.cache_info().hits == sha_hits + 1
     sha2_cyclic.cache_clear()
     restriction_map.cache_clear()
     again = sha2_cyclic(g, m)
-    assert restriction_map.cache_info().misses == len(subs)
+    assert restriction_map.cache_info().misses == 15
     assert first.torsion == again.torsion == want
 
 
@@ -282,6 +285,86 @@ def test_sha2_caches_only_the_answers_about_the_module():
     assert cohomology_classes.cache_info().currsize == 1
 
 
+# The splitting data of the cold_tamagawa benchmark workload.
+COLD_TAMAGAWA_DATA = [(4, None), (8, (1, 3)), (12, (1, 5)), (5, None), (12, None),
+                      (16, (1, 7)), (15, None), (24, None), (40, (1, 9)), (60, (1, 49)),
+                      (120, (1, 49)), (17, None), (32, None), (40, None), (48, None)]
+
+
+def check_sha2_restricts_only_where_it_cuts(g, m):
+    """sha2_cyclic against every cyclic restriction: the same kernel, the norm
+    test and restriction_map agree on every cyclic H^2, and restriction_map
+    is called for exactly the maximal cyclic subgroups with H^2 != 0."""
+    subs = cyclic_subgroups(g)
+    for c in subs:
+        assert _cyclic_h2(m, c) == restriction_map(g, m, c, 2).target.torsion, (m, c)
+    called = []
+
+    def recording(group, module, sub, q):
+        called.append(sub)
+        return restriction_map(group, module, sub, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys.modules["toruskit.cohomology"], "restriction_map", recording)
+        sha = sha2_cyclic.__wrapped__(g, m)  # past the cache
+    total = cohomology(g, m, 2)
+    want = [c for c in maximal_by_inclusion(subs) if _cyclic_h2(m, c)]
+    assert called == (want if not total.is_trivial() else []), m
+    assert sha == sha2_over_every_cyclic_subgroup(g, m), m
+    if not called and not total.is_trivial():
+        assert sha is total
+    return len(called)
+
+
+@pytest.mark.parametrize("modulus, subgroup", COLD_TAMAGAWA_DATA)
+def test_sha2_on_maximal_cyclic_targets_matches_every_cyclic_subgroup(modulus, subgroup):
+    # Restriction to C' in C factors through C, and a C with H^2(C, M) = 0
+    # cuts nothing, so restricting to the maximal cyclic subgroups with a
+    # nonzero H^2 must give the kernel over all of them.  The norm-one and
+    # res tori have no cyclic target; the split torus Z, and each torus plus
+    # Z, have one at every nontrivial C.
+    datum = AbelianGaloisDatum(modulus, subgroup)
+    parts = [make_torus(datum, "norm_one"), make_torus(datum, "res"),
+             make_torus(datum, "split", dim=1)]
+    g = parts[0].group
+    restricted = 0
+    for t in parts + [make_torus(datum, "product", factors=parts)]:
+        for m in (t.X, direct_sum(t.X, trivial_lattice(g, 1))):
+            restricted += check_sha2_restricts_only_where_it_cuts(g, m)
+    assert restricted > 0
+
+
+def test_sha2_on_the_small_family_matches_every_cyclic_subgroup():
+    # Z and the norm-one lattice plus Z have H^2(C, Z) = Z/|C| at every
+    # nontrivial C, so every maximal cyclic subgroup is restricted to; C6
+    # has one of order 2 and one of order 3.
+    for g in group_family_up_to_8():
+        for m in (trivial_lattice(g, 1), direct_sum(norm_one_lattice(g), trivial_lattice(g, 1))):
+            check_sha2_restricts_only_where_it_cuts(g, m)
+
+
+def test_maximal_cyclic_subgroups_match_the_pairwise_test():
+    # One pass over (z, p), z^p for the primes p | ord(z), against a subset
+    # test over all pairs, on (Z/n)^x for n <= 120 and products of cyclic
+    # groups of mixed prime orders.
+    groups = [AbelianGaloisDatum(n).group for n in range(1, 121)] + [
+        product_group(cyclic_group(a), cyclic_group(b))
+        for a, b in ((3, 9), (6, 6), (2, 12), (5, 10), (4, 18))]
+    for g in groups:
+        subs = cyclic_subgroups(g)
+        assert _maximal_cyclic_subgroups(g) == maximal_by_inclusion(subs), g
+
+
+@given(st.sampled_from(group_family_up_to_8()), st.integers(0, 2 ** 32))
+@settings(deadline=None, max_examples=40)
+def test_sha2_on_random_lattices_matches_every_cyclic_subgroup(g, seed):
+    rng = random.Random(seed)
+    m = random_glattice(g, 2, rng)
+    if rng.random() < 0.5:
+        m = direct_sum(m, random_glattice(g, 2, rng))
+    check_sha2_restricts_only_where_it_cuts(g, m)
+
+
 @pytest.mark.parametrize("modulus, subgroup", [(15, None), (24, None), (120, (1, 49))])
 def test_restriction_matrices_change_only_with_the_basis(modulus, subgroup):
     # RestrictionMap.matrix is written in the generators that the Smith form
@@ -304,6 +387,8 @@ def test_restriction_matrices_change_only_with_the_basis(modulus, subgroup):
 
 
 def test_equal_lattices_share_restriction_and_sha2_entries():
+    # Of the 6 cyclic subgroups of C2 x C4, Sha^2 restricts to the 4 maximal
+    # ones (two of order 4, two of order 2), all with H^2(C, Z) != 0.
     g = product_group(C2, C4)
     first = direct_sum(norm_one_lattice(g), trivial_lattice(g, 1))
     again = glattice(g, dense(first.action).tolist())
@@ -313,8 +398,9 @@ def test_equal_lattices_share_restriction_and_sha2_entries():
     sha = sha2_cyclic(g, first)
     assert sha == FGAbelian(0, (2,))
     subs = cyclic_subgroups(g)
+    assert len(subs) == 6
     assert sha2_cyclic.cache_info()[:2] == (0, 1)
-    assert restriction_map.cache_info()[:2] == (0, len(subs))
+    assert restriction_map.cache_info()[:2] == (0, 4)
     assert sha2_cyclic(g, again) is sha
     assert sha2_cyclic.cache_info()[:2] == (1, 1)
     for sub in cyclic_subgroups(g):  # equal subgroups, built again
@@ -323,7 +409,7 @@ def test_equal_lattices_share_restriction_and_sha2_entries():
         assert type(rmap.matrix) is tuple
         assert all(type(row) is tuple and all(type(x) is int for x in row)
                    for row in rmap.matrix)
-    assert restriction_map.cache_info()[:2] == (2 * len(subs), len(subs))
+    assert restriction_map.cache_info()[:2] == (4 + len(subs), len(subs))
     for value, attr in ((sha, "torsion"), (rmap.source, "free_rank"),
                         (rmap.target, "torsion")):
         kept = getattr(value, attr)

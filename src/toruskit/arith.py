@@ -10,10 +10,10 @@ through that map.  The lattice character is integer-valued, so a
 character's multiplicity equals its average over the
 Galois conjugates of the character; that average replaces each root of unity
 by the mean of the primitive roots of its order, mu(e)/phi(e) (Ramanujan's
-sum), and the decomposition is an exact rational sum.  det(I - Frob/p) comes
-from the characteristic polynomial of Frobenius, built from the same trace
-character by Newton's identities once per Galois element.  Only L-values and
-residues become floats.
+sum), and the decomposition is an exact rational sum.  The same trace
+character gives, once per Galois element g, the exponents c_e of
+det(x I - X(g)) = prod (x^e - 1)^(c_e), so det(p I - X(Frob_p)) costs a few
+integer powers and one exact division.  Only L-values and residues become floats.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ._record import Record
 from .errors import (InternalInvariantError, PoleError, RamifiedPrimeError,
                      UnsupportedRequestError)
 from .groups import (MODULUS_LIMIT, _cyclotomic_cosets, _factorint, _is_prime,
-                     abelian_decomposition, generating_set, units_mod)
+                     abelian_decomposition, generating_set, primes_up_to, units_mod)
 from .lattices import trace_character
 from .linalg import bounded, integer
 from .tori import Torus
@@ -68,23 +68,12 @@ class AbelianGaloisDatum(Record):
         return f"AbelianGaloisDatum(n={self.modulus}, |H|={len(self.subgroup)}, |G|={self.group.order})"
 
 
-def primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return list(itertools.compress(range(n + 1), sieve))
-
-
 def frobenius(datum: AbelianGaloisDatum, p: int) -> int:
     """Class of an unramified prime p in (Z/n)^x / H, as a group element index.
 
     p is read as an integer (``bool``, ``float`` and ``Fraction`` raise
-    ``TypeError``) and tested by ``groups._is_prime``: trial division below
-    10^6, a deterministic Miller-Rabin test from there, and
+    ``TypeError``) and tested by ``groups._is_prime``: one gcd below 10^6, a
+    deterministic Miller-Rabin test from there, and
     ``UnsupportedRequestError`` from psi_13 = 3317044064679887385961981 up.
     """
     p = integer(p)
@@ -270,19 +259,23 @@ def local_artin_factor(t: Torus, p: int) -> Fraction:
     """Euler factor at s=1 of the lattice character: 1/det(I - Frob/p).
 
     Checks the datum, then that p is prime, then that p is unramified.
-    det(p I - X(Frob)) is the characteristic polynomial of X(Frob) (built from
-    the trace character by Newton's identities, once per Galois element) at p.
+    det(p I - X(Frob)) is read off the cycle exponents of Frobenius, which the
+    trace character gives once per Galois element (``_local_determinant``).
     """
     datum, p = _arithmetic_datum(t, "local factors need"), integer(p)
     return Fraction(p ** t.dim, _local_determinant(t, frobenius(datum, p), p))
 
 
 def _local_determinant(t: Torus, frob: int, p: int) -> int:
-    """det(p I - X(frob)), positive: the characteristic polynomial of X(frob)
-    evaluated at p by Horner's rule."""
-    det = 0
-    for c in t.X.characteristic_polynomials[frob]:
-        det = det * p + c
+    """det(p I - X(frob)) = prod (p^e - 1)^(c_e) over ``GLattice._cycle_exponents``,
+    positive: one exact division of the factors with c_e > 0 by the rest."""
+    num = den = 1
+    for e, c in t.X._cycle_exponents[frob]:
+        if c > 0:
+            num *= (p ** e - 1) ** c
+        else:
+            den *= (p ** e - 1) ** -c
+    det = num // den
     if det <= 0:
         raise InternalInvariantError("local determinant must be positive")
     return det

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, Mapping, NamedTuple
 
 from ._record import Record
@@ -251,27 +251,36 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
+def primes_up_to(n: int) -> list[int]:
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), sieve))
+
+
 # Strong probable-prime bases: the first thirteen primes decide primality of
 # every n below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).  Twelve
 # are not enough: psi_12 = 318665857834031151167461 passes bases 2 ... 37.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981  # psi_13
+_PRIMES_BELOW_1000 = frozenset(primes_up_to(999))  # the sieve of _is_prime below 10^6
+_PRIMORIAL_1000 = prod(_PRIMES_BELOW_1000)
 
 
 def _is_prime(n: int) -> bool:
     """Whether n is prime.
 
-    Below 10^6 by trial division by 2, 3 and each 6k +- 1 up to isqrt(n)
-    (every prime above 3 is 6k +- 1), at most 166 steps.  From 10^6 by the
-    strong probable-prime test to the bases ``_MILLER_RABIN_BASES``, which is
-    exact below psi_13; from psi_13 up it raises
-    ``UnsupportedRequestError``."""
+    Below 1000 by lookup in a sieve made at import, and below 10^6 by one
+    gcd with the product of the primes below 1000, which every composite
+    there shares a factor with.  From 10^6 by the strong probable-prime
+    test to the bases ``_MILLER_RABIN_BASES``, which is exact below psi_13;
+    from psi_13 up it raises ``UnsupportedRequestError``."""
     if n < 10 ** 6:
-        if n < 5:
-            return n == 2 or n == 3
-        if n % 2 == 0 or n % 3 == 0:
-            return False
-        return all(n % k and n % (k + 2) for k in range(5, isqrt(n) + 1, 6))
+        return n in _PRIMES_BELOW_1000 if n < 1000 else gcd(n, _PRIMORIAL_1000) == 1
     if n >= _MILLER_RABIN_EXACT_BELOW:
         raise UnsupportedRequestError(
             f"primality is decided below {_MILLER_RABIN_EXACT_BELOW} only")

@@ -135,24 +135,52 @@ class GLattice(GModulePresentation):
         return self.action[g]
 
     @cached_property
-    def characteristic_polynomials(self) -> tuple[tuple[int, ...], ...]:
-        """det(x I - X(g)) for every element g, coefficients from x^rank down.
+    def _cycle_exponents(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each element g of order m, the pairs (e, c_e) with c_e != 0, e
+        increasing, in det(x I - X(g)) = prod over e | m of (x^e - 1)^(c_e).
 
-        X(g)^i = X(g^i), so the eigenvalue power sums are p_i = chi(g^i), and
-        Newton's identities k e_k = sum over i <= k of (-1)^(i-1) e_(k-i) p_i
-        give the coefficients c_k = (-1)^k e_k as k c_k = -sum c_(k-i) p_i.
-        """
-        chi, table, out = trace_character(self), self.group.table, []
+        X(g)^m = I and det(x I - X(g)) is rational, so X restricted to <g> is
+        a virtual sum of c_e copies of Q[x]/(x^e - 1), on which g^d has trace
+        e if e | d and 0 otherwise.  So chi(g^e) = sum over d | e of d c_d,
+        which gives c_e from the trace character on <g> alone, for the
+        divisors e of m in increasing order.  The division by e must be
+        exact: a remainder raises."""
+        chi, table, identity = trace_character(self), self.group.table, self.group.identity
+        out = []
         for g in self.group.elements():
-            sums, c, power = [], [1], g
-            for k in range(1, self.rank + 1):
-                sums.append(chi[power])
+            values, power = [chi[identity]], g
+            while power != identity:
+                values.append(chi[power])
                 power = table[power][g]
-                c_k, rem = divmod(-sum(a * b for a, b in zip(c, reversed(sums))), k)
-                if rem:
-                    raise InternalInvariantError("Newton's identities left a remainder")
-                c.append(c_k)
-            out.append(tuple(c))
+            m, c = len(values), {}
+            for e in range(1, m + 1):
+                if m % e == 0:
+                    e_c_e = values[e % m] - sum(d * c[d] for d in c if e % d == 0)
+                    c[e], rem = divmod(e_c_e, e)
+                    if rem:
+                        raise InternalInvariantError(
+                            f"cycle exponents of element {g} left a remainder")
+            out.append(tuple((e, k) for e, k in c.items() if k))
+        return tuple(out)
+
+    @cached_property
+    def characteristic_polynomials(self) -> tuple[tuple[int, ...], ...]:
+        """det(x I - X(g)) for every element g, coefficients from x^rank down: the
+        (x^e - 1)^(c_e) of ``_cycle_exponents`` multiplied, c_e < 0 by exact division."""
+        out = []
+        for exponents in self._cycle_exponents:
+            poly = [1]
+            for e, c in exponents:
+                for _ in range(c):  # c > 0: times x^e - 1
+                    poly = [a - b for a, b in zip(poly + [0] * e, [0] * e + poly)]
+            for e, c in exponents:
+                for _ in range(-c):  # c < 0: q_k = poly_k + q_(k-e), the last e vanish
+                    for k in range(e, len(poly)):
+                        poly[k] += poly[k - e]
+                    if any(poly[-e:]):
+                        raise InternalInvariantError("division by x^e - 1 left a remainder")
+                    del poly[-e:]
+            out.append(tuple(poly))
         return tuple(out)
 
     def __repr__(self):

@@ -1,8 +1,8 @@
 """Local volumes, canonical convergence coefficients, and Tamagawa numbers.
 
 The unramified local volume of the integral points is the exact rational
-det(I - Frob/p), read off the characteristic polynomial of Frobenius (built
-from the trace character by Newton's identities, once per Galois element);
+det(I - Frob/p) = prod (1 - p^-e)^(c_e), over the cycle exponents of Frobenius
+(read off the trace character once per Galois element, ``arith``);
 the canonical coefficient is its inverse off the ramified set and 1 on it.
 The global number tau comes out of the finiteness theorem as a ratio of two
 cohomology orders, and a numeric adelic check reproduces tau = 1 for the
@@ -51,13 +51,13 @@ def canonical_coefficients(t: Torus, pmax: int) -> dict[int, Fraction]:
     ``PMAX_LIMIT`` ``UnsupportedRequestError``."""
     pmax = bounded(pmax, 2, PMAX_LIMIT, "pmax")
     datum = _arithmetic_datum(t, "canonical coefficients need")
-    ramified = datum.ramified
+    ramified, n, element_of, dim = datum.ramified, datum.modulus, datum._element_of, t.dim
     out: dict[int, Fraction] = {}
     for p in primes_up_to(pmax):
         if p in ramified:
             out[p] = Fraction(1)
-        else:  # a sieve prime off S: Frobenius is its class, no primality test
-            out[p] = Fraction(p ** t.dim, _local_determinant(t, datum.element_of_unit(p), p))
+        else:  # a sieve prime off S is a unit: Frobenius is its class, no primality test
+            out[p] = Fraction(p ** dim, _local_determinant(t, element_of[p % n], p))
     return out
 
 

@@ -126,6 +126,29 @@ def bareiss_local_factor(t: Torus, p: int) -> Fraction:
     return Fraction(p ** t.dim, bareiss_charpoly_value(t.X, frobenius(t.splitting, p), p))
 
 
+def cycle_formula_determinants(modulus: int, subgroup, kind: str, primes) -> dict[int, int]:
+    """det(p I - X(Frob_p)) of the ``res`` or ``norm_one`` torus of the field
+    cut out by ``subgroup`` of (Z/modulus)^x (None: the trivial subgroup), in
+    closed form at each of ``primes`` prime to the modulus.
+
+    The ``res`` lattice permutes the |G| cosets, and Frobenius, of order m,
+    does so in |G|/m cycles of length m, each giving x^m - 1: the determinant
+    is (p^m - 1)^(|G|/m).  The norm-one lattice is that one modulo the
+    trivial line, which takes off p - 1.  |G| and m are read off residues
+    mod n, not off any group the package builds."""
+    n = modulus
+    h = {1 % n} if subgroup is None else {x % n for x in subgroup}
+    order = sum(1 for a in range(n) if math.gcd(a, n) == 1) // len(h)
+    out = {}
+    for p in primes:
+        m, x = 1, p % n
+        while x not in h:
+            m, x = m + 1, x * p % n
+        det = (p ** m - 1) ** (order // m)
+        out[p] = det if kind == "res" else det // (p - 1)
+    return out
+
+
 def random_unimodular(rank: int, rng: random.Random, steps: int = 8) -> np.ndarray:
     u = identity(rank)
     for _ in range(steps):

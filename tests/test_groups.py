@@ -17,7 +17,7 @@ from toruskit.groups import (MODULUS_LIMIT, ORDER_LIMIT, FiniteGSet, FiniteGroup
                              product_group, subgroup_closure,
                              trivial_subgroup, units_mod)
 
-from support import group_family_up_to_8, s3_group
+from support import group_family_up_to_8, s3_group, sieve_primes
 
 
 def test_make_group_cyclic_one():
@@ -353,6 +353,12 @@ def test_is_prime_matches_sympy():
     sympy = pytest.importorskip("sympy")
     for n in itertools.chain(range(-5, 20001), range(10 ** 6 - 2000, 10 ** 6 + 2001)):
         assert _is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_matches_a_sieve_below_the_miller_rabin_range():
+    # The lookup below 1000 and the gcd with the primes below 1000 up to 10^6,
+    # at every n; test_is_prime_matches_sympy checks the hand-over at 10^6.
+    assert [n for n in range(-5, 10 ** 6) if _is_prime(n)] == sieve_primes(10 ** 6 - 1)
 
 
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911)

@@ -1,8 +1,11 @@
-"""Local factors from characteristic polynomials against Bareiss determinants.
+"""Local factors from cycle exponents against Bareiss determinants.
 
-``GLattice.characteristic_polynomials`` builds det(x I - X(g)) from the trace
-character by Newton's identities; the oracle in ``support`` takes one Bareiss
-determinant of x I - X(g) itself, so the two routes share no code.
+``GLattice._cycle_exponents`` reads det(x I - X(g)) = prod (x^e - 1)^(c_e)
+off the trace character on <g>, and ``characteristic_polynomials`` and
+``_local_determinant`` multiply it out; the oracle in ``support`` takes one
+Bareiss determinant of x I - X(g) itself, so the two routes share no code.
+On ``res`` and norm-one tori a second oracle, the closed form of a
+permutation lattice, reads |G| and the order of Frobenius off residues mod n.
 """
 
 import random
@@ -12,17 +15,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruskit import lattices
-from toruskit.arith import AbelianGaloisDatum, frobenius, local_artin_factor
+from toruskit.arith import (AbelianGaloisDatum, _local_determinant, frobenius,
+                            local_artin_factor)
 from toruskit.errors import (InternalInvariantError, RamifiedPrimeError,
                              UnsupportedRequestError)
-from toruskit.groups import cyclic_group
+from toruskit.groups import all_subgroups, cyclic_group
 from toruskit.lattices import direct_sum, regular_lattice
 from toruskit.tamagawa import canonical_coefficients, local_volume
 from toruskit.tori import Torus, make_torus
 
 from support import (bareiss_charpoly_value, bareiss_local_factor, conjugate,
-                     group_family_up_to_8, random_glattice, random_unimodular,
-                     sieve_primes)
+                     cycle_formula_determinants, group_family_up_to_8,
+                     random_glattice, random_unimodular, sieve_primes)
 
 WITNESS = AbelianGaloisDatum(120, (1, 49))
 SQUARES_840 = AbelianGaloisDatum(840, (1, 121, 169, 289, 361, 529))
@@ -75,6 +79,32 @@ def test_norm_one_local_factors_match_bareiss(datum):
             seen.add(g)
             assert local_artin_factor(t, p) == bareiss_local_factor(t, p), p
     assert seen == set(datum.group.elements())
+
+
+def test_local_determinants_match_the_cycle_formula():
+    # The res and norm-one tori of the data the suite builds with |G| <= 512,
+    # at every unramified p <= 300: every subgroup of (Z/n)^x for n <= 64 (the
+    # CLI fuzz draws its moduli there) and the larger named data.
+    data = []
+    for n in range(1, 65):
+        full = AbelianGaloisDatum(n)
+        data += [(n, [full.representatives[e] for e in sub.elements])
+                 for sub in all_subgroups(full.group)]
+    data += [(120, (1, 49)), (840, SQUARES_840.subgroup), (120, None), (260, None),
+             (441, None), (840, None), (4096, {pow(5, 16 * i, 4096) for i in range(64)}),
+             (8192, {pow(5, 16 * i, 8192) for i in range(128)})]
+    checked = 0
+    for n, h in data:
+        datum = AbelianGaloisDatum(n, h)
+        assert datum.group.order <= 512
+        primes = [p for p in sieve_primes(300) if n % p]
+        for kind in ("res", "norm_one"):
+            t = make_torus(datum, kind)
+            want = cycle_formula_determinants(n, h, kind, primes)
+            assert {p: _local_determinant(t, frobenius(datum, p), p) for p in primes} == want, \
+                (n, h, kind)
+            checked += len(primes)
+    assert checked == 71512, checked
 
 
 def test_local_factor_is_basis_independent(witness):

@@ -13,9 +13,9 @@ Caller data (``GLattice(...)``, ``glattice``, explicit ``lattice`` tori,
 construction from validated inputs, check only their own arguments and derive
 (``_derived``, unprobed): the lattices through ``_lattice``, plus
 ``presentation_mod`` and ``_regular_cover``.  Stacks are multiplied only by
-``linalg.stack_product``: a quotient's proj X(a) section, a Smith frame
-U X(a) U^-1 and the group law in that frame.  In
-``tests/test_lattices.py``, ``test_derived_lattices_are_actions`` and
+``linalg.stack_product``: a quotient's stability test proj X(s) S and its
+proj X(a) section, a Smith frame U X(a) U^-1 and the group law in that frame.
+In ``tests/test_lattices.py``, ``test_derived_lattices_are_actions`` and
 ``test_presentation_mod_is_derived`` stand in for the probe on them.
 A record's cached property ``_relation_complex`` reads its Smith frame as the
 complex R -> Z^n whose cone the cohomology engine takes.  Functions written
@@ -295,10 +295,16 @@ def sign_lattice(group: FiniteGroup, kernel: Subgroup) -> GLattice:
 
 
 def _permutation(group: FiniteGroup, images: Sequence[Sequence[int]]) -> GLattice:
-    """a sends basis vector x to basis vector images[a][x]."""
-    n = len(images[group.identity])  # row y of X(a) has its 1 at the x sent to y
-    return _lattice(group, tuple(linalg._matrix((n, n), tuple(((x, 1),) for _, x in sorted(
-        zip(row, range(n))))) for row in images))
+    """a sends basis vector x to basis vector images[a][x]: row y of X(a) has
+    its 1 at the x sent to y, placed by the inverse permutation; rows are shared."""
+    n = len(images[group.identity])
+    units, stack = [((x, 1),) for x in range(n)], []
+    for row in images:
+        sent = [0] * n
+        for x, y in enumerate(row):
+            sent[y] = units[x]
+        stack.append(linalg._matrix((n, n), tuple(sent)))
+    return _lattice(group, tuple(stack))
 
 
 def permutation_lattice(gset: FiniteGSet) -> GLattice:
@@ -389,7 +395,12 @@ def norm_operator(m: GLattice) -> Matrix:
 def norm_vector(m: GLattice) -> Matrix:
     """N e_1, the sum of the first columns of the stack, as a column."""
     _require_lattice(m)
-    return linalg.combine((1, x.take(cols=[0])) for x in m.action)
+    column = [0] * m.rank
+    for x in m.action:
+        for i, row in enumerate(x.rows):
+            if row and row[0][0] == 0:  # column 0 can only be a row's first pair
+                column[i] += row[0][1]
+    return linalg._matrix((m.rank, 1), tuple(((0, x),) if x else () for x in column))
 
 
 def invariants(m: GLattice) -> tuple[Matrix, int]:
@@ -418,10 +429,10 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, Matrix]:
     saturated), as is any basis the group action does not preserve.  All of
     it is read off one Smith form U S V = D of the Hermite basis S: with D = 1
     the last rows of U vanish exactly on the sublattice, and they are the
-    projection; the matching columns of U^-1 are a section of it.  The
-    quotient's stack proj X(a) section multiplies nonzero entries only
-    (``linalg.stack_product``): the projection of a norm vector has two
-    nonzeros per row and its section one per column.
+    projection; the matching columns of U^-1 are a section of it.  Both the
+    stability test proj X(s) S on the generators s and the quotient's stack
+    proj X(a) section are one ``linalg.stack_product``: the projection of a
+    norm vector has two nonzeros per row and its section one per column.
     """
     _require_lattice(m)
     s = linalg.intmat(sub_basis)
@@ -435,8 +446,8 @@ def quotient_lattice(m: GLattice, sub_basis) -> tuple[GLattice, Matrix]:
     if any(d != 1 for d in full.diagonal):
         raise ValueError("sublattice is not saturated; quotient would have torsion")
     proj = full.u.take(rows=range(ncols, m.rank))
-    if not all(linalg.is_zero(linalg.mul(proj, linalg.mul(m.action[a], s)))
-               for a in generating_set(m.group)):  # stable under generators is stable
+    gens = [m.action[a] for a in generating_set(m.group)]  # stable under these is stable
+    if not all(map(linalg.is_zero, linalg.stack_product(proj, gens, s))):
         raise ValueError("sublattice is not stable under the group action")
     section = full.uinv.take(cols=range(ncols, m.rank))
     quotient = linalg.stack_product(proj, m.action, section)

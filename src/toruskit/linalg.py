@@ -14,8 +14,8 @@ optional unimodular transforms: one elimination on sparse rows that takes
 least absolute value; it keeps the divisibility chain at every pivot and
 serves plain and transform requests alike.  Invariant factors, kernels and
 integer solves are derived from it.  A column-style Hermite form puts
-lattice bases into a canonical shape, and ``stack_product`` multiplies a
-stack by a matrix on either side.
+lattice bases into a canonical shape; ``stack_product`` multiplies a stack
+by a matrix on either side, each output row in one pass.
 """
 
 from __future__ import annotations
@@ -229,9 +229,27 @@ def combine(terms: Iterable[tuple[int, Matrix]]) -> Matrix:
 
 
 def stack_product(left, stack: Sequence[Matrix], right) -> tuple[Matrix, ...]:
-    """left @ X @ right for every matrix X of ``stack``, over nonzero entries."""
+    """left @ X @ right for every matrix X of ``stack``, over nonzero entries,
+    one pass per output row: row i of left @ X is merged first, so each row of
+    ``right`` (dense for a Smith frame's U^-1) is read at most once per row."""
     left, right = intmat(left), intmat(right)
-    return tuple(mul(mul(left, x), right) for x in stack)
+    out = []
+    for x in map(intmat, stack):
+        if (left.shape[1], right.shape[0]) != x.shape:
+            raise ValueError(f"shape mismatch {left.shape} @ {x.shape} @ {right.shape}")
+        rows = []
+        for row in left.rows:
+            mid: dict[int, int] = {}
+            for l, y in row:
+                for k, z in x.rows[l]:
+                    mid[k] = mid.get(k, 0) + y * z
+            end: dict[int, int] = {}
+            for k, y in mid.items():
+                for j, z in right.rows[k] if y else ():
+                    end[j] = end.get(j, 0) + y * z
+            rows.append(end)
+        out.append(_from_rows((left.shape[0], right.shape[1]), rows))
+    return tuple(out)
 
 
 def is_zero(a) -> bool:
@@ -239,7 +257,7 @@ def is_zero(a) -> bool:
 
 
 def trace(a: Matrix) -> int:
-    return sum(x for i, j, x in a.items() if i == j)
+    return sum(x for i, row in enumerate(a.rows) for j, x in row if j == i)
 
 
 def det(a) -> int:

@@ -116,6 +116,21 @@ def reference_quotient_action(m: GLattice, proj) -> np.ndarray:
     return np.matmul(np.matmul(dense(proj), dense(m.action)), section)
 
 
+def norm_vector_by_columns(m: GLattice) -> linalg.Matrix:
+    """N e_1 as the sum of the stack's first columns, each cut out by
+    ``take`` and summed by ``combine``, with no reading of row pairs."""
+    return linalg.combine((1, x.take(cols=[0])) for x in m.action)
+
+
+def sorted_permutation_stack(group: FiniteGroup, images) -> tuple[linalg.Matrix, ...]:
+    """The permutation matrices of a sending basis vector x to images[a][x]:
+    row y of X(a) has its 1 at the x sent to y, found by sorting the pairs
+    (images[a][x], x).  Each matrix goes through the checking constructor."""
+    n = len(images[group.identity])
+    return tuple(linalg.Matrix((n, n), tuple(((x, 1),) for _, x in sorted(zip(row, range(n)))))
+                 for row in images)
+
+
 def bareiss_charpoly_value(m: GLattice, g: int, x: int) -> int:
     """det(x I - X(g)) by one Bareiss determinant of the matrix itself."""
     return linalg.det(x * identity(m.rank) - dense(m.action[g]))

@@ -24,10 +24,10 @@ from toruskit.lattices import (FGAbelian, GLattice,
 from toruskit.tori import make_torus
 
 from support import (conjugate, dense, group_family_up_to_8, hom_lattice, identity,
-                     presentation_of_lattice, random_glattice,
+                     norm_vector_by_columns, presentation_of_lattice, random_glattice,
                      random_unimodular, rank_one_pool, rank_two_pool,
                      reference_action_error, reference_quotient_action,
-                     s3_group, tensor_lattice)
+                     s3_group, sorted_permutation_stack, tensor_lattice)
 
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
@@ -646,6 +646,43 @@ def test_derived_lattices_are_actions(g, seed):
         assert again == m and hash(again) == hash(m), name
         assert type(m.action) is tuple, name
         assert all(type(x) is linalg.Matrix for x in m.action), name
+
+
+@pytest.mark.parametrize("g", group_family_up_to_8(), ids=str)
+def test_norm_vector_is_the_sum_of_first_columns(g):
+    # norm_vector reads column 0 off each row's first pair; the oracle cuts
+    # the column out of every matrix and sums the columns.
+    for name, m in _derived_family(g, random.Random(g.order)):
+        assert norm_vector(m) == norm_vector_by_columns(m), name
+
+
+# The splitting data of the suite's tori: the cold_tamagawa benchmark's, then
+# (Z/260)^x and 840/squares.
+TORUS_DATA = [(4, None), (8, (1, 3)), (12, (1, 5)), (5, None), (12, None), (16, (1, 7)),
+              (15, None), (24, None), (40, (1, 9)), (60, (1, 49)), (120, (1, 49)), (17, None),
+              (32, None), (40, None), (48, None), (260, None),
+              (840, (1, 121, 169, 289, 361, 529))]
+
+
+@pytest.mark.parametrize("modulus, subgroup", TORUS_DATA)
+def test_norm_vector_of_tori_is_the_sum_of_first_columns(modulus, subgroup):
+    datum = AbelianGaloisDatum(modulus, subgroup)
+    norm_one, res = make_torus(datum, "norm_one"), make_torus(datum, "res")
+    product = make_torus(datum, "product", factors=[norm_one, res, make_torus(datum, "split")])
+    for m in (norm_one.X, res.X, dual(norm_one.X), product.X):
+        assert norm_vector(m) == norm_vector_by_columns(m), m
+
+
+@pytest.mark.parametrize("g", group_family_up_to_8() + [s3_group()], ids=str)
+def test_permutation_stacks_match_the_sorted_construction(g):
+    # _permutation places each row's 1 by the inverse permutation; the oracle
+    # sorts the pairs (image, x) and builds every matrix through Matrix.
+    assert regular_lattice(g).action == sorted_permutation_stack(g, g.table)
+    for h in all_subgroups(g):
+        gset = coset_gset(g, h)
+        assert permutation_lattice(gset).action == sorted_permutation_stack(g, gset.action), h
+    cover = [[b * 2 + i for b in row for i in range(2)] for row in g.table]  # Z[G]^2
+    assert lattices._permutation(g, cover).action == sorted_permutation_stack(g, cover)
 
 
 def test_only_caller_data_is_probed(monkeypatch):

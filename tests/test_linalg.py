@@ -1,10 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from toruskit import linalg
 
-from support import dense, is_saturated, quotient_invariants
+from support import dense, is_saturated, quotient_invariants, random_unimodular
 
 
 def matrix_lists(max_dim=5, lo=-9, hi=9):
@@ -252,3 +254,43 @@ def test_shape_checks(call, fragment):
     with pytest.raises(ValueError) as exc:
         call()
     assert fragment in str(exc.value)
+
+
+def sparse_of_shape(m, n):
+    """m x n matrices, about half their entries zero and some rows all zero."""
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    row = st.one_of(st.just([0] * n), st.lists(entry, min_size=n, max_size=n))
+    return st.lists(row, min_size=m, max_size=m).map(lambda rows: linalg.intmat(rows, (m, n)))
+
+
+@st.composite
+def stack_products(draw):
+    """(left, stack, right): sparse factors of any shape, zero sizes included,
+    or, as in a Smith frame, a dense unimodular U and U^-1 around a stack."""
+    m, k, l, n = (draw(st.integers(0, 5)) for _ in range(4))
+    if draw(st.booleans()):
+        k = l = draw(st.integers(1, 8))
+        u = linalg.intmat(random_unimodular(k, random.Random(draw(st.integers(0, 2 ** 32))), 30))
+        left, right = u, linalg.solve(u, linalg.eye(k))
+    else:
+        left, right = draw(sparse_of_shape(m, k)), draw(sparse_of_shape(l, n))
+    return left, tuple(draw(st.lists(sparse_of_shape(k, l), max_size=3))), right
+
+
+@given(stack_products())
+@example((linalg.zeros(0, 0), (linalg.zeros(0, 0),) * 2, linalg.zeros(0, 0)))
+@example((linalg.eye(3), (linalg.intmat([[0, 1, 0], [0, 0, 0], [2, 0, 0]]),), linalg.zeros(3, 0)))
+@example((linalg.zeros(0, 2), (linalg.eye(2),), linalg.eye(2)))
+@settings(deadline=None, max_examples=150)
+def test_stack_product_is_two_products(case):
+    # One pass per row, merging left @ X before it meets right, against the
+    # two full products of every element.
+    left, stack, right = case
+    assert linalg.stack_product(left, stack, right) == tuple(
+        linalg.mul(linalg.mul(left, x), right) for x in stack)
+
+
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(lambda s: sparse_of_shape(*s)))
+@settings(deadline=None, max_examples=80)
+def test_trace_is_the_dense_diagonal(a):
+    assert linalg.trace(a) == sum(dense(a).diagonal())

@@ -27,11 +27,13 @@ contracting homotopy and evaluated on cochains by the same helper as d.  The
 target H^q(H, Res M) is read off d^(q-1) of H's resolution on M's own
 matrices at H's elements; no restricted lattice is built, so the caches hold
 no entry for one.  Sha^2 restricts only to the maximal cyclic subgroups C
-whose H^2(C, M), the torsion of coker N_C, does not vanish.  Restriction and
-Sha^2 take lattices only.  H^q, its cocycle classes, each restriction map
-and Sha^2 are each one module-level ``lru_cache``d function that checks its
-own arguments, keyed by value and type: equal modules share entries, and
-``True`` for 1 is checked again.
+whose H^2(C, M), the torsion of coker N_C, does not vanish.  For C of 2-power
+order that is decided by one F_2 rank of N_C on rows packed into integer
+bitmasks; C of any other order, and the tests, take the Smith form of N_C.
+Restriction and Sha^2 take lattices only.  H^q, its cocycle classes, each
+restriction map and Sha^2 are each one module-level ``lru_cache``d function
+that checks its own arguments, keyed by value and type: equal modules share
+entries, and ``True`` for 1 is checked again.
 Every cache in the package holds at most ``_CACHE_SIZE`` (1024) entries.
 The cached results are immutable: frozen ``FGAbelian``s, tuples and
 ``linalg.Matrix`` sparse rows, the one matrix type of every differential.
@@ -351,9 +353,10 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
     any cocycle representatives; the plain form costs about half the one
     with U, and a nonzero target pays for both.  ``sha2_cyclic`` tests its
     cyclic targets before it calls this, off the norm N_C alone (the d^1 of
-    a cyclic H), so it never calls it on a vanishing one.  The matrix is in
-    the generators of Smith forms with U, not canonical ones (see
-    ``RestrictionMap``).
+    a cyclic H): by an F_2 rank when |C| is a power of 2, by the Smith form
+    of N_C otherwise.  So it never calls this on a vanishing one.  The
+    matrix is in the generators of Smith forms with U, not canonical ones
+    (see ``RestrictionMap``).
     """
     _require_lattice(module)
     q = linalg.bounded(q, 1, 2, "restriction degree")
@@ -377,10 +380,12 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     Cyclic subgroups stand in for the decomposition groups of unramified
     places.  For C' in C, restriction to C' factors through C, so the kernel
     over the maximal cyclic subgroups is the kernel over all of them; and a
-    C with H^2(C, M) = 0, read off one norm (``_cyclic_h2``), cuts nothing.
-    Only the remaining C are restricted, and the kernel is read off their
-    matrices by duality (``_kernel_invariants``).  On a norm-one torus every
-    cyclic H^2 vanishes (H^3(C, Z) = 0), so no restriction map is built.
+    C with H^2(C, M) = 0 cuts nothing.  That is read off the norm N_C
+    (``_cyclic_h2_vanishes``): one F_2 rank against rank M^C when |C| is a
+    power of 2, and the Smith form of N_C otherwise.  Only the remaining C
+    are restricted, and the kernel is read off their matrices by duality
+    (``_kernel_invariants``).  On a norm-one torus every cyclic H^2 vanishes
+    (H^3(C, Z) = 0), so no restriction map is built.
     """
     _require_lattice(module)
     if module.group != group:
@@ -389,7 +394,8 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     if total.is_trivial():
         return FGAbelian.trivial()
     # with no target left the kernel is H^2 itself
-    targets = [sub for sub in _maximal_cyclic_subgroups(group) if _cyclic_h2(module, sub)]
+    targets = [sub for sub in _maximal_cyclic_subgroups(group)
+               if not _cyclic_h2_vanishes(module, sub)]
     if not targets:
         return total
     maps = [restriction_map(group, module, sub, 2) for sub in targets]
@@ -415,12 +421,50 @@ def _maximal_cyclic_subgroups(group: FiniteGroup) -> list[Subgroup]:
     return [sub for i, sub in enumerate(subs) if i not in inside]
 
 
+def _cyclic_h2_vanishes(module: GLattice, sub: Subgroup) -> bool:
+    """Whether H^2(C, Res M) = M^C / N_C M vanishes, for a cyclic subgroup C.
+
+    |C| kills H^2, the torsion of coker N_C, and N_C has rank r = rank M^C
+    over Q (the mean of the trace character over C), so H^2 vanishes exactly
+    when N_C mod p has rank r for each prime p dividing |C|.  When |C| is a
+    power of 2 that is one F_2 rank: row i of N_C mod 2 is the XOR over c of
+    the odd-entry bitmask of row i of M(c), and the rows are eliminated on
+    their highest set bit.  Any other C takes the Smith form of
+    ``_cyclic_h2``.
+    """
+    if sub.order & (sub.order - 1):
+        return not _cyclic_h2(module, sub)
+    rows = [0] * module.rank
+    for c in sub.elements:
+        for i, row in enumerate(module.action[c].rows):
+            for j, y in row:
+                if y & 1:
+                    rows[i] ^= 1 << j
+    trace = sum(linalg.trace(module.action[c]) for c in sub.elements)
+    fixed, rem = divmod(trace, sub.order)
+    if rem:
+        raise InternalInvariantError("the trace character does not average to a rank")
+    pivots: dict[int, int] = {}
+    for row in rows:
+        if len(pivots) == fixed:  # the F_2 rank never exceeds the rational one
+            break
+        while row:
+            top = row.bit_length()
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots) == fixed
+
+
 def _cyclic_h2(module: GLattice, sub: Subgroup) -> tuple[int, ...]:
     """Invariant factors of H^2(C, Res M) for a cyclic subgroup C.
 
     C's periodic resolution gives H^2(C, M) = M^C / N_C M, the torsion of
     coker N_C for N_C = sum over c in C of M(c): the d^1 that
-    ``restriction_map`` reads off C's resolution.
+    ``restriction_map`` reads off C's resolution.  One Smith form of N_C:
+    ``_cyclic_h2_vanishes`` takes it for C of order other than a power of 2,
+    and the tests take it as the oracle of the F_2 rank test.
     """
     return linalg.invariant_factors(linalg.combine((1, module.action[a]) for a in sub.elements))
 

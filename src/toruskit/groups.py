@@ -437,12 +437,22 @@ def full_subgroup(parent: FiniteGroup) -> Subgroup:
 
 
 def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """All distinct subgroups <x>, sorted by (order, elements)."""
-    seen = {}
+    """All distinct subgroups <x>, sorted by (order, elements).
+
+    Each <x> is read off x's powers in the table once; its other generators
+    x^j, j prime to ord(x), span the same subgroup and are skipped.
+    """
+    seen: set[int] = set()
+    spans = []
     for x in g.elements():
-        sub = subgroup_closure(g, [x])
-        seen[sub.elements] = sub
-    return sorted(seen.values(), key=lambda s: (s.order, s.elements))
+        if x in seen:
+            continue
+        powers = [x]
+        while powers[-1] != g.identity:
+            powers.append(g.table[powers[-1]][x])
+        seen.update(y for j, y in enumerate(powers, 1) if gcd(j, len(powers)) == 1)
+        spans.append(tuple(sorted(powers)))
+    return [Subgroup(g, s) for s in sorted(spans, key=lambda s: (len(s), s))]
 
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:

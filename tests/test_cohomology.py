@@ -9,12 +9,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed as fixed_seed, settings, strategies as st
 
 import toruskit.cli  # noqa: F401  (loads every module, for the cache scan)
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
-from toruskit.cohomology import (_cyclic_h2, _kernel_invariants, _maximal_cyclic_subgroups,
+from toruskit.cohomology import (_cyclic_h2, _cyclic_h2_vanishes, _kernel_invariants,
+                                 _maximal_cyclic_subgroups,
                                  bar_differential, cohomology, cohomology_classes, differential,
                                  enumerate_splittings, restrict_cochain,
                                  restriction_map, sha2_cyclic, tate_h0)
@@ -363,6 +364,71 @@ def test_sha2_on_random_lattices_matches_every_cyclic_subgroup(g, seed):
     if rng.random() < 0.5:
         m = direct_sum(m, random_glattice(g, 2, rng))
     check_sha2_restricts_only_where_it_cuts(g, m)
+
+
+def check_cyclic_h2_vanishes(g, m):
+    """The F_2 rank test against the Smith form of N_C at every cyclic C;
+    the number of C with H^2(C, M) != 0."""
+    nonzero = 0
+    for c in cyclic_subgroups(g):
+        h2 = _cyclic_h2(m, c)
+        assert _cyclic_h2_vanishes(m, c) == (not h2), (dense(m.action).tolist(), c)
+        nonzero += bool(h2)
+    return nonzero
+
+
+# C4 x C4, C16 and C2 x C8 have only cyclic subgroups of 2-power order, whose
+# H^2 the packed F_2 rows decide; C12, C2 x C6 and C3 x C9 add orders 3, 6, 9
+# and 12, whose H^2 the Smith form of N_C decides.  The family up to 8 has both.
+F2_RANK_GROUPS = group_family_up_to_8() + [
+    product_group(C4, C4), cyclic_group(16), product_group(C2, cyclic_group(8)),
+    cyclic_group(12), product_group(C2, cyclic_group(6)), product_group(C3, cyclic_group(9))]
+
+
+@fixed_seed(4001)
+@given(st.sampled_from(F2_RANK_GROUPS), st.integers(0, 2 ** 32))
+@settings(deadline=None, max_examples=150)
+def test_cyclic_h2_vanishes_matches_the_smith_form_on_random_lattices(g, case):
+    # |C| kills H^2(C, M), so it vanishes exactly when N_C mod p has the
+    # rank of M^C for every p dividing |C|: random lattices, their duals and
+    # their sums against the invariant factors of coker N_C.
+    rng = random.Random(case)
+    a, b = random_glattice(g, 2, rng), random_glattice(g, 2, rng)
+    for m in (a, dual(a), direct_sum(a, b), direct_sum(dual(a), b)):
+        check_cyclic_h2_vanishes(g, m)
+
+
+@pytest.mark.parametrize("modulus, subgroup", COLD_TAMAGAWA_DATA + [
+    (260, None), (840, (1, 121, 169, 289, 361, 529))])
+def test_cyclic_h2_vanishes_matches_the_smith_form_on_tori(modulus, subgroup):
+    # The norm-one and res tori have H^2(C, M) = 0 at every cyclic C, the
+    # split torus Z/|C| at every nontrivial one; (Z/260)^x has cyclic
+    # subgroups of order 3, 6 and 12 as well.
+    datum = AbelianGaloisDatum(modulus, subgroup)
+    nonzero = [check_cyclic_h2_vanishes(datum.group, make_torus(datum, kind, **extra).X)
+               for kind, extra in (("norm_one", {}), ("res", {}), ("split", {"dim": 1}))]
+    assert nonzero[:2] == [0, 0]
+    assert nonzero[2] == len(cyclic_subgroups(datum.group)) - 1
+
+
+def test_sha2_on_the_witness_takes_one_smith_form():
+    # On the 120/{1,49} norm-one torus (G = C2^4) the F_2 rank test clears
+    # all 15 maximal cyclic subgroups, so the one Smith form taken is that of
+    # H^2(G, M) itself.
+    t = make_torus(AbelianGaloisDatum(120, (1, 49)), "norm_one")
+    cohomology.cache_clear()
+    shapes = []
+    real = linalg.smith_normal_form
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "smith_normal_form", counting)
+        sha = sha2_cyclic.__wrapped__(t.group, t.X)
+    assert sha == FGAbelian(0, (2,) * 6)
+    assert len(shapes) == 1, shapes
 
 
 @pytest.mark.parametrize("modulus, subgroup", [(15, None), (24, None), (120, (1, 49))])

@@ -109,6 +109,19 @@ def test_cyclic_subgroups_generated_by_least_generator():
             assert subgroup_closure(g, [least]).elements == s.elements
 
 
+def test_cyclic_subgroups_are_the_distinct_singleton_closures():
+    # oracle: one subgroup_closure per element, duplicates dropped, sorted
+    groups = [*group_family_up_to_8(), s3_group(), cyclotomic_quotient_group(260),
+              product_group(cyclic_group(4), cyclic_group(4)),
+              product_group(cyclic_group(2), cyclic_group(8)),
+              product_group(cyclic_group(3), cyclic_group(9)),
+              product_group(s3_group(), cyclic_group(4))]
+    for g in groups:
+        closures = {subgroup_closure(g, [x]).elements for x in g.elements()}
+        want = sorted(closures, key=lambda s: (len(s), s))
+        assert [s.elements for s in cyclic_subgroups(g)] == want, g.label
+
+
 def test_all_subgroups_lagrange():
     for g in group_family_up_to_8():
         for s in all_subgroups(g):

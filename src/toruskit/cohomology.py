@@ -24,12 +24,14 @@ engine serves both: R = 0 and the cone is the resolution's own complex.
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
 contracting homotopy and evaluated on cochains by the same helper as d.  The
-target H^q(H, Res M) is read off d^(q-1) of H's resolution on M's own
-matrices at H's elements; no restricted lattice is built, so the caches hold
-no entry for one.  Sha^2 restricts only to the maximal cyclic subgroups C
-whose H^2(C, M), the torsion of coker N_C, does not vanish.  For C of 2-power
-order that is decided by one F_2 rank of N_C on rows packed into integer
-bitmasks; C of any other order, and the tests, take the Smith form of N_C.
+target H^q(H, Res M) is read off one Smith form with U of d^(q-1) of H's
+resolution on M's own matrices at H's elements: its diagonal says whether the
+target vanishes, and its U gives the coordinates when it does not.  No
+restricted lattice enters a cache.  Sha^2 restricts only to the maximal
+cyclic subgroups C whose H^2(C, M) = M^C / N_C M, Tate's H^0, does not
+vanish.  For C of 2-power order that is decided by one F_2 rank of N_C on
+rows packed into integer bitmasks; C of any other order takes ``tate_h0`` of
+the restriction.
 Restriction and Sha^2 take lattices only.  H^q, its cocycle classes, each
 restriction map and Sha^2 are each one module-level ``lru_cache``d function
 that checks its own arguments, keyed by value and type: equal modules share
@@ -55,7 +57,7 @@ from .errors import EnumerationBoundError, InternalInvariantError
 from .groups import (_CACHE_SIZE, FiniteGroup, Subgroup, _factorint,
                      abelian_decomposition, cyclic_subgroups)
 from .lattices import (FGAbelian, GLattice, GModulePresentation, _require_lattice,
-                       norm_operator)
+                       norm_operator, restrict)
 from .linalg import Matrix
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
@@ -347,26 +349,26 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
                     q: int) -> RestrictionMap:
     """Cochain-level restriction on cohomology, q in {1, 2}, of a lattice.
 
-    H^q(H, Res M) is read off d^(q-1) of H's resolution on M's own matrices
-    at H's elements; no restricted lattice is built.  A vanishing target,
-    decided by the plain Smith form, gives the empty matrix without building
-    any cocycle representatives; the plain form costs about half the one
-    with U, and a nonzero target pays for both.  ``sha2_cyclic`` tests its
+    H^q(H, Res M) is read off one Smith form with U of d^(q-1) of H's
+    resolution on M's own matrices at H's elements; no restricted lattice is
+    built.  A vanishing target, read off that form's diagonal, gives the
+    empty matrix without building any cocycle representatives; a nonzero one
+    takes its coordinates from the same form.  ``sha2_cyclic`` tests its
     cyclic targets before it calls this, off the norm N_C alone (the d^1 of
-    a cyclic H): by an F_2 rank when |C| is a power of 2, by the Smith form
-    of N_C otherwise.  So it never calls this on a vanishing one.  The
-    matrix is in the generators of Smith forms with U, not canonical ones
-    (see ``RestrictionMap``).
+    a cyclic H): by an F_2 rank when |C| is a power of 2, by ``tate_h0`` of
+    the restriction otherwise.  So it never calls this on a vanishing one.
+    The matrix is in the generators of Smith forms with U, not canonical
+    ones (see ``RestrictionMap``).
     """
     _require_lattice(module)
     q = linalg.bounded(q, 1, 2, "restriction degree")
     if module.group != group or sub.parent != group:
         raise ValueError("module and subgroup must belong to the given group")
     d = differential(sub.as_group(), [module.action[a] for a in sub.elements], q - 1)
-    if not linalg.invariant_factors(d):
-        return RestrictionMap(cohomology(group, module, q), FGAbelian.trivial(), ())
-    source = cohomology_classes(module, q)
     target = _classes(d)
+    if target.fg.is_trivial():
+        return RestrictionMap(cohomology(group, module, q), target.fg, ())
+    source = cohomology_classes(module, q)
     coords = target.coordinates(restrict_cochain(module, sub, q, source.generators))
     matrix = tuple(map(tuple, coords.tolist()))
     return RestrictionMap(source.fg, target.fg, matrix)
@@ -382,10 +384,11 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     over the maximal cyclic subgroups is the kernel over all of them; and a
     C with H^2(C, M) = 0 cuts nothing.  That is read off the norm N_C
     (``_cyclic_h2_vanishes``): one F_2 rank against rank M^C when |C| is a
-    power of 2, and the Smith form of N_C otherwise.  Only the remaining C
-    are restricted, and the kernel is read off their matrices by duality
-    (``_kernel_invariants``).  On a norm-one torus every cyclic H^2 vanishes
-    (H^3(C, Z) = 0), so no restriction map is built.
+    power of 2, and ``tate_h0`` of the restriction otherwise.  Only the
+    remaining C are restricted to, each through one Smith form with U, and
+    the kernel is read off their matrices by duality (``_kernel_invariants``).
+    On a norm-one torus every cyclic H^2 vanishes (H^3(C, Z) = 0), so no
+    restriction map is built.
     """
     _require_lattice(module)
     if module.group != group:
@@ -429,11 +432,11 @@ def _cyclic_h2_vanishes(module: GLattice, sub: Subgroup) -> bool:
     when N_C mod p has rank r for each prime p dividing |C|.  When |C| is a
     power of 2 that is one F_2 rank: row i of N_C mod 2 is the XOR over c of
     the odd-entry bitmask of row i of M(c), and the rows are eliminated on
-    their highest set bit.  Any other C takes the Smith form of
-    ``_cyclic_h2``.
+    their highest set bit.  Any other C takes ``tate_h0`` of the
+    restriction, which is the same M^C / N_C M.
     """
     if sub.order & (sub.order - 1):
-        return not _cyclic_h2(module, sub)
+        return tate_h0(sub.as_group(), restrict(module, sub)).is_trivial()
     rows = [0] * module.rank
     for c in sub.elements:
         for i, row in enumerate(module.action[c].rows):
@@ -455,18 +458,6 @@ def _cyclic_h2_vanishes(module: GLattice, sub: Subgroup) -> bool:
                 break
             row ^= pivots[top]
     return len(pivots) == fixed
-
-
-def _cyclic_h2(module: GLattice, sub: Subgroup) -> tuple[int, ...]:
-    """Invariant factors of H^2(C, Res M) for a cyclic subgroup C.
-
-    C's periodic resolution gives H^2(C, M) = M^C / N_C M, the torsion of
-    coker N_C for N_C = sum over c in C of M(c): the d^1 that
-    ``restriction_map`` reads off C's resolution.  One Smith form of N_C:
-    ``_cyclic_h2_vanishes`` takes it for C of order other than a power of 2,
-    and the tests take it as the oracle of the F_2 rank test.
-    """
-    return linalg.invariant_factors(linalg.combine((1, module.action[a]) for a in sub.elements))
 
 
 def _kernel_invariants(source: Sequence[int], target: Sequence[int],

@@ -398,14 +398,6 @@ class Subgroup(Record):
     def position(self, parent_element: int) -> int:
         return self.elements.index(parent_element)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.parent, self.elements) == (other.parent, other.elements)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.parent, self.elements))
-
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _subgroup_as_group(sub: Subgroup) -> FiniteGroup:

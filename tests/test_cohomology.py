@@ -14,7 +14,7 @@ from hypothesis import given, seed as fixed_seed, settings, strategies as st
 import toruskit.cli  # noqa: F401  (loads every module, for the cache scan)
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
-from toruskit.cohomology import (_cyclic_h2, _cyclic_h2_vanishes, _kernel_invariants,
+from toruskit.cohomology import (_cyclic_h2_vanishes, _kernel_invariants,
                                  _maximal_cyclic_subgroups,
                                  bar_differential, cohomology, cohomology_classes, differential,
                                  enumerate_splittings, restrict_cochain,
@@ -298,7 +298,8 @@ def check_sha2_restricts_only_where_it_cuts(g, m):
     is called for exactly the maximal cyclic subgroups with H^2 != 0."""
     subs = cyclic_subgroups(g)
     for c in subs:
-        assert _cyclic_h2(m, c) == restriction_map(g, m, c, 2).target.torsion, (m, c)
+        assert cohomology(c.as_group(), restrict(m, c), 2).torsion \
+            == restriction_map(g, m, c, 2).target.torsion, (m, c)
     called = []
 
     def recording(group, module, sub, q):
@@ -309,7 +310,8 @@ def check_sha2_restricts_only_where_it_cuts(g, m):
         patch.setattr(sys.modules["toruskit.cohomology"], "restriction_map", recording)
         sha = sha2_cyclic.__wrapped__(g, m)  # past the cache
     total = cohomology(g, m, 2)
-    want = [c for c in maximal_by_inclusion(subs) if _cyclic_h2(m, c)]
+    want = [c for c in maximal_by_inclusion(subs)
+            if cohomology(c.as_group(), restrict(m, c), 2).torsion]
     assert called == (want if not total.is_trivial() else []), m
     assert sha == sha2_over_every_cyclic_subgroup(g, m), m
     if not called and not total.is_trivial():
@@ -367,11 +369,11 @@ def test_sha2_on_random_lattices_matches_every_cyclic_subgroup(g, seed):
 
 
 def check_cyclic_h2_vanishes(g, m):
-    """The F_2 rank test against the Smith form of N_C at every cyclic C;
-    the number of C with H^2(C, M) != 0."""
+    """The vanishing test against H^2 from C's own resolution at every
+    cyclic C; the number of C with H^2(C, M) != 0."""
     nonzero = 0
     for c in cyclic_subgroups(g):
-        h2 = _cyclic_h2(m, c)
+        h2 = cohomology(c.as_group(), restrict(m, c), 2).torsion
         assert _cyclic_h2_vanishes(m, c) == (not h2), (dense(m.action).tolist(), c)
         nonzero += bool(h2)
     return nonzero
@@ -379,7 +381,8 @@ def check_cyclic_h2_vanishes(g, m):
 
 # C4 x C4, C16 and C2 x C8 have only cyclic subgroups of 2-power order, whose
 # H^2 the packed F_2 rows decide; C12, C2 x C6 and C3 x C9 add orders 3, 6, 9
-# and 12, whose H^2 the Smith form of N_C decides.  The family up to 8 has both.
+# and 12, whose H^2 tate_h0 of the restriction decides.  The family up to 8
+# has both.
 F2_RANK_GROUPS = group_family_up_to_8() + [
     product_group(C4, C4), cyclic_group(16), product_group(C2, cyclic_group(8)),
     cyclic_group(12), product_group(C2, cyclic_group(6)), product_group(C3, cyclic_group(9))]
@@ -428,6 +431,53 @@ def test_sha2_on_the_witness_takes_one_smith_form():
         patch.setattr(linalg, "smith_normal_form", counting)
         sha = sha2_cyclic.__wrapped__(t.group, t.X)
     assert sha == FGAbelian(0, (2,) * 6)
+    assert len(shapes) == 1, shapes
+
+
+def counting_smith_forms(patch):
+    """Wrap ``linalg.smith_normal_form``; the list its calls' shapes go to."""
+    shapes = []
+    real = linalg.smith_normal_form
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    patch.setattr(linalg, "smith_normal_form", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("modulus, subgroup, sha, forms",
+                         [(120, (1, 49), (2,) * 6, 18), (63, None, (6,), 27)])
+def test_sha2_takes_one_smith_form_per_restriction_target(modulus, subgroup, sha, forms):
+    # Norm-one x split 1 has H^2(C, M) != 0 at every nontrivial cyclic C.
+    # Over C2^4 (15 maximal cyclic subgroups, all of order 2): one Smith form
+    # for H^2(G, M), one for its classes, one with U per target and one in
+    # _kernel_invariants.  Over C6 x C6 (12 of order 6) each target also
+    # takes the Smith form of tate_h0 that finds it nonzero.
+    datum = AbelianGaloisDatum(modulus, subgroup)
+    t = make_torus(datum, "product", factors=[make_torus(datum, "norm_one"),
+                                              make_torus(datum, "split", dim=1)])
+    for cache in (cohomology, cohomology_classes, restriction_map, sha2_cyclic):
+        cache.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        shapes = counting_smith_forms(patch)
+        got = sha2_cyclic.__wrapped__(t.group, t.X)
+    assert got == FGAbelian(0, sha)
+    assert len(shapes) == forms, shapes
+
+
+def test_restriction_to_a_nonzero_target_takes_one_smith_form():
+    # The target's Smith form with U both finds H^2(C, M) != 0 and gives
+    # the coordinates of the restricted classes.
+    g = product_group(C2, C4)
+    m = direct_sum(norm_one_lattice(g), trivial_lattice(g, 1))
+    sub = _maximal_cyclic_subgroups(g)[0]
+    cohomology_classes(m, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        shapes = counting_smith_forms(patch)
+        rmap = restriction_map.__wrapped__(g, m, sub, 2)
+    assert not rmap.target.is_trivial()
     assert len(shapes) == 1, shapes
 
 

@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .arith import AbelianGaloisDatum, residue
+from .arith import AbelianGaloisDatum, _coprime_fraction, residue
 from .cohomology import cohomology, sha2_cyclic
 from .errors import (InternalInvariantError, RamifiedPrimeError,
                      UnsupportedRequestError)
@@ -111,7 +111,8 @@ def cmd_volumes(args) -> dict:
     t = load_torus(args.file)
     coeffs = canonical_coefficients(t, args.pmax)
     ramified = t.splitting.ramified
-    volumes = {str(p): _rat(1 / coeffs[p])
+    # each volume is its coefficient's coprime pair swapped: no second gcd
+    volumes = {str(p): _rat(_coprime_fraction(coeffs[p].denominator, coeffs[p].numerator))
                for p in sorted(coeffs) if p not in ramified}
     return {
         "pmax": args.pmax,

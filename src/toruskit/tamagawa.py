@@ -4,6 +4,9 @@ The unramified local volume of the integral points is the exact rational
 det(I - Frob/p) = prod (1 - p^-e)^(c_e), over the cycle exponents of Frobenius
 (read off the trace character once per Galois element, ``arith``);
 the canonical coefficient is its inverse off the ramified set and 1 on it.
+Frobenius acts through GL_n(Z), so det(p I - Frob) = det(-Frob) = +-1 mod p is
+prime to p^n: every unramified volume and coefficient is built in lowest
+terms without a gcd, and ``arith._local_determinant`` checks the congruence.
 The global number tau comes out of the finiteness theorem as a ratio of two
 cohomology orders, and a numeric adelic check reproduces tau = 1 for the
 multiplicative group from quadrature alone, on plain floats taking numpy's
@@ -21,7 +24,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import _arithmetic_datum, _local_determinant, frobenius, primes_up_to
+from .arith import (_arithmetic_datum, _coprime_fraction, _local_determinant, frobenius,
+                    primes_up_to)
 from .cohomology import cohomology, sha2_cyclic
 from .errors import InternalInvariantError
 from .linalg import bounded, integer
@@ -32,9 +36,10 @@ def local_volume(t: Torus, p: int) -> Fraction:
     """vol(T(Z_p)) = det(I - Frob_p / p), an exact positive rational.
 
     The inverse of ``local_artin_factor``, with the same checks in the same
-    order, built as one Fraction from the same determinant."""
+    order, built from the same determinant.  det(p I - Frob) = +-1 mod p, so
+    det / p^dim is in lowest terms and is built without a gcd."""
     datum, p = _arithmetic_datum(t, "local factors need"), integer(p)
-    return Fraction(_local_determinant(t, frobenius(datum, p), p), p ** t.dim)
+    return _coprime_fraction(_local_determinant(t, frobenius(datum, p), p), p ** t.dim)
 
 
 # The largest pmax for canonical_coefficients: 500 times 20000, the largest
@@ -47,8 +52,9 @@ PMAX_LIMIT = 10 ** 7
 
 def canonical_coefficients(t: Torus, pmax: int) -> dict[int, Fraction]:
     """Lambda_p for p <= pmax: the inverse local volume off S, 1 on S.
-    ``pmax`` is read by ``bounded``: below 2 it raises ``ValueError``, above
-    ``PMAX_LIMIT`` ``UnsupportedRequestError``."""
+    Off S, det(p I - Frob) = +-1 mod p, so p^dim / det is in lowest terms and
+    is built without a gcd.  ``pmax`` is read by ``bounded``: below 2 it
+    raises ``ValueError``, above ``PMAX_LIMIT`` ``UnsupportedRequestError``."""
     pmax = bounded(pmax, 2, PMAX_LIMIT, "pmax")
     datum = _arithmetic_datum(t, "canonical coefficients need")
     ramified, n, element_of, dim = datum.ramified, datum.modulus, datum._element_of, t.dim
@@ -57,7 +63,7 @@ def canonical_coefficients(t: Torus, pmax: int) -> dict[int, Fraction]:
         if p in ramified:
             out[p] = Fraction(1)
         else:  # a sieve prime off S is a unit: Frobenius is its class, no primality test
-            out[p] = Fraction(p ** dim, _local_determinant(t, element_of[p % n], p))
+            out[p] = _coprime_fraction(p ** dim, _local_determinant(t, element_of[p % n], p))
     return out
 
 

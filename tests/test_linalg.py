@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed as fixed_seed, settings, strategies as st
 
 from toruskit import linalg
 
@@ -294,3 +294,43 @@ def test_stack_product_is_two_products(case):
 @settings(deadline=None, max_examples=80)
 def test_trace_is_the_dense_diagonal(a):
     assert linalg.trace(a) == sum(dense(a).diagonal())
+
+
+@st.composite
+def two_power_smith_matrices(draw):
+    """(A, e) with A = U diag(2^a_1, ..., 0, ...) V, every a_i < e, and U, V
+    products of elementary operations with multipliers up to 10^6 of either
+    sign, and of sign changes."""
+    m, n, e = draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(st.integers(1, 12))
+    rank = draw(st.integers(0, min(m, n)))
+    rows = [[0] * n for _ in range(m)]
+    for i in range(rank):
+        rows[i][i] = 2 ** draw(st.integers(0, e - 1))
+    for _ in range(draw(st.integers(0, 12))):
+        big = st.integers(-10 ** 6, 10 ** 6)
+        if m > 1 and draw(st.booleans()):  # row i += c row j, or row i negated
+            i, j, c = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)), draw(big)
+            rows[i] = [-x for x in rows[i]] if i == j else [
+                x + c * y for x, y in zip(rows[i], rows[j])]
+        elif n > 1:  # column i += c column j, or column i negated
+            i, j, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(big)
+            for row in rows:
+                row[i] = -row[i] if i == j else row[i] + c * row[j]
+    return linalg.intmat(rows, (m, n)), e
+
+
+@fixed_seed(4301)
+@given(two_power_smith_matrices())
+@example((linalg.zeros(0, 0), 1))
+@example((linalg.zeros(0, 4), 3))
+@example((linalg.zeros(5, 0), 3))
+@example((linalg.zeros(3, 4), 2))
+@example((linalg.intmat([[2 ** 11, 0], [0, -1]]), 12))  # the largest factor 2^(e-1)
+@settings(deadline=None, max_examples=150)
+def test_two_adic_smith_form_matches_the_integer_one(case):
+    # Packed mod 2^e, a matrix whose nonzero invariant factors divide
+    # 2^(e-1) has the integer Smith form's diagonal and rank.
+    a, e = case
+    want = linalg.smith_normal_form(a)
+    got = linalg._two_adic_smith_form(linalg._pack_columns(a, e), a.shape[0], e)
+    assert (got.diagonal, got.rank) == (want.diagonal, want.rank)

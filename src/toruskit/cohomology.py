@@ -30,7 +30,7 @@ orders, a larger D, ``tate_h0`` and every Smith form with transforms take
 
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
-contracting homotopy and evaluated on cochains by the same helper as d.  The
+contracting homotopy and evaluated straight on the cochain's rows.  The
 target H^q(H, Res M) is read off one Smith form with U of d^(q-1) of H's
 resolution on M's own matrices at H's elements: its diagonal says whether the
 target vanishes, and its U gives the coordinates when it does not.  No
@@ -165,19 +165,11 @@ def differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matrix:
     """Matrix of d^q on the small cochains, M^C(q+k-1, k-1) to M^C(q+k, k-1).
 
     ``mats[a]`` is the matrix of group element a on M; row block beta holds
-    f -> f(d e_beta), with d as written in ``_boundary``.
-    """
-    return _evaluation(group, mats, q, _boundaries(abelian_decomposition(group).orders, q))
-
-
-def _evaluation(group: FiniteGroup, mats: Sequence[Matrix], q: int,
-                chains: Sequence[Chain]) -> Matrix:
-    """Matrix of f -> (f(c) for c in chains) on degree-q cochains.
-
-    A cochain is Z[G]-linear, so f(g^t e_alpha) = X(g^t) f(e_alpha).
+    f -> f(d e_beta), with d as written in ``_boundary``.  A cochain is
+    Z[G]-linear, so f(g^t e_alpha) = X(g^t) f(e_alpha).
     """
     dec = abelian_decomposition(group)
-    cols = _basis(len(dec.orders), q)
+    cols, chains = _basis(len(dec.orders), q), _boundaries(dec.orders, q)
     n = mats[group.identity].shape[0]
     out: list[dict[int, int]] = [{} for _ in range(n * len(chains))]
     for r, chain in enumerate(chains):
@@ -188,8 +180,9 @@ def _evaluation(group: FiniteGroup, mats: Sequence[Matrix], q: int,
 
 def _packed_evaluation(group: FiniteGroup, mats: Sequence[Matrix], q: int,
                        chains: Sequence[Chain], e: int) -> list[int]:
-    """The columns of ``_evaluation(group, mats, q, chains)``, packed mod 2^e
-    as ``linalg._pack_columns`` packs them, with no ``Matrix`` built: the
+    """The columns of the matrix of f -> (f(c) for c in chains) on degree-q
+    cochains (``differential``'s, for the boundaries), packed mod 2^e as
+    ``linalg._pack_columns`` packs them, with no ``Matrix`` built: the
     columns of each X(g) are packed once, and row block r of column block
     alpha sums c X(g^t) over the terms (t, alpha) of chain r."""
     dec = abelian_decomposition(group)
@@ -417,12 +410,31 @@ def _chain_map(sub: Subgroup) -> tuple[tuple[Chain, ...], ...]:
 def restrict_cochain(module: GLattice, sub: Subgroup, q: int, cochain) -> Matrix:
     """Pull degree-q cochain columns of G on ``module`` back to H along the
     chain map phi_q, q in {0, 1, 2}: f o phi at e'_beta is f evaluated on
-    phi(e'_beta)."""
+    phi(e'_beta).  So row block beta sums c X(g^t) times the cochain's rows
+    in block alpha over the terms (t, alpha) of phi(e'_beta), and no matrix
+    of the evaluation is built.  The cochain is read by ``linalg.intmat``,
+    and one with the wrong number of rows raises ``ValueError``."""
     _require_lattice(module)
     q = linalg.bounded(q, 0, 2, "cochain degree")
     if sub.parent != module.group:
         raise ValueError("subgroup does not belong to the module's group")
-    return linalg.mul(_evaluation(module.group, module.action, q, _chain_map(sub)[q]), cochain)
+    cochain, chains = linalg.intmat(cochain), _chain_map(sub)[q]
+    dec, n = abelian_decomposition(module.group), module.rank
+    cols = _basis(len(dec.orders), q)
+    if cochain.shape[0] != n * len(cols):
+        raise ValueError(f"shape mismatch {(n * len(chains), n * len(cols))} @ {cochain.shape}")
+    out: list[dict[int, int]] = []
+    for chain in chains:
+        block: list[dict[int, int]] = [{} for _ in range(n)]
+        for (t, alpha), c in chain.items():
+            base = cols[alpha] * n
+            for acc, row in zip(block, module.action[dec.element(t)].rows):
+                for l, y in row:
+                    y *= c
+                    for j, z in cochain.rows[base + l]:
+                        acc[j] = acc.get(j, 0) + y * z
+        out += block
+    return linalg._from_rows((len(out), cochain.shape[1]), out)
 
 
 @lru_cache(maxsize=_CACHE_SIZE, typed=True)

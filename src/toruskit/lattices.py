@@ -12,9 +12,14 @@ Caller data (``GLattice(...)``, ``glattice``, explicit ``lattice`` tori,
 (``_check_action``).  The package's own constructors build actions by
 construction from validated inputs, check only their own arguments and derive
 (``_derived``, unprobed): the lattices through ``_lattice``, plus
-``presentation_mod`` and ``_regular_cover``.  Stacks are multiplied only by
-``linalg.stack_product``: a quotient's stability test proj X(s) S and its
-proj X(a) section, a Smith frame U X(a) U^-1 and the group law in that frame.
+``presentation_mod`` and ``_regular_cover``.  The norm-one lattice Z[G] / Z N
+of ``make_torus`` (``_norm_one_lattice``) is written off the group table on
+the images of e_1 ... e_(n-1), with no Hermite form, Smith form or product:
+it is the stack ``quotient_lattice`` reaches from the regular lattice, and
+the tests hold the two equal.  Stacks are multiplied only by
+``linalg.stack_product``: the stability test proj X(s) S and the proj X(a)
+section of a quotient by a caller's sublattice, a Smith frame U X(a) U^-1
+and the group law in that frame.
 In ``tests/test_lattices.py``, ``test_derived_lattices_are_actions`` and
 ``test_presentation_mod_is_derived`` stand in for the probe on them.
 A record's cached property ``_relation_complex`` reads its Smith frame as the
@@ -314,6 +319,32 @@ def permutation_lattice(gset: FiniteGSet) -> GLattice:
 def regular_lattice(group: FiniteGroup) -> GLattice:
     """Z[G] on the basis of group elements in canonical order."""
     return _permutation(group, group.table)
+
+
+def _norm_one_lattice(group: FiniteGroup) -> GLattice:
+    """Z[G] / Z N, N the sum of the elements, written off the group table on
+    the images of e_1 ... e_(n-1): the stack ``quotient_lattice(regular,
+    norm_vector(regular))`` computes, entry for entry.
+
+    The image of e_0 is minus the sum of the others, so row r - 1 of X(a) is
+    +1 at column a^-1 r - 1 unless a^-1 r = 0, and -1 at column a^-1 0 - 1
+    unless a is the identity, whose matrix is I.  The pairs are made once
+    and shared across the stack."""
+    n, table = group.order - 1, group.table
+    # plus[x] and minus[x]: the +1 and the -1 in element x's column, x - 1
+    plus, minus = [None] + [(j, 1) for j in range(n)], [None] + [(j, -1) for j in range(n)]
+    stack = []
+    for b in group.inverse:  # b = a^-1, so table[b][r] = a^-1 r
+        images = table[b]
+        c = images[0]
+        if not c:  # a is the identity
+            stack.append(linalg._matrix((n, n), tuple((p,) for p in plus[1:])))
+            continue
+        m = minus[c]
+        stack.append(linalg._matrix((n, n), tuple(
+            (m,) if not x else (plus[x], m) if x < c else (m, plus[x])
+            for x in images[1:])))
+    return _lattice(group, tuple(stack))
 
 
 def _require_lattice(m) -> None:

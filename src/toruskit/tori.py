@@ -16,9 +16,8 @@ from ._record import Record
 from .cohomology import cohomology, tate_h0
 from .errors import InternalInvariantError
 from .groups import FiniteGroup, trivial_subgroup
-from .lattices import (GLattice, direct_sum_all, dual, glattice, norm_vector,
-                       quotient_lattice, regular_lattice, sign_lattice,
-                       trace_character, trivial_lattice)
+from .lattices import (GLattice, _norm_one_lattice, direct_sum_all, dual, glattice,
+                       regular_lattice, sign_lattice, trace_character, trivial_lattice)
 
 
 def splitting_group(splitting) -> FiniteGroup:
@@ -81,9 +80,12 @@ def make_torus(splitting, kind: str, *, dim: int = 1,
     """Construct a torus of the given kind over a splitting datum.
 
     Kinds: ``split`` (trivial action, rank ``dim``), ``res`` (regular
-    lattice), ``norm_one`` (regular modulo the norm vector), ``so2`` (rank-1
-    sign action, order-2 group only), ``product`` (factors over the identical
-    splitting), ``lattice`` (explicit matrices, one per group element).
+    lattice), ``norm_one`` (the regular lattice modulo the norm vector, on
+    the images of e_1 ... e_(n-1), e_0 being minus their sum: column x - 1
+    of X(a) is e_(ax), written straight off the group table with no Smith
+    form), ``so2`` (rank-1 sign action, order-2 group only), ``product``
+    (factors over the identical splitting), ``lattice`` (explicit matrices,
+    one per group element).
     """
     group = splitting_group(splitting)
     if kind == "split":
@@ -91,9 +93,7 @@ def make_torus(splitting, kind: str, *, dim: int = 1,
     if kind == "res":
         return Torus(splitting, regular_lattice(group), kind)
     if kind == "norm_one":
-        reg = regular_lattice(group)
-        quot, _ = quotient_lattice(reg, norm_vector(reg))
-        return Torus(splitting, quot, kind)
+        return Torus(splitting, _norm_one_lattice(group), kind)
     if kind == "so2":
         if group.order != 2:
             raise ValueError("so2 needs a splitting group of order 2")

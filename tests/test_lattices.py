@@ -10,7 +10,7 @@ from toruskit import lattices, linalg
 from toruskit.arith import AbelianGaloisDatum
 from toruskit.cohomology import cohomology, enumerate_splittings
 from toruskit.errors import UnsupportedRequestError
-from toruskit.groups import (all_subgroups, coset_gset, cyclic_group, generating_set,
+from toruskit.groups import (FiniteGroup, all_subgroups, coset_gset, cyclic_group, generating_set,
                              index_two_subgroups, product_group, subgroup_closure,
                              trivial_subgroup)
 from toruskit.lattices import (FGAbelian, GLattice,
@@ -291,6 +291,48 @@ def test_quotient_lattice_rejects_unstable():
     unstable = linalg.intmat([[1], [0]])
     with pytest.raises(ValueError, match="not stable"):
         quotient_lattice(reg, unstable)
+
+
+def _relabelled(g, perm, label):
+    """``g`` with element a renamed perm[a]."""
+    table = [[0] * g.order for _ in range(g.order)]
+    for a, row in enumerate(g.table):
+        for b, ab in enumerate(row):
+            table[perm[a]][perm[b]] = perm[ab]
+    return FiniteGroup(table, label)
+
+
+def test_norm_one_tori_are_the_quotient_of_the_regular_lattice():
+    # make_torus writes Z[G] / Z N off the group table; quotient_lattice
+    # reaches the same stack through a Hermite form, a Smith form and two
+    # stack products.  S3 is also taken with its identity at index 1.
+    s3 = s3_group()
+    moved = _relabelled(s3, [1, 0] + list(range(2, 6)), "S3 moved")
+    assert moved.identity == 1
+    groups = [AbelianGaloisDatum(n, None).group for n in range(1, 120)] + [
+        cyclic_group(n) for n in range(1, 33)] + [
+        product_group(C4, cyclic_group(6)), s3, moved]
+    for g in groups:
+        reg = regular_lattice(g)
+        closed, quotient = make_torus(g, "norm_one").X, quotient_lattice(reg, norm_vector(reg))[0]
+        assert closed.action == quotient.action and hash(closed) == hash(quotient), g
+        assert closed == quotient and closed.rank == g.order - 1, g
+    assert make_torus(cyclic_group(1), "norm_one").X.action == (linalg.zeros(0, 0),)
+
+
+def test_norm_one_torus_takes_no_smith_form_hermite_form_or_stack_product(monkeypatch):
+    # A cold norm-one torus is written off the group table alone.
+    calls = []
+    for name in ("smith_normal_form", "hermite_column", "stack_product"):
+        def counting(*args, _real=getattr(linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, counting)
+    t = make_torus(AbelianGaloisDatum(120, (1, 49)), "norm_one")
+    assert t.dim == 15 and calls == []
+    reg = regular_lattice(t.group)  # the wrappers do count the quotient's route
+    quotient_lattice(reg, norm_vector(reg))
+    assert calls.count("stack_product") == 2 and "smith_normal_form" in calls
 
 
 @st.composite
@@ -611,10 +653,10 @@ def _derived_family(g, rng: random.Random):
     """Yield (constructor, lattice) for every constructor that skips the
     probe, over ``g``, each before anything probes a lattice built from it:
     trivial and sign lattices; direct sums of 1-4 lattices from the pools;
-    on the regular lattice, a scrambled random lattice of rank at most 2 and
-    the norm-one quotient, restrictions to every subgroup, duals and
-    invariant quotients; induced lattices and coset permutation lattices
-    from every subgroup."""
+    the norm-one lattice written off the group table; on the regular
+    lattice, a scrambled random lattice of rank at most 2 and the norm-one
+    quotient, restrictions to every subgroup, duals and invariant quotients;
+    induced lattices and coset permutation lattices from every subgroup."""
     reg = regular_lattice(g)
     ones = rank_one_pool(g)
     yield "trivial", trivial_lattice(g, rng.randint(0, 2))
@@ -624,6 +666,7 @@ def _derived_family(g, rng: random.Random):
     yield "direct_sum_all", direct_sum_all(rng.choices(pool, k=rng.randint(1, 4)))
     norm_one, _ = quotient_lattice(reg, norm_vector(reg))
     yield "norm_one", norm_one
+    yield "make_torus norm_one", make_torus(g, "norm_one").X
     for m in (reg, pool[-1], norm_one):
         yield "dual", dual(m)
         yield "quotient", quotient_lattice(m, invariants(m)[0])[0]

@@ -29,7 +29,7 @@ from typing import NamedTuple
 from ._record import Record
 from .errors import (InternalInvariantError, PoleError, RamifiedPrimeError,
                      UnsupportedRequestError)
-from .groups import (MODULUS_LIMIT, _cyclotomic_cosets, _factorint, _is_prime,
+from .groups import (_coset_key, _cyclotomic_cosets, _factorint, _is_prime,
                      abelian_decomposition, generating_set, primes_up_to, units_mod)
 from .lattices import trace_character
 from .linalg import bounded, integer
@@ -39,20 +39,21 @@ from .tori import Torus
 class AbelianGaloisDatum(Record):
     """K/Q presented as the fixed field of H <= (Z/n)^x inside Q(zeta_n).
     Equality sees the modulus and the subgroup; ``group`` and
-    ``representatives`` are read off them."""
+    ``representatives`` are read off them by one cached ``_cyclotomic_cosets``
+    call, so every datum with the same modulus and subgroup shares them.  The
+    element of each unit is the datum's own map, built from the cosets r*H."""
 
     _fields = ("modulus", "subgroup")
 
     def __init__(self, modulus: int, subgroup=None):
-        modulus = bounded(modulus, 1, MODULUS_LIMIT, "modulus")
+        modulus, subgroup = _coset_key(modulus, subgroup)
         object.__setattr__(self, "modulus", modulus)
-        if subgroup is None:
-            subgroup = (1 % self.modulus,)
-        object.__setattr__(self, "subgroup", tuple(sorted({integer(x) % self.modulus for x in subgroup})))
-        group, reps, element_of = _cyclotomic_cosets(self.modulus, self.subgroup)
+        object.__setattr__(self, "subgroup", subgroup)
+        group, reps = _cyclotomic_cosets(modulus, subgroup)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "representatives", reps)
-        object.__setattr__(self, "_element_of", element_of)
+        object.__setattr__(self, "_element_of", {
+            r * x % modulus: g for g, r in enumerate(reps) for x in subgroup})
 
     @property
     def ramified(self) -> frozenset[int]:

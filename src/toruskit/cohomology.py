@@ -42,7 +42,11 @@ the restriction.
 Restriction and Sha^2 take lattices only.  H^q, its cocycle classes, each
 restriction map and Sha^2 are each one module-level ``lru_cache``d function
 that checks its own arguments, keyed by value and type: equal modules share
-entries, and ``True`` for 1 is checked again.
+entries, and ``True`` for 1 is checked again.  The resolution's boundary
+chains ``_boundaries`` depend on the invariant orders of G alone, so they
+are cached on those orders and shared by every lattice over G.  A cyclotomic
+quotient is one group object per (n, H) (see ``groups``), so a cache keyed
+on it compares identical groups.
 Every cache in the package holds at most ``_CACHE_SIZE`` (1024) entries.
 The cached results are immutable: frozen ``FGAbelian``s, tuples and
 ``linalg.Matrix`` sparse rows, the one matrix type of every differential.
@@ -133,6 +137,9 @@ def _basis(k: int, q: int) -> dict[tuple[int, ...], int]:
 # Chains of the resolution of G, as Z-combinations of the basis g^t e_alpha:
 # {(t, alpha): coefficient}, t the exponent tuple of the group element.
 Chain = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
+# A chain's items, as the cached ``_boundaries`` share them: a tuple, which
+# no caller can change.
+Terms = tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], int], ...]
 
 
 def _boundary(chain: Chain, orders: Sequence[int]) -> Chain:
@@ -154,11 +161,14 @@ def _boundary(chain: Chain, orders: Sequence[int]) -> Chain:
     return {key: c for key, c in out.items() if c}
 
 
-def _boundaries(orders: Sequence[int], q: int) -> list[Chain]:
-    """d e_beta for beta in ``_basis(len(orders), q + 1)``: the chains that
-    d^q evaluates cochains on."""
+@lru_cache(maxsize=_CACHE_SIZE)
+def _boundaries(orders: tuple[int, ...], q: int) -> tuple[Terms, ...]:
+    """d e_beta for beta in ``_basis(len(orders), q + 1)``, as the terms of
+    each chain: the chains that d^q evaluates cochains on.  They depend on
+    the invariant orders alone, so every lattice over G shares them."""
     zero = (0,) * len(orders)
-    return [_boundary({(zero, beta): 1}, orders) for beta in _basis(len(orders), q + 1)]
+    return tuple(tuple(_boundary({(zero, beta): 1}, orders).items())
+                 for beta in _basis(len(orders), q + 1))
 
 
 def differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matrix:
@@ -172,14 +182,14 @@ def differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matrix:
     cols, chains = _basis(len(dec.orders), q), _boundaries(dec.orders, q)
     n = mats[group.identity].shape[0]
     out: list[dict[int, int]] = [{} for _ in range(n * len(chains))]
-    for r, chain in enumerate(chains):
-        for (t, alpha), c in chain.items():
+    for r, terms in enumerate(chains):
+        for (t, alpha), c in terms:
             linalg._add_block(out, r * n, cols[alpha] * n, c, mats[dec.element(t)])
     return linalg._from_rows((len(out), n * len(cols)), out)
 
 
 def _packed_evaluation(group: FiniteGroup, mats: Sequence[Matrix], q: int,
-                       chains: Sequence[Chain], e: int) -> list[int]:
+                       chains: Sequence[Terms], e: int) -> list[int]:
     """The columns of the matrix of f -> (f(c) for c in chains) on degree-q
     cochains (``differential``'s, for the boundaries), packed mod 2^e as
     ``linalg._pack_columns`` packs them, with no ``Matrix`` built: the
@@ -192,9 +202,9 @@ def _packed_evaluation(group: FiniteGroup, mats: Sequence[Matrix], q: int,
     mask = ((1 << block) - 1) // ((1 << 2 * e) - 1) * low
     packed: dict[tuple[int, ...], list[int]] = {}  # X(g^t) by t
     out = [0] * (n * len(cols))
-    for r, chain in enumerate(chains):
+    for r, terms in enumerate(chains):
         sums: dict[int, list[int]] = {}
-        for (t, alpha), c in chain.items():
+        for (t, alpha), c in terms:
             xs = packed.get(t)
             if xs is None:
                 xs = packed[t] = linalg._pack_columns(mats[dec.element(t)], e)

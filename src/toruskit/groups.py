@@ -5,7 +5,10 @@ constructor (cyclic: residues; products: lexicographic pairs; cyclotomic
 quotients: increasing smallest unit representatives), so every downstream
 matrix is reproducible byte for byte.  A group keeps the generating set that
 its constructor chose for the associativity test (``generating_set``), and
-every check that reads generators reads that one.
+every check that reads generators reads that one.  The cyclotomic quotients
+behind ``cyclotomic_quotient_group`` and ``arith.AbelianGaloisDatum`` are
+``lru_cache``d on (n, H) as ``bounded`` and ``integer`` read them, so one
+description gives one shared ``FiniteGroup``, built and validated once.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from .linalg import bounded, integer, integers
 # of the 255 for the norm-one torus, but all 255 for the norm-one torus plus
 # Z, so restriction_map, _chain_map and Subgroup.as_group each keep 255
 # entries from that one pass, and a bound of 256 would leave no room for a
-# second lattice over the same group.
+# second lattice over the same group.  The cyclotomic quotients share this
+# bound: up to 1024 quotients (Z/n)^x/H are kept, each one shared by every
+# datum, torus and cache entry over it, so a cache keyed on it compares the
+# identical object instead of a rebuilt |G|^2 table.
 _CACHE_SIZE = 1024
 
 # A group is a |G| x |G| table (|G| = 2052: 0.8 s, 96 MB; 8208: 24.6 s, 1.07 GB).
@@ -40,7 +46,10 @@ class FiniteGroup(Record):
     read by ``integer``; the order, identity and inverses are read off it, and
     equality sees the table alone.
     The table is hashed once, on first use: every ``lru_cache`` keyed on a
-    group, a subgroup or a lattice hashes the group again."""
+    group, a subgroup or a lattice hashes the group again.  A cyclotomic
+    quotient (Z/n)^x/H is shared: the same (n, H) gives the identical object,
+    so a cache lookup on it compares identity, not |G|^2 entries.  Any other
+    equal group, a caller's own table included, is compared in full."""
 
     def __init__(self, table: Iterable[Iterable[int]], label: str = ""):
         object.__setattr__(self, "table", table)
@@ -302,22 +311,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _cyclotomic_cosets(modulus: int, subgroup: Iterable[int] | None = None
-                       ) -> tuple[FiniteGroup, tuple[int, ...], dict[int, int]]:
-    """(Z/n)^x / H, its least coset representatives and the element of each unit.
+def _coset_key(modulus: int, subgroup: Iterable[int] | None) -> tuple[int, tuple[int, ...]]:
+    """The modulus read by ``bounded`` and H as its sorted residues mod n, each
+    read by ``integer`` (None is the trivial subgroup): the key of
+    ``_cyclotomic_cosets``, so ``4.0`` or ``True`` never meets a cached 4 or 1."""
+    n = bounded(modulus, 1, MODULUS_LIMIT, "modulus")
+    if subgroup is None:
+        return n, (1 % n,)
+    return n, tuple(sorted({integer(x) % n for x in subgroup}))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cyclotomic_cosets(n: int, subgroup: tuple[int, ...]
+                       ) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """(Z/n)^x / H and its least coset representatives, for a key made by
+    ``_coset_key``.  The element of each unit is not kept: a map of phi(n)
+    units per cached quotient would outlive every datum over it.
 
     Units are visited in increasing order, so the first unit of a new coset
     is its least representative, and the elements come out ordered by it.
     """
-    n = modulus
     units = units_mod(n)
-    if subgroup is None:
-        h = frozenset({1 % n})
-    else:
-        h = frozenset(integer(x) % n for x in subgroup)
+    h = frozenset(subgroup)
     if not h or not h <= set(units):
         raise ValueError(f"subgroup {sorted(h)} is not a set of units mod {n}")
-    if _generate(lambda a, b: a * b % n, 1 % n, sorted(h))[1] != h:
+    if _generate(lambda a, b: a * b % n, 1 % n, subgroup)[1] != h:
         raise ValueError(f"subgroup {sorted(h)} not closed under multiplication mod {n}")
     bounded(len(units) // len(h), 1, ORDER_LIMIT, "group order")
     element_of: dict[int, int] = {}
@@ -328,7 +346,7 @@ def _cyclotomic_cosets(modulus: int, subgroup: Iterable[int] | None = None
             reps.append(u)
     table = [[element_of[a * b % n] for b in reps] for a in reps]
     label = f"(Z/{n})^x" if len(h) == 1 else f"(Z/{n})^x/H{len(h)}"
-    return FiniteGroup(table, label), tuple(reps), element_of
+    return FiniteGroup(table, label), tuple(reps)
 
 
 def cyclotomic_quotient_group(modulus: int, subgroup: Iterable[int] | None = None
@@ -336,9 +354,10 @@ def cyclotomic_quotient_group(modulus: int, subgroup: Iterable[int] | None = Non
     """(Z/n)^x / H, elements ordered by increasing least coset representative.
 
     The group part of ``_cyclotomic_cosets``; an ``AbelianGaloisDatum`` takes
-    the representatives and the element of each unit from the same call.
+    the representatives from the same cached call, so the datum and this
+    function share one group.
     """
-    return _cyclotomic_cosets(modulus, subgroup)[0]
+    return _cyclotomic_cosets(*_coset_key(modulus, subgroup))[0]
 
 
 def make_group(spec: Mapping) -> FiniteGroup:

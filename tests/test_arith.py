@@ -411,8 +411,9 @@ def test_character_hash_agrees_with_equality():
 def test_character_hash_reads_only_a_generating_set():
     # (Z/4096)^x/<5^16> = C2 x C16: 32 exponents per character, two of them
     # at the group's generating set, which fix the character.  Hashing one
-    # reads no other exponent, and needs no abelian_decomposition: that
-    # lru_cache compares the whole table of a rebuilt, equal group.
+    # reads no other exponent and needs no abelian_decomposition lookup.  A
+    # rebuilt datum shares its group, so such a lookup compares identity; a
+    # caller's own equal table would be compared in full.
     class Counting(Fraction):
         read = set()
 

@@ -204,6 +204,32 @@ def test_exit_2_on_malformed(tmp_path):
         assert code == 2 and out == "" and "malformed" in err
 
 
+def test_exit_2_on_malformed_input_whose_valid_twin_is_cached(tmp_path):
+    # The cyclotomic quotients are cached on (n, H); a key is made only from
+    # values already read as integers, so 4.0, 15.0 and true never find the
+    # cached 4, 15 and 1.  An abstract cyclic n of 2.0 or true is refused too.
+    for field in ({"type": "cyclotomic", "modulus": 15, "subgroup": [1, 4]},
+                  {"type": "cyclotomic", "modulus": 1},
+                  {"type": "cyclotomic", "modulus": 15},
+                  {"type": "abstract", "group": {"type": "cyclotomic", "modulus": 15,
+                                                 "subgroup": [1, 4]}},
+                  {"type": "abstract", "group": {"type": "cyclic", "n": 2}},
+                  {"type": "abstract", "group": {"type": "cyclic", "n": 1}}):
+        spec = write(tmp_path, "valid.json", {"field": field, "torus": {"type": "res"}})
+        assert run(["info", spec])[0] == 0
+    for field in ({"type": "cyclotomic", "modulus": 15, "subgroup": [1, 4.0]},
+                  {"type": "cyclotomic", "modulus": 15, "subgroup": [True, 4]},
+                  {"type": "cyclotomic", "modulus": True},
+                  {"type": "cyclotomic", "modulus": 15.0},
+                  {"type": "abstract", "group": {"type": "cyclotomic", "modulus": 15,
+                                                 "subgroup": [1, 4.0]}},
+                  {"type": "abstract", "group": {"type": "cyclic", "n": 2.0}},
+                  {"type": "abstract", "group": {"type": "cyclic", "n": True}}):
+        spec = write(tmp_path, "twin.json", {"field": field, "torus": {"type": "res"}})
+        code, out, err = run(["info", spec])
+        assert code == 2 and out == "" and "malformed" in err, field
+
+
 def test_exit_2_on_deeply_nested_input(tmp_path):
     # Both exceed the interpreter's recursion limit while the spec is read.
     product = ('{"field": {"type": "cyclotomic", "modulus": 4}, "torus": '

@@ -14,14 +14,14 @@ from hypothesis import example, given, seed as fixed_seed, settings, strategies 
 import toruskit.cli  # noqa: F401  (loads every module, for the cache scan)
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
-from toruskit.cohomology import (_cyclic_h2_vanishes, _kernel_invariants,
-                                 _maximal_cyclic_subgroups,
+from toruskit.cohomology import (_basis, _boundaries, _boundary, _cyclic_h2_vanishes,
+                                 _kernel_invariants, _maximal_cyclic_subgroups,
                                  bar_differential, cohomology, cohomology_classes, differential,
                                  enumerate_splittings, restrict_cochain,
                                  restriction_map, sha2_cyclic, tate_h0)
 from toruskit.errors import (EnumerationBoundError, InternalInvariantError,
                              UnsupportedRequestError)
-from toruskit.groups import (_CACHE_SIZE, all_subgroups, cyclic_group,
+from toruskit.groups import (_CACHE_SIZE, abelian_decomposition, all_subgroups, cyclic_group,
                              cyclic_subgroups, full_subgroup, index_two_subgroups, product_group,
                              subgroup_closure, trivial_subgroup)
 from toruskit.lattices import (FGAbelian, GModulePresentation, _regular_cover, direct_sum,
@@ -356,6 +356,24 @@ def test_maximal_cyclic_subgroups_match_the_pairwise_test():
     for g in groups:
         subs = cyclic_subgroups(g)
         assert _maximal_cyclic_subgroups(g) == maximal_by_inclusion(subs), g
+
+
+def test_boundary_chains_are_shared_and_immutable():
+    # Every lattice over one group reads the same boundary chains (the tori
+    # over one datum share its group); the cached values are tuples, so no
+    # caller can change what the next one reads.
+    g = AbelianGaloisDatum(24).group
+    orders = abelian_decomposition(g).orders
+    for q in (0, 1, 2):
+        chains = _boundaries(orders, q)
+        assert isinstance(chains, tuple) and all(isinstance(c, tuple) for c in chains)
+        assert chains is _boundaries(orders, q)
+        assert [dict(c) for c in chains] == [
+            _boundary({((0,) * len(orders), beta): 1}, orders)
+            for beta in _basis(len(orders), q + 1)]
+    for t in (make_torus(AbelianGaloisDatum(24), "norm_one"),
+              make_torus(AbelianGaloisDatum(24), "res")):
+        assert t.group is g
 
 
 @given(st.sampled_from(group_family_up_to_8()), st.integers(0, 2 ** 32))

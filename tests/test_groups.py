@@ -305,6 +305,46 @@ def test_group_hash_sees_the_table_alone():
     assert abelian_decomposition.cache_info().hits == hits + 2
 
 
+def test_a_description_builds_one_shared_group():
+    # The cyclotomic quotients are lru_cached on (n, H) as bounded and
+    # integer read them: H in another order, with repeats, or as None against
+    # (1,) is the same key, and a rebuilt datum shares the group and the
+    # representatives of the first.  Its element map is its own.
+    d = AbelianGaloisDatum(15, [1, 4])
+    for again in (AbelianGaloisDatum(15, [4, 1]), AbelianGaloisDatum(15, [4, 1, 4, 19, -11]),
+                  AbelianGaloisDatum(15, (1, 4))):
+        assert again == d and again.group is d.group
+        assert again.representatives is d.representatives
+        assert again._element_of == d._element_of
+    assert AbelianGaloisDatum(15).group is AbelianGaloisDatum(15, (1,)).group
+    assert AbelianGaloisDatum(15, None).group is AbelianGaloisDatum(15, [16]).group
+    assert cyclotomic_quotient_group(15, [4, 1]) is d.group
+    assert make_group({"type": "cyclotomic", "modulus": 15, "subgroup": [4, 1]}) is d.group
+    assert d.element_of_unit(4) == 0 and d._element_of == {1: 0, 4: 0, 2: 1, 8: 1,
+                                                           7: 2, 13: 2, 11: 3, 14: 3}
+
+
+def test_a_cached_group_answers_no_malformed_description():
+    # lru_cache takes 4.0 == 4 and True == 1 as one key, so every key is
+    # built from values bounded and integer have read: with the valid
+    # descriptions cached, the malformed ones still raise TypeError, as the
+    # uncached cyclic_group does.
+    assert AbelianGaloisDatum(15, [1, 4]).group is AbelianGaloisDatum(15, [1, 4]).group
+    assert AbelianGaloisDatum(1).group is AbelianGaloisDatum(1).group
+    assert AbelianGaloisDatum(15).group is cyclotomic_quotient_group(15)
+    for call in (lambda: AbelianGaloisDatum(15, [1, 4.0]),
+                 lambda: AbelianGaloisDatum(15, [True, 4]),
+                 lambda: AbelianGaloisDatum(True),
+                 lambda: AbelianGaloisDatum(15.0),
+                 lambda: cyclotomic_quotient_group(15, [1, 4.0]),
+                 lambda: cyclotomic_quotient_group(15.0),
+                 lambda: make_group({"type": "cyclotomic", "modulus": 15, "subgroup": [1, 4.0]}),
+                 lambda: cyclic_group(2.0),
+                 lambda: cyclic_group(True)):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_subgroup_validation():
     g = cyclic_group(4)
     with pytest.raises(ValueError):

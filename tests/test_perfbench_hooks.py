@@ -67,6 +67,29 @@ def test_every_lru_cache_is_module_level_and_registered():
     assert set(found) <= registered, set(found) - registered
 
 
+def test_cold_queries_rebuild_their_groups():
+    # Cyclotomic quotients and the boundary chains are shared through
+    # lru_caches, which the benchmark clears before each cold query.  An
+    # intern table it cannot see (a module-level dict or a
+    # WeakValueDictionary) would make the cold queries warm unnoticed: after
+    # clear(), a rebuilt datum must have a new group.
+    from toruskit.arith import AbelianGaloisDatum
+    from toruskit.cohomology import _boundaries
+    from toruskit.groups import abelian_decomposition
+
+    caches = load_tracer().CacheRegistry()
+
+    def build():
+        group = AbelianGaloisDatum(15, [1, 4]).group
+        return group, _boundaries(abelian_decomposition(group).orders, 1)
+
+    first = build()
+    assert all(a is b for a, b in zip(first, build()))
+    caches.clear()
+    again = build()
+    assert all(a == b and a is not b for a, b in zip(first, again))
+
+
 def test_cli_matches_golden_stdout(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)  # workloads imports its siblings
     workloads = load_perfbench(WORKLOADS, "perfbench_workloads")

@@ -34,17 +34,25 @@ contracting homotopy and evaluated straight on the cochain's rows.  The
 target H^q(H, Res M) is read off one Smith form with U of d^(q-1) of H's
 resolution on M's own matrices at H's elements: its diagonal says whether the
 target vanishes, and its U gives the coordinates when it does not.  No
-restricted lattice enters a cache.  Sha^2 restricts only to the maximal
-cyclic subgroups C whose H^2(C, M) = M^C / N_C M, Tate's H^0, does not
-vanish.  For C of 2-power order that is decided by one F_2 rank of N_C on
-rows packed into integer bitmasks; C of any other order takes ``tate_h0`` of
-the restriction.
+restricted lattice enters a cache.  Sha^2 builds no restriction map.  It
+looks only at the maximal cyclic subgroups C whose H^2(C, M) = M^C / N_C M,
+Tate's H^0, does not vanish, which the ranks of N_C mod each prime dividing
+|C| decide: at p = 2 on rows packed into integer bitmasks, at odd p on
+sparse rows.  By universal coefficients H^2(G, M) is dual to H_1(G,
+M^dual), whose chains are the transposed cochains, and corestriction is the
+transpose of restriction; so Sha^2 has the invariant factors of d^1 with
+the corestricted 1-cycles of those C stacked under it, read by one
+elimination, packed or integer as for H^2.  A lattice with such a C is
+first split into the blocks of its generators' support, and their Sha^2
+summed.
 Restriction and Sha^2 take lattices only.  H^q, its cocycle classes, each
-restriction map and Sha^2 are each one module-level ``lru_cache``d function
-that checks its own arguments, keyed by value and type: equal modules share
-entries, and ``True`` for 1 is checked again.  The resolution's boundary
-chains ``_boundaries`` depend on the invariant orders of G alone, so they
-are cached on those orders and shared by every lattice over G.  A cyclotomic
+restriction map, Sha^2 and Tate's H^0 are each one module-level
+``lru_cache``d function that checks its own arguments, keyed by value and
+type: equal modules share entries, and ``True`` for 1 is checked again.
+``enumerate_splittings`` is not cached: its ``cocycles`` is a list, which
+a caller could change.  The resolution's boundary chains ``_boundaries``
+depend on the invariant orders of G alone, so they are cached on those
+orders and shared by every lattice over G.  A cyclotomic
 quotient is one group object per (n, H) (see ``groups``), so a cache keyed
 on it compares identical groups.
 Every cache in the package holds at most ``_CACHE_SIZE`` (1024) entries.
@@ -67,8 +75,8 @@ from ._record import Record
 from .errors import EnumerationBoundError, InternalInvariantError
 from .groups import (_CACHE_SIZE, FiniteGroup, Subgroup, _factorint,
                      abelian_decomposition, cyclic_subgroups)
-from .lattices import (FGAbelian, GLattice, GModulePresentation, _require_lattice,
-                       norm_operator, restrict)
+from .lattices import (FGAbelian, GLattice, GModulePresentation, _blocks, _require_lattice,
+                       norm_operator)
 from .linalg import Matrix
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
@@ -219,12 +227,14 @@ def _packed_evaluation(group: FiniteGroup, mats: Sequence[Matrix], q: int,
 
 
 def _packed_coboundary(group: FiniteGroup, module: GLattice | GModulePresentation,
-                       q: int) -> tuple[list[int], int, int] | None:
+                       q: int, below: Matrix | None = None
+                       ) -> tuple[list[int], int, int] | None:
     """D^(q-1) of ``cohomology`` for q >= 1 as (columns packed mod 2^e, rows,
     e), or None off the packed route: |G| must be 2^v, with e = v + 1, and D
     must have fewer than ``_PACKED_CELLS`` entries.  The cone's columns past
     d^(q-1) carry B in row block beta over d_R below: negating the rows of
-    -d_R changes no invariant factor."""
+    -d_R changes no invariant factor.  The rows of ``below``, if given, go
+    under all of them (``_torsion``)."""
     order = group.order
     if order & (order - 1):
         return None
@@ -233,16 +243,44 @@ def _packed_coboundary(group: FiniteGroup, module: GLattice | GModulePresentatio
     (n, r), k = basis.shape, len(orders)
     before, here, after = (len(_basis(k, p)) for p in (q - 1, q, q + 1))  # basis sizes
     rows = n * here  # the rows of d^(q-1); d_R's start below them
-    if (rows + r * after) * (n * before + r * here) >= _PACKED_CELLS:
+    extra = 0 if below is None else below.shape[0]
+    if (rows + r * after + extra) * (n * before + r * here) >= _PACKED_CELLS:
         return None
     e = order.bit_length()
     cols = _packed_evaluation(group, action, q - 1, _boundaries(orders, q - 1), e)
     if r:  # column beta * r + j of [[I x B], [d_R]]
         width, top = 2 * e, linalg._pack_columns(basis, e)
-        below = _packed_evaluation(group, rel_action, q, _boundaries(orders, q), e)
+        rel = _packed_evaluation(group, rel_action, q, _boundaries(orders, q), e)
         cols += [top[i % r] << (i // r * n * width) | y << (rows * width)
-                 for i, y in enumerate(below)]
-    return cols, rows + r * after, e
+                 for i, y in enumerate(rel)]
+    if extra:
+        shift = (rows + r * after) * 2 * e
+        cols = [x | y << shift for x, y in zip(cols, linalg._pack_columns(below, e))]
+    return cols, rows + r * after + extra, e
+
+
+def _torsion(group: FiniteGroup, module: GLattice | GModulePresentation, q: int,
+             below: Matrix | None = None) -> tuple[int, ...]:
+    """The invariant factors >= 2 of D^(q-1) of ``cohomology``, with the rows
+    of ``below`` stacked under it when given.  They are those of the
+    saturation of the row lattice over the lattice.  For q >= 1 and no
+    ``below`` that quotient is dual to H^q, so |G| kills it; rows of
+    ``below`` inside the saturation (``sha2_cyclic``'s) leave a quotient of
+    it.  So the packed route stays exact wherever ``_packed_coboundary``
+    takes D, and the rest take the integer Smith form."""
+    if q and (packed := _packed_coboundary(group, module, q, below)):
+        return tuple(x for x in linalg._two_adic_smith_form(*packed).diagonal if x > 1)
+    action, basis, rel_action = module._relation_complex
+    (n, r), d = basis.shape, differential(group, action, q - 1)
+    if r:  # D = [[d, I x B], [0, -d_R]]: row i of d meets row i mod n of B
+        d_rel, w = differential(group, rel_action, q), d.shape[1]
+        d = linalg._matrix((d.shape[0] + d_rel.shape[0], w + d_rel.shape[1]), tuple(
+            row + tuple((w + i // n * r + j, x) for j, x in basis.rows[i % n])
+            for i, row in enumerate(d.rows)) + tuple(
+            tuple((w + j, -x) for j, x in row) for row in d_rel.rows))
+    if below is not None:
+        d = linalg._matrix((d.shape[0] + below.shape[0], d.shape[1]), d.rows + below.rows)
+    return linalg.invariant_factors(d)
 
 
 @lru_cache(maxsize=_CACHE_SIZE, typed=True)
@@ -263,20 +301,10 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
     q = linalg.bounded(q, 0, 2, "cohomology degree")
     if module.group != group:
         raise ValueError("module is not over the given group")
-    if q and (packed := _packed_coboundary(group, module, q)):
-        diagonal = linalg._two_adic_smith_form(*packed).diagonal
-        return FGAbelian(0, tuple(x for x in diagonal if x > 1))
-    action, basis, rel_action = module._relation_complex
-    (n, r), d = basis.shape, differential(group, action, q - 1)
-    if r:  # D = [[d, I x B], [0, -d_R]]: row i of d meets row i mod n of B
-        d_rel, w = differential(group, rel_action, q), d.shape[1]
-        d = linalg._matrix((d.shape[0] + d_rel.shape[0], w + d_rel.shape[1]), tuple(
-            row + tuple((w + i // n * r + j, x) for j, x in basis.rows[i % n])
-            for i, row in enumerate(d.rows)) + tuple(
-            tuple((w + j, -x) for j, x in row) for row in d_rel.rows))
-    torsion = linalg.invariant_factors(d)
+    torsion = _torsion(group, module, q)
     if q:
         return FGAbelian(0, torsion)
+    action, _, rel_action = module._relation_complex
     free_rank, rem = divmod(sum(map(linalg.trace, action)) - sum(map(linalg.trace, rel_action)),
                             group.order)
     if rem:
@@ -284,6 +312,7 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
     return FGAbelian(free_rank, torsion)
 
 
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def tate_h0(group: FiniteGroup, module: GLattice) -> FGAbelian:
     """Tate's H^0: the fixed points M^G modulo the norm image NM.
 
@@ -456,12 +485,11 @@ def restriction_map(group: FiniteGroup, module: GLattice, sub: Subgroup,
     resolution on M's own matrices at H's elements; no restricted lattice is
     built.  A vanishing target, read off that form's diagonal, gives the
     empty matrix without building any cocycle representatives; a nonzero one
-    takes its coordinates from the same form.  ``sha2_cyclic`` tests its
-    cyclic targets before it calls this, off the norm N_C alone (the d^1 of
-    a cyclic H): by an F_2 rank when |C| is a power of 2, by ``tate_h0`` of
-    the restriction otherwise.  So it never calls this on a vanishing one.
-    The matrix is in the generators of Smith forms with U, not canonical
-    ones (see ``RestrictionMap``).
+    takes its coordinates from the same form.  ``sha2_cyclic`` does not call
+    this: it reads Sha^2 off corestricted cycles, and the tests hold it
+    against the kernel of these maps over every cyclic subgroup.  The matrix
+    is in the generators of Smith forms with U, not canonical ones (see
+    ``RestrictionMap``).
     """
     _require_lattice(module)
     q = linalg.bounded(q, 1, 2, "restriction degree")
@@ -485,13 +513,20 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     Cyclic subgroups stand in for the decomposition groups of unramified
     places.  For C' in C, restriction to C' factors through C, so the kernel
     over the maximal cyclic subgroups is the kernel over all of them; and a
-    C with H^2(C, M) = 0 cuts nothing.  That is read off the norm N_C
-    (``_cyclic_h2_vanishes``): one F_2 rank against rank M^C when |C| is a
-    power of 2, and ``tate_h0`` of the restriction otherwise.  Only the
-    remaining C are restricted to, each through one Smith form with U, and
-    the kernel is read off their matrices by duality (``_kernel_invariants``).
-    On a norm-one torus every cyclic H^2 vanishes (H^3(C, Z) = 0), so no
-    restriction map is built.
+    C with H^2(C, M) = 0 cuts nothing.  That is read off the ranks of the
+    norm N_C mod each prime dividing |C| (``_cyclic_h2_vanishes``).  On a
+    norm-one torus every cyclic H^2 vanishes (H^3(C, Z) = 0), and Sha^2 is
+    H^2 itself.
+
+    No restriction map is built.  H^2(G, M) is dual to H_1(G, M^dual), whose
+    chains on the same resolution are the transposed cochains, and
+    corestriction is the transpose of restriction; so Sha^2 is dual to
+    H_1(G, M^dual) modulo the corestricted cycles of the targets C, and has
+    the invariant factors of the row lattice of d^1 stacked with them
+    (``_corestricted_cycles``), read by one elimination (``_torsion``).  A
+    lattice with a target whose generators' support splits into blocks
+    (``lattices._blocks``) is first split: Sha^2 is additive, and equal
+    blocks, such as the Z of a split summand, share one cache entry.
     """
     _require_lattice(module)
     if module.group != group:
@@ -499,15 +534,43 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     total = cohomology(group, module, 2)
     if total.is_trivial():
         return FGAbelian.trivial()
-    # with no target left the kernel is H^2 itself
-    targets = [sub for sub in _maximal_cyclic_subgroups(group)
-               if not _cyclic_h2_vanishes(module, sub)]
-    if not targets:
+    targets = (sub for sub in _maximal_cyclic_subgroups(group)
+               if not _cyclic_h2_vanishes(module, sub))
+    first = next(targets, None)
+    if first is None:  # with no target left the kernel is H^2 itself
         return total
-    maps = [restriction_map(group, module, sub, 2) for sub in targets]
-    return FGAbelian(0, _kernel_invariants(
-        total.torsion, [e for rmap in maps for e in rmap.target.torsion],
-        [row for rmap in maps for row in rmap.matrix]))
+    if module.rank > 1 and len(blocks := _blocks(module)) > 1:
+        return FGAbelian.from_divisors(d for block in blocks
+                                       for d in sha2_cyclic(group, block).torsion)
+    cycles = _corestricted_cycles(group, module, [first, *targets])
+    return FGAbelian(0, _torsion(group, module, 2, cycles))
+
+
+def _corestricted_cycles(group: FiniteGroup, module: GLattice,
+                         targets: Sequence[Subgroup]) -> Matrix:
+    """The rows w R_C over the cyclic subgroups C of ``targets``, in the
+    coordinates of d^1's columns.
+
+    For C generated by z = prod g_i^(s_i), the chain map from C's resolution
+    takes e'_1 to the Fox derivative of z in the g_i, s(z e_0) for the
+    contracting homotopy s, so restriction of 1-cochains is the n-row R_C
+    whose block alpha sums c X(g^t) over its terms (t, alpha).  The 1-cycles
+    of C with coefficients in M^dual are the left kernel of X(z) - I: the
+    rows of U past the rank in one Smith form with U of it.  So each target
+    adds rank M^C rows."""
+    dec = abelian_decomposition(group)
+    n, zero, cols = module.rank, (0,) * len(dec.orders), _basis(len(dec.orders), 1)
+    eye, rows = linalg.eye(n), []
+    for sub in targets:
+        z = next(x for x in sub.elements if group.element_order(x) == sub.order)
+        snf = linalg.smith_normal_form(
+            linalg.combine([(1, module.action[z]), (-1, eye)]), want_u=True)
+        fox: list[dict[int, int]] = [{} for _ in range(n)]
+        for (t, alpha), c in _contract({(dec.exponents[z], zero): 1}, dec.orders).items():
+            linalg._add_block(fox, 0, cols[alpha] * n, c, module.action[dec.element(t)])
+        rows += linalg.mul(snf.u.take(rows=range(snf.rank, n)),
+                           linalg._from_rows((n, n * len(cols)), fox)).rows
+    return linalg._matrix((len(rows), n * len(cols)), tuple(rows))
 
 
 def _maximal_cyclic_subgroups(group: FiniteGroup) -> list[Subgroup]:
@@ -532,27 +595,34 @@ def _cyclic_h2_vanishes(module: GLattice, sub: Subgroup) -> bool:
 
     |C| kills H^2, the torsion of coker N_C, and N_C has rank r = rank M^C
     over Q (the mean of the trace character over C), so H^2 vanishes exactly
-    when N_C mod p has rank r for each prime p dividing |C|.  When |C| is a
-    power of 2 that is one F_2 rank: row i of N_C mod 2 is the XOR over c of
-    the odd-entry bitmask of row i of M(c), and the rows are eliminated on
-    their highest set bit.  Any other C takes ``tate_h0`` of the
-    restriction, which is the same M^C / N_C M.
+    when N_C mod p has rank r for each prime p dividing |C| (``_rank_mod``).
+    When |C| is a power of 2, row i of N_C mod 2 is summed straight into a
+    bitmask, as the XOR over c of the odd-entry bitmask of row i of M(c);
+    any other C sums N_C over Z once.
     """
+    trace = sum(linalg.trace(module.action[c]) for c in sub.elements)
+    fixed, rem = divmod(trace, sub.order)
+    if rem:
+        raise InternalInvariantError("the trace character does not average to a rank")
     if sub.order & (sub.order - 1):
-        return tate_h0(sub.as_group(), restrict(module, sub)).is_trivial()
+        norm = linalg.combine((1, module.action[c]) for c in sub.elements).rows
+        return all(_rank_mod(norm, p, fixed) == fixed for p in _factorint(sub.order))
     rows = [0] * module.rank
     for c in sub.elements:
         for i, row in enumerate(module.action[c].rows):
             for j, y in row:
                 if y & 1:
                     rows[i] ^= 1 << j
-    trace = sum(linalg.trace(module.action[c]) for c in sub.elements)
-    fixed, rem = divmod(trace, sub.order)
-    if rem:
-        raise InternalInvariantError("the trace character does not average to a rank")
+    return _f2_rank(rows, fixed) == fixed
+
+
+def _f2_rank(rows: Sequence[int], bound: int) -> int:
+    """The F_2 rank of rows given as bitmasks, counted up to ``bound``, which
+    callers set to the rational rank that no rank mod p exceeds: each row is
+    eliminated on its highest set bit."""
     pivots: dict[int, int] = {}
     for row in rows:
-        if len(pivots) == fixed:  # the F_2 rank never exceeds the rational one
+        if len(pivots) == bound:
             break
         while row:
             top = row.bit_length()
@@ -560,26 +630,36 @@ def _cyclic_h2_vanishes(module: GLattice, sub: Subgroup) -> bool:
                 pivots[top] = row
                 break
             row ^= pivots[top]
-    return len(pivots) == fixed
+    return len(pivots)
 
 
-def _kernel_invariants(source: Sequence[int], target: Sequence[int],
-                       matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factors of the kernel of phi: sum Z/d_i -> sum Z/e_j,
-    phi(x)_j = sum over i of R_ji x_i, for d = ``source``, e = ``target``
-    and R = ``matrix``.
-
-    For finite abelian groups ker phi is dual to coker phi^dual.  On the dual
-    bases phi^dual has entries d_i R_ji / e_j, integers because phi is well
-    defined, so the kernel has the invariant factors of [R^dual | diag(d)].
-    """
-    m, k = len(target), len(source)
-    dual = linalg.intmat(matrix, (m, k)).T.rows
-    if any(x * source[i] % target[j] for i, row in enumerate(dual) for j, x in row):
-        raise InternalInvariantError("restriction is not well defined on the classes")
-    return linalg.invariant_factors(linalg._matrix((k, m + k), tuple(
-        tuple((j, x * source[i] // target[j]) for j, x in row) + ((m + i, source[i]),)
-        for i, row in enumerate(dual))))
+def _rank_mod(rows: Sequence[tuple[tuple[int, int], ...]], p: int, bound: int) -> int:
+    """The rank mod a prime p of sparse rows ((column, entry), ...), counted
+    up to ``bound``.  At p = 2 the rows become bitmasks of their odd entries
+    (``_f2_rank``); otherwise each row, reduced mod p, is eliminated on its
+    first column against pivot rows scaled to lead with 1."""
+    if p == 2:
+        return _f2_rank([sum(1 << j for j, x in row if x & 1) for row in rows], bound)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if len(pivots) == bound:
+            break
+        v = {j: x % p for j, x in row if x % p}
+        while v:
+            j = min(v)
+            pivot = pivots.get(j)
+            if pivot is None:
+                inv = pow(v[j], -1, p)
+                pivots[j] = {k: x * inv % p for k, x in v.items()}
+                break
+            c = v[j]
+            for k, x in pivot.items():
+                y = (v.get(k, 0) - c * x) % p
+                if y:
+                    v[k] = y
+                else:
+                    v.pop(k, None)
+    return len(pivots)
 
 
 class SplittingEnumeration(NamedTuple):

@@ -22,14 +22,13 @@ from ._record import Record
 from .errors import InternalInvariantError, UnsupportedRequestError
 from .linalg import bounded, integer, integers
 
-# The one bound on every lru_cache in the package.  A Sha^2 pass restricts to
-# each maximal cyclic subgroup C with H^2(C, M) != 0.  Over C2^8 that is none
-# of the 255 for the norm-one torus, but all 255 for the norm-one torus plus
-# Z, so restriction_map, _chain_map and Subgroup.as_group each keep 255
-# entries from that one pass, and a bound of 256 would leave no room for a
-# second lattice over the same group.  The cyclotomic quotients share this
-# bound: up to 1024 quotients (Z/n)^x/H are kept, each one shared by every
-# datum, torus and cache entry over it, so a cache keyed on it compares the
+# The one bound on every lru_cache in the package.  Restriction of one lattice
+# to each of the 256 cyclic subgroups of C2^8, as the tests' Sha^2 oracle
+# takes it, keeps 256 entries each in restriction_map, _chain_map and
+# Subgroup.as_group, so a bound of 256 would leave no room for a second
+# lattice over the same group.  The cyclotomic quotients share this bound:
+# up to 1024 quotients (Z/n)^x/H are kept, each one shared by every datum,
+# torus and cache entry over it, so a cache keyed on it compares the
 # identical object instead of a rebuilt |G|^2 table.
 _CACHE_SIZE = 1024
 

@@ -280,6 +280,44 @@ def _lattice(group: FiniteGroup, stack: Stack) -> GLattice:
     return _derived(GLattice, group, linalg.zeros(stack[0].shape[0], 0), stack, (True, (), stack))
 
 
+def _blocks(m: GLattice) -> tuple[GLattice, ...]:
+    """M as the direct sum of the blocks of its generators' support, each
+    derived (``_lattice``) on its basis vectors in order, the blocks ordered
+    by their first vector; M itself when there is one block.
+
+    A union-find over the nonzeros of X(s) for s in ``generating_set``: when
+    every X(s) is block-diagonal on a partition of the basis, so is every
+    X(g), a product of them, and M is the sum of the blocks as G-lattices.
+    Blocks may interleave."""
+    parent = list(range(m.rank))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+    for s in generating_set(m.group):
+        for i, j, _ in m.action[s].items():
+            parent[find(i)] = find(j)
+    blocks: dict[int, list[int]] = {}
+    for i in range(m.rank):
+        blocks.setdefault(find(i), []).append(i)
+    if len(blocks) < 2:
+        return (m,)
+    out = []
+    for block in blocks.values():
+        k = len(block)
+        if block[-1] == k - 1:  # the first k vectors: their rows are shared as they are
+            out.append(_lattice(m.group, tuple(linalg._matrix((k, k), x_a.rows[:k])
+                                               for x_a in m.action)))
+            continue
+        at, moved = {i: x for x, i in enumerate(block)}, {}  # each moved pair made once
+        out.append(_lattice(m.group, tuple(linalg._matrix((k, k), tuple(
+            tuple(moved.get(p) or moved.setdefault(p, (at[p[0]], p[1])) for p in x_a.rows[i])
+            for i in block)) for x_a in m.action)))
+    return tuple(out)
+
+
 def glattice(group: FiniteGroup, matrices: Sequence[Sequence[Sequence[int]]]) -> GLattice:
     return GLattice(group, matrices)
 

@@ -19,8 +19,8 @@ import pytest
 
 from toruskit import linalg
 from toruskit.arith import characters, frobenius
-from toruskit.cohomology import (_kernel_invariants, _tuple_index, bar_differential,
-                                 cohomology, restriction_map)
+from toruskit.cohomology import _tuple_index, bar_differential, cohomology, restriction_map
+from toruskit.errors import InternalInvariantError
 from toruskit.groups import (FiniteGroup, Subgroup, coset_gset, cyclic_group, cyclic_subgroups,
                              generating_set, index_two_subgroups,
                              product_group)
@@ -393,12 +393,30 @@ def bar_sha2(lattice: GLattice) -> tuple[int, ...]:
     return torsion
 
 
+def kernel_invariants(source, target, matrix) -> tuple[int, ...]:
+    """Invariant factors of the kernel of phi: sum Z/d_i -> sum Z/e_j,
+    phi(x)_j = sum over i of R_ji x_i, for d = ``source``, e = ``target``
+    and R = ``matrix``.
+
+    For finite abelian groups ker phi is dual to coker phi^dual.  On the dual
+    bases phi^dual has entries d_i R_ji / e_j, integers because phi is well
+    defined, so the kernel has the invariant factors of [R^dual | diag(d)].
+    """
+    m, k = len(target), len(source)
+    dual = linalg.intmat(matrix, (m, k)).T.rows
+    if any(x * source[i] % target[j] for i, row in enumerate(dual) for j, x in row):
+        raise InternalInvariantError("restriction is not well defined on the classes")
+    return linalg.invariant_factors(linalg._matrix((k, m + k), tuple(
+        tuple((j, x * source[i] // target[j]) for j, x in row) + ((m + i, source[i]),)
+        for i, row in enumerate(dual))))
+
+
 def sha2_over_every_cyclic_subgroup(group: FiniteGroup, module: GLattice) -> FGAbelian:
     """Sha^2 the long way: ``restriction_map`` to every cyclic subgroup, the
     trivial one and those inside larger ones included, with no test for a
     vanishing target, then the kernel by duality."""
     maps = [restriction_map(group, module, sub, 2) for sub in cyclic_subgroups(group)]
-    return FGAbelian(0, _kernel_invariants(
+    return FGAbelian(0, kernel_invariants(
         cohomology(group, module, 2).torsion,
         [e for rmap in maps for e in rmap.target.torsion],
         [row for rmap in maps for row in rmap.matrix]))

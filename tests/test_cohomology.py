@@ -15,17 +15,17 @@ import toruskit.cli  # noqa: F401  (loads every module, for the cache scan)
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
 from toruskit.cohomology import (_basis, _boundaries, _boundary, _cyclic_h2_vanishes,
-                                 _kernel_invariants, _maximal_cyclic_subgroups,
+                                 _maximal_cyclic_subgroups,
                                  bar_differential, cohomology, cohomology_classes, differential,
                                  enumerate_splittings, restrict_cochain,
                                  restriction_map, sha2_cyclic, tate_h0)
 from toruskit.errors import (EnumerationBoundError, InternalInvariantError,
                              UnsupportedRequestError)
-from toruskit.groups import (_CACHE_SIZE, abelian_decomposition, all_subgroups, cyclic_group,
-                             cyclic_subgroups, full_subgroup, index_two_subgroups, product_group,
-                             subgroup_closure, trivial_subgroup)
-from toruskit.lattices import (FGAbelian, GModulePresentation, _regular_cover, direct_sum,
-                               direct_sum_all, dual, glattice, induce, invariants,
+from toruskit.groups import (_CACHE_SIZE, Subgroup, abelian_decomposition, all_subgroups,
+                             cyclic_group, cyclic_subgroups, full_subgroup, index_two_subgroups,
+                             product_group, subgroup_closure, trivial_subgroup)
+from toruskit.lattices import (FGAbelian, GLattice, GModulePresentation, _blocks, _regular_cover,
+                               direct_sum, direct_sum_all, dual, glattice, induce, invariants,
                                norm_operator, norm_vector, presentation_mod, quotient_lattice,
                                regular_lattice, restrict, sign_lattice, trace_character,
                                trivial_lattice)
@@ -35,7 +35,8 @@ from toruskit.tori import make_torus
 
 from support import (bar_presented_cohomology, bar_sha2, brute_force_cocycles, conjugate,
                      brute_force_h1_order, dense, fixed_point_tate_h0, identity,
-                     group_family_up_to_8, maximal_by_inclusion, presentation_of_lattice,
+                     group_family_up_to_8, kernel_invariants, maximal_by_inclusion,
+                     presentation_of_lattice,
                      random_glattice, random_unimodular, s3_group,
                      sha2_over_every_cyclic_subgroup)
 
@@ -88,6 +89,22 @@ def test_tate_h0_examples():
     assert tate_h0(C2, trivial_lattice(C2, 1)) == FGAbelian(0, (2,))
     assert tate_h0(C2, regular_lattice(C2)).is_trivial()
     assert tate_h0(C2, SIGN).is_trivial()
+
+
+def test_tate_h0_is_cached_by_value_and_type():
+    # An equal lattice rebuilt from nested lists hits the entry; the answer
+    # is the immutable FGAbelian itself, and a cache hit skips no check.
+    g = product_group(C2, C4)
+    m = direct_sum(norm_one_lattice(g), trivial_lattice(g, 1))
+    tate_h0.cache_clear()
+    first = tate_h0(g, m)
+    assert tate_h0(g, glattice(g, dense(m.action).tolist())) is first
+    assert tate_h0.cache_info()[:2] == (1, 1)
+    with pytest.raises(ValueError, match="not over the given group"):
+        tate_h0(C4, m)
+    with pytest.raises(TypeError):
+        tate_h0(g, presentation_mod(m, 2))
+    assert tate_h0.cache_info().currsize == 1
 
 
 def test_tate_h0_matches_fixed_point_route():
@@ -214,9 +231,10 @@ def test_sha2_active_path_norm_one_plus_trivial():
 def test_sha2_order_16_matches_bar_complex_through_the_cache():
     # On the 120/{1,49} norm-one torus plus Z, H^2 = C2^10 and 15 cyclic
     # subgroups have nonzero H^2 (the torus alone has none).  G = C2^4, so
-    # those 15 are the maximal ones, and Sha^2 restricts to exactly them.
-    # Sha^2 read off cached restriction maps, cached itself, and recomputed
-    # after clearing both caches must each be the bar complex's.
+    # those 15 are the maximal ones, and Sha^2 corestricts from exactly
+    # them, on the Z block, with one Smith form with U each.  It reads no
+    # restriction map, even with them cached; Sha^2 cached, and recomputed
+    # after clearing both caches, must each be the bar complex's.
     t = make_torus(AbelianGaloisDatum(120, (1, 49)), "norm_one")
     g, m = t.group, direct_sum(t.X, trivial_lattice(t.group, 1))
     subs = cyclic_subgroups(g)
@@ -227,15 +245,17 @@ def test_sha2_order_16_matches_bar_complex_through_the_cache():
     assert want == (2,) * 6
     before = restriction_map.cache_info()
     first = sha2_cyclic(g, m)
-    after = restriction_map.cache_info()
-    assert after.hits == before.hits + 15 and after.misses == before.misses
+    assert restriction_map.cache_info() == before
     sha_hits = sha2_cyclic.cache_info().hits
     assert sha2_cyclic(g, m) is first
     assert sha2_cyclic.cache_info().hits == sha_hits + 1
     sha2_cyclic.cache_clear()
     restriction_map.cache_clear()
-    again = sha2_cyclic(g, m)
-    assert restriction_map.cache_info().misses == 15
+    with pytest.MonkeyPatch.context() as patch:
+        shapes = counting_smith_forms(patch)
+        again = sha2_cyclic(g, m)
+    assert restriction_map.cache_info().misses == 0
+    assert [shape for shape, u in shapes if u] == [(1, 1)] * 15, shapes
     assert first.torsion == again.torsion == want
 
 
@@ -275,15 +295,21 @@ def test_restriction_map_matches_the_restricted_lattice_route(modulus, subgroup)
 
 def test_sha2_caches_only_the_answers_about_the_module():
     # 15 of the 16 cyclic restrictions of the 120/{1,49} norm-one torus plus
-    # Z have a nonzero target, yet no restricted lattice enters a cache:
-    # cohomology holds H^2(G, M) alone and cohomology_classes its classes.
+    # Z have a nonzero target, yet no restricted lattice, restriction map,
+    # class group or subgroup group enters a cache: cohomology holds H^2 of
+    # M and of its two blocks, the norm-one lattice and Z, and sha2_cyclic
+    # the Sha^2 of the three.
     t = make_torus(AbelianGaloisDatum(120, (1, 49)), "norm_one")
     g, m = t.group, direct_sum(t.X, trivial_lattice(t.group, 1))
-    for cache in (cohomology, cohomology_classes, restriction_map, sha2_cyclic):
+    caches = (cohomology, cohomology_classes, restriction_map, sha2_cyclic, tate_h0,
+              sys.modules["toruskit.cohomology"]._chain_map,
+              sys.modules["toruskit.groups"]._subgroup_as_group)
+    for cache in caches:
         cache.cache_clear()
     assert sha2_cyclic(g, m) == FGAbelian(0, (2,) * 6)
-    assert cohomology.cache_info().currsize == 1
-    assert cohomology_classes.cache_info().currsize == 1
+    assert [cache.cache_info().currsize for cache in caches] == [3, 0, 0, 3, 0, 0, 0]
+    assert cohomology(g, t.X, 2) is sha2_cyclic(g, t.X)
+    assert cohomology.cache_info().currsize == 3
 
 
 # The splitting data of the cold_tamagawa benchmark workload.
@@ -292,31 +318,53 @@ COLD_TAMAGAWA_DATA = [(4, None), (8, (1, 3)), (12, (1, 5)), (5, None), (12, None
                       (120, (1, 49)), (17, None), (32, None), (40, None), (48, None)]
 
 
+def forbidding_restriction(patch):
+    """Make every restriction route raise inside ``toruskit.cohomology``:
+    ``restriction_map``, ``cohomology_classes``, ``tate_h0`` and
+    ``Subgroup.as_group``."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Sha^2 took a restriction route")
+    for name in ("restriction_map", "cohomology_classes", "tate_h0"):
+        patch.setattr(sys.modules["toruskit.cohomology"], name, forbidden)
+    patch.setattr(Subgroup, "as_group", forbidden)
+
+
 def check_sha2_restricts_only_where_it_cuts(g, m):
-    """sha2_cyclic against every cyclic restriction: the same kernel, the norm
-    test and restriction_map agree on every cyclic H^2, and restriction_map
-    is called for exactly the maximal cyclic subgroups with H^2 != 0."""
+    """sha2_cyclic against every cyclic restriction: the same kernel; the norm
+    test and restriction_map agree on every cyclic H^2; and, with H^2 of M
+    and of its blocks cached, sha2_cyclic builds no restriction map, classes
+    or subgroup group, takes one Smith form with U per maximal cyclic C with
+    H^2(C, B) != 0 on each distinct block B with H^2(G, B) != 0, and one
+    elimination for Sha^2 of each such block (plus one Smith form of their
+    sum's diagonal when M splits).  M splits only when it has such a C.
+    The number of Smith forms with U is returned."""
     subs = cyclic_subgroups(g)
     for c in subs:
         assert cohomology(c.as_group(), restrict(m, c), 2).torsion \
             == restriction_map(g, m, c, 2).target.torsion, (m, c)
-    called = []
 
-    def recording(group, module, sub, q):
-        called.append(sub)
-        return restriction_map(group, module, sub, q)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sys.modules["toruskit.cohomology"], "restriction_map", recording)
-        sha = sha2_cyclic.__wrapped__(g, m)  # past the cache
+    def targets(b):
+        if cohomology(g, b, 2).is_trivial():
+            return []
+        return [c for c in maximal_by_inclusion(subs)
+                if cohomology(c.as_group(), restrict(b, c), 2).torsion]
+    split = targets(m) and m.rank > 1 and len(_blocks(m)) > 1
+    parts = list(dict.fromkeys(_blocks(m))) if split else [m]  # equal blocks share one entry
+    want_u = [(b.rank, b.rank) for b in parts for c in targets(b)]
+    eliminations = sum(1 for b in parts if targets(b)) + bool(split)
     total = cohomology(g, m, 2)
-    want = [c for c in maximal_by_inclusion(subs)
-            if cohomology(c.as_group(), restrict(m, c), 2).torsion]
-    assert called == (want if not total.is_trivial() else []), m
+    sha2_cyclic.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        forbidding_restriction(patch)
+        shapes = counting_smith_forms(patch)
+        packed = counting_packed_eliminations(patch)
+        sha = sha2_cyclic.__wrapped__(g, m)  # past the cache
+    assert [shape for shape, u in shapes if u] == want_u, m
+    assert sum(1 for _, u in shapes if not u) + len(packed) == eliminations, (m, shapes, packed)
     assert sha == sha2_over_every_cyclic_subgroup(g, m), m
-    if not called and not total.is_trivial():
+    if not want_u and not total.is_trivial():
         assert sha is total
-    return len(called)
+    return len(want_u)
 
 
 @pytest.mark.parametrize("modulus, subgroup", COLD_TAMAGAWA_DATA)
@@ -344,6 +392,84 @@ def test_sha2_on_the_small_family_matches_every_cyclic_subgroup():
     for g in group_family_up_to_8():
         for m in (trivial_lattice(g, 1), direct_sum(norm_one_lattice(g), trivial_lattice(g, 1))):
             check_sha2_restricts_only_where_it_cuts(g, m)
+
+
+def interleaved_sum(summands, rng):
+    """The direct sum of ``summands`` with its basis shuffled by a seeded
+    permutation, so that the blocks interleave."""
+    m = direct_sum_all(summands)
+    order = list(range(m.rank))
+    rng.shuffle(order)
+    return GLattice(m.group, [dense(x)[np.ix_(order, order)] for x in m.action])
+
+
+# Data of order at most 16 from the suite, then (Z/7)^x = C6, (Z/21)^x =
+# C2 x C6, (Z/13)^x = C12 and (Z/65)^x = C4 x C12, whose cyclic subgroups
+# have mixed orders.
+SHA2_ROUTE_DATA = COLD_TAMAGAWA_DATA + [(7, None), (21, None), (13, None), (65, None)]
+
+
+def test_sha2_by_corestriction_matches_every_cyclic_restriction():
+    # The norm-one, res, split-1 and product tori and their duals over
+    # SHA2_ROUTE_DATA, random lattices and sums over the family up to 8,
+    # and random block-diagonal lattices with interleaved blocks: Sha^2 read
+    # off d^1 stacked with corestricted cycles against the kernel of the
+    # restriction maps to every cyclic subgroup.  Enough of them have Sha^2
+    # strictly between 0 and H^2 for the stacked rows to matter.
+    rng = random.Random(4601)
+    cases = []
+    for modulus, subgroup in SHA2_ROUTE_DATA:
+        datum = AbelianGaloisDatum(modulus, subgroup)
+        parts = [make_torus(datum, "norm_one"), make_torus(datum, "res"),
+                 make_torus(datum, "split", dim=1)]
+        small = datum.group.order <= 16
+        for t in parts + [make_torus(datum, "product", factors=parts)] * small:
+            cases += [t.X, dual(t.X)]
+    for g in group_family_up_to_8():
+        for _ in range(8):
+            a, b = random_glattice(g, 2, rng), random_glattice(g, 2, rng)
+            cases += [a, direct_sum(a, b),
+                      interleaved_sum([a, norm_one_lattice(g), dual(b)], rng)]
+    between = 0
+    for m in cases:
+        g = m.group
+        sha, h2 = sha2_cyclic(g, m), cohomology(g, m, 2)
+        assert sha == sha2_over_every_cyclic_subgroup(g, m), (g, m)
+        between += not sha.is_trivial() and sha != h2
+    assert between >= 30, between  # 34 of 414
+
+
+def test_blocks_of_an_interleaved_sum_are_its_summands():
+    # The union-find over the generators' nonzeros finds the blocks of a
+    # shuffled sum of connected lattices, each on its basis vectors in order.
+    rng = random.Random(4602)
+    for g in (C3, KLEIN, product_group(C2, C4)):
+        summands = [norm_one_lattice(g), regular_lattice(g), trivial_lattice(g, 1)]
+        m = interleaved_sum(summands, rng)
+        blocks = _blocks(m)
+        assert sorted(b.rank for b in blocks) == sorted(x.rank for x in summands)
+        assert FGAbelian.from_divisors(d for b in blocks for d in cohomology(g, b, 2).torsion) \
+            == cohomology(g, m, 2)
+        x = summands[0]
+        assert len(_blocks(x)) == 1 and _blocks(x)[0] is x
+
+
+def test_sha2_builds_no_restriction_map_classes_or_subgroup_group():
+    # Over mixed orders and 2-groups, with targets on a split summand and on
+    # a lattice that does not split: sha2_cyclic calls no restriction_map,
+    # cohomology_classes, tate_h0 or Subgroup.as_group.
+    lattices = []
+    for modulus, subgroup in ((21, None), (120, (1, 49)), (13, None)):
+        x = make_torus(AbelianGaloisDatum(modulus, subgroup), "norm_one").X
+        lattices += [direct_sum(x, trivial_lattice(x.group, 1)), dual(x)]
+    g = product_group(C2, C4)
+    lattices += [sign_lattice(g, h) for h in index_two_subgroups(g)]
+    for m in lattices:
+        want = sha2_over_every_cyclic_subgroup(m.group, m)
+        sha2_cyclic.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            forbidding_restriction(patch)
+            assert sha2_cyclic(m.group, m) == want, m
 
 
 def test_maximal_cyclic_subgroups_match_the_pairwise_test():
@@ -399,8 +525,8 @@ def check_cyclic_h2_vanishes(g, m):
 
 # C4 x C4, C16 and C2 x C8 have only cyclic subgroups of 2-power order, whose
 # H^2 the packed F_2 rows decide; C12, C2 x C6 and C3 x C9 add orders 3, 6, 9
-# and 12, whose H^2 tate_h0 of the restriction decides.  The family up to 8
-# has both.
+# and 12, whose H^2 the ranks of N_C mod 2 and mod 3 decide.  The family up
+# to 8 has both.
 F2_RANK_GROUPS = group_family_up_to_8() + [
     product_group(C4, C4), cyclic_group(16), product_group(C2, cyclic_group(8)),
     cyclic_group(12), product_group(C2, cyclic_group(6)), product_group(C3, cyclic_group(9))]
@@ -433,13 +559,14 @@ def test_cyclic_h2_vanishes_matches_the_smith_form_on_tori(modulus, subgroup):
 
 
 def counting_smith_forms(patch):
-    """Wrap ``linalg.smith_normal_form``; the list its calls' shapes go to."""
+    """Wrap ``linalg.smith_normal_form``; the list its calls' (shape,
+    want_u) go to."""
     shapes = []
     real = linalg.smith_normal_form
 
-    def counting(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return real(a, *args, **kwargs)
+    def counting(a, want_u=False, want_v=False):
+        shapes.append((a.shape, want_u))
+        return real(a, want_u, want_v)
 
     patch.setattr(linalg, "smith_normal_form", counting)
     return shapes
@@ -504,27 +631,33 @@ def test_sha2_on_the_witness_takes_no_smith_form():
     assert packed == [(150, 60, 5)], packed
 
 
-@pytest.mark.parametrize("modulus, subgroup, sha, forms",
-                         [(120, (1, 49), (2,) * 6, 17), (63, None, (6,), 27)])
-def test_sha2_takes_one_smith_form_per_restriction_target(modulus, subgroup, sha, forms):
-    # Norm-one x split 1 has H^2(C, M) != 0 at every nontrivial cyclic C.
-    # Over C2^4 (15 maximal cyclic subgroups, all of order 2): one packed
-    # 2-adic elimination for H^2(G, M), one Smith form for its classes, one
-    # with U per target and one in _kernel_invariants.  Over C6 x C6 (12 of
-    # order 6) H^2(G, M) takes a Smith form, and each target also takes the
-    # Smith form of tate_h0 that finds it nonzero.
+@pytest.mark.parametrize("modulus, subgroup, sha, targets, integer, packed",
+                         [(120, (1, 49), (2,) * 6, 15, 1, 4), (63, None, (6,), 12, 5, 0)])
+def test_sha2_takes_one_smith_form_per_restriction_target(modulus, subgroup, sha, targets,
+                                                          integer, packed):
+    # Norm-one x split 1 has H^2(C, M) != 0 at every nontrivial cyclic C, so
+    # the first maximal cyclic subgroup splits M into the norm-one lattice and
+    # Z.  The norm-one block has no target: its Sha^2 is its H^2.  Z has one
+    # at each of the 15 maximal cyclic subgroups of C2^4 (all of order 2), or
+    # the 12 of C6 x C6 (all of order 6): one Smith form with U of the 1 x 1
+    # X(z) - I each, then one elimination for its Sha^2.  With H^2 of M,
+    # of the norm-one block and of Z, that is four eliminations, packed mod
+    # 2^5 over C2^4 and integer Smith forms over C6 x C6; the sum of the
+    # blocks' Sha^2 takes one more Smith form, of a diagonal.
     datum = AbelianGaloisDatum(modulus, subgroup)
     t = make_torus(datum, "product", factors=[make_torus(datum, "norm_one"),
                                               make_torus(datum, "split", dim=1)])
     for cache in (cohomology, cohomology_classes, restriction_map, sha2_cyclic):
         cache.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
+        forbidding_restriction(patch)
         shapes = counting_smith_forms(patch)
-        packed = counting_packed_eliminations(patch)
+        eliminations = counting_packed_eliminations(patch)
         got = sha2_cyclic.__wrapped__(t.group, t.X)
     assert got == FGAbelian(0, sha)
-    assert len(shapes) == forms, shapes
-    assert len(packed) == (1 if modulus == 120 else 0), packed
+    assert [shape for shape, u in shapes if u] == [(1, 1)] * targets, shapes
+    assert sum(1 for _, u in shapes if not u) == integer, shapes
+    assert len(eliminations) == packed, eliminations
 
 
 def test_restriction_to_a_nonzero_target_takes_one_smith_form():
@@ -556,15 +689,18 @@ def test_restriction_matrices_change_only_with_the_basis(modulus, subgroup):
         for q in (1, 2):
             want, got = restriction_map(g, m, sub, q), restriction_map(g, moved, sub, q)
             assert (got.source, got.target) == (want.source, want.target), (sub, q)
-            assert _kernel_invariants(got.source.torsion, got.target.torsion, got.matrix) \
-                == _kernel_invariants(want.source.torsion, want.target.torsion,
+            assert kernel_invariants(got.source.torsion, got.target.torsion, got.matrix) \
+                == kernel_invariants(want.source.torsion, want.target.torsion,
                                       want.matrix), (sub, q)
     assert sha2_cyclic(g, moved) == sha2_cyclic(g, m)
 
 
 def test_equal_lattices_share_restriction_and_sha2_entries():
-    # Of the 6 cyclic subgroups of C2 x C4, Sha^2 restricts to the 4 maximal
-    # ones (two of order 4, two of order 2), all with H^2(C, Z) != 0.
+    # Of the 6 cyclic subgroups of C2 x C4, Sha^2 corestricts from the 4
+    # maximal ones (two of order 4, two of order 2), all with H^2(C, Z) != 0,
+    # on the Z block of the norm-one lattice plus Z, and builds no
+    # restriction map.  Equal lattices, and equal blocks, share entries: the
+    # Z of split 1 and both Z blocks of split 2 are the sum's own Z.
     g = product_group(C2, C4)
     first = direct_sum(norm_one_lattice(g), trivial_lattice(g, 1))
     again = glattice(g, dense(first.action).tolist())
@@ -575,17 +711,21 @@ def test_equal_lattices_share_restriction_and_sha2_entries():
     assert sha == FGAbelian(0, (2,))
     subs = cyclic_subgroups(g)
     assert len(subs) == 6
-    assert sha2_cyclic.cache_info()[:2] == (0, 1)
-    assert restriction_map.cache_info()[:2] == (0, 4)
+    assert sha2_cyclic.cache_info()[:2] == (0, 3)  # the sum and its two blocks
+    assert restriction_map.cache_info()[:2] == (0, 0)
     assert sha2_cyclic(g, again) is sha
-    assert sha2_cyclic.cache_info()[:2] == (1, 1)
+    assert sha2_cyclic.cache_info()[:2] == (1, 3)
+    assert sha2_cyclic(g, trivial_lattice(g, 1)).is_trivial()
+    assert sha2_cyclic.cache_info()[:2] == (2, 3)
+    assert sha2_cyclic(g, trivial_lattice(g, 2)).is_trivial()
+    assert sha2_cyclic.cache_info()[:2] == (4, 4)  # split 2 and, twice, its Z
     for sub in cyclic_subgroups(g):  # equal subgroups, built again
         rmap = restriction_map(g, again, sub, 2)
         assert rmap is restriction_map(g, first, sub, 2)
         assert type(rmap.matrix) is tuple
         assert all(type(row) is tuple and all(type(x) is int for x in row)
                    for row in rmap.matrix)
-    assert restriction_map.cache_info()[:2] == (4 + len(subs), len(subs))
+    assert restriction_map.cache_info()[:2] == (len(subs), len(subs))
     for value, attr in ((sha, "torsion"), (rmap.source, "free_rank"),
                         (rmap.target, "torsion")):
         kept = getattr(value, attr)
@@ -679,8 +819,8 @@ def test_every_cache_has_the_shared_bound():
                     and getattr(value, "__module__", None) == key:
                 caches[f"{key}.{value.__name__}"] = value
     assert {"toruskit.cohomology.restriction_map", "toruskit.cohomology.sha2_cyclic",
-            "toruskit.cohomology.cohomology", "toruskit.groups.abelian_decomposition"} \
-        <= set(caches)
+            "toruskit.cohomology.cohomology", "toruskit.cohomology.tate_h0",
+            "toruskit.groups.abelian_decomposition"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] == _CACHE_SIZE == 1024, name
 
@@ -721,7 +861,7 @@ def test_kernel_by_duality_matches_enumeration(data):
     kernel = [x for x in itertools.product(*map(range, d))
               if all(sum(r * v for r, v in zip(row, x)) % ej == 0
                      for row, ej in zip(matrix, e))]
-    factors = _kernel_invariants(d, e, matrix)
+    factors = kernel_invariants(d, e, matrix)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
     assert _order_counts(d, kernel) == _order_counts(
         factors, itertools.product(*map(range, factors)))
@@ -730,9 +870,9 @@ def test_kernel_by_duality_matches_enumeration(data):
 def test_kernel_by_duality_rejects_ill_defined_maps():
     # x -> x from Z/2 to Z/4 does not respect 2x = 0
     with pytest.raises(InternalInvariantError):
-        _kernel_invariants((2,), (4,), ((1,),))
-    assert _kernel_invariants((2,), (4,), ((2,),)) == ()
-    assert _kernel_invariants((2, 4), (), ()) == (2, 4)
+        kernel_invariants((2,), (4,), ((1,),))
+    assert kernel_invariants((2,), (4,), ((2,),)) == ()
+    assert kernel_invariants((2, 4), (), ()) == (2, 4)
 
 
 def test_shapiro_small():

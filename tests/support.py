@@ -11,7 +11,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import multiprocessing
 import random
+import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -22,13 +25,44 @@ from toruskit.arith import characters, frobenius
 from toruskit.cohomology import _tuple_index, bar_differential, cohomology, restriction_map
 from toruskit.errors import InternalInvariantError
 from toruskit.groups import (FiniteGroup, Subgroup, coset_gset, cyclic_group, cyclic_subgroups,
-                             generating_set, index_two_subgroups,
+                             generating_set, index_two_subgroups, make_group,
                              product_group)
 from toruskit.lattices import (FGAbelian, GLattice, GModulePresentation, direct_sum,
                                induce, invariants, norm_operator,
                                permutation_lattice, restrict, sign_lattice,
                                trivial_lattice)
 from toruskit.tori import Torus
+
+
+def abelian(*orders: int) -> FiniteGroup:
+    """C_n1 x C_n2 x ... for ``orders`` n1, n2, ..., built from a product spec."""
+    return make_group({"type": "product", "factors": [{"type": "cyclic", "n": n} for n in orders]})
+
+
+def norm_one_tau(orders) -> Fraction:
+    """tau of the norm-one torus over G = + Z/n_i in closed form: |G| / #wedge^2 G,
+    with wedge^2(+ Z/n_i) = + over i < j of Z/gcd(n_i, n_j)."""
+    wedge2 = math.prod(math.gcd(a, b) for i, a in enumerate(orders) for b in orders[i + 1:])
+    return Fraction(math.prod(orders), wedge2)
+
+
+def in_child(func, *args):
+    """``func(*args)`` in a fresh interpreter, caches cold: its result, wall
+    time in seconds and the child's peak RSS in MB.  ``func`` must be
+    importable by name; an exception in the child is raised here."""
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(_timed_call, func, *args).result()
+
+
+def _timed_call(func, *args):
+    start = time.perf_counter()
+    result = func(*args)
+    took = time.perf_counter() - start
+    # VmHWM counts this process since its exec; ru_maxrss would also count
+    # the test process's pages, which the fork that started it mapped.
+    with open("/proc/self/status", encoding="ascii") as status:
+        peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    return result, took, peak / 1024
 
 
 def group_family_up_to_8() -> list[FiniteGroup]:
@@ -71,6 +105,16 @@ def conjugate(m: GLattice, u) -> GLattice:
         raise ValueError("basis change must be unimodular")
     uinv = dense(linalg.solve(u, linalg.eye(m.rank)))
     return GLattice(m.group, np.matmul(np.matmul(uinv, dense(m.action)), u))
+
+
+def scrambled_presentation(m: GLattice, modulus: int,
+                           rng: random.Random) -> GModulePresentation:
+    """Z^n / modulus Z^n acted on by ``m`` on the columns of a random unimodular
+    P: relations modulus P, action P X P^-1 by stack products.  Unlike
+    ``presentation_mod``, its relations' Smith frame is not the identity."""
+    p = random_unimodular(m.rank, rng, steps=6)
+    return GModulePresentation(m.group, modulus * p, linalg.stack_product(
+        p, m.action, linalg.solve(p, linalg.eye(m.rank))))
 
 
 def reference_action_error(group: FiniteGroup, stack,

@@ -1,0 +1,185 @@
+"""Presented modules, Sha^2, packed H^q, caller stacks and derived lattices at |G| <= 256."""
+
+import sys
+from random import Random
+from time import perf_counter
+
+import numpy as np
+import pytest
+
+from toruskit import linalg
+from toruskit.arith import AbelianGaloisDatum
+from toruskit.cohomology import cohomology, restriction_map, sha2_cyclic
+from toruskit.groups import cyclic_subgroups, generating_set
+from toruskit.lattices import (GLattice, GModulePresentation, direct_sum, direct_sum_all, dual,
+                               glattice, induce, presentation_mod, restrict, trivial_lattice)
+from toruskit.tori import make_torus
+
+from support import (abelian, in_child, random_glattice, reference_action_error,
+                     scrambled_presentation, sha2_over_every_cyclic_subgroup)
+
+SQUARES_840 = (1, 121, 169, 289, 361, 529)
+
+
+def test_presented_module_in_a_scrambled_frame_at_order_16():
+    """presentation_mod's relations 6 I have the Smith frame U = I; for
+    (6 P, P X P^-1), P unimodular, validation, the relation cone and H^0-H^2
+    run in a scrambled frame and must agree.  Tier-1 covers presented modules
+    up to |G| = 8; about 2 s."""
+    t = make_torus(AbelianGaloisDatum(120, (1, 49)), "norm_one")
+    moved = scrambled_presentation(t.X, 6, Random(7))
+    assert moved.action != t.X.action
+    plain = presentation_mod(t.X, 6)
+    for q in (0, 1, 2):
+        assert cohomology(t.group, plain, q) == cohomology(t.group, moved, q), q
+
+
+def _sha2_both_ways():
+    for name, splitting, split_factor in (
+            ("840/squares", AbelianGaloisDatum(840, SQUARES_840), False),
+            ("(Z/260)^x", AbelianGaloisDatum(260), False),
+            ("C4 x C8", abelian(4, 8), False), ("C2^5", abelian(*[2] * 5), False),
+            ("C2^8", abelian(*[2] * 8), True)):
+        start = perf_counter()
+        x = make_torus(splitting, "norm_one")
+        if split_factor:
+            t = make_torus(splitting, "product", factors=[x, make_torus(splitting, "split", dim=1)])
+            g, m = t.group, t.X
+        else:
+            g, m = x.group, direct_sum(x.X, trivial_lattice(x.group, 1))
+        built = perf_counter()
+        got = sha2_cyclic(g, m)
+        restriction_map.cache_clear()
+        fast = perf_counter()
+        want = sha2_over_every_cyclic_subgroup(g, m)
+        done = perf_counter()
+        assert got == want, (name, got, want)
+        print(f"{name} (|G| = {g.order}, rank {m.rank}): Sha^2 = {got}, "
+              f"build {built - start:.2f} s, sha2_cyclic {fast - built:.2f} s, "
+              f"every cyclic subgroup {done - fast:.2f} s")
+
+
+def test_sha2_on_maximal_cyclic_subgroups_against_every_cyclic_subgroup():
+    """sha2_cyclic builds no restriction map: it splits the lattice into the
+    blocks of its generators' support and reads each block's Sha^2 off d^1
+    stacked with the corestricted 1-cycles of the maximal cyclic subgroups C
+    with H^2(C, M) != 0; tests/support.py restricts to every cyclic subgroup
+    and takes the kernel over all of them.  Tier-1 compares the two up to
+    |G| = 16 and on C4 x C12.  Here on norm-one plus Z over 840/squares,
+    (Z/260)^x, C4 x C8 and C2^5, and on the norm-one times split-1 product
+    over C2^8, where every nontrivial cyclic subgroup has a nonzero H^2.  The
+    oracle starts from a cleared restriction cache.  Measured 3.5-3.7 s in
+    all, C2^8 alone 0.06-0.07 s build + 0.68-0.71 s sha2_cyclic + 1.93-2.06 s
+    oracle (three runs), peaking at 166 MB (Python 3.11, a shared 2-vCPU
+    machine); must stay under 60 s."""
+    _, took, _ = in_child(_sha2_both_ways)
+    assert took < 60, took
+
+
+def _packed_and_integer_h1_h2():
+    engine = sys.modules["toruskit.cohomology"]
+    for name, splitting in (("C2^5", abelian(*[2] * 5)), ("C2^6", abelian(*[2] * 6)),
+                            ("C2^7", abelian(*[2] * 7)), ("C4 x C8", abelian(4, 8)),
+                            ("C4^3", abelian(4, 4, 4)),
+                            ("840/squares", AbelianGaloisDatum(840, SQUARES_840))):
+        tori = [make_torus(splitting, kind, **extra)
+                for kind, extra in (("norm_one", {}), ("res", {}), ("split", {"dim": 1}))]
+        g = tori[0].group
+        modules = [t.X for t in tori] + [direct_sum_all([t.X for t in tori]), dual(tori[0].X)]
+        spent = {}
+        for cells in (10 ** 12, 0):  # every D packed, then every D on the integer Smith form
+            engine._PACKED_CELLS = cells
+            cohomology.cache_clear()
+            began = perf_counter()
+            groups = [cohomology(g, m, q) for m in modules for q in (1, 2)]
+            spent[cells] = groups, perf_counter() - began
+        assert spent[0][0] == spent[10 ** 12][0], name
+        print(f"{name} (|G| = {g.order}): H^1, H^2 of 5 lattices up to rank "
+              f"{max(m.rank for m in modules)} agree; packed {spent[10 ** 12][1]:.2f} s, "
+              f"integer {spent[0][1]:.2f} s")
+
+
+def test_packed_2adic_h1_h2_against_the_integer_smith_form():
+    """At |G| = 2^v cohomology reads H^1 and H^2 off D^(q-1) packed mod
+    2^(v+1) while D has fewer than _PACKED_CELLS entries; tier-1 compares that
+    with the integer Smith form up to |G| = 16.  Here the norm-one, res and
+    split-1 tori, their sum and the dual of the norm-one lattice over C2^5,
+    C2^6, C2^7, C4 x C8, C4^3 and 840/squares, with the constant forced both
+    ways in a fresh process: every D packed (up to the 7168 x 1792 d^1 of the
+    rank-256 sum over C2^7), then every D on the integer Smith form.
+    Measured 1.7 s in all at a 53 MB peak, C2^7 alone 0.61 s packed and
+    0.46 s integer (Python 3.11, a shared 2-vCPU machine); must stay under
+    60 s."""
+    _, took, _ = in_child(_packed_and_integer_h1_h2)
+    assert took < 60, took
+
+
+def _caller_stacks_at_128():
+    g = abelian(*[2] * 7)
+    x = make_torus(g, "norm_one").X
+    nested = [m.tolist() for m in x.action]
+    assert glattice(g, nested) == x
+    start = perf_counter()
+    assert GLattice(g, x.action) == x
+    matrix_read = perf_counter() - start
+    with pytest.raises(TypeError):
+        linalg.Matrix((1, 1), (((0, 2.5),),))
+    gens = generating_set(g)
+    bad = max(a for a in g.elements() if a != g.identity and a not in gens)
+    other = next(b for b in g.elements() if b not in (g.identity, bad))
+    swapped = nested[:bad] + [nested[other]] + nested[bad + 1:]
+    with pytest.raises(ValueError, match="group law"):
+        glattice(g, swapped)
+    GModulePresentation(g, linalg.diag((3,) * x.rank), nested)
+    moved = scrambled_presentation(x, 6, Random(7))
+    assert [m.tolist() for m in moved.action] != nested
+    h0 = cohomology(g, presentation_mod(x, 6), 0)
+    assert cohomology(g, moved, 0) == h0, h0
+    print(f"C2^7 norm-one stack of rank {x.rank}: accepted, read from its Matrix stack in "
+          f"{matrix_read:.3f} s, swapped element {bad} refused, accepted mod 3, and mod 6 "
+          f"in a scrambled frame with H^0 = {h0}")
+
+
+def test_caller_stacks_at_order_128_through_the_probe():
+    """Only caller data is probed, and tier-1 probes no stack of more than
+    4096 entries (|G| n^2).  Here the rank-127 norm-one stack over C2^7
+    (2 million entries) comes back as nested lists: it must be accepted, the
+    same stack with the matrix of an element outside the generating set
+    swapped for another must fail the group law, and its presentation mod 3
+    must be accepted.  So must its presentation mod 6 in a scrambled frame
+    (6 P, P X P^-1), whose Smith frame and group law are checked with stack
+    products; its H^0 must be that of presentation_mod(X, 6).  Handed over as
+    the lattice's own Matrix stack, it is read once, with no entry read again
+    (every Matrix was checked when it was built), and probed: the lattice
+    must equal X.  A hand-built Matrix with a float entry must raise
+    TypeError as it is built.  Measured 1.1-1.2 s at a 78 MB peak, the
+    Matrix-stack read 0.07 s (Python 3.11, one core of a shared 2-vCPU
+    machine); runs in a fresh process."""
+    in_child(_caller_stacks_at_128)
+
+
+@pytest.mark.parametrize("modulus, squares", [(120, (1, 49)), (840, SQUARES_840)],
+                         ids=["120-C2^4", "840-C2^5"])
+def test_derived_lattices_at_16_and_32_against_full_products(modulus, squares):
+    """Restricted, dual, summed, induced and quotient lattices skip the
+    group-law probe; tier-1 checks them against full products up to |G| = 8.
+    Here, on the witness 120/{1,49} (C2^4) and on 840/squares (C2^5): every
+    cyclic restriction of the norm-one lattice (written off the group table),
+    its dual, the sum of norm-one, res and split 1, and a lattice induced from
+    a cyclic subgroup.  The check multiplies every pair of matrices in int64
+    arrays read off each stack's rows, which is exact while
+    rank * (largest entry)^2 < 2^62; in object arrays the rank-64 sum alone
+    takes about 4 s.  Measured 0.5-0.8 s (Python 3.11, a shared 2-vCPU
+    machine)."""
+    datum = AbelianGaloisDatum(modulus, squares)
+    x, res = make_torus(datum, "norm_one").X, make_torus(datum, "res").X
+    g, cyclic = x.group, cyclic_subgroups(x.group)
+    c = cyclic[-1]
+    derived = [restrict(x, h) for h in cyclic] + [
+        dual(x), direct_sum_all([x, res, trivial_lattice(g, 1)]),
+        induce(c, random_glattice(c.as_group(), 2, Random(16)))]
+    for m in derived:
+        top = max((abs(v) for a in m.action for _, _, v in a.items()), default=0)
+        assert m.rank * top * top < 2 ** 62, m
+        stack = np.array([a.tolist() for a in m.action], dtype=np.int64)
+        assert reference_action_error(m.group, stack) is None, m

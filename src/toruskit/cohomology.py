@@ -21,12 +21,12 @@ frame of R that its constructor computed (the record's cached property
 (Weibel, 1.5).  A lattice is the presented module with no relations, so one
 engine serves both: R = 0 and the cone is the resolution's own complex.
 For q >= 1, |G| kills H^q, so every nonzero invariant factor of D^(q-1)
-divides |G|.  At |G| = 2^v the Smith form over Z/2^(v+1) is then exact, and
-H^1 and H^2 are read off ``linalg._two_adic_smith_form``: the differential
-is evaluated straight into packed columns mod 2^(v+1), and no ``Matrix`` of
-D is built, while D has fewer than ``_PACKED_CELLS`` entries.  H^0, other
-orders, a larger D, ``tate_h0`` and every Smith form with transforms take
-``linalg.smith_normal_form``.
+divides |G|.  At |G| = 2^v the Smith form over Z/2^(v+1) is then exact.
+``_torsion`` assembles D once, as sparse rows; while it has fewer than
+``_PACKED_CELLS`` entries, H^1 and H^2 at |G| = 2^v pack them into columns
+mod 2^(v+1) for ``linalg._two_adic_smith_form``.  H^0, other orders and a
+larger D sort the same rows into a ``Matrix`` for ``linalg.smith_normal_form``,
+which ``tate_h0`` and every Smith form with transforms take too.
 
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
@@ -81,12 +81,18 @@ from .linalg import Matrix
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
 # H^q, q >= 1, at |G| = 2^v takes the packed 2-adic route when D^(q-1) has
-# fewer entries than this.  Against the integer Smith form, assembly
-# included, on norm-one tori (Python 3.11, shared 2-vCPU machine): 0.010
-# against 0.033 s on C2^6's 1323 x 378 d^1 and 0.013 against 0.033 s on
-# C2^8's 2040 x 255 d^0; past it, 0.19 against 0.10 s on C4^4's 2550 x 1020
-# d^1 and 0.58 against 0.37 s on C2^8's 9180 x 2040 d^1, whose packed columns
-# took 39 MB: they grow as rows x columns.
+# fewer entries than this.  ``_torsion`` on norm-one tori, packed / integer,
+# assembly included, in ms (best of 5; Python 3.11, shared 2-vCPU machine):
+#   C64      d^0     63 x 63    0.46 / 0.42   d^1    63 x 63     1.97 / 1.81
+#   C128     d^0    127 x 127   1.27 / 0.87   d^1   127 x 127    7.79 / 6.67
+#   C2xC64   d^0    254 x 127   0.93 / 1.04   d^1   381 x 254    6.73 / 6.93
+#   C16xC16  d^0    510 x 255   3.16 / 2.19   d^1   765 x 510   20.7 / 49.6
+#   C2^6     d^0    378 x 63    0.70 / 2.53   d^1  1323 x 378   11.5 / 27.6
+#   C4^3     d^0    189 x 63    0.44 / 1.03   d^1   378 x 189    2.65 / 4.82
+#   C4^4     d^0   1020 x 255   4.70 / 7.26   d^1  2550 x 1020  98 / 56
+#   C2^8     d^0   2040 x 255   7.72 / 16.9   d^1  9180 x 2040  650 / 340
+# Below it a long cyclic factor costs up to 1.5x and short ones gain 1.5-3.6x;
+# past it packing loses 1.8-1.9x, its columns growing as rows x columns.
 _PACKED_CELLS = 10 ** 6
 
 
@@ -179,13 +185,10 @@ def _boundaries(orders: tuple[int, ...], q: int) -> tuple[Terms, ...]:
                  for beta in _basis(len(orders), q + 1))
 
 
-def differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matrix:
-    """Matrix of d^q on the small cochains, M^C(q+k-1, k-1) to M^C(q+k, k-1).
-
-    ``mats[a]`` is the matrix of group element a on M; row block beta holds
-    f -> f(d e_beta), with d as written in ``_boundary``.  A cochain is
-    Z[G]-linear, so f(g^t e_alpha) = X(g^t) f(e_alpha).
-    """
+def _rows(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> tuple[list[dict[int, int]], int]:
+    """The rows {column: entry} of ``differential``, zero entries not yet
+    dropped, and its number of columns: the one evaluator of the
+    resolution's d, which ``_torsion`` extends to the cone."""
     dec = abelian_decomposition(group)
     cols, chains = _basis(len(dec.orders), q), _boundaries(dec.orders, q)
     n = mats[group.identity].shape[0]
@@ -193,94 +196,47 @@ def differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matrix:
     for r, terms in enumerate(chains):
         for (t, alpha), c in terms:
             linalg._add_block(out, r * n, cols[alpha] * n, c, mats[dec.element(t)])
-    return linalg._from_rows((len(out), n * len(cols)), out)
+    return out, n * len(cols)
 
 
-def _packed_evaluation(group: FiniteGroup, mats: Sequence[Matrix], q: int,
-                       chains: Sequence[Terms], e: int) -> list[int]:
-    """The columns of the matrix of f -> (f(c) for c in chains) on degree-q
-    cochains (``differential``'s, for the boundaries), packed mod 2^e as
-    ``linalg._pack_columns`` packs them, with no ``Matrix`` built: the
-    columns of each X(g) are packed once, and row block r of column block
-    alpha sums c X(g^t) over the terms (t, alpha) of chain r."""
-    dec = abelian_decomposition(group)
-    cols = _basis(len(dec.orders), q)
-    n = mats[group.identity].shape[0]
-    low, block = (1 << e) - 1, n * 2 * e
-    mask = ((1 << block) - 1) // ((1 << 2 * e) - 1) * low
-    packed: dict[tuple[int, ...], list[int]] = {}  # X(g^t) by t
-    out = [0] * (n * len(cols))
-    for r, terms in enumerate(chains):
-        sums: dict[int, list[int]] = {}
-        for (t, alpha), c in terms:
-            xs = packed.get(t)
-            if xs is None:
-                xs = packed[t] = linalg._pack_columns(mats[dec.element(t)], e)
-            c &= low
-            acc = sums.get(cols[alpha])
-            sums[cols[alpha]] = ([c * x & mask for x in xs] if acc is None else
-                                 [(y + c * x) & mask for x, y in zip(xs, acc)])
-        for a, acc in sums.items():
-            for j, y in enumerate(acc, a * n):
-                out[j] |= y << (r * block)
-    return out
+def differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matrix:
+    """Matrix of d^q on the small cochains, M^C(q+k-1, k-1) to M^C(q+k, k-1).
 
-
-def _packed_coboundary(group: FiniteGroup, module: GLattice | GModulePresentation,
-                       q: int, below: Matrix | None = None
-                       ) -> tuple[list[int], int, int] | None:
-    """D^(q-1) of ``cohomology`` for q >= 1 as (columns packed mod 2^e, rows,
-    e), or None off the packed route: |G| must be 2^v, with e = v + 1, and D
-    must have fewer than ``_PACKED_CELLS`` entries.  The cone's columns past
-    d^(q-1) carry B in row block beta over d_R below: negating the rows of
-    -d_R changes no invariant factor.  The rows of ``below``, if given, go
-    under all of them (``_torsion``)."""
-    order = group.order
-    if order & (order - 1):
-        return None
-    orders = abelian_decomposition(group).orders
-    action, basis, rel_action = module._relation_complex
-    (n, r), k = basis.shape, len(orders)
-    before, here, after = (len(_basis(k, p)) for p in (q - 1, q, q + 1))  # basis sizes
-    rows = n * here  # the rows of d^(q-1); d_R's start below them
-    extra = 0 if below is None else below.shape[0]
-    if (rows + r * after + extra) * (n * before + r * here) >= _PACKED_CELLS:
-        return None
-    e = order.bit_length()
-    cols = _packed_evaluation(group, action, q - 1, _boundaries(orders, q - 1), e)
-    if r:  # column beta * r + j of [[I x B], [d_R]]
-        width, top = 2 * e, linalg._pack_columns(basis, e)
-        rel = _packed_evaluation(group, rel_action, q, _boundaries(orders, q), e)
-        cols += [top[i % r] << (i // r * n * width) | y << (rows * width)
-                 for i, y in enumerate(rel)]
-    if extra:
-        shift = (rows + r * after) * 2 * e
-        cols = [x | y << shift for x, y in zip(cols, linalg._pack_columns(below, e))]
-    return cols, rows + r * after + extra, e
+    ``mats[a]`` is the matrix of group element a on M; row block beta holds
+    f -> f(d e_beta), with d as written in ``_boundary``.  A cochain is
+    Z[G]-linear, so f(g^t e_alpha) = X(g^t) f(e_alpha).
+    """
+    rows, width = _rows(group, mats, q)
+    return linalg._from_rows((len(rows), width), rows)
 
 
 def _torsion(group: FiniteGroup, module: GLattice | GModulePresentation, q: int,
-             below: Matrix | None = None) -> tuple[int, ...]:
-    """The invariant factors >= 2 of D^(q-1) of ``cohomology``, with the rows
-    of ``below`` stacked under it when given.  They are those of the
+             below: Sequence[tuple[tuple[int, int], ...]] = ()) -> tuple[int, ...]:
+    """The invariant factors >= 2 of D^(q-1) of ``cohomology``, with the
+    sparse rows ``below`` stacked under it.  They are those of the
     saturation of the row lattice over the lattice.  For q >= 1 and no
     ``below`` that quotient is dual to H^q, so |G| kills it; rows of
     ``below`` inside the saturation (``sha2_cyclic``'s) leave a quotient of
-    it.  So the packed route stays exact wherever ``_packed_coboundary``
-    takes D, and the rest take the integer Smith form."""
-    if q and (packed := _packed_coboundary(group, module, q, below)):
-        return tuple(x for x in linalg._two_adic_smith_form(*packed).diagonal if x > 1)
+    it.  D is assembled once, as sparse rows.  At |G| = 2^v, q >= 1 and
+    fewer than ``_PACKED_CELLS`` entries they are packed mod 2^(v+1) for
+    ``linalg._two_adic_smith_form``, exact there; otherwise they are sorted
+    into a ``Matrix`` for the integer Smith form."""
     action, basis, rel_action = module._relation_complex
-    (n, r), d = basis.shape, differential(group, action, q - 1)
+    (n, r), order = basis.shape, group.order
+    rows, width = _rows(group, action, q - 1)
     if r:  # D = [[d, I x B], [0, -d_R]]: row i of d meets row i mod n of B
-        d_rel, w = differential(group, rel_action, q), d.shape[1]
-        d = linalg._matrix((d.shape[0] + d_rel.shape[0], w + d_rel.shape[1]), tuple(
-            row + tuple((w + i // n * r + j, x) for j, x in basis.rows[i % n])
-            for i, row in enumerate(d.rows)) + tuple(
-            tuple((w + j, -x) for j, x in row) for row in d_rel.rows))
-    if below is not None:
-        d = linalg._matrix((d.shape[0] + below.shape[0], d.shape[1]), d.rows + below.rows)
-    return linalg.invariant_factors(d)
+        for i, row in enumerate(rows):
+            row.update((width + i // n * r + j, x) for j, x in basis.rows[i % n])
+        rel, rel_width = _rows(group, rel_action, q)
+        rows += [{width + j: -x for j, x in row.items()} for row in rel]
+        width += rel_width
+    m = len(rows) + len(below)
+    if q and not order & (order - 1) and m * width < _PACKED_CELLS:
+        e = order.bit_length()
+        cols = linalg._pack_columns([*(row.items() for row in rows), *below], width, e)
+        return tuple(x for x in linalg._two_adic_smith_form(cols, m, e).diagonal if x > 1)
+    d = linalg._from_rows((len(rows), width), rows)
+    return linalg.invariant_factors(linalg._matrix((m, width), d.rows + tuple(below)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE, typed=True)
@@ -292,10 +248,11 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
     does q > 2 (q is read by ``linalg.bounded``).  H^q is the torsion of
     coker D^(q-1) plus, for q = 0, the rank of M^G.  D^q = [[d^q, B], [0,
     -d_R^(q+1)]] is the cone differential of ``module._relation_complex``; a
-    lattice, or R = 0, has D = d.  For q >= 1, |G| kills H^q, so at |G| = 2^v
-    the torsion is read off D packed mod 2^(v+1) (``_packed_coboundary``)
-    when D has fewer than ``_PACKED_CELLS`` entries, and off the integer
-    Smith form otherwise.  Over Q invariants are exact, so rank M^G = rank
+    lattice, or R = 0, has D = d.  ``_torsion`` assembles D once as sparse
+    rows.  For q >= 1, |G| kills H^q, so at |G| = 2^v the torsion is read
+    off those rows packed mod 2^(v+1) when D has fewer than
+    ``_PACKED_CELLS`` entries, and off the integer Smith form of the same
+    rows otherwise.  Over Q invariants are exact, so rank M^G = rank
     (Z^n)^G - rank R^G, and a fixed rank is the average of a trace character:
     (sum over g of tr M(g) - tr A(g)) / |G|."""
     q = linalg.bounded(q, 0, 2, "cohomology degree")
@@ -547,8 +504,8 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
 
 
 def _corestricted_cycles(group: FiniteGroup, module: GLattice,
-                         targets: Sequence[Subgroup]) -> Matrix:
-    """The rows w R_C over the cyclic subgroups C of ``targets``, in the
+                         targets: Sequence[Subgroup]) -> list[tuple[tuple[int, int], ...]]:
+    """The sparse rows w R_C over the cyclic subgroups C of ``targets``, in the
     coordinates of d^1's columns.
 
     For C generated by z = prod g_i^(s_i), the chain map from C's resolution
@@ -570,7 +527,7 @@ def _corestricted_cycles(group: FiniteGroup, module: GLattice,
             linalg._add_block(fox, 0, cols[alpha] * n, c, module.action[dec.element(t)])
         rows += linalg.mul(snf.u.take(rows=range(snf.rank, n)),
                            linalg._from_rows((n, n * len(cols)), fox)).rows
-    return linalg._matrix((len(rows), n * len(cols)), tuple(rows))
+    return rows
 
 
 def _maximal_cyclic_subgroups(group: FiniteGroup) -> list[Subgroup]:

@@ -15,11 +15,11 @@ least absolute value; it keeps the divisibility chain at every pivot and
 serves plain and transform requests alike.  Invariant factors, kernels and
 integer solves are derived from it.  A matrix whose nonzero invariant
 factors all divide 2^(e-1), as a coboundary matrix of a 2-group of order
-2^(e-1) does, may instead go to ``_two_adic_smith_form``: its columns packed
-mod 2^e, one int each, it is eliminated over Z/2^e, where that Smith form is
-exact.  A column-style Hermite form puts lattice bases into a canonical
-shape; ``stack_product`` multiplies a stack by a matrix on either side, each
-output row in one pass.
+2^(e-1) does, may instead go to ``_two_adic_smith_form``: ``_pack_columns``
+packs its sparse rows into columns mod 2^e, one int each, and it is
+eliminated over Z/2^e, where that Smith form is exact.  A column-style
+Hermite form puts lattice bases into a canonical shape; ``stack_product``
+multiplies a stack by a matrix on either side, each output row in one pass.
 """
 
 from __future__ import annotations
@@ -213,10 +213,10 @@ def mul(a, b) -> Matrix:
 
 def _add_block(rows: list[dict[int, int]], i: int, j: int, c: int, a: Matrix) -> None:
     """Add c a to the sparse rows {column: entry} with a's (0, 0) at (i, j)."""
-    for l, row in enumerate(a.rows):
-        out = rows[i + l]
+    for out, row in zip(rows[i:i + a.shape[0]], a.rows):
         for k, x in row:
-            out[j + k] = out.get(j + k, 0) + c * x
+            k += j
+            out[k] = out.get(k, 0) + c * x
 
 
 def combine(terms: Iterable[tuple[int, Matrix]]) -> Matrix:
@@ -441,14 +441,17 @@ def smith_normal_form(a, want_u: bool = False, want_v: bool = False) -> SmithFor
     return SmithForm(fixed_d + (0,) * (min(m, n) - len(fixed_d)), len(fixed_d), u, uinv, v)
 
 
-def _pack_columns(a: Matrix, e: int) -> list[int]:
-    """The columns of ``a`` mod 2^e, each one int whose 2e-bit lane i holds
-    row i's entry in [0, 2^e): the layout of ``_two_adic_smith_form``."""
+def _pack_columns(rows: Iterable[Iterable[tuple[int, int]]], n: int, e: int) -> list[int]:
+    """The n columns, mod 2^e, of the matrix whose row i has the (column,
+    entry) pairs ``rows[i]``, in any order, zeros allowed: each column one
+    int whose 2e-bit lane i holds row i's entry in [0, 2^e), the layout of
+    ``_two_adic_smith_form``.  A ``Matrix`` a packs as ``a.rows``."""
     low, width = (1 << e) - 1, 2 * e
-    cols = [0] * a.shape[1]
-    for i, row in enumerate(a.rows):
+    cols = [0] * n
+    for i, row in enumerate(rows):
+        shift = i * width
         for j, x in row:
-            cols[j] |= (x & low) << (i * width)
+            cols[j] |= (x & low) << shift
     return cols
 
 

@@ -14,8 +14,8 @@ from hypothesis import example, given, seed as fixed_seed, settings, strategies 
 import toruskit.cli  # noqa: F401  (loads every module, for the cache scan)
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
-from toruskit.cohomology import (_basis, _boundaries, _boundary, _cyclic_h2_vanishes,
-                                 _maximal_cyclic_subgroups,
+from toruskit.cohomology import (_basis, _boundaries, _boundary, _corestricted_cycles,
+                                 _cyclic_h2_vanishes, _maximal_cyclic_subgroups, _torsion,
                                  bar_differential, cohomology, cohomology_classes, differential,
                                  enumerate_splittings, restrict_cochain,
                                  restriction_map, sha2_cyclic, tate_h0)
@@ -592,6 +592,34 @@ TWO_GROUPS = [cyclic_group(n) for n in (1, 2, 4, 8, 16)] + [
     product_group(C4, C4), product_group(KLEIN, C4), product_group(product_group(KLEIN, C2), C2)]
 
 
+def check_one_coboundary(run):
+    """Run ``run`` packed, then with _PACKED_CELLS = 0: the answers are
+    equal, and the columns the 2-adic route eliminated are the packing of
+    the one matrix the integer route factors.  Returns the answer."""
+    engine = sys.modules["toruskit.cohomology"]
+    packed, factored = [], []
+    real_packed, real_factors = linalg._two_adic_smith_form, linalg.invariant_factors
+
+    def two_adic(columns, m, e):
+        packed.append((columns, m, e))
+        return real_packed(columns, m, e)
+
+    def integer(a):
+        factored.append(a)
+        return real_factors(a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_two_adic_smith_form", two_adic)
+        patch.setattr(linalg, "invariant_factors", integer)
+        got = run()
+        assert (len(packed), factored) == (1, []), (packed, factored)
+        patch.setattr(engine, "_PACKED_CELLS", 0)
+        assert run() == got
+    [(columns, m, e)], [d] = packed, factored
+    assert d.shape[0] == m and linalg._pack_columns(d.rows, d.shape[1], e) == columns
+    return got
+
+
 @fixed_seed(4302)
 @given(st.sampled_from(TWO_GROUPS), st.integers(0, 2 ** 32))
 @example(TWO_GROUPS[0], 0)
@@ -600,20 +628,24 @@ TWO_GROUPS = [cyclic_group(n) for n in (1, 2, 4, 8, 16)] + [
 def test_packed_cohomology_matches_the_integer_route(g, case):
     # At |G| = 2^v, H^1 and H^2 are read off D^(q-1) packed mod 2^(v+1);
     # _PACKED_CELLS = 0 sends every D to the integer Smith form instead.
-    # Random lattices, their duals and sums, and presentations mod 2, 3, 4.
+    # Both routes eliminate the one D that _torsion assembles: random
+    # lattices, their duals and sums, and presentations mod 2, 3, 4.
     rng = random.Random(case)
     a, b = random_glattice(g, 2, rng), random_glattice(g, 2, rng)
     modules = [a, dual(a), direct_sum(a, b), direct_sum(dual(a), b)] + [
         presentation_mod(direct_sum(a, b), k) for k in (2, 3, 4)]
     for m in modules:
         for q in (1, 2):
-            with pytest.MonkeyPatch.context() as patch:
-                packed = counting_packed_eliminations(patch)
-                got = cohomology.__wrapped__(g, m, q)
-                assert len(packed) == 1, packed
-                patch.setattr(sys.modules["toruskit.cohomology"], "_PACKED_CELLS", 0)
-                assert cohomology.__wrapped__(g, m, q) == got, (g, m, q)
-                assert len(packed) == 1, packed
+            check_one_coboundary(lambda: cohomology.__wrapped__(g, m, q))
+    # So is the Sha^2 stack, d^1 with the corestricted cycles of the maximal
+    # cyclic C under it, here unsplit on norm-one + Z, where Z gives every
+    # nontrivial C a nonzero H^2(C, M).
+    m = direct_sum(make_torus(g, "norm_one").X, trivial_lattice(g, 1))
+    targets = [sub for sub in _maximal_cyclic_subgroups(g) if not _cyclic_h2_vanishes(m, sub)]
+    if targets:
+        cycles = _corestricted_cycles(g, m, targets)
+        got = check_one_coboundary(lambda: _torsion(g, m, 2, cycles))
+        assert FGAbelian(0, got) == sha2_cyclic(g, m)
 
 
 def test_sha2_on_the_witness_takes_no_smith_form():

@@ -332,5 +332,6 @@ def test_two_adic_smith_form_matches_the_integer_one(case):
     # 2^(e-1) has the integer Smith form's diagonal and rank.
     a, e = case
     want = linalg.smith_normal_form(a)
-    got = linalg._two_adic_smith_form(linalg._pack_columns(a, e), a.shape[0], e)
+    got = linalg._two_adic_smith_form(
+        linalg._pack_columns(a.rows, a.shape[1], e), a.shape[0], e)
     assert (got.diagonal, got.rank) == (want.diagonal, want.rank)

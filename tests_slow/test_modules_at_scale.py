@@ -78,14 +78,20 @@ def test_sha2_on_maximal_cyclic_subgroups_against_every_cyclic_subgroup():
 
 def _packed_and_integer_h1_h2():
     engine = sys.modules["toruskit.cohomology"]
+    cases = []
     for name, splitting in (("C2^5", abelian(*[2] * 5)), ("C2^6", abelian(*[2] * 6)),
                             ("C2^7", abelian(*[2] * 7)), ("C4 x C8", abelian(4, 8)),
                             ("C4^3", abelian(4, 4, 4)),
                             ("840/squares", AbelianGaloisDatum(840, SQUARES_840))):
         tori = [make_torus(splitting, kind, **extra)
                 for kind, extra in (("norm_one", {}), ("res", {}), ("split", {"dim": 1}))]
-        g = tori[0].group
-        modules = [t.X for t in tori] + [direct_sum_all([t.X for t in tori]), dual(tori[0].X)]
+        cases.append((name, tori[0].group, [t.X for t in tori] + [
+            direct_sum_all([t.X for t in tori]), dual(tori[0].X)]))
+    for n in (64, 128):  # one long cyclic factor, where the two routes' costs meet
+        g = abelian(n)
+        cases.append((f"C{n}", g, [make_torus(g, "norm_one").X,
+                                   random_glattice(g, 2, Random(n))]))
+    for name, g, modules in cases:
         spent = {}
         for cells in (10 ** 12, 0):  # every D packed, then every D on the integer Smith form
             engine._PACKED_CELLS = cells
@@ -94,7 +100,7 @@ def _packed_and_integer_h1_h2():
             groups = [cohomology(g, m, q) for m in modules for q in (1, 2)]
             spent[cells] = groups, perf_counter() - began
         assert spent[0][0] == spent[10 ** 12][0], name
-        print(f"{name} (|G| = {g.order}): H^1, H^2 of 5 lattices up to rank "
+        print(f"{name} (|G| = {g.order}): H^1, H^2 of {len(modules)} lattices up to rank "
               f"{max(m.rank for m in modules)} agree; packed {spent[10 ** 12][1]:.2f} s, "
               f"integer {spent[0][1]:.2f} s")
 
@@ -104,11 +110,12 @@ def test_packed_2adic_h1_h2_against_the_integer_smith_form():
     2^(v+1) while D has fewer than _PACKED_CELLS entries; tier-1 compares that
     with the integer Smith form up to |G| = 16.  Here the norm-one, res and
     split-1 tori, their sum and the dual of the norm-one lattice over C2^5,
-    C2^6, C2^7, C4 x C8, C4^3 and 840/squares, with the constant forced both
-    ways in a fresh process: every D packed (up to the 7168 x 1792 d^1 of the
-    rank-256 sum over C2^7), then every D on the integer Smith form.
-    Measured 1.7 s in all at a 53 MB peak, C2^7 alone 0.61 s packed and
-    0.46 s integer (Python 3.11, a shared 2-vCPU machine); must stay under
+    C2^6, C2^7, C4 x C8, C4^3 and 840/squares, and the norm-one torus and a
+    random lattice of rank at most 2 over C64 and C128, with the constant
+    forced both ways in a fresh process: every D packed (up to the 7168 x
+    1792 d^1 of the rank-256 sum over C2^7), then every D on the integer
+    Smith form.  Measured 1.9 s in all at an 88 MB peak, C64 and C128 under
+    0.02 s each way (Python 3.11, a shared 2-vCPU machine); must stay under
     60 s."""
     _, took, _ = in_child(_packed_and_integer_h1_h2)
     assert took < 60, took

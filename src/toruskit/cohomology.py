@@ -20,13 +20,16 @@ frame of R that its constructor computed (the record's cached property
 ``_relation_complex``), so its cochains are the cone C^q(Z^n) + C^(q+1)(R)
 (Weibel, 1.5).  A lattice is the presented module with no relations, so one
 engine serves both: R = 0 and the cone is the resolution's own complex.
-For q >= 1, |G| kills H^q, so every nonzero invariant factor of D^(q-1)
-divides |G|.  At |G| = 2^v the Smith form over Z/2^(v+1) is then exact.
-``_torsion`` assembles D once, as sparse rows; while it has fewer than
-``_PACKED_CELLS`` entries, H^1 and H^2 at |G| = 2^v pack them into columns
-mod 2^(v+1) for ``linalg._two_adic_smith_form``.  H^0, other orders and a
-larger D sort the same rows into a ``Matrix`` for ``linalg.smith_normal_form``,
-which ``tate_h0`` and every Smith form with transforms take too.
+For q >= 1, H^q is killed by |G| and by the exponent E of M (0 when a
+generator has infinite order, as on a lattice), so by g = gcd(E, |G|), and
+every invariant factor >= 2 of D^(q-1) divides g.  At g = 1 H^q is 0 and
+nothing is assembled; at g = 2^a the Smith form over Z/2^(a+1) is exact, on
+any G.  ``_torsion`` reads E off the module's Smith frame and assembles D
+once, as sparse rows; while it has fewer than ``_PACKED_CELLS`` entries, H^1
+and H^2 at g = 2^a pack them into columns mod 2^(a+1) for
+``linalg._two_adic_smith_form``.  H^0, other g and a larger D sort the same
+rows into a ``Matrix`` for ``linalg.smith_normal_form``, which ``tate_h0``
+and every Smith form with transforms take too.
 
 Restriction to a subgroup H pulls cochains back along a chain map from the
 resolution of H into that of G, built from the resolution's explicit
@@ -80,9 +83,10 @@ from .lattices import (FGAbelian, GLattice, GModulePresentation, _blocks, _requi
 from .linalg import Matrix
 
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
-# H^q, q >= 1, at |G| = 2^v takes the packed 2-adic route when D^(q-1) has
-# fewer entries than this.  ``_torsion`` on norm-one tori, packed / integer,
-# assembly included, in ms (best of 5; Python 3.11, shared 2-vCPU machine):
+# H^q, q >= 1, killed by g = 2^a takes the packed 2-adic route when D^(q-1)
+# has fewer entries than this.  ``_torsion`` on norm-one tori, packed /
+# integer, assembly included, in ms (best of 5; Python 3.11, shared 2-vCPU
+# machine), where g = |G| = 2^v and the lanes are for e = v + 1:
 #   C64      d^0     63 x 63    0.46 / 0.42   d^1    63 x 63     1.97 / 1.81
 #   C128     d^0    127 x 127   1.27 / 0.87   d^1   127 x 127    7.79 / 6.67
 #   C2xC64   d^0    254 x 127   0.93 / 1.04   d^1   381 x 254    6.73 / 6.93
@@ -92,7 +96,9 @@ SPLITTING_ENUMERATION_BOUND = 10 ** 6
 #   C4^4     d^0   1020 x 255   4.70 / 7.26   d^1  2550 x 1020  98 / 56
 #   C2^8     d^0   2040 x 255   7.72 / 16.9   d^1  9180 x 2040  650 / 340
 # Below it a long cyclic factor costs up to 1.5x and short ones gain 1.5-3.6x;
-# past it packing loses 1.8-1.9x, its columns growing as rows x columns.
+# past it packing loses 1.8-1.9x, its columns growing as rows x columns.  A
+# presented module with g < |G| packs narrower lanes, e = a + 1, which only
+# makes the bound conservative; it is not retuned for them.
 _PACKED_CELLS = 10 ** 6
 
 
@@ -215,14 +221,22 @@ def _torsion(group: FiniteGroup, module: GLattice | GModulePresentation, q: int,
     """The invariant factors >= 2 of D^(q-1) of ``cohomology``, with the
     sparse rows ``below`` stacked under it.  They are those of the
     saturation of the row lattice over the lattice.  For q >= 1 and no
-    ``below`` that quotient is dual to H^q, so |G| kills it; rows of
-    ``below`` inside the saturation (``sha2_cyclic``'s) leave a quotient of
-    it.  D is assembled once, as sparse rows.  At |G| = 2^v, q >= 1 and
-    fewer than ``_PACKED_CELLS`` entries they are packed mod 2^(v+1) for
-    ``linalg._two_adic_smith_form``, exact there; otherwise they are sorted
+    ``below`` that quotient is dual to H^q, so g = gcd(E, |G|) kills it, E
+    the exponent of M off its Smith frame (``module._frame``; 0 on a
+    lattice); rows of ``below`` inside the saturation (``sha2_cyclic``'s)
+    leave a quotient of it.  At g = 1 there is no factor and nothing is
+    assembled.  Otherwise D is assembled once, as sparse rows; at g = 2^a
+    and fewer than ``_PACKED_CELLS`` entries they are packed mod 2^(a+1)
+    for ``linalg._two_adic_smith_form``, exact there, and otherwise sorted
     into a ``Matrix`` for the integer Smith form."""
+    annihilator = 0  # |G| need not kill H^0 = M^G
+    if q:
+        _, d, _ = module._frame
+        annihilator = math.gcd(math.lcm(*d) if len(d) == module.generators else 0, group.order)
+        if annihilator == 1:
+            return ()
     action, basis, rel_action = module._relation_complex
-    (n, r), order = basis.shape, group.order
+    n, r = basis.shape
     rows, width = _rows(group, action, q - 1)
     if r:  # D = [[d, I x B], [0, -d_R]]: row i of d meets row i mod n of B
         for i, row in enumerate(rows):
@@ -231,8 +245,8 @@ def _torsion(group: FiniteGroup, module: GLattice | GModulePresentation, q: int,
         rows += [{width + j: -x for j, x in row.items()} for row in rel]
         width += rel_width
     m = len(rows) + len(below)
-    if q and not order & (order - 1) and m * width < _PACKED_CELLS:
-        e = order.bit_length()
+    if annihilator and not annihilator & (annihilator - 1) and m * width < _PACKED_CELLS:
+        e = annihilator.bit_length()
         cols = linalg._pack_columns([*(row.items() for row in rows), *below], width, e)
         return tuple(x for x in linalg._two_adic_smith_form(cols, m, e).diagonal if x > 1)
     d = linalg._from_rows((len(rows), width), rows)
@@ -249,10 +263,12 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
     coker D^(q-1) plus, for q = 0, the rank of M^G.  D^q = [[d^q, B], [0,
     -d_R^(q+1)]] is the cone differential of ``module._relation_complex``; a
     lattice, or R = 0, has D = d.  ``_torsion`` assembles D once as sparse
-    rows.  For q >= 1, |G| kills H^q, so at |G| = 2^v the torsion is read
-    off those rows packed mod 2^(v+1) when D has fewer than
-    ``_PACKED_CELLS`` entries, and off the integer Smith form of the same
-    rows otherwise.  Over Q invariants are exact, so rank M^G = rank
+    rows.  For q >= 1, H^q is killed by g = gcd(E, |G|), E the exponent of
+    M (0 on a lattice, where g = |G|): at g = 1 it is 0 and no D is
+    assembled; at g = 2^a, on any G, the torsion is read off those rows
+    packed mod 2^(a+1) when D has fewer than ``_PACKED_CELLS`` entries; and
+    otherwise off the integer Smith form of the same rows.  Over Q
+    invariants are exact, so rank M^G = rank
     (Z^n)^G - rank R^G, and a fixed rank is the average of a trace character:
     (sum over g of tr M(g) - tr A(g)) / |G|."""
     q = linalg.bounded(q, 0, 2, "cohomology degree")

@@ -14,10 +14,10 @@ optional unimodular transforms: one elimination on sparse rows that takes
 least absolute value; it keeps the divisibility chain at every pivot and
 serves plain and transform requests alike.  Invariant factors, kernels and
 integer solves are derived from it.  A matrix whose nonzero invariant
-factors all divide 2^(e-1), as a coboundary matrix of a 2-group of order
-2^(e-1) does, may instead go to ``_two_adic_smith_form``: ``_pack_columns``
-packs its sparse rows into columns mod 2^e, one int each, and it is
-eliminated over Z/2^e, where that Smith form is exact.  A column-style
+factors all divide 2^(e-1), as a coboundary matrix does when 2^(e-1) kills
+the cohomology it presents, may instead go to ``_two_adic_smith_form``:
+``_pack_columns`` packs its sparse rows into columns mod 2^e, one int each,
+and it is eliminated over Z/2^e, where that Smith form is exact.  A column-style
 Hermite form puts lattice bases into a canonical shape; ``stack_product``
 multiplies a stack by a matrix on either side, each output row in one pass.
 """

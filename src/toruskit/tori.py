@@ -114,8 +114,12 @@ def make_torus(splitting, kind: str, *, dim: int = 1,
 
 def rank_profile(t: Torus) -> RankProfile:
     """Dimension, rank of the split part (rank X^G, the average of the trace
-    character), rank of the anisotropic part."""
-    split_rank = sum(trace_character(t.X)) // t.group.order
+    character), rank of the anisotropic part.  A trace character that does
+    not average to an integer raises ``InternalInvariantError``, as in
+    ``cohomology``."""
+    split_rank, rem = divmod(sum(trace_character(t.X)), t.group.order)
+    if rem:
+        raise InternalInvariantError("the trace character does not average to a rank")
     return RankProfile(t.dim, split_rank, t.dim - split_rank)
 
 

@@ -392,6 +392,16 @@ def bar_presented_cohomology(module: GModulePresentation, q: int
                                np.hstack([d_prev, here]))
 
 
+def universal_coefficients_mod(lower: FGAbelian, upper: FGAbelian, modulus: int) -> FGAbelian:
+    """H^q(G, L/mL) of a lattice L from H^q(G, L) (``lower``) and H^(q+1)(G,
+    L) (``upper``), both finite (q >= 1), by universal coefficients: the
+    cochains of L are free abelian groups and those of L/mL are their
+    reductions mod m, so H^q(L/mL) = H^q(L)/m + H^(q+1)(L)[m], split.  A
+    factor Z/d of either gives Z/gcd(d, m)."""
+    assert lower.is_finite() and upper.is_finite(), (lower, upper)
+    return FGAbelian.from_divisors(math.gcd(d, modulus) for d in lower.torsion + upper.torsion)
+
+
 def fixed_point_tate_h0(lattice: GLattice) -> tuple[int, ...]:
     """Invariant factors of M^G / NM, with NM written in a basis of M^G."""
     basis, fixed_rank = invariants(lattice)

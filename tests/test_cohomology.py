@@ -38,7 +38,7 @@ from support import (bar_presented_cohomology, bar_sha2, brute_force_cocycles, c
                      group_family_up_to_8, kernel_invariants, maximal_by_inclusion,
                      presentation_of_lattice,
                      random_glattice, random_unimodular, s3_group,
-                     sha2_over_every_cyclic_subgroup)
+                     sha2_over_every_cyclic_subgroup, universal_coefficients_mod)
 
 C2 = cyclic_group(2)
 C3 = cyclic_group(3)
@@ -592,10 +592,12 @@ TWO_GROUPS = [cyclic_group(n) for n in (1, 2, 4, 8, 16)] + [
     product_group(C4, C4), product_group(KLEIN, C4), product_group(product_group(KLEIN, C2), C2)]
 
 
-def check_one_coboundary(run):
+def check_one_coboundary(run, coprime=False):
     """Run ``run`` packed, then with _PACKED_CELLS = 0: the answers are
     equal, and the columns the 2-adic route eliminated are the packing of
-    the one matrix the integer route factors.  Returns the answer."""
+    the one matrix the integer route factors.  With ``coprime``, gcd(E,
+    |G|) = 1 for the exponent E of the module: neither run eliminates
+    anything, and the answer is the trivial group.  Returns the answer."""
     engine = sys.modules["toruskit.cohomology"]
     packed, factored = [], []
     real_packed, real_factors = linalg._two_adic_smith_form, linalg.invariant_factors
@@ -612,9 +614,12 @@ def check_one_coboundary(run):
         patch.setattr(linalg, "_two_adic_smith_form", two_adic)
         patch.setattr(linalg, "invariant_factors", integer)
         got = run()
-        assert (len(packed), factored) == (1, []), (packed, factored)
+        assert (len(packed), factored) == (0 if coprime else 1, []), (packed, factored)
         patch.setattr(engine, "_PACKED_CELLS", 0)
         assert run() == got
+    if coprime:
+        assert (packed, factored, got) == ([], [], FGAbelian.trivial())
+        return got
     [(columns, m, e)], [d] = packed, factored
     assert d.shape[0] == m and linalg._pack_columns(d.rows, d.shape[1], e) == columns
     return got
@@ -626,17 +631,20 @@ def check_one_coboundary(run):
 @example(TWO_GROUPS[-1], 1)
 @settings(deadline=None, max_examples=22)
 def test_packed_cohomology_matches_the_integer_route(g, case):
-    # At |G| = 2^v, H^1 and H^2 are read off D^(q-1) packed mod 2^(v+1);
-    # _PACKED_CELLS = 0 sends every D to the integer Smith form instead.
-    # Both routes eliminate the one D that _torsion assembles: random
-    # lattices, their duals and sums, and presentations mod 2, 3, 4.
+    # At g = gcd(E, |G|) = 2^a, E the module's exponent (0 on a lattice),
+    # H^1 and H^2 are read off D^(q-1) packed mod 2^(a+1); _PACKED_CELLS = 0
+    # sends every D to the integer Smith form instead.  Both routes
+    # eliminate the one D that _torsion assembles: random lattices, their
+    # duals and sums, and presentations mod 2, 3, 4.  At g = 1 (mod 3, and
+    # everything over the trivial group) H^q is 0 and nothing is eliminated.
     rng = random.Random(case)
     a, b = random_glattice(g, 2, rng), random_glattice(g, 2, rng)
-    modules = [a, dual(a), direct_sum(a, b), direct_sum(dual(a), b)] + [
-        presentation_mod(direct_sum(a, b), k) for k in (2, 3, 4)]
-    for m in modules:
+    modules = [(m, 0) for m in (a, dual(a), direct_sum(a, b), direct_sum(dual(a), b))] + [
+        (presentation_mod(direct_sum(a, b), k), k) for k in (2, 3, 4)]
+    for m, exponent in modules:
         for q in (1, 2):
-            check_one_coboundary(lambda: cohomology.__wrapped__(g, m, q))
+            check_one_coboundary(lambda: cohomology.__wrapped__(g, m, q),
+                                 coprime=math.gcd(exponent, g.order) == 1)
     # So is the Sha^2 stack, d^1 with the corestricted cycles of the maximal
     # cyclic C under it, here unsplit on norm-one + Z, where Z gives every
     # nontrivial C a nonzero H^2(C, M).
@@ -1148,6 +1156,47 @@ def test_presented_small_resolution_matches_bar_complex():
             assert (fg.free_rank, fg.torsion) == bar_presented_cohomology(pres, q), (pres, q)
         free_h0 += cohomology(pres.group, pres, 0).free_rank > 0
     assert free_h0
+
+
+def test_presented_cohomology_matches_universal_coefficients():
+    # The cochains of a lattice L are free abelian, so H^q(G, L/mL) =
+    # H^q(G, L)/m + H^(q+1)(G, L)[m] (support.universal_coefficients_mod),
+    # with H^3(L) the torsion of coker d^2 on the integer Smith form.  Over
+    # every (Z/n)^x with n <= 40 and |G| <= 16, on the norm-one, res and
+    # split-2 lattices and the dual of the norm-one lattice, m = 1 ... 12:
+    # gcd(m, |G|) = 1 eliminates nothing, a power of 2 is packed on 2-groups
+    # and mixed orders alike, and the rest takes the integer Smith form.
+    # H^2 is also held against the bar complex at |G| <= 4: on every lattice
+    # over C2 and on split-2 over C4 and C2^2, 0.01-0.25 s per lattice for the
+    # twelve moduli (the others take 1-1.4 s there; tests_slow goes on to
+    # |G| = 6 and 8).
+    cohomology.cache_clear()
+    packed_on_mixed_orders, bar_checked = 0, 0
+    with pytest.MonkeyPatch.context() as patch:
+        packed = counting_packed_eliminations(patch)
+        for n in range(1, 41):
+            datum = AbelianGaloisDatum(n)
+            g = datum.group
+            if g.order > 16:
+                continue
+            x = make_torus(datum, "norm_one").X
+            for lattice in (x, dual(x), regular_lattice(g), trivial_lattice(g, 2)):
+                h = [cohomology(g, lattice, q) for q in (1, 2)] + [
+                    FGAbelian(0, linalg.invariant_factors(differential(g, lattice.action, 2)))]
+                bar = n in (3, 5, 8) and (g.order == 2 or lattice.rank == 2)  # C2, C4, C2^2
+                for m in range(1, 13):
+                    pres, before = presentation_mod(lattice, m), len(packed)
+                    got = [cohomology(g, pres, q) for q in (1, 2)]
+                    assert got == [universal_coefficients_mod(h[q - 1], h[q], m)
+                                   for q in (1, 2)], (n, lattice, m)
+                    if math.gcd(m, g.order) == 1:
+                        assert len(packed) == before, (n, lattice, m)
+                    if g.order & (g.order - 1):
+                        packed_on_mixed_orders += len(packed) - before
+                    if bar:
+                        assert (0, got[1].torsion) == bar_presented_cohomology(pres, 2), (n, m)
+                        bar_checked += 1
+    assert packed_on_mixed_orders and bar_checked == 12 * 6
 
 
 def test_regular_cover_is_the_probed_rebuild():

@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
+from toruskit.cohomology import cohomology
+from toruskit.errors import InternalInvariantError
 from toruskit.groups import cyclic_group, product_group, trivial_subgroup
-from toruskit.lattices import (direct_sum, direct_sum_all, invariants, regular_lattice,
+from toruskit.lattices import (_lattice, direct_sum, direct_sum_all, invariants, regular_lattice,
                                sign_lattice, trace_character, trivial_lattice)
 from toruskit.tori import (RealClassification, Torus, classify_real,
                            dual_torus, isogenous, make_torus, norm_character,
@@ -74,6 +76,19 @@ def test_rank_profile_res():
     for n in (1, 2, 4):
         t = make_torus(cyclic_group(n), "res")
         assert rank_profile(t) == (n, 1, n - 1)
+
+
+def test_rank_profile_refuses_a_trace_character_off_the_integers():
+    # A derived lattice is not probed, so a stack that is no action gets
+    # through: here C2 acting by (1) and (0), whose trace character averages
+    # to 1/2.  rank_profile raises on the remainder, as cohomology does at
+    # q = 0, and does not floor it to a split rank of 0.
+    broken = _lattice(C2, (linalg.eye(1), linalg.zeros(1, 1)))
+    t = Torus(C2, broken, "lattice")
+    with pytest.raises(InternalInvariantError, match="average"):
+        rank_profile(t)
+    with pytest.raises(InternalInvariantError, match="average"):
+        cohomology(C2, broken, 0)
 
 
 @given(st.sampled_from(group_family_up_to_8() + [s3_group()]), st.integers(0, 2 ** 32))

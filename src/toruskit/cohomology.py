@@ -19,16 +19,16 @@ constructors' probe test) is quasi-isomorphic to R -> Z^n, read in the Smith
 frame of R that its constructor computed (the record's cached property
 ``_relation_complex``), so its cochains are the cone C^q(Z^n) + C^(q+1)(R)
 (Weibel, 1.5).  A lattice is the presented module with no relations, so one
-engine serves both: R = 0 and the cone is the resolution's own complex.
+engine serves both: R = 0, and the module is its own complex.
 For q >= 1, H^q is killed by |G| and by the exponent E of M (0 when a
 generator has infinite order, as on a lattice), so by g = gcd(E, |G|), and
 every invariant factor >= 2 of D^(q-1) divides g.  At g = 1 H^q is 0 and
 nothing is assembled; at g = 2^a the Smith form over Z/2^(a+1) is exact, on
-any G.  ``_torsion`` reads E off the module's Smith frame and assembles D
-once, as sparse rows; while it has fewer than ``_PACKED_CELLS`` entries, H^1
-and H^2 at g = 2^a pack them into columns mod 2^(a+1) for
-``linalg._two_adic_smith_form``.  H^0, other g and a larger D sort the same
-rows into a ``Matrix`` for ``linalg.smith_normal_form``, which ``tate_h0``
+any G.  ``_torsion`` reads E off the module's Smith frame and describes D
+once, as row blocks of terms c X(g) (``_terms``).  H^1 and H^2 at g = 2^a
+sum them into columns mod 2^(a+1) for ``linalg._two_adic_smith_form`` while
+D has fewer than ``_PACKED_CELLS`` entries; H^0, other g and a larger D add
+them into sparse rows for ``linalg.smith_normal_form``, which ``tate_h0``
 and every Smith form with transforms take too.
 
 Restriction to a subgroup H pulls cochains back along a chain map from the
@@ -41,7 +41,8 @@ restricted lattice enters a cache.  Sha^2 builds no restriction map.  It
 looks only at the maximal cyclic subgroups C whose H^2(C, M) = M^C / N_C M,
 Tate's H^0, does not vanish, which the ranks of N_C mod each prime dividing
 |C| decide: at p = 2 on rows packed into integer bitmasks, at odd p on
-sparse rows.  By universal coefficients H^2(G, M) is dual to H_1(G,
+sparse rows; <x> is a maximal C exactly when x is no p-th power for a prime
+p dividing |G|.  By universal coefficients H^2(G, M) is dual to H_1(G,
 M^dual), whose chains are the transposed cochains, and corestriction is the
 transpose of restriction; so Sha^2 has the invariant factors of d^1 with
 the corestricted 1-cycles of those C stacked under it, read by one
@@ -69,15 +70,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import defaultdict
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple, Sequence
 
 from . import linalg
 from ._record import Record
 from .errors import EnumerationBoundError, InternalInvariantError
-from .groups import (_CACHE_SIZE, FiniteGroup, Subgroup, _factorint,
-                     abelian_decomposition, cyclic_subgroups)
+from .groups import _CACHE_SIZE, FiniteGroup, Subgroup, _factorint, abelian_decomposition
 from .lattices import (FGAbelian, GLattice, GModulePresentation, _blocks, _require_lattice,
                        norm_operator)
 from .linalg import Matrix
@@ -85,20 +86,20 @@ from .linalg import Matrix
 SPLITTING_ENUMERATION_BOUND = 10 ** 6
 # H^q, q >= 1, killed by g = 2^a takes the packed 2-adic route when D^(q-1)
 # has fewer entries than this.  ``_torsion`` on norm-one tori, packed /
-# integer, assembly included, in ms (best of 5; Python 3.11, shared 2-vCPU
-# machine), where g = |G| = 2^v and the lanes are for e = v + 1:
-#   C64      d^0     63 x 63    0.46 / 0.42   d^1    63 x 63     1.97 / 1.81
-#   C128     d^0    127 x 127   1.27 / 0.87   d^1   127 x 127    7.79 / 6.67
-#   C2xC64   d^0    254 x 127   0.93 / 1.04   d^1   381 x 254    6.73 / 6.93
-#   C16xC16  d^0    510 x 255   3.16 / 2.19   d^1   765 x 510   20.7 / 49.6
-#   C2^6     d^0    378 x 63    0.70 / 2.53   d^1  1323 x 378   11.5 / 27.6
-#   C4^3     d^0    189 x 63    0.44 / 1.03   d^1   378 x 189    2.65 / 4.82
-#   C4^4     d^0   1020 x 255   4.70 / 7.26   d^1  2550 x 1020  98 / 56
-#   C2^8     d^0   2040 x 255   7.72 / 16.9   d^1  9180 x 2040  650 / 340
-# Below it a long cyclic factor costs up to 1.5x and short ones gain 1.5-3.6x;
-# past it packing loses 1.8-1.9x, its columns growing as rows x columns.  A
-# presented module with g < |G| packs narrower lanes, e = a + 1, which only
-# makes the bound conservative; it is not retuned for them.
+# integer, assembly from the blocks included, in ms (best of 5; Python 3.11,
+# shared 2-vCPU machine), where g = |G| = 2^v and the lanes are for e = v + 1:
+#   C64      d^0     63 x 63    0.24 / 0.25   d^1    63 x 63     1.11 / 0.92
+#   C128     d^0    127 x 127   0.64 / 0.47   d^1   127 x 127    5.80 / 3.43
+#   C2xC64   d^0    254 x 127   0.82 / 0.90   d^1   381 x 254    5.85 / 5.92
+#   C16xC16  d^0    510 x 255   2.67 / 1.94   d^1   765 x 510   15.5 / 43.6
+#   C2^6     d^0    378 x 63    0.54 / 2.19   d^1  1323 x 378    9.33 / 24.3
+#   C4^3     d^0    189 x 63    0.37 / 0.93   d^1   378 x 189    2.34 / 4.43
+#   C4^4     d^0   1020 x 255   3.70 / 6.43   d^1  2550 x 1020  82 / 47
+#   C2^8     d^0   2040 x 255   5.50 / 14.5   d^1  9180 x 2040  494 / 298
+# Below it one long cyclic factor, one block of tall lanes, costs up to 1.7x
+# and short ones gain up to 4x; past it packing loses 1.7x, its columns growing
+# as rows x columns.  A presented module with g < |G| packs narrower lanes,
+# e = a + 1, which only makes the bound conservative; it is not retuned.
 _PACKED_CELLS = 10 ** 6
 
 
@@ -191,18 +192,51 @@ def _boundaries(orders: tuple[int, ...], q: int) -> tuple[Terms, ...]:
                  for beta in _basis(len(orders), q + 1))
 
 
-def _rows(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> tuple[list[dict[int, int]], int]:
-    """The rows {column: entry} of ``differential``, zero entries not yet
-    dropped, and its number of columns: the one evaluator of the
-    resolution's d, which ``_torsion`` extends to the cone."""
+Blocks = list[tuple[int, list[tuple[int, int, Matrix]]]]  # (height, [(column, c, a)])
+
+
+def _terms(group: FiniteGroup, mats: Sequence[Matrix], q: int, col: int = 0,
+           sign: int = 1) -> tuple[Blocks, int]:
+    """d^q of ``differential``, one row block per chain of ``_boundaries``
+    with a term (col + the column of block alpha, sign c, X(g^t)) per term
+    ((t, alpha), c), and its width: the one reading of the resolution's d."""
     dec = abelian_decomposition(group)
     cols, chains = _basis(len(dec.orders), q), _boundaries(dec.orders, q)
-    n = mats[group.identity].shape[0]
-    out: list[dict[int, int]] = [{} for _ in range(n * len(chains))]
-    for r, terms in enumerate(chains):
-        for (t, alpha), c in terms:
-            linalg._add_block(out, r * n, cols[alpha] * n, c, mats[dec.element(t)])
-    return out, n * len(cols)
+    n, at = mats[group.identity].shape[0], dict(zip(dec.exponents, mats))  # X(g^t) at t
+    return [(n, [(col + cols[alpha] * n, sign * c, at[t]) for (t, alpha), c in terms])
+            for terms in chains], n * len(cols)
+
+
+def _sum_terms(blocks: Blocks, width: int) -> Matrix:
+    """The matrix of ``width`` columns whose row blocks add up the terms c a."""
+    rows: list[dict[int, int]] = []
+    for height, terms in blocks:
+        rows += [{} for _ in range(height)]
+        for j, c, a in terms:
+            linalg._add_block(rows, len(rows) - height, j, c, a)
+    return linalg._from_rows((len(rows), width), rows)
+
+
+def _pack_terms(blocks: Blocks, width: int, e: int) -> tuple[list[int], int]:
+    """The ``width`` columns mod 2^e of the blocks' matrix, packed for
+    ``linalg._two_adic_smith_form``, and its number of rows.  A block sums
+    c x mod 2^e into per-column ints of its own height; a 2e-bit lane holds
+    2^e such addends, so they are reduced every 2^e terms, however long a
+    norm block is, and shifted into their lanes once."""
+    w, low, out, at = 2 * e, (1 << e) - 1, [0] * width, 0
+    for height, terms in blocks:
+        mask, sums = ((1 << height * w) - 1) // ((1 << w) - 1) * low, [0] * width
+        for k, (j, c, a) in enumerate(terms, 1):
+            for i, row in enumerate(a.rows):
+                for l, x in row:
+                    sums[j + l] += (c * x & low) << i * w
+            if not k & low:
+                sums = [x & mask for x in sums]
+        for j, x in enumerate(sums):
+            if x:
+                out[j] |= (x & mask) << at * w
+        at += height
+    return out, at
 
 
 def differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matrix:
@@ -212,45 +246,40 @@ def differential(group: FiniteGroup, mats: Sequence[Matrix], q: int) -> Matrix:
     f -> f(d e_beta), with d as written in ``_boundary``.  A cochain is
     Z[G]-linear, so f(g^t e_alpha) = X(g^t) f(e_alpha).
     """
-    rows, width = _rows(group, mats, q)
-    return linalg._from_rows((len(rows), width), rows)
+    return _sum_terms(*_terms(group, mats, q))
 
 
 def _torsion(group: FiniteGroup, module: GLattice | GModulePresentation, q: int,
-             below: Sequence[tuple[tuple[int, int], ...]] = ()) -> tuple[int, ...]:
+             below: Blocks = ()) -> tuple[int, ...]:
     """The invariant factors >= 2 of D^(q-1) of ``cohomology``, with the
-    sparse rows ``below`` stacked under it.  They are those of the
+    row blocks ``below`` stacked under it.  They are those of the
     saturation of the row lattice over the lattice.  For q >= 1 and no
     ``below`` that quotient is dual to H^q, so g = gcd(E, |G|) kills it, E
     the exponent of M off its Smith frame (``module._frame``; 0 on a
     lattice); rows of ``below`` inside the saturation (``sha2_cyclic``'s)
     leave a quotient of it.  At g = 1 there is no factor and nothing is
-    assembled.  Otherwise D is assembled once, as sparse rows; at g = 2^a
-    and fewer than ``_PACKED_CELLS`` entries they are packed mod 2^(a+1)
-    for ``linalg._two_adic_smith_form``, exact there, and otherwise sorted
-    into a ``Matrix`` for the integer Smith form."""
-    annihilator = 0  # |G| need not kill H^0 = M^G
-    if q:
-        _, d, _ = module._frame
-        annihilator = math.gcd(math.lcm(*d) if len(d) == module.generators else 0, group.order)
-        if annihilator == 1:
-            return ()
-    action, basis, rel_action = module._relation_complex
-    n, r = basis.shape
-    rows, width = _rows(group, action, q - 1)
-    if r:  # D = [[d, I x B], [0, -d_R]]: row i of d meets row i mod n of B
-        for i, row in enumerate(rows):
-            row.update((width + i // n * r + j, x) for j, x in basis.rows[i % n])
-        rel, rel_width = _rows(group, rel_action, q)
-        rows += [{width + j: -x for j, x in row.items()} for row in rel]
-        width += rel_width
-    m = len(rows) + len(below)
-    if annihilator and not annihilator & (annihilator - 1) and m * width < _PACKED_CELLS:
-        e = annihilator.bit_length()
-        cols = linalg._pack_columns([*(row.items() for row in rows), *below], width, e)
+    assembled.  Otherwise D is the blocks of ``_terms`` on the module's own
+    stack when its relations span nothing, as on a lattice, else on the cone;
+    at g = 2^a and fewer than ``_PACKED_CELLS`` entries ``_pack_terms`` sums
+    them mod 2^(a+1), exact there, else ``_sum_terms`` over Z."""
+    _, d, frame = module._frame
+    annihilator = q and math.gcd(math.lcm(*d) if len(d) == module.generators else 0, group.order)
+    if annihilator == 1:
+        return ()
+    action, basis, rel_action = module._relation_complex if d else (frame, None, ())
+    blocks, width = _terms(group, action, q - 1)
+    if basis is not None:  # D = [[d, I x B], [0, -d_R]]: B beside each block of d
+        r = basis.shape[1]
+        for b, (_, terms) in enumerate(blocks):
+            terms.append((width + b * r, 1, basis))
+        rel, rel_width = _terms(group, rel_action, q, width, -1)
+        blocks, width = blocks + rel, width + rel_width
+    blocks += below
+    if annihilator and not annihilator & (annihilator - 1) \
+            and sum(h for h, _ in blocks) * width < _PACKED_CELLS:
+        cols, m = _pack_terms(blocks, width, e := annihilator.bit_length())
         return tuple(x for x in linalg._two_adic_smith_form(cols, m, e).diagonal if x > 1)
-    d = linalg._from_rows((len(rows), width), rows)
-    return linalg.invariant_factors(linalg._matrix((m, width), d.rows + tuple(below)))
+    return linalg.invariant_factors(_sum_terms(blocks, width))
 
 
 @lru_cache(maxsize=_CACHE_SIZE, typed=True)
@@ -262,12 +291,12 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
     does q > 2 (q is read by ``linalg.bounded``).  H^q is the torsion of
     coker D^(q-1) plus, for q = 0, the rank of M^G.  D^q = [[d^q, B], [0,
     -d_R^(q+1)]] is the cone differential of ``module._relation_complex``; a
-    lattice, or R = 0, has D = d.  ``_torsion`` assembles D once as sparse
-    rows.  For q >= 1, H^q is killed by g = gcd(E, |G|), E the exponent of
-    M (0 on a lattice, where g = |G|): at g = 1 it is 0 and no D is
-    assembled; at g = 2^a, on any G, the torsion is read off those rows
-    packed mod 2^(a+1) when D has fewer than ``_PACKED_CELLS`` entries; and
-    otherwise off the integer Smith form of the same rows.  Over Q
+    lattice, or R = 0, has D = d on its own stack.  ``_torsion`` describes D
+    once, as blocks of terms.  For q >= 1, H^q is killed by g = gcd(E, |G|),
+    E the exponent of M (0 on a lattice, where g = |G|): at g = 1 it is 0
+    and no D is assembled; at g = 2^a, on any G, the torsion is read off D
+    packed mod 2^(a+1) when it has fewer than ``_PACKED_CELLS`` entries; and
+    otherwise off the integer Smith form.  Over Q
     invariants are exact, so rank M^G = rank
     (Z^n)^G - rank R^G, and a fixed rank is the average of a trace character:
     (sum over g of tr M(g) - tr A(g)) / |G|."""
@@ -277,7 +306,8 @@ def cohomology(group: FiniteGroup, module: GLattice | GModulePresentation,
     torsion = _torsion(group, module, q)
     if q:
         return FGAbelian(0, torsion)
-    action, _, rel_action = module._relation_complex
+    _, d, frame = module._frame
+    action, _, rel_action = module._relation_complex if d else (frame, None, ())
     free_rank, rem = divmod(sum(map(linalg.trace, action)) - sum(map(linalg.trace, rel_action)),
                             group.order)
     if rem:
@@ -487,9 +517,11 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     places.  For C' in C, restriction to C' factors through C, so the kernel
     over the maximal cyclic subgroups is the kernel over all of them; and a
     C with H^2(C, M) = 0 cuts nothing.  That is read off the ranks of the
-    norm N_C mod each prime dividing |C| (``_cyclic_h2_vanishes``).  On a
-    norm-one torus every cyclic H^2 vanishes (H^3(C, Z) = 0), and Sha^2 is
-    H^2 itself.
+    norm N_C mod each prime dividing |C| (``_cyclic_h2_vanishes``), in one
+    lazy pass over the closed-form ``_maximal_cyclic_spans`` that reads each
+    element's matrix once; only the C with H^2(C, M) != 0 become checked
+    ``Subgroup``s.  On a norm-one torus every cyclic H^2 vanishes (H^3(C, Z)
+    = 0), and Sha^2 is H^2 itself.
 
     No restriction map is built.  H^2(G, M) is dual to H_1(G, M^dual), whose
     chains on the same resolution are the transposed cochains, and
@@ -507,8 +539,9 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     total = cohomology(group, module, 2)
     if total.is_trivial():
         return FGAbelian.trivial()
-    targets = (sub for sub in _maximal_cyclic_subgroups(group)
-               if not _cyclic_h2_vanishes(module, sub))
+    reads: dict[int, tuple[int, list[int]]] = {}
+    targets = (Subgroup(group, span) for span in _maximal_cyclic_spans(group)
+               if not _cyclic_h2_vanishes(module, span, reads))
     first = next(targets, None)
     if first is None:  # with no target left the kernel is H^2 itself
         return total
@@ -520,9 +553,9 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
 
 
 def _corestricted_cycles(group: FiniteGroup, module: GLattice,
-                         targets: Sequence[Subgroup]) -> list[tuple[tuple[int, int], ...]]:
-    """The sparse rows w R_C over the cyclic subgroups C of ``targets``, in the
-    coordinates of d^1's columns.
+                         targets: Sequence[Subgroup]) -> Blocks:
+    """The rows w R_C over the cyclic subgroups C of ``targets``, one row
+    block each, in the coordinates of d^1's columns.
 
     For C generated by z = prod g_i^(s_i), the chain map from C's resolution
     takes e'_1 to the Fox derivative of z in the g_i, s(z e_0) for the
@@ -533,59 +566,67 @@ def _corestricted_cycles(group: FiniteGroup, module: GLattice,
     adds rank M^C rows."""
     dec = abelian_decomposition(group)
     n, zero, cols = module.rank, (0,) * len(dec.orders), _basis(len(dec.orders), 1)
-    eye, rows = linalg.eye(n), []
+    eye, blocks = linalg.eye(n), []
     for sub in targets:
         z = next(x for x in sub.elements if group.element_order(x) == sub.order)
         snf = linalg.smith_normal_form(
             linalg.combine([(1, module.action[z]), (-1, eye)]), want_u=True)
-        fox: list[dict[int, int]] = [{} for _ in range(n)]
-        for (t, alpha), c in _contract({(dec.exponents[z], zero): 1}, dec.orders).items():
-            linalg._add_block(fox, 0, cols[alpha] * n, c, module.action[dec.element(t)])
-        rows += linalg.mul(snf.u.take(rows=range(snf.rank, n)),
-                           linalg._from_rows((n, n * len(cols)), fox)).rows
-    return rows
+        fox = [(n, [(cols[alpha] * n, c, module.action[dec.element(t)]) for (t, alpha), c
+                    in _contract({(dec.exponents[z], zero): 1}, dec.orders).items()])]
+        blocks.append((n - snf.rank, [(0, 1, linalg.mul(snf.u.take(rows=range(snf.rank, n)),
+                                                        _sum_terms(fox, n * len(cols))))]))
+    return blocks
 
 
-def _maximal_cyclic_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """The cyclic subgroups of an abelian group that lie in no larger cyclic
-    one, in the order of ``cyclic_subgroups``.
+def _maximal_cyclic_spans(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """The cyclic subgroups of an abelian group in no larger cyclic one, as
+    sorted elements in the order of ``cyclic_subgroups``: the <x> with x no
+    p-th power for any prime p dividing |G|, that is, with an exponent prime
+    to p at some n_i divisible by p.  One pass meets each at its least
+    generator x and skips the others, x^j with j prime to ord(x)."""
+    dec, table = abelian_decomposition(group), group.table
+    seen = {dec.element(t) for p in _factorint(group.order) for t in itertools.product(
+        *(range(0, n, p) if n % p == 0 else range(n) for n in dec.orders))}  # pG, p | |G|
+    spans = []
+    for x in group.elements():
+        if x in seen:
+            continue
+        powers = [x]
+        while powers[-1] != group.identity:
+            powers.append(table[powers[-1]][x])
+        seen.update(y for j, y in enumerate(powers, 1) if math.gcd(j, len(powers)) == 1)
+        spans.append(tuple(sorted(powers)))
+    return sorted(spans, key=lambda s: (len(s), s))
 
-    <x> lies in a larger cyclic subgroup exactly when <x> = <z^p> for some z
-    and some prime p dividing ord(z), so one pass over the pairs (z, p) marks
-    every other one.  Each x is owned by <x>, the smallest cyclic subgroup
-    that holds it.
-    """
-    subs = cyclic_subgroups(group)
-    owner = {x: i for i in reversed(range(len(subs))) for x in subs[i].elements}
-    dec, primes = abelian_decomposition(group), _factorint(group.order)
-    inside = {owner[dec.element(p * e for e in dec.exponents[z])]
-              for z in group.elements() for p in primes if subs[owner[z]].order % p == 0}
-    return [sub for i, sub in enumerate(subs) if i not in inside]
 
-
-def _cyclic_h2_vanishes(module: GLattice, sub: Subgroup) -> bool:
-    """Whether H^2(C, Res M) = M^C / N_C M vanishes, for a cyclic subgroup C.
+def _cyclic_h2_vanishes(module: GLattice, span: Sequence[int], reads: dict) -> bool:
+    """Whether H^2(C, Res M) = M^C / N_C M vanishes, for the cyclic subgroup
+    C whose elements are ``span``.
 
     |C| kills H^2, the torsion of coker N_C, and N_C has rank r = rank M^C
     over Q (the mean of the trace character over C), so H^2 vanishes exactly
     when N_C mod p has rank r for each prime p dividing |C| (``_rank_mod``).
     When |C| is a power of 2, row i of N_C mod 2 is summed straight into a
     bitmask, as the XOR over c of the odd-entry bitmask of row i of M(c);
-    any other C sums N_C over Z once.
-    """
-    trace = sum(linalg.trace(module.action[c]) for c in sub.elements)
-    fixed, rem = divmod(trace, sub.order)
+    any other C sums N_C over Z once.  ``reads`` keeps each M(c)'s trace and
+    bitmasks for the other spans of one pass."""
+    for c in span:
+        if c not in reads:
+            trace, masks = 0, []
+            for i, row in enumerate(module.action[c].rows):
+                mask = 0
+                for j, y in row:
+                    trace += y if j == i else 0
+                    mask |= (y & 1) << j
+                masks.append(mask)
+            reads[c] = trace, masks
+    fixed, rem = divmod(sum(reads[c][0] for c in span), len(span))
     if rem:
         raise InternalInvariantError("the trace character does not average to a rank")
-    if sub.order & (sub.order - 1):
-        norm = linalg.combine((1, module.action[c]) for c in sub.elements).rows
-        return all(_rank_mod(norm, p, fixed) == fixed for p in _factorint(sub.order))
-    rows = [0] * module.rank
-    for c in sub.elements:
-        for i, row in enumerate(module.action[c].rows):
-            for j, y in row:
-                if y & 1:
-                    rows[i] ^= 1 << j
+    if len(span) & (len(span) - 1):
+        norm = linalg.combine((1, module.action[c]) for c in span).rows
+        return all(_rank_mod(norm, p, fixed) == fixed for p in _factorint(len(span)))
+    rows = reduce(lambda a, b: list(map(operator.xor, a, b)), (reads[c][1] for c in span))
     return _f2_rank(rows, fixed) == fixed
 
 

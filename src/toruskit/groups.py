@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
+from operator import contains, getitem, itemgetter, methodcaller
 from typing import Iterable, Mapping, NamedTuple
 
 from ._record import Record
@@ -60,29 +61,30 @@ class FiniteGroup(Record):
         order = len(table)
         if order <= 0:
             raise ValueError("group order must be positive")
-        if any(len(row) != order for row in table):
+        if set(map(len, table)) != {order}:
             raise ValueError("multiplication table has wrong shape")
-        if any(min(row) < 0 or max(row) >= order for row in table):
+        if min(map(min, table)) < 0 or max(map(max, table)) >= order:
             raise ValueError("table entry out of range")
-        plain = tuple(range(order))
+        plain, columns = tuple(range(order)), tuple(zip(*table))  # columns[b][a] = ab
         identity = next((e for e, row in enumerate(table)
-                         if row == plain and tuple(r[e] for r in table) == plain), None)
+                         if row == plain and columns[e] == plain), None)
         if identity is None:
             raise ValueError("no identity element")
-        if any(identity not in row for row in table):
+        if not all(map(contains, table, itertools.repeat(identity))):
             raise ValueError("missing inverse")
-        inverse = tuple(row.index(identity) for row in table)
-        if any(table[b][a] != identity for a, b in enumerate(inverse)):
+        inverse = tuple(map(methodcaller("index", identity), table))
+        if set(map(getitem, columns, inverse)) != {identity}:  # b a over a, b = a^-1
             raise ValueError("two-sided inverse missing")
         # Light's test: the c with (ab)c = a(bc) for all a, b are closed under
         # products, so checking c in a generating set proves associativity.  The
         # raw table is used, so a rejected table leaves nothing in any cache.
         spanning = tuple(_generate(lambda a, b: table[a][b], identity, range(order))[0])
-        for c in spanning:
-            times_c = [row[c] for row in table]
-            for row in table:
-                if [times_c[x] for x in row] != [row[x] for x in times_c]:
-                    raise ValueError("associativity fails")
+        products = tuple(map(itemgetter, *table))  # products[b](v) = (v[ab] over a)
+        for c in spanning:  # (ab)c over a against a(bc) = column bc, for every b
+            times_c = columns[c]  # (ac over a)
+            if tuple(map(methodcaller("__call__", times_c), products)) \
+                    != itemgetter(*times_c)(columns):
+                raise ValueError("associativity fails")
         for name, value in (("table", table), ("order", order), ("identity", identity),
                             ("inverse", inverse), ("_spanning_set", spanning)):
             object.__setattr__(self, name, value)

@@ -16,8 +16,8 @@ serves plain and transform requests alike.  Invariant factors, kernels and
 integer solves are derived from it.  A matrix whose nonzero invariant
 factors all divide 2^(e-1), as a coboundary matrix does when 2^(e-1) kills
 the cohomology it presents, may instead go to ``_two_adic_smith_form``:
-``_pack_columns`` packs its sparse rows into columns mod 2^e, one int each,
-and it is eliminated over Z/2^e, where that Smith form is exact.  A column-style
+packed into columns mod 2^e, one int each, it is eliminated over Z/2^e,
+where that Smith form is exact.  A column-style
 Hermite form puts lattice bases into a canonical shape; ``stack_product``
 multiplies a stack by a matrix on either side, each output row in one pass.
 """
@@ -441,24 +441,10 @@ def smith_normal_form(a, want_u: bool = False, want_v: bool = False) -> SmithFor
     return SmithForm(fixed_d + (0,) * (min(m, n) - len(fixed_d)), len(fixed_d), u, uinv, v)
 
 
-def _pack_columns(rows: Iterable[Iterable[tuple[int, int]]], n: int, e: int) -> list[int]:
-    """The n columns, mod 2^e, of the matrix whose row i has the (column,
-    entry) pairs ``rows[i]``, in any order, zeros allowed: each column one
-    int whose 2e-bit lane i holds row i's entry in [0, 2^e), the layout of
-    ``_two_adic_smith_form``.  A ``Matrix`` a packs as ``a.rows``."""
-    low, width = (1 << e) - 1, 2 * e
-    cols = [0] * n
-    for i, row in enumerate(rows):
-        shift = i * width
-        for j, x in row:
-            cols[j] |= (x & low) << shift
-    return cols
-
-
 def _two_adic_smith_form(columns: list[int], m: int, e: int) -> SmithForm:
     """The Smith form, without transforms, of an m-row integer matrix whose
-    nonzero invariant factors all divide 2^(e-1), given as its columns
-    packed by ``_pack_columns``.
+    nonzero invariant factors all divide 2^(e-1), given as its columns mod
+    2^e: one int each, whose 2e-bit lane i holds row i's entry in [0, 2^e).
 
     Over Z/2^e each such factor is 2^s with s < e, and a zero one reads 0,
     so the local Smith form mod 2^e is the integer one.  Stage s = 0 ... e-1

@@ -22,7 +22,8 @@ import pytest
 
 from toruskit import linalg
 from toruskit.arith import characters, frobenius
-from toruskit.cohomology import _tuple_index, bar_differential, cohomology, restriction_map
+from toruskit.cohomology import (_maximal_cyclic_spans, _tuple_index, bar_differential, cohomology,
+                                 restriction_map)
 from toruskit.errors import InternalInvariantError
 from toruskit.groups import (FiniteGroup, Subgroup, coset_gset, cyclic_group, cyclic_subgroups,
                              generating_set, index_two_subgroups, make_group,
@@ -481,6 +482,26 @@ def maximal_by_inclusion(subgroups: list[Subgroup]) -> list[Subgroup]:
     subset test, in their given order."""
     sets = [set(s.elements) for s in subgroups]
     return [s for s, e in zip(subgroups, sets) if not any(e < f for f in sets)]
+
+
+def maximal_cyclic_subgroups(group: FiniteGroup) -> list[Subgroup]:
+    """The maximal cyclic spans that ``sha2_cyclic`` walks, as checked subgroups."""
+    return [Subgroup(group, span) for span in _maximal_cyclic_spans(group)]
+
+
+def pack_columns(rows, n: int, e: int) -> list[int]:
+    """The n columns, mod 2^e, of the matrix whose row i has the (column,
+    entry) pairs ``rows[i]``, in any order, zeros allowed: each column one
+    int whose 2e-bit lane i holds row i's entry in [0, 2^e), the layout of
+    ``linalg._two_adic_smith_form``, each entry shifted into its lane on its
+    own.  A ``Matrix`` a packs as ``a.rows``."""
+    low, width = (1 << e) - 1, 2 * e
+    cols = [0] * n
+    for i, row in enumerate(rows):
+        shift = i * width
+        for j, x in row:
+            cols[j] |= (x & low) << shift
+    return cols
 
 
 def sieve_primes(n: int) -> list[int]:

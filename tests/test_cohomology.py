@@ -15,7 +15,7 @@ import toruskit.cli  # noqa: F401  (loads every module, for the cache scan)
 from toruskit import linalg
 from toruskit.arith import AbelianGaloisDatum
 from toruskit.cohomology import (_basis, _boundaries, _boundary, _corestricted_cycles,
-                                 _cyclic_h2_vanishes, _maximal_cyclic_subgroups, _torsion,
+                                 _cyclic_h2_vanishes, _torsion,
                                  bar_differential, cohomology, cohomology_classes, differential,
                                  enumerate_splittings, restrict_cochain,
                                  restriction_map, sha2_cyclic, tate_h0)
@@ -36,6 +36,7 @@ from toruskit.tori import make_torus
 from support import (bar_presented_cohomology, bar_sha2, brute_force_cocycles, conjugate,
                      brute_force_h1_order, dense, fixed_point_tate_h0, identity,
                      group_family_up_to_8, kernel_invariants, maximal_by_inclusion,
+                     maximal_cyclic_subgroups, pack_columns,
                      presentation_of_lattice,
                      random_glattice, random_unimodular, s3_group,
                      sha2_over_every_cyclic_subgroup, universal_coefficients_mod)
@@ -481,7 +482,7 @@ def test_maximal_cyclic_subgroups_match_the_pairwise_test():
         for a, b in ((3, 9), (6, 6), (2, 12), (5, 10), (4, 18))]
     for g in groups:
         subs = cyclic_subgroups(g)
-        assert _maximal_cyclic_subgroups(g) == maximal_by_inclusion(subs), g
+        assert maximal_cyclic_subgroups(g) == maximal_by_inclusion(subs), g
 
 
 def test_boundary_chains_are_shared_and_immutable():
@@ -518,7 +519,7 @@ def check_cyclic_h2_vanishes(g, m):
     nonzero = 0
     for c in cyclic_subgroups(g):
         h2 = cohomology(c.as_group(), restrict(m, c), 2).torsion
-        assert _cyclic_h2_vanishes(m, c) == (not h2), (dense(m.action).tolist(), c)
+        assert _cyclic_h2_vanishes(m, c.elements, {}) == (not h2), (dense(m.action).tolist(), c)
         nonzero += bool(h2)
     return nonzero
 
@@ -592,12 +593,13 @@ TWO_GROUPS = [cyclic_group(n) for n in (1, 2, 4, 8, 16)] + [
     product_group(C4, C4), product_group(KLEIN, C4), product_group(product_group(KLEIN, C2), C2)]
 
 
-def check_one_coboundary(run, coprime=False):
+def check_one_coboundary(run, coprime=False, lanes=None):
     """Run ``run`` packed, then with _PACKED_CELLS = 0: the answers are
     equal, and the columns the 2-adic route eliminated are the packing of
     the one matrix the integer route factors.  With ``coprime``, gcd(E,
     |G|) = 1 for the exponent E of the module: neither run eliminates
-    anything, and the answer is the trivial group.  Returns the answer."""
+    anything, and the answer is the trivial group.  With ``lanes``, the
+    packed run eliminated mod 2^lanes.  Returns the answer."""
     engine = sys.modules["toruskit.cohomology"]
     packed, factored = [], []
     real_packed, real_factors = linalg._two_adic_smith_form, linalg.invariant_factors
@@ -621,7 +623,8 @@ def check_one_coboundary(run, coprime=False):
         assert (packed, factored, got) == ([], [], FGAbelian.trivial())
         return got
     [(columns, m, e)], [d] = packed, factored
-    assert d.shape[0] == m and linalg._pack_columns(d.rows, d.shape[1], e) == columns
+    assert d.shape[0] == m and pack_columns(d.rows, d.shape[1], e) == columns
+    assert lanes in (None, e), (lanes, e)
     return got
 
 
@@ -649,11 +652,58 @@ def test_packed_cohomology_matches_the_integer_route(g, case):
     # cyclic C under it, here unsplit on norm-one + Z, where Z gives every
     # nontrivial C a nonzero H^2(C, M).
     m = direct_sum(make_torus(g, "norm_one").X, trivial_lattice(g, 1))
-    targets = [sub for sub in _maximal_cyclic_subgroups(g) if not _cyclic_h2_vanishes(m, sub)]
+    targets = [sub for sub in maximal_cyclic_subgroups(g)
+               if not _cyclic_h2_vanishes(m, sub.elements, {})]
     if targets:
         cycles = _corestricted_cycles(g, m, targets)
         got = check_one_coboundary(lambda: _torsion(g, m, 2, cycles))
         assert FGAbelian(0, got) == sha2_cyclic(g, m)
+
+
+@pytest.mark.parametrize("g", [cyclic_group(8), cyclic_group(16),
+                               product_group(C2, cyclic_group(8)), product_group(C4, cyclic_group(8))],
+                         ids=["C8", "C16", "C2xC8", "C4xC8"])
+def test_packed_lanes_hold_norm_blocks_longer_than_the_annihilator(g):
+    # Presented mod m = 2 or 4, H^1 and H^2 are killed by m and packed mod
+    # 2m, in lanes of 4 or 6 bits, while one entry of a norm block sums 8 or
+    # 16 terms (entries 1, or -1 = 2m - 1 on the norm-one lattice): the
+    # packing must reduce the lanes as it sums them.  The packed columns are
+    # those of the integer route's rows, and H^0-H^2 follow by universal
+    # coefficients from the lattice's integer Smith forms, H^0(L/mL) =
+    # (L^G)/m + H^1(L)[m].
+    for lattice in (make_torus(g, "norm_one").X, regular_lattice(g), trivial_lattice(g, 2)):
+        h = [cohomology(g, lattice, q) for q in (0, 1, 2)] + [
+            FGAbelian(0, linalg.invariant_factors(differential(g, lattice.action, 2)))]
+        for m in (2, 4):
+            pres = presentation_mod(lattice, m)
+            got = [cohomology.__wrapped__(g, pres, 0)] + [
+                check_one_coboundary(lambda: cohomology.__wrapped__(g, pres, q),
+                                     lanes=m.bit_length()) for q in (1, 2)]
+            want = [FGAbelian.from_divisors([m] * h[0].free_rank
+                                            + [math.gcd(d, m) for d in h[1].torsion])] + [
+                universal_coefficients_mod(h[q], h[q + 1], m) for q in (1, 2)]
+            assert got == want, (g, lattice, m)
+
+
+def test_cold_sha2_over_c2_4_builds_no_subgroup_and_no_relation_complex():
+    # On the norm-one torus of the witness 120/{1,49} (G = C2^4) each of the
+    # 15 maximal cyclic spans has H^2(C, M) = 0, so sha2_cyclic checks no
+    # Subgroup; and a lattice is its own complex, so no H^q reads its
+    # _relation_complex.
+    t = make_torus(AbelianGaloisDatum(120, (1, 49)), "norm_one")
+    x = GLattice(t.group, t.X.action)  # a fresh record: nothing cached on it
+    built = []
+    for cache in (cohomology, sha2_cyclic):
+        cache.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        real = Subgroup.__init__
+        patch.setattr(Subgroup, "__init__",
+                      lambda self, *args: built.append(args) or real(self, *args))
+        assert sha2_cyclic(t.group, x) == FGAbelian(0, (2,) * 6)
+        assert [cohomology(t.group, x, q) for q in (0, 1)] == [FGAbelian.trivial(),
+                                                               FGAbelian(0, (2,) * 4)]
+    assert built == []
+    assert "_relation_complex" not in x.__dict__
 
 
 def test_sha2_on_the_witness_takes_no_smith_form():
@@ -705,7 +755,7 @@ def test_restriction_to_a_nonzero_target_takes_one_smith_form():
     # the coordinates of the restricted classes.
     g = product_group(C2, C4)
     m = direct_sum(norm_one_lattice(g), trivial_lattice(g, 1))
-    sub = _maximal_cyclic_subgroups(g)[0]
+    sub = maximal_cyclic_subgroups(g)[0]
     cohomology_classes(m, 2)
     with pytest.MonkeyPatch.context() as patch:
         shapes = counting_smith_forms(patch)

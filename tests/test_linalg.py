@@ -6,7 +6,7 @@ from hypothesis import example, given, seed as fixed_seed, settings, strategies 
 
 from toruskit import linalg
 
-from support import dense, is_saturated, quotient_invariants, random_unimodular
+from support import dense, is_saturated, pack_columns, quotient_invariants, random_unimodular
 
 
 def matrix_lists(max_dim=5, lo=-9, hi=9):
@@ -333,5 +333,5 @@ def test_two_adic_smith_form_matches_the_integer_one(case):
     a, e = case
     want = linalg.smith_normal_form(a)
     got = linalg._two_adic_smith_form(
-        linalg._pack_columns(a.rows, a.shape[1], e), a.shape[0], e)
+        pack_columns(a.rows, a.shape[1], e), a.shape[0], e)
     assert (got.diagonal, got.rank) == (want.diagonal, want.rank)

@@ -268,14 +268,15 @@ def _arithmetic_datum(t: Torus, needs: str) -> AbelianGaloisDatum:
 def local_artin_factor(t: Torus, p: int) -> Fraction:
     """Euler factor at s=1 of the lattice character: 1/det(I - Frob/p).
 
-    Checks the datum, then that p is prime, then that p is unramified.
-    det(p I - X(Frob)) is read off the cycle exponents of Frobenius, which the
-    trace character gives once per Galois element (``_local_determinant``).
-    It is = det(-X(Frob)) = +-1 mod p, so p^dim / det is in lowest terms and
-    is built without a gcd (``_coprime_fraction``).
+    Checks the datum, then p in ``frobenius``, its one read: an integer, a
+    prime, then unramified.  det(p I - X(Frob)) is read off the cycle
+    exponents of Frobenius, which the trace character gives once per Galois
+    element (``_local_determinant``).  It is = det(-X(Frob)) = +-1 mod p, so
+    p^dim / det is in lowest terms and is built without a gcd.
     """
-    datum, p = _arithmetic_datum(t, "local factors need"), integer(p)
-    return _coprime_fraction(p ** t.dim, _local_determinant(t, frobenius(datum, p), p))
+    frob = frobenius(_arithmetic_datum(t, "local factors need"), p)
+    p = p if type(p) is int else integer(p)  # a numpy int, say, as frobenius read it
+    return _coprime_fraction(p ** t.X.rank, _local_determinant(t, frob, p))
 
 
 def _local_determinant(t: Torus, frob: int, p: int) -> int:

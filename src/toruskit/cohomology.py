@@ -539,7 +539,7 @@ def sha2_cyclic(group: FiniteGroup, module: GLattice) -> FGAbelian:
     total = cohomology(group, module, 2)
     if total.is_trivial():
         return FGAbelian.trivial()
-    reads: dict[int, tuple[int, list[int]]] = {}
+    reads: dict[int, tuple[int, list[int] | None]] = {}
     targets = (Subgroup(group, span) for span in _maximal_cyclic_spans(group)
                if not _cyclic_h2_vanishes(module, span, reads))
     first = next(targets, None)
@@ -608,10 +608,15 @@ def _cyclic_h2_vanishes(module: GLattice, span: Sequence[int], reads: dict) -> b
     when N_C mod p has rank r for each prime p dividing |C| (``_rank_mod``).
     When |C| is a power of 2, row i of N_C mod 2 is summed straight into a
     bitmask, as the XOR over c of the odd-entry bitmask of row i of M(c);
-    any other C sums N_C over Z once.  ``reads`` keeps each M(c)'s trace and
-    bitmasks for the other spans of one pass."""
+    any other C sums N_C over Z once.  ``reads`` keeps each M(c)'s trace, and
+    its bitmasks (None until a 2-power span reads them), for the other spans
+    of one pass; no maximal span is a 2-power one when |G| has an odd factor."""
+    two_power = not len(span) & (len(span) - 1)
     for c in span:
-        if c not in reads:
+        if c not in reads or two_power and reads[c][1] is None:
+            if not two_power:
+                reads[c] = linalg.trace(module.action[c]), None
+                continue
             trace, masks = 0, []
             for i, row in enumerate(module.action[c].rows):
                 mask = 0
@@ -623,7 +628,7 @@ def _cyclic_h2_vanishes(module: GLattice, span: Sequence[int], reads: dict) -> b
     fixed, rem = divmod(sum(reads[c][0] for c in span), len(span))
     if rem:
         raise InternalInvariantError("the trace character does not average to a rank")
-    if len(span) & (len(span) - 1):
+    if not two_power:
         norm = linalg.combine((1, module.action[c]) for c in span).rows
         return all(_rank_mod(norm, p, fixed) == fixed for p in _factorint(len(span)))
     rows = reduce(lambda a, b: list(map(operator.xor, a, b)), (reads[c][1] for c in span))

@@ -262,14 +262,16 @@ def _factorint(n: int) -> dict[int, int]:
 
 
 def primes_up_to(n: int) -> list[int]:
+    """The primes p <= n, increasing; [] for n < 2.  The sieve holds the odd
+    numbers only, and an odd prime p strikes every p-th slot from p^2 on."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return list(itertools.compress(range(n + 1), sieve))
+    sieve = bytearray([1]) * ((n + 1) // 2)  # slot i stands for 2i + 1
+    sieve[0] = 0
+    for p in range(3, isqrt(n) + 1, 2):
+        if sieve[p // 2]:
+            sieve[p * p // 2::p] = bytes(len(range(p * p // 2, len(sieve), p)))
+    return [2, *itertools.compress(range(1, n + 1, 2), sieve)]
 
 
 # Strong probable-prime bases: the first thirteen primes decide primality of
@@ -278,19 +280,22 @@ def primes_up_to(n: int) -> list[int]:
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981  # psi_13
 _PRIMES_BELOW_1000 = frozenset(primes_up_to(999))  # the sieve of _is_prime below 10^6
+_PRIMORIAL_128 = prod(primes_up_to(127))
 _PRIMORIAL_1000 = prod(_PRIMES_BELOW_1000)
 
 
 def _is_prime(n: int) -> bool:
     """Whether n is prime.
 
-    Below 1000 by lookup in a sieve made at import, and below 10^6 by one
-    gcd with the product of the primes below 1000, which every composite
-    there shares a factor with.  From 10^6 by the strong probable-prime
-    test to the bases ``_MILLER_RABIN_BASES``, which is exact below psi_13;
-    from psi_13 up it raises ``UnsupportedRequestError``."""
+    Below 1000 by lookup in a sieve made at import; below 10^6 by one gcd
+    with the product of the primes below 128 if n < 128^2 = 16384, else below
+    1000, since a composite n has a prime factor <= sqrt(n).  From 10^6 by the
+    strong probable-prime test to the bases ``_MILLER_RABIN_BASES``, which is
+    exact below psi_13; from psi_13 up it raises ``UnsupportedRequestError``."""
+    if n < 1000:
+        return n in _PRIMES_BELOW_1000
     if n < 10 ** 6:
-        return n in _PRIMES_BELOW_1000 if n < 1000 else gcd(n, _PRIMORIAL_1000) == 1
+        return gcd(n, _PRIMORIAL_128 if n < 16384 else _PRIMORIAL_1000) == 1
     if n >= _MILLER_RABIN_EXACT_BELOW:
         raise UnsupportedRequestError(
             f"primality is decided below {_MILLER_RABIN_EXACT_BELOW} only")

@@ -4,6 +4,7 @@ The unramified local volume of the integral points is the exact rational
 det(I - Frob/p) = prod (1 - p^-e)^(c_e), over the cycle exponents of Frobenius
 (read off the trace character once per Galois element, ``arith``);
 the canonical coefficient is its inverse off the ramified set and 1 on it.
+A local volume makes one checked read of p per call, in ``arith.frobenius``.
 Frobenius acts through GL_n(Z), so det(p I - Frob) = det(-Frob) = +-1 mod p is
 prime to p^n: every unramified volume and coefficient is built in lowest
 terms without a gcd, and ``arith._local_determinant`` checks the congruence.
@@ -36,10 +37,11 @@ def local_volume(t: Torus, p: int) -> Fraction:
     """vol(T(Z_p)) = det(I - Frob_p / p), an exact positive rational.
 
     The inverse of ``local_artin_factor``, with the same checks in the same
-    order, built from the same determinant.  det(p I - Frob) = +-1 mod p, so
-    det / p^dim is in lowest terms and is built without a gcd."""
-    datum, p = _arithmetic_datum(t, "local factors need"), integer(p)
-    return _coprime_fraction(_local_determinant(t, frobenius(datum, p), p), p ** t.dim)
+    order (p read once, by ``frobenius``), from the same determinant.  det(p I -
+    Frob) = +-1 mod p, so det / p^dim is in lowest terms, built without a gcd."""
+    frob = frobenius(_arithmetic_datum(t, "local factors need"), p)
+    p = p if type(p) is int else integer(p)  # a numpy int, say, as frobenius read it
+    return _coprime_fraction(_local_determinant(t, frob, p), p ** t.X.rank)
 
 
 # The largest pmax for canonical_coefficients: 500 times 20000, the largest
@@ -57,13 +59,15 @@ def canonical_coefficients(t: Torus, pmax: int) -> dict[int, Fraction]:
     raises ``ValueError``, above ``PMAX_LIMIT`` ``UnsupportedRequestError``."""
     pmax = bounded(pmax, 2, PMAX_LIMIT, "pmax")
     datum = _arithmetic_datum(t, "canonical coefficients need")
-    ramified, n, element_of, dim = datum.ramified, datum.modulus, datum._element_of, t.dim
+    ramified, n, element_of, dim = datum.ramified, datum.modulus, datum._element_of, t.X.rank
+    one, new, determinant = Fraction(1), object.__new__, _local_determinant
     out: dict[int, Fraction] = {}
     for p in primes_up_to(pmax):
         if p in ramified:
-            out[p] = Fraction(1)
+            out[p] = one
         else:  # a sieve prime off S is a unit: Frobenius is its class, no primality test
-            out[p] = _coprime_fraction(p ** dim, _local_determinant(t, element_of[p % n], p))
+            out[p] = x = new(Fraction)  # _coprime_fraction's slots, set in the loop
+            x._numerator, x._denominator = p ** dim, determinant(t, element_of[p % n], p)
     return out
 
 

@@ -1,4 +1,6 @@
+import bisect
 import cmath
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -358,6 +360,17 @@ def test_primes_up_to():
     assert primes_up_to(10 ** 4) == sieve_primes(10 ** 4)
     for n in range(-2, 200):  # every length the stride slices can end at
         assert primes_up_to(n) == sieve_primes(n), n
+
+
+def test_odd_only_sieve_matches_the_plain_one():
+    # primes_up_to holds the odd numbers only, and q strikes its odd
+    # multiples from q^2 on: at every n < 3000, and at q^2 - 1, q^2 and
+    # q^2 + 1 for every prime q < 1000, where q's first strike enters or
+    # leaves the sieve.  sieve_primes(n) is the plain sieve's prefix up to n.
+    plain = sieve_primes(997 ** 2 + 1)
+    squares = ((q * q - 1, q * q, q * q + 1) for q in sieve_primes(999))
+    for n in itertools.chain(range(3000), *squares):
+        assert primes_up_to(n) == plain[:bisect.bisect_right(plain, n)], n
 
 
 def test_character_exponents_follow_the_unit_listing():

@@ -2,10 +2,16 @@ import io
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from toruskit.arith import AbelianGaloisDatum, local_artin_factor
 from toruskit.cli import main
+from toruskit.tamagawa import canonical_coefficients, local_volume
+from toruskit.tori import make_torus
+
+from support import sieve_primes
 
 GM = {"field": {"type": "cyclotomic", "modulus": 1},
       "torus": {"type": "split", "dim": 1}}
@@ -77,7 +83,7 @@ def test_volumes_ramified_lambda_one(tmp_path):
 
 def count_local_factors(monkeypatch) -> list[int]:
     """The primes of every local factor evaluated, by patching each binding of
-    ``_local_determinant``, the one Horner evaluation behind every factor."""
+    ``_local_determinant``, the one cycle-exponent product behind every factor."""
     from toruskit import arith, tamagawa
     calls = []
     original = arith._local_determinant
@@ -96,6 +102,24 @@ def test_volumes_one_local_factor_per_prime(tmp_path, monkeypatch):
     payload = run_json(["volumes", "--pmax", "30", write(tmp_path, "r.json", QI_RES)])
     assert payload["volume"]["3"] == "8/9" and payload["lambda"]["3"] == "9/8"
     assert sorted(calls) == [int(p) for p in payload["volume"]]
+
+
+def test_one_determinant_per_local_factor(monkeypatch):
+    # canonical_coefficients evaluates each unramified prime's determinant
+    # once and the ramified ones not at all; local_volume and
+    # local_artin_factor take one each, also for a p that frobenius reads
+    # through operator.index (a numpy int would overflow in p ** dim).
+    t = make_torus(AbelianGaloisDatum(120, (1, 49)), "norm_one")
+    calls = count_local_factors(monkeypatch)
+    coeffs = canonical_coefficients(t, 2000)
+    assert calls == [p for p in sieve_primes(2000) if 120 % p]
+    for fn in (local_volume, local_artin_factor):
+        for p in (1999, np.int64(1999)):
+            calls.clear()
+            value = fn(t, p)
+            assert calls == [1999] and type(calls[0]) is int, (fn, p)
+            assert value == (coeffs[1999] if fn is local_artin_factor else 1 / coeffs[1999])
+            assert type(value.numerator) is int and type(value.denominator) is int
 
 
 def test_check_gm_computes_no_local_factor(monkeypatch):

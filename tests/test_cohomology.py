@@ -706,6 +706,32 @@ def test_cold_sha2_over_c2_4_builds_no_subgroup_and_no_relation_complex():
     assert "_relation_complex" not in x.__dict__
 
 
+@pytest.mark.parametrize("datum, masks", [(AbelianGaloisDatum(21), False),
+                                          (AbelianGaloisDatum(120, (1, 49)), True)],
+                         ids=["21: C2xC6", "120/{1,49}: C2^4"])
+def test_sha2_pass_reads_bitmasks_only_for_two_power_spans(datum, masks):
+    # Over (Z/21)^x every maximal cyclic subgroup has order 6, so the pass
+    # reads each element's trace and no odd-entry bitmask; over the 2-group
+    # C2^4 every span is a 2-power one and each element's bitmasks are read
+    # once.  The traces are the trace character either way.
+    x = make_torus(datum, "norm_one").X
+    passes = []
+    with pytest.MonkeyPatch.context() as patch:
+        engine = sys.modules["toruskit.cohomology"]
+        real = engine._cyclic_h2_vanishes
+        patch.setattr(engine, "_cyclic_h2_vanishes",
+                      lambda m, span, reads: passes.append((span, reads)) or real(m, span, reads))
+        assert not sha2_cyclic.__wrapped__(x.group, x).is_trivial()
+    spans = [span for span, _ in passes]
+    assert spans == [s.elements for s in maximal_cyclic_subgroups(x.group)]
+    assert all(bool(len(s) & (len(s) - 1)) != masks for s in spans)
+    reads = passes[0][1]
+    assert all(r is reads for _, r in passes) and sorted(reads) == list(x.group.elements())
+    assert tuple(trace for trace, _ in reads.values()) == tuple(
+        trace_character(x)[c] for c in reads)
+    assert all((bitmasks is not None) == masks for _, bitmasks in reads.values())
+
+
 def test_sha2_on_the_witness_takes_no_smith_form():
     # On the 120/{1,49} norm-one torus (G = C2^4) the F_2 rank test clears
     # all 15 maximal cyclic subgroups, so the one elimination taken is that

@@ -66,6 +66,34 @@ def test_local_factors_at_1024_against_the_cycle_formula():
     in_child(_cycle_formula_at_1024)
 
 
+def _local_factors_across_the_primality_hand_over():
+    pmax, checked = 2 * 10 ** 6, 0
+    primes = sieve_primes(pmax)
+    for datum, kind in ((AbelianGaloisDatum(120, (1, 49)), "norm_one"),
+                        (AbelianGaloisDatum(15), "res")):
+        t = make_torus(datum, kind)
+        coeffs = canonical_coefficients(t, pmax)
+        assert list(coeffs) == primes, kind
+        for p, lam in coeffs.items():
+            if datum.modulus % p:
+                assert lam * local_volume(t, p) == 1, (kind, p)
+                assert lam == local_artin_factor(t, p), (kind, p)
+                checked += 1
+    return checked
+
+
+def test_local_factors_across_the_primality_hand_over():
+    """At every unramified p <= 2 10^6 on the witness 120/{1,49} and on res over
+    (Z/15)^x, lambda_p from canonical_coefficients, which reads sieve primes,
+    is the inverse of local_volume and equals local_artin_factor, both of
+    which test p in frobenius: by a gcd below 10^6 (with the primes below 128
+    under 128^2) and by Miller-Rabin from there.  In a fresh process, under
+    60 s."""
+    checked, took, _ = in_child(_local_factors_across_the_primality_hand_over)
+    assert checked == (148933 - 3) + (148933 - 2), checked  # pi(2 10^6), less S = {2, 3, 5}, {3, 5}
+    assert took < 60, took
+
+
 def _characters_against_the_oracle():
     for n, g, rho in ((5400, None, None), (1001, None, None),
                       (8192, 5 ** 16, 0.2738445315622362),
